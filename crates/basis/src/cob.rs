@@ -7,7 +7,9 @@
 //! columns `0 … i−2` gives the `i × (i−1)` matrix `B_i` with θ on the
 //! diagonal, μ on the superdiagonal and γ on the subdiagonal — eq. (9).
 //!
-//! sPCG uses `B = B_{s+1}` to form `AU^(k) = S^(k)·B` (Alg. 5 line 8);
+//! sPCG uses `B = B_{s+1}` to form `AU^(k) = S^(k)·B` (Alg. 5 line 8) —
+//! tile by tile inside `ParKernels::sstep_block_update`, from the three
+//! recurrence arrays rather than from the assembled matrix;
 //! CA-PCG embeds `B_{s+1}` and `B_s` in a `(2s+1)²` block matrix so the MV
 //! products of its inner loop can be performed on coordinate vectors.
 
@@ -66,78 +68,27 @@ pub fn b_capcg(params: &BasisParams, s: usize) -> DenseMat {
     b
 }
 
-/// Applies the change of basis to full-length columns: `out = V · B_{k+1}`
-/// where `V` has `k+1` columns and `out` gets `k` columns,
-/// `out_j = γ_j·v_{j+1} + θ_j·v_j + μ_{j-1}·v_{j-1}`.
-///
-/// This is how sPCG forms `AU^(k) = S^(k)·B` (Alg. 5 line 8) without any
-/// additional SpMV. Returns the FLOPs spent (0 for the monomial basis,
-/// where the operation degenerates to a column copy; at most `(5s−2)·n`
-/// in general — paper §4.2).
+/// FLOPs per row of forming the `k` columns of `AU = S·B_{k+1}`
+/// (Alg. 5 line 8), `au_j = γ_j·s_{j+1} + θ_j·s_j + μ_{j-1}·s_{j-1}`, the
+/// way `ParKernels::sstep_block_update` forms them: one multiply per
+/// `γ_j ≠ 1` and a multiply-add per nonzero `θ_j` / `μ_{j-1}` — 0 for the
+/// monomial basis, where the column is a copy, and at most `5k − 2` in
+/// general (paper §4.2).
 ///
 /// # Panics
-/// Panics on dimension mismatches.
-pub fn apply_b_to_columns(
-    v: &spcg_sparse::MultiVector,
-    params: &BasisParams,
-    out: &mut spcg_sparse::MultiVector,
-) -> u64 {
-    apply_b_to_columns_par(&spcg_sparse::ParKernels::serial(), v, params, out)
-}
-
-/// [`apply_b_to_columns`] with the column combinations row-partitioned over
-/// an intra-rank thread pool — bitwise identical to the serial version for
-/// every thread count (each row is updated by the same expression).
-///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn apply_b_to_columns_par(
-    pk: &spcg_sparse::ParKernels,
-    v: &spcg_sparse::MultiVector,
-    params: &BasisParams,
-    out: &mut spcg_sparse::MultiVector,
-) -> u64 {
-    let k = out.k();
-    assert_eq!(
-        v.k(),
-        k + 1,
-        "apply_b_to_columns: v must have one more column than out"
-    );
-    assert_eq!(v.n(), out.n(), "apply_b_to_columns: row mismatch");
+/// Panics if the parameters cover fewer than `k` polynomials.
+pub fn au_flops_per_row(params: &BasisParams, k: usize) -> u64 {
     assert!(
         params.degree() >= k,
-        "apply_b_to_columns: params degree too small"
+        "au_flops_per_row: params degree too small"
     );
-    let n = v.n();
-    let mut flops = 0u64;
-    for j in 0..k {
-        let gamma = params.gamma[j];
-        let theta = params.theta[j];
-        let mu = if j >= 1 { params.mu[j - 1] } else { 0.0 };
-        {
-            let src = v.col(j + 1);
-            let dst = out.col_mut(j);
-            if gamma == 1.0 {
-                dst.copy_from_slice(src);
-            } else {
-                pk.for_each_chunk_mut(dst, spcg_sparse::blas::REDUCE_BLOCK, |_, lo, piece| {
-                    for (i, di) in piece.iter_mut().enumerate() {
-                        *di = gamma * src[lo + i];
-                    }
-                });
-                flops += n as u64;
-            }
-        }
-        if theta != 0.0 {
-            pk.axpy(theta, v.col(j), out.col_mut(j));
-            flops += 2 * n as u64;
-        }
-        if mu != 0.0 {
-            pk.axpy(mu, v.col(j - 1), out.col_mut(j));
-            flops += 2 * n as u64;
-        }
-    }
-    flops
+    (0..k)
+        .map(|j| {
+            u64::from(params.gamma[j] != 1.0)
+                + 2 * u64::from(params.theta[j] != 0.0)
+                + 2 * u64::from(j >= 1 && params.mu[j - 1] != 0.0)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -230,41 +181,17 @@ mod tests {
     }
 
     #[test]
-    fn apply_b_monomial_is_column_shift_and_free() {
-        use spcg_sparse::MultiVector;
-        let params = BasisParams::monomial(3);
-        let v = MultiVector::from_columns(&[
-            vec![1.0, 2.0],
-            vec![3.0, 4.0],
-            vec![5.0, 6.0],
-            vec![7.0, 8.0],
-        ]);
-        let mut out = MultiVector::zeros(2, 3);
-        let flops = apply_b_to_columns(&v, &params, &mut out);
-        assert_eq!(flops, 0);
-        assert_eq!(out.col(0), v.col(1));
-        assert_eq!(out.col(2), v.col(3));
-    }
-
-    #[test]
-    fn apply_b_matches_dense_product() {
-        use spcg_sparse::MultiVector;
-        let params = BasisParams::chebyshev(0.3, 2.7, 4);
-        let n = 5;
-        let cols: Vec<Vec<f64>> = (0..5)
-            .map(|j| (0..n).map(|i| ((i * 5 + j * 3) % 7) as f64 - 3.0).collect())
-            .collect();
-        let v = MultiVector::from_columns(&cols);
-        let mut out = MultiVector::zeros(n, 4);
-        let flops = apply_b_to_columns(&v, &params, &mut out);
-        assert!(flops > 0);
-        let b = b_small(&params, 5);
-        let mut want = MultiVector::zeros(n, 4);
-        v.gemm_small(&b, &mut want);
-        for j in 0..4 {
-            for i in 0..n {
-                assert!((out.col(j)[i] - want.col(j)[i]).abs() < 1e-12, "({i},{j})");
-            }
-        }
+    fn au_flops_follow_the_nonzero_pattern() {
+        assert_eq!(au_flops_per_row(&BasisParams::monomial(6), 6), 0);
+        // Newton: γ = 1, μ = 0, one multiply-add per shift.
+        assert_eq!(
+            au_flops_per_row(&BasisParams::newton(&[2.0, 3.0, 0.0, 5.0], 4), 4),
+            6
+        );
+        // Chebyshev: every coefficient live — the paper's 5k − 2 bound.
+        assert_eq!(
+            au_flops_per_row(&BasisParams::chebyshev(0.3, 2.7, 4), 4),
+            18
+        );
     }
 }

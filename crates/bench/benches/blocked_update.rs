@@ -3,7 +3,7 @@
 //! the performance argument of §4.1.
 
 use spcg_bench::harness::bench;
-use spcg_sparse::{blas, DenseMat, MultiVector};
+use spcg_sparse::{blas, DenseMat, MultiVector, ParKernels};
 use std::hint::black_box;
 
 fn main() {
@@ -17,9 +17,9 @@ fn main() {
 
     {
         let mut p = u.clone();
-        let mut scratch = MultiVector::zeros(n, s);
+        let pk = ParKernels::serial();
         bench("block_update_s10/blas3_blocked", || {
-            p.blocked_update(black_box(&u), black_box(&bmat), &mut scratch);
+            pk.blocked_update(&mut p, black_box(&u), black_box(&bmat));
         });
     }
     {

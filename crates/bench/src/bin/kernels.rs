@@ -17,12 +17,16 @@
 //! use — so the bench and a traced solve report the same quantities. Each
 //! rep records one span; `TrackSpans::min_duration_s` yields best-of-reps.
 //!
-//! The blocked update is reported twice: `blocked_update_cold` is the very
-//! first call at each thread count (it pays one-time costs — thread-pool
-//! spin-up, first-touch page faults on the scratch block, schedule build)
-//! and `blocked_update` is best-of-reps *after* a warm-up pass. Earlier
-//! revisions timed the cold call only, which inflated the 1-thread number
-//! by roughly 2× and made the thread-scaling curve look superlinear.
+//! The blocked update `P ← U + P·B` (in place over row tiles) is reported
+//! twice: `blocked_update_cold` is the very first call at each thread count
+//! (it pays one-time costs — thread-pool spin-up, the tile scratch's first
+//! touch) and `blocked_update` is best-of-reps *after* a warm-up pass.
+//! Earlier revisions timed the cold call only, which inflated the 1-thread
+//! number by roughly 2× and made the thread-scaling curve look superlinear.
+//! `sstep_block_update` is the whole vector-update phase of an sPCG block
+//! (`AU = S·B`, both blocked updates, `x += P·a`, `r −= AP·a`) as the
+//! solvers run it: one pass, `4s² + 9s − 2` FLOPs per row with the
+//! Chebyshev recurrence.
 
 use spcg_basis::{BasisParams, Mpk};
 use spcg_bench::{quick_mode, write_results};
@@ -32,7 +36,7 @@ use spcg_obs::{Phase, Tracer};
 use spcg_precond::Jacobi;
 use spcg_sparse::generators::poisson::poisson_3d;
 use spcg_sparse::partition::BlockRowPartition;
-use spcg_sparse::{CsrMatrix, DenseMat, MultiVector, ParKernels, SparseFormat};
+use spcg_sparse::{CsrMatrix, DenseMat, MultiVector, ParKernels, SparseFormat, SstepBlock};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const RANKS: [usize; 3] = [1, 2, 4];
@@ -48,6 +52,8 @@ const SELL_THREAD: usize = 2;
 const SELL_COLD_THREAD: usize = 3;
 const MPK_FUSED_THREAD: usize = 4;
 const MPK_LEVEL_THREAD: usize = 5;
+/// Pseudo-thread id of the fused s-step block update.
+const SSTEP_THREAD: usize = 6;
 
 fn filled_multivector(n: usize, k: usize, seed: usize) -> MultiVector {
     let cols: Vec<Vec<f64>> = (0..k)
@@ -157,14 +163,17 @@ fn main() {
     let v_gram = filled_multivector(n, 2 * S + 1, 7);
     let u_mat = filled_multivector(n, S, 3);
     let b_small = DenseMat::from_fn(S, S, |i, j| (((i * 5 + j * 3) % 11) as f64) / 11.0 - 0.5);
-    let mut scratch = MultiVector::zeros(n, S);
+    let s_mat = filled_multivector(n, S + 1, 11);
+    let a_vec: Vec<f64> = (0..S).map(|j| 0.05 * (j as f64 + 1.0)).collect();
 
     // FLOPs per call: SpMV 2·nnz; Gram k² entries of 2n each; blocked
-    // update P ← U + P·B is 2·s²·n.
+    // update P ← U + P·B is 2·s²·n; the full s-step block update is two of
+    // those, AU at 5s − 2 per row and the two GEMVs at 4s.
     let k = 2 * S + 1;
     let spmv_flops = 2.0 * nnz as f64;
     let gram_flops = 2.0 * (k * k) as f64 * n as f64;
     let update_flops = 2.0 * (S * S) as f64 * n as f64;
+    let sstep_flops = (4 * S * S + 9 * S - 2) as f64 * n as f64;
 
     // SELL-C-σ leg: one conversion (cached on the matrix), shared across
     // thread counts. The fused-MPK comparator runs the same SELL storage
@@ -192,6 +201,7 @@ fn main() {
     let mut gram_gf = Vec::new();
     let mut update_gf = Vec::new();
     let mut update_cold_gf = Vec::new();
+    let mut sstep_gf = Vec::new();
     for &t in &THREADS {
         let pk = ParKernels::new(t);
         // One tracer per thread count: rank id = thread count, the warm
@@ -214,12 +224,34 @@ fn main() {
             // Cold: the first call pays pool spin-up and first-touch faults.
             {
                 let _s = cold.span(Phase::VecUpdate);
-                p_mat.blocked_update_par(&pk, &u_mat, &b_small, &mut scratch);
+                pk.blocked_update(&mut p_mat, &u_mat, &b_small);
             }
             // Warm: steady-state best-of-reps, the number iterations see.
             for _ in 0..reps {
                 let _s = track.span(Phase::VecUpdate);
-                p_mat.blocked_update_par(&pk, &u_mat, &b_small, &mut scratch);
+                pk.blocked_update(&mut p_mat, &u_mat, &b_small);
+            }
+
+            // The fused block update on the MPK legs' Chebyshev
+            // recurrence. B is a contraction scaled so P and AP stay
+            // bounded over the reps.
+            let sstep_track = tracer.track_on(t, SSTEP_THREAD);
+            let b_k = DenseMat::from_fn(S, S, |i, j| b_small[(i, j)] / S as f64);
+            let blk = SstepBlock {
+                s_mat: &s_mat,
+                gamma: &mpk_params.gamma,
+                theta: &mpk_params.theta,
+                mu: &mpk_params.mu,
+                u: &u_mat,
+                b_k: Some(&b_k),
+                a: &a_vec,
+            };
+            let mut ap_mat = filled_multivector(n, S, 6);
+            let (mut xv, mut rv) = (x.clone(), x.clone());
+            pk.sstep_block_update(&blk, &mut p_mat, &mut ap_mat, &mut xv, &mut rv);
+            for _ in 0..reps {
+                let _s = sstep_track.span(Phase::VecUpdate);
+                pk.sstep_block_update(&blk, &mut p_mat, &mut ap_mat, &mut xv, &mut rv);
             }
 
             // SELL-C-σ SpMV: the cold call pays the slice-schedule build
@@ -277,6 +309,7 @@ fn main() {
         let tg = min_of(0, Phase::Gram);
         let tu = min_of(0, Phase::VecUpdate);
         let tu_cold = min_of(COLD_THREAD, Phase::VecUpdate);
+        let t_sstep = min_of(SSTEP_THREAD, Phase::VecUpdate);
         let ts_sell = min_of(SELL_THREAD, Phase::Spmv);
         let ts_sell_cold = min_of(SELL_COLD_THREAD, Phase::Spmv);
         let tm_fused = min_of(MPK_FUSED_THREAD, Phase::MpkLevel);
@@ -289,15 +322,17 @@ fn main() {
         gram_gf.push(gram_flops / tg / 1e9);
         update_gf.push(update_flops / tu / 1e9);
         update_cold_gf.push(update_flops / tu_cold / 1e9);
+        sstep_gf.push(sstep_flops / t_sstep / 1e9);
         eprintln!(
-            "[kernels] threads={t}: spmv {:.2} GF/s (sell {:.2}), mpk fused {:.2} vs level {:.2} GF/s, gram {:.2} GF/s, update {:.2} GF/s (cold {:.2})",
+            "[kernels] threads={t}: spmv {:.2} GF/s (sell {:.2}), mpk fused {:.2} vs level {:.2} GF/s, gram {:.2} GF/s, update {:.2} GF/s (cold {:.2}), sstep block update {:.2} GF/s",
             spmv_gf.last().unwrap(),
             spmv_sell_gf.last().unwrap(),
             mpk_fused_gf.last().unwrap(),
             mpk_level_gf.last().unwrap(),
             gram_gf.last().unwrap(),
             update_gf.last().unwrap(),
-            update_cold_gf.last().unwrap()
+            update_cold_gf.last().unwrap(),
+            sstep_gf.last().unwrap()
         );
     }
 
@@ -307,7 +342,7 @@ fn main() {
     // kernel that fails to scale from a machine that cannot show scaling.
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let out = format!(
-        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {}\n  }}\n}}\n",
+        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }}\n}}\n",
         threads_list.join(", "),
         sell.pad_ratio(),
         json_array(&spmv_gf),
@@ -318,6 +353,7 @@ fn main() {
         json_array(&gram_gf),
         json_array(&update_gf),
         json_array(&update_cold_gf),
+        json_array(&sstep_gf),
         json_array(&speedup(&spmv_gf)),
         json_array(&speedup(&spmv_sell_gf)),
         json_array(&speedup(&spmv_sell_cold_gf)),
@@ -326,6 +362,7 @@ fn main() {
         json_array(&speedup(&gram_gf)),
         json_array(&speedup(&update_gf)),
         json_array(&speedup(&update_cold_gf)),
+        json_array(&speedup(&sstep_gf)),
     );
     write_results("BENCH_kernels.json", &out);
 

@@ -42,7 +42,7 @@ use spcg_basis::BasisType;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
 use spcg_sparse::smallsolve::Cholesky;
-use spcg_sparse::{blas, DenseMat, MultiVector};
+use spcg_sparse::{blas, DenseMat, GemvOut, MultiVector};
 
 /// Solves `A x = b` with adaptive CA-PCG, starting at block size `s` and
 /// basis `basis` (see the module docs and [`crate::Method::AdaptiveCaPcg`]).
@@ -265,7 +265,7 @@ pub(crate) fn adaptive_capcg_g<E: Exec>(
             // converged residual is convergence; otherwise shrink, restart
             // the direction vectors from the recovered residual, and keep
             // going under the escalating budget.
-            gemv_concat_acc(&pk, &p_mat, &u_mat, 1.0, &x_c, &mut x);
+            gemv_concat_acc(&pk, &p_mat, &u_mat, &x_c, &mut x);
             gemv_concat(&pk, &q_mat, &r_mat, &r_c, &mut r);
             counters.blas2_flops += 2 * 2 * dim as u64 * nw;
             let v = criterion_value(
@@ -318,11 +318,19 @@ pub(crate) fn adaptive_capcg_g<E: Exec>(
 
         // --- recover the full vectors (BLAS2) ---
         let update_span = spcg_obs::span(tr.as_ref(), Phase::VecUpdate);
-        gemv_concat(&pk, &q_mat, &r_mat, &p_c, &mut q);
-        gemv_concat(&pk, &q_mat, &r_mat, &r_c, &mut r);
-        gemv_concat(&pk, &p_mat, &u_mat, &p_c, &mut p);
-        gemv_concat(&pk, &p_mat, &u_mat, &r_c, &mut u);
-        gemv_concat_acc(&pk, &p_mat, &u_mat, 1.0, &x_c, &mut x);
+        // Each basis block is read once for all the vectors it yields.
+        pk.gemv_multi(
+            &[&q_mat, &r_mat],
+            &mut [GemvOut::Set(&p_c, &mut q), GemvOut::Set(&r_c, &mut r)],
+        );
+        pk.gemv_multi(
+            &[&p_mat, &u_mat],
+            &mut [
+                GemvOut::Set(&p_c, &mut p),
+                GemvOut::Set(&r_c, &mut u),
+                GemvOut::Acc(&x_c, &mut x),
+            ],
+        );
         counters.blas2_flops += 5 * 2 * dim as u64 * nw;
         drop(update_span);
 

@@ -20,7 +20,7 @@ use spcg_basis::cob::b_capcg;
 use spcg_basis::BasisType;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
-use spcg_sparse::{blas, MultiVector};
+use spcg_sparse::{blas, GemvOut, MultiVector};
 
 /// Solves `A x = b` with CA-PCG (Alg. 3).
 ///
@@ -123,7 +123,7 @@ pub(crate) fn capcg_g<E: Exec>(
             if !(denom > 0.0) || !denom.is_finite() || !(rho > 0.0) || !rho.is_finite() {
                 // Recover the mid-block iterate, then judge: breakdown at a
                 // converged residual is convergence.
-                gemv_concat_acc(&pk, &p_mat, &u_mat, 1.0, &x_c, &mut x);
+                gemv_concat_acc(&pk, &p_mat, &u_mat, &x_c, &mut x);
                 gemv_concat(&pk, &q_mat, &r_mat, &r_c, &mut r);
                 let v = criterion_value(
                     exec,
@@ -158,11 +158,19 @@ pub(crate) fn capcg_g<E: Exec>(
 
         // --- recover the full vectors (BLAS2, lines 14–16) ---
         let update_span = spcg_obs::span(tr.as_ref(), Phase::VecUpdate);
-        gemv_concat(&pk, &q_mat, &r_mat, &p_c, &mut q);
-        gemv_concat(&pk, &q_mat, &r_mat, &r_c, &mut r);
-        gemv_concat(&pk, &p_mat, &u_mat, &p_c, &mut p);
-        gemv_concat(&pk, &p_mat, &u_mat, &r_c, &mut u);
-        gemv_concat_acc(&pk, &p_mat, &u_mat, 1.0, &x_c, &mut x);
+        // Each basis block is read once for all the vectors it yields.
+        pk.gemv_multi(
+            &[&q_mat, &r_mat],
+            &mut [GemvOut::Set(&p_c, &mut q), GemvOut::Set(&r_c, &mut r)],
+        );
+        pk.gemv_multi(
+            &[&p_mat, &u_mat],
+            &mut [
+                GemvOut::Set(&p_c, &mut p),
+                GemvOut::Set(&r_c, &mut u),
+                GemvOut::Acc(&x_c, &mut x),
+            ],
+        );
         counters.blas2_flops += 5 * 2 * dim as u64 * nw;
         drop(update_span);
 

@@ -23,11 +23,12 @@
 //! systems change slowly along the iteration), which typically cuts the
 //! sweep count severalfold once the method settles.
 
+use crate::blockops::{gram_stacked, sstep_update};
 use crate::engine::{allreduce_gram, Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
 use crate::stopping::{criterion_value, StopState, Verdict};
 use spcg_adapt::consensus;
-use spcg_basis::cob::{apply_b_to_columns_par, b_small};
+use spcg_basis::cob::b_small;
 use spcg_basis::BasisType;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
@@ -80,10 +81,8 @@ pub(crate) fn capcg_gs_g<E: Exec>(
 
     let mut s_mat = MultiVector::zeros(n, s + 1);
     let mut u_mat = MultiVector::zeros(n, s);
-    let mut au_mat = MultiVector::zeros(n, s);
     let mut p_mat = MultiVector::zeros(n, s);
     let mut ap_mat = MultiVector::zeros(n, s);
-    let mut scratch = MultiVector::zeros(n, s);
     let mut w_prev: Option<DenseMat> = None;
     // Warm-start seeds: previous block's coefficient solutions.
     let mut b_seed: Option<DenseMat> = None;
@@ -107,17 +106,11 @@ pub(crate) fn capcg_gs_g<E: Exec>(
 
         // --- the single global reduction: [UᵀS ; PᵀS] (+ sweep consensus) ---
         let gram_span = spcg_obs::span(tr.as_ref(), Phase::Gram);
-        let mut g1 = pk.gram(&u_mat, &s_mat); // s × (s+1)
-        counters.record_dots(sw * (sw + 1), nw);
-        let mut words = sw * (sw + 1);
-        let mut g2 = if w_prev.is_some() {
-            let g = pk.gram(&p_mat, &s_mat); // s × (s+1)
-            counters.record_dots(sw * (sw + 1), nw);
-            words += sw * (sw + 1);
-            Some(g)
-        } else {
-            None
-        };
+        // Both s × (s+1) blocks from one pass over S.
+        let (mut g1, mut g2) = gram_stacked(&pk, &u_mat, w_prev.as_ref().map(|_| &p_mat), &s_mat);
+        let blocks = 1 + g2.is_some() as u64;
+        counters.record_dots(blocks * sw * (sw + 1), nw);
+        let mut words = blocks * sw * (sw + 1);
         let mut extra_buf = [0.0; consensus::SWEEP_WORDS];
         let extra: &mut [f64] = match prev_sweeps {
             Some((sb, sa)) => {
@@ -263,26 +256,22 @@ pub(crate) fn capcg_gs_g<E: Exec>(
         prev_sweeps = Some((sweeps_b, sweeps_a));
         drop(scalar_span);
 
-        // --- AU = S·B (local, free for monomial) ---
+        // --- AU = S·B and the blocked updates, one pass over row tiles ---
         let update_span = spcg_obs::span(tr.as_ref(), Phase::VecUpdate);
-        let local_flops = apply_b_to_columns_par(&pk, &s_mat, &params, &mut au_mat);
-        counters.blas2_flops += local_flops / n as u64 * nw;
-
-        // --- blocked updates ---
-        match &b_k {
-            Some(b_k) => {
-                p_mat.blocked_update_par(&pk, &u_mat, b_k, &mut scratch);
-                ap_mat.blocked_update_par(&pk, &au_mat, b_k, &mut scratch);
-                counters.blas3_flops += 4 * sw * sw * nw;
-            }
-            None => {
-                p_mat.copy_from(&u_mat);
-                ap_mat.copy_from(&au_mat);
-            }
-        }
-        pk.gemv_acc(&p_mat, 1.0, &a_vec, &mut x);
-        pk.gemv_acc(&ap_mat, -1.0, &a_vec, &mut r);
-        counters.blas2_flops += 4 * sw * nw;
+        sstep_update(
+            &pk,
+            &params,
+            &s_mat,
+            &u_mat,
+            b_k.as_ref(),
+            &a_vec,
+            &mut p_mat,
+            &mut ap_mat,
+            &mut x,
+            &mut r,
+            nw,
+            &mut counters,
+        );
         drop(update_span);
 
         // Residual replacement (Carson & Demmel), same policy as sPCG.

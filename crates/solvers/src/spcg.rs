@@ -7,7 +7,8 @@
 //!    `U^(k) = M⁻¹S^(k)[:, :s]` — s SpMVs + s preconditioner applications,
 //!    no global communication.
 //! 2. `AU^(k) = S^(k)·B` via the tridiagonal change-of-basis matrix
-//!    (eq. 9) — a local column combination, free for the monomial basis.
+//!    (eq. 9) — a local column combination, free for the monomial basis,
+//!    formed tile by tile inside step 4 and never stored.
 //! 3. **Scalar Work** (Alg. 6): one Gram computation
 //!    `[Uᵀ S ; P^(k-1)ᵀ S]` = **one global reduction of 2s(s+1) words**,
 //!    from which `m = Rᵀu`, `UᵀAU = (UᵀS)·B` and
@@ -15,16 +16,18 @@
 //!    `W^(k-1)·B^(k) = −D` (A-orthogonality of consecutive blocks) and
 //!    `W^(k)·a^(k) = m` are s×s solves replicated on every rank.
 //! 4. **Blocked updates** (BLAS3/BLAS2): `P ← U + P·B^(k)`,
-//!    `AP ← AU + AP·B^(k)`, `x += P·a`, `r −= AP·a`.
+//!    `AP ← AU + AP·B^(k)`, `x += P·a`, `r −= AP·a` — one pass over row
+//!    tiles (`ParKernels::sstep_block_update`).
 //!
 //! With the monomial basis this is *mathematically* the same as sPCG_mon
 //! but computes the Gram blocks directly instead of via the moment vector —
 //! the small numerical edge §3.2 notes.
 
+use crate::blockops::{gram_stacked, sstep_update};
 use crate::engine::{allreduce_gram, Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
 use crate::stopping::{criterion_value, StopState, Verdict};
-use spcg_basis::cob::{apply_b_to_columns_par, b_small};
+use spcg_basis::cob::b_small;
 use spcg_basis::BasisType;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
@@ -70,10 +73,8 @@ pub(crate) fn spcg_g<E: Exec>(
 
     let mut s_mat = MultiVector::zeros(n, s + 1);
     let mut u_mat = MultiVector::zeros(n, s);
-    let mut au_mat = MultiVector::zeros(n, s);
     let mut p_mat = MultiVector::zeros(n, s);
     let mut ap_mat = MultiVector::zeros(n, s);
-    let mut scratch = MultiVector::zeros(n, s);
     let mut w_prev: Option<DenseMat> = None;
     // Residual-replacement state: ‖r‖² at the last replacement.
     let mut rr_anchor: Option<f64> = None;
@@ -86,17 +87,11 @@ pub(crate) fn spcg_g<E: Exec>(
 
         // --- the single global reduction: [UᵀS ; PᵀS] ---
         let gram_span = spcg_obs::span(tr.as_ref(), Phase::Gram);
-        let mut g1 = pk.gram(&u_mat, &s_mat); // s × (s+1)
-        counters.record_dots(sw * (sw + 1), nw);
-        let mut words = sw * (sw + 1);
-        let mut g2 = if w_prev.is_some() {
-            let g = pk.gram(&p_mat, &s_mat); // s × (s+1)
-            counters.record_dots(sw * (sw + 1), nw);
-            words += sw * (sw + 1);
-            Some(g)
-        } else {
-            None
-        };
+        // Both s × (s+1) blocks from one pass over S.
+        let (mut g1, mut g2) = gram_stacked(&pk, &u_mat, w_prev.as_ref().map(|_| &p_mat), &s_mat);
+        let blocks = 1 + g2.is_some() as u64;
+        counters.record_dots(blocks * sw * (sw + 1), nw);
+        let words = blocks * sw * (sw + 1);
         counters.record_collective(words);
         match g2.as_mut() {
             Some(g2) => allreduce_gram(exec, &mut [&mut g1, g2], &mut []),
@@ -173,28 +168,22 @@ pub(crate) fn spcg_g<E: Exec>(
         };
         drop(scalar_span);
 
-        // --- AU = S·B (local, ≤ (5s−2)n FLOPs, free for monomial) ---
-        // The kernel reports FLOPs for its (local) row count; every term is
-        // an exact multiple of it, so rescale to the global charge.
+        // --- AU = S·B and the blocked updates, one pass over row tiles ---
         let update_span = spcg_obs::span(tr.as_ref(), Phase::VecUpdate);
-        let local_flops = apply_b_to_columns_par(&pk, &s_mat, &params, &mut au_mat);
-        counters.blas2_flops += local_flops / n as u64 * nw;
-
-        // --- blocked updates ---
-        match b_k {
-            Some(b_k) => {
-                p_mat.blocked_update_par(&pk, &u_mat, &b_k, &mut scratch);
-                ap_mat.blocked_update_par(&pk, &au_mat, &b_k, &mut scratch);
-                counters.blas3_flops += 4 * sw * sw * nw;
-            }
-            None => {
-                p_mat.copy_from(&u_mat);
-                ap_mat.copy_from(&au_mat);
-            }
-        }
-        pk.gemv_acc(&p_mat, 1.0, &a_vec, &mut x);
-        pk.gemv_acc(&ap_mat, -1.0, &a_vec, &mut r);
-        counters.blas2_flops += 4 * sw * nw;
+        sstep_update(
+            &pk,
+            &params,
+            &s_mat,
+            &u_mat,
+            b_k.as_ref(),
+            &a_vec,
+            &mut p_mat,
+            &mut ap_mat,
+            &mut x,
+            &mut r,
+            nw,
+            &mut counters,
+        );
         drop(update_span);
 
         // Residual replacement (Carson & Demmel): once the recursive

@@ -17,6 +17,7 @@
 //! Table 1 row sPCG_mon), so performance modeling reflects the published
 //! method.
 
+use crate::blockops::sstep_update;
 use crate::engine::{allreduce_gram, Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
 use crate::stopping::{criterion_value, StopState, Verdict};
@@ -55,7 +56,6 @@ pub(crate) fn spcg_mon_g<E: Exec>(exec: &mut E, s: usize, opts: &SolveOptions) -
     let mut u_mat = MultiVector::zeros(n, s);
     let mut p_mat = MultiVector::zeros(n, s);
     let mut ap_mat = MultiVector::zeros(n, s);
-    let mut scratch = MultiVector::zeros(n, s);
     let mut w_prev: Option<DenseMat> = None;
 
     let mut iterations = 0usize;
@@ -151,29 +151,23 @@ pub(crate) fn spcg_mon_g<E: Exec>(exec: &mut E, s: usize, opts: &SolveOptions) -
         };
         drop(scalar_span);
 
+        // --- blocked updates (BLAS3 + BLAS2, same as sPCG); monomial AU is
+        // the last s columns of S, so its tile is a copy and costs nothing ---
         let update_span = spcg_obs::span(tr.as_ref(), Phase::VecUpdate);
-        // --- AU = last s columns of S (monomial: a pure copy) ---
-        let au_view = s_mat.head_columns(s + 1); // clone of S
-        let mut au_mat = MultiVector::zeros(n, s);
-        for j in 0..s {
-            au_mat.col_mut(j).copy_from_slice(au_view.col(j + 1));
-        }
-
-        // --- blocked updates (BLAS3 + BLAS2, same as sPCG) ---
-        match b_k {
-            Some(b_k) => {
-                p_mat.blocked_update_par(&pk, &u_mat, &b_k, &mut scratch);
-                ap_mat.blocked_update_par(&pk, &au_mat, &b_k, &mut scratch);
-                counters.blas3_flops += 4 * sw * sw * nw;
-            }
-            None => {
-                p_mat.copy_from(&u_mat);
-                ap_mat.copy_from(&au_mat);
-            }
-        }
-        pk.gemv_acc(&p_mat, 1.0, &a_vec, &mut x);
-        pk.gemv_acc(&ap_mat, -1.0, &a_vec, &mut r);
-        counters.blas2_flops += 4 * sw * nw;
+        sstep_update(
+            &pk,
+            &params,
+            &s_mat,
+            &u_mat,
+            b_k.as_ref(),
+            &a_vec,
+            &mut p_mat,
+            &mut ap_mat,
+            &mut x,
+            &mut r,
+            nw,
+            &mut counters,
+        );
         drop(update_span);
 
         w_prev = Some(w);

@@ -40,6 +40,7 @@ pub mod rng;
 pub mod sell;
 pub mod smallsolve;
 pub mod split;
+pub mod tile;
 pub mod tridiag;
 
 pub use coo::CooMatrix;
@@ -47,7 +48,7 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMat;
 pub use ghost::GhostZone;
 pub use multivector::MultiVector;
-pub use par::{ParKernels, ThreadPool};
+pub use par::{GemvOut, ParKernels, SstepBlock, ThreadPool};
 pub use sell::{SellMatrix, SparseFormat};
 pub use split::RowSplit;
 

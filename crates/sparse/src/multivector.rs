@@ -4,20 +4,12 @@
 //! operations on blocks of `O(s)` vectors of length `n`: Gram products
 //! (`Uᵀ·S`, one global reduction), blocked search-direction updates
 //! (`P ← U + P·B`, BLAS3), and basis-times-small-vector products (BLAS2).
-//! [`MultiVector`] provides these kernels with row-blocked loops so that the
-//! large dimension streams through cache once per operation.
+//! [`MultiVector`] is the storage; the kernels live in [`ParKernels`], which
+//! runs them inline when it has one thread.
 
 use crate::blas;
 use crate::dense::DenseMat;
 use crate::par::ParKernels;
-
-/// Row-block size for the blocked kernels. 1024 doubles = 8 KiB per column
-/// slice, so a handful of columns fit in L1 alongside the output block.
-const ROW_BLOCK: usize = 1024;
-
-// The parallel kernel layer reuses these row blocks as its reduction blocks;
-// the fixed pairwise shape only lines up if the two sizes agree.
-const _: () = assert!(ROW_BLOCK == blas::REDUCE_BLOCK);
 
 /// A dense `n × k` matrix stored column-major, viewed as `k` vectors of
 /// length `n`.
@@ -140,150 +132,24 @@ impl MultiVector {
         (0..self.k).map(|j| blas::dot(self.col(j), x)).collect()
     }
 
-    /// BLAS2 product `out ← self · coeffs` (`n`-vector from `k` coefficients).
-    pub fn gemv(&self, coeffs: &[f64], out: &mut [f64]) {
-        assert_eq!(coeffs.len(), self.k, "gemv: coefficient length mismatch");
-        assert_eq!(out.len(), self.n, "gemv: output length mismatch");
-        blas::zero(out);
-        self.gemv_acc(1.0, coeffs, out);
-    }
-
-    /// `out ← out + a · self · coeffs`.
-    pub fn gemv_acc(&self, a: f64, coeffs: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            coeffs.len(),
-            self.k,
-            "gemv_acc: coefficient length mismatch"
-        );
-        assert_eq!(out.len(), self.n, "gemv_acc: output length mismatch");
-        let mut row = 0;
-        while row < self.n {
-            let hi = (row + ROW_BLOCK).min(self.n);
-            self.gemv_acc_block(a, coeffs, row, &mut out[row..hi]);
-            row = hi;
-        }
-    }
-
-    /// One row block of [`MultiVector::gemv_acc`]: accumulates rows
-    /// `row..row + out_block.len()` into `out_block`. The parallel layer
-    /// dispatches these blocks across threads; the arithmetic per row is
-    /// identical either way.
-    pub(crate) fn gemv_acc_block(&self, a: f64, coeffs: &[f64], row: usize, out_block: &mut [f64]) {
-        let hi = row + out_block.len();
-        for j in 0..self.k {
-            let c = a * coeffs[j];
-            if c == 0.0 {
-                continue;
-            }
-            let col = &self.col(j)[row..hi];
-            for (oi, &ci) in out_block.iter_mut().zip(col) {
-                *oi += c * ci;
-            }
-        }
-    }
-
-    /// BLAS3 product `out ← self · b` where `b` is `k_self × k_out`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn gemm_small(&self, b: &DenseMat, out: &mut MultiVector) {
-        assert_eq!(b.nrows(), self.k, "gemm_small: inner dimension mismatch");
-        assert_eq!(out.n, self.n, "gemm_small: output rows mismatch");
-        assert_eq!(out.k, b.ncols(), "gemm_small: output cols mismatch");
-        out.fill_zero();
-        self.gemm_small_acc(b, out);
-    }
-
-    /// `out ← out + self · b`.
-    pub fn gemm_small_acc(&self, b: &DenseMat, out: &mut MultiVector) {
-        assert_eq!(
-            b.nrows(),
-            self.k,
-            "gemm_small_acc: inner dimension mismatch"
-        );
-        assert_eq!(out.n, self.n, "gemm_small_acc: output rows mismatch");
-        assert_eq!(out.k, b.ncols(), "gemm_small_acc: output cols mismatch");
-        let n = self.n;
-        let mut row = 0;
-        while row < n {
-            let hi = (row + ROW_BLOCK).min(n);
-            for j in 0..b.ncols() {
-                // Output column j accumulates Σ_l self_l · b[l][j] over this
-                // row block. We slice the output column once per l to satisfy
-                // the borrow checker without copying.
-                for l in 0..self.k {
-                    let c = b[(l, j)];
-                    if c == 0.0 {
-                        continue;
-                    }
-                    let src_ptr = l * n + row;
-                    let dst_ptr = j * n + row;
-                    for i in 0..hi - row {
-                        out.data[dst_ptr + i] += c * self.data[src_ptr + i];
-                    }
-                }
-            }
-            row = hi;
-        }
-    }
-
-    /// Blocked search-direction update `self ← u + self · b` (Alg. 5 line 10
-    /// and Alg. 2 line 9). Uses `scratch` (same shape) as the output buffer
-    /// and swaps, so no allocation happens per iteration.
-    pub fn blocked_update(&mut self, u: &MultiVector, b: &DenseMat, scratch: &mut MultiVector) {
-        assert_eq!(u.n, self.n, "blocked_update: row mismatch");
-        assert_eq!(u.k, b.ncols(), "blocked_update: u/b mismatch");
-        assert_eq!(b.nrows(), self.k, "blocked_update: self/b mismatch");
-        assert_eq!(scratch.n, self.n, "blocked_update: scratch rows mismatch");
-        assert_eq!(scratch.k, u.k, "blocked_update: scratch cols mismatch");
-        scratch.copy_from(u);
-        self.gemm_small_acc(b, scratch);
-        std::mem::swap(&mut self.data, &mut scratch.data);
-        std::mem::swap(&mut self.k, &mut scratch.k);
-    }
-
-    /// Threaded [`MultiVector::blocked_update`]: same arithmetic, with the
-    /// BLAS3 accumulation row-partitioned over the kernel layer. Bitwise
-    /// equal to the serial update for any thread count.
+    /// Blocked search-direction update `self ← u + self · b`: see
+    /// [`ParKernels::blocked_update`], which this forwards to. The update
+    /// runs in place, so `_scratch` is no longer touched; the parameter
+    /// remains for callers written against the scratch-swap version.
     pub fn blocked_update_par(
         &mut self,
         pk: &ParKernels,
         u: &MultiVector,
         b: &DenseMat,
-        scratch: &mut MultiVector,
+        _scratch: &mut MultiVector,
     ) {
-        assert_eq!(u.n, self.n, "blocked_update: row mismatch");
-        assert_eq!(u.k, b.ncols(), "blocked_update: u/b mismatch");
-        assert_eq!(b.nrows(), self.k, "blocked_update: self/b mismatch");
-        assert_eq!(scratch.n, self.n, "blocked_update: scratch rows mismatch");
-        assert_eq!(scratch.k, u.k, "blocked_update: scratch cols mismatch");
-        scratch.copy_from(u);
-        pk.gemm_small_acc(self, b, scratch);
-        std::mem::swap(&mut self.data, &mut scratch.data);
-        std::mem::swap(&mut self.k, &mut scratch.k);
-    }
-
-    /// Raw column-major storage (parallel kernel layer only).
-    #[inline]
-    pub(crate) fn data(&self) -> &[f64] {
-        &self.data
+        pk.blocked_update(self, u, b);
     }
 
     /// Raw column-major storage, mutable (parallel kernel layer only).
     #[inline]
     pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// A view of the first `k` columns (cheap clone of the header, shared
-    /// data copied). Used to form `R^(k)` from `S^(k)`.
-    pub fn head_columns(&self, k: usize) -> MultiVector {
-        assert!(k <= self.k, "head_columns: too many columns requested");
-        MultiVector {
-            n: self.n,
-            k,
-            data: self.data[..self.n * k].to_vec(),
-        }
     }
 
     /// Maximum absolute entry across all columns.
@@ -322,46 +188,14 @@ mod tests {
 
     #[test]
     fn gram_blocked_matches_unblocked_long() {
-        // Length > ROW_BLOCK so the blocking path is exercised.
-        let n = ROW_BLOCK * 2 + 17;
+        // Length > REDUCE_BLOCK so the blocking path is exercised.
+        let n = blas::REDUCE_BLOCK * 2 + 17;
         let c0: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let c1: Vec<f64> = (0..n).map(|i| ((i * 3 % 5) as f64) - 2.0).collect();
         let a = MultiVector::from_columns(&[c0.clone(), c1.clone()]);
         let g = a.gram(&a);
         assert!((g[(0, 1)] - crate::blas::dot(&c0, &c1)).abs() < 1e-9);
         assert!((g[(0, 1)] - g[(1, 0)]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gemv_matches_manual() {
-        let a = mv(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-        let mut out = vec![0.0; 2];
-        a.gemv(&[2.0, 3.0, -1.0], &mut out);
-        assert_eq!(out, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn gemm_small_matches_column_combination() {
-        let a = mv(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = DenseMat::from_row_major(2, 2, vec![1.0, 0.0, 1.0, 1.0]);
-        let mut out = MultiVector::zeros(2, 2);
-        a.gemm_small(&b, &mut out);
-        // out col0 = col0 + col1, out col1 = col1.
-        assert_eq!(out.col(0), &[4.0, 6.0]);
-        assert_eq!(out.col(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn blocked_update_is_u_plus_pb() {
-        let mut p = mv(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let u = mv(&[&[10.0, 10.0], &[20.0, 20.0]]);
-        let b = DenseMat::from_row_major(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let mut scratch = MultiVector::zeros(2, 2);
-        p.blocked_update(&u, &b, &mut scratch);
-        // col0 = u0 + 1*p0 + 3*p1 = [10,10] + [1,0] + [0,3] = [11,13]
-        assert_eq!(p.col(0), &[11.0, 13.0]);
-        // col1 = u1 + 2*p0 + 4*p1 = [20,20] + [2,0] + [0,4] = [22,24]
-        assert_eq!(p.col(1), &[22.0, 24.0]);
     }
 
     #[test]
@@ -377,14 +211,6 @@ mod tests {
             w[1] = r[1] * 2.0;
         }
         assert_eq!(a.col(0)[1], 8.0);
-    }
-
-    #[test]
-    fn head_columns_truncates() {
-        let a = mv(&[&[1.0], &[2.0], &[3.0]]);
-        let h = a.head_columns(2);
-        assert_eq!(h.k(), 2);
-        assert_eq!(h.col(1), &[2.0]);
     }
 
     #[test]

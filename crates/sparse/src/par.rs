@@ -28,6 +28,7 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMat;
 use crate::multivector::MultiVector;
 use crate::sell::SellMatrix;
+use crate::tile::{combine, with_scratch, TILE, ZERO_TILE};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -644,74 +645,277 @@ impl ParKernels {
         gram_cols_impl(Some(self), n, acols, bcols)
     }
 
-    /// BLAS2 accumulation `out ← out + a · mv · coeffs`, row-partitioned.
+    /// Runs `f(lo, len)` on every [`TILE`]-row tile of `0..n`, tiles being
+    /// what the pool hands to threads.
+    fn for_each_tile(&self, n: usize, f: impl Fn(usize, usize) + Sync) {
+        self.run_indexed(n.div_ceil(TILE), |t| f(t * TILE, (n - t * TILE).min(TILE)));
+    }
+
+    /// BLAS2 accumulation `out ← out + a · mv · coeffs`.
     pub fn gemv_acc(&self, mv: &MultiVector, a: f64, coeffs: &[f64], out: &mut [f64]) {
-        if self.threads() == 1 {
-            mv.gemv_acc(a, coeffs, out);
-            return;
-        }
-        assert_eq!(
-            coeffs.len(),
-            mv.k(),
-            "gemv_acc: coefficient length mismatch"
-        );
-        assert_eq!(out.len(), mv.n(), "gemv_acc: output length mismatch");
-        self.for_each_chunk_mut(out, REDUCE_BLOCK, |_, lo, piece| {
-            mv.gemv_acc_block(a, coeffs, lo, piece);
-        });
+        let scaled: Vec<f64> = coeffs.iter().map(|&c| a * c).collect();
+        self.gemv_multi(&[mv], &mut [GemvOut::Acc(&scaled, out)]);
     }
 
-    /// BLAS2 product `out ← mv · coeffs`.
-    pub fn gemv(&self, mv: &MultiVector, coeffs: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), mv.n(), "gemv: output length mismatch");
-        self.for_each_chunk_mut(out, REDUCE_BLOCK, |_, _, piece| {
-            blas::zero(piece);
-        });
-        self.gemv_acc(mv, 1.0, coeffs, out);
-    }
-
-    /// BLAS3 accumulation `out ← out + src · b`, row-partitioned with the
-    /// same row blocks and loop nesting as
-    /// [`MultiVector::gemm_small_acc`], hence bitwise equal to it.
-    pub fn gemm_small_acc(&self, src: &MultiVector, b: &DenseMat, out: &mut MultiVector) {
-        if self.threads() == 1 {
-            src.gemm_small_acc(b, out);
-            return;
-        }
-        assert_eq!(
-            b.nrows(),
-            src.k(),
-            "gemm_small_acc: inner dimension mismatch"
+    /// Several BLAS2 products against one concatenated block
+    /// `[blocks[0] | blocks[1] | …]` in a single pass over row tiles, so a
+    /// tile of the block is read from memory once however many outputs
+    /// consume it (CA-PCG recovers `q, r` from `[Q|R̂]` and `p, u, x` from
+    /// `[P|U]` this way). Per output element the sum runs left to right
+    /// over the concatenated columns with zero coefficients skipped,
+    /// bitwise what separate per-block accumulation sweeps produce.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatches.
+    pub fn gemv_multi(&self, blocks: &[&MultiVector], outs: &mut [GemvOut<'_>]) {
+        let n = blocks.first().map_or(0, |b| b.n());
+        let k: usize = blocks.iter().map(|b| b.k()).sum();
+        assert!(
+            blocks.iter().all(|b| b.n() == n),
+            "gemv_multi: row mismatch"
         );
-        assert_eq!(out.n(), src.n(), "gemm_small_acc: output rows mismatch");
-        assert_eq!(out.k(), b.ncols(), "gemm_small_acc: output cols mismatch");
-        let n = src.n();
-        let kdst = out.k();
-        let ksrc = src.k();
-        let sdata = src.data();
-        let ptr = SendPtr(out.data_mut().as_mut_ptr());
-        self.run_indexed(n.div_ceil(REDUCE_BLOCK), |blk| {
-            let row = blk * REDUCE_BLOCK;
-            let hi = (row + REDUCE_BLOCK).min(n);
-            for j in 0..kdst {
-                let dst_ptr = j * n + row;
-                // SAFETY: output row block `[row, hi)` of column j is touched
-                // by this task index only; the exclusive borrow of `out`
-                // outlives the run.
-                let dst =
-                    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(dst_ptr), hi - row) };
-                for l in 0..ksrc {
-                    let c = b[(l, j)];
-                    if c == 0.0 {
-                        continue;
-                    }
-                    let src_col = &sdata[l * n + row..l * n + hi];
-                    for (d, &s) in dst.iter_mut().zip(src_col) {
-                        *d += c * s;
-                    }
-                }
+        // (coefficients, output, whether it starts from zero)
+        let outs: Vec<(&[f64], SendPtr<f64>, bool)> = outs
+            .iter_mut()
+            .map(|o| match o {
+                GemvOut::Set(c, out) => (*c, &mut **out, true),
+                GemvOut::Acc(c, out) => (*c, &mut **out, false),
+            })
+            .map(|(c, out, set)| {
+                assert_eq!(c.len(), k, "gemv_multi: coefficient length mismatch");
+                assert_eq!(out.len(), n, "gemv_multi: output length mismatch");
+                (c, SendPtr(out.as_mut_ptr()), set)
+            })
+            .collect();
+        self.for_each_tile(n, |lo, len| {
+            for (coeffs, ptr, set) in &outs {
+                // SAFETY: rows `[lo, lo + len)` of this output belong to
+                // this tile's task only, `lo + len ≤ n` was checked above,
+                // and the caller's exclusive borrow outlives the run.
+                let dst = unsafe { tile_mut(ptr, n, 0, lo, len) };
+                let cols = blocks
+                    .iter()
+                    .flat_map(|b| (0..b.k()).map(move |l| &b.col(l)[lo..lo + len]));
+                let init = set.then(|| &ZERO_TILE[..len]);
+                combine(dst, init, coeffs.iter().copied().zip(cols));
             }
         });
+    }
+
+    /// BLAS3 accumulation `out ← out + src · b`.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatches.
+    pub fn gemm_small_acc(&self, src: &MultiVector, b: &DenseMat, out: &mut MultiVector) {
+        let n = src.n();
+        assert!(
+            b.nrows() == src.k() && out.n() == n && out.k() == b.ncols(),
+            "gemm_small_acc: dimension mismatch"
+        );
+        let bt = b.transpose(); // row j = the coefficients of output column j
+        let ptr = SendPtr(out.data_mut().as_mut_ptr());
+        self.for_each_tile(n, |lo, len| {
+            for j in 0..bt.nrows() {
+                // SAFETY: row tile `[lo, lo + len)` of column j is touched
+                // by this tile's task only; the exclusive borrow of `out`
+                // outlives the run.
+                let dst = unsafe { tile_mut(&ptr, n, j, lo, len) };
+                let cols = (0..src.k()).map(|l| &src.col(l)[lo..lo + len]);
+                combine(dst, None, bt.row(j).iter().copied().zip(cols));
+            }
+        });
+    }
+
+    /// Blocked search-direction update `p ← u + p · b` (Alg. 5 line 10 and
+    /// Alg. 2 line 9), in place over row tiles; `b` is square.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatches.
+    pub fn blocked_update(&self, p: &mut MultiVector, u: &MultiVector, b: &DenseMat) {
+        let (n, s) = (p.n(), p.k());
+        assert!(
+            u.n() == n && u.k() == s && b.nrows() == s && b.ncols() == s,
+            "blocked_update: dimension mismatch"
+        );
+        let bt = b.transpose();
+        let ptr = SendPtr(p.data_mut().as_mut_ptr());
+        self.for_each_tile(n, |lo, len| {
+            let ucol = |j: usize| &u.col(j)[lo..lo + len];
+            // SAFETY: row tile `[lo, lo + len)` of every column of `p` is
+            // touched by this tile's task only; the exclusive borrow of
+            // `p` outlives the run.
+            with_scratch(s * TILE, |stage| unsafe {
+                update_tile(&ptr, n, lo, len, ucol, Some(&bt), stage)
+            });
+        });
+    }
+
+    /// The whole vector-update phase of one s-step block (Alg. 5 lines
+    /// 8–12) in **one pass over row tiles**: per tile it forms the
+    /// `AU = S·B` tile from the three-term coefficients (kept in scratch,
+    /// never stored to memory), updates `P ← U + P·B_k` and
+    /// `AP ← AU + AP·B_k` in place, and applies `x += P·a`, `r −= AP·a`
+    /// while the new tiles are cache-hot. `b_k = None` is the first block:
+    /// `P ← U`, `AP ← AU`.
+    ///
+    /// In place is safe because the update is row-wise: row `i` of the new
+    /// `P` depends on row `i` of the old `P` only, so a tile stages its own
+    /// old rows and never looks at another tile's. Every output element
+    /// sees the operations of the unfused sequence (scale/AXPYs for `AU`,
+    /// copy + AXPY sweeps for `P`/`AP`, AXPY sweeps for `x`/`r`) in the
+    /// same order, so the results are bitwise those.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatches.
+    pub fn sstep_block_update(
+        &self,
+        blk: &SstepBlock<'_>,
+        p: &mut MultiVector,
+        ap: &mut MultiVector,
+        x: &mut [f64],
+        r: &mut [f64],
+    ) {
+        let (n, s) = (blk.u.n(), blk.u.k());
+        let smat = blk.s_mat;
+        assert!(
+            smat.n() == n
+                && smat.k() == s + 1
+                && [&*p, &*ap].iter().all(|m| m.n() == n && m.k() == s)
+                && [x.len(), r.len()] == [n, n]
+                && blk.a.len() == s
+                && blk.b_k.map_or(true, |b| b.nrows() == s && b.ncols() == s),
+            "sstep_block_update: dimension mismatch"
+        );
+        assert!(
+            blk.gamma.len() >= s && blk.theta.len() >= s && blk.mu.len() + 1 >= s,
+            "sstep_block_update: recurrence shorter than the block"
+        );
+        let bt = blk.b_k.map(DenseMat::transpose);
+        let neg_a: Vec<f64> = blk.a.iter().map(|&c| -c).collect();
+        let (pp, pap) = (
+            SendPtr(p.data_mut().as_mut_ptr()),
+            SendPtr(ap.data_mut().as_mut_ptr()),
+        );
+        let (px, pr) = (SendPtr(x.as_mut_ptr()), SendPtr(r.as_mut_ptr()));
+        self.for_each_tile(n, |lo, len| {
+            let scol = |j: usize| &smat.col(j)[lo..lo + len];
+            let ucol = |j: usize| &blk.u.col(j)[lo..lo + len];
+            with_scratch(2 * s * TILE, |scratch| {
+                let (au, stage) = scratch.split_at_mut(s * TILE);
+                for (j, au_j) in au.chunks_mut(TILE).enumerate() {
+                    let au_j = &mut au_j[..len];
+                    let (gamma, next) = (blk.gamma[j], scol(j + 1));
+                    // θ before μ; column 0 has no μ term.
+                    let mu = if j >= 1 { blk.mu[j - 1] } else { 0.0 };
+                    let terms = [(blk.theta[j], scol(j)), (mu, scol(j.max(1) - 1))];
+                    if gamma == 1.0 {
+                        combine(au_j, Some(next), terms);
+                    } else {
+                        for (d, &v) in au_j.iter_mut().zip(next) {
+                            *d = gamma * v;
+                        }
+                        combine(au_j, None, terms);
+                    }
+                }
+                let aucol = |j: usize| &au[j * TILE..j * TILE + len];
+                // SAFETY: rows `[lo, lo + len)` of `p`, `ap`, `x` and `r`
+                // are touched by this tile's task only, `lo + len ≤ n`
+                // with the shapes checked above, and the exclusive borrows
+                // outlive the run. Each tile view is dropped before the
+                // next one of the same rows is made.
+                unsafe {
+                    update_tile(&pp, n, lo, len, ucol, bt.as_ref(), stage);
+                    update_tile(&pap, n, lo, len, aucol, bt.as_ref(), stage);
+                    for (out, coeffs, cols) in [(&px, blk.a, &pp), (&pr, &neg_a[..], &pap)] {
+                        let cols = (0..s).map(|l| &*tile_mut(cols, n, l, lo, len));
+                        combine(
+                            tile_mut(out, n, 0, lo, len),
+                            None,
+                            coeffs.iter().copied().zip(cols),
+                        );
+                    }
+                }
+            });
+        });
+    }
+}
+
+/// Read-only operands of [`ParKernels::sstep_block_update`].
+pub struct SstepBlock<'a> {
+    /// The s-step basis `S^(k)`, `n × (s+1)`.
+    pub s_mat: &'a MultiVector,
+    /// Three-term recurrence of the basis polynomials: column `j` of
+    /// `AU = S·B` is `γ_j·s_{j+1} + θ_j·s_j + μ_{j−1}·s_{j−1}`, the terms
+    /// added in that order and zero `θ`/`μ` skipped.
+    pub gamma: &'a [f64],
+    /// See [`SstepBlock::gamma`].
+    pub theta: &'a [f64],
+    /// See [`SstepBlock::gamma`].
+    pub mu: &'a [f64],
+    /// `U^(k) = M⁻¹S^(k)[:, :s]`, `n × s`.
+    pub u: &'a MultiVector,
+    /// `B^(k)` (`s × s`), or `None` on the first block.
+    pub b_k: Option<&'a DenseMat>,
+    /// Step coefficients `a^(k)` (length `s`).
+    pub a: &'a [f64],
+}
+
+/// One output of [`ParKernels::gemv_multi`], as `(coefficients, output)`.
+pub enum GemvOut<'a> {
+    /// `out ← block · coeffs`.
+    Set(&'a [f64], &'a mut [f64]),
+    /// `out ← out + block · coeffs`.
+    Acc(&'a [f64], &'a mut [f64]),
+}
+
+/// Rows `[lo, lo + len)` of column `j` of column-major storage with leading
+/// dimension `n`.
+///
+/// # Safety
+/// The range must lie inside the allocation behind `ptr`, which must stay
+/// exclusively borrowed for `'a`, and nothing else may access those rows
+/// while the returned slice lives.
+unsafe fn tile_mut<'a>(
+    ptr: &SendPtr<f64>,
+    n: usize,
+    j: usize,
+    lo: usize,
+    len: usize,
+) -> &'a mut [f64] {
+    std::slice::from_raw_parts_mut(ptr.get().add(j * n + lo), len)
+}
+
+/// In-place block update of one row tile: columns `j` of the `n × s`
+/// storage at `ptr` become `init(j) + Σ_l old_l·bt[j][l]` on rows
+/// `[lo, lo + len)`, with the tile's old columns staged in `stage`
+/// (`s·TILE`) first so every output reads pre-update values only.
+/// `bt = None` is the plain copy `column j ← init(j)`.
+///
+/// # Safety
+/// As [`tile_mut`] for all `s` columns of the tile.
+unsafe fn update_tile<'a>(
+    ptr: &SendPtr<f64>,
+    n: usize,
+    lo: usize,
+    len: usize,
+    init: impl Fn(usize) -> &'a [f64],
+    bt: Option<&DenseMat>,
+    stage: &mut [f64],
+) {
+    if bt.is_some() {
+        for (l, old) in stage.chunks_mut(TILE).enumerate() {
+            old[..len].copy_from_slice(tile_mut(ptr, n, l, lo, len));
+        }
+    }
+    for j in 0..stage.len() / TILE {
+        let dst = tile_mut(ptr, n, j, lo, len);
+        match bt {
+            Some(bt) => {
+                let old = stage.chunks(TILE).map(|c| &c[..len]);
+                combine(dst, Some(init(j)), bt.row(j).iter().copied().zip(old));
+            }
+            None => dst.copy_from_slice(init(j)),
+        }
     }
 }
 
@@ -1131,49 +1335,331 @@ mod tests {
         }
     }
 
+    /// The unfused kernels the tile primitive replaced, kept as checked
+    /// twins: memory-to-memory AXPY sweeps over `REDUCE_BLOCK`-row blocks,
+    /// one sweep per term, exactly as they ran before.
+    mod unfused {
+        use super::*;
+
+        pub fn gemv_acc(mv: &MultiVector, a: f64, coeffs: &[f64], out: &mut [f64]) {
+            let n = mv.n();
+            let mut row = 0;
+            while row < n {
+                let hi = (row + REDUCE_BLOCK).min(n);
+                for j in 0..mv.k() {
+                    let c = a * coeffs[j];
+                    if c == 0.0 {
+                        continue;
+                    }
+                    for (oi, &ci) in out[row..hi].iter_mut().zip(&mv.col(j)[row..hi]) {
+                        *oi += c * ci;
+                    }
+                }
+                row = hi;
+            }
+        }
+
+        pub fn gemv(mv: &MultiVector, coeffs: &[f64], out: &mut [f64]) {
+            blas::zero(out);
+            gemv_acc(mv, 1.0, coeffs, out);
+        }
+
+        pub fn gemm_small_acc(src: &MultiVector, b: &DenseMat, out: &mut MultiVector) {
+            let n = src.n();
+            let mut row = 0;
+            while row < n {
+                let hi = (row + REDUCE_BLOCK).min(n);
+                for j in 0..b.ncols() {
+                    for l in 0..src.k() {
+                        let c = b[(l, j)];
+                        if c == 0.0 {
+                            continue;
+                        }
+                        let dst = &mut out.col_mut(j)[row..hi];
+                        for (d, &v) in dst.iter_mut().zip(&src.col(l)[row..hi]) {
+                            *d += c * v;
+                        }
+                    }
+                }
+                row = hi;
+            }
+        }
+
+        /// `p ← u + p·b` through a scratch copy.
+        pub fn blocked_update(p: &mut MultiVector, u: &MultiVector, b: &DenseMat) {
+            let mut scratch = u.clone();
+            gemm_small_acc(p, b, &mut scratch);
+            *p = scratch;
+        }
+
+        /// `AU = S·B` column by column: scale (or copy) then two AXPYs.
+        pub fn au(blk: &SstepBlock<'_>) -> MultiVector {
+            let (n, s) = (blk.u.n(), blk.u.k());
+            let mut out = MultiVector::zeros(n, s);
+            for j in 0..s {
+                let (gamma, theta) = (blk.gamma[j], blk.theta[j]);
+                let mu = if j >= 1 { blk.mu[j - 1] } else { 0.0 };
+                let dst = out.col_mut(j);
+                if gamma == 1.0 {
+                    dst.copy_from_slice(blk.s_mat.col(j + 1));
+                } else {
+                    for (d, &v) in dst.iter_mut().zip(blk.s_mat.col(j + 1)) {
+                        *d = gamma * v;
+                    }
+                }
+                if theta != 0.0 {
+                    blas::axpy(theta, blk.s_mat.col(j), dst);
+                }
+                if mu != 0.0 {
+                    blas::axpy(mu, blk.s_mat.col(j - 1), dst);
+                }
+            }
+            out
+        }
+
+        /// The five-sweep vector-update phase of an s-step block.
+        pub fn sstep_block_update(
+            blk: &SstepBlock<'_>,
+            p: &mut MultiVector,
+            ap: &mut MultiVector,
+            x: &mut [f64],
+            r: &mut [f64],
+        ) {
+            let au = au(blk);
+            match blk.b_k {
+                Some(b_k) => {
+                    blocked_update(p, blk.u, b_k);
+                    blocked_update(ap, &au, b_k);
+                }
+                None => {
+                    p.copy_from(blk.u);
+                    ap.copy_from(&au);
+                }
+            }
+            gemv_acc(p, 1.0, blk.a, x);
+            gemv_acc(ap, -1.0, blk.a, r);
+        }
+    }
+
+    use crate::tile::tests::same_bits as assert_same_bits;
+
+    fn assert_same_mv(got: &MultiVector, want: &MultiVector, what: &str) {
+        assert_eq!((got.n(), got.k()), (want.n(), want.k()), "{what}: shape");
+        for j in 0..got.k() {
+            assert_same_bits(got.col(j), want.col(j), &format!("{what} col {j}"));
+        }
+    }
+
+    const ZEROS: [f64; 2] = [0.0, -0.0];
+    const NON_FINITE: [f64; 5] = [0.0, f64::NAN, f64::INFINITY, -0.0, f64::NEG_INFINITY];
+
+    /// Coefficients in `(-1, 1)` with `specials` planted every `stride`-th
+    /// position.
+    fn planted(len: usize, seed: u64, stride: usize, specials: &[f64]) -> Vec<f64> {
+        let mut v = random_vec(len, seed);
+        for (k, slot) in v.iter_mut().step_by(stride).enumerate() {
+            *slot = specials[(k + seed as usize) % specials.len()];
+        }
+        v
+    }
+
+    /// NaN and ±Inf in a few rows of column `j`: data a zero coefficient
+    /// must keep out of every output (`0·NaN` is NaN, skipping it is not).
+    fn poison(mv: &mut MultiVector, j: usize) {
+        for (i, v) in mv.col_mut(j).iter_mut().enumerate().step_by(5) {
+            *v = NON_FINITE[1 + i % 2];
+        }
+    }
+
+    /// Monomial, Newton and Chebyshev recurrences `(γ, θ, μ)` of degree `s`.
+    fn recurrences(s: usize) -> [(Vec<f64>, Vec<f64>, Vec<f64>); 3] {
+        let m = s.saturating_sub(1);
+        let mut shifts = random_vec(s, 5);
+        if s > 2 {
+            shifts[2] = 0.0; // a skipped θ inside a live recurrence
+        }
+        let mut cheb_gamma = vec![0.6; s];
+        cheb_gamma[0] = 1.2;
+        [
+            (vec![1.0; s], vec![0.0; s], vec![0.0; m]),
+            (vec![1.0; s], shifts, vec![0.0; m]),
+            (cheb_gamma, vec![1.5; s], vec![0.6; m]),
+        ]
+    }
+
     #[test]
-    fn gemv_and_gemm_match_serial_bitwise() {
-        let n = 3 * REDUCE_BLOCK + 5;
-        let mv = random_mv(n, 5, 41);
-        let coeffs = [0.3, -1.0, 0.0, 2.5, 0.125];
-        let b =
-            DenseMat::from_row_major(5, 4, (0..20).map(|i| ((i * 13 % 7) as f64) - 3.0).collect());
-        let base = random_mv(n, 4, 55);
+    fn sstep_block_update_matches_the_unfused_sequence_bitwise() {
+        let mut case = 0u64;
+        for n in [0usize, 1, 7, 255, 256, 257, 1024 + 17, 5000] {
+            for s in 1..=12usize {
+                case += 1;
+                let (gamma, theta, mu) = recurrences(s)[(case % 3) as usize].clone();
+                let s_mat = random_mv(n, s + 1, 100 * case);
+                let u = random_mv(n, s, 100 * case + 20);
+                // Every third case is a first block. Otherwise row `dead`
+                // of B_k is ±0.0 and column `dead` of the old P/AP is
+                // poisoned, so the outputs stay finite only if the
+                // zero-skip survived; every fourth case instead plants NaN
+                // and ±Inf in the coefficients themselves.
+                let specials: &[f64] = if case % 4 == 3 { &NON_FINITE } else { &ZEROS };
+                let dead = case as usize % s;
+                let b_k = (case % 3 != 0).then(|| {
+                    let mut b = DenseMat::from_row_major(s, s, planted(s * s, case, 3, specials));
+                    for j in 0..s {
+                        b[(dead, j)] = ZEROS[j % 2];
+                    }
+                    b
+                });
+                let a = planted(s, case + 7, 4, specials);
+                let blk = SstepBlock {
+                    s_mat: &s_mat,
+                    gamma: &gamma,
+                    theta: &theta,
+                    mu: &mu,
+                    u: &u,
+                    b_k: b_k.as_ref(),
+                    a: &a,
+                };
+                let (mut p0, mut ap0) = (random_mv(n, s, case + 40), random_mv(n, s, case + 60));
+                poison(&mut p0, dead);
+                poison(&mut ap0, dead);
+                let (x0, r0) = (random_vec(n, case + 80), random_vec(n, case + 81));
 
-        let mut out_ser = random_vec(n, 60);
-        let out0 = out_ser.clone();
-        mv.gemv_acc(1.5, &coeffs, &mut out_ser);
-        let mut g_ser = base.clone();
-        mv.gemm_small_acc(&b, &mut g_ser);
+                let (mut p_ref, mut ap_ref) = (p0.clone(), ap0.clone());
+                let (mut x_ref, mut r_ref) = (x0.clone(), r0.clone());
+                unfused::sstep_block_update(&blk, &mut p_ref, &mut ap_ref, &mut x_ref, &mut r_ref);
 
-        for t in THREAD_COUNTS {
-            let pk = ParKernels::new(t);
-            let mut out_par = out0.clone();
-            pk.gemv_acc(&mv, 1.5, &coeffs, &mut out_par);
-            assert_eq!(out_par, out_ser, "gemv_acc t={t}");
-
-            let mut g_par = base.clone();
-            pk.gemm_small_acc(&mv, &b, &mut g_par);
-            assert_eq!(g_par, g_ser, "gemm_small_acc t={t}");
+                for t in THREAD_COUNTS {
+                    let pk = ParKernels::new(t);
+                    let (mut p, mut ap) = (p0.clone(), ap0.clone());
+                    let (mut x, mut r) = (x0.clone(), r0.clone());
+                    pk.sstep_block_update(&blk, &mut p, &mut ap, &mut x, &mut r);
+                    let what = format!("n={n} s={s} t={t}");
+                    assert_same_mv(&p, &p_ref, &format!("{what} P"));
+                    assert_same_mv(&ap, &ap_ref, &format!("{what} AP"));
+                    assert_same_bits(&x, &x_ref, &format!("{what} x"));
+                    assert_same_bits(&r, &r_ref, &format!("{what} r"));
+                    if b_k.is_some() && case % 4 != 3 {
+                        assert!(
+                            !p.has_non_finite() && !ap.has_non_finite(),
+                            "{what}: skip lost"
+                        );
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn blocked_update_par_matches_serial() {
-        let n = 2 * REDUCE_BLOCK + 9;
-        let u = random_mv(n, 3, 71);
-        let b = DenseMat::from_row_major(3, 3, (0..9).map(|i| i as f64 * 0.1 - 0.3).collect());
-        let mut p_ser = random_mv(n, 3, 72);
-        let p0 = p_ser.clone();
-        let mut scratch = MultiVector::zeros(n, 3);
-        p_ser.blocked_update(&u, &b, &mut scratch);
-        for t in THREAD_COUNTS {
-            let pk = ParKernels::new(t);
-            let mut p_par = p0.clone();
-            let mut scratch = MultiVector::zeros(n, 3);
-            p_par.blocked_update_par(&pk, &u, &b, &mut scratch);
-            assert_eq!(p_par, p_ser, "t={t}");
+    fn gemv_multi_matches_five_separate_concat_products() {
+        for (n, s) in [
+            (0usize, 2usize),
+            (7, 2),
+            (257, 5),
+            (1024 + 17, 10),
+            (5000, 16),
+        ] {
+            let (q, rh) = (random_mv(n, s + 1, 1), random_mv(n, s, 2));
+            let (pm, um) = (random_mv(n, s + 1, 3), random_mv(n, s, 4));
+            let dim = 2 * s + 1;
+            let (p_c, r_c, x_c) = (
+                planted(dim, 11, 4, &ZEROS),
+                random_vec(dim, 12),
+                planted(dim, 13, 5, &NON_FINITE),
+            );
+            let x0 = random_vec(n, 14);
+            // out ← [l|r]·coef as it ran before: zero, then one
+            // accumulation sweep per block.
+            let concat = |l: &MultiVector, r: &MultiVector, coef: &[f64], out: &mut [f64]| {
+                unfused::gemv(l, &coef[..l.k()], out);
+                unfused::gemv_acc(r, 1.0, &coef[l.k()..], out);
+            };
+            let mut want = vec![vec![f64::NAN; n]; 4];
+            concat(&q, &rh, &p_c, &mut want[0]);
+            concat(&q, &rh, &r_c, &mut want[1]);
+            concat(&pm, &um, &p_c, &mut want[2]);
+            concat(&pm, &um, &r_c, &mut want[3]);
+            let mut x_want = x0.clone();
+            unfused::gemv_acc(&pm, 1.0, &x_c[..s + 1], &mut x_want);
+            unfused::gemv_acc(&um, 1.0, &x_c[s + 1..], &mut x_want);
+
+            for t in THREAD_COUNTS {
+                let pk = ParKernels::new(t);
+                let mut got = vec![vec![f64::NAN; n]; 4];
+                let mut x = x0.clone();
+                let [qv, rv, pv, uv] = &mut got[..] else {
+                    unreachable!()
+                };
+                pk.gemv_multi(
+                    &[&q, &rh],
+                    &mut [GemvOut::Set(&p_c, qv), GemvOut::Set(&r_c, rv)],
+                );
+                pk.gemv_multi(
+                    &[&pm, &um],
+                    &mut [
+                        GemvOut::Set(&p_c, pv),
+                        GemvOut::Set(&r_c, uv),
+                        GemvOut::Acc(&x_c, &mut x),
+                    ],
+                );
+                for (g, w) in got.iter().zip(&want) {
+                    assert_same_bits(g, w, &format!("n={n} s={s} t={t}"));
+                }
+                assert_same_bits(&x, &x_want, &format!("n={n} s={s} t={t} x"));
+            }
         }
+    }
+
+    #[test]
+    fn gemv_gemm_and_blocked_update_match_their_unfused_loops() {
+        // k = 20 terms per output crosses the primitive's 16-term pass.
+        for (n, k) in [
+            (1usize, 1usize),
+            (255, 3),
+            (3 * REDUCE_BLOCK + 5, 5),
+            (777, 20),
+        ] {
+            let mv = random_mv(n, k, 41);
+            let coeffs = planted(k, 42, 3, &ZEROS);
+            let b = DenseMat::from_row_major(k, k, planted(k * k, 43, 4, &NON_FINITE));
+            let base = random_mv(n, k, 55);
+            let out0 = random_vec(n, 60);
+
+            let mut out_ref = out0.clone();
+            unfused::gemv_acc(&mv, -1.5, &coeffs, &mut out_ref);
+            let mut g_ref = base.clone();
+            unfused::gemm_small_acc(&mv, &b, &mut g_ref);
+            let mut p_ref = base.clone();
+            unfused::blocked_update(&mut p_ref, &mv, &b);
+
+            for t in THREAD_COUNTS {
+                let pk = ParKernels::new(t);
+                let mut out = out0.clone();
+                pk.gemv_acc(&mv, -1.5, &coeffs, &mut out);
+                assert_same_bits(&out, &out_ref, &format!("gemv_acc n={n} k={k} t={t}"));
+
+                let mut g = base.clone();
+                pk.gemm_small_acc(&mv, &b, &mut g);
+                assert_same_mv(&g, &g_ref, &format!("gemm_small_acc n={n} k={k} t={t}"));
+
+                let mut p = base.clone();
+                pk.blocked_update(&mut p, &mv, &b);
+                assert_same_mv(&p, &p_ref, &format!("blocked_update n={n} k={k} t={t}"));
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_update_is_u_plus_pb() {
+        let col = |c: &[f64]| c.to_vec();
+        let mut p = MultiVector::from_columns(&[col(&[1.0, 0.0]), col(&[0.0, 1.0])]);
+        let u = MultiVector::from_columns(&[col(&[10.0, 10.0]), col(&[20.0, 20.0])]);
+        let b = DenseMat::from_row_major(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        ParKernels::serial().blocked_update(&mut p, &u, &b);
+        // col0 = u0 + 1*p0 + 3*p1 = [10,10] + [1,0] + [0,3] = [11,13]
+        assert_eq!(p.col(0), &[11.0, 13.0]);
+        // col1 = u1 + 2*p0 + 4*p1 = [20,20] + [2,0] + [0,4] = [22,24]
+        assert_eq!(p.col(1), &[22.0, 24.0]);
     }
 
     #[test]
