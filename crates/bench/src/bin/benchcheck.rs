@@ -30,6 +30,15 @@
 //! the sliced format exists to beat CSR, and a ratio collapse means the
 //! unrolled kernel regressed (or the build lost its SIMD path).
 //!
+//! A kernels sweep also carries the `allreduce` row (median µs of one
+//! thread-transport collective per rank count and payload): it must be
+//! present and positive in the fresh file, and wherever the baseline has it
+//! too *and* both machines put that rank count on the same side of their
+//! core count (waiters spin only when every rank has a core; a parked
+//! collective is a futex round trip, an order of magnitude dearer), a fresh
+//! median more than [`MAX_RATIO`]× the baseline's fails — the collective
+//! has gone back to sleeping through every call.
+//!
 //! Two more fresh-file-only gates (baselines must not grandfather their
 //! absence):
 //!
@@ -108,6 +117,7 @@ fn main() -> ExitCode {
                 compare(&base, &fresh, "$", false, &mut errors);
                 check_sell_gate(&fresh, &mut errors);
                 check_kernels_gate(&fresh, &mut errors);
+                check_allreduce_gate(&base, &fresh, &mut errors);
                 check_service_gate(&fresh, &mut errors);
                 check_adaptive_gate(&fresh, &mut errors);
                 check_enlarged_gate(&fresh, &mut errors);
@@ -247,6 +257,77 @@ fn check_kernels_gate(fresh: &Value, errors: &mut Vec<String>) {
             _ => errors.push(format!(
                 "$.speedup_vs_1_thread.{key}: gflops leg without a speedup array"
             )),
+        }
+    }
+}
+
+/// The collective gate of a kernels sweep (marked like
+/// [`check_kernels_gate`]): the fresh file must carry
+/// `allreduce.{ranks, words, median_us}` with one positive median per rank
+/// count and payload. Against a baseline that has the row too, each fresh
+/// median is held to [`MAX_RATIO`]× the baseline's — slow side only, and
+/// only for rank counts that spin on both machines or park on both (`nproc`
+/// against the rank count), since the two regimes differ by more than the
+/// ratio on any one machine.
+fn check_allreduce_gate(base: &Value, fresh: &Value, errors: &mut Vec<String>) {
+    if fresh.get("gflops").and_then(|g| g.get("spmv")).is_none() {
+        return;
+    }
+    let row = |file: &Value| -> Option<(Vec<f64>, usize, Vec<Vec<f64>>)> {
+        let all = file.get("allreduce")?;
+        let medians = match all.get("median_us")? {
+            Value::Array(rows) => rows
+                .iter()
+                .map(|r| num_array(Some(r)))
+                .collect::<Option<Vec<_>>>()?,
+            _ => return None,
+        };
+        Some((
+            num_array(all.get("ranks"))?,
+            num_array(all.get("words"))?.len(),
+            medians,
+        ))
+    };
+    let Some((ranks, nwords, fresh_us)) = row(fresh) else {
+        errors.push("$.allreduce: missing collective row in fresh kernels output".to_string());
+        return;
+    };
+    let well_formed = fresh_us.len() == ranks.len()
+        && fresh_us
+            .iter()
+            .all(|r| r.len() == nwords && r.iter().all(|&us| us.is_finite() && us > 0.0));
+    if !well_formed || ranks.is_empty() || nwords == 0 {
+        errors.push(format!(
+            "$.allreduce.median_us: want {} x {nwords} positive medians, found {fresh_us:?}",
+            ranks.len()
+        ));
+        return;
+    }
+    let (Some((base_ranks, _, base_us)), Some(base_cores), Some(fresh_cores)) = (
+        row(base),
+        number(base.get("nproc")),
+        number(fresh.get("nproc")),
+    ) else {
+        return;
+    };
+    for (i, (&r, fresh_row)) in ranks.iter().zip(&fresh_us).enumerate() {
+        let Some(base_row) = base_ranks
+            .iter()
+            .position(|&b| b == r)
+            .and_then(|j| base_us.get(j))
+        else {
+            continue;
+        };
+        if (fresh_cores >= r) != (base_cores >= r) {
+            continue;
+        }
+        for (j, (&f, &b)) in fresh_row.iter().zip(base_row).enumerate() {
+            if f > MAX_RATIO * b {
+                errors.push(format!(
+                    "$.allreduce.median_us[{i}][{j}]: {f} us at {r} ranks vs baseline {b} us \
+                     exceeds {MAX_RATIO}x"
+                ));
+            }
         }
     }
 }

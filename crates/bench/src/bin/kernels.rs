@@ -2,8 +2,11 @@
 //! fused tall-skinny Gram product, and the blocked s-step update, each at
 //! thread counts 1–8 on a 7-point 3D Poisson matrix. Emits
 //! `BENCH_kernels.json` (GFLOP/s per kernel per thread count, plus the
-//! speedup over one thread) and `BENCH_overlap.json` (interior/frontier
-//! split-SpMV and halo post/complete timings per rank count).
+//! speedup over one thread, plus the `allreduce` row: median µs of one
+//! thread-transport collective at 2 and 4 ranks × 1, 121 and 441 words —
+//! a scalar and the (2s+1)² Gram payloads of s = 5 and 10) and
+//! `BENCH_overlap.json` (interior/frontier split-SpMV and halo
+//! post/complete timings per rank count).
 //!
 //! Run: `cargo run --release -p spcg-bench --bin kernels`
 //!
@@ -40,6 +43,8 @@ use spcg_sparse::{CsrMatrix, DenseMat, MultiVector, ParKernels, SparseFormat, Ss
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const RANKS: [usize; 3] = [1, 2, 4];
+const ALLREDUCE_RANKS: [usize; 2] = [2, 4];
+const ALLREDUCE_WORDS: [usize; 3] = [1, 121, 441];
 const S: usize = 10;
 
 /// Cold call goes on this pseudo-thread id so it stays separate from the
@@ -74,6 +79,32 @@ fn json_array(values: &[f64]) -> String {
 fn json_array_sci(values: &[f64]) -> String {
     let cells: Vec<String> = values.iter().map(|v| format!("{v:.3e}")).collect();
     format!("[{}]", cells.join(", "))
+}
+
+/// Median microseconds of one `allreduce_sum` of `words` words between
+/// `ranks` rank threads: `samples` samples on rank 0, each the mean of
+/// `calls` back-to-back collectives after a barrier. With more ranks than
+/// cores (see the file's `nproc`) the waiters park instead of spinning, and
+/// the number is a futex round trip, not a cache-line transfer.
+fn allreduce_median_us(ranks: usize, words: usize, samples: usize, calls: usize) -> f64 {
+    let mut us = run_ranks(ranks, |comm: ThreadComm| {
+        let mut buf = vec![1.0; words];
+        (0..samples)
+            .map(|_| {
+                buf.fill(1.0);
+                comm.barrier();
+                let t0 = std::time::Instant::now();
+                for _ in 0..calls {
+                    comm.allreduce_sum(&mut buf);
+                }
+                std::hint::black_box(&buf);
+                t0.elapsed().as_secs_f64() * 1e6 / calls as f64
+            })
+            .collect::<Vec<f64>>()
+    })
+    .swap_remove(0);
+    us.sort_by(f64::total_cmp);
+    us[us.len() / 2]
 }
 
 /// Runs `reps` split-phase rounds on `ranks` rank threads and returns the
@@ -336,13 +367,27 @@ fn main() {
         );
     }
 
+    // One thread-transport collective, per rank count and payload.
+    let (samples, calls) = if quick { (5, 50) } else { (15, 200) };
+    let allreduce_rows: Vec<String> = ALLREDUCE_RANKS
+        .iter()
+        .map(|&r| {
+            let row: Vec<f64> = ALLREDUCE_WORDS
+                .iter()
+                .map(|&w| allreduce_median_us(r, w, samples, calls))
+                .collect();
+            eprintln!("[kernels] allreduce ranks={r}: {row:.2?} us at {ALLREDUCE_WORDS:?} words");
+            json_array(&row)
+        })
+        .collect();
+
     let speedup = |gf: &[f64]| -> Vec<f64> { gf.iter().map(|g| g / gf[0]).collect() };
     let threads_list: Vec<String> = THREADS.iter().map(|t| t.to_string()).collect();
     // The physical core budget, so a reader (and benchcheck) can tell a
     // kernel that fails to scale from a machine that cannot show scaling.
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let out = format!(
-        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }}\n}}\n",
+        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }}\n}}\n",
         threads_list.join(", "),
         sell.pad_ratio(),
         json_array(&spmv_gf),
@@ -363,6 +408,9 @@ fn main() {
         json_array(&speedup(&update_gf)),
         json_array(&speedup(&update_cold_gf)),
         json_array(&speedup(&sstep_gf)),
+        ALLREDUCE_RANKS,
+        ALLREDUCE_WORDS,
+        allreduce_rows.join(", "),
     );
     write_results("BENCH_kernels.json", &out);
 

@@ -137,6 +137,12 @@ impl GatherPlan {
         self.runs.len()
     }
 
+    /// The plan's contiguous runs as `(first board index, words)`, in plan
+    /// order — what a transport without shared memory asks its peer for.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.runs.iter().map(|run| (run.start, run.len))
+    }
+
     /// Sorted, deduplicated ranks this plan reads from — the neighbour set
     /// of the halo exchange.
     pub fn src_ranks(&self) -> &[usize] {
@@ -149,8 +155,8 @@ impl GatherPlan {
     }
 
     /// Copies the plan's runs out of a full-length `board` slice into
-    /// `out`, in plan order — the gather kernel shared by every backend's
-    /// completion path.
+    /// `out`, in plan order — the gather of a completion that can see the
+    /// whole board.
     ///
     /// # Panics
     /// Panics if `out.len() != self.words()` or a run exceeds `board`.
@@ -379,14 +385,7 @@ impl VectorBoard {
         assert_eq!(out.len(), plan.total, "complete_into: out length mismatch");
         let me = comm.rank();
         let round = self.begin_complete(comm, plan.src_ranks.iter().copied(), track);
-        {
-            let board = self.data.read().unwrap();
-            let mut pos = 0;
-            for run in &plan.runs {
-                out[pos..pos + run.len].copy_from_slice(&board[run.start..run.start + run.len]);
-                pos += run.len;
-            }
-        }
+        plan.gather(&self.data.read().unwrap(), out);
         self.end_complete(me, round);
     }
 
@@ -564,6 +563,7 @@ mod tests {
         // the rank boundary at 8.
         let plan = board.plan(&[5, 6, 7, 8, 9]);
         assert_eq!(plan.n_runs(), 2);
+        assert_eq!(plan.runs().collect::<Vec<_>>(), vec![(5, 3), (8, 2)]);
         assert_eq!(plan.src_ranks(), &[1, 2]);
         assert!(!plan.is_empty());
         assert!(board.plan(&[]).is_empty());

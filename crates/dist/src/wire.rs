@@ -170,21 +170,43 @@ impl<'a> WireReader<'a> {
         f64::from_bits(self.u64())
     }
 
+    /// Reads the count of a sequence of 8-byte elements, checked against
+    /// the bytes left so a corrupt count cannot size an allocation.
+    fn count(&mut self) -> usize {
+        let n = self.usize();
+        let left = (self.buf.len() - self.pos) / 8;
+        assert!(
+            n <= left,
+            "wire: truncated payload (sequence of {n} elements, {left} left)"
+        );
+        n
+    }
+
     /// Reads a length-prefixed `f64` sequence.
     pub fn f64s(&mut self) -> Vec<f64> {
-        let n = self.usize();
+        let n = self.count();
         (0..n).map(|_| self.f64()).collect()
+    }
+
+    /// Reads a length-prefixed `f64` sequence of exactly `out.len()`
+    /// elements straight into `out`.
+    pub fn f64s_into(&mut self, out: &mut [f64]) {
+        let n = self.count();
+        assert_eq!(n, out.len(), "wire: f64 sequence length mismatch");
+        for (o, bytes) in out.iter_mut().zip(self.take(8 * n).chunks_exact(8)) {
+            *o = f64::from_bits(u64::from_le_bytes(bytes.try_into().unwrap()));
+        }
     }
 
     /// Reads a length-prefixed `usize` sequence.
     pub fn usizes(&mut self) -> Vec<usize> {
-        let n = self.usize();
+        let n = self.count();
         (0..n).map(|_| self.usize()).collect()
     }
 
     /// Reads a length-prefixed `u64` sequence.
     pub fn u64s(&mut self) -> Vec<u64> {
-        let n = self.usize();
+        let n = self.count();
         (0..n).map(|_| self.u64()).collect()
     }
 
@@ -229,6 +251,19 @@ mod tests {
     }
 
     #[test]
+    fn f64s_into_reads_the_bits_f64s_reads() {
+        let vals = [1.5, f64::NEG_INFINITY, -0.0, f64::NAN];
+        let mut w = WireWriter::new();
+        w.f64s(&vals);
+        let bytes = w.into_bytes();
+        let mut into = [0.0; 4];
+        let mut r = WireReader::new(&bytes);
+        r.f64s_into(&mut into);
+        assert!(r.is_done());
+        assert_eq!(into.map(f64::to_bits), vals.map(f64::to_bits));
+    }
+
+    #[test]
     fn frames_roundtrip_over_a_stream() {
         let mut stream = Vec::new();
         write_frame(&mut stream, 2, b"hello").unwrap();
@@ -254,5 +289,17 @@ mod tests {
     fn truncated_payload_panics() {
         let mut r = WireReader::new(&[1, 2, 3]);
         r.u64();
+    }
+
+    /// A count far beyond the payload must fail as truncation, before any
+    /// allocation is sized from it.
+    #[test]
+    #[should_panic(expected = "truncated payload")]
+    fn oversized_sequence_count_panics() {
+        let mut w = WireWriter::new();
+        w.u64(u64::MAX >> 4);
+        w.f64(1.0);
+        let bytes = w.into_bytes();
+        WireReader::new(&bytes).f64s();
     }
 }

@@ -19,7 +19,8 @@
 //! * **Same exchange protocol** — the hub keeps the two vector boards'
 //!   `published`/`consumed` epochs and applies a rank's post for round
 //!   `p` only once every rank has consumed round `p − 1`; a completion
-//!   for round `w` is answered (with the full board) only once every
+//!   for round `w` is answered (with the words of the runs it names —
+//!   the rank's halo, or the whole board for a snapshot) only once every
 //!   rank has published `w`. These are the `VectorBoard` invariants,
 //!   moved across a socket.
 //! * **Same fault semantics** — workers rebuild the deterministic
@@ -58,7 +59,7 @@ use std::time::{Duration, Instant};
 
 /// Protocol version — bumped on any frame-layout change so a stale
 /// `spcg-rankd` binary fails loudly instead of misparsing.
-const PROTO: u64 = 4;
+const PROTO: u64 = 5;
 
 // Frame tags. Worker → hub: HELLO, POST, WANT, BARRIER, REDUCE, RESULT.
 // Hub → worker: SETUP, BOARD, BARRIER_OK, REDUCE_SUM.
@@ -80,6 +81,12 @@ const HUB_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// How long the parent waits for all workers to connect and say hello.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Sleep between two empty polls of the rendezvous listener: starts at the
+/// first value and doubles up to the second. A worker connects within a
+/// millisecond or so of its spawn, so a flat 2 ms poll made every world pay
+/// up to 2 ms per worker before its first frame.
+const ACCEPT_POLL: (Duration, Duration) = (Duration::from_micros(50), Duration::from_millis(2));
 
 /// World respawns allowed after rank deaths before the solve is abandoned.
 const MAX_INCARNATIONS: usize = 3;
@@ -606,6 +613,62 @@ impl WorkerResult {
     }
 }
 
+/// The `WANT` frame, a completion request: board, round, and the runs
+/// `(first board index, words)` whose words the `BOARD` reply must carry, in
+/// this order. A halo completion sends its [`GatherPlan`]'s runs; a snapshot
+/// is the single run `(0, n)`.
+struct Want {
+    board_id: usize,
+    round: u64,
+    runs: Vec<(usize, usize)>,
+}
+
+impl Want {
+    fn encode(board_id: u8, round: u64, runs: impl Iterator<Item = (usize, usize)>) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u8(board_id);
+        w.u64(round);
+        w.usizes(
+            &runs
+                .flat_map(|(start, len)| [start, len])
+                .collect::<Vec<_>>(),
+        );
+        w.into_bytes()
+    }
+
+    /// Parses a request against a board of `n` words. Every run must lie
+    /// inside the board, and together they may ask for at most one board's
+    /// worth of words (ghost indices are distinct), which bounds the reply
+    /// the hub builds.
+    fn decode(payload: &[u8], n: usize) -> Result<Want, String> {
+        let mut r = WireReader::new(payload);
+        let board_id = r.u8() as usize;
+        let round = r.u64();
+        let flat = r.usizes();
+        if board_id >= 2 || flat.len() % 2 != 0 || !r.is_done() {
+            return Err(format!("malformed WANT for board {board_id}"));
+        }
+        let runs: Vec<(usize, usize)> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        let mut total = 0usize;
+        for &(start, len) in &runs {
+            if !start.checked_add(len).is_some_and(|end| end <= n) {
+                return Err(format!(
+                    "WANT run [{start}, +{len}) leaves the {n}-word board"
+                ));
+            }
+            total += len;
+            if total > n {
+                return Err(format!("WANT asks for more than the {n}-word board"));
+            }
+        }
+        Ok(Want {
+            board_id,
+            round,
+            runs,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
@@ -687,8 +750,8 @@ impl Comm for ProcComm {
 /// [`Exchange`] over the hub, mirroring `VectorBoard`'s observable
 /// behaviour: the same epoch asserts, the same `(site, salt, rank,
 /// round)` fault decision points in the same order, the same
-/// `ExchangePost`/`ExchangeWait` spans. A completion fetches the full
-/// board and gathers locally through the shared [`GatherPlan`] kernel.
+/// `ExchangePost`/`ExchangeWait` spans. A completion asks the hub for the
+/// runs of its [`GatherPlan`] and receives exactly those words.
 struct ProcBoard {
     link: Rc<Link>,
     /// Which of the two hub boards this is (exchange seed vs `M⁻¹`-seed).
@@ -721,10 +784,16 @@ impl ProcBoard {
         }
     }
 
-    /// Completes the current round: request the full board, gather from
-    /// the reply. The hub holds the reply until every rank has published
-    /// the round, which is exactly `VectorBoard`'s completion wait.
-    fn fetch_full(&self, track: Option<&Track>) -> Vec<f64> {
+    /// Completes the current round: request `runs` of the board and copy
+    /// the reply, which carries those words in order, into `out`. The hub
+    /// holds the reply until every rank has published the round, which is
+    /// exactly `VectorBoard`'s completion wait.
+    fn fetch(
+        &self,
+        runs: impl Iterator<Item = (usize, usize)>,
+        out: &mut [f64],
+        track: Option<&Track>,
+    ) {
         let _span = spcg_obs::span(track, Phase::ExchangeWait);
         let me = self.link.rank;
         let round = self.published.get();
@@ -741,20 +810,13 @@ impl ProcBoard {
         {
             std::thread::sleep(spcg_dist::fault::STALL);
         }
-        let mut w = WireWriter::new();
-        w.u8(self.board_id);
-        w.u64(round);
-        self.link.send(TAG_WANT, &w.into_bytes());
+        self.link
+            .send(TAG_WANT, &Want::encode(self.board_id, round, runs));
         let reply = self.link.expect(TAG_BOARD);
         let mut r = WireReader::new(&reply);
-        let full = r.f64s();
-        assert_eq!(
-            full.len(),
-            *self.offsets.last().unwrap(),
-            "complete: board length mismatch"
-        );
+        r.f64s_into(out);
+        assert!(r.is_done(), "complete: trailing bytes in board reply");
         self.consumed.set(round);
-        full
     }
 }
 
@@ -804,12 +866,19 @@ impl Exchange for ProcBoard {
     }
 
     fn complete_into(&self, plan: &GatherPlan, out: &mut [f64], track: Option<&Track>) {
-        let full = self.fetch_full(track);
-        plan.gather(&full, out);
+        assert_eq!(
+            out.len(),
+            plan.words(),
+            "complete_into: out length mismatch"
+        );
+        self.fetch(plan.runs(), out, track);
     }
 
     fn complete_snapshot(&self, track: Option<&Track>) -> Vec<f64> {
-        self.fetch_full(track)
+        let n = *self.offsets.last().unwrap();
+        let mut full = vec![0.0; n];
+        self.fetch(std::iter::once((0, n)), &mut full, track);
+        full
     }
 
     fn plan(&self, indices: &[usize]) -> GatherPlan {
@@ -976,7 +1045,7 @@ struct HubBoard {
     /// Posts that arrived before every rank consumed the previous round.
     pending_post: Vec<VecDeque<(u64, Vec<f64>)>>,
     /// Completion requests awaiting the round's last publisher.
-    pending_want: Vec<Option<u64>>,
+    pending_want: Vec<Option<Want>>,
 }
 
 impl HubBoard {
@@ -986,7 +1055,7 @@ impl HubBoard {
             published: vec![0; nranks],
             consumed: vec![0; nranks],
             pending_post: vec![VecDeque::new(); nranks],
-            pending_want: vec![None; nranks],
+            pending_want: (0..nranks).map(|_| None).collect(),
         }
     }
 }
@@ -1046,7 +1115,6 @@ fn kill_directive() -> Option<(usize, u64)> {
 /// the requesting worker is blocked reading them.
 fn drain_board(
     board: &mut HubBoard,
-    board_id: u8,
     offsets: &[usize],
     writers: &mut [UnixStream],
 ) -> Result<(), WorldError> {
@@ -1076,21 +1144,27 @@ fn drain_board(
             }
         }
         for r in 0..nranks {
-            if let Some(round) = board.pending_want[r] {
-                if board.published.iter().all(|&p| p >= round) {
-                    let mut w = WireWriter::new();
-                    w.f64s(&board.data);
-                    write_frame(&mut writers[r], TAG_BOARD, &w.into_bytes())
-                        .map_err(|_| WorldError::RankDied(r))?;
-                    // The full-board reply *is* the consumption: the rank
-                    // has everything it could gather from this round.
-                    board.consumed[r] = round;
-                    board.pending_want[r] = None;
-                    progressed = true;
+            let ready = board.pending_want[r]
+                .as_ref()
+                .is_some_and(|want| board.published.iter().all(|&p| p >= want.round));
+            if ready {
+                let Want { round, runs, .. } = board.pending_want[r].take().unwrap();
+                // The f64-sequence layout, written run by run.
+                let mut w = WireWriter::new();
+                w.usize(runs.iter().map(|&(_, len)| len).sum());
+                for (start, len) in runs {
+                    for &v in &board.data[start..start + len] {
+                        w.f64(v);
+                    }
                 }
+                write_frame(&mut writers[r], TAG_BOARD, &w.into_bytes())
+                    .map_err(|_| WorldError::RankDied(r))?;
+                // The reply *is* the consumption: the rank now holds
+                // everything it asked to gather from this round.
+                board.consumed[r] = round;
+                progressed = true;
             }
         }
-        let _ = board_id;
         if !progressed {
             return Ok(());
         }
@@ -1130,6 +1204,7 @@ fn run_world(
     let mut streams: Vec<Option<UnixStream>> = (0..nranks).map(|_| None).collect();
     let deadline = Instant::now() + CONNECT_TIMEOUT;
     let mut connected = 0;
+    let mut poll = ACCEPT_POLL.0;
     while connected < nranks {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -1159,6 +1234,7 @@ fn run_world(
                 }
                 streams[rank] = Some(stream);
                 connected += 1;
+                poll = ACCEPT_POLL.0;
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if Instant::now() > deadline {
@@ -1166,7 +1242,8 @@ fn run_world(
                         "only {connected}/{nranks} workers connected within {CONNECT_TIMEOUT:?}"
                     )));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(poll);
+                poll = (poll * 2).min(ACCEPT_POLL.1);
             }
             Err(e) => return Err(WorldError::Fatal(format!("accept: {e}"))),
         }
@@ -1250,19 +1327,18 @@ fn hub_loop(
                     "hub: post chunk length"
                 );
                 boards[board_id].pending_post[rank].push_back((round, chunk));
-                drain_board(&mut boards[board_id], board_id as u8, offsets, writers)?;
+                drain_board(&mut boards[board_id], offsets, writers)?;
             }
             HubMsg::Frame(rank, TAG_WANT, payload) => {
-                let mut r = WireReader::new(&payload);
-                let board_id = r.u8() as usize;
-                let round = r.u64();
-                assert!(board_id < 2, "hub: bogus board id");
+                let want = Want::decode(&payload, n)
+                    .map_err(|e| WorldError::Fatal(format!("hub: rank {rank}: {e}")))?;
+                let board = &mut boards[want.board_id];
                 assert!(
-                    boards[board_id].pending_want[rank].is_none(),
+                    board.pending_want[rank].is_none(),
                     "hub: rank {rank} double-completed"
                 );
-                boards[board_id].pending_want[rank] = Some(round);
-                drain_board(&mut boards[board_id], board_id as u8, offsets, writers)?;
+                board.pending_want[rank] = Some(want);
+                drain_board(board, offsets, writers)?;
             }
             HubMsg::Frame(rank, TAG_BARRIER, _) => {
                 assert!(!barrier_in[rank], "hub: rank {rank} double-barriered");
@@ -1443,4 +1519,78 @@ pub(crate) fn run_proc(
     out.restarts += incarnation;
     out.counters.restarts += incarnation as u64;
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn want(runs: &[(usize, usize)]) -> Vec<u8> {
+        Want::encode(1, 7, runs.iter().copied())
+    }
+
+    #[test]
+    fn want_roundtrips_a_plan_and_a_snapshot() {
+        let w = Want::decode(&want(&[(4, 2), (0, 1), (9, 1)]), 10).unwrap();
+        assert_eq!((w.board_id, w.round), (1, 7));
+        assert_eq!(w.runs, vec![(4, 2), (0, 1), (9, 1)]);
+        assert_eq!(Want::decode(&want(&[(0, 10)]), 10).unwrap().runs, [(0, 10)]);
+        assert!(Want::decode(&want(&[]), 10).unwrap().runs.is_empty());
+    }
+
+    #[test]
+    fn want_outside_the_board_is_rejected() {
+        for bad in [
+            &[(10, 1)][..],     // starts past the end
+            &[(8, 3)],          // overlaps the end
+            &[(usize::MAX, 2)], // start + len overflows
+            &[(0, 10), (3, 1)], // more than one board of words
+        ] {
+            assert!(Want::decode(&want(bad), 10).is_err(), "{bad:?}");
+        }
+        // An odd-length run list and a board the hub does not have.
+        let mut odd = WireWriter::new();
+        odd.u8(0);
+        odd.u64(1);
+        odd.usizes(&[0, 1, 2]);
+        assert!(Want::decode(&odd.into_bytes(), 10).is_err());
+        assert!(Want::decode(&Want::encode(2, 1, std::iter::empty()), 10).is_err());
+    }
+
+    /// The hub answers a completion with the requested words only, in run
+    /// order, once the round is fully published — and not before.
+    #[test]
+    fn hub_replies_with_the_requested_runs() {
+        let offsets = [0, 3, 6];
+        let mut board = HubBoard::new(6, 2);
+        let (hub0, mut rank0) = UnixStream::pair().unwrap();
+        let (hub1, _rank1) = UnixStream::pair().unwrap();
+        let mut writers = [hub0, hub1];
+        rank0.set_nonblocking(true).unwrap();
+
+        board.pending_post[0].push_back((1, vec![0.0, 1.0, 2.0]));
+        let request = Want::encode(0, 1, [(5, 1), (3, 2)].into_iter());
+        board.pending_want[0] = Some(Want::decode(&request, 6).unwrap());
+        assert!(drain_board(&mut board, &offsets, &mut writers).is_ok());
+        let early = read_frame(&mut rank0).unwrap_err();
+        assert_eq!(early.kind(), std::io::ErrorKind::WouldBlock);
+        assert_eq!(board.consumed, [0, 0]);
+
+        board.pending_post[1].push_back((1, vec![3.0, 4.0, 5.0]));
+        assert!(drain_board(&mut board, &offsets, &mut writers).is_ok());
+        rank0.set_nonblocking(false).unwrap();
+        let (tag, reply) = read_frame(&mut rank0).unwrap();
+        assert_eq!(tag, TAG_BOARD);
+        assert_eq!(
+            reply.len(),
+            8 + 3 * 8,
+            "three words, not the six-word board"
+        );
+        let mut halo = [0.0; 3];
+        WireReader::new(&reply).f64s_into(&mut halo);
+        assert_eq!(halo, [5.0, 3.0, 4.0]);
+        // The reply is the consumption.
+        assert_eq!(board.consumed, [1, 0]);
+        assert!(board.pending_want[0].is_none());
+    }
 }

@@ -22,6 +22,11 @@
 //! the executors clone handles freely; the workers park on a condvar while
 //! idle and are joined when the last handle drops. With `threads = 1` no
 //! worker threads exist at all and every kernel runs inline on the caller.
+//!
+//! The row-partitioned sparse kernels (SpMV and SpMM, both formats) also
+//! run inline when splitting cannot pay: the pool is wider than the machine,
+//! or the matrix is under `SPLIT_MIN_ENTRIES`. By the invariant above the
+//! choice never shows in a result.
 
 use crate::blas::{self, pairwise_sum, REDUCE_BLOCK};
 use crate::csr::CsrMatrix;
@@ -32,6 +37,20 @@ use crate::tile::{combine, with_scratch, TILE, ZERO_TILE};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// Stored matrix entries a row-partitioned sparse kernel must touch before
+/// it is split over the pool: the measured break-even of a 2-member pool on
+/// the reference runner, where handing a job to a parked worker and
+/// collecting it costs 35–40 µs (an empty [`ThreadPool::run`]). Alternating
+/// inline and split SpMV calls on 7-point Poisson grids read, split over
+/// inline: 0.5–0.6× at 27 k and 54 k entries, 0.5–0.9× at 93 k, 0.7–0.8×
+/// (SELL) and 0.95× (CSR) at 149 k, 0.8× and 1.0–1.1× at 223 k, 1.0–1.1×
+/// and 1.2–1.3× at 438 k, 1.2–1.4× at 760 k. With the single-thread rates
+/// of `results/BENCH_kernels.json` (1.9 CSR, 3.3 SELL GFLOP/s) the floor is
+/// 160–280 µs of kernel, so one hand-off is 13–22 % of it; sizing for 10 %
+/// (2¹⁹) would also have inlined the 438 k-entry operator, where the split
+/// wins.
+const SPLIT_MIN_ENTRIES: usize = 1 << 18;
 
 /// A borrowed parallel job: invoked once per pool member with the member's
 /// index. The `'static` lifetime is a lie told to the type system; see the
@@ -187,6 +206,12 @@ impl<T> SendPtr<T> {
 #[derive(Clone)]
 pub struct ParKernels {
     pool: Arc<ThreadPool>,
+    /// Stored matrix entries from which a row-partitioned sparse kernel is
+    /// split over the pool: [`SPLIT_MIN_ENTRIES`], or never when the pool
+    /// is wider than `available_parallelism()` (read once, at creation; it
+    /// honours the CPU affinity mask) — an oversubscribed pool only adds
+    /// hand-offs and context switches to the same cores.
+    split_floor: usize,
 }
 
 impl std::fmt::Debug for ParKernels {
@@ -200,8 +225,23 @@ impl std::fmt::Debug for ParKernels {
 impl ParKernels {
     /// Creates a kernel layer over a fresh pool of `threads` members.
     pub fn new(threads: usize) -> Self {
+        let pool = Arc::new(ThreadPool::new(threads));
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let split_floor = if pool.threads() > cores {
+            usize::MAX
+        } else {
+            SPLIT_MIN_ENTRIES
+        };
+        ParKernels { pool, split_floor }
+    }
+
+    /// A layer that splits every kernel whatever its size and the machine's
+    /// width, so unit tests drive the split paths on small matrices.
+    #[cfg(test)]
+    fn always_split(threads: usize) -> Self {
         ParKernels {
-            pool: Arc::new(ThreadPool::new(threads)),
+            split_floor: 0,
+            ..Self::new(threads)
         }
     }
 
@@ -215,6 +255,12 @@ impl ParKernels {
     #[inline]
     pub fn threads(&self) -> usize {
         self.pool.threads()
+    }
+
+    /// Whether a row-partitioned kernel over `entries` stored matrix
+    /// entries is split over the pool or runs inline on the caller.
+    fn splits(&self, entries: usize) -> bool {
+        self.threads() > 1 && entries >= self.split_floor
     }
 
     /// Runs `f(task_index)` for every index in `0..ntasks`, distributing
@@ -327,7 +373,7 @@ impl ParKernels {
     /// nnz-balanced row schedule. Row-partitioned, hence bitwise equal to
     /// [`CsrMatrix::spmv`] for any thread count.
     pub fn spmv(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-        if self.threads() == 1 {
+        if !self.splits(a.nnz()) {
             a.spmv(x, y);
             return;
         }
@@ -346,7 +392,7 @@ impl ParKernels {
     /// [`SellMatrix::spmv`] — and to the CSR kernels — for any thread
     /// count.
     pub fn spmv_sell(&self, a: &SellMatrix, x: &[f64], y: &mut [f64]) {
-        if self.threads() == 1 || a.nslices() <= 1 {
+        if !self.splits(a.padded_nnz()) || a.nslices() <= 1 {
             a.spmv(x, y);
             return;
         }
@@ -370,7 +416,7 @@ impl ParKernels {
     /// [`SellMatrix::spmv_lanes_prefix`] for any thread count.
     pub fn spmv_sell_prefix(&self, a: &SellMatrix, nlanes: usize, x: &[f64], y: &mut [f64]) {
         let full = nlanes / crate::sell::SELL_C;
-        if self.threads() == 1 || full <= 1 {
+        if full <= 1 || !self.splits(a.slice_ptr()[full]) {
             a.spmv_lanes_prefix(nlanes, x, y);
             return;
         }
@@ -408,7 +454,7 @@ impl ParKernels {
         assert_eq!(x.n(), a.ncols(), "spmm: x row mismatch");
         assert_eq!(y.n(), a.nrows(), "spmm: y row mismatch");
         assert_eq!(x.k(), y.k(), "spmm: column count mismatch");
-        if self.threads() == 1 {
+        if !self.splits(a.nnz() * x.k()) {
             a.spmm(x, y);
             return;
         }
@@ -451,7 +497,7 @@ impl ParKernels {
         assert!(x.n() >= a.ncols(), "spmm_sell: x row mismatch");
         assert!(y.n() >= a.out_len(), "spmm_sell: y row mismatch");
         assert_eq!(x.k(), y.k(), "spmm_sell: column count mismatch");
-        if self.threads() == 1 || a.nslices() <= 1 {
+        if !self.splits(a.padded_nnz() * x.k()) || a.nslices() <= 1 {
             a.spmm(x, y);
             return;
         }
@@ -1132,6 +1178,23 @@ mod tests {
         }
     }
 
+    /// The shipped policy: small or oversubscribed means inline. The
+    /// kernel tests below bypass it (`always_split`) to reach the split
+    /// paths on matrices this small.
+    #[test]
+    fn small_matrices_and_oversubscribed_pools_run_inline() {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert!(!ParKernels::new(1).splits(usize::MAX));
+        let wide = ParKernels::new(cores + 1);
+        assert!(!wide.splits(usize::MAX - 1), "wider than the machine");
+        if cores > 1 {
+            let fits = ParKernels::new(cores);
+            assert!(fits.splits(SPLIT_MIN_ENTRIES));
+            assert!(!fits.splits(SPLIT_MIN_ENTRIES - 1));
+        }
+        assert!(ParKernels::always_split(cores + 1).splits(0));
+    }
+
     #[test]
     fn spmv_is_bitwise_identical_across_thread_counts() {
         let a = poisson_3d(14); // n = 2744 — several schedule chunks
@@ -1139,7 +1202,7 @@ mod tests {
         let mut serial = vec![0.0; a.nrows()];
         a.spmv(&x, &mut serial);
         for t in THREAD_COUNTS {
-            let pk = ParKernels::new(t);
+            let pk = ParKernels::always_split(t);
             let mut y = vec![1.0; a.nrows()];
             pk.spmv(&a, &x, &mut y);
             assert_eq!(y, serial, "t={t}");
@@ -1154,7 +1217,7 @@ mod tests {
         let mut serial = vec![0.0; a.nrows()];
         a.spmv(&x, &mut serial);
         for t in THREAD_COUNTS {
-            let pk = ParKernels::new(t);
+            let pk = ParKernels::always_split(t);
             let mut y = vec![1.0; a.nrows()];
             pk.spmv_sell(&sell, &x, &mut y);
             assert_eq!(y, serial, "t={t}");
@@ -1173,7 +1236,7 @@ mod tests {
             let mut serial = vec![f64::NAN; a.nrows()];
             sell.spmv_lanes_prefix(cut, &x, &mut serial);
             for t in THREAD_COUNTS {
-                let pk = ParKernels::new(t);
+                let pk = ParKernels::always_split(t);
                 let mut y = vec![f64::NAN; a.nrows()];
                 pk.spmv_sell_prefix(&sell, cut, &x, &mut y);
                 for r in 0..cut {
@@ -1191,7 +1254,7 @@ mod tests {
         for k in [1usize, 2, 4, 8] {
             let x = random_mv(n, k, 31 + k as u64);
             for t in THREAD_COUNTS {
-                let pk = ParKernels::new(t);
+                let pk = ParKernels::always_split(t);
                 let mut y = random_mv(n, k, 99);
                 pk.spmm(&a, &x, &mut y);
                 for j in 0..k {
@@ -1211,7 +1274,7 @@ mod tests {
         for k in [1usize, 2, 4, 8] {
             let x = random_mv(n, k, 53 + k as u64);
             for t in THREAD_COUNTS {
-                let pk = ParKernels::new(t);
+                let pk = ParKernels::always_split(t);
                 let mut y = random_mv(n, k, 7);
                 pk.spmm_sell(&sell, &x, &mut y);
                 for j in 0..k {
