@@ -220,12 +220,12 @@ impl SolverHandle {
 /// Leja-ordered Ritz values. Monomial bases and non-s-step methods pass
 /// through unchanged.
 fn retune_method(method: &Method, est: &SpectrumEstimate) -> Method {
-    let retune = |basis: &BasisType, s: usize| match basis {
-        BasisType::Monomial => BasisType::Monomial,
-        BasisType::Newton { .. } => BasisType::Newton {
-            shifts: newton_shifts(&est.ritz, s),
+    let basis = match method.basis() {
+        None | Some(BasisType::Monomial) => return method.clone(),
+        Some(BasisType::Newton { .. }) => BasisType::Newton {
+            shifts: newton_shifts(&est.ritz, method.s()),
         },
-        BasisType::Chebyshev { .. } => {
+        Some(BasisType::Chebyshev { .. }) => {
             let (lo, hi) = est.chebyshev_interval(DEFAULT_MARGIN);
             BasisType::Chebyshev {
                 lambda_min: lo,
@@ -233,25 +233,7 @@ fn retune_method(method: &Method, est: &SpectrumEstimate) -> Method {
             }
         }
     };
-    match method {
-        Method::SPcg { s, basis } => Method::SPcg {
-            s: *s,
-            basis: retune(basis, *s),
-        },
-        Method::CaPcg { s, basis } => Method::CaPcg {
-            s: *s,
-            basis: retune(basis, *s),
-        },
-        Method::CaPcg3 { s, basis } => Method::CaPcg3 {
-            s: *s,
-            basis: retune(basis, *s),
-        },
-        Method::AdaptiveCaPcg { s, basis } => Method::AdaptiveCaPcg {
-            s: *s,
-            basis: retune(basis, *s),
-        },
-        other => other.clone(),
-    }
+    method.with_basis(basis)
 }
 
 #[cfg(test)]
@@ -314,6 +296,57 @@ mod tests {
         let b = paper_rhs(&a);
         let res = handle.solve_one(&b);
         assert!(res.converged(), "{:?}", res.outcome);
+    }
+
+    #[test]
+    fn every_basis_carrying_method_is_retuned() {
+        let a = Arc::new(poisson_2d(10));
+        let m = Jacobi::new(&a);
+        let placeholder = BasisType::Chebyshev {
+            lambda_min: 0.5,
+            lambda_max: 0.6,
+        };
+        let (s, basis) = (4, placeholder.clone());
+        let methods = [
+            Method::SPcg {
+                s,
+                basis: basis.clone(),
+            },
+            Method::CaPcg {
+                s,
+                basis: basis.clone(),
+            },
+            Method::CaPcg3 {
+                s,
+                basis: basis.clone(),
+            },
+            Method::AdaptiveCaPcg {
+                s,
+                basis: basis.clone(),
+            },
+            Method::CaPcgGs { s, basis },
+        ];
+        for method in methods {
+            let spec = SolveSpec::new(method.clone(), m.spec().unwrap()).with_tuned_basis();
+            let handle = SolverHandle::build(Arc::clone(&a), spec);
+            let tuned = handle.method();
+            assert_eq!(tuned, &method.with_basis(tuned.basis().unwrap().clone()));
+            assert_ne!(tuned.basis(), Some(&placeholder), "{}", method.name());
+        }
+        // Newton shifts are retuned to the method's own s; methods without a
+        // basis pass through.
+        let newton = Method::CaPcgGs {
+            s: 3,
+            basis: BasisType::Newton { shifts: vec![] },
+        };
+        let spec = SolveSpec::new(newton, m.spec().unwrap()).with_tuned_basis();
+        match SolverHandle::build(Arc::clone(&a), spec).method().basis() {
+            Some(BasisType::Newton { shifts }) => assert_eq!(shifts.len(), 3),
+            other => panic!("unexpected basis {other:?}"),
+        }
+        let spec = SolveSpec::new(Method::SPcgMon { s: 3 }, m.spec().unwrap()).with_tuned_basis();
+        let handle = SolverHandle::build(Arc::clone(&a), spec);
+        assert_eq!(handle.method(), &Method::SPcgMon { s: 3 });
     }
 
     #[test]

@@ -115,18 +115,13 @@ pub fn solve_batch(
 
 /// Result for a request whose deadline passed before its solve started.
 fn expired_result(n: usize) -> SolveResult {
-    SolveResult {
-        x: vec![0.0; n],
-        outcome: Outcome::DeadlineExpired,
-        iterations: 0,
-        history: Vec::new(),
-        counters: Counters::new(),
-        collectives_per_rank: None,
-        restarts: 0,
-        s_schedule: Vec::new(),
-        faults_absorbed: 0,
-        adaptive: None,
-    }
+    SolveResult::new(
+        vec![0.0; n],
+        Outcome::DeadlineExpired,
+        0,
+        Vec::new(),
+        Counters::new(),
+    )
 }
 
 /// Per-column solver state carried alongside the multivector blocks.
@@ -213,7 +208,7 @@ impl Blk<'_> {
 }
 
 /// Criterion values for every active column, charging each column's
-/// counters exactly as the scalar `criterion_value` does. The true
+/// counters exactly as the scalar `StopState::criterion_value` does. The true
 /// residual's `A·x` is batched through the multivector kernel — per
 /// column bitwise equal to the scalar SpMV — and lands in `scr`, which
 /// the caller aliases to the (dead at this point) `A·p` block so the
@@ -318,18 +313,13 @@ fn compact(
     for (c, (col, frozen)) in old.into_iter().zip(freeze).enumerate() {
         match frozen {
             Some(outcome) => {
-                out[col.req] = Some(SolveResult {
-                    x: xm.col(c).to_vec(),
+                out[col.req] = Some(SolveResult::new(
+                    xm.col(c).to_vec(),
                     outcome,
                     iterations,
-                    history: col.stop.history,
-                    counters: col.counters,
-                    collectives_per_rank: None,
-                    restarts: 0,
-                    s_schedule: Vec::new(),
-                    faults_absorbed: 0,
-                    adaptive: None,
-                });
+                    col.stop.history,
+                    col.counters,
+                ));
             }
             None => cols.push(col),
         }

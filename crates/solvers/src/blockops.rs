@@ -13,7 +13,7 @@
 use spcg_basis::cob::au_flops_per_row;
 use spcg_basis::poly::BasisParams;
 use spcg_dist::Counters;
-use spcg_sparse::{DenseMat, GemvOut, MultiVector, ParKernels, SstepBlock};
+use spcg_sparse::{blas, DenseMat, GemvOut, MultiVector, ParKernels, SstepBlock};
 
 /// Gram product `[zl|zr]ᵀ·[yl|yr]` of shape
 /// `(kz1+kz2) × (ky1+ky2)`, computed in one fused pass.
@@ -122,6 +122,12 @@ pub fn gemv_concat_acc(
     out: &mut [f64],
 ) {
     pk.gemv_multi(&[l, r], &mut [GemvOut::Acc(coef, out)]);
+}
+
+/// `aᵀ G b` for small vectors — the coordinate-space inner products of
+/// CA-PCG and CA-PCG3.
+pub(crate) fn quad_form(g: &DenseMat, a: &[f64], b: &[f64]) -> f64 {
+    blas::dot(a, &g.matvec(b))
 }
 
 #[cfg(test)]

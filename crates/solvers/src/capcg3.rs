@@ -22,15 +22,15 @@
 //! The x/r/u updates are unblockable BLAS1 three-term combinations — the
 //! performance drawback the paper holds against CA-PCG3 (§4.1).
 
-use crate::blockops::{gemv_concat, gram_concat};
+use crate::blockops::{gemv_concat, gram_concat, quad_form};
 use crate::engine::{allreduce_gram, Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
-use crate::stopping::{criterion_value, StopState, Verdict};
+use crate::stopping::StopState;
 use spcg_basis::cob::b_small;
 use spcg_basis::BasisType;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
-use spcg_sparse::{blas, DenseMat, MultiVector};
+use spcg_sparse::{DenseMat, MultiVector};
 
 /// Solves `A x = b` with CA-PCG3 (Alg. 4).
 ///
@@ -61,7 +61,6 @@ pub(crate) fn capcg3_g<E: Exec>(
     let tr = exec.track().cloned();
     let mut counters = Counters::new();
     let mut stop = StopState::new(opts);
-    let mut scratch_vec = Vec::new();
 
     let params = basis.params(s);
     let b_w = b_small(&params, s + 1); // (s+1) × s, the W-block operator
@@ -94,8 +93,7 @@ pub(crate) fn capcg3_g<E: Exec>(
     let mut next = vec![0.0; n];
 
     let mut iterations = 0usize;
-    let final_verdict;
-    'outer: loop {
+    let outcome = 'outer: loop {
         // --- basis W^(k) = K_{s+1}(AM⁻¹, r^(sk)), V = M⁻¹W ---
         // u is refreshed from the recursive residual instead of reusing the
         // recursively updated preconditioned residual: the three-term u
@@ -116,23 +114,8 @@ pub(crate) fn capcg3_g<E: Exec>(
 
         // --- convergence check every s steps ---
         let rtu = g_mat[(s, s)]; // uᵀr (V col 0 · W col 0)
-        let value = criterion_value(
-            exec,
-            opts.criterion,
-            &x,
-            &r,
-            rtu,
-            &mut scratch_vec,
-            &mut counters,
-        );
-        let verdict = stop.check(iterations, value);
-        if verdict != Verdict::Continue {
-            final_verdict = StopState::outcome(verdict);
-            break;
-        }
-        if iterations >= opts.max_iters {
-            final_verdict = Outcome::MaxIterations;
-            break;
+        if let Err(outcome) = stop.block_check(exec, iterations, &x, &r, rtu, &mut counters) {
+            break outcome;
         }
 
         // --- coordinate operator D for this outer iteration ---
@@ -168,21 +151,12 @@ pub(crate) fn capcg3_g<E: Exec>(
             let nu = quad_form(&g_mat, &g_c, &d_c);
             if !(nu > 0.0) || !(mu > 0.0) || !nu.is_finite() || !mu.is_finite() {
                 // x, r, u are live full vectors; judge before failing.
-                let v = criterion_value(
-                    exec,
-                    opts.criterion,
-                    &x,
-                    &r,
-                    mu,
-                    &mut scratch_vec,
-                    &mut counters,
-                );
-                final_verdict = stop.resolve_breakdown(
+                let v = stop.criterion_value(exec, &x, &r, mu, &mut counters);
+                break 'outer stop.resolve_breakdown(
                     iterations + j,
                     v,
                     format!("coordinate moments uᵀAu = {nu}, rᵀu = {mu}"),
                 );
-                break 'outer;
             }
             let gamma = mu / nu;
             let rho = if iterations + j == 0 {
@@ -190,8 +164,7 @@ pub(crate) fn capcg3_g<E: Exec>(
             } else {
                 let denom = 1.0 - (gamma / gamma_prev) * (mu / mu_prev) * (1.0 / rho_prev);
                 if denom == 0.0 || !denom.is_finite() {
-                    final_verdict = Outcome::Breakdown(format!("rho denominator {denom}"));
-                    break 'outer;
+                    break 'outer Outcome::Breakdown(format!("rho denominator {denom}"));
                 }
                 1.0 / denom
             };
@@ -240,20 +213,9 @@ pub(crate) fn capcg3_g<E: Exec>(
         iterations += s;
         counters.iterations += sw;
         counters.outer_iterations += 1;
-    }
+    };
 
-    SolveResult {
-        x,
-        outcome: final_verdict,
-        iterations,
-        history: stop.history,
-        counters,
-        collectives_per_rank: None,
-        restarts: 0,
-        s_schedule: Vec::new(),
-        faults_absorbed: 0,
-        adaptive: None,
-    }
+    SolveResult::new(x, outcome, iterations, stop.history, counters)
 }
 
 /// Builds the `(2s+1)²` operator mapping residual coordinates `g` to the
@@ -285,12 +247,6 @@ fn build_d_operator(s: usize, gamma_hist: &[f64], rho_hist: &[f64], b_w: &DenseM
         }
     }
     d
-}
-
-/// `aᵀ G b` for small vectors.
-fn quad_form(g: &DenseMat, a: &[f64], b: &[f64]) -> f64 {
-    let gb = g.matvec(b);
-    blas::dot(a, &gb)
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@
 
 use crate::engine::{allreduce_gram, Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
-use crate::stopping::{criterion_value, StopState, Verdict};
+use crate::stopping::StopState;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
 use spcg_sparse::smallsolve::PivotedCholesky;
@@ -81,7 +81,6 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
     let tr = exec.track().cloned();
     let mut counters = Counters::new();
     let mut stop = StopState::new(opts);
-    let mut scratch_vec = Vec::new();
 
     // Global block boundaries of the splitting operator: block j owns rows
     // [j·n/t, (j+1)·n/t) — a pure function of (n, t), independent of the
@@ -104,8 +103,7 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
     let mut hist: Vec<(MultiVector, MultiVector, PivotedCholesky)> = Vec::new();
 
     let mut iterations = 0usize;
-    let final_verdict;
-    loop {
+    let outcome = loop {
         // --- Z = T(u): split the preconditioned residual ---
         {
             let _v = spcg_obs::span(tr.as_ref(), Phase::VecUpdate);
@@ -145,27 +143,11 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
         let rtu = extra[0];
 
         // --- convergence check ---
-        let value = criterion_value(
-            exec,
-            opts.criterion,
-            &x,
-            &r,
-            rtu,
-            &mut scratch_vec,
-            &mut counters,
-        );
-        let verdict = stop.check(iterations, value);
-        if verdict != Verdict::Continue {
-            final_verdict = StopState::outcome(verdict);
-            break;
-        }
-        if iterations >= opts.max_iters {
-            final_verdict = Outcome::MaxIterations;
-            break;
+        if let Err(outcome) = stop.block_check(exec, iterations, &x, &r, rtu, &mut counters) {
+            break outcome;
         }
         if !rtu.is_finite() {
-            final_verdict = Outcome::Diverged;
-            break;
+            break Outcome::Diverged;
         }
 
         // --- P = Z − Σⱼ Pⱼ·Φⱼ, AP = AZ − Σⱼ APⱼ·Φⱼ ---
@@ -199,8 +181,7 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
 
         g.symmetrize();
         if g.has_non_finite() {
-            final_verdict = Outcome::Breakdown("non-finite enlarged Gram data".into());
-            break;
+            break Outcome::Breakdown("non-finite enlarged Gram data".into());
         }
         let scalar_span = spcg_obs::span(tr.as_ref(), Phase::ScalarWork);
         let fact = {
@@ -212,21 +193,12 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
             // Every direction fell below the pivot threshold: the block has
             // no usable curvature left. Judge by the criterion first, the
             // same way PCG treats vanished pᵀAp.
-            let v = criterion_value(
-                exec,
-                opts.criterion,
-                &x,
-                &r,
-                rtu,
-                &mut scratch_vec,
-                &mut counters,
-            );
-            final_verdict = stop.resolve_breakdown(
+            let v = stop.criterion_value(exec, &x, &r, rtu, &mut counters);
+            break stop.resolve_breakdown(
                 iterations,
                 v,
                 "enlarged direction Gram has numerical rank 0".into(),
             );
-            break;
         }
         let gamma = fact.pseudo_solve(&c);
         drop(scalar_span);
@@ -246,20 +218,9 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
         iterations += 1;
         counters.iterations += 1;
         counters.outer_iterations += 1;
-    }
+    };
 
-    SolveResult {
-        x,
-        outcome: final_verdict,
-        iterations,
-        history: stop.history,
-        counters,
-        collectives_per_rank: None,
-        restarts: 0,
-        s_schedule: Vec::new(),
-        faults_absorbed: 0,
-        adaptive: None,
-    }
+    SolveResult::new(x, outcome, iterations, stop.history, counters)
 }
 
 #[cfg(test)]

@@ -761,19 +761,28 @@ pub(crate) fn run_ranked(
     out
 }
 
-/// Dispatches a method onto an execution substrate.
+/// Dispatches a method onto an execution substrate — the one place a
+/// [`Method`] variant is mapped to a body and its configuration.
 pub(crate) fn dispatch<E: Exec>(method: &Method, exec: &mut E, opts: &SolveOptions) -> SolveResult {
+    use crate::capcg::{capcg_g, BlockPolicy};
+    use crate::sstep::{sstep_g, GramForm, GramSolve};
     match method {
         Method::Pcg => crate::pcg::pcg_g(exec, opts),
         Method::Pcg3 => crate::pcg3::pcg3_g(exec, opts),
-        Method::SPcg { s, basis } => crate::spcg::spcg_g(exec, *s, basis, opts),
-        Method::SPcgMon { s } => crate::spcg_mon::spcg_mon_g(exec, *s, opts),
-        Method::CaPcg { s, basis } => crate::capcg::capcg_g(exec, *s, basis, opts),
-        Method::CaPcg3 { s, basis } => crate::capcg3::capcg3_g(exec, *s, basis, opts),
-        Method::AdaptiveCaPcg { s, basis } => {
-            crate::adapt_capcg::adaptive_capcg_g(exec, *s, basis, opts)
+        Method::SPcg { s, basis } => {
+            sstep_g(exec, *s, GramForm::Direct(basis), GramSolve::Cholesky, opts)
         }
-        Method::CaPcgGs { s, basis } => crate::capcg_gs::capcg_gs_g(exec, *s, basis, opts),
+        Method::SPcgMon { s } => sstep_g(exec, *s, GramForm::Moments, GramSolve::Cholesky, opts),
+        Method::CaPcgGs { s, basis } => sstep_g(
+            exec,
+            *s,
+            GramForm::Direct(basis),
+            GramSolve::GaussSeidel,
+            opts,
+        ),
+        Method::CaPcg { s, basis } => capcg_g(exec, *s, basis, BlockPolicy::Fixed, opts),
+        Method::AdaptiveCaPcg { s, basis } => capcg_g(exec, *s, basis, BlockPolicy::Adaptive, opts),
+        Method::CaPcg3 { s, basis } => crate::capcg3::capcg3_g(exec, *s, basis, opts),
         Method::EkCg { t } => crate::ekcg::ekcg_g(exec, *t, opts),
     }
 }

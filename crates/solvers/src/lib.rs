@@ -1,15 +1,23 @@
 //! (s-step) preconditioned conjugate gradient solvers.
 //!
-//! This crate implements the paper's full solver zoo:
+//! This crate implements the paper's solver zoo and the related-work
+//! extensions — nine [`Method`]s on five bodies:
 //!
-//! | Solver | Paper | Module | Notes |
+//! | Method | Source | Body | Notes |
 //! |---|---|---|---|
 //! | PCG | Alg. 1 | [`mod@pcg`] | two-term baseline, 2 reductions/iter |
 //! | PCG3 | Rutishauser \[17\] | [`mod@pcg3`] | three-term baseline behind CA-PCG3 |
-//! | sPCG_mon | Alg. 2, Chronopoulos/Gear \[7\] | [`mod@spcg_mon`] | monomial-only s-step method |
-//! | **sPCG** | **Alg. 5 + Alg. 6 (the contribution)** | [`mod@spcg`] | s-step method with arbitrary bases |
-//! | CA-PCG | Alg. 3, Toledo \[21\] | [`mod@capcg`] | coordinate-space inner loop, 2s−1 MV/precond |
+//! | sPCG_mon | Alg. 2, Chronopoulos/Gear \[7\] | [`mod@sstep`], moment Gram form | monomial-only s-step method |
+//! | **sPCG** | **Alg. 5 + Alg. 6 (the contribution)** | [`mod@sstep`] | s-step method with arbitrary bases |
+//! | CA-PCG-GS | D'Ambra et al. | [`mod@sstep`], Gauss-Seidel Gram solve | no pivot-failure breakdown at large s |
+//! | CA-PCG | Alg. 3, Toledo \[21\] | [`mod@capcg`], fixed block policy | coordinate-space inner loop, 2s−1 MV/precond |
+//! | adaptive CA-PCG | Carson's adaptive s-step CG | [`mod@capcg`], adaptive block policy | controller picks `s` and rebuilds the basis |
 //! | CA-PCG3 | Alg. 4, Hoemmen \[14\] | [`mod@capcg3`] | three-term s-step method, BLAS1 updates |
+//! | EkCG | Grigori & Moufawad | [`mod@ekcg`] | enlarged Krylov: `t` directions per iteration |
+//!
+//! [`engine`]'s `dispatch` is the one place a `Method` variant is mapped to a
+//! body and its configuration; [`mod@resilience`] restarts any of them on a
+//! breakdown, and [`mod@batch`] is the blocked multi-right-hand-side PCG.
 //!
 //! All s-step solvers perform **one global reduction per s steps**; every
 //! solver charges `spcg_dist::Counters` with the operation classes of the
@@ -17,13 +25,10 @@
 //! cluster time. Numerical behaviour (Table 2: monomial collapse at s = 10,
 //! Chebyshev recovery) is real `f64` arithmetic, not simulation.
 
-pub mod adapt_capcg;
-pub mod adaptive;
 pub mod batch;
 pub mod blockops;
 pub mod capcg;
 pub mod capcg3;
-pub mod capcg_gs;
 pub mod ekcg;
 pub mod engine;
 pub mod method;
@@ -34,15 +39,12 @@ pub mod pcg3;
 pub mod procexec;
 pub mod resilience;
 pub mod setup;
-pub mod spcg;
-pub mod spcg_mon;
+pub mod sstep;
 pub mod stopping;
 
-pub use adapt_capcg::adaptive_capcg;
 pub use batch::{solve_batch, BatchRequest};
-pub use capcg::capcg;
+pub use capcg::{adaptive_capcg, capcg};
 pub use capcg3::capcg3;
-pub use capcg_gs::capcg_gs;
 pub use ekcg::ekcg;
 pub use engine::Engine;
 pub use method::{solve, Method};
@@ -55,6 +57,5 @@ pub use pcg::pcg;
 pub use pcg3::pcg3;
 pub use resilience::Resilience;
 pub use setup::{chebyshev_basis, newton_basis};
-pub use spcg::spcg;
 pub use spcg_adapt::{AdaptivePolicy, AdaptiveReport, ShiftUpdate};
-pub use spcg_mon::spcg_mon;
+pub use sstep::{capcg_gs, spcg, spcg_mon};

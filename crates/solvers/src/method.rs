@@ -27,7 +27,7 @@ pub enum Method {
     /// CA-PCG-GS: the s-step body with the small Gram systems solved by a
     /// seeded Gauss-Seidel iteration instead of Cholesky — no pivot-failure
     /// breakdown mode, so ill-conditioned large-s blocks survive at full s
-    /// (D'Ambra et al., see `crate::capcg_gs`).
+    /// (D'Ambra et al., see `crate::sstep`).
     CaPcgGs { s: usize, basis: BasisType },
     /// Enlarged-Krylov CG: the residual split into `t` contiguous-block
     /// directions per iteration (Grigori & Moufawad's MSDO-CG family, see
@@ -72,55 +72,62 @@ impl Method {
     /// non-blocked baselines have no block size and return themselves —
     /// the resilience driver's s-reduction policy is a no-op for them.
     pub fn with_s(&self, s: usize) -> Method {
-        match self {
-            Method::Pcg => Method::Pcg,
-            Method::Pcg3 => Method::Pcg3,
-            Method::SPcg { basis, .. } => Method::SPcg {
-                s: s.max(1),
-                basis: basis.clone(),
-            },
-            Method::SPcgMon { .. } => Method::SPcgMon { s: s.max(1) },
-            Method::CaPcg { basis, .. } => Method::CaPcg {
-                s: s.max(2),
-                basis: basis.clone(),
-            },
-            Method::CaPcg3 { basis, .. } => Method::CaPcg3 {
-                s: s.max(2),
-                basis: basis.clone(),
-            },
-            Method::AdaptiveCaPcg { basis, .. } => Method::AdaptiveCaPcg {
-                s: s.max(2),
-                basis: basis.clone(),
-            },
-            Method::CaPcgGs { basis, .. } => Method::CaPcgGs {
-                s: s.max(1),
-                basis: basis.clone(),
-            },
-            Method::EkCg { .. } => self.clone(),
+        let mut out = self.clone();
+        match &mut out {
+            Method::SPcg { s: slot, .. }
+            | Method::SPcgMon { s: slot }
+            | Method::CaPcgGs { s: slot, .. } => *slot = s.max(1),
+            Method::CaPcg { s: slot, .. }
+            | Method::CaPcg3 { s: slot, .. }
+            | Method::AdaptiveCaPcg { s: slot, .. } => *slot = s.max(2),
+            Method::Pcg | Method::Pcg3 | Method::EkCg { .. } => {}
         }
+        out
+    }
+
+    /// The polynomial basis the method builds its s-step blocks with;
+    /// `None` for the methods that carry none (the non-blocked baselines
+    /// and the monomial-only sPCG_mon).
+    pub fn basis(&self) -> Option<&BasisType> {
+        match self {
+            Method::SPcg { basis, .. }
+            | Method::CaPcg { basis, .. }
+            | Method::CaPcg3 { basis, .. }
+            | Method::AdaptiveCaPcg { basis, .. }
+            | Method::CaPcgGs { basis, .. } => Some(basis),
+            Method::Pcg | Method::Pcg3 | Method::SPcgMon { .. } | Method::EkCg { .. } => None,
+        }
+    }
+
+    /// The same method with its basis replaced; methods without one (see
+    /// [`Method::basis`]) return themselves.
+    pub fn with_basis(&self, basis: BasisType) -> Method {
+        let mut out = self.clone();
+        match &mut out {
+            Method::SPcg { basis: slot, .. }
+            | Method::CaPcg { basis: slot, .. }
+            | Method::CaPcg3 { basis: slot, .. }
+            | Method::AdaptiveCaPcg { basis: slot, .. }
+            | Method::CaPcgGs { basis: slot, .. } => *slot = basis,
+            Method::Pcg | Method::Pcg3 | Method::SPcgMon { .. } | Method::EkCg { .. } => {}
+        }
+        out
     }
 
     /// The Gauss-Seidel analogue of this method at the *same* block size —
     /// the resilience driver's recovery stage between a breakdown and the
     /// shrink-s retreat: the s-step methods whose breakdowns come from the
     /// small Cholesky Gram solve map onto [`Method::CaPcgGs`] (same `s`,
-    /// same basis where they carry one); methods without a Cholesky Gram
-    /// solve (and CA-PCG-GS itself) have no analogue.
+    /// same basis where they carry one, monomial for sPCG_mon); methods
+    /// without a Cholesky Gram solve (and CA-PCG-GS itself) have no
+    /// analogue.
     pub fn gs_analogue(&self) -> Option<Method> {
-        match self {
-            Method::SPcg { s, basis }
-            | Method::CaPcg { s, basis }
-            | Method::CaPcg3 { s, basis }
-            | Method::AdaptiveCaPcg { s, basis } => Some(Method::CaPcgGs {
-                s: *s,
-                basis: basis.clone(),
-            }),
-            Method::SPcgMon { s } => Some(Method::CaPcgGs {
-                s: *s,
-                basis: BasisType::Monomial,
-            }),
-            Method::Pcg | Method::Pcg3 | Method::CaPcgGs { .. } | Method::EkCg { .. } => None,
-        }
+        let basis = match self {
+            Method::CaPcgGs { .. } => return None,
+            Method::SPcgMon { .. } => BasisType::Monomial,
+            other => other.basis()?.clone(),
+        };
+        Some(Method::CaPcgGs { s: self.s(), basis })
     }
 
     /// Ghost-zone depth ranked execution must build for this method: `None`
@@ -236,6 +243,25 @@ mod tests {
         assert_eq!(e.name(), "EkCG(t=4)");
         assert_eq!(e.s(), 1);
         assert_eq!(e.with_s(7), e);
+    }
+
+    #[test]
+    fn basis_accessors_round_trip() {
+        let cheb = BasisType::Chebyshev {
+            lambda_min: 0.1,
+            lambda_max: 2.0,
+        };
+        let m = Method::CaPcg3 {
+            s: 6,
+            basis: BasisType::Monomial,
+        };
+        assert_eq!(m.basis(), Some(&BasisType::Monomial));
+        let tuned = m.with_basis(cheb.clone());
+        assert_eq!(tuned, Method::CaPcg3 { s: 6, basis: cheb });
+        assert_eq!(Method::SPcgMon { s: 3 }.basis(), None);
+        assert_eq!(Method::Pcg.with_basis(BasisType::Monomial), Method::Pcg);
+        assert_eq!(m.with_s(1).s(), 2);
+        assert_eq!(Method::SPcgMon { s: 3 }.with_s(0).s(), 1);
     }
 
     #[test]

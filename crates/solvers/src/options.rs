@@ -142,10 +142,13 @@ pub struct SolveOptions {
     pub stall_checks: usize,
     /// Record the criterion value at every check into the result's history.
     pub keep_history: bool,
-    /// Residual replacement (Carson & Demmel \[3\]) for the s-step solvers:
-    /// when the recursive residual has shrunk by this factor since the last
+    /// Residual replacement (Carson & Demmel \[3\]) for the s-step solvers
+    /// on the Alg. 5 body — sPCG, sPCG_mon and CA-PCG-GS: when the
+    /// recursive residual has shrunk by this factor since the last
     /// replacement, recompute `r = b − A·x` explicitly (one extra SpMV).
-    /// `None` disables replacement (the paper's configuration).
+    /// `None` disables replacement (the paper's configuration). CA-PCG
+    /// (fixed and adaptive), CA-PCG3 and the non-blocked methods (PCG,
+    /// PCG3, EkCG) do not implement it and ignore the field.
     pub residual_replacement: Option<f64>,
     /// Intra-rank worker threads for the parallel kernel layer
     /// (`spcg_sparse::ParKernels`). Under [`crate::Engine::Ranked`] each
@@ -218,8 +221,8 @@ pub struct SolveOptions {
     /// Single-rank and serial runs never inject regardless of the plan.
     pub faults: Option<FaultPlan>,
     /// Self-healing policy (see [`Resilience`]): breakdown detection with
-    /// residual-replacement restart, generalized from `adaptive_spcg` to
-    /// all six methods. `None` (the default) disables the resilient
+    /// residual-replacement restart for every method. `None` (the default)
+    /// disables the resilient
     /// driver **explicitly configured here** — ranked solves with an
     /// active fault plan arm [`Resilience::default`] on their own, since
     /// injected poison must be survivable. Serial solves only restart
@@ -653,6 +656,31 @@ pub struct SolveResult {
 }
 
 impl SolveResult {
+    /// The result of one undriven solver body: no rank engine
+    /// (`collectives_per_rank`), resilience driver (`restarts`,
+    /// `s_schedule`, `faults_absorbed`) or controller (`adaptive`) has
+    /// contributed yet; whoever does overwrites its field.
+    pub(crate) fn new(
+        x: Vec<f64>,
+        outcome: Outcome,
+        iterations: usize,
+        history: Vec<(usize, f64)>,
+        counters: Counters,
+    ) -> Self {
+        SolveResult {
+            x,
+            outcome,
+            iterations,
+            history,
+            counters,
+            collectives_per_rank: None,
+            restarts: 0,
+            s_schedule: Vec::new(),
+            faults_absorbed: 0,
+            adaptive: None,
+        }
+    }
+
     /// True if the solve converged.
     pub fn converged(&self) -> bool {
         self.outcome.converged()

@@ -7,7 +7,7 @@
 
 use crate::engine::{Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
-use crate::stopping::{criterion_value, StopState, Verdict};
+use crate::stopping::{StopState, Verdict};
 use spcg_dist::Counters;
 use spcg_obs::Phase;
 
@@ -24,7 +24,6 @@ pub(crate) fn pcg_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
     let tr = exec.track().cloned();
     let mut counters = Counters::new();
     let mut stop = StopState::new(opts);
-    let mut scratch = Vec::new();
 
     // r0 = b − A x0 = b for x0 = 0.
     let mut x = vec![0.0; n];
@@ -46,15 +45,7 @@ pub(crate) fn pcg_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
     counters.record_dots(1, nw);
     counters.record_collective(1);
 
-    let v0 = criterion_value(
-        exec,
-        opts.criterion,
-        &x,
-        &r,
-        rtu,
-        &mut scratch,
-        &mut counters,
-    );
+    let v0 = stop.criterion_value(exec, &x, &r, rtu, &mut counters);
     let mut verdict = stop.check(0, v0);
 
     let mut iterations = 0usize;
@@ -73,21 +64,13 @@ pub(crate) fn pcg_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
         if !(pts > 0.0) || !pts.is_finite() {
             // Zero curvature at machine-precision residuals means we are
             // done, not broken; judge by the criterion before failing.
-            let v = criterion_value(
-                exec,
-                opts.criterion,
-                &x,
-                &r,
-                rtu,
-                &mut scratch,
-                &mut counters,
-            );
+            let v = stop.criterion_value(exec, &x, &r, rtu, &mut counters);
             let outcome = stop.resolve_breakdown(
                 iterations,
                 v,
                 format!("non-positive curvature pᵀAp = {pts}"),
             );
-            return finish(x, outcome, iterations, stop, counters);
+            return SolveResult::new(x, outcome, iterations, stop.history, counters);
         }
         let alpha = rtu / pts;
         {
@@ -107,7 +90,7 @@ pub(crate) fn pcg_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
         counters.record_dots(1, nw);
         counters.record_collective(1);
         if !rtu_new.is_finite() {
-            return finish(x, Outcome::Diverged, iterations, stop, counters);
+            return SolveResult::new(x, Outcome::Diverged, iterations, stop.history, counters);
         }
         let beta = rtu_new / rtu;
         rtu = rtu_new;
@@ -120,40 +103,17 @@ pub(crate) fn pcg_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
         iterations += 1;
         counters.iterations += 1;
         counters.outer_iterations += 1;
-        let v = criterion_value(
-            exec,
-            opts.criterion,
-            &x,
-            &r,
-            rtu,
-            &mut scratch,
-            &mut counters,
-        );
+        let v = stop.criterion_value(exec, &x, &r, rtu, &mut counters);
         verdict = stop.check(iterations, v);
     }
 
-    finish(x, StopState::outcome(verdict), iterations, stop, counters)
-}
-
-fn finish(
-    x: Vec<f64>,
-    outcome: Outcome,
-    iterations: usize,
-    stop: StopState,
-    counters: Counters,
-) -> SolveResult {
-    SolveResult {
+    SolveResult::new(
         x,
-        outcome,
+        StopState::outcome(verdict),
         iterations,
-        history: stop.history,
+        stop.history,
         counters,
-        collectives_per_rank: None,
-        restarts: 0,
-        s_schedule: Vec::new(),
-        faults_absorbed: 0,
-        adaptive: None,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use crate::engine::{Exec, SerialExec};
 use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
-use crate::stopping::{criterion_value, StopState, Verdict};
+use crate::stopping::{StopState, Verdict};
 use spcg_dist::Counters;
 use spcg_obs::Phase;
 
@@ -35,7 +35,6 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
     let tr = exec.track().cloned();
     let mut counters = Counters::new();
     let mut stop = StopState::new(opts);
-    let mut scratch = Vec::new();
 
     let mut x_prev = vec![0.0; n];
     let mut x = vec![0.0; n];
@@ -59,15 +58,7 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
     let mu0 = red[0];
     counters.record_dots(1, nw);
     counters.record_collective(1);
-    let v0 = criterion_value(
-        exec,
-        opts.criterion,
-        &x,
-        &r,
-        mu0,
-        &mut scratch,
-        &mut counters,
-    );
+    let v0 = stop.criterion_value(exec, &x, &r, mu0, &mut counters);
     let mut verdict = stop.check(0, v0);
 
     let mut iterations = 0usize;
@@ -83,11 +74,11 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
         counters.record_dots(2, nw);
         counters.record_collective(2); // both dots fused in one reduction
         if !(nu > 0.0) || !mu.is_finite() || !nu.is_finite() {
-            return finish(
+            return SolveResult::new(
                 x,
                 Outcome::Breakdown(format!("uᵀAu = {nu}, rᵀu = {mu}")),
                 iterations,
-                stop,
+                stop.history,
                 counters,
             );
         }
@@ -97,11 +88,11 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
         } else {
             let denom = 1.0 - (gamma / gamma_prev) * (mu / mu_prev) * (1.0 / rho_prev);
             if denom == 0.0 || !denom.is_finite() {
-                return finish(
+                return SolveResult::new(
                     x,
                     Outcome::Breakdown(format!("rho denominator {denom}")),
                     iterations,
-                    stop,
+                    stop.history,
                     counters,
                 );
             }
@@ -139,40 +130,17 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
         let rtu = red[0];
         counters.record_dots(1, nw);
         counters.piggyback_words(1);
-        let v = criterion_value(
-            exec,
-            opts.criterion,
-            &x,
-            &r,
-            rtu,
-            &mut scratch,
-            &mut counters,
-        );
+        let v = stop.criterion_value(exec, &x, &r, rtu, &mut counters);
         verdict = stop.check(iterations, v);
     }
 
-    finish(x, StopState::outcome(verdict), iterations, stop, counters)
-}
-
-fn finish(
-    x: Vec<f64>,
-    outcome: Outcome,
-    iterations: usize,
-    stop: StopState,
-    counters: Counters,
-) -> SolveResult {
-    SolveResult {
+    SolveResult::new(
         x,
-        outcome,
+        StopState::outcome(verdict),
         iterations,
-        history: stop.history,
+        stop.history,
         counters,
-        collectives_per_rank: None,
-        restarts: 0,
-        s_schedule: Vec::new(),
-        faults_absorbed: 0,
-        adaptive: None,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Self-healing solves: breakdown detection with residual-replacement
-//! restart, generalized from [`crate::adaptive`] to all six methods and
-//! both execution engines.
+//! restart, for every method and both execution engines.
 //!
 //! The driver runs a method in *stages*. Each stage solves the residual
 //! system `A·d = b − A·x_acc` from a zero guess; restarting is exact
@@ -47,9 +46,9 @@ pub struct Resilience {
     /// injected-fault recovery or breakdown consumes one.
     pub max_restarts: usize,
     /// Halve `s` (down to the method's minimum) when a stage ends in a
-    /// basis breakdown or divergence — the adaptive-s policy of
-    /// [`crate::adaptive::adaptive_spcg`]. Faulted-but-numerically-healthy
-    /// stages (poisoned payloads) rerun at full `s` either way.
+    /// basis breakdown or divergence; [`SolveResult::s_schedule`] records
+    /// the stages actually run. Faulted-but-numerically-healthy stages
+    /// (poisoned payloads) rerun at full `s` either way.
     pub shrink_s: bool,
     /// Before retreating in `s` after a breakdown, retry once with the
     /// method's Gauss-Seidel Gram-solve analogue
@@ -201,21 +200,8 @@ pub(crate) fn solve_resilient<E: Exec>(
     opts: &SolveOptions,
     resilience: Option<&Resilience>,
 ) -> SolveResult {
-    solve_resilient_staged(method, exec, opts, resilience).0
-}
-
-/// [`solve_resilient`] plus the per-stage `(s, iterations)` record —
-/// the staged view [`crate::adaptive::adaptive_spcg`] exposes.
-pub(crate) fn solve_resilient_staged<E: Exec>(
-    method: &Method,
-    exec: &mut E,
-    opts: &SolveOptions,
-    resilience: Option<&Resilience>,
-) -> (SolveResult, Vec<(usize, usize)>) {
     let Some(pol) = resilience else {
-        let res = dispatch(method, exec, opts);
-        let stages = vec![(method.s(), res.iterations)];
-        return (res, stages);
+        return dispatch(method, exec, opts);
     };
     // Static per-run property, identical on every rank — safe to branch on.
     let fault_tolerant = opts.faults.as_ref().is_some_and(|p| p.active());
@@ -227,7 +213,6 @@ pub(crate) fn solve_resilient_staged<E: Exec>(
     let mut total = Counters::new();
     let mut history: Vec<(usize, f64)> = Vec::new();
     let mut s_schedule: Vec<usize> = Vec::new();
-    let mut stages: Vec<(usize, usize)> = Vec::new();
     let mut adaptive_acc: Option<AdaptiveReport> = None;
     let mut method_now = method.clone();
     let mut tol_left = opts.tol;
@@ -260,7 +245,6 @@ pub(crate) fn solve_resilient_staged<E: Exec>(
         } else {
             s_schedule.extend_from_slice(&res.s_schedule);
         }
-        stages.push((method_now.s(), res.iterations));
         let bad = nonfinite_consensus(exec, &res.x);
         total.merge(&res.counters);
         let stage_base = iterations_total;
@@ -301,12 +285,11 @@ pub(crate) fn solve_resilient_staged<E: Exec>(
                 out.history = Vec::new();
             }
             out.s_schedule = s_schedule;
-            return (out, stages);
+            return out;
         }
 
         // A diverged or non-finite stage iterate is garbage — discard it;
-        // breakdown stages keep their partial progress (adaptive.rs
-        // semantics).
+        // breakdown stages keep their partial progress.
         let discard = bad || matches!(res.outcome, Outcome::Diverged);
         if !discard {
             for (xi, di) in x_acc.iter_mut().zip(&res.x) {
@@ -333,23 +316,17 @@ pub(crate) fn solve_resilient_staged<E: Exec>(
                 res.outcome
             };
             total.restarts = restarts as u64;
-            let out = SolveResult {
-                x: x_acc,
-                outcome,
-                iterations: iterations_total,
-                history: if opts.keep_history {
-                    history
-                } else {
-                    Vec::new()
-                },
-                counters: total,
-                collectives_per_rank: None,
+            let history = if opts.keep_history {
+                history
+            } else {
+                Vec::new()
+            };
+            return SolveResult {
                 restarts,
                 s_schedule,
-                faults_absorbed: 0,
                 adaptive: adaptive_acc,
+                ..SolveResult::new(x_acc, outcome, iterations_total, history, total)
             };
-            return (out, stages);
         }
 
         // Restart: on a genuine numerical breakdown, first try the
@@ -393,6 +370,97 @@ pub(crate) fn solve_resilient_staged<E: Exec>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use crate::method::solve;
+    use crate::options::Problem;
+    use crate::pcg::pcg;
+    use spcg_basis::BasisType;
+    use spcg_precond::Jacobi;
+    use spcg_sparse::generators::paper_rhs;
+    use spcg_sparse::generators::poisson::poisson_2d;
+    use spcg_sparse::generators::random_spd::{spd_with_spectrum, SpectrumShape};
+
+    /// sPCG from `s_max` under the shrink-s policy, serially.
+    fn shrinking_spcg(
+        problem: &Problem<'_>,
+        s_max: usize,
+        basis: &BasisType,
+        opts: SolveOptions,
+    ) -> SolveResult {
+        let method = Method::SPcg {
+            s: s_max,
+            basis: basis.clone(),
+        };
+        let opts = opts.with_resilience(Resilience::default().with_shrink_s(true));
+        solve(&method, problem, &opts, Engine::Serial)
+    }
+
+    #[test]
+    fn single_stage_when_no_breakdown() {
+        let a = poisson_2d(12);
+        let m = Jacobi::new(&a);
+        let b = paper_rhs(&a);
+        let problem = Problem::new(&a, &m, &b);
+        let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
+        let out = shrinking_spcg(&problem, 5, &basis, SolveOptions::default());
+        assert!(out.converged());
+        assert_eq!(out.s_schedule, vec![5]);
+        assert_eq!(out.restarts, 0);
+    }
+
+    #[test]
+    fn recovers_from_monomial_breakdown_by_shrinking_s() {
+        // Monomial s=10 on a hard problem breaks down; the shrink-s policy
+        // must still converge by dropping to a small s.
+        let a = spd_with_spectrum(400, &SpectrumShape::Uniform { kappa: 1e5 }, 1.0, 3, 77);
+        let m = Jacobi::new(&a);
+        let b = paper_rhs(&a);
+        let problem = Problem::new(&a, &m, &b);
+        let opts = SolveOptions::default()
+            .with_max_iters(20_000)
+            .with_history();
+        assert!(pcg(&problem, &opts).converged());
+        let out = shrinking_spcg(&problem, 10, &BasisType::Monomial, opts);
+        if out.converged() {
+            assert!(!out.s_schedule.is_empty());
+            assert!(out.true_relative_residual(&a, &b) < 1e-6);
+        } else {
+            // At minimum the schedule must have tried smaller s.
+            assert!(
+                out.s_schedule.len() > 1,
+                "no adaptation happened: {:?}",
+                out.outcome
+            );
+        }
+    }
+
+    #[test]
+    fn accumulated_solution_is_consistent() {
+        let a = poisson_2d(10);
+        let m = Jacobi::new(&a);
+        let b = paper_rhs(&a);
+        let problem = Problem::new(&a, &m, &b);
+        let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
+        let out = shrinking_spcg(&problem, 4, &basis, SolveOptions::default());
+        assert!(out.converged());
+        assert!(out.true_relative_residual(&a, &b) < 1e-7);
+    }
+
+    #[test]
+    fn schedule_records_one_entry_per_stage() {
+        // Fixed-s bodies leave their own schedule empty; the driver records
+        // the stage's s for them, and the stage iterations add up.
+        let a = poisson_2d(10);
+        let m = Jacobi::new(&a);
+        let b = paper_rhs(&a);
+        let problem = Problem::new(&a, &m, &b);
+        let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
+        let out = shrinking_spcg(&problem, 4, &basis, SolveOptions::default());
+        assert_eq!(out.s_schedule.len(), out.restarts + 1);
+        assert_eq!(out.s_schedule[0], 4);
+        assert_eq!(out.iterations as u64, out.counters.iterations);
+        assert!(!matches!(out.outcome, Outcome::Diverged));
+    }
 
     #[test]
     fn budget_charges_actual_iterations_when_productive() {

@@ -24,6 +24,10 @@ pub struct StopState {
     divergence_factor: f64,
     stall_checks: usize,
     keep_history: bool,
+    criterion: StoppingCriterion,
+    max_iters: usize,
+    /// `A·x` of the true-residual criterion, kept across checks.
+    scratch: Vec<f64>,
     initial: Option<f64>,
     best: f64,
     checks_since_best: usize,
@@ -39,6 +43,9 @@ impl StopState {
             divergence_factor: opts.divergence_factor,
             stall_checks: opts.stall_checks,
             keep_history: opts.keep_history,
+            criterion: opts.criterion,
+            max_iters: opts.max_iters,
+            scratch: Vec::new(),
             initial: None,
             best: f64::INFINITY,
             checks_since_best: 0,
@@ -99,58 +106,78 @@ impl StopState {
             Verdict::Continue => Outcome::MaxIterations,
         }
     }
-}
 
-/// Evaluates the stopping-criterion value for the current state, charging
-/// the instrumentation for whatever the chosen criterion costs:
-///
-/// * true residual — one extra SpMV, one dot, one piggybacked word;
-/// * recursive 2-norm — one dot, one piggybacked word;
-/// * M-norm — free (`rtu = rᵀM⁻¹r` is already reduced by every solver).
-///
-/// `x` and `r` are the local blocks of the execution substrate; the dots
-/// combine local partials through the substrate's allreduce (serially the
-/// identity, so serial values are unchanged bitwise).
-pub(crate) fn criterion_value<E: Exec>(
-    exec: &mut E,
-    criterion: StoppingCriterion,
-    x: &[f64],
-    r: &[f64],
-    rtu: f64,
-    scratch: &mut Vec<f64>,
-    counters: &mut Counters,
-) -> f64 {
-    let nl = exec.nl();
-    let nw = exec.n_global();
-    match criterion {
-        StoppingCriterion::TrueResidual2Norm => {
-            scratch.resize(nl, 0.0);
-            exec.spmv(x, scratch, counters);
-            counters.record_spmv(exec.spmv_flops());
-            let mut acc = 0.0;
-            let b = exec.b_local();
-            for i in 0..nl {
-                let d = b[i] - scratch[i];
-                acc += d * d;
+    /// Evaluates the stopping-criterion value for the current state,
+    /// charging the instrumentation for whatever the chosen criterion costs:
+    ///
+    /// * true residual — one extra SpMV, one dot, one piggybacked word;
+    /// * recursive 2-norm — one dot, one piggybacked word;
+    /// * M-norm — free (`rtu = rᵀM⁻¹r` is already reduced by every solver).
+    ///
+    /// `x` and `r` are the local blocks of the execution substrate; the dots
+    /// combine local partials through the substrate's allreduce (serially
+    /// the identity, so serial values are unchanged bitwise).
+    pub(crate) fn criterion_value<E: Exec>(
+        &mut self,
+        exec: &mut E,
+        x: &[f64],
+        r: &[f64],
+        rtu: f64,
+        counters: &mut Counters,
+    ) -> f64 {
+        let nl = exec.nl();
+        let nw = exec.n_global();
+        match self.criterion {
+            StoppingCriterion::TrueResidual2Norm => {
+                self.scratch.resize(nl, 0.0);
+                exec.spmv(x, &mut self.scratch, counters);
+                counters.record_spmv(exec.spmv_flops());
+                let mut acc = 0.0;
+                let b = exec.b_local();
+                for i in 0..nl {
+                    let d = b[i] - self.scratch[i];
+                    acc += d * d;
+                }
+                counters.record_dots(1, nw);
+                counters.blas1_flops += nw;
+                counters.piggyback_words(1);
+                let mut red = [acc];
+                exec.allreduce(&mut red);
+                red[0].sqrt()
             }
-            counters.record_dots(1, nw);
-            counters.blas1_flops += nw;
-            counters.piggyback_words(1);
-            let mut red = [acc];
-            exec.allreduce(&mut red);
-            red[0].sqrt()
+            StoppingCriterion::RecursiveResidual2Norm => {
+                counters.record_dots(1, nw);
+                counters.piggyback_words(1);
+                let mut red = [exec.dot(r, r)];
+                exec.allreduce(&mut red);
+                red[0].sqrt()
+            }
+            StoppingCriterion::PrecondMNorm => {
+                // rtu can dip (tiny) negative in finite precision near
+                // convergence; clamp so the sqrt stays defined.
+                rtu.max(0.0).sqrt()
+            }
         }
-        StoppingCriterion::RecursiveResidual2Norm => {
-            counters.record_dots(1, nw);
-            counters.piggyback_words(1);
-            let mut red = [exec.dot(r, r)];
-            exec.allreduce(&mut red);
-            red[0].sqrt()
-        }
-        StoppingCriterion::PrecondMNorm => {
-            // rtu can dip (tiny) negative in finite precision near
-            // convergence; clamp so the sqrt stays defined.
-            rtu.max(0.0).sqrt()
+    }
+
+    /// The check every blocked body makes at a block boundary: evaluates the
+    /// criterion, feeds it to [`StopState::check`], then applies the
+    /// iteration cap. `Ok(value)` means keep iterating; `Err(outcome)` ends
+    /// the solve.
+    pub(crate) fn block_check<E: Exec>(
+        &mut self,
+        exec: &mut E,
+        iterations: usize,
+        x: &[f64],
+        r: &[f64],
+        rtu: f64,
+        counters: &mut Counters,
+    ) -> Result<f64, Outcome> {
+        let value = self.criterion_value(exec, x, r, rtu, counters);
+        match self.check(iterations, value) {
+            Verdict::Continue if iterations >= self.max_iters => Err(Outcome::MaxIterations),
+            Verdict::Continue => Ok(value),
+            verdict => Err(StopState::outcome(verdict)),
         }
     }
 }

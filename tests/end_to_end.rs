@@ -202,19 +202,23 @@ fn adaptive_spcg_end_to_end() {
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let out = spcg::solvers::adaptive::adaptive_spcg(
+    let out = solve(
+        &Method::SPcg {
+            s: 10,
+            basis: BasisType::Monomial,
+        },
         &problem,
-        10,
-        &BasisType::Monomial,
         &SolveOptions::default()
             .with_tol(1e-6)
             .with_max_iters(30_000)
-            .with_history(),
+            .with_history()
+            .with_resilience(spcg::solvers::Resilience::default().with_shrink_s(true)),
+        Engine::Serial,
     );
-    // Monomial s=10 breaks; the adaptive schedule must fall back and the
+    // Monomial s=10 breaks; the shrink-s schedule must fall back and the
     // final answer (if converged) must be genuine.
-    if out.result.converged() {
-        assert!(out.result.true_relative_residual(&a, &b) < 1e-4);
+    if out.converged() {
+        assert!(out.true_relative_residual(&a, &b) < 1e-4);
     }
-    assert!(!out.stages.is_empty());
+    assert_eq!(out.s_schedule.first(), Some(&10));
 }

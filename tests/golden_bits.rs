@@ -103,12 +103,12 @@ const GOLDEN: &[Row] = &[
     ("hard_k1e5/capcg_gs/ranks2", 0xc978e88442f2f117, 3290, [4842, 48187584, 4310, 0, 431, 85018, 84031, 84031000, 266000, 6580000, 45400000, 60436400, 3290, 329, 963, 19368, 0], 0x0103828f7f930b8f, &[], 101, 2, 0),
     ("hard_k1e5/adaptive/serial", 0x80495f2e2471e964, 151, [354, 3523008, 339, 0, 16, 10072, 10024, 10024000, 734500, 1580000, 0, 979983, 151, 14, 0, 0, 0], 0x27eb8f1c5fdddb46, &[10, 5, 10, 16], 0, 0, 8),
     ("hard_k1e5/adaptive/ranks2", 0xa8af8d7c9d4cd86f, 151, [354, 3523008, 339, 0, 16, 10072, 10024, 10024000, 734500, 1580000, 0, 979983, 151, 14, 48, 4160, 0], 0x8dc0bd2a19c297ca, &[10, 5, 10, 16], 0, 0, 8),
-    ("hard_k1e5/capcg_s16/serial", 0xde38756f41e22a41, 0, [33, 328416, 32, 0, 1, 1091, 1091, 1091000, 1000, 0, 0, 0, 0, 0, 0, 0, 0], 0x00151f3bf3efe957, &[], 0, 4, 0),
-    ("hard_k1e5/capcg_s16/ranks2", 0xb7e11d32ecddef61, 0, [33, 328416, 32, 0, 1, 1091, 1091, 1091000, 1000, 0, 0, 0, 0, 0, 4, 264, 0], 0x3226e44d1caf1376, &[], 0, 4, 0),
+    ("hard_k1e5/capcg_s16/serial", 0xde38756f41e22a41, 0, [33, 328416, 32, 0, 1, 1091, 1091, 1091000, 1000, 66000, 0, 0, 0, 0, 0, 0, 0], 0x00151f3bf3efe957, &[], 0, 4, 0),
+    ("hard_k1e5/capcg_s16/ranks2", 0xb7e11d32ecddef61, 0, [33, 328416, 32, 0, 1, 1091, 1091, 1091000, 1000, 66000, 0, 0, 0, 0, 4, 264, 0], 0x3226e44d1caf1376, &[], 0, 4, 0),
     ("hard_k1e5/spcg_resilient/serial", 0x62e85d4afe38d721, 8000, [8811, 87687072, 8010, 0, 801, 176911, 176911, 176911000, 400500, 16000000, 159800000, 3200000, 8000, 800, 0, 0, 0], 0x70e8b2ba2a3decd3, &[10], 0, 1, 0),
     ("hard_k1e5/spcg_resilient/ranks2", 0x3873f285d8521a2b, 8000, [8811, 87687072, 8010, 0, 801, 176911, 176911, 176911000, 400500, 16000000, 159800000, 3200000, 8000, 800, 1602, 35244, 0], 0x97b0b72367905ffb, &[10], 0, 1, 0),
-    ("hard_k1e5/capcg_s16_resilient/serial", 0x1011e575fa60d20a, 8000, [12138, 120797376, 10520, 0, 1308, 172677, 169686, 169686000, 809500, 16000000, 88704000, 78678016, 8000, 997, 0, 0, 2], 0x331bfe024351ae18, &[16, 16, 8], 2, 1, 0),
-    ("hard_k1e5/capcg_s16_resilient/ranks2", 0xf2e83a9a7c2041c5, 5096, [7551, 75147552, 6560, 0, 813, 109317, 107415, 107415000, 496000, 10192000, 59136000, 55793792, 5096, 634, 1806, 56192, 2], 0x03360baaf1ee1f69, &[16, 16, 8], 2, 0, 0),
+    ("hard_k1e5/capcg_s16_resilient/serial", 0x1011e575fa60d20a, 8000, [12138, 120797376, 10520, 0, 1308, 172677, 169686, 169686000, 809500, 16066000, 88704000, 78678016, 8000, 997, 0, 0, 2], 0x331bfe024351ae18, &[16, 16, 8], 2, 1, 0),
+    ("hard_k1e5/capcg_s16_resilient/ranks2", 0xf2e83a9a7c2041c5, 5096, [7551, 75147552, 6560, 0, 813, 109317, 107415, 107415000, 496000, 10258000, 59136000, 55793792, 5096, 634, 1806, 56192, 2], 0x03360baaf1ee1f69, &[16, 16, 8], 2, 0, 0),
     ("survival_k1e6/spcg/serial", 0x42a19cdfa7bb8e53, 4000, [4411, 52720272, 4010, 2406000, 401, 88511, 88511, 106213200, 240600, 9600000, 95760000, 1600000, 4000, 400, 0, 0, 0], 0x43f531691b8f2552, &[], 0, 1, 0),
     ("survival_k1e6/spcg/ranks2", 0xd61df346b34428b3, 4000, [4411, 52720272, 4010, 2406000, 401, 88511, 88511, 106213200, 240600, 9600000, 95760000, 1600000, 4000, 400, 802, 17644, 0], 0x6bc680b197937043, &[], 0, 1, 0),
     ("survival_k1e6/capcg_gs/serial", 0xa8c3820448af988b, 660, [917, 10959984, 820, 492000, 82, 16560, 16362, 19634400, 58200, 1584000, 12000000, 12636200, 660, 66, 0, 0, 0], 0x780287cb98ee07a3, &[], 15, 0, 0),
@@ -406,7 +406,10 @@ fn solves_reproduce_the_recorded_bits() {
             },
         ),
         // At s = 16 the very first coordinate-space step has negative
-        // curvature: fixed CA-PCG's terminal mid-block breakdown.
+        // curvature: fixed CA-PCG's terminal mid-block breakdown. (Since
+        // the bodies merged its two recovery GEMVs are charged: this row
+        // and its resilient twin below carry 4·33·500 more `blas2_flops`
+        // than recorded on the parent — the one declared difference.)
         ("capcg_s16", capcg_s16.clone()),
     ] {
         run_case(
