@@ -25,14 +25,18 @@
 //!   shared-memory, the default.
 //! * [`Backend::Proc`] — worker *processes* over Unix-domain sockets
 //!   (implemented in `spcg-solvers`, which owns the solver state a worker
-//!   must rebuild). Real rank death becomes observable: a killed worker
-//!   closes its socket, and the driver heals through the same restart path
-//!   that absorbs injected faults.
+//!   must rebuild). A worker's [`Comm`] and [`Exchange`] send a frame and
+//!   read the reply; the parent answers each frame by performing it on a
+//!   [`ThreadComm`] / [`VectorBoard`] world of its own, one proxy thread
+//!   per rank. Real rank death becomes observable: a killed worker closes
+//!   its socket, and the driver heals through the same restart path that
+//!   absorbs injected faults.
 //!
-//! The determinism contract is backend-independent: reductions sum
-//! contributions in rank order, exchanges deliver whole published rounds,
-//! and fault injection decides from `(seed, site, rank, seq)` — so thread
-//! and proc solves of the same problem are bitwise identical.
+//! The determinism contract is backend-independent because the protocol
+//! exists once: reductions sum contributions in rank order, exchanges
+//! deliver whole published rounds, and fault injection decides from
+//! `(seed, site, rank, seq)` in the same objects under both backends — so
+//! thread and proc solves of the same problem are bitwise identical.
 
 use crate::comm::ThreadComm;
 use crate::exchange::{GatherPlan, VectorBoard};

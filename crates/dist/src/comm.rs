@@ -17,9 +17,75 @@
 //! generation, which is what makes a second, exit barrier unnecessary (see
 //! [`ThreadComm::allreduce_sum`]).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// The world-wide abort of one group of ranks: raised when a rank is lost
+/// (its thread panicked, its worker process died, its frames stopped making
+/// sense), observed by every wait loop of the group's barrier and of the
+/// [`crate::VectorBoard`]s attached to it.
+///
+/// A rank that finds the abort raised while it waits for its peers will
+/// never be released by them, so it *unwinds*: quietly, with an [`Aborted`]
+/// payload instead of a panic message, and with no lock held. Whoever joins
+/// the rank threads ([`crate::executor::run_ranks_in`], the proc hub) tells
+/// that payload from a real panic and reports only the rank that failed.
+///
+/// Ordering: `raise` stores the flag and *then* takes each registered
+/// waiter lock before notifying its condvar; a waiter tests the flag with
+/// that lock held and keeps it until it sleeps. So either the waiter sees
+/// the flag, or it is asleep by the time the raiser gets the lock and the
+/// notification reaches it — no wait loop can sleep through an abort.
+#[derive(Clone, Default)]
+pub struct Abort {
+    inner: Arc<AbortInner>,
+}
+
+#[derive(Default)]
+struct AbortInner {
+    raised: AtomicBool,
+    /// What `raise` runs to get blocked ranks to look at the flag.
+    wakers: Mutex<Vec<Waker>>,
+}
+
+type Waker = Box<dyn Fn() + Send + Sync>;
+
+/// Panic payload of a rank unwound by a raised [`Abort`] — a consequence of
+/// some other rank's failure, never a failure of its own.
+pub struct Aborted;
+
+impl Abort {
+    /// Raises the abort and wakes every registered waiter. Idempotent, and
+    /// safe to call while unwinding.
+    pub fn raise(&self) {
+        if self.inner.raised.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // A poisoned list is still the list: wakers are only ever pushed.
+        let wakers = self.inner.wakers.lock().unwrap_or_else(|e| e.into_inner());
+        for wake in wakers.iter() {
+            wake();
+        }
+    }
+
+    /// True once the abort has been raised.
+    pub fn raised(&self) -> bool {
+        self.inner.raised.load(Ordering::SeqCst)
+    }
+
+    /// Registers what `raise` must do to unblock one kind of waiter (notify
+    /// a condvar, shut a socket down). Register before the ranks start.
+    pub fn on_raise(&self, wake: impl Fn() + Send + Sync + 'static) {
+        let mut wakers = self.inner.wakers.lock().unwrap_or_else(|e| e.into_inner());
+        wakers.push(Box::new(wake));
+    }
+
+    /// Leaves the calling rank's wait for good. Call with no lock held.
+    pub(crate) fn unwind(&self) -> ! {
+        std::panic::resume_unwind(Box::new(Aborted))
+    }
+}
 
 /// How long a barrier waiter polls the generation word before it parks. A
 /// park/unpark round trip through the futex costs 20–25 µs on the reference
@@ -81,20 +147,39 @@ struct Barrier {
     generation: AtomicU64,
     /// Waiters that have stopped spinning and are (about to be) asleep.
     parked: AtomicUsize,
+    /// Where waiters park; shared with the abort's waker.
+    park: Arc<Park>,
+    /// The group's abort. A waiter looks at it once it has polled past the
+    /// hint-only phase, so a collective between ranks that arrive together
+    /// never reads it.
+    abort: Abort,
+}
+
+#[derive(Default)]
+struct Park {
     lock: Mutex<()>,
     cvar: Condvar,
 }
 
 impl Barrier {
     fn new(total: usize, spin: bool) -> Self {
+        let park = Arc::new(Park::default());
+        let abort = Abort::default();
+        let waiters = Arc::clone(&park);
+        abort.on_raise(move || {
+            // Taken (poisoned or not) so that the notification comes after
+            // the test of the flag a waiter makes with this lock held.
+            drop(waiters.lock.lock());
+            waiters.cvar.notify_all();
+        });
         Barrier {
             total,
             spin,
             arrived: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
             parked: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cvar: Condvar::new(),
+            park,
+            abort,
         }
     }
 
@@ -111,8 +196,8 @@ impl Barrier {
             self.arrived.store(0, Ordering::SeqCst);
             self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
             if self.parked.load(Ordering::SeqCst) > 0 {
-                drop(self.lock.lock().expect("barrier lock poisoned"));
-                self.cvar.notify_all();
+                drop(self.park.lock.lock().expect("barrier lock poisoned"));
+                self.park.cvar.notify_all();
             }
             return;
         }
@@ -122,8 +207,8 @@ impl Barrier {
         self.park_until_released(gen);
     }
 
-    /// Polls the generation word for at most [`SPIN_FOR`]; true once the
-    /// barrier has been released.
+    /// Polls the generation word for at most [`SPIN_FOR`] (less when the
+    /// group aborts); true once the barrier has been released.
     fn spin_until_released(&self, gen: u64) -> bool {
         for _ in 0..HINT_ONLY_POLLS {
             if self.generation() != gen {
@@ -132,7 +217,7 @@ impl Barrier {
             std::hint::spin_loop();
         }
         let start = Instant::now();
-        while start.elapsed() < SPIN_FOR {
+        while start.elapsed() < SPIN_FOR && !self.abort.raised() {
             std::thread::yield_now();
             if self.generation() != gen {
                 return true;
@@ -142,13 +227,14 @@ impl Barrier {
     }
 
     /// Sleeps on the condvar until the barrier is released, in watchdog
-    /// slices.
+    /// slices; unwinds if the group aborts first.
     fn park_until_released(&self, gen: u64) {
         self.parked.fetch_add(1, Ordering::SeqCst);
-        let mut guard = self.lock.lock().expect("barrier lock poisoned");
+        let mut guard = self.park.lock.lock().expect("barrier lock poisoned");
         let mut slices = 0;
-        while self.generation() == gen {
+        while self.generation() == gen && !self.abort.raised() {
             let (next, timeout) = self
+                .park
                 .cvar
                 .wait_timeout(guard, WATCHDOG_SLICE)
                 .expect("barrier lock poisoned");
@@ -166,6 +252,9 @@ impl Barrier {
         }
         drop(guard);
         self.parked.fetch_sub(1, Ordering::SeqCst);
+        if self.generation() == gen {
+            self.abort.unwind();
+        }
     }
 }
 
@@ -202,6 +291,17 @@ impl CommGroup {
             barrier: Barrier::new(nranks, spin),
             banks: [bank(), bank()],
         })
+    }
+
+    /// The group's [`Abort`]: raise it when a rank is lost, attach it to the
+    /// group's boards ([`crate::VectorBoard::with_abort`]).
+    pub fn abort(&self) -> &Abort {
+        &self.barrier.abort
+    }
+
+    /// Number of ranks in the group.
+    pub fn nranks(&self) -> usize {
+        self.nranks
     }
 
     /// Hands out the per-rank communicator handle.
@@ -255,6 +355,16 @@ impl ThreadComm {
     /// Panics if ranks pass buffers of different lengths: after the
     /// barrier each rank checks every slot's length against its own.
     pub fn allreduce_sum(&self, buf: &mut [f64]) {
+        if let Err(e) = self.try_allreduce_sum(buf) {
+            panic!("allreduce_sum: {e}");
+        }
+    }
+
+    /// [`ThreadComm::allreduce_sum`] for a caller that does not vouch for
+    /// the buffer lengths (the proc hub reduces what worker frames carry):
+    /// a mismatch is an `Err` on every rank that sees one, after the
+    /// barrier, with `buf` left in an unspecified state.
+    pub fn try_allreduce_sum(&self, buf: &mut [f64]) -> Result<(), String> {
         let group = &*self.group;
         let bank = &group.banks[(group.barrier.generation() & 1) as usize];
         {
@@ -267,19 +377,17 @@ impl ThreadComm {
         for slot in bank {
             let slot = slot.lock().expect("allreduce slot poisoned");
             if slot.len() != buf.len() {
-                let theirs = slot.len();
-                // Unlocked first: a poisoned slot would hide this message
-                // behind a `PoisonError` on the ranks still to read it.
-                drop(slot);
-                panic!(
-                    "allreduce_sum: length mismatch across ranks ({} vs {theirs} words)",
-                    buf.len()
-                );
+                return Err(format!(
+                    "length mismatch across ranks ({} vs {} words)",
+                    buf.len(),
+                    slot.len()
+                ));
             }
             for (b, s) in buf.iter_mut().zip(slot.iter()) {
                 *b += *s;
             }
         }
+        Ok(())
     }
 
     /// Convenience: allreduce a single scalar.
@@ -462,6 +570,35 @@ mod tests {
         assert_eq!(g.barrier.parked.load(Ordering::SeqCst), 0);
     }
 
+    /// A raised abort ends a wait that nobody will release — parked or still
+    /// polling — with the quiet [`Aborted`] payload, and leaves the barrier's
+    /// lock unpoisoned for the ranks unwound after it.
+    #[test]
+    fn raised_abort_unwinds_waiters_quietly() {
+        for spin in [false, true] {
+            let g = CommGroup::with_spin(3, spin);
+            std::thread::scope(|scope| {
+                let waiters: Vec<_> = (0..2)
+                    .map(|r| {
+                        let c = g.rank_comm(r);
+                        scope.spawn(move || c.allreduce_scalar(1.0))
+                    })
+                    .collect();
+                if !spin {
+                    while g.barrier.parked.load(Ordering::SeqCst) < 2 {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                g.abort().raise();
+                for waiter in waiters {
+                    let payload = waiter.join().expect_err("nobody released the barrier");
+                    assert!(payload.is::<Aborted>(), "spin = {spin}");
+                }
+            });
+            assert!(g.barrier.park.lock.lock().is_ok());
+        }
+    }
+
     #[test]
     #[should_panic(expected = "barrier stuck: 1/2 ranks arrived")]
     fn absent_rank_trips_the_watchdog() {
@@ -476,6 +613,24 @@ mod tests {
             let other = g.rank_comm(1);
             scope.spawn(move || other.allreduce_sum(&mut [1.0, 2.0]));
             g.rank_comm(0).allreduce_sum(&mut [1.0]);
+        });
+    }
+
+    /// The fallible form reports the mismatch on both ranks and poisons
+    /// nothing: the group is good for the next collective.
+    #[test]
+    fn mismatched_lengths_are_an_error_to_try_allreduce() {
+        let g = CommGroup::new(2);
+        std::thread::scope(|scope| {
+            let other = g.rank_comm(1);
+            scope.spawn(move || {
+                assert!(other.try_allreduce_sum(&mut [1.0, 2.0]).is_err());
+                assert_eq!(other.allreduce_scalar(1.0), 3.0);
+            });
+            let me = g.rank_comm(0);
+            let err = me.try_allreduce_sum(&mut [1.0]).unwrap_err();
+            assert!(err.contains("1 vs 2 words"), "{err}");
+            assert_eq!(me.allreduce_scalar(2.0), 3.0);
         });
     }
 }

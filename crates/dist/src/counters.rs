@@ -9,6 +9,8 @@
 //! (BLAS2/3) updates beat BLAS1 updates at equal FLOP count. Communication
 //! is recorded as the number of global collectives and their payloads.
 
+use crate::wire::{WireReader, WireResult, WireWriter};
+
 /// Counts of every cost-relevant operation a solver performed.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Counters {
@@ -127,6 +129,81 @@ impl Counters {
         self.restarts += other.restarts;
     }
 
+    /// Every field as `(name, value)`, in declaration order — the one list
+    /// behind the JSON export and the wire encoding. The destructuring is
+    /// exhaustive on purpose: a new counter does not compile until it is
+    /// listed here (and read back in [`Counters::decode`]).
+    fn fields(&self) -> [(&'static str, u64); 17] {
+        let Counters {
+            spmv_count,
+            spmv_flops,
+            precond_count,
+            precond_flops,
+            global_collectives,
+            allreduce_words,
+            dot_count,
+            local_reduction_flops,
+            blas1_flops,
+            blas2_flops,
+            blas3_flops,
+            small_flops,
+            iterations,
+            outer_iterations,
+            halo_exchanges,
+            halo_words,
+            restarts,
+        } = *self;
+        [
+            ("spmv_count", spmv_count),
+            ("spmv_flops", spmv_flops),
+            ("precond_count", precond_count),
+            ("precond_flops", precond_flops),
+            ("global_collectives", global_collectives),
+            ("allreduce_words", allreduce_words),
+            ("dot_count", dot_count),
+            ("local_reduction_flops", local_reduction_flops),
+            ("blas1_flops", blas1_flops),
+            ("blas2_flops", blas2_flops),
+            ("blas3_flops", blas3_flops),
+            ("small_flops", small_flops),
+            ("iterations", iterations),
+            ("outer_iterations", outer_iterations),
+            ("halo_exchanges", halo_exchanges),
+            ("halo_words", halo_words),
+            ("restarts", restarts),
+        ]
+    }
+
+    /// Appends every field to a proc-backend frame.
+    pub fn encode(&self, w: &mut WireWriter) {
+        for (_, value) in self.fields() {
+            w.u64(value);
+        }
+    }
+
+    /// Reads what [`Counters::encode`] wrote (fields in declaration order).
+    pub fn decode(r: &mut WireReader<'_>) -> WireResult<Counters> {
+        Ok(Counters {
+            spmv_count: r.u64()?,
+            spmv_flops: r.u64()?,
+            precond_count: r.u64()?,
+            precond_flops: r.u64()?,
+            global_collectives: r.u64()?,
+            allreduce_words: r.u64()?,
+            dot_count: r.u64()?,
+            local_reduction_flops: r.u64()?,
+            blas1_flops: r.u64()?,
+            blas2_flops: r.u64()?,
+            blas3_flops: r.u64()?,
+            small_flops: r.u64()?,
+            iterations: r.u64()?,
+            outer_iterations: r.u64()?,
+            halo_exchanges: r.u64()?,
+            halo_words: r.u64()?,
+            restarts: r.u64()?,
+        })
+    }
+
     /// All FLOPs on length-n vectors beyond SpMV and preconditioner — the
     /// paper's "remaining FLOPs" column of Table 1.
     pub fn remaining_vector_flops(&self) -> u64 {
@@ -153,30 +230,10 @@ impl Counters {
     /// trace exports (`spcg_obs::Tracer::export_json`), merging the
     /// Table-1 FLOP/communication counts into the timeline file.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"spmv_count\":{},\"spmv_flops\":{},\"precond_count\":{},\"precond_flops\":{},\
-             \"global_collectives\":{},\"allreduce_words\":{},\"dot_count\":{},\
-             \"local_reduction_flops\":{},\"blas1_flops\":{},\"blas2_flops\":{},\
-             \"blas3_flops\":{},\"small_flops\":{},\"iterations\":{},\"outer_iterations\":{},\
-             \"halo_exchanges\":{},\"halo_words\":{},\"restarts\":{}}}",
-            self.spmv_count,
-            self.spmv_flops,
-            self.precond_count,
-            self.precond_flops,
-            self.global_collectives,
-            self.allreduce_words,
-            self.dot_count,
-            self.local_reduction_flops,
-            self.blas1_flops,
-            self.blas2_flops,
-            self.blas3_flops,
-            self.small_flops,
-            self.iterations,
-            self.outer_iterations,
-            self.halo_exchanges,
-            self.halo_words,
-            self.restarts,
-        )
+        let fields = self
+            .fields()
+            .map(|(name, value)| format!("\"{name}\":{value}"));
+        format!("{{{}}}", fields.join(","))
     }
 }
 
@@ -244,6 +301,25 @@ mod tests {
         assert_eq!(field("halo_words"), 12.0);
         assert_eq!(field("outer_iterations"), 6.0);
         assert_eq!(field("restarts"), 7.0);
+    }
+
+    #[test]
+    fn wire_codec_round_trips_every_field() {
+        // Seventeen distinct values, so a swapped pair of fields shows.
+        let mut w = WireWriter::new();
+        (1..=17u64).for_each(|v| w.u64(v * 1000 + v));
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        let c = Counters::decode(&mut r).unwrap();
+        assert_eq!(r.finish(), Ok(()));
+        assert_eq!(
+            (c.spmv_count, c.halo_words, c.restarts),
+            (1001, 16016, 17017)
+        );
+        let mut again = WireWriter::new();
+        c.encode(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        assert!(Counters::decode(&mut WireReader::new(&bytes[..bytes.len() - 1])).is_err());
     }
 
     #[test]

@@ -31,8 +31,16 @@
 //! one completion (`complete_into` or [`VectorBoard::complete_snapshot`])
 //! on every rank — the SPMD control flow of the solvers guarantees this,
 //! and the board asserts it.
+//!
+//! Both backends run this protocol on this type: thread ranks call it
+//! themselves, and the proc hub's per-rank proxies call it for their
+//! workers (`crate::backend`). A board attached to its group's
+//! [`Abort`] ([`VectorBoard::with_abort`]) gives up every wait the moment a
+//! rank is lost, so neither kind of caller sits out the wait budget for a
+//! peer that is gone.
 
 use crate::backend::Comm;
+use crate::comm::Abort;
 use crate::fault::{FaultPlan, FaultSite, STALL};
 use spcg_obs::{Phase, Track};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,6 +133,45 @@ impl GatherPlan {
         }
     }
 
+    /// Rebuilds a plan from runs `(first board index, words)` that arrived
+    /// from outside the program — the request a proc-backend worker sends
+    /// for its own plan's [`GatherPlan::runs`], or the single run `(0, n)`
+    /// of a snapshot. Every run must lie inside the board, and together
+    /// they may ask for at most one board's worth of words (ghost indices
+    /// are distinct), which bounds what a completion of the plan copies.
+    /// Unlike [`GatherPlan::build`]'s, a run here may span several ranks; the
+    /// completion then waits for all of them.
+    pub fn from_runs(
+        offsets: &[usize],
+        runs: impl Iterator<Item = (usize, usize)>,
+    ) -> Result<GatherPlan, String> {
+        let n = *offsets.last().expect("offsets hold at least [0, n]");
+        let owner = |idx: usize| offsets.partition_point(|&o| o <= idx) - 1;
+        let mut plan = GatherPlan {
+            runs: Vec::new(),
+            src_ranks: Vec::new(),
+            total: 0,
+        };
+        for (start, len) in runs {
+            let end = start.checked_add(len).filter(|&end| end <= n);
+            let Some(end) = end else {
+                return Err(format!("run [{start}, +{len}) leaves the {n}-word board"));
+            };
+            plan.total += len;
+            if plan.total > n {
+                return Err(format!("runs ask for more than the {n}-word board"));
+            }
+            if len > 0 {
+                let src = owner(start);
+                plan.runs.push(Run { src, start, len });
+                plan.src_ranks.extend(src..=owner(end - 1));
+            }
+        }
+        plan.src_ranks.sort_unstable();
+        plan.src_ranks.dedup();
+        Ok(plan)
+    }
+
     /// Total words the plan gathers (the halo volume of one exchange of
     /// one vector — the number [`crate::Counters::record_halo_exchange`]
     /// is charged with).
@@ -193,6 +240,9 @@ pub struct VectorBoard {
     /// Decorrelation salt mixed into the plan's decisions, so the two
     /// boards of a ranked solve draw distinct injection streams.
     salt: u64,
+    /// The abort every wait on this board watches; never raised unless the
+    /// board was attached to a group's ([`VectorBoard::with_abort`]).
+    abort: Abort,
     /// Expired wait slices across all ranks — the retry protocol's
     /// diagnostic odometer. Timing-dependent; never part of [`crate::Counters`].
     retries: Arc<AtomicU64>,
@@ -223,8 +273,26 @@ impl VectorBoard {
             }),
             faults: None,
             salt: 0,
+            abort: Abort::default(),
             retries: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    /// Attaches the board to its group's [`Abort`]
+    /// ([`crate::CommGroup::abort`]): a rank waiting on the board for a peer
+    /// that is lost unwinds as soon as the abort is raised, instead of
+    /// spending the 30 s wait budget. Call on the board the rank handles are
+    /// cloned from, before the ranks start.
+    pub fn with_abort(mut self, abort: &Abort) -> Self {
+        let flags = Arc::clone(&self.flags);
+        abort.on_raise(move || {
+            // Taken (poisoned or not) so that the notification comes after
+            // the test of the flag a waiter makes with this lock held.
+            drop(flags.state.lock());
+            flags.cvar.notify_all();
+        });
+        self.abort = abort.clone();
+        self
     }
 
     /// Attaches a fault plan to the board (`None` detaches). `salt`
@@ -254,6 +322,7 @@ impl VectorBoard {
             flags: Arc::clone(&self.flags),
             faults: self.faults.clone(),
             salt: self.salt,
+            abort: self.abort.clone(),
             retries: Arc::clone(&self.retries),
         }
     }
@@ -460,9 +529,9 @@ impl VectorBoard {
     }
 
     /// Timeout/retry wait loop shared by the post and completion sides:
-    /// waits in slices while `pending` holds, and panics with flag-state
-    /// diagnostics once [`WAIT_BUDGET`] is spent — bounded waiting instead
-    /// of a silent wedge.
+    /// waits in slices while `pending` holds, unwinds when the board's
+    /// [`Abort`] is raised, and panics with flag-state diagnostics once
+    /// [`WAIT_BUDGET`] is spent — bounded waiting instead of a silent wedge.
     ///
     /// With a fault plan attached, every expired [`ARMED_WAIT_SLICE`]
     /// counts as a retry (recorded as a [`Retry`](Phase) span) — injected
@@ -489,6 +558,10 @@ impl VectorBoard {
         let mut waited = Duration::ZERO;
         let mut retry_mark = CLEAN_WAIT_MAX;
         while pending(&st) {
+            if self.abort.raised() {
+                drop(st);
+                self.abort.unwind();
+            }
             let (next, timeout) = self.flags.cvar.wait_timeout(st, slice).unwrap();
             st = next;
             if timeout.timed_out() && pending(&st) {
@@ -567,6 +640,41 @@ mod tests {
         assert_eq!(plan.src_ranks(), &[1, 2]);
         assert!(!plan.is_empty());
         assert!(board.plan(&[]).is_empty());
+    }
+
+    /// What a proc worker sends for its plan rebuilds the plan; a snapshot is
+    /// one run over every rank.
+    #[test]
+    fn from_runs_rebuilds_a_plan_and_a_snapshot() {
+        let offsets = [0, 4, 8, 12];
+        let built = GatherPlan::build(&offsets, &[5, 6, 7, 8, 9, 2]);
+        let rebuilt = GatherPlan::from_runs(&offsets, built.runs()).unwrap();
+        assert_eq!(rebuilt.runs().collect::<Vec<_>>(), [(5, 3), (8, 2), (2, 1)]);
+        assert_eq!(rebuilt.words(), built.words());
+        assert_eq!(rebuilt.src_ranks(), built.src_ranks());
+        let snapshot = GatherPlan::from_runs(&offsets, [(0, 12)].into_iter()).unwrap();
+        assert_eq!(
+            (snapshot.words(), snapshot.src_ranks()),
+            (12, &[0, 1, 2][..])
+        );
+        // Empty requests and empty runs gather nothing and wait for nobody.
+        for runs in [&[][..], &[(12, 0)], &[(3, 0)]] {
+            let plan = GatherPlan::from_runs(&offsets, runs.iter().copied()).unwrap();
+            assert!(plan.is_empty() && plan.src_ranks().is_empty(), "{runs:?}");
+        }
+    }
+
+    #[test]
+    fn from_runs_rejects_what_leaves_the_board() {
+        for bad in [
+            &[(10, 1)][..],     // starts past the end
+            &[(8, 3)],          // overlaps the end
+            &[(usize::MAX, 2)], // start + len overflows
+            &[(0, 10), (3, 1)], // more than one board of words
+        ] {
+            let plan = GatherPlan::from_runs(&[0, 5, 10], bad.iter().copied());
+            assert!(plan.is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -7,49 +7,75 @@
 //! to validate that the communication structure (one reduction per s steps)
 //! is what the instrumentation claims.
 
-use crate::backend::Comm;
-use crate::comm::{CommGroup, ThreadComm};
+use crate::comm::{Abort, Aborted, CommGroup, ThreadComm};
+use std::sync::Arc;
 
 /// Runs `f(comm)` once per rank on `nranks` scoped threads and collects the
-/// per-rank results in rank order. Panics in any rank propagate.
-///
-/// The concrete [`ThreadComm`] argument ties callers to the thread
-/// backend; portable SPMD code should take [`run_ranks_dyn`] (or accept
-/// `&dyn Comm` itself) and stay transport-agnostic. This entry point
-/// remains for thread-backend plumbing that genuinely needs the concrete
-/// type — e.g. binding a `VectorBoard` handle into a `ThreadBoard`.
+/// per-rank results in rank order. A panic in any rank propagates, with
+/// that rank's own message (see [`run_ranks_in`]).
 pub fn run_ranks<R, F>(nranks: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(ThreadComm) -> R + Sync,
 {
-    assert!(nranks > 0, "run_ranks: nranks must be positive");
-    let group = CommGroup::new(nranks);
+    run_ranks_in(&CommGroup::new(nranks), f)
+}
+
+/// [`run_ranks`] on a group the caller built — which is how the caller gets
+/// to attach its boards to the group's [`Abort`] first
+/// ([`crate::VectorBoard::with_abort`]).
+///
+/// A rank whose closure panics raises the group's abort on its way out, so
+/// peers blocked in a collective or on an attached board unwind at once
+/// instead of waiting out their watchdogs for a rank that will never
+/// arrive; the panic that propagates to the caller is the failed rank's,
+/// not a peer's.
+pub fn run_ranks_in<R, F>(group: &Arc<CommGroup>, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(ThreadComm) -> R + Sync,
+{
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..nranks)
+        let handles: Vec<_> = (0..group.nranks())
             .map(|r| {
                 let comm = group.rank_comm(r);
                 let f = &f;
-                scope.spawn(move || f(comm))
+                scope.spawn(move || {
+                    let _guard = AbortOnUnwind(group.abort());
+                    f(comm)
+                })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread panicked"))
-            .collect()
+        let mut results = Vec::with_capacity(handles.len());
+        let mut failure: Option<Box<dyn std::any::Any + Send>> = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(result) => results.push(result),
+                // Joined in rank order; keep the first payload that is a
+                // rank's own panic rather than the echo of somebody else's.
+                Err(payload) => {
+                    if failure.as_ref().map_or(true, |f| f.is::<Aborted>()) {
+                        failure = Some(payload);
+                    }
+                }
+            }
+        }
+        match failure {
+            Some(payload) => std::panic::resume_unwind(payload),
+            None => results,
+        }
     })
 }
 
-/// Backend-agnostic variant of [`run_ranks`]: each rank receives its
-/// communicator as a boxed [`Comm`] trait object, so the rank function is
-/// written once and runs unchanged under any transport that grows an
-/// executor. Preferred over [`run_ranks`] for new SPMD code.
-pub fn run_ranks_dyn<R, F>(nranks: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Box<dyn Comm>) -> R + Sync,
-{
-    run_ranks(nranks, |comm| f(Box::new(comm)))
+/// Raises the abort when dropped by a panic.
+struct AbortOnUnwind<'a>(&'a Abort);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.raise();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -26,6 +26,19 @@
 //! (there is no "distributed substrate" to fail), preserving every
 //! ranks=1-versus-serial parity test.
 //!
+//! **Where the sites fire.** The four exchange sites (`PostStall`,
+//! `PublishDuplicate`, `CompleteStall`, `PoisonHalo`) fire inside
+//! [`crate::VectorBoard`] and nowhere else, at `(site, board salt, rank,
+//! round)`. Under the thread backend the calling thread is the rank; under
+//! the proc backend it is the rank's proxy in the parent's hub, which
+//! performs the worker's `POST`/`WANT` frames on the same kind of board —
+//! one implementation, one set of decision points, counted directly in the
+//! caller's plan. `PoisonReduce` corrupts a rank's own allreduce
+//! *contribution*, so it fires where the contribution is made: in the rank
+//! executor of `spcg-solvers` (salt 2, sequence = allreduce call index), on
+//! a thread rank or inside a worker process, which reports its count home
+//! through [`FaultPlan::record_remote`].
+//!
 //! Arm a plan process-wide with `SPCG_FAULTS=<seed>:<rate>` (for example
 //! `SPCG_FAULTS=101:0.05`), or construct one explicitly with
 //! [`FaultPlan::new`] for targeted tests.
@@ -238,8 +251,8 @@ impl FaultPlan {
 
     /// Credits `n` injections that fired against `site` in a *remote*
     /// incarnation of this plan — a proc-backend worker rebuilds the plan
-    /// from `(seed, rate, mask)`, fires locally, and reports per-site
-    /// deltas, which the parent records here so [`FaultPlan::counts`]
+    /// from `(seed, rate, mask)`, fires `PoisonReduce` locally, and reports
+    /// how often, which the parent records here so [`FaultPlan::counts`]
     /// describes the whole solve regardless of backend.
     pub fn record_remote(&self, site: FaultSite, n: u64) {
         if n > 0 {

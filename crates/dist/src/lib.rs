@@ -25,7 +25,7 @@ pub mod topology;
 pub mod wire;
 
 pub use backend::{Backend, Comm, Exchange, ThreadBoard};
-pub use comm::{CommGroup, ThreadComm};
+pub use comm::{Abort, Aborted, CommGroup, ThreadComm};
 pub use counters::Counters;
 pub use exchange::{GatherPlan, VectorBoard};
 pub use fault::{faults_armed, FaultCounts, FaultPlan, FaultSite, FAULT_SITES};

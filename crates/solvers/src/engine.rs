@@ -40,10 +40,11 @@ use crate::options::{Problem, SolveOptions, SolveResult};
 use crate::resilience::{solve_resilient, Resilience};
 use spcg_basis::poly::BasisParams;
 use spcg_basis::{DistMpk, Mpk};
-use spcg_dist::executor::run_ranks;
+use spcg_dist::executor::run_ranks_in;
+use spcg_dist::fault::FaultCounts;
 use spcg_dist::{
-    Backend, Comm, Counters, Exchange, FaultPlan, FaultSite, GatherPlan, ThreadBoard, ThreadComm,
-    VectorBoard,
+    Backend, Comm, CommGroup, Counters, Exchange, FaultPlan, FaultSite, GatherPlan, ThreadBoard,
+    ThreadComm, VectorBoard,
 };
 use spcg_obs::{Phase, Track};
 use spcg_precond::{DistForm, Preconditioner};
@@ -364,22 +365,25 @@ pub(crate) struct RankExec<'a> {
 }
 
 impl<'a> RankExec<'a> {
-    #[allow(clippy::too_many_arguments)] // internal constructor, one call site
+    /// One rank of `method` under `opts` (its `threads`, `overlap` and
+    /// `format`) on the transport the three boxes are handles of. `faults`
+    /// is the solve's *active* plan ([`Ranking::plan`]), for the
+    /// `PoisonReduce` site. The track is the caller's to make: it must be
+    /// created on the rank's own thread.
+    #[allow(clippy::too_many_arguments)] // internal constructor, two call sites
     pub(crate) fn new(
         problem: &Problem<'a>,
+        method: &Method,
+        opts: &SolveOptions,
         comm: Box<dyn Comm>,
-        lo: usize,
-        hi: usize,
         board: Box<dyn Exchange>,
         board2: Box<dyn Exchange>,
-        mpk_depth: Option<usize>,
-        threads: usize,
-        overlap: bool,
-        format: SparseFormat,
         track: Option<Track>,
         faults: Option<FaultPlan>,
     ) -> Self {
-        let pk = ParKernels::new(threads);
+        let (lo, hi) = board.range(comm.rank());
+        let (mpk_depth, format) = (method.mpk_depth(opts), opts.format);
+        let pk = ParKernels::new(opts.threads);
         let gz1 = GhostZone::new(problem.a, lo, hi, 1);
         let plan1 = board.plan(gz1.ghost_indices());
         let dist_mpk = match (mpk_depth, problem.m.dist_form()) {
@@ -420,7 +424,7 @@ impl<'a> RankExec<'a> {
             plan1,
             dist_mpk,
             plan_s,
-            overlap,
+            overlap: opts.overlap,
             format,
             rank_local_ok,
             pk,
@@ -680,12 +684,91 @@ impl Exec for RankExec<'_> {
     }
 }
 
+/// How one solve is laid over `ranks` ranks, whichever backend runs them:
+/// the row partition, the fault plan and resilience policy the ranks run
+/// under, and the assembly of their results.
+pub(crate) struct Ranking {
+    /// Partition offsets (length `ranks + 1`).
+    pub(crate) offsets: Vec<usize>,
+    /// The caller's fault plan, if it can inject into this solve at all.
+    pub(crate) plan: Option<FaultPlan>,
+    /// The policy the ranks' resilience driver runs under.
+    pub(crate) resilience: Option<Resilience>,
+    /// Injections the plan had counted before this solve.
+    before: Option<FaultCounts>,
+}
+
+/// The shared objects of one world of ranks: the communicator group and the
+/// two exchange boards (seed and `M⁻¹`-seed, fault salts 0 and 1), both
+/// attached to the group's abort. Thread ranks call them directly; the proc
+/// hub calls them on behalf of its workers.
+pub(crate) struct World {
+    pub(crate) group: Arc<CommGroup>,
+    pub(crate) board: VectorBoard,
+    pub(crate) board2: VectorBoard,
+}
+
+impl Ranking {
+    pub(crate) fn new(n: usize, ranks: usize, opts: &SolveOptions) -> Self {
+        let part = BlockRowPartition::balanced(n, ranks);
+        let offsets = (0..=ranks)
+            .map(|p| if p == 0 { 0 } else { part.range(p - 1).1 })
+            .collect();
+        // Single-rank runs have no exchange or reduction traffic worth
+        // faulting; keeping them clean preserves ranks=1 ↔ serial parity.
+        let plan = opts.faults.clone().filter(|p| p.active() && ranks > 1);
+        // A faulted run needs self-healing to absorb poisoned payloads, so an
+        // active plan arms the default policy unless the caller chose one.
+        let resilience = opts
+            .resilience
+            .clone()
+            .or_else(|| plan.as_ref().map(|_| Resilience::default()));
+        Ranking {
+            offsets,
+            before: plan.as_ref().map(|p| p.counts()),
+            plan,
+            resilience,
+        }
+    }
+
+    /// A fresh world for these ranks (epochs at zero, abort not raised).
+    pub(crate) fn world(&self) -> World {
+        let group = CommGroup::new(self.offsets.len() - 1);
+        let board = |salt| {
+            VectorBoard::new(self.offsets.clone())
+                .with_faults(self.plan.clone(), salt)
+                .with_abort(group.abort())
+        };
+        World {
+            board: board(0),
+            board2: board(1),
+            group,
+        }
+    }
+
+    /// Assembles the per-rank results, given in rank order.
+    ///
+    /// Every branch a solver takes depends only on allreduced
+    /// (deterministic, rank-order-summed) scalars, so all ranks run the same
+    /// control flow; rank 0's outcome/iterations/counters describe the
+    /// collective run, and the solution is the concatenation of the
+    /// rank-local blocks.
+    pub(crate) fn assemble(&self, results: Vec<SolveResult>) -> SolveResult {
+        let mut x = Vec::with_capacity(*self.offsets.last().unwrap());
+        for r in &results {
+            x.extend_from_slice(&r.x);
+        }
+        let mut out = results.into_iter().next().unwrap();
+        out.collectives_per_rank = Some(out.counters.global_collectives);
+        out.x = x;
+        if let (Some(plan), Some(before)) = (&self.plan, &self.before) {
+            out.faults_absorbed = plan.counts().since(before).total();
+        }
+        out
+    }
+}
+
 /// Runs `method` over `ranks` real ranks and assembles the result.
-///
-/// Every branch a solver takes depends only on allreduced (deterministic,
-/// rank-order-summed) scalars, so all ranks run the same control flow;
-/// rank 0's outcome/iterations/counters describe the collective run, and
-/// the solution is the concatenation of the rank-local blocks.
 pub(crate) fn run_ranked(
     method: &Method,
     problem: &Problem<'_>,
@@ -707,58 +790,26 @@ pub(crate) fn run_ranked(
         #[cfg(not(unix))]
         eprintln!("spcg: proc backend requires a Unix platform; using thread backend");
     }
-    let part = BlockRowPartition::balanced(n, ranks);
-    let offsets: Vec<usize> = (0..=ranks)
-        .map(|p| if p == 0 { 0 } else { part.range(p - 1).1 })
-        .collect();
-    // Single-rank runs have no exchange or reduction traffic worth
-    // faulting; keeping them clean preserves ranks=1 ↔ serial parity.
-    let plan = opts.faults.clone().filter(|p| p.active() && ranks > 1);
-    let board = VectorBoard::new(offsets.clone()).with_faults(plan.clone(), 0);
-    let board2 = VectorBoard::new(offsets).with_faults(plan.clone(), 1);
-    let mpk_depth = method.mpk_depth(opts);
-    // A faulted run needs self-healing to absorb poisoned payloads, so an
-    // active plan arms the default policy unless the caller chose one.
-    let resilience = opts
-        .resilience
-        .clone()
-        .or_else(|| plan.as_ref().map(|_| Resilience::default()));
-    let before = plan.as_ref().map(|p| p.counts());
-
-    let results = run_ranks(ranks, |comm: ThreadComm| {
+    let ranking = Ranking::new(n, ranks, opts);
+    let world = ranking.world();
+    let results = run_ranks_in(&world.group, |comm: ThreadComm| {
         // The track must be created (and dropped) on the rank's own
         // thread: it is a thread-local buffer that drains into the shared
         // tracer when the rank exits.
         let track = opts.trace.as_ref().map(|t| t.track(comm.rank()));
-        let (lo, hi) = part.range(comm.rank());
         let mut exec = RankExec::new(
             problem,
+            method,
+            opts,
             Box::new(comm.clone()),
-            lo,
-            hi,
-            Box::new(ThreadBoard::new(board.handle(), comm.clone())),
-            Box::new(ThreadBoard::new(board2.handle(), comm)),
-            mpk_depth,
-            opts.threads,
-            opts.overlap,
-            opts.format,
+            Box::new(ThreadBoard::new(world.board.handle(), comm.clone())),
+            Box::new(ThreadBoard::new(world.board2.handle(), comm)),
             track,
-            plan.clone(),
+            ranking.plan.clone(),
         );
-        solve_resilient(method, &mut exec, opts, resilience.as_ref())
+        solve_resilient(method, &mut exec, opts, ranking.resilience.as_ref())
     });
-
-    let mut x = Vec::with_capacity(n);
-    for r in &results {
-        x.extend_from_slice(&r.x);
-    }
-    let mut out = results.into_iter().next().unwrap();
-    out.collectives_per_rank = Some(out.counters.global_collectives);
-    out.x = x;
-    if let (Some(plan), Some(before)) = (&plan, &before) {
-        out.faults_absorbed = plan.counts().since(before).total();
-    }
-    out
+    ranking.assemble(results)
 }
 
 /// Dispatches a method onto an execution substrate — the one place a

@@ -3,6 +3,7 @@
 use crate::engine::Engine;
 use crate::options::{Problem, SolveOptions, SolveResult};
 use spcg_basis::BasisType;
+use spcg_dist::wire::{WireReader, WireResult, WireWriter};
 
 /// A solver selection, carrying its s-step configuration where applicable.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,6 +113,72 @@ impl Method {
             Method::Pcg | Method::Pcg3 | Method::SPcgMon { .. } | Method::EkCg { .. } => {}
         }
         out
+    }
+
+    /// Every variant with block parameter `size` (`s`, or EkCG's `t`) and a
+    /// placeholder basis, in wire order: a method travels as the index of
+    /// its variant here, its block parameter and its basis.
+    fn prototypes(size: usize) -> [Method; 9] {
+        let (s, basis) = (size, || BasisType::Monomial);
+        [
+            Method::Pcg,
+            Method::Pcg3,
+            Method::SPcg { s, basis: basis() },
+            Method::SPcgMon { s },
+            Method::CaPcg { s, basis: basis() },
+            Method::CaPcg3 { s, basis: basis() },
+            Method::AdaptiveCaPcg { s, basis: basis() },
+            Method::CaPcgGs { s, basis: basis() },
+            Method::EkCg { t: size },
+        ]
+    }
+
+    /// Appends the method to a proc-backend frame (the `Setup` a worker
+    /// rebuilds its solve from).
+    pub fn encode(&self, w: &mut WireWriter) {
+        let same_variant = |p: &Method| std::mem::discriminant(p) == std::mem::discriminant(self);
+        let kind = Self::prototypes(0).iter().position(same_variant);
+        w.usize(kind.expect("every variant has a prototype"));
+        w.usize(match self {
+            Method::EkCg { t } => *t,
+            blocked => blocked.s(),
+        });
+        w.option(self.basis(), |w, basis| match basis {
+            BasisType::Monomial => w.u8(0),
+            BasisType::Newton { shifts } => {
+                w.u8(1);
+                w.f64s(shifts);
+            }
+            BasisType::Chebyshev {
+                lambda_min,
+                lambda_max,
+            } => {
+                w.u8(2);
+                w.f64(*lambda_min);
+                w.f64(*lambda_max);
+            }
+        });
+    }
+
+    /// Reads what [`Method::encode`] wrote.
+    pub fn decode(r: &mut WireReader<'_>) -> WireResult<Method> {
+        let (kind, size) = (r.usize()?, r.usize()?);
+        let method = Self::prototypes(size).into_iter().nth(kind);
+        let method = method.ok_or_else(|| format!("unknown method kind {kind}"))?;
+        let basis = r.option(|r| match r.u8()? {
+            0 => Ok(BasisType::Monomial),
+            1 => Ok(BasisType::Newton { shifts: r.f64s()? }),
+            2 => Ok(BasisType::Chebyshev {
+                lambda_min: r.f64()?,
+                lambda_max: r.f64()?,
+            }),
+            k => Err(format!("unknown basis kind {k}")),
+        })?;
+        // A no-op for the variants that carry no basis, which ship none.
+        Ok(match basis {
+            Some(basis) => method.with_basis(basis),
+            None => method,
+        })
     }
 
     /// The Gauss-Seidel analogue of this method at the *same* block size —

@@ -1,7 +1,8 @@
 //! Problem definition, solver options, and results.
 
 use crate::resilience::Resilience;
-use spcg_adapt::{AdaptivePolicy, AdaptiveReport};
+use spcg_adapt::{AdaptivePolicy, AdaptiveReport, ShiftUpdate};
+use spcg_dist::wire::{WireReader, WireResult, WireWriter};
 use spcg_dist::{Backend, Counters, FaultPlan};
 use spcg_obs::Tracer;
 use spcg_precond::Preconditioner;
@@ -458,6 +459,120 @@ impl SolveOptions {
     }
 }
 
+/// Wire order of the fieldless option enums (see [`WireWriter::variant`]).
+const CRITERIA: [StoppingCriterion; 3] = [
+    StoppingCriterion::TrueResidual2Norm,
+    StoppingCriterion::RecursiveResidual2Norm,
+    StoppingCriterion::PrecondMNorm,
+];
+const FORMATS: [SparseFormat; 2] = [SparseFormat::Csr, SparseFormat::Sell];
+const BACKENDS: [Backend; 2] = [Backend::Thread, Backend::Proc];
+
+impl SolveOptions {
+    /// Appends the options, whole, to a proc-backend frame: a worker solves
+    /// with exactly what the caller configured and never consults its own
+    /// environment. The destructuring is exhaustive on purpose — a new field
+    /// does not compile until it is shipped. The two handles travel as what
+    /// rebuilds them: a tracer as its capacity, a fault plan as its seed,
+    /// rate and site mask.
+    pub fn encode(&self, w: &mut WireWriter) {
+        let SolveOptions {
+            tol,
+            max_iters,
+            criterion,
+            divergence_factor,
+            stall_checks,
+            keep_history,
+            residual_replacement,
+            threads,
+            overlap,
+            format,
+            backend,
+            trace,
+            faults,
+            resilience,
+            adaptive,
+        } = self;
+        w.f64(*tol);
+        w.usize(*max_iters);
+        w.variant(&CRITERIA, criterion);
+        w.f64(*divergence_factor);
+        w.usize(*stall_checks);
+        w.bool(*keep_history);
+        w.option(*residual_replacement, WireWriter::f64);
+        w.usize(*threads);
+        w.bool(*overlap);
+        w.variant(&FORMATS, format);
+        w.variant(&BACKENDS, backend);
+        w.option(trace.as_ref(), |w, tracer| w.usize(tracer.capacity()));
+        w.option(faults.as_ref(), |w, plan| {
+            w.u64(plan.seed());
+            w.f64(plan.rate());
+            w.u8(plan.sites_mask());
+        });
+        w.option(resilience.as_ref(), |w, res| res.encode(w));
+        let AdaptivePolicy {
+            s_min,
+            s_max,
+            cond_grow,
+            cond_shrink,
+            cond_reject,
+            gap_tol,
+            drift_tol,
+            grow_patience,
+            min_ritz,
+            max_ritz,
+            margin,
+        } = adaptive;
+        w.usize(*s_min);
+        w.usize(*s_max);
+        w.f64(*cond_grow);
+        w.f64(*cond_shrink);
+        w.f64(*cond_reject);
+        w.f64(*gap_tol);
+        w.f64(*drift_tol);
+        w.usize(*grow_patience);
+        w.usize(*min_ritz);
+        w.usize(*max_ritz);
+        w.f64(*margin);
+    }
+
+    /// Reads what [`SolveOptions::encode`] wrote; the tracer and the fault
+    /// plan come back as fresh handles of the shipped configuration.
+    pub fn decode(r: &mut WireReader<'_>) -> WireResult<SolveOptions> {
+        Ok(SolveOptions {
+            tol: r.f64()?,
+            max_iters: r.usize()?,
+            criterion: r.variant(&CRITERIA, "stopping criterion")?,
+            divergence_factor: r.f64()?,
+            stall_checks: r.usize()?,
+            keep_history: r.bool()?,
+            residual_replacement: r.option(WireReader::f64)?,
+            threads: r.usize()?,
+            overlap: r.bool()?,
+            format: r.variant(&FORMATS, "sparse format")?,
+            backend: r.variant(&BACKENDS, "backend")?,
+            trace: r.option(|r| Ok(Tracer::with_capacity(r.usize()?)))?,
+            faults: r
+                .option(|r| Ok(FaultPlan::new(r.u64()?, r.f64()?).with_sites_mask(r.u8()?)))?,
+            resilience: r.option(Resilience::decode)?,
+            adaptive: AdaptivePolicy {
+                s_min: r.usize()?,
+                s_max: r.usize()?,
+                cond_grow: r.f64()?,
+                cond_shrink: r.f64()?,
+                cond_reject: r.f64()?,
+                gap_tol: r.f64()?,
+                drift_tol: r.f64()?,
+                grow_patience: r.usize()?,
+                min_ritz: r.usize()?,
+                max_ritz: r.usize()?,
+                margin: r.f64()?,
+            },
+        })
+    }
+}
+
 /// Fluent constructor for [`SolveOptions`] (see [`SolveOptions::builder`]).
 ///
 /// ```
@@ -679,6 +794,104 @@ impl SolveResult {
             faults_absorbed: 0,
             adaptive: None,
         }
+    }
+
+    /// Appends the result to a proc-backend frame (a worker's `RESULT`).
+    /// Exhaustive destructuring, like [`SolveOptions::encode`].
+    pub fn encode(&self, w: &mut WireWriter) {
+        let SolveResult {
+            x,
+            outcome,
+            iterations,
+            history,
+            counters,
+            collectives_per_rank,
+            restarts,
+            s_schedule,
+            faults_absorbed,
+            adaptive,
+        } = self;
+        w.f64s(x);
+        let kind = match outcome {
+            Outcome::Converged => 0,
+            Outcome::MaxIterations => 1,
+            Outcome::Diverged => 2,
+            Outcome::Stagnated => 3,
+            Outcome::Breakdown(_) => 4,
+            Outcome::DeadlineExpired => 5,
+        };
+        w.u8(kind);
+        if let Outcome::Breakdown(msg) = outcome {
+            w.str(msg);
+        }
+        w.usize(*iterations);
+        w.seq(history, |w, &(iteration, value)| {
+            w.usize(iteration);
+            w.f64(value);
+        });
+        counters.encode(w);
+        w.option(*collectives_per_rank, WireWriter::u64);
+        w.usize(*restarts);
+        w.usizes(s_schedule);
+        w.u64(*faults_absorbed);
+        w.option(adaptive.as_ref(), |w, report| {
+            let AdaptiveReport {
+                shift_history,
+                ritz,
+            } = report;
+            w.seq(shift_history, |w, update| {
+                let ShiftUpdate {
+                    iteration,
+                    basis,
+                    lambda_min,
+                    lambda_max,
+                    ritz_count,
+                } = update;
+                w.usize(*iteration);
+                w.str(basis);
+                w.f64(*lambda_min);
+                w.f64(*lambda_max);
+                w.usize(*ritz_count);
+            });
+            w.f64s(ritz);
+        });
+    }
+
+    /// Reads what [`SolveResult::encode`] wrote.
+    pub fn decode(r: &mut WireReader<'_>) -> WireResult<SolveResult> {
+        Ok(SolveResult {
+            x: r.f64s()?,
+            outcome: match r.u8()? {
+                0 => Outcome::Converged,
+                1 => Outcome::MaxIterations,
+                2 => Outcome::Diverged,
+                3 => Outcome::Stagnated,
+                4 => Outcome::Breakdown(r.str()?),
+                5 => Outcome::DeadlineExpired,
+                k => return Err(format!("unknown outcome kind {k}")),
+            },
+            iterations: r.usize()?,
+            history: r.seq(|r| Ok((r.usize()?, r.f64()?)))?,
+            counters: Counters::decode(r)?,
+            collectives_per_rank: r.option(WireReader::u64)?,
+            restarts: r.usize()?,
+            s_schedule: r.usizes()?,
+            faults_absorbed: r.u64()?,
+            adaptive: r.option(|r| {
+                Ok(AdaptiveReport {
+                    shift_history: r.seq(|r| {
+                        Ok(ShiftUpdate {
+                            iteration: r.usize()?,
+                            basis: r.str()?,
+                            lambda_min: r.f64()?,
+                            lambda_max: r.f64()?,
+                            ritz_count: r.usize()?,
+                        })
+                    })?,
+                    ritz: r.f64s()?,
+                })
+            })?,
+        })
     }
 
     /// True if the solve converged.

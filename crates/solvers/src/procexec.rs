@@ -7,62 +7,86 @@
 //! process can be killed (or kill itself, see `SPCG_PROC_KILL`) mid-solve,
 //! the parent detects the broken connection, respawns the world, and
 //! re-solves — charging the incarnation as a restart. Everything else is
-//! bitwise identical to the thread backend by construction:
+//! bitwise identical to the thread backend, because it *is* the thread
+//! backend:
 //!
-//! * **Same arithmetic** — workers rebuild the matrix, right-hand side,
-//!   and preconditioner (via [`PrecondSpec`])
-//!   from the Setup frame and run the *same* `RankExec` + resilient
-//!   driver as a thread rank.
-//! * **Same reduction order** — the hub sums allreduce contributions in
-//!   rank order from a zeroed accumulator, exactly like
-//!   `ThreadComm::allreduce_sum`.
-//! * **Same exchange protocol** — the hub keeps the two vector boards'
-//!   `published`/`consumed` epochs and applies a rank's post for round
-//!   `p` only once every rank has consumed round `p − 1`; a completion
-//!   for round `w` is answered (with the words of the runs it names —
-//!   the rank's halo, or the whole board for a snapshot) only once every
-//!   rank has published `w`. These are the `VectorBoard` invariants,
-//!   moved across a socket.
-//! * **Same fault semantics** — workers rebuild the deterministic
-//!   [`FaultPlan`] from `(seed, rate, sites)` and fire it at the same
-//!   `(site, salt, rank, round)` decision points, reporting per-site
-//!   counts back so the parent's plan sees every remote injection.
+//! * **The hub is a thread world.** For each incarnation the parent builds
+//!   the same world `run_ranked` builds — one `CommGroup`, two
+//!   `VectorBoard`s with the fault plan attached — and runs one **proxy**
+//!   thread per rank in it. A proxy reads its worker's frames and performs
+//!   each one on the real objects, as that rank: `POST` is
+//!   `VectorBoard::post`, `WANT` is `complete_into` of the runs it names,
+//!   `BARRIER` and `REDUCE` are the `ThreadComm` collectives. Round
+//!   sequencing, the rank-order reduction and the four exchange fault sites
+//!   therefore exist once, in `spcg_dist`; nothing here keeps an epoch or
+//!   adds two numbers.
+//! * **Same arithmetic** — a worker rebuilds the matrix, right-hand side and
+//!   preconditioner (via [`PrecondSpec`]) from its `SETUP` frame, which also
+//!   carries the [`Method`] and the caller's [`SolveOptions`] whole, and runs
+//!   the same `RankExec` + resilient driver as a thread rank. Its `Comm` and
+//!   `Exchange` are "send a frame, read the reply".
+//! * **Same fault semantics** — the exchange sites fire in the hub's boards
+//!   at the `(site, salt, rank, round)` points they fire at under threads.
+//!   `PoisonReduce` corrupts a rank's *contribution*, so it stays with the
+//!   rank: the worker fires it in `RankExec` from a plan rebuilt from
+//!   `(seed, rate, sites)` and reports the count home.
 //!
-//! Frames are `[tag][len][payload]` (see `spcg_dist::wire`). Workers are
-//! strictly request/reply — after sending a `Want`/`Barrier`/`Reduce`
-//! they block on exactly one typed reply — so the hub may write replies
-//! synchronously without deadlock.
+//! Frames are `[tag][len][payload]` (see `spcg_dist::wire`):
+//!
+//! | tag | direction | payload | reply |
+//! |---|---|---|---|
+//! | `HELLO` | worker → hub | protocol version, rank | `SETUP` |
+//! | `SETUP` | hub → worker | version, rank, kill drill, partition, matrix, rhs, preconditioner recipe, method, options | — |
+//! | `POST` | worker → hub | board, the rank's chunk | none |
+//! | `WANT` | worker → hub | board, runs `(first index, words)` | `BOARD` |
+//! | `BOARD` | hub → worker | the words of those runs, in order | — |
+//! | `BARRIER` | worker → hub | empty | `BARRIER_OK` |
+//! | `BARRIER_OK` | hub → worker | empty | — |
+//! | `REDUCE` | worker → hub | the rank's contribution | `REDUCE_SUM` |
+//! | `REDUCE_SUM` | hub → worker | the rank-order sum | — |
+//! | `RESULT` | worker → hub | solve result, `PoisonReduce` count, trace tracks | none |
+//!
+//! A worker blocks on exactly one reply after `WANT`/`BARRIER`/`REDUCE`, so
+//! its proxy may write replies synchronously without deadlock.
+//!
+//! **Losing a rank.** A proxy that reads EOF before `RESULT` (the worker
+//! died), fails to parse a frame, or unwinds records why and raises the
+//! world's [`Abort`](spcg_dist::Abort). That wakes every proxy blocked in a
+//! collective or on a board, which unwind quietly, and shuts every socket
+//! down, which ends the proxies blocked in a read — so the hub returns at
+//! once, with the first cause. The cause is recorded *before* the abort is
+//! raised, so the EOFs the shutdown itself produces never overwrite it. A
+//! dead worker respawns the world; anything malformed refuses the
+//! transport, and the caller falls back to threads. Nothing a worker sends
+//! can panic the parent: every worker → hub frame is decoded fallibly.
 
+use crate::engine::{RankExec, Ranking, World};
 use crate::method::Method;
-use crate::options::{Outcome, Problem, SolveOptions, SolveResult, StoppingCriterion};
-use crate::resilience::{solve_resilient, Resilience};
-use spcg_adapt::{AdaptivePolicy, AdaptiveReport, ShiftUpdate};
-use spcg_basis::BasisType;
-use spcg_dist::wire::{read_frame, write_frame, WireReader, WireWriter};
-use spcg_dist::{Backend, Comm, Counters, Exchange, FaultPlan, GatherPlan, FAULT_SITES};
-use spcg_obs::{Phase, RawTrack, Tracer, Track};
+use crate::options::{Problem, SolveOptions, SolveResult};
+use crate::resilience::solve_resilient;
+use spcg_dist::wire::{read_frame, write_frame, WireReader, WireResult, WireWriter};
+use spcg_dist::{Aborted, Backend, Comm, Exchange, FaultSite, GatherPlan};
+use spcg_obs::{Phase, RawTrack, Track};
 use spcg_precond::PrecondSpec;
-use spcg_sparse::partition::BlockRowPartition;
-use spcg_sparse::{CsrMatrix, SparseFormat};
+use spcg_sparse::CsrMatrix;
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Protocol version — bumped on any frame-layout change so a stale
 /// `spcg-rankd` binary fails loudly instead of misparsing.
-const PROTO: u64 = 5;
+const PROTO: u64 = 6;
 
-// Frame tags. Worker → hub: HELLO, POST, WANT, BARRIER, REDUCE, RESULT.
-// Hub → worker: SETUP, BOARD, BARRIER_OK, REDUCE_SUM.
+// Frame tags; the module docs have the table.
 const TAG_SETUP: u8 = 1;
 const TAG_HELLO: u8 = 2;
 const TAG_POST: u8 = 3;
@@ -74,7 +98,7 @@ const TAG_BOARD: u8 = 8;
 const TAG_BARRIER_OK: u8 = 9;
 const TAG_REDUCE_SUM: u8 = 10;
 
-/// How long the hub waits for *any* worker message before declaring the
+/// How long a proxy waits for its worker's next frame before declaring the
 /// world wedged. Generous: the in-process exchange's own wait budget is
 /// 30 s.
 const HUB_TIMEOUT: Duration = Duration::from_secs(120);
@@ -100,35 +124,17 @@ const MAX_INCARNATIONS: usize = 3;
 /// environment cannot skew a remote solve.
 struct Setup {
     rank: usize,
-    nranks: usize,
-    offsets: Vec<usize>,
-    nrows: usize,
-    ncols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-    b: Vec<f64>,
-    spec: PrecondSpec,
-    method: Method,
-    tol: f64,
-    max_iters: usize,
-    criterion: StoppingCriterion,
-    divergence_factor: f64,
-    stall_checks: usize,
-    keep_history: bool,
-    residual_replacement: Option<f64>,
-    threads: usize,
-    overlap: bool,
-    format: SparseFormat,
-    trace_cap: Option<usize>,
-    faults: Option<(u64, f64, u8)>,
-    resilience: Option<Resilience>,
-    /// Adaptive-s controller policy — shipped whole so a worker's
-    /// `SPCG_ADAPTIVE_*` environment cannot skew a remote solve.
-    adaptive: AdaptivePolicy,
     /// Fault-drill directive: die just before allreduce number `n`
     /// (0-based). Shipped only to the targeted rank of incarnation 0.
     kill_at_reduce: Option<u64>,
+    offsets: Vec<usize>,
+    a: CsrMatrix,
+    b: Vec<f64>,
+    spec: PrecondSpec,
+    method: Method,
+    /// The caller's options, with the solve's active fault plan and armed
+    /// resilience policy ([`Ranking`]) in place of the caller's.
+    opts: SolveOptions,
 }
 
 fn encode_spec(w: &mut WireWriter, spec: &PrecondSpec) {
@@ -159,512 +165,139 @@ fn encode_spec(w: &mut WireWriter, spec: &PrecondSpec) {
     }
 }
 
-fn decode_spec(r: &mut WireReader<'_>) -> PrecondSpec {
-    match r.u8() {
-        0 => PrecondSpec::Identity { n: r.usize() },
-        1 => PrecondSpec::Jacobi { inv_diag: r.f64s() },
-        2 => PrecondSpec::BlockJacobi { block: r.usize() },
+fn decode_spec(r: &mut WireReader<'_>) -> WireResult<PrecondSpec> {
+    Ok(match r.u8()? {
+        0 => PrecondSpec::Identity { n: r.usize()? },
+        1 => PrecondSpec::Jacobi {
+            inv_diag: r.f64s()?,
+        },
+        2 => PrecondSpec::BlockJacobi { block: r.usize()? },
         3 => PrecondSpec::Chebyshev {
-            degree: r.usize(),
-            lo: r.f64(),
-            hi: r.f64(),
+            degree: r.usize()?,
+            lo: r.f64()?,
+            hi: r.f64()?,
         },
-        4 => PrecondSpec::Ssor { omega: r.f64() },
+        4 => PrecondSpec::Ssor { omega: r.f64()? },
         5 => PrecondSpec::Ic0,
-        k => panic!("setup: unknown preconditioner spec kind {k}"),
-    }
-}
-
-fn encode_basis(w: &mut WireWriter, basis: &BasisType) {
-    match basis {
-        BasisType::Monomial => w.u8(0),
-        BasisType::Newton { shifts } => {
-            w.u8(1);
-            w.f64s(shifts);
-        }
-        BasisType::Chebyshev {
-            lambda_min,
-            lambda_max,
-        } => {
-            w.u8(2);
-            w.f64(*lambda_min);
-            w.f64(*lambda_max);
-        }
-    }
-}
-
-fn decode_basis(r: &mut WireReader<'_>) -> BasisType {
-    match r.u8() {
-        0 => BasisType::Monomial,
-        1 => BasisType::Newton { shifts: r.f64s() },
-        2 => BasisType::Chebyshev {
-            lambda_min: r.f64(),
-            lambda_max: r.f64(),
-        },
-        k => panic!("setup: unknown basis kind {k}"),
-    }
-}
-
-fn encode_method(w: &mut WireWriter, method: &Method) {
-    match method {
-        Method::Pcg => w.u8(0),
-        Method::Pcg3 => w.u8(1),
-        Method::SPcg { s, basis } => {
-            w.u8(2);
-            w.usize(*s);
-            encode_basis(w, basis);
-        }
-        Method::SPcgMon { s } => {
-            w.u8(3);
-            w.usize(*s);
-        }
-        Method::CaPcg { s, basis } => {
-            w.u8(4);
-            w.usize(*s);
-            encode_basis(w, basis);
-        }
-        Method::CaPcg3 { s, basis } => {
-            w.u8(5);
-            w.usize(*s);
-            encode_basis(w, basis);
-        }
-        Method::AdaptiveCaPcg { s, basis } => {
-            w.u8(6);
-            w.usize(*s);
-            encode_basis(w, basis);
-        }
-        Method::CaPcgGs { s, basis } => {
-            w.u8(7);
-            w.usize(*s);
-            encode_basis(w, basis);
-        }
-        Method::EkCg { t } => {
-            w.u8(8);
-            w.usize(*t);
-        }
-    }
-}
-
-fn decode_method(r: &mut WireReader<'_>) -> Method {
-    match r.u8() {
-        0 => Method::Pcg,
-        1 => Method::Pcg3,
-        2 => Method::SPcg {
-            s: r.usize(),
-            basis: decode_basis(r),
-        },
-        3 => Method::SPcgMon { s: r.usize() },
-        4 => Method::CaPcg {
-            s: r.usize(),
-            basis: decode_basis(r),
-        },
-        5 => Method::CaPcg3 {
-            s: r.usize(),
-            basis: decode_basis(r),
-        },
-        6 => Method::AdaptiveCaPcg {
-            s: r.usize(),
-            basis: decode_basis(r),
-        },
-        7 => Method::CaPcgGs {
-            s: r.usize(),
-            basis: decode_basis(r),
-        },
-        8 => Method::EkCg { t: r.usize() },
-        k => panic!("setup: unknown method kind {k}"),
-    }
+        k => return Err(format!("unknown preconditioner spec kind {k}")),
+    })
 }
 
 impl Setup {
-    fn encode(&self) -> Vec<u8> {
+    /// The part of the frame that every rank of a world shares — all of it
+    /// but the header — encoded once per world.
+    fn encode_shared(
+        ranking: &Ranking,
+        problem: &Problem<'_>,
+        spec: &PrecondSpec,
+        method: &Method,
+        opts: &SolveOptions,
+    ) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.u64(PROTO);
-        w.usize(self.rank);
-        w.usize(self.nranks);
-        w.usizes(&self.offsets);
-        w.usize(self.nrows);
-        w.usize(self.ncols);
-        w.usizes(&self.row_ptr);
-        w.usizes(&self.col_idx);
-        w.f64s(&self.values);
-        w.f64s(&self.b);
-        encode_spec(&mut w, &self.spec);
-        encode_method(&mut w, &self.method);
-        w.f64(self.tol);
-        w.usize(self.max_iters);
-        w.u8(match self.criterion {
-            StoppingCriterion::TrueResidual2Norm => 0,
-            StoppingCriterion::RecursiveResidual2Norm => 1,
-            StoppingCriterion::PrecondMNorm => 2,
-        });
-        w.f64(self.divergence_factor);
-        w.usize(self.stall_checks);
-        w.u8(self.keep_history as u8);
-        match self.residual_replacement {
-            Some(f) => {
-                w.u8(1);
-                w.f64(f);
-            }
-            None => w.u8(0),
-        }
-        w.usize(self.threads);
-        w.u8(self.overlap as u8);
-        w.u8(match self.format {
-            SparseFormat::Csr => 0,
-            SparseFormat::Sell => 1,
-        });
-        match self.trace_cap {
-            Some(cap) => {
-                w.u8(1);
-                w.usize(cap);
-            }
-            None => w.u8(0),
-        }
-        match self.faults {
-            Some((seed, rate, mask)) => {
-                w.u8(1);
-                w.u64(seed);
-                w.f64(rate);
-                w.u8(mask);
-            }
-            None => w.u8(0),
-        }
-        match &self.resilience {
-            Some(res) => {
-                w.u8(1);
-                w.usize(res.max_restarts);
-                w.u8(res.shrink_s as u8);
-                w.u8(res.gs_recovery as u8);
-            }
-            None => w.u8(0),
-        }
-        w.usize(self.adaptive.s_min);
-        w.usize(self.adaptive.s_max);
-        w.f64(self.adaptive.cond_grow);
-        w.f64(self.adaptive.cond_shrink);
-        w.f64(self.adaptive.cond_reject);
-        w.f64(self.adaptive.gap_tol);
-        w.f64(self.adaptive.drift_tol);
-        w.usize(self.adaptive.grow_patience);
-        w.usize(self.adaptive.min_ritz);
-        w.usize(self.adaptive.max_ritz);
-        w.f64(self.adaptive.margin);
-        match self.kill_at_reduce {
-            Some(n) => {
-                w.u8(1);
-                w.u64(n);
-            }
-            None => w.u8(0),
-        }
+        w.usizes(&ranking.offsets);
+        w.usize(problem.a.nrows());
+        w.usize(problem.a.ncols());
+        w.usizes(problem.a.row_ptr());
+        w.usizes(problem.a.col_idx());
+        w.f64s(problem.a.values());
+        w.f64s(problem.b);
+        encode_spec(&mut w, spec);
+        method.encode(&mut w);
+        let shipped = SolveOptions {
+            faults: ranking.plan.clone(),
+            resilience: ranking.resilience.clone(),
+            ..opts.clone()
+        };
+        shipped.encode(&mut w);
         w.into_bytes()
     }
 
-    fn decode(buf: &[u8]) -> Setup {
-        let mut r = WireReader::new(buf);
-        let proto = r.u64();
-        assert_eq!(proto, PROTO, "setup: protocol mismatch (stale spcg-rankd?)");
-        let s = Setup {
-            rank: r.usize(),
-            nranks: r.usize(),
-            offsets: r.usizes(),
-            nrows: r.usize(),
-            ncols: r.usize(),
-            row_ptr: r.usizes(),
-            col_idx: r.usizes(),
-            values: r.f64s(),
-            b: r.f64s(),
-            spec: decode_spec(&mut r),
-            method: decode_method(&mut r),
-            tol: r.f64(),
-            max_iters: r.usize(),
-            criterion: match r.u8() {
-                0 => StoppingCriterion::TrueResidual2Norm,
-                1 => StoppingCriterion::RecursiveResidual2Norm,
-                2 => StoppingCriterion::PrecondMNorm,
-                k => panic!("setup: unknown criterion {k}"),
-            },
-            divergence_factor: r.f64(),
-            stall_checks: r.usize(),
-            keep_history: r.u8() != 0,
-            residual_replacement: (r.u8() != 0).then(|| r.f64()),
-            threads: r.usize(),
-            overlap: r.u8() != 0,
-            format: match r.u8() {
-                0 => SparseFormat::Csr,
-                1 => SparseFormat::Sell,
-                k => panic!("setup: unknown sparse format {k}"),
-            },
-            trace_cap: (r.u8() != 0).then(|| r.usize()),
-            faults: (r.u8() != 0).then(|| (r.u64(), r.f64(), r.u8())),
-            resilience: (r.u8() != 0).then(|| Resilience {
-                max_restarts: r.usize(),
-                shrink_s: r.u8() != 0,
-                gs_recovery: r.u8() != 0,
-            }),
-            adaptive: AdaptivePolicy {
-                s_min: r.usize(),
-                s_max: r.usize(),
-                cond_grow: r.f64(),
-                cond_shrink: r.f64(),
-                cond_reject: r.f64(),
-                gap_tol: r.f64(),
-                drift_tol: r.f64(),
-                grow_patience: r.usize(),
-                min_ritz: r.usize(),
-                max_ritz: r.usize(),
-                margin: r.f64(),
-            },
-            kill_at_reduce: (r.u8() != 0).then(|| r.u64()),
-        };
-        assert!(r.is_done(), "setup: trailing bytes");
-        s
+    /// One rank's frame: the header, then the shared part.
+    fn encode(rank: usize, kill_at_reduce: Option<u64>, shared: &[u8]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u64(PROTO);
+        w.usize(rank);
+        w.option(kill_at_reduce, WireWriter::u64);
+        let mut frame = w.into_bytes();
+        frame.extend_from_slice(shared);
+        frame
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> WireResult<Setup> {
+        let proto = r.u64()?;
+        if proto != PROTO {
+            return Err(format!(
+                "protocol {proto}, expected {PROTO} (stale spcg-rankd?)"
+            ));
+        }
+        Ok(Setup {
+            rank: r.usize()?,
+            kill_at_reduce: r.option(WireReader::u64)?,
+            offsets: r.usizes()?,
+            a: CsrMatrix::from_raw(r.usize()?, r.usize()?, r.usizes()?, r.usizes()?, r.f64s()?),
+            b: r.f64s()?,
+            spec: decode_spec(r)?,
+            method: Method::decode(r)?,
+            opts: SolveOptions::decode(r)?,
+        })
     }
 }
 
-/// A worker's solve outcome, shipped back as the `RESULT` frame.
+/// A worker's `RESULT` frame.
 struct WorkerResult {
-    x_local: Vec<f64>,
-    outcome: Outcome,
-    iterations: usize,
-    history: Vec<(usize, f64)>,
-    counters: Counters,
-    restarts: usize,
-    s_schedule: Vec<usize>,
-    /// Adaptive controller report (`Some` exactly for `AdaptiveCaPcg`).
-    adaptive: Option<AdaptiveReport>,
-    /// Faults this worker's plan injected, per site in `FAULT_SITES`
-    /// order — credited into the parent plan via `record_remote`.
-    site_deltas: [u64; 5],
+    /// The rank's solve, as the resilient driver returned it.
+    res: SolveResult,
+    /// `PoisonReduce` faults this worker's plan injected — the one site that
+    /// fires on the worker — credited into the parent plan via
+    /// `record_remote`.
+    poisoned_reduces: u64,
     tracks: Vec<RawTrack>,
-}
-
-fn encode_counters(w: &mut WireWriter, c: &Counters) {
-    w.u64s(&[
-        c.spmv_count,
-        c.spmv_flops,
-        c.precond_count,
-        c.precond_flops,
-        c.global_collectives,
-        c.allreduce_words,
-        c.dot_count,
-        c.local_reduction_flops,
-        c.blas1_flops,
-        c.blas2_flops,
-        c.blas3_flops,
-        c.small_flops,
-        c.iterations,
-        c.outer_iterations,
-        c.halo_exchanges,
-        c.halo_words,
-        c.restarts,
-    ]);
-}
-
-fn decode_counters(r: &mut WireReader<'_>) -> Counters {
-    let v = r.u64s();
-    assert_eq!(v.len(), 17, "result: counter field count");
-    Counters {
-        spmv_count: v[0],
-        spmv_flops: v[1],
-        precond_count: v[2],
-        precond_flops: v[3],
-        global_collectives: v[4],
-        allreduce_words: v[5],
-        dot_count: v[6],
-        local_reduction_flops: v[7],
-        blas1_flops: v[8],
-        blas2_flops: v[9],
-        blas3_flops: v[10],
-        small_flops: v[11],
-        iterations: v[12],
-        outer_iterations: v[13],
-        halo_exchanges: v[14],
-        halo_words: v[15],
-        restarts: v[16],
-    }
 }
 
 impl WorkerResult {
     fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.f64s(&self.x_local);
-        match &self.outcome {
-            Outcome::Converged => w.u8(0),
-            Outcome::MaxIterations => w.u8(1),
-            Outcome::Diverged => w.u8(2),
-            Outcome::Stagnated => w.u8(3),
-            Outcome::Breakdown(msg) => {
-                w.u8(4);
-                w.str(msg);
-            }
-            // Ranked workers run plain solves, which never report a
-            // deadline; encoded anyway so the codec stays total.
-            Outcome::DeadlineExpired => w.u8(5),
-        }
-        w.usize(self.iterations);
-        w.usizes(&self.history.iter().map(|&(i, _)| i).collect::<Vec<_>>());
-        w.f64s(&self.history.iter().map(|&(_, v)| v).collect::<Vec<_>>());
-        encode_counters(&mut w, &self.counters);
-        w.usize(self.restarts);
-        w.usizes(&self.s_schedule);
-        match &self.adaptive {
-            Some(rep) => {
-                w.u8(1);
-                w.usize(rep.shift_history.len());
-                for u in &rep.shift_history {
-                    w.usize(u.iteration);
-                    w.str(&u.basis);
-                    w.f64(u.lambda_min);
-                    w.f64(u.lambda_max);
-                    w.usize(u.ritz_count);
-                }
-                w.f64s(&rep.ritz);
-            }
-            None => w.u8(0),
-        }
-        w.u64s(&self.site_deltas);
-        w.usize(self.tracks.len());
-        for t in &self.tracks {
-            w.usize(t.rank);
-            w.usize(t.thread);
-            w.u64(t.dropped);
-            w.usize(t.events.len());
-            for &(phase, begin, t_ns) in &t.events {
-                w.usize(phase);
-                w.u8(begin as u8);
-                w.u64(t_ns);
-            }
-        }
-        w.into_bytes()
-    }
-
-    fn decode(buf: &[u8]) -> WorkerResult {
-        let mut r = WireReader::new(buf);
-        let x_local = r.f64s();
-        let outcome = match r.u8() {
-            0 => Outcome::Converged,
-            1 => Outcome::MaxIterations,
-            2 => Outcome::Diverged,
-            3 => Outcome::Stagnated,
-            4 => Outcome::Breakdown(r.str()),
-            5 => Outcome::DeadlineExpired,
-            k => panic!("result: unknown outcome {k}"),
-        };
-        let iterations = r.usize();
-        let hist_iters = r.usizes();
-        let hist_vals = r.f64s();
-        assert_eq!(hist_iters.len(), hist_vals.len(), "result: history length");
-        let history = hist_iters.into_iter().zip(hist_vals).collect();
-        let counters = decode_counters(&mut r);
-        let restarts = r.usize();
-        let s_schedule = r.usizes();
-        let adaptive = (r.u8() != 0).then(|| {
-            let nshifts = r.usize();
-            let mut shift_history = Vec::with_capacity(nshifts);
-            for _ in 0..nshifts {
-                shift_history.push(ShiftUpdate {
-                    iteration: r.usize(),
-                    basis: r.str(),
-                    lambda_min: r.f64(),
-                    lambda_max: r.f64(),
-                    ritz_count: r.usize(),
-                });
-            }
-            AdaptiveReport {
-                shift_history,
-                ritz: r.f64s(),
-            }
-        });
-        let deltas = r.u64s();
-        assert_eq!(deltas.len(), 5, "result: fault site count");
-        let mut site_deltas = [0u64; 5];
-        site_deltas.copy_from_slice(&deltas);
-        let ntracks = r.usize();
-        let mut tracks = Vec::with_capacity(ntracks);
-        for _ in 0..ntracks {
-            let rank = r.usize();
-            let thread = r.usize();
-            let dropped = r.u64();
-            let nevents = r.usize();
-            let mut events = Vec::with_capacity(nevents);
-            for _ in 0..nevents {
-                events.push((r.usize(), r.u8() != 0, r.u64()));
-            }
-            tracks.push(RawTrack {
+        self.res.encode(&mut w);
+        w.u64(self.poisoned_reduces);
+        w.seq(&self.tracks, |w, track| {
+            let RawTrack {
                 rank,
                 thread,
                 events,
                 dropped,
+            } = track;
+            w.usize(*rank);
+            w.usize(*thread);
+            w.seq(events, |w, &(phase, begin, t_ns)| {
+                w.usize(phase);
+                w.bool(begin);
+                w.u64(t_ns);
             });
-        }
-        assert!(r.is_done(), "result: trailing bytes");
-        WorkerResult {
-            x_local,
-            outcome,
-            iterations,
-            history,
-            counters,
-            restarts,
-            s_schedule,
-            adaptive,
-            site_deltas,
-            tracks,
-        }
-    }
-}
-
-/// The `WANT` frame, a completion request: board, round, and the runs
-/// `(first board index, words)` whose words the `BOARD` reply must carry, in
-/// this order. A halo completion sends its [`GatherPlan`]'s runs; a snapshot
-/// is the single run `(0, n)`.
-struct Want {
-    board_id: usize,
-    round: u64,
-    runs: Vec<(usize, usize)>,
-}
-
-impl Want {
-    fn encode(board_id: u8, round: u64, runs: impl Iterator<Item = (usize, usize)>) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u8(board_id);
-        w.u64(round);
-        w.usizes(
-            &runs
-                .flat_map(|(start, len)| [start, len])
-                .collect::<Vec<_>>(),
-        );
+            w.u64(*dropped);
+        });
         w.into_bytes()
     }
 
-    /// Parses a request against a board of `n` words. Every run must lie
-    /// inside the board, and together they may ask for at most one board's
-    /// worth of words (ghost indices are distinct), which bounds the reply
-    /// the hub builds.
-    fn decode(payload: &[u8], n: usize) -> Result<Want, String> {
-        let mut r = WireReader::new(payload);
-        let board_id = r.u8() as usize;
-        let round = r.u64();
-        let flat = r.usizes();
-        if board_id >= 2 || flat.len() % 2 != 0 || !r.is_done() {
-            return Err(format!("malformed WANT for board {board_id}"));
-        }
-        let runs: Vec<(usize, usize)> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-        let mut total = 0usize;
-        for &(start, len) in &runs {
-            if !start.checked_add(len).is_some_and(|end| end <= n) {
-                return Err(format!(
-                    "WANT run [{start}, +{len}) leaves the {n}-word board"
-                ));
-            }
-            total += len;
-            if total > n {
-                return Err(format!("WANT asks for more than the {n}-word board"));
-            }
-        }
-        Ok(Want {
-            board_id,
-            round,
-            runs,
+    fn decode(r: &mut WireReader<'_>) -> WireResult<WorkerResult> {
+        Ok(WorkerResult {
+            res: SolveResult::decode(r)?,
+            poisoned_reduces: r.u64()?,
+            tracks: r.seq(|r| {
+                Ok(RawTrack {
+                    rank: r.usize()?,
+                    thread: r.usize()?,
+                    events: r.seq(|r| {
+                        let phase = r.usize()?;
+                        // `Tracer::import_raw` panics on an index it does
+                        // not know; refuse it here instead.
+                        if Phase::from_index(phase).is_none() {
+                            return Err(format!("unknown trace phase {phase}"));
+                        }
+                        Ok((phase, r.bool()?, r.u64()?))
+                    })?,
+                    dropped: r.u64()?,
+                })
+            })?,
         })
     }
 }
@@ -680,33 +313,44 @@ struct Link {
     reader: RefCell<BufReader<UnixStream>>,
     writer: RefCell<UnixStream>,
     rank: usize,
-    nranks: usize,
 }
 
 impl Link {
     fn send(&self, tag: u8, payload: &[u8]) {
-        write_frame(&mut *self.writer.borrow_mut(), tag, payload)
-            .unwrap_or_else(|e| panic!("rankd[{}]: hub write failed: {e}", self.rank));
+        if write_frame(&mut *self.writer.borrow_mut(), tag, payload).is_err() {
+            self.hub_is_gone();
+        }
     }
 
-    /// Reads the next frame, asserting it carries the awaited tag — the
-    /// protocol is strict request/reply, so anything else is a bug.
-    fn expect(&self, tag: u8) -> Vec<u8> {
-        let (got, payload) = read_frame(&mut *self.reader.borrow_mut())
-            .unwrap_or_else(|e| panic!("rankd[{}]: hub read failed: {e}", self.rank));
-        assert_eq!(
-            got, tag,
-            "rankd[{}]: expected frame tag {tag}, got {got}",
-            self.rank
-        );
-        payload
+    /// Reads the reply to the request just sent: a frame that must carry
+    /// `tag` — the protocol is strict request/reply — parsed by `get`.
+    ///
+    /// # Panics
+    /// Panics on any other frame. The hub is this program; a reply that
+    /// does not parse is a bug in it, and a worker that dies of it is a
+    /// rank death the hub knows how to report.
+    fn reply<T>(&self, tag: u8, get: impl FnOnce(&mut WireReader<'_>) -> WireResult<T>) -> T {
+        let Ok((got, payload)) = read_frame(&mut *self.reader.borrow_mut()) else {
+            self.hub_is_gone();
+        };
+        let rank = self.rank;
+        assert_eq!(got, tag, "rankd[{rank}]: expected frame tag {tag}");
+        WireReader::parse(&payload, get)
+            .unwrap_or_else(|e| panic!("rankd[{rank}]: malformed frame {tag}: {e}"))
+    }
+
+    /// The hub hung up: it died, or it aborted this world because another
+    /// rank did. Either way nobody is left to report to, so leave quietly.
+    fn hub_is_gone(&self) -> ! {
+        std::process::exit(4)
     }
 }
 
-/// [`Comm`] over the hub: barriers and rank-order-summed allreduces as
-/// single request/reply round trips.
+/// [`Comm`] over the hub: a barrier or an allreduce is one request/reply
+/// round trip to this rank's proxy, which performs it in the hub's group.
 struct ProcComm {
     link: Rc<Link>,
+    nranks: usize,
     /// Fault drill: die (without a word) just before performing allreduce
     /// number `n` — a *real* rank failure for the parent to detect.
     kill_at_reduce: Option<u64>,
@@ -719,13 +363,12 @@ impl Comm for ProcComm {
     }
 
     fn nranks(&self) -> usize {
-        self.link.nranks
+        self.nranks
     }
 
     fn barrier(&self) {
         self.link.send(TAG_BARRIER, &[]);
-        let reply = self.link.expect(TAG_BARRIER_OK);
-        assert!(reply.is_empty(), "barrier: unexpected payload");
+        self.link.reply(TAG_BARRIER_OK, |_| Ok(()));
     }
 
     fn allreduce_sum(&self, buf: &mut [f64]) {
@@ -733,61 +376,29 @@ impl Comm for ProcComm {
         self.reduces.set(seq + 1);
         if self.kill_at_reduce == Some(seq) {
             // Simulated hardware loss: no farewell frame, just a dead
-            // socket for the hub's reader to trip over.
+            // socket for the rank's proxy to trip over.
             std::process::exit(3);
         }
         let mut w = WireWriter::new();
         w.f64s(buf);
         self.link.send(TAG_REDUCE, &w.into_bytes());
-        let reply = self.link.expect(TAG_REDUCE_SUM);
-        let mut r = WireReader::new(&reply);
-        let sum = r.f64s();
-        assert_eq!(sum.len(), buf.len(), "allreduce: length mismatch");
-        buf.copy_from_slice(&sum);
+        self.link.reply(TAG_REDUCE_SUM, |r| r.f64s_into(buf));
     }
 }
 
-/// [`Exchange`] over the hub, mirroring `VectorBoard`'s observable
-/// behaviour: the same epoch asserts, the same `(site, salt, rank,
-/// round)` fault decision points in the same order, the same
-/// `ExchangePost`/`ExchangeWait` spans. A completion asks the hub for the
-/// runs of its [`GatherPlan`] and receives exactly those words.
+/// [`Exchange`] over the hub: a post ships the chunk, a completion asks for
+/// the runs of its [`GatherPlan`] and receives exactly those words. The
+/// rank's proxy does both on the hub's board, where the round sequencing
+/// and the fault sites live.
 struct ProcBoard {
     link: Rc<Link>,
     /// Which of the two hub boards this is (exchange seed vs `M⁻¹`-seed).
     board_id: u8,
-    offsets: Arc<Vec<usize>>,
-    /// Round this rank has posted (local view of the hub epoch).
-    published: Cell<u64>,
-    /// Round this rank has finished reading.
-    consumed: Cell<u64>,
-    faults: Option<FaultPlan>,
-    /// Fault-decision salt: 0 and 1, matching the thread backend's boards.
-    salt: u64,
+    offsets: Rc<Vec<usize>>,
 }
 
 impl ProcBoard {
-    fn new(
-        link: Rc<Link>,
-        board_id: u8,
-        offsets: Arc<Vec<usize>>,
-        faults: Option<FaultPlan>,
-    ) -> Self {
-        ProcBoard {
-            link,
-            board_id,
-            offsets,
-            published: Cell::new(0),
-            consumed: Cell::new(0),
-            faults,
-            salt: board_id as u64,
-        }
-    }
-
-    /// Completes the current round: request `runs` of the board and copy
-    /// the reply, which carries those words in order, into `out`. The hub
-    /// holds the reply until every rank has published the round, which is
-    /// exactly `VectorBoard`'s completion wait.
+    /// Completes the current round with the words of `runs`, in order.
     fn fetch(
         &self,
         runs: impl Iterator<Item = (usize, usize)>,
@@ -795,74 +406,34 @@ impl ProcBoard {
         track: Option<&Track>,
     ) {
         let _span = spcg_obs::span(track, Phase::ExchangeWait);
-        let me = self.link.rank;
-        let round = self.published.get();
-        assert_eq!(
-            self.consumed.get() + 1,
-            round,
-            "complete: rank {me} has not posted this round"
-        );
-        if self
-            .faults
-            .as_ref()
-            .map(|p| p.fire(spcg_dist::FaultSite::CompleteStall, self.salt, me, round))
-            .unwrap_or(false)
-        {
-            std::thread::sleep(spcg_dist::fault::STALL);
-        }
-        self.link
-            .send(TAG_WANT, &Want::encode(self.board_id, round, runs));
-        let reply = self.link.expect(TAG_BOARD);
-        let mut r = WireReader::new(&reply);
-        r.f64s_into(out);
-        assert!(r.is_done(), "complete: trailing bytes in board reply");
-        self.consumed.set(round);
+        self.link.send(TAG_WANT, &encode_want(self.board_id, runs));
+        self.link.reply(TAG_BOARD, |r| r.f64s_into(out));
     }
+}
+
+fn encode_want(board_id: u8, runs: impl Iterator<Item = (usize, usize)>) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(board_id);
+    w.seq(&runs.collect::<Vec<_>>(), |w, &(start, len)| {
+        w.usize(start);
+        w.usize(len);
+    });
+    w.into_bytes()
+}
+
+fn encode_post(board_id: u8, chunk: &[f64]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(board_id);
+    w.f64s(chunk);
+    w.into_bytes()
 }
 
 impl Exchange for ProcBoard {
     fn post(&self, chunk: &[f64], track: Option<&Track>) {
         let _span = spcg_obs::span(track, Phase::ExchangePost);
-        let me = self.link.rank;
-        let (lo, hi) = self.range(me);
+        let (lo, hi) = self.range(self.link.rank);
         assert_eq!(chunk.len(), hi - lo, "post: chunk length mismatch");
-        assert_eq!(
-            self.consumed.get(),
-            self.published.get(),
-            "post: previous round not completed on rank {me}"
-        );
-        let round = self.published.get() + 1;
-        // Same decision sequence as `VectorBoard::post`: poison the sent
-        // copy's last entry, stall before the publish, then optionally
-        // re-publish the identical payload. The hub's pending-post queue
-        // absorbs the duplicate idempotently.
-        let mut owned = chunk.to_vec();
-        let faults = self.faults.as_ref();
-        let poisoned = faults
-            .map(|p| p.fire(spcg_dist::FaultSite::PoisonHalo, self.salt, me, round))
-            .unwrap_or(false);
-        if poisoned && hi > lo {
-            *owned.last_mut().unwrap() = f64::NAN;
-        }
-        if faults
-            .map(|p| p.fire(spcg_dist::FaultSite::PostStall, self.salt, me, round))
-            .unwrap_or(false)
-        {
-            std::thread::sleep(spcg_dist::fault::STALL);
-        }
-        let mut w = WireWriter::new();
-        w.u8(self.board_id);
-        w.u64(round);
-        w.f64s(&owned);
-        let payload = w.into_bytes();
-        self.link.send(TAG_POST, &payload);
-        self.published.set(round);
-        if faults
-            .map(|p| p.fire(spcg_dist::FaultSite::PublishDuplicate, self.salt, me, round))
-            .unwrap_or(false)
-        {
-            self.link.send(TAG_POST, &payload);
-        }
+        self.link.send(TAG_POST, &encode_post(self.board_id, chunk));
     }
 
     fn complete_into(&self, plan: &GatherPlan, out: &mut [f64], track: Option<&Track>) {
@@ -905,109 +476,70 @@ pub fn worker_main() -> ! {
         .expect("usage: spcg-rankd <socket> <rank>");
     let stream =
         UnixStream::connect(&sock).unwrap_or_else(|e| panic!("rankd[{rank}]: connect {sock}: {e}"));
-    let mut reader = BufReader::new(stream.try_clone().expect("rankd: clone stream"));
+    let link = Rc::new(Link {
+        reader: RefCell::new(BufReader::new(
+            stream.try_clone().expect("rankd: clone stream"),
+        )),
+        writer: RefCell::new(stream),
+        rank,
+    });
     let mut hello = WireWriter::new();
     hello.u64(PROTO);
     hello.usize(rank);
-    write_frame(&mut &stream, TAG_HELLO, &hello.into_bytes()).expect("rankd: hello");
-    let (tag, payload) = read_frame(&mut reader).expect("rankd: setup read");
-    assert_eq!(
-        tag, TAG_SETUP,
-        "rankd[{rank}]: expected setup, got tag {tag}"
-    );
-    let setup = Setup::decode(&payload);
+    link.send(TAG_HELLO, &hello.into_bytes());
+    let setup = link.reply(TAG_SETUP, Setup::decode);
     assert_eq!(setup.rank, rank, "rankd[{rank}]: setup for wrong rank");
-    let link = Rc::new(Link {
-        reader: RefCell::new(reader),
-        writer: RefCell::new(stream),
-        rank,
-        nranks: setup.nranks,
-    });
-    let result = run_worker(&setup, Rc::clone(&link));
+    let result = run_worker(setup, Rc::clone(&link));
     link.send(TAG_RESULT, &result.encode());
     std::process::exit(0);
 }
 
 /// Runs one rank's solve against the hub — the process-backend twin of
 /// `run_ranked`'s per-rank closure.
-fn run_worker(setup: &Setup, link: Rc<Link>) -> WorkerResult {
-    let a = Arc::new(CsrMatrix::from_raw(
-        setup.nrows,
-        setup.ncols,
-        setup.row_ptr.clone(),
-        setup.col_idx.clone(),
-        setup.values.clone(),
-    ));
+fn run_worker(setup: Setup, link: Rc<Link>) -> WorkerResult {
+    let a = Arc::new(setup.a);
     let m = setup.spec.build(&a);
     let problem = Problem::new(&a, &*m, &setup.b);
-    let offsets = Arc::new(setup.offsets.clone());
-    let (lo, hi) = (offsets[setup.rank], offsets[setup.rank + 1]);
-    let plan = setup
-        .faults
-        .map(|(seed, rate, mask)| FaultPlan::new(seed, rate).with_sites_mask(mask));
-    let tracer = setup.trace_cap.map(Tracer::with_capacity);
-    let track = tracer.as_ref().map(|t| t.track(setup.rank));
-    // Built field by field from the Setup — never from `Default`, which
-    // would let the worker's environment bleed into the solve.
+    // The decoded tracer and fault plan are fresh handles, this process's
+    // own; the one field a worker overrides is the backend, since it *is*
+    // the proc backend's rank and must not try to spawn another.
     let opts = SolveOptions {
-        tol: setup.tol,
-        max_iters: setup.max_iters,
-        criterion: setup.criterion,
-        divergence_factor: setup.divergence_factor,
-        stall_checks: setup.stall_checks,
-        keep_history: setup.keep_history,
-        residual_replacement: setup.residual_replacement,
-        threads: setup.threads,
-        overlap: setup.overlap,
-        format: setup.format,
         backend: Backend::Thread,
-        trace: tracer.clone(),
-        faults: plan.clone(),
-        resilience: setup.resilience.clone(),
-        adaptive: setup.adaptive.clone(),
+        ..setup.opts
     };
-    let mpk_depth = setup.method.mpk_depth(&opts);
+    let track = opts.trace.as_ref().map(|t| t.track(setup.rank));
+    let offsets = Rc::new(setup.offsets);
+    let board = |board_id| {
+        Box::new(ProcBoard {
+            link: Rc::clone(&link),
+            board_id,
+            offsets: Rc::clone(&offsets),
+        })
+    };
     let comm = ProcComm {
         link: Rc::clone(&link),
+        nranks: offsets.len() - 1,
         kill_at_reduce: setup.kill_at_reduce,
         reduces: Cell::new(0),
     };
-    let board = ProcBoard::new(Rc::clone(&link), 0, Arc::clone(&offsets), plan.clone());
-    let board2 = ProcBoard::new(Rc::clone(&link), 1, Arc::clone(&offsets), plan.clone());
-    let mut exec = crate::engine::RankExec::new(
+    let mut exec = RankExec::new(
         &problem,
+        &setup.method,
+        &opts,
         Box::new(comm),
-        lo,
-        hi,
-        Box::new(board),
-        Box::new(board2),
-        mpk_depth,
-        setup.threads,
-        setup.overlap,
-        setup.format,
+        board(0),
+        board(1),
         track,
-        plan.clone(),
+        opts.faults.clone(),
     );
-    let res = solve_resilient(&setup.method, &mut exec, &opts, setup.resilience.as_ref());
+    let res = solve_resilient(&setup.method, &mut exec, &opts, opts.resilience.as_ref());
     drop(exec); // drains this rank's trace track into the tracer
-    let mut site_deltas = [0u64; 5];
-    if let Some(p) = &plan {
-        let counts = p.counts();
-        for (i, site) in FAULT_SITES.iter().enumerate() {
-            site_deltas[i] = counts.site(*site);
-        }
-    }
     WorkerResult {
-        x_local: res.x,
-        outcome: res.outcome,
-        iterations: res.iterations,
-        history: res.history,
-        counters: res.counters,
-        restarts: res.restarts,
-        s_schedule: res.s_schedule,
-        adaptive: res.adaptive,
-        site_deltas,
-        tracks: tracer.map(|t| t.raw_tracks()).unwrap_or_default(),
+        res,
+        poisoned_reduces: opts
+            .faults
+            .map_or(0, |p| p.counts().site(FaultSite::PoisonReduce)),
+        tracks: opts.trace.map(|t| t.raw_tracks()).unwrap_or_default(),
     }
 }
 
@@ -1036,37 +568,7 @@ pub fn rankd_path() -> Option<PathBuf> {
     None
 }
 
-/// Per-board exchange state the hub keeps on behalf of the world — the
-/// `VectorBoard` flags table, one socket hop away.
-struct HubBoard {
-    data: Vec<f64>,
-    published: Vec<u64>,
-    consumed: Vec<u64>,
-    /// Posts that arrived before every rank consumed the previous round.
-    pending_post: Vec<VecDeque<(u64, Vec<f64>)>>,
-    /// Completion requests awaiting the round's last publisher.
-    pending_want: Vec<Option<Want>>,
-}
-
-impl HubBoard {
-    fn new(n: usize, nranks: usize) -> Self {
-        HubBoard {
-            data: vec![0.0; n],
-            published: vec![0; nranks],
-            consumed: vec![0; nranks],
-            pending_post: vec![VecDeque::new(); nranks],
-            pending_want: (0..nranks).map(|_| None).collect(),
-        }
-    }
-}
-
-enum HubMsg {
-    Frame(usize, u8, Vec<u8>),
-    /// The rank's socket hit EOF or an error. Normal after its RESULT
-    /// frame; rank death before it.
-    Gone(usize),
-}
-
+#[derive(Debug)]
 enum WorldError {
     /// A rank died mid-solve — respawn the world.
     RankDied(usize),
@@ -1109,77 +611,160 @@ fn kill_directive() -> Option<(usize, u64)> {
     Some((rank.trim().parse().ok()?, nth.trim().parse().ok()?))
 }
 
-/// Applies every hub-side state transition that has become legal, to a
-/// fixpoint: posts whose previous round is fully consumed, completions
-/// whose round is fully published. Replies are written synchronously —
-/// the requesting worker is blocked reading them.
-fn drain_board(
-    board: &mut HubBoard,
+/// One rank's proxy in the hub: performs each of the worker's frames on the
+/// world's real communicator and boards, as that rank, until the worker
+/// ships its result. Blocks in those calls exactly as a thread rank would;
+/// a raised abort unwinds it out of them (see the module docs).
+fn proxy(
+    rank: usize,
+    mut stream: &UnixStream,
+    world: &World,
     offsets: &[usize],
-    writers: &mut [UnixStream],
-) -> Result<(), WorldError> {
-    let nranks = writers.len();
+) -> Result<WorkerResult, WorldError> {
+    let comm = world.group.rank_comm(rank);
+    let mut reader = BufReader::new(stream);
+    let mut chunk = vec![0.0; offsets[rank + 1] - offsets[rank]];
+    let mut halo = Vec::new();
     loop {
-        let mut progressed = false;
-        for r in 0..nranks {
-            if let Some(&(round, _)) = board.pending_post[r].front() {
-                let apply = if round == board.published[r] {
-                    // PublishDuplicate's second copy of an already-applied
-                    // round: identical payload, re-apply idempotently.
-                    true
-                } else {
-                    assert_eq!(
-                        round,
-                        board.published[r] + 1,
-                        "hub: rank {r} posted round {round} out of order"
-                    );
-                    board.consumed.iter().all(|&c| c + 1 >= round)
+        let (tag, payload) = read_frame(&mut reader).map_err(|e| match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                WorldError::Fatal(format!("hub: no frame from rank {rank} in {HUB_TIMEOUT:?}"))
+            }
+            ErrorKind::InvalidData => WorldError::Fatal(format!("hub: rank {rank}: {e}")),
+            // EOF or a reset before RESULT: the worker is gone.
+            _ => WorldError::RankDied(rank),
+        })?;
+        let malformed =
+            |e: String| WorldError::Fatal(format!("hub: rank {rank}: malformed frame {tag}: {e}"));
+        let board = |r: &mut WireReader<'_>| match r.u8()? {
+            0 => Ok(&world.board),
+            1 => Ok(&world.board2),
+            id => Err(format!("no board {id}")),
+        };
+        let mut reply = WireWriter::new();
+        let reply_tag = match tag {
+            TAG_POST => {
+                let post = |r: &mut WireReader<'_>| {
+                    let board = board(r)?;
+                    r.f64s_into(&mut chunk)?;
+                    Ok(board)
                 };
-                if apply {
-                    let (round, chunk) = board.pending_post[r].pop_front().unwrap();
-                    board.data[offsets[r]..offsets[r + 1]].copy_from_slice(&chunk);
-                    board.published[r] = board.published[r].max(round);
-                    progressed = true;
-                }
+                let board = WireReader::parse(&payload, post).map_err(malformed)?;
+                board.post_traced(&comm, &chunk, None);
+                continue;
             }
-        }
-        for r in 0..nranks {
-            let ready = board.pending_want[r]
-                .as_ref()
-                .is_some_and(|want| board.published.iter().all(|&p| p >= want.round));
-            if ready {
-                let Want { round, runs, .. } = board.pending_want[r].take().unwrap();
-                // The f64-sequence layout, written run by run.
-                let mut w = WireWriter::new();
-                w.usize(runs.iter().map(|&(_, len)| len).sum());
-                for (start, len) in runs {
-                    for &v in &board.data[start..start + len] {
-                        w.f64(v);
-                    }
-                }
-                write_frame(&mut writers[r], TAG_BOARD, &w.into_bytes())
-                    .map_err(|_| WorldError::RankDied(r))?;
-                // The reply *is* the consumption: the rank now holds
-                // everything it asked to gather from this round.
-                board.consumed[r] = round;
-                progressed = true;
+            TAG_WANT => {
+                let want = |r: &mut WireReader<'_>| {
+                    let board = board(r)?;
+                    let runs = r.seq(|r| Ok((r.usize()?, r.usize()?)))?;
+                    Ok((board, GatherPlan::from_runs(offsets, runs.into_iter())?))
+                };
+                let (board, plan) = WireReader::parse(&payload, want).map_err(malformed)?;
+                halo.resize(plan.words(), 0.0);
+                board.complete_into_traced(&comm, &plan, &mut halo, None);
+                reply.f64s(&halo);
+                TAG_BOARD
             }
-        }
-        if !progressed {
-            return Ok(());
-        }
+            TAG_BARRIER => {
+                WireReader::parse(&payload, |_| Ok(())).map_err(malformed)?;
+                comm.barrier();
+                TAG_BARRIER_OK
+            }
+            TAG_REDUCE => {
+                let mut buf = WireReader::parse(&payload, WireReader::f64s).map_err(malformed)?;
+                comm.try_allreduce_sum(&mut buf).map_err(malformed)?;
+                reply.f64s(&buf);
+                TAG_REDUCE_SUM
+            }
+            TAG_RESULT => {
+                let result =
+                    WireReader::parse(&payload, WorkerResult::decode).map_err(malformed)?;
+                if result.res.x.len() != chunk.len() {
+                    return Err(malformed("solution block of the wrong length".into()));
+                }
+                return Ok(result);
+            }
+            _ => return Err(malformed("not a worker frame".into())),
+        };
+        write_frame(&mut stream, reply_tag, &reply.into_bytes())
+            .map_err(|_| WorldError::RankDied(rank))?;
     }
 }
 
-/// Runs one world incarnation: spawn `spcg-rankd` per rank, feed Setups,
-/// relay exchanges/reductions until every rank ships its result.
+/// Runs the hub over connected, set-up workers: one proxy per stream, in
+/// `world`, until every rank has shipped its result or one is lost.
+fn serve(
+    world: &World,
+    offsets: &[usize],
+    streams: &[UnixStream],
+) -> Result<Vec<WorkerResult>, WorldError> {
+    let abort = world.group.abort();
+    let cause = Mutex::new(None);
+    // First cause wins, and is in place before the abort takes effect.
+    let lose = |e: WorldError| {
+        cause.lock().expect("cause lock").get_or_insert(e);
+        abort.raise();
+    };
+    // Proxies blocked in a read are not woken by the group or the boards.
+    let sockets: Vec<UnixStream> = streams
+        .iter()
+        .map(|s| {
+            s.set_read_timeout(Some(HUB_TIMEOUT))?;
+            s.try_clone()
+        })
+        .collect::<std::io::Result<_>>()
+        .map_err(|e| WorldError::Fatal(format!("hub socket: {e}")))?;
+    abort.on_raise(move || {
+        for socket in &sockets {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    });
+    let results = std::thread::scope(|scope| {
+        let proxies: Vec<_> = streams
+            .iter()
+            .enumerate()
+            .map(|(rank, stream)| {
+                let lose = &lose;
+                scope.spawn(move || {
+                    let served =
+                        catch_unwind(AssertUnwindSafe(|| proxy(rank, stream, world, offsets)));
+                    match served {
+                        Ok(Ok(result)) => return Some(result),
+                        Ok(Err(e)) => lose(e),
+                        // Unwound by the abort: somebody else has said why.
+                        Err(payload) if payload.is::<Aborted>() => {}
+                        // A frame sequence no rank would send (two posts in
+                        // a row) trips the board's own asserts; that is a
+                        // refusal too.
+                        Err(_) => lose(WorldError::Fatal(format!(
+                            "hub: the proxy of rank {rank} panicked"
+                        ))),
+                    }
+                    None
+                })
+            })
+            .collect();
+        let served = proxies.into_iter().map(|p| p.join());
+        served
+            .map(|result| result.expect("a proxy catches its own unwinds"))
+            .collect::<Option<Vec<_>>>()
+    });
+    match cause.into_inner().expect("cause lock") {
+        Some(e) => Err(e),
+        None => Ok(results.expect("no cause, so every proxy returned its result")),
+    }
+}
+
+/// Runs one world incarnation: spawn `spcg-rankd` per rank, feed Setups
+/// (the `shared` part with each rank's header, `kill_at_reduce[rank]` in
+/// it), serve the ranks until every one ships its result.
 fn run_world(
     rankd: &PathBuf,
-    setups: &[Setup],
-    offsets: &[usize],
+    ranking: &Ranking,
+    shared: Vec<u8>,
+    kill_at_reduce: &[Option<u64>],
 ) -> Result<Vec<WorkerResult>, WorldError> {
-    let nranks = setups.len();
-    let n = *offsets.last().unwrap();
+    let nranks = kill_at_reduce.len();
     let path = sock_path();
     let _cleanup = SockCleanup(path.clone());
     let listener = UnixListener::bind(&path)
@@ -1207,28 +792,23 @@ fn run_world(
     let mut poll = ACCEPT_POLL.0;
     while connected < nranks {
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
                 stream
                     .set_nonblocking(false)
                     .map_err(|e| WorldError::Fatal(format!("accept: {e}")))?;
-                let mut rdr = BufReader::new(
-                    stream
-                        .try_clone()
-                        .map_err(|e| WorldError::Fatal(format!("clone: {e}")))?,
-                );
-                let (tag, payload) =
-                    read_frame(&mut rdr).map_err(|e| WorldError::Fatal(format!("hello: {e}")))?;
+                // Unbuffered, so no byte past the Hello leaves the socket.
+                let (tag, payload) = read_frame(&mut stream)
+                    .map_err(|e| WorldError::Fatal(format!("hello: {e}")))?;
                 if tag != TAG_HELLO {
                     return Err(WorldError::Fatal(format!("expected hello, got tag {tag}")));
                 }
-                let mut r = WireReader::new(&payload);
-                let proto = r.u64();
+                let (proto, rank) = WireReader::parse(&payload, |r| Ok((r.u64()?, r.usize()?)))
+                    .map_err(|e| WorldError::Fatal(format!("hello: {e}")))?;
                 if proto != PROTO {
                     return Err(WorldError::Fatal(format!(
                         "spcg-rankd speaks protocol {proto}, parent speaks {PROTO} — rebuild"
                     )));
                 }
-                let rank = r.usize();
                 if rank >= nranks || streams[rank].is_some() {
                     return Err(WorldError::Fatal(format!("bogus hello from rank {rank}")));
                 }
@@ -1236,7 +816,7 @@ fn run_world(
                 connected += 1;
                 poll = ACCEPT_POLL.0;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 if Instant::now() > deadline {
                     return Err(WorldError::Fatal(format!(
                         "only {connected}/{nranks} workers connected within {CONNECT_TIMEOUT:?}"
@@ -1248,151 +828,15 @@ fn run_world(
             Err(e) => return Err(WorldError::Fatal(format!("accept: {e}"))),
         }
     }
-    let mut writers: Vec<UnixStream> = streams.into_iter().map(|s| s.unwrap()).collect();
+    let mut streams: Vec<UnixStream> = streams.into_iter().map(|s| s.unwrap()).collect();
 
-    for (rank, setup) in setups.iter().enumerate() {
-        write_frame(&mut writers[rank], TAG_SETUP, &setup.encode())
-            .map_err(|_| WorldError::RankDied(rank))?;
+    for (rank, stream) in streams.iter_mut().enumerate() {
+        let setup = Setup::encode(rank, kill_at_reduce[rank], &shared);
+        write_frame(stream, TAG_SETUP, &setup).map_err(|_| WorldError::RankDied(rank))?;
     }
-
-    let (tx, rx) = mpsc::channel::<HubMsg>();
-    let mut reader_handles = Vec::with_capacity(nranks);
-    for (rank, stream) in writers.iter().enumerate() {
-        let tx = tx.clone();
-        let mut rdr = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| WorldError::Fatal(format!("clone: {e}")))?,
-        );
-        reader_handles.push(std::thread::spawn(move || loop {
-            match read_frame(&mut rdr) {
-                Ok((tag, payload)) => {
-                    if tx.send(HubMsg::Frame(rank, tag, payload)).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => {
-                    let _ = tx.send(HubMsg::Gone(rank));
-                    return;
-                }
-            }
-        }));
-    }
-    drop(tx);
-
-    let hub = hub_loop(&rx, &mut writers, offsets, n, nranks);
-    // Readers exit on their own once the sockets close (reaper kills any
-    // stragglers when it drops); detach rather than block on a wedge.
-    drop(rx);
-    drop(reaper);
-    for h in reader_handles {
-        let _ = h.join();
-    }
-    hub
-}
-
-/// The hub's message loop: applies board/barrier/reduce transitions until
-/// every rank's RESULT has arrived.
-fn hub_loop(
-    rx: &mpsc::Receiver<HubMsg>,
-    writers: &mut [UnixStream],
-    offsets: &[usize],
-    n: usize,
-    nranks: usize,
-) -> Result<Vec<WorkerResult>, WorldError> {
-    let mut boards = [HubBoard::new(n, nranks), HubBoard::new(n, nranks)];
-    let mut barrier_in: Vec<bool> = vec![false; nranks];
-    let mut reduce_slots: Vec<Option<Vec<f64>>> = vec![None; nranks];
-    let mut results: Vec<Option<WorkerResult>> = (0..nranks).map(|_| None).collect();
-    let mut done = 0;
-    while done < nranks {
-        let msg = rx
-            .recv_timeout(HUB_TIMEOUT)
-            .map_err(|_| WorldError::Fatal(format!("hub: no worker message in {HUB_TIMEOUT:?}")))?;
-        match msg {
-            HubMsg::Gone(rank) => {
-                if results[rank].is_none() {
-                    return Err(WorldError::RankDied(rank));
-                }
-            }
-            HubMsg::Frame(rank, TAG_POST, payload) => {
-                let mut r = WireReader::new(&payload);
-                let board_id = r.u8() as usize;
-                let round = r.u64();
-                let chunk = r.f64s();
-                assert!(board_id < 2, "hub: bogus board id");
-                assert_eq!(
-                    chunk.len(),
-                    offsets[rank + 1] - offsets[rank],
-                    "hub: post chunk length"
-                );
-                boards[board_id].pending_post[rank].push_back((round, chunk));
-                drain_board(&mut boards[board_id], offsets, writers)?;
-            }
-            HubMsg::Frame(rank, TAG_WANT, payload) => {
-                let want = Want::decode(&payload, n)
-                    .map_err(|e| WorldError::Fatal(format!("hub: rank {rank}: {e}")))?;
-                let board = &mut boards[want.board_id];
-                assert!(
-                    board.pending_want[rank].is_none(),
-                    "hub: rank {rank} double-completed"
-                );
-                board.pending_want[rank] = Some(want);
-                drain_board(board, offsets, writers)?;
-            }
-            HubMsg::Frame(rank, TAG_BARRIER, _) => {
-                assert!(!barrier_in[rank], "hub: rank {rank} double-barriered");
-                barrier_in[rank] = true;
-                if barrier_in.iter().all(|&b| b) {
-                    for (r, w) in writers.iter_mut().enumerate() {
-                        write_frame(w, TAG_BARRIER_OK, &[]).map_err(|_| WorldError::RankDied(r))?;
-                    }
-                    barrier_in.iter_mut().for_each(|b| *b = false);
-                }
-            }
-            HubMsg::Frame(rank, TAG_REDUCE, payload) => {
-                let mut r = WireReader::new(&payload);
-                let slot = r.f64s();
-                assert!(
-                    reduce_slots[rank].is_none(),
-                    "hub: rank {rank} double-reduced"
-                );
-                reduce_slots[rank] = Some(slot);
-                if reduce_slots.iter().all(|s| s.is_some()) {
-                    let len = reduce_slots[0].as_ref().unwrap().len();
-                    // Zero + rank-order accumulation: bitwise identical to
-                    // ThreadComm::allreduce_sum for every arrival order.
-                    let mut sum = vec![0.0; len];
-                    for slot in reduce_slots.iter() {
-                        let slot = slot.as_ref().unwrap();
-                        assert_eq!(slot.len(), len, "hub: allreduce length mismatch");
-                        for (acc, v) in sum.iter_mut().zip(slot) {
-                            *acc += v;
-                        }
-                    }
-                    let mut w = WireWriter::new();
-                    w.f64s(&sum);
-                    let frame = w.into_bytes();
-                    for (r, wtr) in writers.iter_mut().enumerate() {
-                        write_frame(wtr, TAG_REDUCE_SUM, &frame)
-                            .map_err(|_| WorldError::RankDied(r))?;
-                    }
-                    reduce_slots.iter_mut().for_each(|s| *s = None);
-                }
-            }
-            HubMsg::Frame(rank, TAG_RESULT, payload) => {
-                assert!(results[rank].is_none(), "hub: rank {rank} double result");
-                results[rank] = Some(WorkerResult::decode(&payload));
-                done += 1;
-            }
-            HubMsg::Frame(rank, tag, _) => {
-                return Err(WorldError::Fatal(format!(
-                    "hub: unexpected frame tag {tag} from rank {rank}"
-                )));
-            }
-        }
-    }
-    Ok(results.into_iter().map(|r| r.unwrap()).collect())
+    // The matrix has been shipped; the solve need not hold a copy of it.
+    drop(shared);
+    serve(&ranking.world(), &ranking.offsets, &streams)
 }
 
 /// Runs `method` over `ranks` worker processes — the proc-backend twin of
@@ -1412,54 +856,21 @@ pub(crate) fn run_proc(
         )
     })?;
     let rankd = rankd_path().ok_or("spcg-rankd binary not found (set SPCG_RANKD or build it)")?;
-    let n = problem.n();
-    let part = BlockRowPartition::balanced(n, ranks);
-    let offsets: Vec<usize> = (0..=ranks)
-        .map(|p| if p == 0 { 0 } else { part.range(p - 1).1 })
-        .collect();
-    let plan = opts.faults.clone().filter(|p| p.active() && ranks > 1);
-    let resilience = opts
-        .resilience
-        .clone()
-        .or_else(|| plan.as_ref().map(|_| Resilience::default()));
-    let before = plan.as_ref().map(|p| p.counts());
+    let ranking = Ranking::new(problem.n(), ranks, opts);
     let kill = kill_directive();
 
     let mut incarnation = 0usize;
     let results = loop {
-        let setups: Vec<Setup> = (0..ranks)
-            .map(|rank| Setup {
-                rank,
-                nranks: ranks,
-                offsets: offsets.clone(),
-                nrows: problem.a.nrows(),
-                ncols: problem.a.ncols(),
-                row_ptr: problem.a.row_ptr().to_vec(),
-                col_idx: problem.a.col_idx().to_vec(),
-                values: problem.a.values().to_vec(),
-                b: problem.b.to_vec(),
-                spec: spec.clone(),
-                method: method.clone(),
-                tol: opts.tol,
-                max_iters: opts.max_iters,
-                criterion: opts.criterion,
-                divergence_factor: opts.divergence_factor,
-                stall_checks: opts.stall_checks,
-                keep_history: opts.keep_history,
-                residual_replacement: opts.residual_replacement,
-                threads: opts.threads,
-                overlap: opts.overlap,
-                format: opts.format,
-                trace_cap: opts.trace.as_ref().map(|t| t.capacity()),
-                faults: plan.as_ref().map(|p| (p.seed(), p.rate(), p.sites_mask())),
-                resilience: resilience.clone(),
-                adaptive: opts.adaptive.clone(),
-                kill_at_reduce: kill
-                    .filter(|&(target, _)| incarnation == 0 && target == rank)
-                    .map(|(_, nth)| nth),
+        let kill_at_reduce: Vec<Option<u64>> = (0..ranks)
+            .map(|rank| {
+                kill.filter(|&(target, _)| incarnation == 0 && target == rank)
+                    .map(|(_, nth)| nth)
             })
             .collect();
-        match run_world(&rankd, &setups, &offsets) {
+        // Encoded per incarnation and dropped once sent: a respawn is rare,
+        // a matrix-sized buffer held for the whole solve is not free.
+        let shared = Setup::encode_shared(&ranking, problem, &spec, method, opts);
+        match run_world(&rankd, &ranking, shared, &kill_at_reduce) {
             Ok(results) => break results,
             Err(WorldError::RankDied(rank)) => {
                 incarnation += 1;
@@ -1477,43 +888,17 @@ pub(crate) fn run_proc(
         }
     };
 
-    // Assemble exactly like `run_ranked`: x is the concatenation of the
-    // rank blocks, everything else comes from rank 0 (SPMD control flow
-    // makes every rank's view of the collective run identical).
-    let mut x = Vec::with_capacity(n);
-    for r in &results {
-        x.extend_from_slice(&r.x_local);
-    }
-    if let Some(tracer) = &opts.trace {
-        for r in &results {
-            for t in r.tracks.clone() {
-                tracer.import_raw(t);
-            }
+    let mut solves = Vec::with_capacity(ranks);
+    for worker in results {
+        if let Some(tracer) = &opts.trace {
+            worker.tracks.into_iter().for_each(|t| tracer.import_raw(t));
         }
-    }
-    if let Some(plan) = &plan {
-        for r in &results {
-            for (i, site) in FAULT_SITES.iter().enumerate() {
-                plan.record_remote(*site, r.site_deltas[i]);
-            }
+        if let Some(plan) = &ranking.plan {
+            plan.record_remote(FaultSite::PoisonReduce, worker.poisoned_reduces);
         }
+        solves.push(worker.res);
     }
-    let r0 = &results[0];
-    let mut out = SolveResult {
-        x,
-        outcome: r0.outcome.clone(),
-        iterations: r0.iterations,
-        history: r0.history.clone(),
-        counters: r0.counters.clone(),
-        collectives_per_rank: Some(r0.counters.global_collectives),
-        restarts: r0.restarts,
-        s_schedule: r0.s_schedule.clone(),
-        faults_absorbed: 0,
-        adaptive: r0.adaptive.clone(),
-    };
-    if let (Some(plan), Some(before)) = (&plan, &before) {
-        out.faults_absorbed = plan.counts().since(before).total();
-    }
+    let mut out = ranking.assemble(solves);
     // World respawns are restarts the driver took on the caller's behalf;
     // charge them like the resilience layer charges its own.
     out.restarts += incarnation;
@@ -1524,73 +909,456 @@ pub(crate) fn run_proc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::StoppingCriterion;
+    use crate::resilience::Resilience;
+    use spcg_adapt::AdaptivePolicy;
+    use spcg_basis::BasisType;
+    use spcg_dist::FaultPlan;
+    use spcg_obs::Tracer;
+    use spcg_sparse::generators::poisson::poisson_1d;
+    use spcg_sparse::SparseFormat;
+    use std::thread::JoinHandle;
 
-    fn want(runs: &[(usize, usize)]) -> Vec<u8> {
-        Want::encode(1, 7, runs.iter().copied())
+    type Served = JoinHandle<Result<Vec<WorkerResult>, WorldError>>;
+
+    /// How the hub ended, as the number of results or the error. The hub
+    /// never panics, whatever its workers send.
+    fn joined(served: Served) -> Result<usize, WorldError> {
+        let outcome = served.join().expect("the hub must not panic");
+        outcome.map(|results| results.len())
     }
 
+    /// A hub over socket pairs for 2 ranks of a 6-word board (3 words
+    /// each); the test plays the workers on the returned ends.
+    fn hub() -> (UnixStream, UnixStream, Served) {
+        let ranking = Ranking::new(6, 2, &SolveOptions::default().with_faults(None));
+        let (hub0, rank0) = UnixStream::pair().unwrap();
+        let (hub1, rank1) = UnixStream::pair().unwrap();
+        for end in [&rank0, &rank1] {
+            // A reply that never comes fails the test instead of hanging it.
+            end.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        }
+        let served =
+            std::thread::spawn(move || serve(&ranking.world(), &ranking.offsets, &[hub0, hub1]));
+        (rank0, rank1, served)
+    }
+
+    fn send(mut end: &UnixStream, tag: u8, payload: &[u8]) {
+        write_frame(&mut end, tag, payload).unwrap();
+    }
+
+    /// Reads a `BOARD` reply of exactly `words` words.
+    fn board_reply(mut end: &UnixStream, words: usize) -> Vec<f64> {
+        let (tag, reply) = read_frame(&mut end).unwrap();
+        assert_eq!(tag, TAG_BOARD);
+        assert_eq!(reply.len(), 8 + 8 * words, "the requested words only");
+        let mut halo = vec![0.0; words];
+        WireReader::parse(&reply, |r| r.f64s_into(&mut halo)).unwrap();
+        halo
+    }
+
+    fn want(runs: &[(usize, usize)]) -> Vec<u8> {
+        encode_want(0, runs.iter().copied())
+    }
+
+    /// What the worker-side board sends for a plan comes back as the plan's
+    /// gather of the published round; a snapshot is the whole board; and an
+    /// empty plan is an empty reply.
     #[test]
     fn want_roundtrips_a_plan_and_a_snapshot() {
-        let w = Want::decode(&want(&[(4, 2), (0, 1), (9, 1)]), 10).unwrap();
-        assert_eq!((w.board_id, w.round), (1, 7));
-        assert_eq!(w.runs, vec![(4, 2), (0, 1), (9, 1)]);
-        assert_eq!(Want::decode(&want(&[(0, 10)]), 10).unwrap().runs, [(0, 10)]);
-        assert!(Want::decode(&want(&[]), 10).unwrap().runs.is_empty());
+        let (rank0, rank1, served) = hub();
+        send(&rank0, TAG_POST, &encode_post(0, &[0.0, 1.0, 2.0]));
+        send(&rank1, TAG_POST, &encode_post(0, &[3.0, 4.0, 5.0]));
+        let plan = GatherPlan::build(&[0, 3, 6], &[4, 5, 3]);
+        send(&rank0, TAG_WANT, &encode_want(0, plan.runs()));
+        assert_eq!(board_reply(&rank0, 3), [4.0, 5.0, 3.0]);
+        send(&rank1, TAG_WANT, &want(&[(0, 6)]));
+        assert_eq!(board_reply(&rank1, 6), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        // The other board is its own round counter.
+        for end in [&rank0, &rank1] {
+            send(end, TAG_POST, &encode_post(1, &[7.0; 3]));
+            send(end, TAG_WANT, &encode_want(1, std::iter::empty()));
+            assert!(board_reply(end, 0).is_empty());
+        }
+        drop((rank0, rank1));
+        assert!(matches!(joined(served), Err(WorldError::RankDied(_))));
+    }
+
+    /// A completion is answered with the requested words only, in run
+    /// order, not before the round is fully published — and the reply is
+    /// the consumption that lets the next round be posted.
+    #[test]
+    fn hub_serves_the_requested_runs_of_a_published_round() {
+        let (rank0, rank1, served) = hub();
+        send(&rank0, TAG_POST, &encode_post(0, &[0.0, 1.0, 2.0]));
+        send(&rank0, TAG_WANT, &want(&[(5, 1), (3, 2)]));
+        // Rank 1 has not published: no reply may come. (A wait can only
+        // miss a wrong early reply, never invent one.)
+        rank0
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let early = read_frame(&mut &rank0).unwrap_err();
+        assert!(matches!(
+            early.kind(),
+            ErrorKind::WouldBlock | ErrorKind::TimedOut
+        ));
+        rank0
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        send(&rank1, TAG_POST, &encode_post(0, &[3.0, 4.0, 5.0]));
+        assert_eq!(board_reply(&rank0, 3), [5.0, 3.0, 4.0]);
+        // Round 2 can be published over round 1 only once both ranks have
+        // consumed it, and the hub learns of a consumption no other way
+        // than by having replied.
+        send(&rank1, TAG_WANT, &want(&[(0, 1)]));
+        assert_eq!(board_reply(&rank1, 1), [0.0]);
+        send(&rank1, TAG_POST, &encode_post(0, &[6.0, 7.0, 8.0]));
+        send(&rank0, TAG_POST, &encode_post(0, &[9.0, 10.0, 11.0]));
+        send(&rank0, TAG_WANT, &want(&[(3, 3)]));
+        assert_eq!(board_reply(&rank0, 3), [6.0, 7.0, 8.0]);
+        drop((rank0, rank1));
+        assert!(matches!(joined(served), Err(WorldError::RankDied(_))));
+    }
+
+    /// Sends `frame` from rank 1 while rank 0's proxy waits in a barrier
+    /// for it: the hub must refuse the world — no panic, the waiting proxy
+    /// unblocked (the hub returned at all).
+    fn assert_refused(what: &str, tag: u8, payload: &[u8]) {
+        let (rank0, rank1, served) = hub();
+        send(&rank0, TAG_BARRIER, &[]);
+        send(&rank1, tag, payload);
+        match joined(served) {
+            Err(WorldError::Fatal(msg)) => assert!(msg.contains("rank 1"), "{what}: {msg}"),
+            other => panic!("{what}: expected a refusal, got {other:?}"),
+        }
+        drop((rank0, rank1));
     }
 
     #[test]
     fn want_outside_the_board_is_rejected() {
         for bad in [
-            &[(10, 1)][..],     // starts past the end
-            &[(8, 3)],          // overlaps the end
+            &[(6, 1)][..],      // starts past the end
+            &[(4, 3)],          // overlaps the end
             &[(usize::MAX, 2)], // start + len overflows
-            &[(0, 10), (3, 1)], // more than one board of words
+            &[(0, 6), (3, 1)],  // more than one board of words
         ] {
-            assert!(Want::decode(&want(bad), 10).is_err(), "{bad:?}");
+            assert_refused(&format!("{bad:?}"), TAG_WANT, &want(bad));
         }
-        // An odd-length run list and a board the hub does not have.
-        let mut odd = WireWriter::new();
-        odd.u8(0);
-        odd.u64(1);
-        odd.usizes(&[0, 1, 2]);
-        assert!(Want::decode(&odd.into_bytes(), 10).is_err());
-        assert!(Want::decode(&Want::encode(2, 1, std::iter::empty()), 10).is_err());
+        // A board the hub does not have, and half a run.
+        let board2 = encode_want(2, std::iter::empty());
+        assert_refused("board 2", TAG_WANT, &board2);
+        let whole = want(&[(0, 1)]);
+        assert_refused("half a run", TAG_WANT, &whole[..whole.len() - 8]);
     }
 
-    /// The hub answers a completion with the requested words only, in run
-    /// order, once the round is fully published — and not before.
-    #[test]
-    fn hub_replies_with_the_requested_runs() {
-        let offsets = [0, 3, 6];
-        let mut board = HubBoard::new(6, 2);
-        let (hub0, mut rank0) = UnixStream::pair().unwrap();
-        let (hub1, _rank1) = UnixStream::pair().unwrap();
-        let mut writers = [hub0, hub1];
-        rank0.set_nonblocking(true).unwrap();
+    /// A sequence count far beyond the payload, after `head`.
+    fn oversized_count(head: &[u8]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.u64(u64::MAX >> 4);
+        w.f64(1.0);
+        [head, &w.into_bytes()].concat()
+    }
 
-        board.pending_post[0].push_back((1, vec![0.0, 1.0, 2.0]));
-        let request = Want::encode(0, 1, [(5, 1), (3, 2)].into_iter());
-        board.pending_want[0] = Some(Want::decode(&request, 6).unwrap());
-        assert!(drain_board(&mut board, &offsets, &mut writers).is_ok());
-        let early = read_frame(&mut rank0).unwrap_err();
-        assert_eq!(early.kind(), std::io::ErrorKind::WouldBlock);
-        assert_eq!(board.consumed, [0, 0]);
-
-        board.pending_post[1].push_back((1, vec![3.0, 4.0, 5.0]));
-        assert!(drain_board(&mut board, &offsets, &mut writers).is_ok());
-        rank0.set_nonblocking(false).unwrap();
-        let (tag, reply) = read_frame(&mut rank0).unwrap();
-        assert_eq!(tag, TAG_BOARD);
-        assert_eq!(
-            reply.len(),
-            8 + 3 * 8,
-            "three words, not the six-word board"
+    fn result_frame(edit: impl FnOnce(&mut WorkerResult)) -> Vec<u8> {
+        let res = SolveResult::new(
+            vec![0.0; 3],
+            crate::Outcome::Converged,
+            1,
+            vec![],
+            Default::default(),
         );
-        let mut halo = [0.0; 3];
-        WireReader::new(&reply).f64s_into(&mut halo);
-        assert_eq!(halo, [5.0, 3.0, 4.0]);
-        // The reply is the consumption.
-        assert_eq!(board.consumed, [1, 0]);
-        assert!(board.pending_want[0].is_none());
+        let mut result = WorkerResult {
+            res,
+            poisoned_reduces: 0,
+            tracks: vec![RawTrack {
+                rank: 1,
+                thread: 0,
+                events: vec![(0, true, 5)],
+                dropped: 0,
+            }],
+        };
+        edit(&mut result);
+        result.encode()
+    }
+
+    #[test]
+    fn malformed_worker_frames_refuse_the_world() {
+        let post = encode_post(0, &[1.0, 2.0, 3.0]);
+        assert_refused("truncated POST", TAG_POST, &post[..post.len() - 1]);
+        assert_refused("oversized POST", TAG_POST, &oversized_count(&[0]));
+        assert_refused("short POST", TAG_POST, &encode_post(0, &[1.0, 2.0]));
+        assert_refused("long POST", TAG_POST, &[&post[..], &[0]].concat());
+        assert_refused("POST to board 2", TAG_POST, &encode_post(2, &[1.0; 3]));
+        assert_refused("oversized WANT", TAG_WANT, &oversized_count(&[0]));
+        assert_refused("BARRIER with a payload", TAG_BARRIER, &[0]);
+
+        let mut reduce = WireWriter::new();
+        reduce.f64s(&[1.0, 2.0]);
+        let reduce = reduce.into_bytes();
+        assert_refused("truncated REDUCE", TAG_REDUCE, &reduce[..reduce.len() - 1]);
+        assert_refused("oversized REDUCE", TAG_REDUCE, &oversized_count(&[]));
+
+        let good = result_frame(|_| {});
+        assert_refused("truncated RESULT", TAG_RESULT, &good[..good.len() - 1]);
+        assert_refused("oversized RESULT", TAG_RESULT, &oversized_count(&[]));
+        assert_refused(
+            "RESULT with trailing bytes",
+            TAG_RESULT,
+            &[&good[..], &[0]].concat(),
+        );
+        let wrong_block = result_frame(|r| r.res.x.push(0.0));
+        assert_refused("RESULT of 4 rows for 3", TAG_RESULT, &wrong_block);
+        let phase = result_frame(|r| r.tracks[0].events[0].0 = usize::MAX);
+        assert_refused("RESULT with an unknown phase", TAG_RESULT, &phase);
+        // The outcome kind is the byte after the 3-word solution block.
+        let mut outcome = good.clone();
+        outcome[8 + 3 * 8] = 9;
+        assert_refused("RESULT with an unknown outcome", TAG_RESULT, &outcome);
+
+        assert_refused("an unknown tag", 99, &[]);
+        assert_refused("a hub → worker tag", TAG_BOARD, &[]);
+    }
+
+    /// Contributions of different lengths — each frame well-formed on its
+    /// own — are refused by both proxies, after the barrier, without the
+    /// panic the thread backend's `allreduce_sum` has for it.
+    #[test]
+    fn mismatched_reduce_lengths_refuse_the_world() {
+        let (rank0, rank1, served) = hub();
+        for (end, words) in [(&rank0, 1), (&rank1, 2)] {
+            let mut w = WireWriter::new();
+            w.f64s(&vec![1.0; words]);
+            send(end, TAG_REDUCE, &w.into_bytes());
+        }
+        match joined(served) {
+            Err(WorldError::Fatal(msg)) => assert!(msg.contains("length mismatch"), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    /// A worker that dies is reported as dead — not as whatever its peers'
+    /// sockets say once the hub shuts them down — and at once: the peer's
+    /// proxy, parked in a collective the dead rank will never join, is
+    /// unwound rather than waited for.
+    #[test]
+    fn dead_worker_is_reported_promptly() {
+        let (rank0, rank1, served) = hub();
+        let mut reduce = WireWriter::new();
+        reduce.f64s(&[1.0]);
+        send(&rank0, TAG_REDUCE, &reduce.into_bytes());
+        // Give proxy 0 time to be inside the collective (either side of
+        // that race must end the same way; this exercises the parked one).
+        std::thread::sleep(Duration::from_millis(20));
+        let eof = Instant::now();
+        drop(rank1);
+        let outcome = joined(served);
+        let took = eof.elapsed();
+        assert!(
+            matches!(outcome, Err(WorldError::RankDied(1))),
+            "{outcome:?}"
+        );
+        assert!(took < Duration::from_millis(100), "hub took {took:?}");
+        // The hub hung up on the survivor.
+        assert!(read_frame(&mut &rank0).is_err());
+    }
+
+    fn assert_same_options(a: &SolveOptions, b: &SolveOptions) {
+        // Exhaustive on both sides: a new field must be compared too.
+        let SolveOptions {
+            tol,
+            max_iters,
+            criterion,
+            divergence_factor,
+            stall_checks,
+            keep_history,
+            residual_replacement,
+            threads,
+            overlap,
+            format,
+            backend,
+            trace,
+            faults,
+            resilience,
+            adaptive,
+        } = a;
+        assert_eq!(tol.to_bits(), b.tol.to_bits());
+        assert_eq!(*max_iters, b.max_iters);
+        assert_eq!(*criterion, b.criterion);
+        assert_eq!(divergence_factor.to_bits(), b.divergence_factor.to_bits());
+        assert_eq!(*stall_checks, b.stall_checks);
+        assert_eq!(*keep_history, b.keep_history);
+        assert_eq!(
+            residual_replacement.map(f64::to_bits),
+            b.residual_replacement.map(f64::to_bits)
+        );
+        assert_eq!(*threads, b.threads);
+        assert_eq!(*overlap, b.overlap);
+        assert_eq!(*format, b.format);
+        assert_eq!(*backend, b.backend);
+        let capacity = |t: &Option<Tracer>| t.as_ref().map(Tracer::capacity);
+        assert_eq!(capacity(trace), capacity(&b.trace));
+        let plan = |p: &Option<FaultPlan>| {
+            p.as_ref()
+                .map(|p| (p.seed(), p.rate().to_bits(), p.sites_mask()))
+        };
+        assert_eq!(plan(faults), plan(&b.faults));
+        assert_eq!(*resilience, b.resilience);
+        let AdaptivePolicy {
+            s_min,
+            s_max,
+            cond_grow,
+            cond_shrink,
+            cond_reject,
+            gap_tol,
+            drift_tol,
+            grow_patience,
+            min_ritz,
+            max_ritz,
+            margin,
+        } = adaptive;
+        let theirs = &b.adaptive;
+        assert_eq!(
+            [*s_min, *s_max, *grow_patience, *min_ritz, *max_ritz],
+            [
+                theirs.s_min,
+                theirs.s_max,
+                theirs.grow_patience,
+                theirs.min_ritz,
+                theirs.max_ritz
+            ]
+        );
+        assert_eq!(
+            [
+                *cond_grow,
+                *cond_shrink,
+                *cond_reject,
+                *gap_tol,
+                *drift_tol,
+                *margin
+            ]
+            .map(f64::to_bits),
+            [
+                theirs.cond_grow,
+                theirs.cond_shrink,
+                theirs.cond_reject,
+                theirs.gap_tol,
+                theirs.drift_tol,
+                theirs.margin
+            ]
+            .map(f64::to_bits)
+        );
+    }
+
+    /// The Setup frame carries `Method` and `SolveOptions` whole: every
+    /// method × options that differ from the default in every field × every
+    /// preconditioner recipe comes back as it went in.
+    #[test]
+    fn setup_roundtrips_every_method_option_and_preconditioner() {
+        let a = poisson_1d(6);
+        let b: Vec<f64> = (0..6).map(|i| 0.5 - i as f64).collect();
+        let m = spcg_precond::Jacobi::new(&a);
+        let problem = Problem::new(&a, &m, &b);
+        let cheb = BasisType::Chebyshev {
+            lambda_min: 0.125,
+            lambda_max: 1.875,
+        };
+        let newton = BasisType::Newton {
+            shifts: vec![0.5, -0.0, 1.5],
+        };
+        let methods = [
+            Method::Pcg,
+            Method::Pcg3,
+            Method::SPcg {
+                s: 4,
+                basis: cheb.clone(),
+            },
+            Method::SPcgMon { s: 5 },
+            Method::CaPcg {
+                s: 6,
+                basis: newton,
+            },
+            Method::CaPcg3 {
+                s: 7,
+                basis: BasisType::Monomial,
+            },
+            Method::AdaptiveCaPcg {
+                s: 8,
+                basis: cheb.clone(),
+            },
+            Method::CaPcgGs { s: 9, basis: cheb },
+            Method::EkCg { t: 3 },
+        ];
+        let specs = [
+            PrecondSpec::Identity { n: 6 },
+            PrecondSpec::Jacobi {
+                inv_diag: vec![0.5, 0.25, -0.0, 1e-300, 3.0, 7.0],
+            },
+            PrecondSpec::BlockJacobi { block: 3 },
+            PrecondSpec::Chebyshev {
+                degree: 3,
+                lo: 0.05,
+                hi: 8.0,
+            },
+            PrecondSpec::Ssor { omega: 1.2 },
+            PrecondSpec::Ic0,
+        ];
+        let opts = SolveOptions {
+            tol: 3e-7,
+            max_iters: 321,
+            criterion: StoppingCriterion::PrecondMNorm,
+            divergence_factor: 1.5e6,
+            stall_checks: 17,
+            keep_history: true,
+            residual_replacement: Some(0.125),
+            threads: 3,
+            overlap: false,
+            format: SparseFormat::Sell,
+            backend: Backend::Proc,
+            trace: Some(Tracer::with_capacity(777)),
+            faults: Some(FaultPlan::new(9, 0.25).with_sites_mask(0b10101)),
+            resilience: Some(Resilience {
+                max_restarts: 7,
+                shrink_s: false,
+                gs_recovery: false,
+            }),
+            adaptive: AdaptivePolicy {
+                s_min: 3,
+                s_max: 11,
+                cond_grow: 1.5e3,
+                cond_shrink: 2.5e6,
+                cond_reject: 3.5e9,
+                gap_tol: 0.375,
+                drift_tol: 0.625,
+                grow_patience: 5,
+                min_ritz: 6,
+                max_ritz: 33,
+                margin: 0.0625,
+            },
+        };
+        let ranking = Ranking::new(6, 2, &opts);
+        for method in &methods {
+            for spec in &specs {
+                let shared = Setup::encode_shared(&ranking, &problem, spec, method, &opts);
+                let frame = Setup::encode(1, Some(4), &shared);
+                let setup = WireReader::parse(&frame, Setup::decode).unwrap();
+                assert_eq!((setup.rank, setup.kill_at_reduce), (1, Some(4)));
+                assert_eq!(setup.offsets, [0, 3, 6]);
+                assert_eq!(setup.a.row_ptr(), a.row_ptr());
+                assert_eq!(setup.a.col_idx(), a.col_idx());
+                assert_eq!(setup.a.values(), a.values());
+                assert_eq!(setup.b, b);
+                assert_eq!(&setup.spec, spec);
+                assert_eq!(&setup.method, method);
+                assert_same_options(&setup.opts, &opts);
+                // Not one byte of the frame is optional.
+                let cut = WireReader::parse(&frame[..frame.len() - 1], Setup::decode);
+                assert!(cut.is_err());
+            }
+        }
+        // A stale worker is refused by version, before anything is parsed.
+        let mut stale = Setup::encode(0, None, &[]);
+        stale[0] ^= 1;
+        let err = WireReader::parse(&stale, Setup::decode).err().unwrap();
+        assert!(err.contains("stale spcg-rankd"), "{err}");
     }
 }

@@ -34,6 +34,7 @@ use crate::method::Method;
 use crate::options::{Outcome, SolveOptions, SolveResult};
 use spcg_adapt::AdaptiveReport;
 use spcg_basis::poly::BasisParams;
+use spcg_dist::wire::{WireReader, WireResult, WireWriter};
 use spcg_dist::Counters;
 use spcg_obs::{Phase, Track};
 use spcg_sparse::{MultiVector, ParKernels};
@@ -78,6 +79,28 @@ impl Default for Resilience {
 }
 
 impl Resilience {
+    /// Appends the policy to a proc-backend frame; exhaustive destructuring,
+    /// like [`SolveOptions::encode`].
+    pub fn encode(&self, w: &mut WireWriter) {
+        let Resilience {
+            max_restarts,
+            shrink_s,
+            gs_recovery,
+        } = self;
+        w.usize(*max_restarts);
+        w.bool(*shrink_s);
+        w.bool(*gs_recovery);
+    }
+
+    /// Reads what [`Resilience::encode`] wrote.
+    pub fn decode(r: &mut WireReader<'_>) -> WireResult<Resilience> {
+        Ok(Resilience {
+            max_restarts: r.usize()?,
+            shrink_s: r.bool()?,
+            gs_recovery: r.bool()?,
+        })
+    }
+
     /// Builder-style restart cap.
     pub fn with_max_restarts(mut self, max_restarts: usize) -> Self {
         self.max_restarts = max_restarts;

@@ -138,7 +138,10 @@ fn capcg_gs_survives_monomial_high_s_where_cholesky_breaks_down() {
 }
 
 fn assert_ranked_family_matches_serial(method: &Method, problem: &Problem<'_>) {
-    let opts = SolveOptions::default().with_tol(1e-8);
+    // Serial solves never inject, so iteration parity with them is a claim
+    // about clean ranked solves: an armed `SPCG_FAULTS` would charge the
+    // ranked side its recovery stages.
+    let opts = SolveOptions::default().with_tol(1e-8).with_faults(None);
     let serial = solve(method, problem, &opts, Engine::Serial);
     assert!(
         serial.converged(),
