@@ -30,6 +30,9 @@
 //! the sliced format exists to beat CSR, and a ratio collapse means the
 //! unrolled kernel regressed (or the build lost its SIMD path).
 //!
+//! The Gram kernel has the same kind of gate against the same run's
+//! `sstep_block_update` leg ([`GRAM_MIN_RATIO`]).
+//!
 //! A kernels sweep also carries the `allreduce` row (median µs of one
 //! thread-transport collective per rank count and payload): it must be
 //! present and positive in the fresh file, and wherever the baseline has it
@@ -76,6 +79,14 @@ const CALIB_RANGES: [(&str, f64, f64); 3] = [
 /// means the SELL kernel lost its bandwidth/ILP advantage.
 const SELL_MIN_RATIO: f64 = 1.5;
 
+/// Minimum fresh single-thread `gram_fused[0] / sstep_block_update[0]`
+/// ratio. Both kernels run on the register-tile primitives of
+/// `spcg_sparse::tile`; the Gram product does two FLOPs per loaded operand
+/// pair and stores nothing, so it must not be the slower one (reference
+/// runner: 17–19 against 9–12 Gflop/s; before it was tiled, 6–7). Under
+/// 1× means its tile fell out of L1 or lost its AVX2 body.
+const GRAM_MIN_RATIO: f64 = 1.0;
+
 /// Pairwise noise slack on the service GF/s curve: each step from one
 /// batch width to the next may dip to this fraction of its predecessor
 /// before the check fails. The end-to-end k=1 → k=8 comparison gets no
@@ -115,7 +126,14 @@ fn main() -> ExitCode {
         match (load(fresh_path), load(base_path)) {
             (Ok(fresh), Ok(base)) => {
                 compare(&base, &fresh, "$", false, &mut errors);
-                check_sell_gate(&fresh, &mut errors);
+                check_ratio_gate(&fresh, "spmv_sell", "spmv", SELL_MIN_RATIO, &mut errors);
+                check_ratio_gate(
+                    &fresh,
+                    "gram_fused",
+                    "sstep_block_update",
+                    GRAM_MIN_RATIO,
+                    &mut errors,
+                );
                 check_kernels_gate(&fresh, &mut errors);
                 check_allreduce_gate(&base, &fresh, &mut errors);
                 check_service_gate(&fresh, &mut errors);
@@ -200,12 +218,19 @@ fn compare(base: &Value, fresh: &Value, path: &str, in_gflops: bool, errors: &mu
     }
 }
 
-/// The SELL format gate on a fresh result file: wherever a `gflops`
-/// object reports a CSR `spmv`, it must also report `spmv_sell`, and the
-/// single-thread (first-entry) ratio must reach [`SELL_MIN_RATIO`]. This
-/// is a check on the fresh file alone — a baseline predating the SELL
-/// format must not grandfather its absence.
-fn check_sell_gate(fresh: &Value, errors: &mut Vec<String>) {
+/// A same-run ratio gate on a fresh result file: wherever a `gflops`
+/// object reports the leg `base`, it must also report `leg`, and the
+/// single-thread (first-entry) ratio `leg / base` must reach `min_ratio`.
+/// This is a check on the fresh file alone — a baseline predating the leg
+/// must not grandfather its absence — and on one run alone, so machines
+/// and quick-mode grids cancel out.
+fn check_ratio_gate(
+    fresh: &Value,
+    leg: &str,
+    base: &str,
+    min_ratio: f64,
+    errors: &mut Vec<String>,
+) {
     let Some(gflops) = fresh.get("gflops") else {
         return;
     };
@@ -218,16 +243,18 @@ fn check_sell_gate(fresh: &Value, errors: &mut Vec<String>) {
             _ => None,
         }
     };
-    let Some(csr) = first("spmv") else {
+    let Some(den) = first(base) else {
         return;
     };
-    let Some(sell) = first("spmv_sell") else {
-        errors.push("$.gflops.spmv_sell: missing SELL leg in fresh output".to_string());
-        return;
-    };
-    if !(csr > 0.0) || !(sell / csr >= SELL_MIN_RATIO) {
+    let Some(num) = first(leg) else {
         errors.push(format!(
-            "$.gflops.spmv_sell[0]: SELL/CSR single-thread ratio {sell}/{csr} below {SELL_MIN_RATIO}x"
+            "$.gflops.{leg}: leg missing from fresh output beside {base}"
+        ));
+        return;
+    };
+    if !(den > 0.0) || !(num / den >= min_ratio) {
+        errors.push(format!(
+            "$.gflops.{leg}[0]: single-thread ratio to {base} {num}/{den} below {min_ratio}x"
         ));
     }
 }
@@ -235,7 +262,7 @@ fn check_sell_gate(fresh: &Value, errors: &mut Vec<String>) {
 /// The kernels-sweep gate on a fresh result file: a `gflops` object that
 /// reports the `spmv` leg marks a kernel sweep, which must then carry a
 /// top-level `nproc` field and one `speedup_vs_1_thread` array per
-/// `gflops` leg. Fresh-file-only, like the SELL gate — older baselines
+/// `gflops` leg. Fresh-file-only, like the ratio gates — older baselines
 /// must not grandfather the missing fields.
 fn check_kernels_gate(fresh: &Value, errors: &mut Vec<String>) {
     let Some(gflops) = fresh.get("gflops") else {

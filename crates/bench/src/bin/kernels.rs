@@ -1,6 +1,9 @@
 //! Kernel throughput sweep for the intra-rank parallel layer: SpMV, the
-//! fused tall-skinny Gram product, and the blocked s-step update, each at
-//! thread counts 1–8 on a 7-point 3D Poisson matrix. Emits
+//! fused tall-skinny Gram product (CA-PCG's square `(2s+1)²` self-product
+//! as `gram_fused`, and the stacked `[U|P]ᵀS` of an sPCG block — `10 × 6`
+//! at s = 5, `20 × 11` at s = 10 — as `gram_stacked_s5`/`_s10`), and the
+//! blocked s-step update, each at thread counts 1–8 on a 7-point 3D
+//! Poisson matrix. Emits
 //! `BENCH_kernels.json` (GFLOP/s per kernel per thread count, plus the
 //! speedup over one thread, plus the `allreduce` row: median µs of one
 //! thread-transport collective at 2 and 4 ranks × 1, 121 and 441 words —
@@ -37,6 +40,7 @@ use spcg_dist::executor::run_ranks;
 use spcg_dist::{Counters, ThreadComm, VectorBoard};
 use spcg_obs::{Phase, Tracer};
 use spcg_precond::Jacobi;
+use spcg_solvers::blockops::gram_stacked;
 use spcg_sparse::generators::poisson::poisson_3d;
 use spcg_sparse::partition::BlockRowPartition;
 use spcg_sparse::{CsrMatrix, DenseMat, MultiVector, ParKernels, SparseFormat, SstepBlock};
@@ -59,6 +63,8 @@ const MPK_FUSED_THREAD: usize = 4;
 const MPK_LEVEL_THREAD: usize = 5;
 /// Pseudo-thread id of the fused s-step block update.
 const SSTEP_THREAD: usize = 6;
+/// Pseudo-thread ids and `s` of the stacked `[U|P]ᵀS` Gram legs.
+const STACKED: [(usize, usize); 2] = [(7, 5), (8, S)];
 
 fn filled_multivector(n: usize, k: usize, seed: usize) -> MultiVector {
     let cols: Vec<Vec<f64>> = (0..k)
@@ -203,6 +209,7 @@ fn main() {
     let k = 2 * S + 1;
     let spmv_flops = 2.0 * nnz as f64;
     let gram_flops = 2.0 * (k * k) as f64 * n as f64;
+    let stacked_flops = STACKED.map(|(_, s)| 2.0 * (2 * s * (s + 1)) as f64 * n as f64);
     let update_flops = 2.0 * (S * S) as f64 * n as f64;
     let sstep_flops = (4 * S * S + 9 * S - 2) as f64 * n as f64;
 
@@ -230,6 +237,7 @@ fn main() {
     let mut mpk_fused_gf = Vec::new();
     let mut mpk_level_gf = Vec::new();
     let mut gram_gf = Vec::new();
+    let mut stacked_gf = [Vec::new(), Vec::new()];
     let mut update_gf = Vec::new();
     let mut update_cold_gf = Vec::new();
     let mut sstep_gf = Vec::new();
@@ -250,6 +258,16 @@ fn main() {
             for _ in 0..reps {
                 let _s = track.span(Phase::Gram);
                 let _ = pk.gram(&v_gram, &v_gram);
+            }
+            // The sPCG block's `[U|P]ᵀS`, operands built per leg.
+            for (thread, s) in STACKED {
+                let (u, p) = (filled_multivector(n, s, 13), filled_multivector(n, s, 17));
+                let s_mat = filled_multivector(n, s + 1, 19);
+                let stacked_track = tracer.track_on(t, thread);
+                for _ in 0..reps {
+                    let _s = stacked_track.span(Phase::Gram);
+                    let _ = gram_stacked(&pk, &u, Some(&p), &s_mat);
+                }
             }
             let mut p_mat = filled_multivector(n, S, 5);
             // Cold: the first call pays pool spin-up and first-touch faults.
@@ -351,16 +369,21 @@ fn main() {
         mpk_fused_gf.push(mpk_flops / tm_fused / 1e9);
         mpk_level_gf.push(mpk_flops / tm_level / 1e9);
         gram_gf.push(gram_flops / tg / 1e9);
+        for ((gf, (thread, _)), flops) in stacked_gf.iter_mut().zip(STACKED).zip(stacked_flops) {
+            gf.push(flops / min_of(thread, Phase::Gram) / 1e9);
+        }
         update_gf.push(update_flops / tu / 1e9);
         update_cold_gf.push(update_flops / tu_cold / 1e9);
         sstep_gf.push(sstep_flops / t_sstep / 1e9);
         eprintln!(
-            "[kernels] threads={t}: spmv {:.2} GF/s (sell {:.2}), mpk fused {:.2} vs level {:.2} GF/s, gram {:.2} GF/s, update {:.2} GF/s (cold {:.2}), sstep block update {:.2} GF/s",
+            "[kernels] threads={t}: spmv {:.2} GF/s (sell {:.2}), mpk fused {:.2} vs level {:.2} GF/s, gram {:.2} GF/s (stacked s=5 {:.2}, s=10 {:.2}), update {:.2} GF/s (cold {:.2}), sstep block update {:.2} GF/s",
             spmv_gf.last().unwrap(),
             spmv_sell_gf.last().unwrap(),
             mpk_fused_gf.last().unwrap(),
             mpk_level_gf.last().unwrap(),
             gram_gf.last().unwrap(),
+            stacked_gf[0].last().unwrap(),
+            stacked_gf[1].last().unwrap(),
             update_gf.last().unwrap(),
             update_cold_gf.last().unwrap(),
             sstep_gf.last().unwrap()
@@ -387,7 +410,7 @@ fn main() {
     // kernel that fails to scale from a machine that cannot show scaling.
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let out = format!(
-        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }}\n}}\n",
+        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }}\n}}\n",
         threads_list.join(", "),
         sell.pad_ratio(),
         json_array(&spmv_gf),
@@ -396,6 +419,8 @@ fn main() {
         json_array(&mpk_fused_gf),
         json_array(&mpk_level_gf),
         json_array(&gram_gf),
+        json_array(&stacked_gf[0]),
+        json_array(&stacked_gf[1]),
         json_array(&update_gf),
         json_array(&update_cold_gf),
         json_array(&sstep_gf),
@@ -405,6 +430,8 @@ fn main() {
         json_array(&speedup(&mpk_fused_gf)),
         json_array(&speedup(&mpk_level_gf)),
         json_array(&speedup(&gram_gf)),
+        json_array(&speedup(&stacked_gf[0])),
+        json_array(&speedup(&stacked_gf[1])),
         json_array(&speedup(&update_gf)),
         json_array(&speedup(&update_cold_gf)),
         json_array(&speedup(&sstep_gf)),

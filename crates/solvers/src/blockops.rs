@@ -4,8 +4,8 @@
 //!
 //! The Gram product is computed by the **fused** tall-skinny kernel
 //! [`ParKernels::gram_cols`]: one pass over the rows fills all
-//! `(kz1+kz2) × (ky1+ky2)` entries with register-blocked column tiles,
-//! instead of four separate column-pair sweeps. The per-pair reduction
+//! `(kz1+kz2) × (ky1+ky2)` entries — L1-sized row sub-tiles under a 4×2
+//! register tile of entries — instead of four separate column-pair sweeps. The per-pair reduction
 //! shape (blocked pairwise summation) is independent of how the columns
 //! are grouped, so the fused product is bitwise identical to the four
 //! sub-block Gram matrices it replaces.
@@ -37,10 +37,10 @@ pub fn gram_concat(
 }
 
 /// The sPCG-body Gram blocks `[Uᵀ·S ; Pᵀ·S]` in one fused pass: `S` is
-/// streamed once for both and the `2s` left columns pair up in the 2×2
-/// register tiles (two separate `s`-row products each leave an odd row to
-/// the 1×1 path). `p = None` (first block) computes `Uᵀ·S` alone. Entry
-/// for entry bitwise the two separate Gram products.
+/// streamed once for both and the `2s` left columns fill the four-row
+/// register tiles better than two separate `s`-row products would.
+/// `p = None` (first block) computes `Uᵀ·S` alone. Entry for entry bitwise
+/// the two separate Gram products.
 pub fn gram_stacked(
     pk: &ParKernels,
     u: &MultiVector,
@@ -180,8 +180,8 @@ mod tests {
 
     #[test]
     fn gram_stacked_equals_the_two_separate_grams() {
-        // Odd row counts on both sides and a multi-block length, so the
-        // 2×2 tiling pairs rows across the U/P boundary.
+        // Odd row counts on both sides and a multi-block length, so a
+        // register tile spans the U/P boundary.
         let n = 3 * 1024 + 11;
         let col = |seed: usize| -> Vec<f64> {
             (0..n)

@@ -249,13 +249,15 @@ pub(crate) fn sstep_g<E: Exec>(
                 (grams, Vec::new(), blocks * sw * (sw + 1))
             }
             GramForm::Moments => {
-                // μ_l = (S col i)ᵀ(U col l−i) for any split; take i = min(l, s).
-                let moments = (0..2 * s)
-                    .map(|l| {
-                        let i = l.min(s);
-                        exec.dot(s_mat.col(i), u_mat.col(l - i))
-                    })
-                    .collect();
+                // μ_l = (S col i)ᵀ(U col l−i) for any split; take i = min(l, s):
+                // S₀..S_{s−1} against U₀, then U₀..U_{s−1} against S_s — two
+                // passes over the columns instead of 2s, each entry reduced
+                // in the shape of a dot product.
+                let scols: Vec<&[f64]> = (0..s).map(|l| s_mat.col(l)).collect();
+                let ucols: Vec<&[f64]> = (0..s).map(|l| u_mat.col(l)).collect();
+                let low = pk.gram_cols(n, &scols, &[u_mat.col(0)]);
+                let high = pk.gram_cols(n, &ucols, &[s_mat.col(s)]);
+                let moments = [low.data(), high.data()].concat();
                 // The cross-term Gram (original: moment recurrence — see
                 // module docs; charged as the moment vector only).
                 let g2 = p_prev.map(|p| pk.gram(p, &s_mat));

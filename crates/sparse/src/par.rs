@@ -12,9 +12,10 @@
 //! one thread with the same scalar arithmetic as the serial kernel.
 //! Reductions (dot products, Gram matrices) use the *fixed-shape* blocked
 //! pairwise summation of [`crate::blas`]: per-[`REDUCE_BLOCK`] partials
-//! computed by [`blas::dot_block`] and combined by [`blas::pairwise_sum`],
-//! a shape that depends only on the vector length — never on which thread
-//! computed which block. `threads = 1` therefore reproduces the serial
+//! computed by [`blas::dot_block`] (for a Gram matrix by the row-tile
+//! kernel of [`crate::tile`], which performs `dot_block`'s operations per
+//! entry) and combined by [`blas::pairwise_sum`], a shape that depends only
+//! on the vector length — never on which thread computed which block. `threads = 1` therefore reproduces the serial
 //! solver exactly, and the ranked-vs-serial parity tests remain meaningful
 //! with threading enabled.
 //!
@@ -33,7 +34,7 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMat;
 use crate::multivector::MultiVector;
 use crate::sell::SellMatrix;
-use crate::tile::{combine, with_scratch, TILE, ZERO_TILE};
+use crate::tile::{combine, gram_block, with_scratch, GRAM_LANES, TILE, ZERO_TILE};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -678,8 +679,9 @@ impl ParKernels {
     }
 
     /// Fused Gram product over explicit column sets: one pass over the rows
-    /// computes all `|acols| × |bcols|` entries with register-blocked 2×2
-    /// column tiles. The concatenated-block Gram `[Z|W]ᵀ·[Y|V]` of the
+    /// computes all `|acols| × |bcols|` entries, each [`REDUCE_BLOCK`] walked
+    /// in L1-sized sub-tiles under a 4×2 register tile of entries
+    /// ([`crate::tile`]). The concatenated-block Gram `[Z|W]ᵀ·[Y|V]` of the
     /// s-step methods feeds all four sub-blocks through a single call, so
     /// each row block of every column is streamed once instead of once per
     /// sub-block pair.
@@ -687,6 +689,9 @@ impl ParKernels {
     /// Per (i, j) entry the accumulation shape is exactly
     /// `pairwise_sum(dot_block per REDUCE_BLOCK)` — independent of tiling,
     /// fusion, and thread count.
+    ///
+    /// # Panics
+    /// Panics if a column is not `n` long.
     pub fn gram_cols(&self, n: usize, acols: &[&[f64]], bcols: &[&[f64]]) -> DenseMat {
         gram_cols_impl(Some(self), n, acols, bcols)
     }
@@ -965,9 +970,24 @@ unsafe fn update_tile<'a>(
     }
 }
 
+/// Reduction blocks per Gram task. A task carries one lane array
+/// (`4·ka·kb` doubles) through its blocks, so eight blocks per task keep the
+/// scratch at 1.5× the per-block partial sums themselves; tasks of 8192
+/// rows still outnumber the threads of any pool worth splitting over.
+const GRAM_GROUP: usize = 8;
+
 /// Shared Gram implementation: `pk = None` is the serial reference used by
-/// [`MultiVector::gram`]; `Some` parallelizes the per-block partials. The
-/// partial layout and the pairwise combine are identical in both paths.
+/// [`MultiVector::gram`]; `Some` hands groups of [`GRAM_GROUP`] row blocks
+/// to the pool. A group's record is its lane array followed by one
+/// `ka·kb` slot of partial sums per block ([`gram_block`]); entry by entry
+/// the slots are combined by [`pairwise_sum`] — the same layout and the
+/// same combine in both paths.
+///
+/// The records and the combine's gather buffer are one borrow of the
+/// calling thread's tile scratch, so a call allocates nothing but its
+/// result. The lane arrays sit in the records rather than in each
+/// thread's own scratch because the caller runs tasks too, and its scratch
+/// is already borrowed here.
 pub(crate) fn gram_cols_impl(
     pk: Option<&ParKernels>,
     n: usize,
@@ -979,69 +999,43 @@ pub(crate) fn gram_cols_impl(
     if ka == 0 || kb == 0 || n == 0 {
         return out;
     }
-    debug_assert!(acols.iter().chain(bcols).all(|c| c.len() == n));
-    let nblocks = n.div_ceil(REDUCE_BLOCK);
+    assert!(
+        acols.iter().chain(bcols).all(|c| c.len() == n),
+        "gram: column length mismatch"
+    );
     let kk = ka * kb;
-    let mut partials = vec![0.0f64; nblocks * kk];
-    match pk {
-        Some(pk) if pk.threads() > 1 && nblocks > 1 => {
-            pk.for_each_chunk_mut(&mut partials, kk, |blk, _, piece| {
-                fill_gram_block(n, acols, bcols, blk, piece);
-            });
-        }
-        _ => {
-            for (blk, piece) in partials.chunks_mut(kk).enumerate() {
-                fill_gram_block(n, acols, bcols, blk, piece);
+    let nblocks = n.div_ceil(REDUCE_BLOCK);
+    let ngroups = nblocks.div_ceil(GRAM_GROUP);
+    let record = (GRAM_LANES + GRAM_GROUP) * kk;
+    with_scratch(ngroups * record + nblocks, |scratch| {
+        let (records, gather) = scratch.split_at_mut(ngroups * record);
+        let fill = |group: usize, rec: &mut [f64]| {
+            let (lanes, slots) = rec.split_at_mut(GRAM_LANES * kk);
+            let blocks = (group * GRAM_GROUP..nblocks).zip(slots.chunks_mut(kk));
+            for (blk, slot) in blocks {
+                let lo = blk * REDUCE_BLOCK;
+                gram_block(acols, bcols, lo, (lo + REDUCE_BLOCK).min(n), lanes, slot);
+            }
+        };
+        match pk {
+            Some(pk) if pk.threads() > 1 && ngroups > 1 => {
+                pk.for_each_chunk_mut(records, record, |group, _, rec| fill(group, rec));
+            }
+            _ => {
+                for (group, rec) in records.chunks_mut(record).enumerate() {
+                    fill(group, rec);
+                }
             }
         }
-    }
-    let mut scratch = vec![0.0f64; nblocks];
-    for i in 0..ka {
-        for j in 0..kb {
-            for blk in 0..nblocks {
-                scratch[blk] = partials[blk * kk + i * kb + j];
+        for e in 0..kk {
+            for (blk, slot) in gather.iter_mut().enumerate() {
+                let at = blk / GRAM_GROUP * record + (GRAM_LANES + blk % GRAM_GROUP) * kk;
+                *slot = records[at + e];
             }
-            out[(i, j)] = pairwise_sum(&mut scratch);
+            out.data_mut()[e] = pairwise_sum(gather);
         }
-    }
+    });
     out
-}
-
-/// Computes the `ka × kb` partial Gram tile of one row block into `out`
-/// (row-major), register-blocking the columns 2×2 so each loaded row chunk
-/// feeds four accumulators. Each entry's arithmetic sequence is exactly
-/// [`blas::dot_block`] on the same rows.
-fn fill_gram_block(n: usize, acols: &[&[f64]], bcols: &[&[f64]], blk: usize, out: &mut [f64]) {
-    let lo = blk * REDUCE_BLOCK;
-    let hi = (lo + REDUCE_BLOCK).min(n);
-    let (ka, kb) = (acols.len(), bcols.len());
-    let mut i = 0;
-    while i + 2 <= ka {
-        let a0 = &acols[i][lo..hi];
-        let a1 = &acols[i + 1][lo..hi];
-        let mut j = 0;
-        while j + 2 <= kb {
-            let (s00, s01, s10, s11) =
-                dot_block_2x2(a0, a1, &bcols[j][lo..hi], &bcols[j + 1][lo..hi]);
-            out[i * kb + j] = s00;
-            out[i * kb + j + 1] = s01;
-            out[(i + 1) * kb + j] = s10;
-            out[(i + 1) * kb + j + 1] = s11;
-            j += 2;
-        }
-        if j < kb {
-            let bj = &bcols[j][lo..hi];
-            out[i * kb + j] = blas::dot_block(a0, bj);
-            out[(i + 1) * kb + j] = blas::dot_block(a1, bj);
-        }
-        i += 2;
-    }
-    if i < ka {
-        let ai = &acols[i][lo..hi];
-        for j in 0..kb {
-            out[i * kb + j] = blas::dot_block(ai, &bcols[j][lo..hi]);
-        }
-    }
 }
 
 /// One [`REDUCE_BLOCK`]-sized block of [`ParKernels::pcg_step_fused`]:
@@ -1064,44 +1058,6 @@ fn pcg_fused_block(
         *ui = w[i] * r[i];
     }
     blas::dot_block(r, u)
-}
-
-/// Four simultaneous block dots sharing loads: `(a0·b0, a0·b1, a1·b0,
-/// a1·b1)`. Each product follows the exact four-lane + tail accumulation
-/// order of [`blas::dot_block`], so tiling does not perturb a single bit.
-fn dot_block_2x2(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> (f64, f64, f64, f64) {
-    let n = a0.len();
-    let mut acc00 = [0.0f64; 4];
-    let mut acc01 = [0.0f64; 4];
-    let mut acc10 = [0.0f64; 4];
-    let mut acc11 = [0.0f64; 4];
-    let chunks = n / 4;
-    for c in 0..chunks {
-        let base = c * 4;
-        for k in 0..4 {
-            let x0 = a0[base + k];
-            let x1 = a1[base + k];
-            let y0 = b0[base + k];
-            let y1 = b1[base + k];
-            acc00[k] += x0 * y0;
-            acc01[k] += x0 * y1;
-            acc10[k] += x1 * y0;
-            acc11[k] += x1 * y1;
-        }
-    }
-    let mut t = [0.0f64; 4];
-    for i in chunks * 4..n {
-        t[0] += a0[i] * b0[i];
-        t[1] += a0[i] * b1[i];
-        t[2] += a1[i] * b0[i];
-        t[3] += a1[i] * b1[i];
-    }
-    (
-        (acc00[0] + acc00[1]) + (acc00[2] + acc00[3]) + t[0],
-        (acc01[0] + acc01[1]) + (acc01[2] + acc01[3]) + t[1],
-        (acc10[0] + acc10[1]) + (acc10[2] + acc10[3]) + t[2],
-        (acc11[0] + acc11[1]) + (acc11[2] + acc11[3]) + t[3],
-    )
 }
 
 #[cfg(test)]
@@ -1350,6 +1306,112 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The Gram product as [`crate::blas`] defines it, with no tiling at
+    /// all: per entry one [`blas::dot_block`] per [`REDUCE_BLOCK`], combined
+    /// by [`pairwise_sum`].
+    fn gram_by_dot_blocks(n: usize, acols: &[&[f64]], bcols: &[&[f64]]) -> DenseMat {
+        DenseMat::from_fn(acols.len(), bcols.len(), |i, j| {
+            let mut partials: Vec<f64> = (0..n)
+                .step_by(REDUCE_BLOCK)
+                .map(|lo| {
+                    let hi = (lo + REDUCE_BLOCK).min(n);
+                    blas::dot_block(&acols[i][lo..hi], &bcols[j][lo..hi])
+                })
+                .collect();
+            pairwise_sum(&mut partials)
+        })
+    }
+
+    #[test]
+    fn gram_matches_dot_block_partials_for_every_shape_thread_count_and_body() {
+        use crate::tile::{tests::gram_operands, GRAM_SCALAR_ONLY};
+        let k = 21;
+        // Unoptimized builds walk a thinned shape grid that still has every
+        // register-tile edge (ka mod 4, kb mod 2) and the solvers' shapes;
+        // CI reruns this crate's tests optimized, where the grid is whole.
+        let thin = cfg!(debug_assertions);
+        // Lengths of more than one task group — the only ones a pool splits
+        // — repeat the block kernel the grid has covered; there the
+        // solvers' shapes and two edge ones suffice.
+        let group_rows = GRAM_GROUP * REDUCE_BLOCK;
+        let keep = |n: usize, ka: usize, kb: usize| {
+            if n > group_rows {
+                [(1, 1), (3, 2), (10, 6), (20, 11), (21, 21)].contains(&(ka, kb))
+            } else {
+                !thin || ([1, 2, 3, 4, 10, 20, 21].contains(&ka) && [1, 2, 6, 11, 21].contains(&kb))
+            }
+        };
+        let pools: Vec<ParKernels> = THREAD_COUNTS.iter().map(|&t| ParKernels::new(t)).collect();
+        for n in [
+            0usize,
+            1,
+            3,
+            4,
+            127,
+            128,
+            129,
+            255,
+            256,
+            257,
+            1023,
+            1024,
+            1025,
+            5000,
+            2 * REDUCE_BLOCK + 10,
+            group_rows + 1,
+            3 * group_rows - REDUCE_BLOCK + 7,
+        ] {
+            let (a, b) = (
+                gram_operands(n, k, 5 + n as u64),
+                gram_operands(n, k, 77 + n as u64),
+            );
+            let (a, b): (Vec<&[f64]>, Vec<&[f64]>) = (
+                a.iter().map(|c| &c[..]).collect(),
+                b.iter().map(|c| &c[..]).collect(),
+            );
+            // An entry does not depend on the shape it is computed in.
+            let full = gram_by_dot_blocks(n, &a, &b);
+            for (ka, kb) in (1..=k).flat_map(|ka| (1..=k).map(move |kb| (ka, kb))) {
+                if !keep(n, ka, kb) {
+                    continue;
+                }
+                let want: Vec<f64> = (0..ka * kb).map(|e| full[(e / kb, e % kb)]).collect();
+                for scalar in [false, true] {
+                    GRAM_SCALAR_ONLY.store(scalar, Ordering::Relaxed);
+                    let what = format!("n={n} {ka}x{kb} scalar={scalar}");
+                    let serial = gram_cols_impl(None, n, &a[..ka], &b[..kb]);
+                    assert_same_bits(serial.data(), &want, &what);
+                    for pk in &pools {
+                        let got = pk.gram_cols(n, &a[..ka], &b[..kb]);
+                        let what = format!("{what} t={}", pk.threads());
+                        assert_same_bits(got.data(), &want, &what);
+                    }
+                }
+                GRAM_SCALAR_ONLY.store(false, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The lane records and the gather buffer of a Gram call are one borrow
+    /// of the caller's tile scratch. Neither the inline path nor a pooled
+    /// call — whose caller runs block tasks as pool member 0 while holding
+    /// that borrow — may borrow it again.
+    #[test]
+    fn gram_borrows_the_tile_scratch_once_inline_and_pooled() {
+        let n = 40 * REDUCE_BLOCK + 3;
+        let (a, b) = (random_mv(n, 3, 1), random_mv(n, 2, 2));
+        let want = ParKernels::new(1).gram(&a, &b);
+        assert_eq!(a.gram(&b), want);
+        for t in [2usize, 4] {
+            let pk = ParKernels::new(t);
+            // Twice: the second call finds the scratch already grown.
+            assert_eq!(pk.gram(&a, &b), want, "t={t}");
+            assert_eq!(pk.gram(&a, &b), want, "t={t} again");
+        }
+        // …and the scratch is free again afterwards.
+        with_scratch(8, |buf| buf.fill(1.0));
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! The row-tile primitive under every dense block kernel of the s-step
-//! methods: `dst[i] ← init[i] + Σ_l c_l·col_l[i]`.
+//! The two row-tile primitives under the dense block kernels of the s-step
+//! methods: `combine`, `dst[i] ← init[i] + Σ_l c_l·col_l[i]`, under every
+//! block update, and `gram_block`, one reduction block of `AᵀB`, under
+//! every Gram product.
 //!
 //! The blocked updates (`P ← U + P·B`, `x += P·a`, the CA-PCG vector
 //! recovery, EkCG's history sweep) are all instances of that one shape. They
@@ -12,6 +14,13 @@
 //! terms whose coefficient compares equal to zero skipped — exactly the
 //! operations, in exactly the order, of the AXPY sweeps it replaces. No FMA:
 //! a fused multiply-add rounds once where the sweeps rounded twice.
+//!
+//! The Gram kernel is the transposed shape — long columns in, a small dense
+//! block out — and its contract is [`crate::blas::dot_block`]'s: each entry
+//! keeps four lane sums and a tail sum and returns the lanes' pairwise sum
+//! plus the tail. The rows are walked in L1-sized sub-tiles under a 4×2
+//! register tile of entries, the lanes carried in memory between sub-tiles;
+//! neither changes which products a lane adds nor their order.
 
 use crate::sell::simd_ok;
 use std::cell::RefCell;
@@ -125,6 +134,192 @@ fn combine_group_body(dst: &mut [f64], init: Option<&[f64]>, terms: &[(f64, &[f6
     }
 }
 
+/// Rows per sub-tile of the Gram product. A [`crate::blas::REDUCE_BLOCK`] of
+/// the 16 operand columns of an `s = 5` block is 128 KiB, 2.7× the 48 KiB L1,
+/// and used to be walked once per register tile; a sub-tile's 2 KiB column
+/// slices (32 KiB at `s = 5`) stay L1-resident while every register tile
+/// passes over them, and the 31 columns of `s = 10` (62 KiB) or CA-PCG's 42
+/// spill to L2 only once per sub-tile. 128 rows (everything in L1 up to
+/// `s = 10`) measured the same on operands streamed from L3 and 5–10 %
+/// slower on cache-resident ones: twice the lane loads and stores per row.
+pub(crate) const GRAM_TILE: usize = 256;
+
+/// Lanes per Gram entry: the four partial sums of [`crate::blas::dot_block`].
+pub(crate) const GRAM_LANES: usize = 4;
+
+// A sub-tile boundary must not split a row quadruple between two lanes.
+const _: () = assert!(GRAM_TILE % GRAM_LANES == 0);
+
+/// The Gram product of rows `lo..hi` (at most one
+/// [`crate::blas::REDUCE_BLOCK`]) of two column sets: `out[i·kb + j] ←
+/// dot_block(acols[i][lo..hi], bcols[j][lo..hi])`. `lanes` is a
+/// `4·ka·kb`-double scratch — the lane accumulators of every entry, carried
+/// from sub-tile to sub-tile; its contents on entry and return are
+/// unspecified.
+///
+/// Per entry the operations are those of [`crate::blas::dot_block`] in its
+/// order: lane `l` sums the products of rows `≡ l (mod 4)` from `0.0`
+/// upwards, the `len % 4` tail rows sum separately, and the result is
+/// `(l0 + l1) + (l2 + l3) + tail`. Sub-tiles and register tiles only change
+/// *when* a lane is advanced, never by what.
+///
+/// # Panics
+/// Panics if a column is shorter than `hi`, `out` is not `ka·kb` long or
+/// `lanes` not `4·ka·kb`.
+pub(crate) fn gram_block(
+    acols: &[&[f64]],
+    bcols: &[&[f64]],
+    lo: usize,
+    hi: usize,
+    lanes: &mut [f64],
+    out: &mut [f64],
+) {
+    assert!(
+        out.len() == acols.len() * bcols.len() && lanes.len() == GRAM_LANES * out.len(),
+        "gram_block: output or lane scratch length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if gram_simd_ok() {
+        // SAFETY: AVX2 was detected at run time.
+        unsafe { gram_block_avx2(acols, bcols, lo, hi, lanes, out) };
+        return;
+    }
+    gram_block_body(acols, bcols, lo, hi, lanes, out);
+}
+
+/// Makes [`gram_block`] take the scalar body whatever the CPU offers, so
+/// the twin tests drive the whole Gram path (pool included) over it on an
+/// AVX2 machine too. Both bodies produce the same bits, so tests running
+/// concurrently do not notice.
+#[cfg(test)]
+pub(crate) static GRAM_SCALAR_ONLY: std::sync::atomic::AtomicBool =
+    std::sync::atomic::AtomicBool::new(false);
+
+#[cfg(target_arch = "x86_64")]
+fn gram_simd_ok() -> bool {
+    #[cfg(test)]
+    if GRAM_SCALAR_ONLY.load(std::sync::atomic::Ordering::Relaxed) {
+        return false;
+    }
+    simd_ok()
+}
+
+/// [`gram_block_body`] compiled with 256-bit vectors: a lane quadruple is
+/// one `ymm` register, so the 4×2 register tile keeps 8 accumulators and 6
+/// operand loads in the 16 registers. As for [`combine_group_avx2`], AVX2
+/// does not enable FMA contraction, so each lane rounds the product and the
+/// sum separately, exactly as the scalar body does.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gram_block_avx2(
+    acols: &[&[f64]],
+    bcols: &[&[f64]],
+    lo: usize,
+    hi: usize,
+    lanes: &mut [f64],
+    out: &mut [f64],
+) {
+    gram_block_body(acols, bcols, lo, hi, lanes, out);
+}
+
+/// The block body: sub-tiles outermost, then 4×2 register tiles of entries
+/// (narrower at the edges), then rows in fours.
+#[inline(always)]
+fn gram_block_body(
+    acols: &[&[f64]],
+    bcols: &[&[f64]],
+    lo: usize,
+    hi: usize,
+    lanes: &mut [f64],
+    out: &mut [f64],
+) {
+    let (ka, kb) = (acols.len(), bcols.len());
+    let full = lo + (hi - lo) / GRAM_LANES * GRAM_LANES;
+    lanes.fill(0.0);
+    let mut r0 = lo;
+    while r0 < full {
+        let r1 = (r0 + GRAM_TILE).min(full);
+        let mut i = 0;
+        while i < ka {
+            let mi = (ka - i).min(4);
+            let a = &acols[i..i + mi];
+            let mut j = 0;
+            while j < kb {
+                let nj = (kb - j).min(2);
+                let b = &bcols[j..j + nj];
+                let at = &mut lanes[GRAM_LANES * (i * kb + j)..];
+                match (mi, nj) {
+                    (4, 2) => gram_register_tile::<4, 2>(a, b, r0, r1, at, kb),
+                    (3, 2) => gram_register_tile::<3, 2>(a, b, r0, r1, at, kb),
+                    (2, 2) => gram_register_tile::<2, 2>(a, b, r0, r1, at, kb),
+                    (1, 2) => gram_register_tile::<1, 2>(a, b, r0, r1, at, kb),
+                    (4, 1) => gram_register_tile::<4, 1>(a, b, r0, r1, at, kb),
+                    (3, 1) => gram_register_tile::<3, 1>(a, b, r0, r1, at, kb),
+                    (2, 1) => gram_register_tile::<2, 1>(a, b, r0, r1, at, kb),
+                    _ => gram_register_tile::<1, 1>(a, b, r0, r1, at, kb),
+                }
+                j += nj;
+            }
+            i += mi;
+        }
+        r0 = r1;
+    }
+    for i in 0..ka {
+        for j in 0..kb {
+            let e = i * kb + j;
+            let mut tail = 0.0;
+            for (x, y) in acols[i][full..hi].iter().zip(&bcols[j][full..hi]) {
+                tail += x * y;
+            }
+            let l = &lanes[GRAM_LANES * e..GRAM_LANES * (e + 1)];
+            out[e] = (l[0] + l[1]) + (l[2] + l[3]) + tail;
+        }
+    }
+}
+
+/// Advances the lanes of the `MI × NJ` entries `(m, n)` — quadruple
+/// `m·kb + n` of `lanes` — over rows `r0..r1` (a multiple of four) of
+/// columns `a[m]`, `b[n]`, with every accumulator in a register.
+#[inline(always)]
+fn gram_register_tile<const MI: usize, const NJ: usize>(
+    a: &[&[f64]],
+    b: &[&[f64]],
+    r0: usize,
+    r1: usize,
+    lanes: &mut [f64],
+    kb: usize,
+) {
+    let a: [&[f64]; MI] = std::array::from_fn(|m| &a[m][r0..r1]);
+    let b: [&[f64]; NJ] = std::array::from_fn(|n| &b[n][r0..r1]);
+    let quad = |col: &[f64], c: usize| -> [f64; GRAM_LANES] {
+        col[GRAM_LANES * c..GRAM_LANES * (c + 1)]
+            .try_into()
+            .expect("four lanes")
+    };
+    let mut acc: [[[f64; GRAM_LANES]; NJ]; MI] =
+        std::array::from_fn(|m| std::array::from_fn(|n| quad(lanes, m * kb + n)));
+    for c in 0..(r1 - r0) / GRAM_LANES {
+        let x: [[f64; GRAM_LANES]; MI] = std::array::from_fn(|m| quad(a[m], c));
+        let y: [[f64; GRAM_LANES]; NJ] = std::array::from_fn(|n| quad(b[n], c));
+        for m in 0..MI {
+            for n in 0..NJ {
+                for l in 0..GRAM_LANES {
+                    acc[m][n][l] += x[m][l] * y[n][l];
+                }
+            }
+        }
+    }
+    for m in 0..MI {
+        for n in 0..NJ {
+            let at = GRAM_LANES * (m * kb + n);
+            lanes[at..at + GRAM_LANES].copy_from_slice(&acc[m][n]);
+        }
+    }
+}
+
 /// Runs `f` on this thread's tile scratch, grown to at least `len` doubles.
 /// Contents are unspecified on entry; kernels write before they read.
 pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
@@ -218,6 +413,73 @@ pub(crate) mod tests {
                         // SAFETY: AVX2 was detected at run time.
                         unsafe { combine_group_avx2(&mut simd, init, &live) };
                         same_bits(&simd, &scalar, &format!("{what} avx2"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// `k` columns of `n` values in `(-½, ½)`. Every third column carries
+    /// NaN, ±Inf and ±0.0 where a Gram kernel could treat them differently
+    /// from [`crate::blas::dot_block`]: in the first rows of the body, on
+    /// both sides of the first sub-tile and of the first reduction-block
+    /// boundary, and in the `n % 4` tail rows. The other columns stay
+    /// finite, so most entries still compare number against number.
+    pub(crate) fn gram_operands(n: usize, k: usize, seed: u64) -> Vec<Vec<f64>> {
+        let specials = [f64::NAN, f64::INFINITY, -0.0, f64::NEG_INFINITY, 0.0];
+        let block = crate::blas::REDUCE_BLOCK;
+        let rows = [1, 6, GRAM_TILE - 1, GRAM_TILE, block - 2, block + 1];
+        let mut rng = Rng64::seed_from_u64(seed);
+        (0..k)
+            .map(|j| {
+                let mut col = random_vec(n, &mut rng);
+                if j % 3 == 1 {
+                    let tail = (n - n % GRAM_LANES..n).rev().take(1 + j % 2);
+                    for (t, row) in rows.into_iter().chain(tail).enumerate() {
+                        if row < n {
+                            col[row] = specials[(t + j + seed as usize) % specials.len()];
+                        }
+                    }
+                }
+                col
+            })
+            .collect()
+    }
+
+    #[test]
+    fn gram_block_matches_dot_block_and_the_avx2_body_matches_the_scalar_one() {
+        let k = 21; // 21 × 21 is CA-PCG at s = 10; 20 × 11 the stacked sPCG one
+        for len in [0usize, 1, 3, 4, 127, 128, 129, 255, 256, 257, 1023, 1024] {
+            // The block starts inside the columns and ends before their end.
+            let (lo, hi) = (8, 8 + len);
+            let (a, b) = (
+                gram_operands(hi + 3, k, 3 + len as u64),
+                gram_operands(hi + 3, k, 40 + len as u64),
+            );
+            let (a, b): (Vec<&[f64]>, Vec<&[f64]>) = (
+                a.iter().map(|c| &c[..]).collect(),
+                b.iter().map(|c| &c[..]).collect(),
+            );
+            // An entry does not depend on the shape it is computed in.
+            let full: Vec<f64> = (0..k * k)
+                .map(|e| crate::blas::dot_block(&a[e / k][lo..hi], &b[e % k][lo..hi]))
+                .collect();
+            for ka in 1..=k {
+                for kb in 1..=k {
+                    let what = format!("len={len} {ka}x{kb}");
+                    let want: Vec<f64> = (0..ka * kb).map(|e| full[e / kb * k + e % kb]).collect();
+                    let mut lanes = vec![f64::NAN; GRAM_LANES * ka * kb];
+                    let mut got = vec![f64::NAN; ka * kb];
+                    gram_block_body(&a[..ka], &b[..kb], lo, hi, &mut lanes, &mut got);
+                    same_bits(&got, &want, &format!("{what} scalar"));
+                    #[cfg(target_arch = "x86_64")]
+                    if simd_ok() {
+                        got.fill(f64::NAN);
+                        // SAFETY: AVX2 was detected at run time.
+                        unsafe {
+                            gram_block_avx2(&a[..ka], &b[..kb], lo, hi, &mut lanes, &mut got)
+                        };
+                        same_bits(&got, &want, &format!("{what} avx2"));
                     }
                 }
             }
