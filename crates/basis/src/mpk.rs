@@ -39,7 +39,7 @@ use spcg_dist::Counters;
 use spcg_obs::{Phase, Track};
 use spcg_precond::{DistForm, Preconditioner};
 use spcg_sparse::sell::{SELL_C, SELL_SIGMA};
-use spcg_sparse::{CsrMatrix, MultiVector, ParKernels, SellMatrix, SparseFormat};
+use spcg_sparse::{CsrMatrix, MatRef, MultiVector, ParKernels, SellMatrix, SparseFormat};
 use std::sync::Arc;
 
 /// Cache budget for one fused tile: the band's matrix slices plus the
@@ -138,6 +138,11 @@ impl<'a> Mpk<'a> {
         (v_cols - 2) * sell.window_reach_halfwidth() < w_total
     }
 
+    /// The system matrix in the format the per-level kernels run on.
+    fn op(&self) -> MatRef<'_> {
+        MatRef::of(self.a, self.sell.as_deref())
+    }
+
     /// Tile width in σ-windows for the fused sweep, from a per-row byte
     /// footprint (matrix slice entries plus the vector columns in flight).
     fn fused_tile_windows(&self) -> usize {
@@ -198,7 +203,8 @@ impl<'a> Mpk<'a> {
                 }
                 None => {
                     let _p = spcg_obs::span(self.track.as_ref(), Phase::Precond);
-                    self.m.apply_par(&self.pk, v.col(0), mv.col_mut(0));
+                    self.m
+                        .apply_par_on(&self.pk, self.op(), v.col(0), mv.col_mut(0));
                     counters.record_precond(self.m.flops_per_apply());
                 }
             }
@@ -216,10 +222,7 @@ impl<'a> Mpk<'a> {
             // t = A · (M⁻¹ v_j).
             {
                 let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmv);
-                match self.sell.as_deref() {
-                    Some(sell) => self.pk.spmv_sell(sell, mv.col(j), &mut t),
-                    None => self.pk.spmv(self.a, mv.col(j), &mut t),
-                }
+                self.pk.spmv_on(self.op(), mv.col(j), &mut t);
             }
             counters.record_spmv(self.a.spmv_flops());
             // v_{j+1} = (t − θ_j v_j − μ_{j-1} v_{j-1}) / γ_j. The axpy
@@ -241,7 +244,8 @@ impl<'a> Mpk<'a> {
             v.col_mut(j + 1).copy_from_slice(&t);
             if j + 1 < mv_cols {
                 let _p = spcg_obs::span(self.track.as_ref(), Phase::Precond);
-                self.m.apply_par(&self.pk, v.col(j + 1), mv.col_mut(j + 1));
+                self.m
+                    .apply_par_on(&self.pk, self.op(), v.col(j + 1), mv.col_mut(j + 1));
                 counters.record_precond(self.m.flops_per_apply());
             }
         }

@@ -31,7 +31,9 @@
 //! unrolled kernel regressed (or the build lost its SIMD path).
 //!
 //! The Gram kernel has the same kind of gate against the same run's
-//! `sstep_block_update` leg ([`GRAM_MIN_RATIO`]).
+//! `sstep_block_update` leg ([`GRAM_MIN_RATIO`]), and the Chebyshev
+//! preconditioner apply on SELL against the same apply on CSR
+//! ([`CHEB_SELL_MIN_RATIO`]).
 //!
 //! A kernels sweep also carries the `allreduce` row (median µs of one
 //! thread-transport collective per rank count and payload): it must be
@@ -87,6 +89,13 @@ const SELL_MIN_RATIO: f64 = 1.5;
 /// 1× means its tile fell out of L1 or lost its AVX2 body.
 const GRAM_MIN_RATIO: f64 = 1.0;
 
+/// Minimum fresh single-thread `cheb_apply.sell[0] / cheb_apply.csr[0]`
+/// ratio. The apply is three band-fused SpMVs on the operator it is handed
+/// plus `19n` FLOPs of vector work shared by both legs, so the ratio is the
+/// SpMV ratio diluted (reference runner: 1.3–1.5×). Under 1.15× means the
+/// apply stopped following the format, or the band epilogue ate the gain.
+const CHEB_SELL_MIN_RATIO: f64 = 1.15;
+
 /// Pairwise noise slack on the service GF/s curve: each step from one
 /// batch width to the next may dip to this fraction of its predecessor
 /// before the check fails. The end-to-end k=1 → k=8 comparison gets no
@@ -132,6 +141,13 @@ fn main() -> ExitCode {
                     "gram_fused",
                     "sstep_block_update",
                     GRAM_MIN_RATIO,
+                    &mut errors,
+                );
+                check_ratio_gate(
+                    &fresh,
+                    "cheb_apply.sell",
+                    "cheb_apply.csr",
+                    CHEB_SELL_MIN_RATIO,
                     &mut errors,
                 );
                 check_kernels_gate(&fresh, &mut errors);

@@ -32,18 +32,23 @@
 //! `sstep_block_update` is the whole vector-update phase of an sPCG block
 //! (`AU = S·B`, both blocked updates, `x += P·a`, `r −= AP·a`) as the
 //! solvers run it: one pass, `4s² + 9s − 2` FLOPs per row with the
-//! Chebyshev recurrence.
+//! Chebyshev recurrence. `cheb_apply.csr` / `cheb_apply.sell` time one
+//! degree-3 Chebyshev preconditioner application through `apply_on`, the
+//! band-fused recurrence, on each stored form of the operator
+//! (`flops_per_apply` per call); benchcheck holds the single-thread SELL
+//! leg to 1.15× the CSR one.
 
 use spcg_basis::{BasisParams, Mpk};
 use spcg_bench::{quick_mode, write_results};
 use spcg_dist::executor::run_ranks;
 use spcg_dist::{Counters, ThreadComm, VectorBoard};
 use spcg_obs::{Phase, Tracer};
-use spcg_precond::Jacobi;
+use spcg_precond::{ChebyshevPrecond, Jacobi, Preconditioner, SpmvPolyApply};
 use spcg_solvers::blockops::gram_stacked;
 use spcg_sparse::generators::poisson::poisson_3d;
 use spcg_sparse::partition::BlockRowPartition;
-use spcg_sparse::{CsrMatrix, DenseMat, MultiVector, ParKernels, SparseFormat, SstepBlock};
+use spcg_sparse::{CsrMatrix, DenseMat, MatRef, MultiVector, ParKernels, SparseFormat, SstepBlock};
+use std::sync::Arc;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const RANKS: [usize; 3] = [1, 2, 4];
@@ -65,6 +70,13 @@ const MPK_LEVEL_THREAD: usize = 5;
 const SSTEP_THREAD: usize = 6;
 /// Pseudo-thread ids and `s` of the stacked `[U|P]ᵀS` Gram legs.
 const STACKED: [(usize, usize); 2] = [(7, 5), (8, S)];
+/// Pseudo-thread ids of the Chebyshev apply legs, CSR then SELL.
+const CHEB_THREADS: [usize; 2] = [9, 10];
+/// Applies per timed sample of a Chebyshev leg (one apply is a millisecond,
+/// short enough for a timer tick or a migration to show) and samples per
+/// leg, in quick mode too: the whole row costs under a second.
+const CHEB_CALLS: usize = 8;
+const CHEB_REPS: usize = 7;
 
 fn filled_multivector(n: usize, k: usize, seed: usize) -> MultiVector {
     let cols: Vec<Vec<f64>> = (0..k)
@@ -190,7 +202,7 @@ fn main() {
         "[kernels] building 3D Poisson {grid}^3 ({} rows), s = {S}, reps = {reps}",
         grid * grid * grid
     );
-    let a = poisson_3d(grid);
+    let a = Arc::new(poisson_3d(grid));
     let n = a.nrows();
     let nnz = a.nnz();
 
@@ -241,6 +253,10 @@ fn main() {
     let mut update_gf = Vec::new();
     let mut update_cold_gf = Vec::new();
     let mut sstep_gf = Vec::new();
+    let mut cheb_gf = [Vec::new(), Vec::new()];
+    // Degree 3 on the Gershgorin interval, the paper's Table 3 setting.
+    let cheb = ChebyshevPrecond::from_matrix(Arc::clone(&a), 3, 30.0);
+    let cheb_flops = CHEB_CALLS as f64 * cheb.flops_per_apply() as f64;
     for &t in &THREADS {
         let pk = ParKernels::new(t);
         // One tracer per thread count: rank id = thread count, the warm
@@ -301,6 +317,28 @@ fn main() {
             for _ in 0..reps {
                 let _s = sstep_track.span(Phase::VecUpdate);
                 pk.sstep_block_update(&blk, &mut p_mat, &mut ap_mat, &mut xv, &mut rv);
+            }
+
+            // The Chebyshev apply on each stored form, operands built and
+            // dropped with the legs; the first calls warm the band
+            // schedules. The two legs alternate sample by sample, so a
+            // noisy stretch of the machine lands on both sides of the
+            // ratio benchcheck gates.
+            {
+                let legs = [MatRef::Csr(&a), MatRef::Sell(&sell)];
+                let cheb_tracks = CHEB_THREADS.map(|thread| tracer.track_on(t, thread));
+                let (r, mut z) = (x.clone(), vec![0.0; n]);
+                for op in legs {
+                    cheb.apply_on(&pk, op, &r, &mut z);
+                }
+                for _ in 0..CHEB_REPS {
+                    for (cheb_track, op) in cheb_tracks.iter().zip(legs) {
+                        let _s = cheb_track.span(Phase::Precond);
+                        for _ in 0..CHEB_CALLS {
+                            cheb.apply_on(&pk, op, std::hint::black_box(&r), &mut z);
+                        }
+                    }
+                }
             }
 
             // SELL-C-σ SpMV: the cold call pays the slice-schedule build
@@ -375,10 +413,15 @@ fn main() {
         update_gf.push(update_flops / tu / 1e9);
         update_cold_gf.push(update_flops / tu_cold / 1e9);
         sstep_gf.push(sstep_flops / t_sstep / 1e9);
+        for (gf, thread) in cheb_gf.iter_mut().zip(CHEB_THREADS) {
+            gf.push(cheb_flops / min_of(thread, Phase::Precond) / 1e9);
+        }
         eprintln!(
-            "[kernels] threads={t}: spmv {:.2} GF/s (sell {:.2}), mpk fused {:.2} vs level {:.2} GF/s, gram {:.2} GF/s (stacked s=5 {:.2}, s=10 {:.2}), update {:.2} GF/s (cold {:.2}), sstep block update {:.2} GF/s",
+            "[kernels] threads={t}: spmv {:.2} GF/s (sell {:.2}), cheb apply {:.2} GF/s (sell {:.2}), mpk fused {:.2} vs level {:.2} GF/s, gram {:.2} GF/s (stacked s=5 {:.2}, s=10 {:.2}), update {:.2} GF/s (cold {:.2}), sstep block update {:.2} GF/s",
             spmv_gf.last().unwrap(),
             spmv_sell_gf.last().unwrap(),
+            cheb_gf[0].last().unwrap(),
+            cheb_gf[1].last().unwrap(),
             mpk_fused_gf.last().unwrap(),
             mpk_level_gf.last().unwrap(),
             gram_gf.last().unwrap(),
@@ -410,7 +453,7 @@ fn main() {
     // kernel that fails to scale from a machine that cannot show scaling.
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let out = format!(
-        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }}\n}}\n",
+        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }}\n}}\n",
         threads_list.join(", "),
         sell.pad_ratio(),
         json_array(&spmv_gf),
@@ -424,6 +467,8 @@ fn main() {
         json_array(&update_gf),
         json_array(&update_cold_gf),
         json_array(&sstep_gf),
+        json_array(&cheb_gf[0]),
+        json_array(&cheb_gf[1]),
         json_array(&speedup(&spmv_gf)),
         json_array(&speedup(&spmv_sell_gf)),
         json_array(&speedup(&spmv_sell_cold_gf)),
@@ -435,6 +480,8 @@ fn main() {
         json_array(&speedup(&update_gf)),
         json_array(&speedup(&update_cold_gf)),
         json_array(&speedup(&sstep_gf)),
+        json_array(&speedup(&cheb_gf[0])),
+        json_array(&speedup(&cheb_gf[1])),
         ALLREDUCE_RANKS,
         ALLREDUCE_WORDS,
         allreduce_rows.join(", "),

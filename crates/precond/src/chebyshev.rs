@@ -12,11 +12,41 @@
 //! the paper pairs it with s-step methods. Eigenvalue bounds come from a
 //! few warm-up iterations (see `spcg-basis::ritz`) or Gershgorin circles;
 //! like Trilinos/Ifpack2 the lower bound defaults to `λ_hi / ratio`.
+//!
+//! # One recurrence, on the caller's operator
+//!
+//! With `d` SpMVs per apply the preconditioner *is* the solve's SpMV
+//! layer, so it does not own a sparse format: [`SpmvPolyApply::apply_on`]
+//! takes the operator as a [`MatRef`] and the executors hand it the stored
+//! form their own kernels run on. [`Preconditioner::apply`] and
+//! [`Preconditioner::apply_par`], which have no format to follow, are the
+//! same body on the preconditioner's CSR matrix.
+//!
+//! The body is a prologue pass writing `d = z₀ = r/θ` and then, per
+//! degree, one [`ParKernels::spmv_bands`] sweep whose epilogue is the
+//! recurrence — `d ← c1·d + c2·(r − A z)`, `z' ← z + d` — applied to each
+//! 1024-row band of `A z` while it sits in a stack buffer: no full-length
+//! `A z`, no second or third pass over `d` and `z`. A sweep reads all of
+//! `z`, so `z'` goes to a second buffer and the two swap; the starting side
+//! is chosen by the parity of `d` so the last sweep writes the caller's
+//! `z` (odd degree: start in the temporary). Per element the operations
+//! are those of the closure form [`SpmvPolyApply::apply_with_spmv`] in the
+//! same order and a band of `A z` is bitwise the band of the whole-matrix
+//! SpMV in either format, so every form gives the same bits for every
+//! thread count. The closure form stays for the ranked engine, whose SpMV
+//! is a halo exchange; both draw `(θ, c1, c2)` from one helper.
+//!
+//! **Allocation rule.** Every apply makes exactly two length-`n` heap
+//! allocations and drops them on return (`d` and the second iterate
+//! buffer; before the fusion, `d` and `A z`). Do not cache them on the
+//! preconditioner, in a thread-local or in the tile scratch: the
+//! benchmark's `peak_rss_mb` on the Table 3 workload is bistable under
+//! glibc's dynamic mmap threshold (61 vs 69 MiB), and one more resident
+//! MiB flipped it by 7–8 MiB in either direction (DESIGN.md §4).
 
 use crate::spec::PrecondSpec;
 use crate::traits::{DistForm, Preconditioner, SpmvPolyApply};
-use spcg_sparse::blas::REDUCE_BLOCK;
-use spcg_sparse::{CsrMatrix, ParKernels};
+use spcg_sparse::{CsrMatrix, MatRef, ParKernels};
 use std::sync::Arc;
 
 /// Chebyshev polynomial preconditioner of a given degree.
@@ -31,12 +61,14 @@ impl ChebyshevPrecond {
     /// Builds for the target interval `[lambda_lo, lambda_hi]`.
     ///
     /// # Panics
-    /// Panics unless `0 < lambda_lo < lambda_hi` and `degree ≥ 1`.
+    /// Panics unless `0 < lambda_lo < lambda_hi < ∞` and `degree ≥ 1`.
     pub fn new(a: Arc<CsrMatrix>, degree: usize, lambda_lo: f64, lambda_hi: f64) -> Self {
         assert!(degree >= 1, "ChebyshevPrecond: degree must be at least 1");
+        // An infinite upper end would pass the ordering test and then make
+        // θ = δ = ∞, σ₁ = NaN and every apply NaN.
         assert!(
-            lambda_lo > 0.0 && lambda_lo < lambda_hi,
-            "ChebyshevPrecond: need 0 < lambda_lo < lambda_hi (got {lambda_lo}, {lambda_hi})"
+            lambda_lo > 0.0 && lambda_lo < lambda_hi && lambda_hi.is_finite(),
+            "ChebyshevPrecond: need 0 < lambda_lo < lambda_hi < inf (got {lambda_lo}, {lambda_hi})"
         );
         assert_eq!(
             a.nrows(),
@@ -70,31 +102,83 @@ impl ChebyshevPrecond {
     pub fn degree(&self) -> usize {
         self.degree
     }
+
+    /// The scalars of the recurrence: `θ` (the degree-0 iterate is `r/θ`)
+    /// and, per degree, the `(c1, c2)` of `d ← c1·d + c2·(r − A z)` —
+    /// `c1 = ρ_k ρ_{k−1}`, `c2 = 2ρ_k/δ`, `ρ_k = 1/(2σ₁ − ρ_{k−1})`. Both
+    /// application forms draw them from here.
+    fn recurrence(&self) -> (f64, impl Iterator<Item = (f64, f64)>) {
+        let theta = 0.5 * (self.lambda_hi + self.lambda_lo);
+        let delta = 0.5 * (self.lambda_hi - self.lambda_lo);
+        let sigma1 = theta / delta;
+        let mut rho_prev = 1.0 / sigma1;
+        let steps = (0..self.degree).map(move |_| {
+            let rho = 1.0 / (2.0 * sigma1 - rho_prev);
+            let c = (rho * rho_prev, 2.0 * rho / delta);
+            rho_prev = rho;
+            c
+        });
+        (theta, steps)
+    }
 }
 
 impl SpmvPolyApply for ChebyshevPrecond {
     fn apply_with_spmv(&self, r: &[f64], z: &mut [f64], spmv: &mut dyn FnMut(&[f64], &mut [f64])) {
         let n = r.len();
         assert_eq!(z.len(), n, "ChebyshevPrecond: output length mismatch");
-        let theta = 0.5 * (self.lambda_hi + self.lambda_lo);
-        let delta = 0.5 * (self.lambda_hi - self.lambda_lo);
-        let sigma1 = theta / delta;
+        let (theta, steps) = self.recurrence();
         // x1 = r/θ — the degree-0 iterate.
         let mut d: Vec<f64> = r.iter().map(|v| v / theta).collect();
         z.copy_from_slice(&d);
-        let mut rho_prev = 1.0 / sigma1;
         let mut ax = vec![0.0; n];
-        for _ in 0..self.degree {
-            let rho = 1.0 / (2.0 * sigma1 - rho_prev);
+        for (c1, c2) in steps {
             // res = r − A z (one SpMV).
             spmv(z, &mut ax);
-            let c1 = rho * rho_prev;
-            let c2 = 2.0 * rho / delta;
             for i in 0..n {
                 d[i] = c1 * d[i] + c2 * (r[i] - ax[i]);
                 z[i] += d[i];
             }
-            rho_prev = rho;
+        }
+    }
+
+    fn apply_on(&self, pk: &ParKernels, op: MatRef<'_>, r: &[f64], z: &mut [f64]) {
+        let n = op.nrows();
+        assert_eq!(r.len(), n, "ChebyshevPrecond::apply: input length mismatch");
+        assert_eq!(
+            z.len(),
+            n,
+            "ChebyshevPrecond::apply: output length mismatch"
+        );
+        let (theta, steps) = self.recurrence();
+        // Exactly two length-n allocations, made and dropped per apply (see
+        // the module docs): the direction `d` and the second iterate
+        // buffer. A band sweep reads the whole current iterate, so the next
+        // one is written to the other buffer; the starting side is picked
+        // by degree parity so that the last sweep lands in `z`.
+        let mut d = vec![0.0; n];
+        let mut other = vec![0.0; n];
+        let (mut cur, mut next) = if self.degree % 2 == 0 {
+            (z, &mut other[..])
+        } else {
+            (&mut other[..], z)
+        };
+        let bounds = pk.band_schedule(op);
+        pk.for_each_ranges_mut([&mut d[..], &mut *cur], &bounds, |c, [d, z0]| {
+            for ((di, zi), ri) in d.iter_mut().zip(z0).zip(&r[bounds[c]..]) {
+                *di = ri / theta;
+                *zi = *di;
+            }
+        });
+        for (c1, c2) in steps {
+            let zc = &*cur;
+            pk.spmv_bands(op, zc, [&mut d[..], &mut *next], |lo, az, [d, zn]| {
+                let (r, zc) = (&r[lo..], &zc[lo..]);
+                for i in 0..az.len() {
+                    d[i] = c1 * d[i] + c2 * (r[i] - az[i]);
+                    zn[i] = zc[i] + d[i];
+                }
+            });
+            std::mem::swap(&mut cur, &mut next);
         }
     }
 
@@ -105,64 +189,11 @@ impl SpmvPolyApply for ChebyshevPrecond {
 
 impl Preconditioner for ChebyshevPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.a.nrows();
-        assert_eq!(r.len(), n, "ChebyshevPrecond::apply: input length mismatch");
-        assert_eq!(
-            z.len(),
-            n,
-            "ChebyshevPrecond::apply: output length mismatch"
-        );
-        self.apply_with_spmv(r, z, &mut |x, y| self.a.spmv(x, y));
+        self.apply_par(&ParKernels::serial(), r, z);
     }
 
     fn apply_par(&self, pk: &ParKernels, r: &[f64], z: &mut [f64]) {
-        let n = self.a.nrows();
-        assert_eq!(r.len(), n, "ChebyshevPrecond::apply: input length mismatch");
-        assert_eq!(
-            z.len(),
-            n,
-            "ChebyshevPrecond::apply: output length mismatch"
-        );
-        let theta = 0.5 * (self.lambda_hi + self.lambda_lo);
-        let delta = 0.5 * (self.lambda_hi - self.lambda_lo);
-        let sigma1 = theta / delta;
-        // Same recurrence as `apply_with_spmv`, with the SpMV and the
-        // elementwise passes row-partitioned. Every entry is updated by the
-        // same expression as the serial fused loop, so the split into two
-        // chunked passes stays bitwise identical.
-        let mut d = vec![0.0; n];
-        pk.for_each_chunk_mut(&mut d, REDUCE_BLOCK, |_, lo, piece| {
-            for (i, di) in piece.iter_mut().enumerate() {
-                *di = r[lo + i] / theta;
-            }
-        });
-        z.copy_from_slice(&d);
-        let mut rho_prev = 1.0 / sigma1;
-        let mut ax = vec![0.0; n];
-        for _ in 0..self.degree {
-            let rho = 1.0 / (2.0 * sigma1 - rho_prev);
-            pk.spmv(&self.a, z, &mut ax);
-            let c1 = rho * rho_prev;
-            let c2 = 2.0 * rho / delta;
-            {
-                let (rr, aa) = (&r[..n], &ax[..n]);
-                pk.for_each_chunk_mut(&mut d, REDUCE_BLOCK, |_, lo, piece| {
-                    for (i, di) in piece.iter_mut().enumerate() {
-                        let g = lo + i;
-                        *di = c1 * *di + c2 * (rr[g] - aa[g]);
-                    }
-                });
-            }
-            {
-                let dd = &d[..n];
-                pk.for_each_chunk_mut(z, REDUCE_BLOCK, |_, lo, piece| {
-                    for (i, zi) in piece.iter_mut().enumerate() {
-                        *zi += dd[lo + i];
-                    }
-                });
-            }
-            rho_prev = rho;
-        }
+        self.apply_on(pk, MatRef::Csr(&self.a), r, z);
     }
 
     fn dim(&self) -> usize {
@@ -282,11 +313,69 @@ mod tests {
         let r: Vec<f64> = (0..n).map(|i| ((i * 13 % 19) as f64) - 9.0).collect();
         let mut z_ref = vec![0.0; n];
         p.apply(&r, &mut z_ref);
+        assert_eq!(z_ref, apply_by_closure(&p, &a, &r), "apply vs closure form");
         for t in [1usize, 2, 4, 8] {
             let pk = ParKernels::new(t);
             let mut z = vec![1.0; n];
             p.apply_par(&pk, &r, &mut z);
             assert_eq!(z, z_ref, "threads {t}");
+        }
+    }
+
+    /// The closure form over the plain CSR kernel: the reference every
+    /// operator form must reproduce.
+    fn apply_by_closure(p: &ChebyshevPrecond, a: &CsrMatrix, r: &[f64]) -> Vec<f64> {
+        let mut z = vec![0.0; r.len()];
+        p.apply_with_spmv(r, &mut z, &mut |x, y| a.spmv(x, y));
+        z
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: element {i}: {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn apply_on_matches_the_closure_form_bitwise() {
+        use spcg_sparse::generators::poisson::{poisson_2d, poisson_3d};
+        // n = 400 (under one band), 1728 (a ragged second band) and 39 304:
+        // the last is over the pool's split floor in both formats, so two
+        // threads on a machine with two cores take the pooled band path.
+        let cases: [(CsrMatrix, &[usize], &[usize]); 3] = [
+            (poisson_2d(20), &[1, 2, 3, 4, 5, 6], &[1, 2, 4, 8]),
+            (poisson_3d(12), &[1, 2, 3, 4, 5, 6], &[1, 2, 4, 8]),
+            (poisson_3d(34), &[3, 4], &[1, 2]),
+        ];
+        for (a, degrees, threads) in cases {
+            let a = Arc::new(a);
+            let n = a.nrows();
+            let sell = a.sell();
+            let r: Vec<f64> = (0..n).map(|i| ((i * 13 % 19) as f64) - 9.0).collect();
+            // Both parities of the ping-pong: an odd degree starts in the
+            // temporary, an even one in `z`.
+            for &degree in degrees {
+                let p = ChebyshevPrecond::from_matrix(Arc::clone(&a), degree, 30.0);
+                let want = apply_by_closure(&p, &a, &r);
+                for &t in threads {
+                    let pk = ParKernels::new(t);
+                    let ops = [("csr", MatRef::Csr(&a)), ("sell", MatRef::Sell(&sell))];
+                    for (format, op) in ops {
+                        let mut z = vec![f64::NAN; n];
+                        p.apply_on(&pk, op, &r, &mut z);
+                        let tag = format!("n={n} degree={degree} threads={t} {format}");
+                        assert_same_bits(&z, &want, &tag);
+                        let mut z = vec![f64::NAN; n];
+                        p.apply_par_on(&pk, op, &r, &mut z);
+                        assert_same_bits(&z, &want, &format!("{tag} via dist_form"));
+                    }
+                }
+            }
         }
     }
 
@@ -303,5 +392,13 @@ mod tests {
     fn rejects_bad_interval() {
         let a = diag_matrix(&[1.0]);
         ChebyshevPrecond::new(a, 3, 2.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "lambda_hi < inf")]
+    fn rejects_an_infinite_interval() {
+        // 0 < 1 < ∞ holds, but θ = δ = ∞ would make every apply NaN.
+        let a = diag_matrix(&[1.0]);
+        ChebyshevPrecond::new(a, 3, 1.0, f64::INFINITY);
     }
 }

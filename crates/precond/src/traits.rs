@@ -6,6 +6,17 @@
 //! `spcg-solvers` dispatches on this form to pick the cheapest correct
 //! application strategy — and, for pointwise forms, to ghost the operator
 //! into the depth-s matrix powers kernel.
+//!
+//! The serial executor, the level-wise matrix powers kernel and the
+//! blocked batch dispatch on it too, through
+//! [`Preconditioner::apply_par_on`]: a [`DistForm::SpmvPolynomial`]
+//! operator is a recurrence over SpMVs, so it is run on the stored form of
+//! `A` the caller's own kernels use ([`SpmvPolyApply::apply_on`]) — the
+//! solve's `SparseFormat` decides the layout of *every* matrix stream, the
+//! preconditioner's included. All other forms own their data and take
+//! `apply_par`.
+
+use spcg_sparse::{MatRef, ParKernels};
 
 /// How a preconditioner decomposes under a contiguous block-row partition.
 ///
@@ -49,20 +60,29 @@ pub trait RankLocalApply: Send + Sync {
 }
 
 /// A preconditioner whose application is a polynomial in `A`, expressed
-/// against an injected SpMV so the same recurrence runs serially or over a
-/// distributed operator.
+/// against an operator the caller supplies: an injected SpMV, so the same
+/// recurrence runs over a distributed operator, or the stored form of `A`
+/// the caller's kernels run on, so it runs at their rate.
 pub trait SpmvPolyApply: Send + Sync {
     /// Applies `z ← q(A) r` where every product with `A` goes through
     /// `spmv`. Vector lengths follow `r.len()` (local length under a rank
     /// partition), not the global dimension.
     fn apply_with_spmv(&self, r: &[f64], z: &mut [f64], spmv: &mut dyn FnMut(&[f64], &mut [f64]));
 
+    /// Applies `z ← q(A) r` with every product taken on `op` — a stored
+    /// form of the matrix this operator was built for, in the format of
+    /// the caller's choosing — band-fused with the recurrence's vector
+    /// work ([`ParKernels::spmv_bands`]). Bitwise equal to
+    /// [`SpmvPolyApply::apply_with_spmv`] over [`CsrMatrix::spmv`] for
+    /// either format and any thread count.
+    ///
+    /// [`CsrMatrix::spmv`]: spcg_sparse::CsrMatrix::spmv
+    fn apply_on(&self, pk: &ParKernels, op: MatRef<'_>, r: &[f64], z: &mut [f64]);
+
     /// Number of `spmv` calls one application makes (= halo exchanges the
     /// distributed engine will perform per apply).
     fn spmvs_per_apply(&self) -> usize;
 }
-
-use spcg_sparse::ParKernels;
 
 /// A fixed symmetric-positive-definite linear operator `M⁻¹` applied as
 /// `z = M⁻¹ r`.
@@ -98,6 +118,18 @@ pub trait Preconditioner: Send + Sync {
     fn apply_par(&self, pk: &ParKernels, r: &[f64], z: &mut [f64]) {
         let _ = pk;
         self.apply(r, z);
+    }
+
+    /// [`Preconditioner::apply_par`] for an executor that holds `op`, the
+    /// system matrix in the sparse format its own kernels run on: a
+    /// polynomial in `A` ([`DistForm::SpmvPolynomial`]) takes its products
+    /// on `op`, so the preconditioner follows the solve's format instead of
+    /// owning one; every other form ignores `op`. Same bits as `apply_par`.
+    fn apply_par_on(&self, pk: &ParKernels, op: MatRef<'_>, r: &[f64], z: &mut [f64]) {
+        match self.dist_form() {
+            DistForm::SpmvPolynomial(p) => p.apply_on(pk, op, r, z),
+            _ => self.apply_par(pk, r, z),
+        }
     }
 
     /// Applies in place via an internal scratch buffer allocation. Solvers

@@ -50,7 +50,7 @@ use crate::stopping::{StopState, Verdict};
 use spcg_dist::Counters;
 use spcg_obs::{Phase, Track};
 use spcg_precond::{DistForm, Preconditioner};
-use spcg_sparse::{CsrMatrix, MultiVector, ParKernels, SellMatrix, SparseFormat};
+use spcg_sparse::{CsrMatrix, MatRef, MultiVector, ParKernels, SellMatrix, SparseFormat};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -146,13 +146,21 @@ struct Blk<'a> {
 }
 
 impl Blk<'_> {
+    /// The system matrix in the format this solve's kernels run on.
+    fn op(&self) -> MatRef<'_> {
+        MatRef::of(self.a, self.sell.as_deref())
+    }
+
     /// Single-column `y ← A x` (breakdown-path criterion only).
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
         let _s = spcg_obs::span(self.tr.as_ref(), Phase::Spmv);
-        match self.sell.as_deref() {
-            Some(sell) => self.pk.spmv_sell(sell, x, y),
-            None => self.pk.spmv(self.a, x, y),
-        }
+        self.pk.spmv_on(self.op(), x, y);
+    }
+
+    /// `u ← M⁻¹ r` for one column, on this solve's operator.
+    fn precond(&self, m: &dyn Preconditioner, r: &[f64], u: &mut [f64]) {
+        let _s = spcg_obs::span(self.tr.as_ref(), Phase::Precond);
+        m.apply_par_on(&self.pk, self.op(), r, u);
     }
 
     /// `S ← A P` plus per-column `pᵀ·(A·p)`. On the serial CSR path the
@@ -166,10 +174,7 @@ impl Blk<'_> {
             if self.sell.is_none() && self.pk.threads() == 1 {
                 return self.a.spmm_dot(x, y);
             }
-            match self.sell.as_deref() {
-                Some(sell) => self.pk.spmm_sell(sell, x, y),
-                None => self.pk.spmm(self.a, x, y),
-            }
+            self.pk.spmm_on(self.op(), x, y);
         }
         let _g = spcg_obs::span(self.tr.as_ref(), Phase::Gram);
         (0..x.k())
@@ -187,10 +192,7 @@ impl Blk<'_> {
         if self.sell.is_none() && self.pk.threads() == 1 {
             return self.a.spmm_residual_sq(x, bs);
         }
-        match self.sell.as_deref() {
-            Some(sell) => self.pk.spmm_sell(sell, x, y),
-            None => self.pk.spmm(self.a, x, y),
-        }
+        self.pk.spmm_on(self.op(), x, y);
         let ld = self.a.nrows();
         bs.iter()
             .enumerate()
@@ -397,10 +399,7 @@ fn pcg_block(
     let mut sm = MultiVector::zeros(n, k0);
     for c in 0..k0 {
         let mut counters = Counters::new();
-        {
-            let _s = spcg_obs::span(blk.tr.as_ref(), Phase::Precond);
-            m.apply_par(&blk.pk, rm.col(c), &mut u);
-        }
+        blk.precond(m, rm.col(c), &mut u);
         counters.record_precond(m_flops);
         pm.col_mut(c).copy_from_slice(&u);
         let rtu = {
@@ -509,9 +508,7 @@ fn pcg_block(
                     blk.pk.axpy(alpha, pm.col(c), xm.col_mut(c));
                     blk.pk.axpy(-alpha, sm.col(c), rm.col_mut(c));
                 }
-                let _s = spcg_obs::span(blk.tr.as_ref(), Phase::Precond);
-                m.apply_par(&blk.pk, rm.col(c), &mut u);
-                drop(_s);
+                blk.precond(m, rm.col(c), &mut u);
                 let _g = spcg_obs::span(blk.tr.as_ref(), Phase::Gram);
                 blk.pk.dot(rm.col(c), &u)
             };

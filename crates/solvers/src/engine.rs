@@ -50,7 +50,7 @@ use spcg_obs::{Phase, Track};
 use spcg_precond::{DistForm, Preconditioner};
 use spcg_sparse::partition::BlockRowPartition;
 use spcg_sparse::{
-    CsrMatrix, DenseMat, GhostZone, MultiVector, ParKernels, SellMatrix, SparseFormat,
+    CsrMatrix, DenseMat, GhostZone, MatRef, MultiVector, ParKernels, SellMatrix, SparseFormat,
 };
 use std::sync::Arc;
 
@@ -200,6 +200,11 @@ impl<'a> SerialExec<'a> {
             track,
         }
     }
+
+    /// The system matrix in the format this solve's kernels run on.
+    fn op(&self) -> MatRef<'_> {
+        MatRef::of(self.a, self.sell.as_deref())
+    }
 }
 
 impl Exec for SerialExec<'_> {
@@ -220,14 +225,11 @@ impl Exec for SerialExec<'_> {
     }
     fn spmv(&mut self, x: &[f64], y: &mut [f64], _counters: &mut Counters) {
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmv);
-        match self.sell.as_deref() {
-            Some(sell) => self.pk.spmv_sell(sell, x, y),
-            None => self.pk.spmv(self.a, x, y),
-        }
+        self.pk.spmv_on(self.op(), x, y);
     }
     fn precond(&mut self, r: &[f64], z: &mut [f64], _counters: &mut Counters) {
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Precond);
-        self.m.apply_par(&self.pk, r, z);
+        self.m.apply_par_on(&self.pk, self.op(), r, z);
     }
     fn mpk(
         &mut self,
@@ -252,10 +254,7 @@ impl Exec for SerialExec<'_> {
     }
     fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, _counters: &mut Counters) {
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmm);
-        match self.sell.as_deref() {
-            Some(sell) => self.pk.spmm_sell(sell, x, y),
-            None => self.pk.spmm(self.a, x, y),
-        }
+        self.pk.spmm_on(self.op(), x, y);
     }
 }
 

@@ -24,6 +24,23 @@
 //! idle and are joined when the last handle drops. With `threads = 1` no
 //! worker threads exist at all and every kernel runs inline on the caller.
 //!
+//! # The band primitive
+//!
+//! [`ParKernels::spmv_bands`] is the SpMV for callers that consume the
+//! product at once (a polynomial preconditioner's recurrence): rows are
+//! walked in [`REDUCE_BLOCK`]-row bands, a band of `A·x` lands in an 8 KiB
+//! stack buffer and a caller epilogue folds it into the caller's vectors
+//! while it is in L1, so the product never makes a round trip through
+//! memory as a full-length vector. The operator arrives as a [`MatRef`] —
+//! CSR or SELL, the executor's choice. In SELL a band is four σ-windows =
+//! 32 slices, and σ-confinement makes those slices' lanes exactly the
+//! band's rows; that is why the fusion granule is a band and not the
+//! kernel's per-lane `write(row, acc)` sink: fusing through the sink
+//! scatters bounds-checked single-element updates over the caller's
+//! vectors and measured no faster than an unfused SELL SpMV plus one
+//! vector pass. Pooled runs hand each task a run of whole bands, so
+//! row-local epilogues are thread-count independent by construction.
+//!
 //! The row-partitioned sparse kernels (SpMV and SpMM, both formats) also
 //! run inline when splitting cannot pay: the pool is wider than the machine,
 //! or the matrix is under `SPLIT_MIN_ENTRIES`. By the invariant above the
@@ -33,7 +50,7 @@ use crate::blas::{self, pairwise_sum, REDUCE_BLOCK};
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMat;
 use crate::multivector::MultiVector;
-use crate::sell::SellMatrix;
+use crate::sell::{MatRef, SellMatrix};
 use crate::tile::{combine, gram_block, with_scratch, GRAM_LANES, TILE, ZERO_TILE};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -201,6 +218,19 @@ impl<T> SendPtr<T> {
     }
 }
 
+/// Splits the first `len` elements off every slice of `rest`, leaving the
+/// tails behind: how a range is walked piece by piece without `unsafe`.
+fn split_fronts<'a, T, const K: usize>(
+    rest: &mut [&'a mut [T]; K],
+    len: usize,
+) -> [&'a mut [T]; K] {
+    std::array::from_fn(|k| {
+        let (front, tail) = std::mem::take(&mut rest[k]).split_at_mut(len);
+        rest[k] = tail;
+        front
+    })
+}
+
 /// Handle to the parallel kernel layer. Cheap to clone (an `Arc` around the
 /// pool); all kernels are deterministic in the sense documented at the
 /// module level.
@@ -227,8 +257,11 @@ impl ParKernels {
     /// Creates a kernel layer over a fresh pool of `threads` members.
     pub fn new(threads: usize) -> Self {
         let pool = Arc::new(ThreadPool::new(threads));
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let split_floor = if pool.threads() > cores {
+        // A one-member pool never splits, so it need not ask (the query
+        // reads the affinity mask and cgroup files on every call).
+        let oversubscribed = pool.threads() > 1
+            && pool.threads() > std::thread::available_parallelism().map_or(1, |p| p.get());
+        let split_floor = if oversubscribed {
             usize::MAX
         } else {
             SPLIT_MIN_ENTRIES
@@ -323,27 +356,56 @@ impl ParKernels {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
+        self.for_each_ranges_mut([data], bounds, |c, [piece]| f(c, piece));
+    }
+
+    /// [`ParKernels::for_each_range_mut`] over `K` vectors at once: task
+    /// `c` receives the sub-slice `bounds[c]..bounds[c + 1]` of every one
+    /// of `outs`, so a row-partitioned kernel can update several outputs
+    /// in a single pass.
+    ///
+    /// # Panics
+    /// Panics if the bounds exceed one of the vectors.
+    pub fn for_each_ranges_mut<T, F, const K: usize>(
+        &self,
+        mut outs: [&mut [T]; K],
+        bounds: &[usize],
+        f: F,
+    ) where
+        T: Send,
+        F: Fn(usize, [&mut [T]; K]) + Sync,
+    {
         let nranges = bounds.len().saturating_sub(1);
-        debug_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        if nranges > 0 {
-            assert!(
-                bounds[nranges] <= data.len(),
-                "for_each_range_mut: bounds exceed data"
-            );
+        if nranges == 0 {
+            return;
         }
+        assert!(
+            bounds.windows(2).all(|w| w[0] <= w[1]),
+            "for_each_ranges_mut: bounds not monotone"
+        );
+        assert!(
+            outs.iter().all(|o| bounds[nranges] <= o.len()),
+            "for_each_ranges_mut: bounds exceed data"
+        );
         if self.threads() == 1 {
+            split_fronts(&mut outs, bounds[0]);
             for c in 0..nranges {
-                f(c, &mut data[bounds[c]..bounds[c + 1]]);
+                f(c, split_fronts(&mut outs, bounds[c + 1] - bounds[c]));
             }
             return;
         }
-        let ptr = SendPtr(data.as_mut_ptr());
+        let ptrs = outs.map(|o| SendPtr(o.as_mut_ptr()));
         self.run_indexed(nranges, |c| {
             let (lo, hi) = (bounds[c], bounds[c + 1]);
-            // SAFETY: the bounds are monotone (checked above), so ranges are
-            // disjoint and within the exclusive borrow of `data`.
-            let piece = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
-            f(c, piece);
+            // SAFETY: the bounds are monotone and end inside every vector
+            // (both asserted above), so the ranges of distinct task indices
+            // are disjoint and in bounds; the vectors are distinct exclusive
+            // borrows that outlive the run, and nothing else touches them
+            // until it returns.
+            let pieces = std::array::from_fn(|k| unsafe {
+                std::slice::from_raw_parts_mut(ptrs[k].get().add(lo), hi - lo)
+            });
+            f(c, pieces);
         });
     }
 
@@ -511,6 +573,95 @@ impl ParKernels {
             // the `out_len`/`k` asserts above.
             let mut write = |i: usize, v: f64| unsafe { *ptr.get().add(i) = v };
             a.spmm_slices_into(bounds[c], bounds[c + 1], x, ld, &mut write);
+        });
+    }
+
+    /// `y ← A·x` on whichever stored form `op` is: [`ParKernels::spmv`] or
+    /// [`ParKernels::spmv_sell`]. Same bits either way.
+    pub fn spmv_on(&self, op: MatRef<'_>, x: &[f64], y: &mut [f64]) {
+        match op {
+            MatRef::Csr(a) => self.spmv(a, x, y),
+            MatRef::Sell(a) => self.spmv_sell(a, x, y),
+        }
+    }
+
+    /// `Y ← A·X` on whichever stored form `op` is: [`ParKernels::spmm`] or
+    /// [`ParKernels::spmm_sell`]. Same bits either way.
+    pub fn spmm_on(&self, op: MatRef<'_>, x: &MultiVector, y: &mut MultiVector) {
+        match op {
+            MatRef::Csr(a) => self.spmm(a, x, y),
+            MatRef::Sell(a) => self.spmm_sell(a, x, y),
+        }
+    }
+
+    /// The row partition of the band kernels: boundaries `b` with
+    /// `b[0] = 0`, `b.last() = nrows` and every one in between a multiple
+    /// of [`REDUCE_BLOCK`], so each task owns whole bands. `[0, nrows]`
+    /// when the operator is too small to split (the rule of
+    /// [`ParKernels::spmv`]); otherwise the format's work-balanced schedule
+    /// ([`CsrMatrix::row_schedule`] / [`SellMatrix::slice_schedule`]) with
+    /// each cut moved to the nearest band boundary.
+    pub fn band_schedule(&self, op: MatRef<'_>) -> Vec<usize> {
+        let n = op.nrows();
+        // (work-balanced cuts, rows per unit they are counted in)
+        let (cuts, unit) = match op {
+            MatRef::Csr(a) if self.splits(a.nnz()) => (a.row_schedule(self.threads()), 1),
+            MatRef::Sell(a) if self.splits(a.padded_nnz()) => {
+                (a.slice_schedule(self.threads()), crate::sell::SELL_C)
+            }
+            _ => return vec![0, n],
+        };
+        let nearest_band = |row: usize| (row + REDUCE_BLOCK / 2) / REDUCE_BLOCK * REDUCE_BLOCK;
+        let mut bounds: Vec<usize> = cuts[..cuts.len() - 1]
+            .iter()
+            .map(|&c| nearest_band(c * unit).min(n))
+            .collect();
+        bounds.push(n);
+        bounds
+    }
+
+    /// The band-fused SpMV: rows are walked in [`REDUCE_BLOCK`]-row bands,
+    /// `(A·x)[band]` lands in a stack buffer, and `epilogue(lo, ax_band,
+    /// out_bands)` consumes it at once — `lo` the band's first row,
+    /// `out_bands` the band's sub-slice of every one of `outs`. The
+    /// product is never stored full-length, and whatever the epilogue
+    /// reads of the band (`ax_band`, its own rows of other vectors) is
+    /// cache-hot. `x` is read across bands, so it cannot be one of `outs`:
+    /// a recurrence writes its next iterate to a second buffer.
+    ///
+    /// `ax_band` is bitwise the band of [`CsrMatrix::spmv`] in either
+    /// format (see [`MatRef::spmv_band`]), and the pool is handed whole
+    /// bands ([`ParKernels::band_schedule`]), so an epilogue that is
+    /// row-local — element `i` of its outputs depends on row `i` of its
+    /// inputs only — yields the same bits for every thread count.
+    ///
+    /// # Panics
+    /// Panics on length mismatches, and as [`MatRef::spmv_band`] does.
+    pub fn spmv_bands<F, const K: usize>(
+        &self,
+        op: MatRef<'_>,
+        x: &[f64],
+        outs: [&mut [f64]; K],
+        epilogue: F,
+    ) where
+        F: Fn(usize, &[f64], [&mut [f64]; K]) + Sync,
+    {
+        let n = op.nrows();
+        assert!(x.len() >= op.ncols(), "spmv_bands: x length mismatch");
+        assert!(
+            outs.iter().all(|o| o.len() == n),
+            "spmv_bands: output length mismatch"
+        );
+        let bounds = self.band_schedule(op);
+        self.for_each_ranges_mut(outs, &bounds, |c, mut rest| {
+            let mut ax = [0.0f64; REDUCE_BLOCK];
+            let mut lo = bounds[c];
+            while lo < bounds[c + 1] {
+                let len = REDUCE_BLOCK.min(bounds[c + 1] - lo);
+                op.spmv_band(lo, lo + len, x, &mut ax[..len]);
+                epilogue(lo, &ax[..len], split_fronts(&mut rest, len));
+                lo += len;
+            }
         });
     }
 
@@ -1201,6 +1352,137 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The operators of the band twins, `n` rows each: a tridiagonal
+    /// stencil (every SELL slice on `u16` offsets), a rectangular matrix
+    /// with five random columns out of 70 000 per row (`u32` slices), and
+    /// a random square one whose every third row is empty.
+    fn band_operators(n: usize) -> [(&'static str, CsrMatrix); 3] {
+        let random = |ncols: usize, keep: &dyn Fn(usize) -> bool| {
+            let mut rng = Rng64::seed_from_u64(n as u64);
+            let mut coo = crate::CooMatrix::with_capacity(n, ncols, 5 * n);
+            for r in (0..n).filter(|&r| keep(r)) {
+                for _ in 0..5 {
+                    let c = rng.below_inclusive(ncols - 1);
+                    coo.push(r, c, rng.next_f64() - 0.5);
+                }
+            }
+            coo.to_csr()
+        };
+        [
+            ("banded", crate::generators::poisson::poisson_1d(n)),
+            ("wide", random(70_000, &|_| true)),
+            ("holes", random(n, &|r| r % 3 != 1)),
+        ]
+    }
+
+    /// `x` with `specials` planted on both sides of the first band edges.
+    fn band_operand(len: usize, specials: &[f64]) -> Vec<f64> {
+        let mut x = random_vec(len, 17);
+        let b = REDUCE_BLOCK;
+        let edges = [b, b - 1, 0, 2 * b - 1, 2 * b + 1];
+        for (k, &i) in edges.iter().filter(|&&i| i < len).enumerate() {
+            x[i] = specials[k % specials.len()];
+        }
+        x
+    }
+
+    /// The band primitive under an epilogue that copies the band out must
+    /// reproduce the whole-matrix SpMV, hand every row to exactly one
+    /// epilogue call and report that call's first row, in both formats,
+    /// for any thread count and any ragged tail. This is also the checked
+    /// twin of the pooled disjoint-range writer under it.
+    #[test]
+    fn band_spmv_matches_whole_matrix_spmv_bitwise() {
+        let sizes = [1usize, 31, 257, 1023, 1024, 1025, 1728, 4097, 3 * 1024 + 5];
+        for n in sizes {
+            for (what, a) in band_operators(n) {
+                let sell = SellMatrix::from_csr(&a);
+                // (A lone row's five columns may happen to span 16 bits, and
+                // a slice of empty rows counts as wide.)
+                match what {
+                    "banded" => assert_eq!(sell.wide_slices(), 0, "n={n}"),
+                    "wide" if n > 1 => assert!(sell.wide_slices() > 0, "n={n}"),
+                    _ => {}
+                }
+                // Signed zeros compare against CSR in both formats. A SELL
+                // pad slot multiplies zero by an operand entry (module docs
+                // of `sell`), which is NaN under ±Inf and, for the pad of an
+                // empty row, under NaN: there SELL answers to its own kernel.
+                let finite = band_operand(a.ncols(), &ZEROS);
+                let non_finite = band_operand(a.ncols(), &NON_FINITE);
+                for (x, sell_twin) in [(&finite, false), (&non_finite, true)] {
+                    let mut want_csr = vec![0.0; n];
+                    a.spmv(x, &mut want_csr);
+                    let mut want_sell = vec![0.0; n];
+                    sell.spmv(x, &mut want_sell);
+                    if !sell_twin {
+                        assert_same_bits(&want_sell, &want_csr, &format!("{what} n={n} formats"));
+                    }
+                    for t in THREAD_COUNTS {
+                        let pk = ParKernels::always_split(t);
+                        for (format, op, want) in [
+                            ("csr", MatRef::Csr(&a), &want_csr),
+                            ("sell", MatRef::Sell(&sell), &want_sell),
+                        ] {
+                            let tag = format!("{what} n={n} t={t} {format}");
+                            let mut y = vec![f64::NAN; n];
+                            let mut first_row = vec![usize::MAX as f64; n];
+                            let calls = AtomicUsize::new(0);
+                            pk.spmv_bands(op, x, [&mut y, &mut first_row], |lo, ax, [yb, fb]| {
+                                assert_eq!(lo % REDUCE_BLOCK, 0, "{tag}: band start");
+                                assert_eq!((yb.len(), fb.len()), (ax.len(), ax.len()));
+                                calls.fetch_add(1, Ordering::Relaxed);
+                                yb.copy_from_slice(ax);
+                                fb.fill(lo as f64);
+                            });
+                            assert_same_bits(&y, want, &tag);
+                            assert_eq!(calls.into_inner(), n.div_ceil(REDUCE_BLOCK), "{tag}");
+                            for (i, &f) in first_row.iter().enumerate() {
+                                assert_eq!(f, (i - i % REDUCE_BLOCK) as f64, "{tag}: row {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_schedule_cuts_on_band_boundaries() {
+        let a = poisson_3d(17); // n = 4913: four full bands and a tail
+        let sell = SellMatrix::from_csr(&a);
+        for op in [MatRef::Csr(&a), MatRef::Sell(&sell)] {
+            assert_eq!(ParKernels::new(1).band_schedule(op), [0, a.nrows()]);
+            for t in THREAD_COUNTS {
+                let b = ParKernels::always_split(t).band_schedule(op);
+                assert_eq!((b[0], b[b.len() - 1]), (0, a.nrows()), "t={t}");
+                assert!(b.windows(2).all(|w| w[0] <= w[1]), "t={t}: {b:?}");
+                assert!(
+                    b[..b.len() - 1].iter().all(|r| r % REDUCE_BLOCK == 0),
+                    "t={t}: {b:?}"
+                );
+                if t > 1 {
+                    assert_eq!(b.len(), t + 1);
+                }
+            }
+        }
+    }
+
+    /// A row-list build carries no window-confinement promise, so the band
+    /// kernel must refuse it rather than read a slice range as a row range.
+    #[test]
+    #[should_panic(expected = "not window-confined")]
+    fn band_spmv_refuses_a_row_list_sell_matrix() {
+        let a = poisson_2d(40);
+        let rows: Vec<usize> = (0..a.nrows()).rev().collect();
+        let sell = SellMatrix::from_rows(a.row_ptr(), a.col_idx(), a.values(), &rows);
+        let x = vec![1.0; a.ncols()];
+        let mut y = vec![0.0; a.nrows()];
+        ParKernels::serial().spmv_bands(MatRef::Sell(&sell), &x, [&mut y], |_, ax, [yb]| {
+            yb.copy_from_slice(ax)
+        });
     }
 
     #[test]

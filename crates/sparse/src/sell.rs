@@ -113,6 +113,60 @@ impl SparseFormat {
     }
 }
 
+/// A borrowed operator in whichever storage the caller's
+/// [`SparseFormat`] selected: what an executor hands to a kernel that must
+/// follow the solve's format ([`crate::ParKernels::spmv_on`],
+/// [`crate::ParKernels::spmm_on`], [`crate::ParKernels::spmv_bands`]). Two
+/// stored forms of one matrix, so an enum and not a trait; the SELL side
+/// must be a [`SellMatrix::from_csr`] conversion of the whole matrix.
+#[derive(Debug, Clone, Copy)]
+pub enum MatRef<'a> {
+    /// The assembly format.
+    Csr(&'a CsrMatrix),
+    /// The matrix's SELL-C-σ conversion.
+    Sell(&'a SellMatrix),
+}
+
+impl<'a> MatRef<'a> {
+    /// The SELL form when the executor holds one, the CSR matrix otherwise.
+    pub fn of(a: &'a CsrMatrix, sell: Option<&'a SellMatrix>) -> Self {
+        sell.map_or(MatRef::Csr(a), MatRef::Sell)
+    }
+
+    /// Output rows.
+    pub fn nrows(&self) -> usize {
+        match self {
+            MatRef::Csr(a) => a.nrows(),
+            MatRef::Sell(a) => a.out_len(),
+        }
+    }
+
+    /// Minimum operand length.
+    pub fn ncols(&self) -> usize {
+        match self {
+            MatRef::Csr(a) => a.ncols(),
+            MatRef::Sell(a) => a.ncols(),
+        }
+    }
+
+    /// `out ← (A·x)[lo..hi]` for one band of rows: in CSR the row loop of
+    /// [`CsrMatrix::spmv_rows`], in SELL the slices `lo/C .. ⌈hi/C⌉`, whose
+    /// lanes are by σ-confinement exactly the band's rows. Per row the
+    /// arithmetic of the whole-matrix kernels, hence the same bits.
+    ///
+    /// # Panics
+    /// Panics in SELL unless the matrix came from [`SellMatrix::from_csr`]
+    /// and the band is σ-aligned (`lo` a multiple of [`SELL_SIGMA`], `hi`
+    /// one too or the row count), and on length mismatches.
+    pub fn spmv_band(&self, lo: usize, hi: usize, x: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), hi - lo, "spmv_band: output length mismatch");
+        match self {
+            MatRef::Csr(a) => a.spmv_rows(lo, hi, x, out),
+            MatRef::Sell(a) => a.spmv_band(lo, hi, x, out),
+        }
+    }
+}
+
 /// A sparse matrix (or scattered row subset of one) in SELL-C-σ layout.
 ///
 /// Built from a [`CsrMatrix`] ([`SellMatrix::from_csr`], σ-sorted) or from
@@ -151,6 +205,11 @@ pub struct SellMatrix {
     /// the one-hop dependency half-width of the fused MPK tiling. Only
     /// computed by [`SellMatrix::from_csr`] (zero for row-list builds).
     window_reach: usize,
+    /// Whether lane `p` holds a row of σ-window `p / σ` for every `p`: true
+    /// of [`SellMatrix::from_csr`] conversions (the sort never leaves a
+    /// window), not promised by row-list builds. What lets a σ-aligned
+    /// band of rows be computed from a slice range.
+    sigma_confined: bool,
     /// Lazily computed padded-work-balanced slice partition for the
     /// threaded SpMV, keyed by chunk count (mirrors
     /// [`CsrMatrix::row_schedule`]).
@@ -170,6 +229,7 @@ impl Clone for SellMatrix {
             vals: self.vals.clone(),
             perm: self.perm.clone(),
             window_reach: self.window_reach,
+            sigma_confined: self.sigma_confined,
             schedule: Mutex::new(None),
         }
     }
@@ -329,6 +389,7 @@ impl SellMatrix {
         let mut m = Self::build(a.row_ptr(), a.col_idx(), a.values(), a.ncols(), order);
         m.out_len = a.nrows();
         m.window_reach = window_reach(a);
+        m.sigma_confined = true;
         m
     }
 
@@ -445,6 +506,7 @@ impl SellMatrix {
             vals,
             perm: order,
             window_reach: 0,
+            sigma_confined: false,
             schedule: Mutex::new(None),
         }
     }
@@ -504,6 +566,14 @@ impl SellMatrix {
     #[inline]
     pub(crate) fn slice_ptr(&self) -> &[usize] {
         &self.slice_ptr
+    }
+
+    /// Slices stored with absolute `u32` columns, for tests that must know
+    /// which index path they exercise.
+    #[cfg(test)]
+    pub(crate) fn wide_slices(&self) -> usize {
+        let wide = |k: &&SliceCols| **k == SliceCols::Wide;
+        self.kind.iter().filter(wide).count()
     }
 
     /// Fraction of stored slots that are padding (0 when empty).
@@ -611,6 +681,35 @@ impl SellMatrix {
             "sell spmv_slices: y length mismatch"
         );
         self.spmv_slices_with(s_begin, s_end, x, &mut |i, v| y[i] = v);
+    }
+
+    /// One σ-aligned band of rows `[lo, hi)` into `out` (`out[i] =
+    /// (A·x)[lo + i]`): the slice range of [`SellMatrix::spmv_slices`] with
+    /// a band-local destination, so a caller can consume the product while
+    /// it is cache-hot instead of storing a full-length vector. See
+    /// [`MatRef::spmv_band`] for the contract.
+    fn spmv_band(&self, lo: usize, hi: usize, x: &[f64], out: &mut [f64]) {
+        assert!(
+            self.sigma_confined,
+            "sell spmv_band: row-list builds are not window-confined"
+        );
+        assert!(
+            lo <= hi
+                && hi <= self.out_len
+                && lo % SELL_SIGMA == 0
+                && (hi % SELL_SIGMA == 0 || hi == self.out_len),
+            "sell spmv_band: band [{lo}, {hi}) is not σ-aligned"
+        );
+        assert!(x.len() >= self.ncols, "sell spmv_band: x length mismatch");
+        debug_assert!(
+            self.perm[lo..hi].iter().all(|&r| (lo..hi).contains(&r)),
+            "sell spmv_band: a lane of the band writes outside it"
+        );
+        // The index is checked: a lane outside the band would panic here,
+        // never write elsewhere.
+        self.spmv_slices_with(lo / SELL_C, hi.div_ceil(SELL_C), x, &mut |i, v| {
+            out[i - lo] = v
+        });
     }
 
     /// Serial SpMV restricted to the first `nlanes` lane positions — for

@@ -10,10 +10,14 @@
 //! via `SPCG_FORMAT`, so the suite behaves identically under the CI SELL
 //! job's environment.
 
+use spcg::precond::ChebyshevPrecond;
 use spcg::prelude::*;
+use spcg::solvers::{solve_batch, BatchRequest};
+use spcg::sparse::generators::anisotropic::anisotropic_3d;
 use spcg::sparse::generators::paper_rhs;
 use spcg::sparse::generators::poisson::{poisson_1d, poisson_2d};
 use spcg::sparse::{CsrMatrix, SellMatrix, SparseFormat};
+use std::sync::Arc;
 
 fn all_methods(problem: &Problem<'_>) -> Vec<(&'static str, Method)> {
     let basis = spcg::solvers::chebyshev_basis(problem, 20, 0.05);
@@ -120,6 +124,81 @@ fn sell_is_bitwise_identical_to_csr_on_the_ranked_engine() {
                     assert_parity(&tag, &c, &s);
                 }
             }
+        }
+    }
+}
+
+/// The paper's Table 3 pairing, small: anisotropic diffusion on an `m³`
+/// grid under a degree-3 Chebyshev preconditioner whose interval comes
+/// from Gershgorin circles (no warm-up solve, so nothing format-dependent
+/// enters the set-up).
+fn chebyshev_system(m: usize) -> (Arc<CsrMatrix>, ChebyshevPrecond, Vec<f64>) {
+    let a = Arc::new(anisotropic_3d(m, 1e-2, 1e-1));
+    let b = paper_rhs(&a);
+    let cheb = ChebyshevPrecond::from_matrix(Arc::clone(&a), 3, 30.0);
+    (a, cheb, b)
+}
+
+fn chebyshev_methods(problem: &Problem<'_>) -> Vec<(&'static str, Method)> {
+    let basis = spcg::solvers::chebyshev_basis(problem, 20, 0.05);
+    vec![
+        ("pcg", Method::Pcg),
+        (
+            "spcg",
+            Method::SPcg {
+                s: 5,
+                basis: basis.clone(),
+            },
+        ),
+        ("capcg3", Method::CaPcg3 { s: 5, basis }),
+    ]
+}
+
+/// A polynomial preconditioner takes its products on the executor's
+/// operator, so under SELL the whole apply — not only the solver's own
+/// SpMVs — runs on the sliced layout: the level-wise MPK applies, the
+/// per-iteration applies, and on the ranked engine the halo-exchanged
+/// substitute. The 13³ grid spans three bands with a ragged tail.
+#[test]
+fn chebyshev_preconditioner_follows_the_format_bit_for_bit() {
+    for m in [10, 13] {
+        let (a, cheb, b) = chebyshev_system(m);
+        let problem = Problem::try_new(&a, &cheb, &b).unwrap();
+        for (name, method) in chebyshev_methods(&problem) {
+            for engine in [Engine::Serial, Engine::Ranked { ranks: 2 }] {
+                for threads in [1, 2] {
+                    let run =
+                        |format| solve(&method, &problem, &opts(format, threads, true), engine);
+                    let tag = format!("cheb3 m={m} {name} {engine:?} threads={threads}");
+                    assert_parity(&tag, &run(SparseFormat::Csr), &run(SparseFormat::Sell));
+                }
+            }
+        }
+    }
+}
+
+/// The blocked multi-RHS PCG applies the preconditioner column by column
+/// through the same dispatch; each column must also equal its own solve.
+#[test]
+fn blocked_batch_with_chebyshev_is_bitwise_identical_across_formats() {
+    let (a, cheb, b) = chebyshev_system(10);
+    let rhs: Vec<Vec<f64>> = (1..=3)
+        .map(|k| b.iter().map(|v| v * k as f64 + (k - 1) as f64).collect())
+        .collect();
+    let requests: Vec<BatchRequest<'_>> = rhs.iter().map(|r| BatchRequest::new(r)).collect();
+    for threads in [1, 2] {
+        let run = |format| {
+            let o = opts(format, threads, false);
+            solve_batch(&Method::Pcg, &a, &cheb, &requests, &o, Engine::Serial)
+        };
+        let (csr, sell) = (run(SparseFormat::Csr), run(SparseFormat::Sell));
+        assert_eq!(csr.len(), 3);
+        for (j, (c, s)) in csr.iter().zip(&sell).enumerate() {
+            assert_parity(&format!("batch column {j} threads={threads}"), c, s);
+            let problem = Problem::try_new(&a, &cheb, &rhs[j]).unwrap();
+            let o = opts(SparseFormat::Sell, threads, false);
+            let alone = solve(&Method::Pcg, &problem, &o, Engine::Serial);
+            assert_parity(&format!("batch column {j} vs its own solve"), &alone, s);
         }
     }
 }
