@@ -33,7 +33,11 @@
 //! The Gram kernel has the same kind of gate against the same run's
 //! `sstep_block_update` leg ([`GRAM_MIN_RATIO`]), and the Chebyshev
 //! preconditioner apply on SELL against the same apply on CSR
-//! ([`CHEB_SELL_MIN_RATIO`]).
+//! ([`CHEB_SELL_MIN_RATIO`]), and the rank-local operator cache has one
+//! through the same function: a kernels sweep's `ghost_zone` rows must show
+//! the one-iteration ranked solve on a freshly cloned matrix taking at
+//! least [`ZONE_COLD_OVER_WARM_MIN`]× what it takes on a matrix that has
+//! the zones cached.
 //!
 //! A kernels sweep also carries the `allreduce` row (median µs of one
 //! thread-transport collective per rank count and payload): it must be
@@ -96,6 +100,13 @@ const GRAM_MIN_RATIO: f64 = 1.0;
 /// apply stopped following the format, or the band epilogue ate the gain.
 const CHEB_SELL_MIN_RATIO: f64 = 1.15;
 
+/// Minimum fresh `rank_solve_floor_cold_ms / rank_solve_floor_warm_ms`: a
+/// 2-rank sPCG(s=5) `max_iters = 1` solve on a matrix whose ghost zones
+/// are cached must take at most 0.7× the same solve on a fresh clone,
+/// which builds them (measured 0.2–0.4×). Above that, ranked solves have
+/// stopped finding the matrix's cached zones.
+const ZONE_COLD_OVER_WARM_MIN: f64 = 1.0 / 0.7;
+
 /// Pairwise noise slack on the service GF/s curve: each step from one
 /// batch width to the next may dip to this fraction of its predecessor
 /// before the check fails. The end-to-end k=1 → k=8 comparison gets no
@@ -135,21 +146,24 @@ fn main() -> ExitCode {
         match (load(fresh_path), load(base_path)) {
             (Ok(fresh), Ok(base)) => {
                 compare(&base, &fresh, "$", false, &mut errors);
-                check_ratio_gate(&fresh, "spmv_sell", "spmv", SELL_MIN_RATIO, &mut errors);
-                check_ratio_gate(
-                    &fresh,
-                    "gram_fused",
-                    "sstep_block_update",
-                    GRAM_MIN_RATIO,
-                    &mut errors,
-                );
-                check_ratio_gate(
-                    &fresh,
-                    "cheb_apply.sell",
-                    "cheb_apply.csr",
-                    CHEB_SELL_MIN_RATIO,
-                    &mut errors,
-                );
+                for (group, leg, base, min_ratio) in [
+                    ("gflops", "spmv_sell", "spmv", SELL_MIN_RATIO),
+                    ("gflops", "gram_fused", "sstep_block_update", GRAM_MIN_RATIO),
+                    (
+                        "gflops",
+                        "cheb_apply.sell",
+                        "cheb_apply.csr",
+                        CHEB_SELL_MIN_RATIO,
+                    ),
+                    (
+                        "ghost_zone",
+                        "rank_solve_floor_cold_ms",
+                        "rank_solve_floor_warm_ms",
+                        ZONE_COLD_OVER_WARM_MIN,
+                    ),
+                ] {
+                    check_ratio_gate(&fresh, group, leg, base, min_ratio, &mut errors);
+                }
                 check_kernels_gate(&fresh, &mut errors);
                 check_allreduce_gate(&base, &fresh, &mut errors);
                 check_service_gate(&fresh, &mut errors);
@@ -234,29 +248,28 @@ fn compare(base: &Value, fresh: &Value, path: &str, in_gflops: bool, errors: &mu
     }
 }
 
-/// A same-run ratio gate on a fresh result file: wherever a `gflops`
-/// object reports the leg `base`, it must also report `leg`, and the
-/// single-thread (first-entry) ratio `leg / base` must reach `min_ratio`.
-/// This is a check on the fresh file alone — a baseline predating the leg
-/// must not grandfather its absence — and on one run alone, so machines
-/// and quick-mode grids cancel out.
+/// A same-run ratio gate on a fresh result file: wherever the top-level
+/// object `group` reports the leg `base`, it must also report `leg`, and
+/// the ratio `leg / base` — of the two numbers, or of the single-thread
+/// (first) entries of two per-thread-count arrays — must reach
+/// `min_ratio`. This is a check on the fresh file alone — a baseline
+/// predating the leg must not grandfather its absence — and on one run
+/// alone, so machines and quick-mode grids cancel out.
 fn check_ratio_gate(
     fresh: &Value,
+    group: &str,
     leg: &str,
     base: &str,
     min_ratio: f64,
     errors: &mut Vec<String>,
 ) {
-    let Some(gflops) = fresh.get("gflops") else {
+    let Some(legs) = fresh.get(group) else {
         return;
     };
     let first = |key: &str| -> Option<f64> {
-        match gflops.get(key) {
-            Some(Value::Array(items)) => match items.first() {
-                Some(Value::Number(v)) => Some(*v),
-                _ => None,
-            },
-            _ => None,
+        match legs.get(key) {
+            Some(Value::Array(items)) => number(items.first()),
+            other => number(other),
         }
     };
     let Some(den) = first(base) else {
@@ -264,22 +277,24 @@ fn check_ratio_gate(
     };
     let Some(num) = first(leg) else {
         errors.push(format!(
-            "$.gflops.{leg}: leg missing from fresh output beside {base}"
+            "$.{group}.{leg}: leg missing from fresh output beside {base}"
         ));
         return;
     };
     if !(den > 0.0) || !(num / den >= min_ratio) {
         errors.push(format!(
-            "$.gflops.{leg}[0]: single-thread ratio to {base} {num}/{den} below {min_ratio}x"
+            "$.{group}.{leg}: ratio to {base} {num}/{den} below {min_ratio:.3}x"
         ));
     }
 }
 
 /// The kernels-sweep gate on a fresh result file: a `gflops` object that
 /// reports the `spmv` leg marks a kernel sweep, which must then carry a
-/// top-level `nproc` field and one `speedup_vs_1_thread` array per
-/// `gflops` leg. Fresh-file-only, like the ratio gates — older baselines
-/// must not grandfather the missing fields.
+/// top-level `nproc` field, one `speedup_vs_1_thread` array per `gflops`
+/// leg, and the `ghost_zone` warm floor (the base leg of its ratio gate,
+/// which would otherwise pass a file without the rows). Fresh-file-only,
+/// like the ratio gates — older baselines must not grandfather the missing
+/// fields.
 fn check_kernels_gate(fresh: &Value, errors: &mut Vec<String>) {
     let Some(gflops) = fresh.get("gflops") else {
         return;
@@ -292,6 +307,12 @@ fn check_kernels_gate(fresh: &Value, errors: &mut Vec<String>) {
     }
     if !matches!(fresh.get("nproc"), Some(Value::Number(_))) {
         errors.push("$.nproc: missing core count in fresh kernels output".to_string());
+    }
+    let zone = fresh.get("ghost_zone");
+    if number(zone.and_then(|z| z.get("rank_solve_floor_warm_ms"))).is_none() {
+        errors.push(
+            "$.ghost_zone.rank_solve_floor_warm_ms: missing from fresh kernels output".to_string(),
+        );
     }
     let speedups = fresh.get("speedup_vs_1_thread");
     for (key, _) in legs {

@@ -7,7 +7,11 @@
 //! `BENCH_kernels.json` (GFLOP/s per kernel per thread count, plus the
 //! speedup over one thread, plus the `allreduce` row: median µs of one
 //! thread-transport collective at 2 and 4 ranks × 1, 121 and 441 words —
-//! a scalar and the (2s+1)² Gram payloads of s = 5 and 10) and
+//! a scalar and the (2s+1)² Gram payloads of s = 5 and 10, plus the
+//! `ghost_zone` rows: what building a rank-local operator costs cold, what
+//! finding it cached costs, and the `max_iters = 1` floor of a 2-rank
+//! sPCG(s=5) solve on a matrix that has it cached against one that does
+//! not — benchcheck holds the warm floor to 0.7× the cold one) and
 //! `BENCH_overlap.json` (interior/frontier split-SpMV and halo
 //! post/complete timings per rank count).
 //!
@@ -45,10 +49,16 @@ use spcg_dist::{Counters, ThreadComm, VectorBoard};
 use spcg_obs::{Phase, Tracer};
 use spcg_precond::{ChebyshevPrecond, Jacobi, Preconditioner, SpmvPolyApply};
 use spcg_solvers::blockops::gram_stacked;
+use spcg_solvers::{chebyshev_basis, solve, Engine, Method, Problem, SolveOptions};
+use spcg_sparse::generators::paper_rhs;
 use spcg_sparse::generators::poisson::poisson_3d;
 use spcg_sparse::partition::BlockRowPartition;
-use spcg_sparse::{CsrMatrix, DenseMat, MatRef, MultiVector, ParKernels, SparseFormat, SstepBlock};
+use spcg_sparse::{
+    CsrMatrix, DenseMat, GhostZone, MatRef, MultiVector, ParKernels, SparseFormat, SstepBlock,
+};
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const RANKS: [usize; 3] = [1, 2, 4];
@@ -77,6 +87,13 @@ const CHEB_THREADS: [usize; 2] = [9, 10];
 /// leg, in quick mode too: the whole row costs under a second.
 const CHEB_CALLS: usize = 8;
 const CHEB_REPS: usize = 7;
+/// The `ghost_zone` rows: 2 ranks, the depths of PCG and of an s = 5
+/// method, and samples per timing in quick mode too (benchcheck gates a
+/// ratio of two of them, and a sample is milliseconds).
+const ZONE_RANKS: usize = 2;
+const ZONE_DEPTHS: [usize; 2] = [1, 5];
+const ZONE_REPS: usize = 7;
+const ZONE_LOOKUPS: usize = 10_000;
 
 fn filled_multivector(n: usize, k: usize, seed: usize) -> MultiVector {
     let cols: Vec<Vec<f64>> = (0..k)
@@ -147,7 +164,7 @@ fn overlap_round(
         let track = tracer.track(comm.rank());
         let (lo, hi) = part.range(comm.rank());
         let nl = hi - lo;
-        let gz = spcg_sparse::GhostZone::new(a, lo, hi, 1);
+        let gz = a.ghost_zone(lo, hi, 1, SparseFormat::Csr);
         let plan = board.plan(gz.ghost_indices());
         let pk = ParKernels::new(1);
         let x_local = &x[lo..hi];
@@ -158,12 +175,12 @@ fn overlap_round(
             ext[..nl].copy_from_slice(x_local);
             {
                 let _s = track.span(Phase::Spmv);
-                gz.spmv_rows_list_par(&pk, gz.interior_rows(), &ext, &mut y);
+                gz.spmv_interior(&pk, &ext, &mut y);
             }
             board.complete_into_traced(&comm, &plan, &mut ext[nl..], Some(&track));
             {
                 let _s = track.span(Phase::Frontier);
-                gz.spmv_rows_list_par(&pk, gz.frontier_rows(nl), &ext, &mut y);
+                gz.spmv_frontier(&pk, nl, &ext, &mut y);
             }
         }
         (
@@ -190,6 +207,75 @@ fn overlap_round(
     let n_frontier = counts.iter().map(|c| c.1).sum();
     let halo_words = counts.iter().map(|c| c.2).sum();
     (best, n_interior, n_frontier, halo_words)
+}
+
+/// Best of `reps` wall-clock milliseconds of `f`.
+fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The `ghost_zone` object of `BENCH_kernels.json` (see the module docs):
+/// cold `GhostZone::new` of rank 0's block per format and depth, a cache
+/// hit of [`CsrMatrix::ghost_zone`], and the one-iteration floor of a
+/// `ZONE_RANKS`-rank sPCG(s=5) SELL solve, warm (the matrix has served the
+/// same solve) and cold (a fresh clone per sample), samples alternating.
+fn ghost_zone_rows(a: &CsrMatrix) -> String {
+    let (lo, hi) = BlockRowPartition::balanced(a.nrows(), ZONE_RANKS).range(0);
+    let mut build_cells = Vec::new();
+    for format in [SparseFormat::Csr, SparseFormat::Sell] {
+        for depth in ZONE_DEPTHS {
+            let ms = best_ms(ZONE_REPS, || {
+                black_box(GhostZone::new(a, lo, hi, depth, format));
+            });
+            build_cells.push(format!("\"{}_d{depth}\": {ms:.4}", format.name()));
+        }
+    }
+
+    let warm = a.clone();
+    let depth = ZONE_DEPTHS[1];
+    warm.ghost_zone(lo, hi, depth, SparseFormat::Sell);
+    let lookup_us = 1e3 / ZONE_LOOKUPS as f64
+        * best_ms(1, || {
+            for _ in 0..ZONE_LOOKUPS {
+                black_box(warm.ghost_zone(lo, hi, black_box(1), SparseFormat::Sell));
+            }
+        });
+
+    let b = paper_rhs(a);
+    let m = Jacobi::new(a);
+    let basis = chebyshev_basis(&Problem::new(a, &m, &b), 20, 0.05);
+    let method = Method::SPcg { s: depth, basis };
+    let opts = SolveOptions::default()
+        .with_max_iters(1)
+        .with_format(SparseFormat::Sell)
+        .with_backend(spcg_dist::Backend::Thread)
+        .with_faults(None);
+    let engine = Engine::Ranked { ranks: ZONE_RANKS };
+    let floor = |on: &CsrMatrix| {
+        best_ms(1, || {
+            black_box(solve(&method, &Problem::new(on, &m, &b), &opts, engine));
+        })
+    };
+    floor(&warm);
+    let (mut cold_ms, mut warm_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ZONE_REPS {
+        cold_ms = cold_ms.min(floor(&a.clone()));
+        warm_ms = warm_ms.min(floor(&warm));
+    }
+    eprintln!(
+        "[kernels] ghost_zone: build ms {{{}}}, lookup {lookup_us:.3} us, rank_solve_floor cold {cold_ms:.3} ms, warm {warm_ms:.3} ms",
+        build_cells.join(", ")
+    );
+    format!(
+        "{{\n    \"ranks\": {ZONE_RANKS},\n    \"cold_build_ms\": {{{}}},\n    \"cached_lookup_us\": {lookup_us:.4},\n    \"rank_solve_floor_cold_ms\": {cold_ms:.4},\n    \"rank_solve_floor_warm_ms\": {warm_ms:.4}\n  }}",
+        build_cells.join(", ")
+    )
 }
 
 fn main() {
@@ -447,13 +533,15 @@ fn main() {
         })
         .collect();
 
+    let zone_rows = ghost_zone_rows(&a);
+
     let speedup = |gf: &[f64]| -> Vec<f64> { gf.iter().map(|g| g / gf[0]).collect() };
     let threads_list: Vec<String> = THREADS.iter().map(|t| t.to_string()).collect();
     // The physical core budget, so a reader (and benchcheck) can tell a
     // kernel that fails to scale from a machine that cannot show scaling.
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let out = format!(
-        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }}\n}}\n",
+        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }},\n  \"ghost_zone\": {zone_rows}\n}}\n",
         threads_list.join(", "),
         sell.pad_ratio(),
         json_array(&spmv_gf),

@@ -17,10 +17,16 @@
 //! * `RankExec` owns a block of rows `[lo, hi)` on one rank of a
 //!   pluggable [`Comm`]/[`Exchange`] transport ([`ThreadComm`] threads by
 //!   default, `spcg-rankd` worker processes under
-//!   [`Backend::Proc`]). SpMV gathers a depth-1 ghost zone through the
-//!   transport's split-phase exchange; the MPK gathers a depth-s
-//!   ghost zone **once per s-step block** and runs [`DistMpk`] — the PA1
-//!   halo amortization the paper's §4.2 communication model assumes. With
+//!   [`Backend::Proc`]). Its rows live in **one** rank-local operator, the
+//!   `Arc<GhostZone>` that [`CsrMatrix::ghost_zone`] builds once per
+//!   (matrix, range, format) and keeps across solves — as deep as the
+//!   method's MPK needs, in the solve's sparse format. SpMV gathers the
+//!   zone's depth-1 ghosts through the transport's split-phase exchange and
+//!   runs on its owned-row prefix; the MPK gathers its depth-s ghosts
+//!   **once per s-step block** and runs [`DistMpk`] on the same zone — the
+//!   PA1 halo amortization the paper's §4.2 communication model assumes.
+//!   What is exchanged depends on the depth a kernel runs at, never on how
+//!   deep the (possibly cached, deeper) zone happens to be. With
 //!   [`SolveOptions::overlap`] (the default) each product's interior rows
 //!   run between the exchange's post and completion, hiding the exchange
 //!   latency behind computation that needs no remote data; solutions and
@@ -258,57 +264,51 @@ impl Exec for SerialExec<'_> {
     }
 }
 
-/// The distributed SpMV `y ← A x` over a depth-1 ghost zone, through the
-/// split-phase exchange. With `overlap` on, the interior rows (no ghost
-/// operands) run between the post and the completion — inside the
-/// exchange's latency window — and only the frontier rows wait; with it
-/// off, the completion directly follows the post (the blocking schedule).
-/// Both schedules run the same per-row arithmetic on the same data and
-/// record the same halo traffic: one exchange of `plan.words()` ghost
-/// words per call.
+/// The distributed SpMV `y ← A x` on the owned-row prefix of the rank's
+/// ghost zone, through the split-phase exchange; `plan` gathers the zone's
+/// depth-1 ghosts, which is all the owned rows reference. With `overlap`
+/// on, the interior rows (no ghost operands) run between the post and the
+/// completion — inside the exchange's latency window — and only the
+/// frontier rows wait; with it off, the completion directly follows the
+/// post (the blocking schedule). Both schedules run the same per-row
+/// arithmetic on the same data and record the same halo traffic: one
+/// exchange of `plan.words()` ghost words per call.
 #[allow(clippy::too_many_arguments)] // internal kernel, three call sites
 fn dist_spmv(
     board: &dyn Exchange,
-    gz1: &GhostZone,
+    zone: &GhostZone,
     plan: &GatherPlan,
     pk: &ParKernels,
     overlap: bool,
-    format: SparseFormat,
     ext_buf: &mut Vec<f64>,
     x: &[f64],
     y: &mut [f64],
     counters: &mut Counters,
     track: Option<&Track>,
 ) {
-    let nl = gz1.n_owned();
-    ext_buf.resize(gz1.ext_len(), 0.0);
+    let nl = zone.n_owned();
+    // The zone's kernels want a full-length operand; past the depth-1
+    // ghosts it stays unread (owned rows reference nothing deeper).
+    ext_buf.resize(zone.ext_len(), 0.0);
     board.post(x, track);
     ext_buf[..nl].copy_from_slice(x);
+    let ghosts = nl..nl + plan.words();
     if overlap {
         // Interior rows read only the owned prefix; the stale ghost tail
         // is never touched.
         {
             let _s = spcg_obs::span(track, Phase::Spmv);
-            match format {
-                SparseFormat::Csr => gz1.spmv_rows_list_par(pk, gz1.interior_rows(), ext_buf, y),
-                SparseFormat::Sell => gz1.spmv_interior_sell(pk, ext_buf, y),
-            }
+            zone.spmv_interior(pk, ext_buf, y);
         }
-        board.complete_into(plan, &mut ext_buf[nl..], track);
+        board.complete_into(plan, &mut ext_buf[ghosts], track);
         counters.record_halo_exchange(plan.words() as u64);
         let _f = spcg_obs::span(track, Phase::Frontier);
-        match format {
-            SparseFormat::Csr => gz1.spmv_rows_list_par(pk, gz1.frontier_rows(nl), ext_buf, y),
-            SparseFormat::Sell => gz1.spmv_frontier_sell(pk, nl, ext_buf, y),
-        }
+        zone.spmv_frontier(pk, nl, ext_buf, y);
     } else {
-        board.complete_into(plan, &mut ext_buf[nl..], track);
+        board.complete_into(plan, &mut ext_buf[ghosts], track);
         counters.record_halo_exchange(plan.words() as u64);
         let _s = spcg_obs::span(track, Phase::Spmv);
-        match format {
-            SparseFormat::Csr => gz1.spmv_prefix_par(pk, nl, ext_buf, y),
-            SparseFormat::Sell => gz1.spmv_prefix_sell(pk, nl, ext_buf, y),
-        }
+        zone.spmv_prefix(pk, nl, ext_buf, y);
     }
 }
 
@@ -325,13 +325,17 @@ pub(crate) struct RankExec<'a> {
     hi: usize,
     board: Box<dyn Exchange>,
     board2: Box<dyn Exchange>,
-    /// Depth-1 ghost zone for single SpMVs.
-    gz1: GhostZone,
-    /// Reusable gather plan for `gz1`'s ghosts (contiguous-run compressed,
-    /// built once — no per-iteration index arithmetic or allocation).
+    /// The rank-local operator, from the matrix's cache: as deep as
+    /// `dist_mpk` needs (else 1) or deeper, in the solve's format. Single
+    /// SpMVs run on its owned-row prefix.
+    zone: Arc<GhostZone>,
+    /// Reusable gather plan for the zone's depth-1 ghosts (contiguous-run
+    /// compressed, built once — no per-iteration index arithmetic or
+    /// allocation).
     plan1: GatherPlan,
-    /// Depth-s MPK plan — present when the method is s-step and the
-    /// preconditioner is pointwise (the paper's Jacobi configuration).
+    /// Depth-s MPK on the same zone — present when the method is s-step
+    /// and the preconditioner is pointwise (the paper's Jacobi
+    /// configuration).
     dist_mpk: Option<DistMpk>,
     /// Gather plan for the MPK's depth-s ghosts; both boards share the
     /// partition offsets, so one plan serves the seed and `M⁻¹`-seed.
@@ -339,8 +343,8 @@ pub(crate) struct RankExec<'a> {
     /// Overlap halo exchange with interior compute
     /// ([`SolveOptions::overlap`]).
     overlap: bool,
-    /// Sparse format for the ghost-zone SpMV kernels
-    /// ([`SolveOptions::format`]).
+    /// [`SolveOptions::format`], for the replicated [`Mpk`] fallback only —
+    /// the zone already is in it.
     format: SparseFormat,
     /// Partition boundaries align with the block-operator boundaries, so a
     /// `DistForm::RankLocal` preconditioner can apply locally.
@@ -381,35 +385,26 @@ impl<'a> RankExec<'a> {
         faults: Option<FaultPlan>,
     ) -> Self {
         let (lo, hi) = board.range(comm.rank());
-        let (mpk_depth, format) = (method.mpk_depth(opts), opts.format);
         let pk = ParKernels::new(opts.threads);
-        let gz1 = GhostZone::new(problem.a, lo, hi, 1);
-        let plan1 = board.plan(gz1.ghost_indices());
-        let dist_mpk = match (mpk_depth, problem.m.dist_form()) {
-            (Some(depth), DistForm::Pointwise(w)) => Some(
-                DistMpk::new_par(
-                    problem.a,
-                    lo,
-                    hi,
-                    depth,
-                    w,
-                    problem.m.flops_per_apply(),
-                    pk.clone(),
-                )
-                .with_format(format)
-                .with_track(track.clone()),
-            ),
+        let mpk = match (method.mpk_depth(opts), problem.m.dist_form()) {
+            (Some(depth), DistForm::Pointwise(w)) => Some((depth, w)),
             _ => None,
         };
+        let depth = mpk.map_or(1, |(depth, _)| depth);
+        let zone = problem.a.ghost_zone(lo, hi, depth, opts.format);
+        let plan1 = board.plan(&zone.ghost_indices()[..zone.reach_len(1) - (hi - lo)]);
+        let dist_mpk = mpk.map(|(depth, w)| {
+            let m_flops = problem.m.flops_per_apply();
+            DistMpk::new(problem.a, Arc::clone(&zone), depth, w, m_flops, pk.clone())
+                .with_track(track.clone())
+        });
         let rank_local_ok = match problem.m.dist_form() {
             DistForm::RankLocal { offsets, .. } => {
                 offsets.binary_search(&lo).is_ok() && offsets.binary_search(&hi).is_ok()
             }
             _ => false,
         };
-        let plan_s = dist_mpk
-            .as_ref()
-            .map(|dk| board.plan(dk.ghost().ghost_indices()));
+        let plan_s = dist_mpk.as_ref().map(|dk| board.plan(dk.ghost_indices()));
         RankExec {
             a: problem.a,
             m: problem.m,
@@ -419,12 +414,12 @@ impl<'a> RankExec<'a> {
             hi,
             board,
             board2,
-            gz1,
+            zone,
             plan1,
             dist_mpk,
             plan_s,
             overlap: opts.overlap,
-            format,
+            format: opts.format,
             rank_local_ok,
             pk,
             ext_buf: Vec::new(),
@@ -475,10 +470,9 @@ impl Exec for RankExec<'_> {
     fn spmv(&mut self, x: &[f64], y: &mut [f64], counters: &mut Counters) {
         let RankExec {
             board,
-            gz1,
+            zone,
             plan1,
             overlap,
-            format,
             pk,
             ext_buf,
             track,
@@ -486,11 +480,10 @@ impl Exec for RankExec<'_> {
         } = self;
         dist_spmv(
             &**board,
-            gz1,
+            zone,
             plan1,
             pk,
             *overlap,
-            *format,
             ext_buf,
             x,
             y,
@@ -516,10 +509,9 @@ impl Exec for RankExec<'_> {
             DistForm::SpmvPolynomial(op) => {
                 let RankExec {
                     board,
-                    gz1,
+                    zone,
                     plan1,
                     overlap,
-                    format,
                     pk,
                     ext_buf,
                     track,
@@ -528,11 +520,10 @@ impl Exec for RankExec<'_> {
                 op.apply_with_spmv(r, z, &mut |xv, yv| {
                     dist_spmv(
                         &**board,
-                        gz1,
+                        zone,
                         plan1,
                         pk,
                         *overlap,
-                        *format,
                         ext_buf,
                         xv,
                         yv,
@@ -591,17 +582,19 @@ impl Exec for RankExec<'_> {
                     }
                 });
             } else {
-                // Blocking schedule: gather the extended seed(s) up front.
+                // Blocking schedule: gather the extended seed(s) up front,
+                // each the kernel's ghosts long inside a zone-length buffer.
                 let nl = dk.ghost().n_owned();
+                let ghosts = nl..nl + plan.words();
                 ext_buf.resize(dk.ghost().ext_len(), 0.0);
                 board.post(w, track);
                 ext_buf[..nl].copy_from_slice(w);
-                board.complete_into(plan, &mut ext_buf[nl..], track);
+                board.complete_into(plan, &mut ext_buf[ghosts.clone()], track);
                 if let Some(mw) = known_mw {
                     ext_buf2.resize(dk.ghost().ext_len(), 0.0);
                     board2.post(mw, track);
                     ext_buf2[..nl].copy_from_slice(mw);
-                    board2.complete_into(plan, &mut ext_buf2[nl..], track);
+                    board2.complete_into(plan, &mut ext_buf2[ghosts], track);
                 }
                 dk.run(
                     ext_buf,

@@ -8,8 +8,9 @@
 //! estimation.
 
 use crate::coo::CooMatrix;
+use crate::ghost::GhostZone;
 use crate::multivector::MultiVector;
-use crate::sell::SellMatrix;
+use crate::sell::{SellMatrix, SparseFormat};
 use crate::split::RowSplit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -224,9 +225,13 @@ pub struct CsrMatrix {
     /// keyed by chunk count (see [`CsrMatrix::row_schedule`]).
     schedule: Mutex<Option<(usize, Arc<Vec<usize>>)>>,
     /// Lazily computed interior/frontier row splits, keyed by owned row
-    /// range (see [`CsrMatrix::row_split`]). One entry per distinct range —
-    /// in practice one per rank of a block-row partition.
+    /// range (see [`CsrMatrix::row_split`]); an insert evicts the ranges it
+    /// overlaps, so this holds one block-row partition's splits.
     splits: SplitCache,
+    /// The rank-local operators built so far (see
+    /// [`CsrMatrix::ghost_zone`]), each carrying its own range, depth and
+    /// format; one partition's zones per format, by the same eviction.
+    zones: Mutex<Vec<Arc<GhostZone>>>,
     /// Lazily converted SELL-C-σ sibling of this matrix (see
     /// [`CsrMatrix::sell`]), built on first request and shared.
     sell: Mutex<Option<Arc<SellMatrix>>>,
@@ -253,6 +258,14 @@ type ReachCache = Mutex<Option<Arc<Vec<(usize, usize)>>>>;
 /// Cache of [`RowSplit`]s keyed by owned row range.
 type SplitCache = Mutex<Vec<((usize, usize), Arc<RowSplit>)>>;
 
+/// Whether a cache entry for row range `a` must make way for one for `b`:
+/// the ranges share a row (or are the same empty range). Ranges of one
+/// block-row partition never do, so a range-keyed cache that evicts on
+/// this holds exactly the last partition asked for — no capacity to tune.
+fn ranges_overlap(a: (usize, usize), b: (usize, usize)) -> bool {
+    a == b || (a.0 < b.1 && b.0 < a.1)
+}
+
 impl Clone for CsrMatrix {
     fn clone(&self) -> Self {
         // The schedule cache is derived data; the clone recomputes on demand.
@@ -264,6 +277,7 @@ impl Clone for CsrMatrix {
             values: self.values.clone(),
             schedule: Mutex::new(None),
             splits: Mutex::new(Vec::new()),
+            zones: Mutex::new(Vec::new()),
             sell: Mutex::new(None),
             cols_u32: Mutex::new(None),
             cols_bounded: AtomicBool::new(false),
@@ -288,6 +302,7 @@ impl CsrMatrix {
             values,
             schedule: Mutex::new(None),
             splits: Mutex::new(Vec::new()),
+            zones: Mutex::new(Vec::new()),
             sell: Mutex::new(None),
             cols_u32: Mutex::new(None),
             cols_bounded: AtomicBool::new(false),
@@ -1009,6 +1024,14 @@ impl CsrMatrix {
         for v in &mut self.values {
             *v *= a;
         }
+        self.drop_value_caches();
+    }
+
+    /// Empties the caches that copy `values` (the SELL conversion and the
+    /// ghost zones) after an in-place edit; the structural ones stay valid.
+    fn drop_value_caches(&mut self) {
+        *self.sell.get_mut().expect("sell cache poisoned") = None;
+        self.zones.get_mut().expect("zone cache poisoned").clear();
     }
 
     /// Adds `shift` to every diagonal entry, assuming the diagonal is fully
@@ -1024,6 +1047,7 @@ impl CsrMatrix {
                 .unwrap_or_else(|_| panic!("shift_diagonal: row {r} has no diagonal entry"));
             self.values[lo + pos] += shift;
         }
+        self.drop_value_caches();
     }
 
     /// Number of FLOPs of one SpMV with this matrix (`2·nnz`), used by the
@@ -1057,8 +1081,8 @@ impl CsrMatrix {
     /// The interior/frontier classification of rows `[lo, hi)` — which of
     /// them reference only columns inside the range (computable before a
     /// halo exchange completes) and which touch remote columns. Cached per
-    /// range, so the depth-1 and depth-s ghost zones of one rank share a
-    /// single scan.
+    /// range, so the CSR- and SELL-format ghost zones of one rank share a
+    /// single scan; inserting a range evicts the cached ranges it overlaps.
     ///
     /// # Panics
     /// Panics if the range is invalid.
@@ -1068,8 +1092,51 @@ impl CsrMatrix {
             return Arc::clone(split);
         }
         let split = Arc::new(RowSplit::new(self, lo, hi));
+        cache.retain(|(range, _)| !ranges_overlap(*range, (lo, hi)));
         cache.push(((lo, hi), Arc::clone(&split)));
         split
+    }
+
+    /// The rank-local operator of rows `[lo, hi)`: a [`GhostZone`] in
+    /// `format`, at least `depth` deep — by the zone's depth-prefix
+    /// property a deeper one serves every shallower request, so the cached
+    /// zone of this range and format is returned whenever it is deep
+    /// enough. Otherwise one is built (outside the lock: the ranks of a
+    /// cold world build theirs concurrently), every cached zone of this
+    /// format whose range overlaps `[lo, hi)` is evicted — the same range
+    /// at a shallower depth, or another partition's ranges — and the new
+    /// one is kept. A matrix that has served a ranked solve thus pins one
+    /// partition's zones per format until it is dropped, cloned (a clone
+    /// starts empty) or asked for another partition.
+    ///
+    /// # Panics
+    /// Panics if `depth == 0`, the range is invalid, or the matrix is not
+    /// square.
+    pub fn ghost_zone(
+        &self,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        format: SparseFormat,
+    ) -> Arc<GhostZone> {
+        let cached = |cache: &[Arc<GhostZone>]| {
+            let serves = |z: &&Arc<GhostZone>| {
+                z.range() == (lo, hi) && z.format() == format && z.depth() >= depth
+            };
+            cache.iter().find(serves).cloned()
+        };
+        if let Some(zone) = cached(&self.zones.lock().expect("zone cache poisoned")) {
+            return zone;
+        }
+        let zone = Arc::new(GhostZone::new(self, lo, hi, depth, format));
+        let mut cache = self.zones.lock().expect("zone cache poisoned");
+        // Another thread may have built the same zone meanwhile.
+        if let Some(zone) = cached(&cache) {
+            return zone;
+        }
+        cache.retain(|z| z.format() != format || !ranges_overlap(z.range(), (lo, hi)));
+        cache.push(Arc::clone(&zone));
+        zone
     }
 
     /// This matrix converted to SELL-C-σ layout (see
@@ -1341,5 +1408,99 @@ mod tests {
         let b = a.clone();
         let s3 = b.sell();
         assert!(!Arc::ptr_eq(&s1, &s3));
+    }
+
+    /// `(range, depth, format)` of every cached zone, sorted.
+    fn cached_zones(a: &CsrMatrix) -> Vec<((usize, usize), usize, &'static str)> {
+        let cache = a.zones.lock().unwrap();
+        let mut keys: Vec<_> = cache
+            .iter()
+            .map(|z| (z.range(), z.depth(), z.format().name()))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn ghost_zone_cache_serves_shallower_requests_and_replaces_on_deeper() {
+        use SparseFormat::{Csr, Sell};
+        let a = crate::generators::poisson::poisson_2d(12);
+        let z3 = a.ghost_zone(0, 72, 3, Sell);
+        assert!(Arc::ptr_eq(&z3, &a.ghost_zone(0, 72, 3, Sell)));
+        assert!(Arc::ptr_eq(&z3, &a.ghost_zone(0, 72, 1, Sell)));
+        // The formats are kept apart, and neither evicts the other.
+        let c1 = a.ghost_zone(0, 72, 1, Csr);
+        assert_eq!((c1.format(), c1.depth()), (Csr, 1));
+        assert!(Arc::ptr_eq(&z3, &a.ghost_zone(0, 72, 2, Sell)));
+        assert_eq!(
+            cached_zones(&a),
+            [((0, 72), 1, "csr"), ((0, 72), 3, "sell")]
+        );
+        // A deeper request rebuilds and replaces.
+        let z5 = a.ghost_zone(0, 72, 5, Sell);
+        assert_eq!(z5.depth(), 5);
+        assert!(Arc::ptr_eq(&z5, &a.ghost_zone(0, 72, 3, Sell)));
+        assert_eq!(
+            cached_zones(&a),
+            [((0, 72), 1, "csr"), ((0, 72), 5, "sell")]
+        );
+        // A clone starts empty; an in-place edit empties the original.
+        assert!(cached_zones(&a.clone()).is_empty());
+        let mut a = a;
+        a.scale(2.0);
+        assert!(cached_zones(&a).is_empty());
+        assert!(a.sell.lock().unwrap().is_none());
+    }
+
+    #[test]
+    fn ghost_zone_cache_holds_one_partition() {
+        use crate::partition::BlockRowPartition;
+        let a = crate::generators::poisson::poisson_2d(12);
+        let n = a.nrows();
+        let ranges = |ranks: usize| -> Vec<(usize, usize)> {
+            let part = BlockRowPartition::balanced(n, ranks);
+            (0..ranks).map(|p| part.range(p)).collect()
+        };
+        for ranks in [2usize, 4, 3, 2] {
+            for (lo, hi) in ranges(ranks) {
+                a.ghost_zone(lo, hi, 2, SparseFormat::Sell);
+            }
+            let want: Vec<_> = ranges(ranks).into_iter().map(|r| (r, 2, "sell")).collect();
+            assert_eq!(cached_zones(&a), want, "after {ranks} ranks");
+            let splits = a.splits.lock().unwrap();
+            let mut held: Vec<_> = splits.iter().map(|(range, _)| *range).collect();
+            held.sort_unstable();
+            assert_eq!(held, ranges(ranks), "splits after {ranks} ranks");
+        }
+    }
+
+    #[test]
+    fn ghost_zone_cache_ends_with_one_zone_per_range_under_a_cold_race() {
+        let a = crate::generators::poisson::poisson_3d(10);
+        let n = a.nrows();
+        let ranges = [(0, n / 2), (n / 2, n)];
+        let gate = std::sync::Barrier::new(8);
+        let zones: Vec<Arc<GhostZone>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|t| {
+                    let (a, gate) = (&a, &gate);
+                    scope.spawn(move || {
+                        let (lo, hi) = ranges[t % 2];
+                        gate.wait();
+                        a.ghost_zone(lo, hi, 3, SparseFormat::Csr)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(
+            cached_zones(&a),
+            [(ranges[0], 3, "csr"), (ranges[1], 3, "csr")]
+        );
+        // Every requester holds the zone that stayed cached.
+        for (t, z) in zones.iter().enumerate() {
+            let (lo, hi) = ranges[t % 2];
+            assert!(Arc::ptr_eq(z, &a.ghost_zone(lo, hi, 3, SparseFormat::Csr)));
+        }
     }
 }

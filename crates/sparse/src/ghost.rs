@@ -1,4 +1,4 @@
-//! Depth-s ghost zones for the distributed matrix powers kernel.
+//! The rank-local operator: a depth-s ghost zone held in one sparse format.
 //!
 //! A rank owning the contiguous row block `[lo, hi)` can compute `s` levels
 //! of the MPK recurrence from a **single** neighbour exchange if it first
@@ -9,16 +9,30 @@
 //! [`GhostZone`] precomputes the reachability sets by breadth-first search
 //! over the column structure of `A`, orders the extended index set so each
 //! reach set is a *prefix* (owned rows first, then ghosts grouped by BFS
-//! distance), and builds a remapped local CSR operator over that extended
-//! index space. Entry order within each row is preserved, so row sums are
-//! bitwise identical to the global SpMV's.
+//! distance), and holds the rows of `A` remapped onto that extended index
+//! space in **one** [`SparseFormat`]: raw CSR arrays, or the interior and
+//! frontier row lists packed as [`SellMatrix`]es — never both. Entry order
+//! within each row is preserved, so row sums are bitwise identical to the
+//! global SpMV's in either format.
+//!
+//! **Depth-prefix property.** BFS levels are appended in order and sorted
+//! within a level, and a level depends only on the levels before it, so a
+//! depth-`D` zone *is* a depth-`d` zone for every `d ≤ D`:
+//! `ext[..reach_len(d)]`, `reach_len(0..=d)`, the interior rows, the
+//! frontier rows below `reach_len(d − 1)` and every remapped row among them
+//! are what `GhostZone::new(.., d, ..)` would have built. Rows below
+//! `reach_len(k)` reference only columns below `reach_len(k + 1)`, so a
+//! shallower user never reads the tail of an extended buffer it did not
+//! fill. One zone per rank therefore serves the depth-1 SpMV and the
+//! depth-s MPK alike, and [`CsrMatrix::ghost_zone`] keeps it across solves.
 
-use crate::csr::CsrMatrix;
-use crate::multivector::MultiVector;
-use crate::sell::SellMatrix;
-use std::sync::{Arc, Mutex};
+use crate::csr::{nnz_balanced_bounds, nnz_balanced_bounds_list, CsrMatrix};
+use crate::par::{ParKernels, SendPtr};
+use crate::sell::{SellMatrix, SparseFormat};
+use std::collections::HashMap;
 
-/// The depth-s reachability structure of one rank's row block.
+/// The depth-s reachability structure of one rank's row block, with the
+/// rank's rows of `A` in the format it was built for.
 #[derive(Debug)]
 pub struct GhostZone {
     lo: usize,
@@ -30,133 +44,208 @@ pub struct GhostZone {
     /// `prefix[d]` = |reach(d)| for `d = 0 ..= depth`; `prefix[0]` is the
     /// owned count and `prefix[depth] == ext.len()`.
     prefix: Vec<usize>,
-    /// Rows `0 .. prefix[depth-1]` of `A` restricted to the extended index
-    /// space, stored raw: the renumbered columns are not ascending (ghosts
-    /// are ordered by BFS distance), so this cannot be a [`CsrMatrix`].
-    /// Entry order within each row is the original ascending-global order,
-    /// which keeps row-sum rounding identical to the global SpMV.
+    /// Rows `0 .. prefix[depth-1]` of `A` over the extended index space.
+    rows: LocalRows,
+}
+
+/// The remapped rows in the zone's one format. Both variants carry the same
+/// two ascending row lists, which partition `[0, prefix[depth-1])`:
+/// **interior** — owned rows whose columns all fall inside the owned prefix
+/// (computable before the halo exchange completes; from the matrix's cached
+/// [`crate::RowSplit`]) — and **frontier** — every other row (owned rows
+/// touching ghost columns, then all ghost rows).
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per zone, behind its Arc; never moved in bulk
+enum LocalRows {
+    Csr {
+        raw: RawRows,
+        interior: Vec<usize>,
+        frontier: Vec<usize>,
+    },
+    /// The two lists packed in list order (no σ-sort), so `perm()` is the
+    /// list itself and a row prefix of the frontier is a lane prefix.
+    Sell {
+        interior: SellMatrix,
+        frontier: SellMatrix,
+    },
+}
+
+/// Remapped rows as raw CSR arrays: the renumbered columns are not
+/// ascending (ghosts are ordered by BFS distance), so this cannot be a
+/// [`CsrMatrix`]. Entry order within each row is the original
+/// ascending-global order, which keeps row-sum rounding identical to the
+/// global SpMV.
+#[derive(Debug)]
+struct RawRows {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
-    /// Local (extended-space) indices of owned rows whose columns all fall
-    /// inside the owned prefix `[0, n_owned)` — computable before the halo
-    /// exchange completes. Ascending; from the matrix's cached
-    /// [`crate::RowSplit`].
-    interior: Vec<usize>,
-    /// Local indices of all other local rows (owned rows touching ghost
-    /// columns, plus every ghost row). Ascending; together with `interior`
-    /// this partitions `[0, reach_len(depth−1))`.
-    frontier: Vec<usize>,
-    /// Lazily packed SELL-C-σ layout of the interior row list (identity
-    /// lane order — no σ-sort, so `perm` is the list itself).
-    sell_interior: Mutex<Option<Arc<SellMatrix>>>,
-    /// Lazily packed SELL-C-σ layout of the frontier row list. The list is
-    /// ascending, so the per-level prefix cut `rows < nrows` is a lane
-    /// prefix.
-    sell_frontier: Mutex<Option<Arc<SellMatrix>>>,
 }
 
-impl Clone for GhostZone {
-    fn clone(&self) -> Self {
-        // The SELL packings are derived data; the clone rebuilds on demand.
-        GhostZone {
-            lo: self.lo,
-            hi: self.hi,
-            depth: self.depth,
-            ext: self.ext.clone(),
-            prefix: self.prefix.clone(),
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
-            values: self.values.clone(),
-            interior: self.interior.clone(),
-            frontier: self.frontier.clone(),
-            sell_interior: Mutex::new(None),
-            sell_frontier: Mutex::new(None),
+impl RawRows {
+    /// `Σ A[r, q]·x[q]` in stored entry order, as [`CsrMatrix::spmv`] sums.
+    #[inline]
+    fn dot(&self, r: usize, x: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+            acc += self.values[k] * x[self.col_idx[k]];
         }
+        acc
+    }
+
+    /// `y[r] = dot(r, x)` for the contiguous rows `0 .. nrows`, split into
+    /// nnz-balanced chunks on the fly (the prefix length changes per MPK
+    /// level, so unlike [`CsrMatrix::row_schedule`] there is nothing to
+    /// cache). Row-partitioned, hence bitwise equal for any thread count.
+    fn spmv_prefix(&self, pk: &ParKernels, nrows: usize, x: &[f64], y: &mut [f64]) {
+        if pk.threads() == 1 {
+            for (r, out) in y[..nrows].iter_mut().enumerate() {
+                *out = self.dot(r, x);
+            }
+            return;
+        }
+        let bounds = nnz_balanced_bounds(&self.row_ptr, nrows, pk.threads());
+        pk.for_each_range_mut(&mut y[..nrows], &bounds, |c, piece| {
+            for (i, out) in piece.iter_mut().enumerate() {
+                *out = self.dot(bounds[c] + i, x);
+            }
+        });
+    }
+
+    /// `y[r] = dot(r, x)` for each `r` of a strictly ascending row list,
+    /// cut into nnz-balanced chunks; each chunk writes its own rows, so the
+    /// result is bitwise equal for any thread count.
+    ///
+    /// # Panics
+    /// Panics if the threaded path finds `rows` not strictly ascending (the
+    /// disjoint-write safety argument needs distinct rows) or a row is out
+    /// of range of `y`.
+    fn spmv_list(&self, pk: &ParKernels, rows: &[usize], x: &[f64], y: &mut [f64]) {
+        if pk.threads() == 1 || rows.len() <= 1 {
+            for &r in rows {
+                y[r] = self.dot(r, x);
+            }
+            return;
+        }
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "GhostZone: row list must be strictly ascending"
+        );
+        assert!(*rows.last().unwrap() < y.len(), "GhostZone: y too short");
+        let bounds = nnz_balanced_bounds_list(rows, &self.row_ptr, pk.threads());
+        let ptr = SendPtr(y.as_mut_ptr());
+        pk.run_indexed(bounds.len() - 1, |c| {
+            for &r in &rows[bounds[c]..bounds[c + 1]] {
+                let acc = self.dot(r, x);
+                // SAFETY: the rows are strictly ascending (checked above)
+                // and the chunks partition the list, so every task writes a
+                // distinct set of in-bounds `y` elements; the exclusive
+                // borrow of `y` outlives the run.
+                unsafe { *ptr.get().add(r) = acc };
+            }
+        });
     }
 }
 
 impl GhostZone {
-    /// Builds the depth-`depth` ghost zone of rows `[lo, hi)` of `a`.
+    /// Builds the depth-`depth` ghost zone of rows `[lo, hi)` of `a`,
+    /// holding the remapped rows in `format`. Work and transient memory are
+    /// proportional to the zone, not to the matrix.
     ///
     /// # Panics
     /// Panics if `depth == 0`, the range is invalid, or `a` is not square.
-    pub fn new(a: &CsrMatrix, lo: usize, hi: usize, depth: usize) -> Self {
+    pub fn new(a: &CsrMatrix, lo: usize, hi: usize, depth: usize, format: SparseFormat) -> Self {
         assert!(depth >= 1, "GhostZone: depth must be at least 1");
         assert!(lo <= hi && hi <= a.nrows(), "GhostZone: invalid row range");
         assert_eq!(a.nrows(), a.ncols(), "GhostZone: matrix must be square");
-        let n = a.nrows();
+        let owned = lo..hi;
 
-        // pos[g] = position of global index g in `ext`, or usize::MAX.
-        let mut pos = vec![usize::MAX; n];
-        let mut ext: Vec<usize> = (lo..hi).collect();
-        for (p, &g) in ext.iter().enumerate() {
-            pos[g] = p;
-        }
+        // Owned column `c` sits at `c − lo`; ghost `g` at `ghost_pos[g]`.
+        let mut ghost_pos: HashMap<usize, usize> = HashMap::new();
+        let mut ext: Vec<usize> = owned.clone().collect();
         let mut prefix = vec![ext.len()];
 
-        // BFS level by level: frontier = indices first reached at level d.
-        let mut frontier_begin = 0usize;
+        // BFS level by level: `next` = indices first reached at this level.
+        let mut level_begin = 0usize;
         for _ in 0..depth {
-            let frontier_end = ext.len();
+            let level_end = ext.len();
             let mut next: Vec<usize> = Vec::new();
-            for p in frontier_begin..frontier_end {
-                let (cols, _) = a.row(ext[p]);
-                for &c in cols {
-                    if pos[c] == usize::MAX {
-                        pos[c] = usize::MAX - 1; // mark, number after sorting
-                        next.push(c);
-                    }
-                }
+            for &g in &ext[level_begin..level_end] {
+                let new = |c: &usize| !owned.contains(c) && !ghost_pos.contains_key(c);
+                next.extend(a.row(g).0.iter().copied().filter(new));
             }
             next.sort_unstable();
+            next.dedup();
             for &g in &next {
-                pos[g] = ext.len();
+                ghost_pos.insert(g, ext.len());
                 ext.push(g);
             }
-            frontier_begin = frontier_end;
+            level_begin = level_end;
             prefix.push(ext.len());
         }
 
         // Remapped rows 0 .. prefix[depth-1] in original entry order.
         let nrows_local = prefix[depth - 1];
-        let mut row_ptr = Vec::with_capacity(nrows_local + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for p in 0..nrows_local {
-            let (cols, vals) = a.row(ext[p]);
-            for (&c, &v) in cols.iter().zip(vals) {
-                debug_assert!(pos[c] < ext.len(), "ghost closure violated");
-                col_idx.push(pos[c]);
-                values.push(v);
+        let nnz: usize = ext[..nrows_local].iter().map(|&g| a.row(g).0.len()).sum();
+        let mut raw = RawRows {
+            row_ptr: Vec::with_capacity(nrows_local + 1),
+            col_idx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        };
+        raw.row_ptr.push(0);
+        let mut level = 0usize;
+        for (p, &g) in ext[..nrows_local].iter().enumerate() {
+            while p >= prefix[level] {
+                level += 1;
             }
-            row_ptr.push(col_idx.len());
+            let (cols, vals) = a.row(g);
+            for &c in cols {
+                let q = if owned.contains(&c) {
+                    c - lo
+                } else {
+                    ghost_pos[&c]
+                };
+                // What lets a depth-d user of this zone leave the buffer
+                // tail past reach_len(d) unfilled.
+                debug_assert!(q < prefix[level + 1], "ghost closure violated");
+                raw.col_idx.push(q);
+            }
+            raw.values.extend_from_slice(vals);
+            raw.row_ptr.push(raw.col_idx.len());
         }
 
         // Interior/frontier split: owned rows classified by the matrix's
         // cached RowSplit (global columns in [lo, hi) ⇔ remapped columns in
         // the owned prefix); ghost rows always join the frontier — their
         // operands include ghost entries regardless of structure.
-        let n_owned = hi - lo;
         let split = a.row_split(lo, hi);
         let interior: Vec<usize> = split.interior().iter().map(|&g| g - lo).collect();
         let mut frontier: Vec<usize> = split.frontier().iter().map(|&g| g - lo).collect();
-        frontier.extend(n_owned..nrows_local);
+        frontier.extend(hi - lo..nrows_local);
 
+        let rows = match format {
+            SparseFormat::Csr => LocalRows::Csr {
+                raw,
+                interior,
+                frontier,
+            },
+            SparseFormat::Sell => {
+                let pack = |list: &[usize]| {
+                    SellMatrix::from_rows(&raw.row_ptr, &raw.col_idx, &raw.values, list)
+                };
+                LocalRows::Sell {
+                    interior: pack(&interior),
+                    frontier: pack(&frontier),
+                }
+            }
+        };
         GhostZone {
             lo,
             hi,
             depth,
             ext,
             prefix,
-            row_ptr,
-            col_idx,
-            values,
-            interior,
-            frontier,
-            sell_interior: Mutex::new(None),
-            sell_frontier: Mutex::new(None),
+            rows,
         }
     }
 
@@ -175,7 +264,17 @@ impl GhostZone {
         self.depth
     }
 
-    /// Size of the full extended index set (`|reach(depth)|`).
+    /// The format the remapped rows are held in.
+    pub fn format(&self) -> SparseFormat {
+        match self.rows {
+            LocalRows::Csr { .. } => SparseFormat::Csr,
+            LocalRows::Sell { .. } => SparseFormat::Sell,
+        }
+    }
+
+    /// Size of the full extended index set (`|reach(depth)|`) — the length
+    /// every extended operand buffer must have, whatever depth its user
+    /// runs at.
     pub fn ext_len(&self) -> usize {
         self.ext.len()
     }
@@ -189,7 +288,8 @@ impl GhostZone {
     }
 
     /// Global indices of the ghost entries (everything past the owned
-    /// prefix), in extended order — exactly what one exchange must fetch.
+    /// prefix), in extended order. A user running at depth `d` fetches the
+    /// first `reach_len(d) − n_owned()` of them in one exchange.
     pub fn ghost_indices(&self) -> &[usize] {
         &self.ext[self.n_owned()..]
     }
@@ -199,169 +299,14 @@ impl GhostZone {
         &self.ext
     }
 
-    /// Applies the remapped operator to rows `0 .. nrows` of the extended
-    /// index space: `y[p] = Σ A[ext[p], ext[q]] · x_ext[q]`, with the same
-    /// per-row accumulation order as [`CsrMatrix::spmv`].
-    ///
-    /// # Panics
-    /// Panics if `nrows > reach_len(depth-1)` or buffers are too short.
-    pub fn spmv_prefix(&self, nrows: usize, x_ext: &[f64], y: &mut [f64]) {
-        assert!(
-            nrows <= self.prefix[self.depth - 1],
-            "spmv_prefix: row prefix too long"
-        );
-        assert!(
-            x_ext.len() >= self.ext.len(),
-            "spmv_prefix: x_ext too short"
-        );
-        assert!(y.len() >= nrows, "spmv_prefix: y too short");
-        self.spmv_prefix_rows(0, nrows, x_ext, y);
-    }
-
-    /// Rows `[row_begin, row_end)` of [`GhostZone::spmv_prefix`], writing
-    /// `y_block[r - row_begin]` — the per-chunk kernel of the threaded
-    /// prefix SpMV.
-    fn spmv_prefix_rows(
-        &self,
-        row_begin: usize,
-        row_end: usize,
-        x_ext: &[f64],
-        y_block: &mut [f64],
-    ) {
-        for r in row_begin..row_end {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x_ext[self.col_idx[k]];
-            }
-            y_block[r - row_begin] = acc;
-        }
-    }
-
-    /// Threaded [`GhostZone::spmv_prefix`]: the active row prefix is split
-    /// into nnz-balanced chunks on the fly (the prefix length changes per
-    /// MPK level, so unlike [`CsrMatrix::row_schedule`] there is nothing to
-    /// cache). Row-partitioned, hence bitwise equal to the serial prefix
-    /// SpMV for any thread count.
-    pub fn spmv_prefix_par(
-        &self,
-        pk: &crate::par::ParKernels,
-        nrows: usize,
-        x_ext: &[f64],
-        y: &mut [f64],
-    ) {
-        if pk.threads() == 1 {
-            self.spmv_prefix(nrows, x_ext, y);
-            return;
-        }
-        assert!(
-            nrows <= self.prefix[self.depth - 1],
-            "spmv_prefix: row prefix too long"
-        );
-        assert!(
-            x_ext.len() >= self.ext.len(),
-            "spmv_prefix: x_ext too short"
-        );
-        assert!(y.len() >= nrows, "spmv_prefix: y too short");
-        let bounds = crate::csr::nnz_balanced_bounds(&self.row_ptr, nrows, pk.threads());
-        pk.for_each_range_mut(&mut y[..nrows], &bounds, |c, piece| {
-            self.spmv_prefix_rows(bounds[c], bounds[c + 1], x_ext, piece);
-        });
-    }
-
-    /// Multi-RHS instance of [`GhostZone::spmv_prefix`]: applies the
-    /// remapped operator to rows `0 .. nrows` for every column of
-    /// `x_ext` (each column an extended vector: owned prefix, then
-    /// ghosts). Row-blocked so one pass over a block's entries serves all
-    /// k columns from cache; per column the accumulation is identical to
-    /// the single-vector prefix SpMV, so column `j` of `y` is **bitwise
-    /// equal** to `spmv_prefix(nrows, x_ext.col(j))`.
-    ///
-    /// # Panics
-    /// Panics if `nrows > reach_len(depth-1)` or buffers are too short.
-    pub fn spmm_prefix(&self, nrows: usize, x_ext: &MultiVector, y: &mut MultiVector) {
-        self.assert_spmm_shapes(nrows, x_ext, y);
-        let ld = y.n();
-        let data = y.data_mut();
-        self.spmm_prefix_rows_into(0, nrows, x_ext, ld, &mut |i, v| data[i] = v);
-    }
-
-    /// Threaded [`GhostZone::spmm_prefix`]: the active row prefix is
-    /// split into nnz-balanced chunks on the fly (mirroring
-    /// [`GhostZone::spmv_prefix_par`]); each chunk owns its rows in every
-    /// column, so the result is bitwise equal to the serial multi-RHS
-    /// prefix SpMV for any thread count.
-    ///
-    /// # Panics
-    /// Panics if `nrows > reach_len(depth-1)` or buffers are too short.
-    pub fn spmm_prefix_par(
-        &self,
-        pk: &crate::par::ParKernels,
-        nrows: usize,
-        x_ext: &MultiVector,
-        y: &mut MultiVector,
-    ) {
-        if pk.threads() == 1 {
-            self.spmm_prefix(nrows, x_ext, y);
-            return;
-        }
-        self.assert_spmm_shapes(nrows, x_ext, y);
-        let ld = y.n();
-        let bounds = crate::csr::nnz_balanced_bounds(&self.row_ptr, nrows, pk.threads());
-        let ptr = crate::par::SendPtr(y.data_mut().as_mut_ptr());
-        pk.run_indexed(bounds.len() - 1, |c| {
-            // Safety: chunks own disjoint row ranges in every column and
-            // `j·ld + r` was bounds-checked by `assert_spmm_shapes`.
-            let mut write = |i: usize, v: f64| unsafe { *ptr.get().add(i) = v };
-            self.spmm_prefix_rows_into(bounds[c], bounds[c + 1], x_ext, ld, &mut write);
-        });
-    }
-
-    fn assert_spmm_shapes(&self, nrows: usize, x_ext: &MultiVector, y: &MultiVector) {
-        assert!(
-            nrows <= self.prefix[self.depth - 1],
-            "spmm_prefix: row prefix too long"
-        );
-        assert!(x_ext.n() >= self.ext.len(), "spmm_prefix: x_ext too short");
-        assert!(y.n() >= nrows, "spmm_prefix: y too short");
-        assert_eq!(x_ext.k(), y.k(), "spmm_prefix: column count mismatch");
-    }
-
-    /// Rows `[row_begin, row_end)` across all columns, writing
-    /// `write(j·ld + r, acc)` with the per-row accumulation order of
-    /// [`GhostZone::spmv_prefix`].
-    fn spmm_prefix_rows_into<F: FnMut(usize, f64)>(
-        &self,
-        row_begin: usize,
-        row_end: usize,
-        x_ext: &MultiVector,
-        ld: usize,
-        write: &mut F,
-    ) {
-        let k = x_ext.k();
-        let mut blk = row_begin;
-        while blk < row_end {
-            let blk_end = (blk + crate::csr::SPMM_ROW_BLOCK).min(row_end);
-            for j in 0..k {
-                let xj = x_ext.col(j);
-                for r in blk..blk_end {
-                    let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-                    let mut acc = 0.0;
-                    for e in lo..hi {
-                        acc += self.values[e] * xj[self.col_idx[e]];
-                    }
-                    write(j * ld + r, acc);
-                }
-            }
-            blk = blk_end;
-        }
-    }
-
     /// Local indices of the owned rows computable without any ghost data
     /// (every column inside the owned prefix). Ascending, disjoint from
     /// [`GhostZone::frontier_rows`].
     pub fn interior_rows(&self) -> &[usize] {
-        &self.interior
+        match &self.rows {
+            LocalRows::Csr { interior, .. } => interior,
+            LocalRows::Sell { interior, .. } => interior.perm(),
+        }
     }
 
     /// Local indices `< nrows` of the rows that need ghost operands:
@@ -377,79 +322,78 @@ impl GhostZone {
             nrows >= self.n_owned(),
             "frontier_rows: prefix shorter than the owned block"
         );
-        let cut = self.frontier.partition_point(|&r| r < nrows);
-        &self.frontier[..cut]
+        let all = match &self.rows {
+            LocalRows::Csr { frontier, .. } => frontier,
+            LocalRows::Sell { frontier, .. } => frontier.perm(),
+        };
+        &all[..all.partition_point(|&r| r < nrows)]
     }
 
-    /// [`GhostZone::spmv_prefix`] restricted to an explicit row list:
-    /// `y[r] = Σ A[ext[r], ext[q]] · x_ext[q]` for each `r` in `rows`,
-    /// with the identical per-row accumulation — running the interior and
-    /// frontier lists (in any order) reproduces the prefix SpMV bitwise.
+    /// The interior rows of the remapped operator:
+    /// `y[r] = Σ A[ext[r], ext[q]] · x_ext[q]` for each `r` of
+    /// [`GhostZone::interior_rows`], with the per-row accumulation order of
+    /// [`CsrMatrix::spmv`]. Reads only the owned prefix of `x_ext`; bitwise
+    /// equal for any thread count and either format.
     ///
     /// # Panics
-    /// Panics if a row is out of range of `y` or the local operator.
-    pub fn spmv_rows_list(&self, rows: &[usize], x_ext: &[f64], y: &mut [f64]) {
-        assert!(
-            x_ext.len() >= self.ext.len(),
-            "spmv_rows_list: x_ext too short"
-        );
-        for &r in rows {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x_ext[self.col_idx[k]];
-            }
-            y[r] = acc;
+    /// Panics if `x_ext` is shorter than [`GhostZone::ext_len`] or `y` than
+    /// the owned block.
+    pub fn spmv_interior(&self, pk: &ParKernels, x_ext: &[f64], y: &mut [f64]) {
+        self.check_operands(self.n_owned(), x_ext, y);
+        match &self.rows {
+            LocalRows::Csr { raw, interior, .. } => raw.spmv_list(pk, interior, x_ext, y),
+            LocalRows::Sell { interior, .. } => pk.spmv_sell(interior, x_ext, y),
         }
     }
 
-    /// Threaded [`GhostZone::spmv_rows_list`]: the list is cut into
-    /// nnz-balanced chunks (the same schedule machinery as the prefix
-    /// SpMV); each chunk writes its own rows, so the result is bitwise
-    /// equal to the serial list SpMV for any thread count.
+    /// The rows of [`GhostZone::frontier_rows`]`(nrows)`, same arithmetic:
+    /// running this and [`GhostZone::spmv_interior`] (in either order)
+    /// reproduces [`GhostZone::spmv_prefix`] bitwise.
     ///
     /// # Panics
-    /// Panics if `rows` is not strictly ascending (the disjoint-write
-    /// safety argument needs distinct rows) or a row is out of range.
-    pub fn spmv_rows_list_par(
-        &self,
-        pk: &crate::par::ParKernels,
-        rows: &[usize],
-        x_ext: &[f64],
-        y: &mut [f64],
-    ) {
-        if pk.threads() == 1 || rows.len() <= 1 {
-            self.spmv_rows_list(rows, x_ext, y);
-            return;
+    /// Panics if `nrows` is not in `[n_owned(), reach_len(depth-1)]` or a
+    /// buffer is too short.
+    pub fn spmv_frontier(&self, pk: &ParKernels, nrows: usize, x_ext: &[f64], y: &mut [f64]) {
+        self.check_operands(nrows, x_ext, y);
+        let list = self.frontier_rows(nrows);
+        match &self.rows {
+            LocalRows::Csr { raw, .. } => raw.spmv_list(pk, list, x_ext, y),
+            // The list is ascending, so the rows `< nrows` are a lane prefix.
+            LocalRows::Sell { frontier, .. } => pk.spmv_sell_prefix(frontier, list.len(), x_ext, y),
         }
-        assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "spmv_rows_list_par: rows must be strictly ascending"
-        );
-        assert!(
-            *rows.last().unwrap() < y.len(),
-            "spmv_rows_list_par: y too short"
-        );
-        assert!(
-            x_ext.len() >= self.ext.len(),
-            "spmv_rows_list_par: x_ext too short"
-        );
-        let bounds = crate::csr::nnz_balanced_bounds_list(rows, &self.row_ptr, pk.threads());
-        let ptr = crate::par::SendPtr(y.as_mut_ptr());
-        pk.run_indexed(bounds.len() - 1, |c| {
-            for &r in &rows[bounds[c]..bounds[c + 1]] {
-                let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += self.values[k] * x_ext[self.col_idx[k]];
-                }
-                // SAFETY: the rows are strictly ascending (checked above)
-                // and the chunks partition the list, so every task writes a
-                // distinct set of in-bounds `y` elements; the exclusive
-                // borrow of `y` outlives the run.
-                unsafe { *ptr.get().add(r) = acc };
+    }
+
+    /// Applies the remapped operator to rows `0 .. nrows` of the extended
+    /// index space: `y[p] = Σ A[ext[p], ext[q]] · x_ext[q]`, with the same
+    /// per-row accumulation order as [`CsrMatrix::spmv`] — bitwise equal
+    /// for any thread count and either format.
+    ///
+    /// # Panics
+    /// Panics if `nrows` is not in `[n_owned(), reach_len(depth-1)]` or a
+    /// buffer is too short.
+    pub fn spmv_prefix(&self, pk: &ParKernels, nrows: usize, x_ext: &[f64], y: &mut [f64]) {
+        match &self.rows {
+            LocalRows::Csr { raw, .. } => {
+                self.check_operands(nrows, x_ext, y);
+                raw.spmv_prefix(pk, nrows, x_ext, y);
             }
-        });
+            LocalRows::Sell { .. } => {
+                self.spmv_interior(pk, x_ext, y);
+                self.spmv_frontier(pk, nrows, x_ext, y);
+            }
+        }
+    }
+
+    /// The shape contract of the three kernels. The `x_ext` bound is what
+    /// licenses the SELL kernels' unchecked gather (every packed column is
+    /// below `ext_len()`).
+    fn check_operands(&self, nrows: usize, x_ext: &[f64], y: &[f64]) {
+        assert!(
+            self.n_owned() <= nrows && nrows <= self.prefix[self.depth - 1],
+            "GhostZone: row prefix {nrows} outside [n_owned, reach_len(depth-1)]"
+        );
+        assert!(x_ext.len() >= self.ext.len(), "GhostZone: x_ext too short");
+        assert!(y.len() >= nrows, "GhostZone: y too short");
     }
 
     /// Gathers `global[ext[i]]` for the ghost entries into a buffer laid
@@ -458,115 +402,26 @@ impl GhostZone {
     pub fn extend_from_global(&self, global: &[f64]) -> Vec<f64> {
         self.ext.iter().map(|&g| global[g]).collect()
     }
-
-    /// The interior row list packed into SELL-C-σ layout, built on first
-    /// request and cached (reset on clone). Lane order is the list itself,
-    /// so results scatter to the same `y[r]` positions as the CSR kernel.
-    fn interior_sell(&self) -> Arc<SellMatrix> {
-        let mut cache = self.sell_interior.lock().unwrap();
-        if let Some(s) = cache.as_ref() {
-            return Arc::clone(s);
-        }
-        let s = Arc::new(SellMatrix::from_rows(
-            &self.row_ptr,
-            &self.col_idx,
-            &self.values,
-            &self.interior,
-        ));
-        *cache = Some(Arc::clone(&s));
-        s
-    }
-
-    /// The frontier row list packed into SELL-C-σ layout (cached like
-    /// [`GhostZone::interior_sell`]). Ascending list order makes every
-    /// per-level prefix cut a lane prefix.
-    fn frontier_sell(&self) -> Arc<SellMatrix> {
-        let mut cache = self.sell_frontier.lock().unwrap();
-        if let Some(s) = cache.as_ref() {
-            return Arc::clone(s);
-        }
-        let s = Arc::new(SellMatrix::from_rows(
-            &self.row_ptr,
-            &self.col_idx,
-            &self.values,
-            &self.frontier,
-        ));
-        *cache = Some(Arc::clone(&s));
-        s
-    }
-
-    /// SELL-layout twin of running [`GhostZone::spmv_rows_list_par`] over
-    /// [`GhostZone::interior_rows`]: computes the interior rows into
-    /// `y[r]`, bitwise identical for any thread count.
-    pub fn spmv_interior_sell(&self, pk: &crate::par::ParKernels, x_ext: &[f64], y: &mut [f64]) {
-        assert!(
-            x_ext.len() >= self.ext.len(),
-            "spmv_interior_sell: x_ext too short"
-        );
-        pk.spmv_sell(&self.interior_sell(), x_ext, y);
-    }
-
-    /// SELL-layout twin of running [`GhostZone::spmv_rows_list_par`] over
-    /// [`GhostZone::frontier_rows`]`(nrows)`: computes the frontier rows
-    /// `< nrows` into `y[r]` via a lane-prefix cut of the packed list.
-    ///
-    /// # Panics
-    /// Panics if `nrows < n_owned()` (same contract as
-    /// [`GhostZone::frontier_rows`]).
-    pub fn spmv_frontier_sell(
-        &self,
-        pk: &crate::par::ParKernels,
-        nrows: usize,
-        x_ext: &[f64],
-        y: &mut [f64],
-    ) {
-        assert!(
-            nrows >= self.n_owned(),
-            "frontier_rows: prefix shorter than the owned block"
-        );
-        assert!(
-            x_ext.len() >= self.ext.len(),
-            "spmv_frontier_sell: x_ext too short"
-        );
-        let nlanes = self.frontier.partition_point(|&r| r < nrows);
-        pk.spmv_sell_prefix(&self.frontier_sell(), nlanes, x_ext, y);
-    }
-
-    /// SELL-layout twin of [`GhostZone::spmv_prefix_par`]: interior rows
-    /// plus the frontier prefix cover exactly `[0, nrows)`, and each row
-    /// runs the identical per-row accumulation, so the result is bitwise
-    /// equal to the CSR prefix SpMV (the order-independence proven by the
-    /// split-vs-prefix test).
-    ///
-    /// # Panics
-    /// Panics if `nrows` is not in `[n_owned(), reach_len(depth-1)]` or
-    /// buffers are too short.
-    pub fn spmv_prefix_sell(
-        &self,
-        pk: &crate::par::ParKernels,
-        nrows: usize,
-        x_ext: &[f64],
-        y: &mut [f64],
-    ) {
-        assert!(
-            nrows <= self.prefix[self.depth - 1],
-            "spmv_prefix: row prefix too long"
-        );
-        assert!(y.len() >= nrows, "spmv_prefix: y too short");
-        self.spmv_interior_sell(pk, x_ext, y);
-        self.spmv_frontier_sell(pk, nrows, x_ext, y);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::poisson::{poisson_1d, poisson_2d};
+    use crate::generators::poisson::{poisson_1d, poisson_2d, poisson_3d};
+    use SparseFormat::{Csr, Sell};
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn operand(n: usize) -> Vec<f64> {
+        (0..n).map(|i| ((i * 13 % 19) as f64) - 9.0).collect()
+    }
 
     #[test]
     fn depth1_matches_partition_halo() {
         let a = poisson_1d(12);
-        let gz = GhostZone::new(&a, 4, 8, 1);
+        let gz = GhostZone::new(&a, 4, 8, 1, Csr);
         assert_eq!(gz.n_owned(), 4);
         assert_eq!(gz.ghost_indices(), &[3, 8]);
         assert_eq!(gz.reach_len(0), 4);
@@ -576,7 +431,7 @@ mod tests {
     #[test]
     fn reach_sets_grow_by_one_layer_on_tridiagonal() {
         let a = poisson_1d(20);
-        let gz = GhostZone::new(&a, 8, 12, 3);
+        let gz = GhostZone::new(&a, 8, 12, 3, Sell);
         // Each depth adds one row on each side.
         assert_eq!(gz.ghost_indices(), &[7, 12, 6, 13, 5, 14]);
         assert_eq!(gz.reach_len(1), 6);
@@ -587,72 +442,38 @@ mod tests {
     #[test]
     fn local_spmv_matches_global_on_computable_rows() {
         let a = poisson_2d(8);
-        let gz = GhostZone::new(&a, 16, 40, 3);
         let x: Vec<f64> = (0..64).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-        let x_ext = gz.extend_from_global(&x);
-        let mut y_local = vec![0.0; gz.reach_len(2)];
-        gz.spmv_prefix(gz.reach_len(2), &x_ext, &mut y_local);
         let mut y_global = vec![0.0; 64];
         a.spmv(&x, &mut y_global);
-        for p in 0..gz.reach_len(2) {
-            let g = gz.ext_indices()[p];
-            // Bitwise: entry order inside each row is preserved.
-            assert_eq!(y_local[p], y_global[g], "row {g}");
+        for format in [Csr, Sell] {
+            let gz = GhostZone::new(&a, 16, 40, 3, format);
+            let x_ext = gz.extend_from_global(&x);
+            let mut y_local = vec![0.0; gz.reach_len(2)];
+            gz.spmv_prefix(&ParKernels::serial(), gz.reach_len(2), &x_ext, &mut y_local);
+            for p in 0..gz.reach_len(2) {
+                let g = gz.ext_indices()[p];
+                // Bitwise: entry order inside each row is preserved.
+                assert_eq!(y_local[p], y_global[g], "{format:?} row {g}");
+            }
         }
     }
 
     #[test]
     fn spmv_prefix_par_is_bitwise_identical_across_thread_counts() {
-        use crate::par::ParKernels;
-        let a = crate::generators::poisson::poisson_3d(14);
+        let a = poisson_3d(14);
         let n = a.nrows();
-        let gz = GhostZone::new(&a, n / 4, 3 * n / 4, 3);
+        let gz = GhostZone::new(&a, n / 4, 3 * n / 4, 3, Csr);
         let x: Vec<f64> = (0..n).map(|i| ((i * 11 % 17) as f64) - 8.0).collect();
         let x_ext = gz.extend_from_global(&x);
         for d in [1usize, 2] {
             let rows = gz.reach_len(d);
             let mut serial = vec![0.0; rows];
-            gz.spmv_prefix(rows, &x_ext, &mut serial);
+            gz.spmv_prefix(&ParKernels::serial(), rows, &x_ext, &mut serial);
             for t in [1usize, 2, 4, 8] {
                 let pk = ParKernels::new(t);
                 let mut y = vec![1.0; rows];
-                gz.spmv_prefix_par(&pk, rows, &x_ext, &mut y);
+                gz.spmv_prefix(&pk, rows, &x_ext, &mut y);
                 assert_eq!(y, serial, "depth {d}, threads {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn spmm_prefix_columns_match_spmv_prefix_bitwise() {
-        use crate::par::ParKernels;
-        let a = crate::generators::poisson::poisson_3d(14);
-        let n = a.nrows();
-        let gz = GhostZone::new(&a, n / 4, 3 * n / 4, 3);
-        for k in [1usize, 2, 4] {
-            let cols: Vec<Vec<f64>> = (0..k)
-                .map(|j| {
-                    (0..n)
-                        .map(|i| ((i * (7 + j) % 19) as f64) - 9.0)
-                        .collect::<Vec<f64>>()
-                })
-                .collect();
-            let ext_cols: Vec<Vec<f64>> = cols.iter().map(|c| gz.extend_from_global(c)).collect();
-            let x_ext = MultiVector::from_columns(&ext_cols);
-            let rows = gz.reach_len(1);
-            let mut serial = MultiVector::zeros(rows, k);
-            gz.spmm_prefix(rows, &x_ext, &mut serial);
-            for j in 0..k {
-                let mut want = vec![0.0; rows];
-                gz.spmv_prefix(rows, &ext_cols[j], &mut want);
-                assert_eq!(serial.col(j), &want[..], "k={k} col={j}");
-            }
-            for t in [1usize, 2, 4, 8] {
-                let pk = ParKernels::new(t);
-                let mut y = MultiVector::zeros(rows, k);
-                gz.spmm_prefix_par(&pk, rows, &x_ext, &mut y);
-                for j in 0..k {
-                    assert_eq!(y.col(j), serial.col(j), "k={k} t={t} col={j}");
-                }
             }
         }
     }
@@ -661,108 +482,177 @@ mod tests {
     fn interior_and_frontier_partition_every_prefix() {
         let a = poisson_2d(10);
         let n = a.nrows();
-        let gz = GhostZone::new(&a, n / 4, 2 * n / 3, 3);
-        for d in 0..gz.depth() {
-            let rows = gz.reach_len(d);
-            let mut all: Vec<usize> = gz
-                .interior_rows()
-                .iter()
-                .chain(gz.frontier_rows(rows))
-                .copied()
-                .collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..rows).collect::<Vec<_>>(), "prefix depth {d}");
-        }
-        // Interior rows reference only owned columns.
-        for &r in gz.interior_rows() {
-            assert!(r < gz.n_owned());
-        }
-        // Every ghost row is frontier.
-        let rows = gz.reach_len(gz.depth() - 1);
-        let f = gz.frontier_rows(rows);
-        for g in gz.n_owned()..rows {
-            assert!(
-                f.binary_search(&g).is_ok(),
-                "ghost row {g} must be frontier"
-            );
+        for format in [Csr, Sell] {
+            let gz = GhostZone::new(&a, n / 4, 2 * n / 3, 3, format);
+            for d in 0..gz.depth() {
+                let rows = gz.reach_len(d);
+                let mut all: Vec<usize> = gz
+                    .interior_rows()
+                    .iter()
+                    .chain(gz.frontier_rows(rows))
+                    .copied()
+                    .collect();
+                all.sort_unstable();
+                assert_eq!(all, (0..rows).collect::<Vec<_>>(), "prefix depth {d}");
+            }
+            // Interior rows reference only owned columns.
+            for &r in gz.interior_rows() {
+                assert!(r < gz.n_owned());
+            }
+            // Every ghost row is frontier.
+            let rows = gz.reach_len(gz.depth() - 1);
+            let f = gz.frontier_rows(rows);
+            for g in gz.n_owned()..rows {
+                assert!(
+                    f.binary_search(&g).is_ok(),
+                    "ghost row {g} must be frontier"
+                );
+            }
         }
     }
 
     #[test]
     fn split_spmv_matches_prefix_spmv_bitwise() {
-        use crate::par::ParKernels;
-        let a = crate::generators::poisson::poisson_3d(11);
+        let a = poisson_3d(11);
         let n = a.nrows();
-        let gz = GhostZone::new(&a, n / 5, 4 * n / 5, 3);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 19) as f64) - 9.0).collect();
-        let x_ext = gz.extend_from_global(&x);
-        for d in [1usize, 2] {
-            let rows = gz.reach_len(d);
-            let mut reference = vec![0.0; rows];
-            gz.spmv_prefix(rows, &x_ext, &mut reference);
-            for t in [1usize, 2, 4] {
-                let pk = ParKernels::new(t);
-                let mut y = vec![f64::NAN; rows];
-                // Interior first with stale ghost operands is the overlap
-                // execution order; the result must not depend on it.
-                gz.spmv_rows_list_par(&pk, gz.interior_rows(), &x_ext, &mut y);
-                gz.spmv_rows_list_par(&pk, gz.frontier_rows(rows), &x_ext, &mut y);
-                assert_eq!(y, reference, "depth {d}, threads {t}");
+        let x_global = operand(n);
+        for format in [Csr, Sell] {
+            let gz = GhostZone::new(&a, n / 5, 4 * n / 5, 3, format);
+            let x_ext = gz.extend_from_global(&x_global);
+            for d in [0usize, 1, 2] {
+                let rows = gz.reach_len(d);
+                let mut reference = vec![0.0; rows];
+                gz.spmv_prefix(&ParKernels::serial(), rows, &x_ext, &mut reference);
+                for t in [1usize, 2, 4] {
+                    let pk = ParKernels::new(t);
+                    let mut y = vec![f64::NAN; rows];
+                    // Interior first with stale ghost operands is the overlap
+                    // execution order; the result must not depend on it.
+                    gz.spmv_interior(&pk, &x_ext, &mut y);
+                    gz.spmv_frontier(&pk, rows, &x_ext, &mut y);
+                    assert_eq!(bits(&y), bits(&reference), "{format:?} d {d} t {t}");
+                }
             }
         }
     }
 
+    /// A SELL-format zone against a CSR-format zone of the same block: all
+    /// three kernels, every level's row prefix, bit for bit.
     #[test]
     fn sell_prefix_matches_csr_prefix_bitwise() {
-        use crate::par::ParKernels;
-        let a = crate::generators::poisson::poisson_3d(11);
+        let a = poisson_3d(11);
         let n = a.nrows();
-        let gz = GhostZone::new(&a, n / 5, 4 * n / 5, 3);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 19) as f64) - 9.0).collect();
-        let x_ext = gz.extend_from_global(&x);
-        for d in [1usize, 2] {
-            let rows = gz.reach_len(d);
-            let mut reference = vec![0.0; rows];
-            gz.spmv_prefix(rows, &x_ext, &mut reference);
+        let csr = GhostZone::new(&a, n / 5, 4 * n / 5, 3, Csr);
+        let sell = GhostZone::new(&a, n / 5, 4 * n / 5, 3, Sell);
+        assert_eq!((csr.format(), sell.format()), (Csr, Sell));
+        assert_eq!(csr.ext_indices(), sell.ext_indices());
+        assert_eq!(csr.interior_rows(), sell.interior_rows());
+        let x_ext = csr.extend_from_global(&operand(n));
+        for d in [0usize, 1, 2] {
+            let rows = csr.reach_len(d);
+            assert_eq!(csr.frontier_rows(rows), sell.frontier_rows(rows));
             for t in [1usize, 2, 4] {
                 let pk = ParKernels::new(t);
-                let mut y = vec![f64::NAN; rows];
-                gz.spmv_prefix_sell(&pk, rows, &x_ext, &mut y);
-                assert_eq!(y, reference, "depth {d}, threads {t}");
-                // The split schedule (interior with stale ghosts first,
-                // frontier after) must agree too — the overlap order.
-                let mut ys = vec![f64::NAN; rows];
-                gz.spmv_interior_sell(&pk, &x_ext, &mut ys);
-                gz.spmv_frontier_sell(&pk, rows, &x_ext, &mut ys);
-                assert_eq!(ys, reference, "split, depth {d}, threads {t}");
+                let run = |gz: &GhostZone| {
+                    let (mut whole, mut split) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);
+                    gz.spmv_prefix(&pk, rows, &x_ext, &mut whole);
+                    gz.spmv_interior(&pk, &x_ext, &mut split);
+                    gz.spmv_frontier(&pk, rows, &x_ext, &mut split);
+                    (bits(&whole), bits(&split))
+                };
+                assert_eq!(run(&sell), run(&csr), "depth {d}, threads {t}");
             }
         }
     }
 
+    /// A symmetric random-sparsity matrix (diagonal plus `per_row` random
+    /// off-diagonal pairs per row): BFS levels with no stencil regularity.
+    fn random_sparsity(n: usize, per_row: usize, seed: u64) -> CsrMatrix {
+        let mut rng = crate::rng::Rng64::seed_from_u64(seed);
+        let mut coo = crate::CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0 + per_row as f64);
+            for _ in 0..per_row {
+                let j = rng.below_inclusive(n - 1);
+                if j != i {
+                    coo.push_sym(i, j, -rng.range_f64(0.1, 1.0));
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// The depth-prefix property the engine relies on: a depth-`D` zone,
+    /// used at any depth `d ≤ D`, is indistinguishable from a fresh
+    /// depth-`d` zone — structure and kernel output bits — even though its
+    /// extended buffers are longer and its SELL slices are cut elsewhere.
     #[test]
-    fn sell_caches_are_shared_and_reset_on_clone() {
-        let a = poisson_2d(12);
-        let gz = GhostZone::new(&a, 24, 120, 2);
-        let s1 = gz.interior_sell();
-        let s2 = gz.interior_sell();
-        assert!(std::sync::Arc::ptr_eq(&s1, &s2));
-        let gz2 = gz.clone();
-        let s3 = gz2.interior_sell();
-        assert!(!std::sync::Arc::ptr_eq(&s1, &s3));
-        assert_eq!(s1.lanes(), s3.lanes());
+    fn deep_zone_is_every_shallower_zone_on_its_prefix() {
+        let matrices = [
+            ("poisson_2d", poisson_2d(12)),
+            ("poisson_3d", poisson_3d(7)),
+            ("random", random_sparsity(300, 1, 11)),
+        ];
+        for (name, a) in &matrices {
+            let n = a.nrows();
+            let x_global = operand(n);
+            for (lo, hi) in [(0, n / 3), (n / 3, 2 * n / 3), (2 * n / 3, n)] {
+                for format in [Csr, Sell] {
+                    for big_d in [2usize, 3, 5] {
+                        let deep = GhostZone::new(a, lo, hi, big_d, format);
+                        let x_deep = deep.extend_from_global(&x_global);
+                        for d in 1..=big_d {
+                            let fresh = GhostZone::new(a, lo, hi, d, format);
+                            let what = format!("{name} [{lo},{hi}) {format:?} D={big_d} d={d}");
+                            let reach = fresh.ext_len();
+                            assert_eq!(deep.reach_len(d), reach, "{what}");
+                            assert_eq!(&deep.ext_indices()[..reach], fresh.ext_indices());
+                            for k in 0..=d {
+                                assert_eq!(deep.reach_len(k), fresh.reach_len(k), "{what}");
+                            }
+                            assert_eq!(deep.interior_rows(), fresh.interior_rows(), "{what}");
+                            // Poison what a depth-d user never fills.
+                            let mut x_cut = x_deep.clone();
+                            x_cut[reach..].fill(f64::NAN);
+                            let x_fresh = &x_deep[..reach];
+                            for k in 0..d {
+                                let rows = fresh.reach_len(k);
+                                assert_eq!(deep.frontier_rows(rows), fresh.frontier_rows(rows));
+                                for t in [1usize, 2, 4] {
+                                    let pk = ParKernels::new(t);
+                                    let run = |gz: &GhostZone, x: &[f64]| {
+                                        let mut whole = vec![f64::NAN; rows];
+                                        let mut split = vec![f64::NAN; rows];
+                                        gz.spmv_prefix(&pk, rows, x, &mut whole);
+                                        gz.spmv_interior(&pk, x, &mut split);
+                                        gz.spmv_frontier(&pk, rows, x, &mut split);
+                                        (bits(&whole), bits(&split))
+                                    };
+                                    assert_eq!(
+                                        run(&deep, &x_cut),
+                                        run(&fresh, x_fresh),
+                                        "{what} level {k} threads {t}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn boundary_block_has_one_sided_ghosts() {
         let a = poisson_1d(10);
-        let gz = GhostZone::new(&a, 0, 3, 2);
+        let gz = GhostZone::new(&a, 0, 3, 2, Csr);
         assert_eq!(gz.ghost_indices(), &[3, 4]);
     }
 
     #[test]
     fn full_matrix_block_has_no_ghosts() {
         let a = poisson_2d(5);
-        let gz = GhostZone::new(&a, 0, 25, 4);
+        let gz = GhostZone::new(&a, 0, 25, 4, Sell);
         assert!(gz.ghost_indices().is_empty());
         assert_eq!(gz.ext_len(), 25);
     }
@@ -771,6 +661,6 @@ mod tests {
     #[should_panic(expected = "depth must be at least 1")]
     fn rejects_zero_depth() {
         let a = poisson_1d(4);
-        GhostZone::new(&a, 0, 2, 0);
+        GhostZone::new(&a, 0, 2, 0, Csr);
     }
 }

@@ -12,8 +12,7 @@
 //! disjoint row sets moves.
 //!
 //! The split is cached on [`CsrMatrix`] (see [`CsrMatrix::row_split`]) so
-//! the depth-1 SpMV ghost zone and the depth-s MPK ghost zone of the same
-//! rank — and repeated solves on the same matrix — share one scan.
+//! the CSR- and SELL-format ghost zones of the same rank share one scan.
 
 use crate::csr::CsrMatrix;
 
@@ -143,7 +142,7 @@ mod tests {
         let n = a.nrows();
         for (lo, hi) in [(0, n / 4), (n / 4, n / 2), (n / 2, n)] {
             let s = a.row_split(lo, hi);
-            let gz = GhostZone::new(&a, lo, hi, 1);
+            let gz = GhostZone::new(&a, lo, hi, 1, crate::SparseFormat::Csr);
             let ghosts = gz.ghost_indices();
             let expected: Vec<usize> = (lo..hi)
                 .filter(|&r| a.row(r).0.iter().any(|c| ghosts.contains(c)))
@@ -188,10 +187,13 @@ mod tests {
         let s1 = a.row_split(4, 12);
         let s2 = a.row_split(4, 12);
         assert!(std::sync::Arc::ptr_eq(&s1, &s2));
-        // A different range is a different (also cached) plan.
-        let other = a.row_split(0, 8);
-        assert_eq!(other.frontier(), &[7]);
+        // A disjoint range is a different (also cached) plan.
+        let other = a.row_split(0, 4);
+        assert_eq!(other.frontier(), &[3]);
         let again = a.row_split(4, 12);
         assert!(std::sync::Arc::ptr_eq(&s1, &again));
+        // An overlapping range belongs to another partition: it evicts.
+        a.row_split(0, 8);
+        assert!(!std::sync::Arc::ptr_eq(&s1, &a.row_split(4, 12)));
     }
 }

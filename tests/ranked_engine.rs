@@ -344,3 +344,85 @@ fn problem_try_new_round_trips_through_solve() {
         Err(spcg::solvers::ProblemError::RhsLen { .. })
     ));
 }
+
+/// Cache-state independence: whatever ghost zones a matrix object holds
+/// from earlier ranked solves — shallower, deeper, of another partition —
+/// a solve on it is the solve on a freshly cloned matrix, bit for bit and
+/// count for count (`halo_words` is the counter a wrongly cut gather plan
+/// would move). Every option is set here, so the case runs the same under
+/// any `SPCG_*` environment.
+#[cfg(unix)]
+#[test]
+fn ranked_solves_do_not_depend_on_the_matrix_zone_cache() {
+    use spcg::dist::Backend;
+    use spcg::solvers::AdaptivePolicy;
+    use spcg::sparse::SparseFormat;
+    assert!(
+        spcg::solvers::procexec::rankd_path().is_some(),
+        "spcg-rankd not found: run a workspace build first (or set SPCG_RANKD)"
+    );
+    let a = poisson_3d(8);
+    let b = paper_rhs(&a);
+    let m = Jacobi::new(&a);
+    let basis = chebyshev_basis(&Problem::new(&a, &m, &b), 20, 0.05);
+    let spcg5 = Method::SPcg {
+        s: 5,
+        basis: basis.clone(),
+    };
+    // Depths on the shared matrix: 1 (cold), 5, 16 (the adaptive policy's
+    // s_max — the whole matrix here), 1 and 3 on the depth-16 zones, then
+    // another partition, then the first one again.
+    let steps = [
+        (Method::Pcg, 2usize),
+        (spcg5.clone(), 2),
+        (
+            Method::AdaptiveCaPcg {
+                s: 4,
+                basis: basis.clone(),
+            },
+            2,
+        ),
+        (Method::Pcg, 2),
+        (Method::CaPcg3 { s: 3, basis }, 2),
+        (spcg5.clone(), 3),
+        (Method::Pcg, 3),
+        (Method::Pcg, 2),
+        (spcg5, 2),
+    ];
+    for format in [SparseFormat::Csr, SparseFormat::Sell] {
+        for overlap in [true, false] {
+            for backend in [Backend::Thread, Backend::Proc] {
+                let opts = SolveOptions::builder()
+                    .tol(1e-8)
+                    .keep_history(true)
+                    .build()
+                    .with_threads(1)
+                    .with_overlap(overlap)
+                    .with_format(format)
+                    .with_backend(backend)
+                    .with_trace(None)
+                    .with_faults(None)
+                    .with_adaptive(AdaptivePolicy::default());
+                let shared = a.clone();
+                for (step, (method, ranks)) in steps.iter().enumerate() {
+                    let engine = Engine::Ranked { ranks: *ranks };
+                    let fresh = a.clone();
+                    let on = |a: &CsrMatrix| solve(method, &Problem::new(a, &m, &b), &opts, engine);
+                    let (got, want) = (on(&shared), on(&fresh));
+                    let tag = format!(
+                        "step {step} ({} on {ranks} ranks) {format:?} overlap={overlap} {backend:?}",
+                        method.name()
+                    );
+                    assert!(want.converged(), "{tag}: {:?}", want.outcome);
+                    assert_eq!(got.outcome, want.outcome, "{tag}: outcome");
+                    assert_eq!(got.iterations, want.iterations, "{tag}: iterations");
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.x), bits(&want.x), "{tag}: x bits");
+                    assert_eq!(got.history, want.history, "{tag}: history");
+                    assert_eq!(got.counters, want.counters, "{tag}: counters");
+                    assert_eq!(got.s_schedule, want.s_schedule, "{tag}: s schedule");
+                }
+            }
+        }
+    }
+}
