@@ -15,11 +15,10 @@ fn main() {
     let b = paper_rhs(&a);
     let problem = Problem::new(&a, &m, &b);
     let basis = spcg_solvers::chebyshev_basis(&problem, 20, 0.05);
-    let opts = SolveOptions::builder()
-        .tol(1e-30) // never reached: fixed 100-iteration budget
-        .max_iters(100)
-        .criterion(StoppingCriterion::PrecondMNorm)
-        .build();
+    let opts = SolveOptions::default()
+        .with_tol(1e-30) // never reached: fixed 100-iteration budget
+        .with_max_iters(100)
+        .with_criterion(StoppingCriterion::PrecondMNorm);
     let methods = [
         ("pcg", Method::Pcg),
         ("pcg3", Method::Pcg3),

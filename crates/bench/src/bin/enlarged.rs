@@ -31,7 +31,7 @@
 use spcg_basis::BasisType;
 use spcg_bench::{quick_mode, write_results};
 use spcg_precond::Jacobi;
-use spcg_solvers::{capcg_gs, ekcg, pcg, spcg, Problem, SolveOptions};
+use spcg_solvers::{solve, Engine, Method, Problem, SolveOptions};
 use spcg_sparse::generators::anisotropic::anisotropic_2d;
 use spcg_sparse::generators::paper_rhs;
 use spcg_sparse::generators::random_spd::{spd_with_spectrum, SpectrumShape};
@@ -80,8 +80,11 @@ fn main() {
     let mut gs_conv = Vec::new();
     let mut gs_restarts = Vec::new();
     for &s in s_values {
-        let rc = spcg(&problem, s, &BasisType::Monomial, &opts);
-        let rg = capcg_gs(&problem, s, &BasisType::Monomial, &opts);
+        let basis = BasisType::Monomial;
+        let chol = Method::SPcg { s, basis };
+        let rc = solve(&chol, &problem, &opts, Engine::Serial);
+        let gs = chol.gs_analogue().expect("sPCG has a GS analogue");
+        let rg = solve(&gs, &problem, &opts, Engine::Serial);
         eprintln!(
             "[enlarged] survival s={s}: cholesky {:?} in {} | gauss_seidel {:?} in {} ({} restarts)",
             rc.outcome, rc.iterations, rg.outcome, rg.iterations, rg.restarts
@@ -104,7 +107,7 @@ fn main() {
     let opts = SolveOptions::default()
         .with_tol(EKCG_TOL)
         .with_max_iters(20_000);
-    let r_pcg = pcg(&problem, &opts);
+    let r_pcg = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
     assert!(
         r_pcg.converged(),
         "[enlarged] PCG baseline failed: {:?}",
@@ -115,7 +118,7 @@ fn main() {
     let mut ek_conv = Vec::new();
     let mut ek_ratios = Vec::new();
     for &t in t_values {
-        let r = ekcg(&problem, t, &opts);
+        let r = solve(&Method::EkCg { t }, &problem, &opts, Engine::Serial);
         let ratio = r.iterations as f64 / r_pcg.iterations as f64;
         eprintln!(
             "[enlarged] ekcg t={t}: {:?} in {} ({ratio:.3}x pcg)",

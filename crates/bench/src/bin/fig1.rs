@@ -20,7 +20,6 @@
 //! With `--trace <path>` (or `SPCG_TRACE=1`) every solve records per-rank
 //! phase spans and the combined Chrome trace-event export — loadable in
 //! Perfetto — is written to `path` (default `results/TRACE_fig1*.json`).
-//! `SPCG_TRACE_CAP` bounds the events kept per rank track.
 
 use spcg_bench::{
     adaptive_arg, no_overlap_arg, paper, prepare_instance, ranks_arg, results_dir, threads_arg,
@@ -43,16 +42,17 @@ fn run(
     overlap: bool,
     tracer: Option<&Tracer>,
 ) -> SolveResult {
-    let mut builder = SolveOptions::builder()
-        .tol(paper::TOL)
-        .max_iters(100_000)
-        .criterion(StoppingCriterion::PrecondMNorm)
-        .overlap(overlap)
-        .trace(tracer.cloned());
-    if let Some(t) = threads {
-        builder = builder.threads(t);
-    }
-    solve(method, &inst.problem(), &builder.build(), engine)
+    let base = SolveOptions::from_env();
+    let opts = SolveOptions {
+        tol: paper::TOL,
+        max_iters: 100_000,
+        criterion: StoppingCriterion::PrecondMNorm,
+        overlap,
+        threads: threads.unwrap_or(base.threads),
+        trace: tracer.cloned(),
+        ..base
+    };
+    solve(method, &inst.problem(), &opts, engine)
 }
 
 fn main() {
@@ -69,7 +69,7 @@ fn main() {
     // Ranked mode runs R real solver threads per solve: default to a grid
     // that keeps the demonstration run short.
     let default_grid = if ranks.is_some() { 32 } else { 128 };
-    let grid: usize = spcg_solvers::env::parsed("SPCG_GRID").unwrap_or(default_grid);
+    let grid = spcg_bench::grid_or(default_grid);
     let machine = MachineParams::default();
 
     eprintln!(

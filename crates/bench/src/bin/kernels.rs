@@ -253,9 +253,7 @@ fn ghost_zone_rows(a: &CsrMatrix) -> String {
     let method = Method::SPcg { s: depth, basis };
     let opts = SolveOptions::default()
         .with_max_iters(1)
-        .with_format(SparseFormat::Sell)
-        .with_backend(spcg_dist::Backend::Thread)
-        .with_faults(None);
+        .with_format(SparseFormat::Sell);
     let engine = Engine::Ranked { ranks: ZONE_RANKS };
     let floor = |on: &CsrMatrix| {
         best_ms(1, || {
@@ -281,7 +279,7 @@ fn ghost_zone_rows(a: &CsrMatrix) -> String {
 fn main() {
     let quick = quick_mode();
     let default_grid = if quick { 24 } else { 48 };
-    let grid: usize = spcg_solvers::env::parsed("SPCG_GRID").unwrap_or(default_grid);
+    let grid = spcg_bench::grid_or(default_grid);
     let reps = if quick { 2 } else { 5 };
 
     eprintln!(

@@ -41,15 +41,14 @@ fn calibration_solve(
     ranks: usize,
 ) -> (SolveResult, Tracer) {
     let tracer = Tracer::new();
-    let opts = SolveOptions::builder()
-        .tol(1e-6)
-        .threads(1)
-        .overlap(false)
-        .format(format)
-        .trace(Some(tracer.clone()))
-        .build()
-        .with_backend(backend)
-        .with_faults(None);
+    let opts = SolveOptions {
+        tol: 1e-6,
+        overlap: false,
+        format,
+        backend,
+        trace: Some(tracer.clone()),
+        ..SolveOptions::default()
+    };
     let res = solve(method, &inst.problem(), &opts, Engine::Ranked { ranks });
     (res, tracer)
 }

@@ -56,7 +56,7 @@ fn json_array(values: &[f64]) -> String {
 fn main() {
     let quick = quick_mode();
     let default_grid = if quick { 20 } else { 48 };
-    let grid: usize = spcg_solvers::env::parsed("SPCG_GRID").unwrap_or(default_grid);
+    let grid = spcg_bench::grid_or(default_grid);
     let reps = if quick { 2 } else { 7 };
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
 

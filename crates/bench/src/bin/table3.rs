@@ -51,16 +51,17 @@ fn run(
     overlap: bool,
     tracer: Option<&Tracer>,
 ) -> SolveResult {
-    let mut builder = SolveOptions::builder()
-        .tol(paper::TOL)
-        .max_iters(paper::MAX_ITERS)
-        .criterion(crit)
-        .overlap(overlap)
-        .trace(tracer.cloned());
-    if let Some(t) = threads {
-        builder = builder.threads(t);
-    }
-    solve(method, &inst.problem(), &builder.build(), engine)
+    let base = SolveOptions::from_env();
+    let opts = SolveOptions {
+        tol: paper::TOL,
+        max_iters: paper::MAX_ITERS,
+        criterion: crit,
+        overlap,
+        threads: threads.unwrap_or(base.threads),
+        trace: tracer.cloned(),
+        ..base
+    };
+    solve(method, &inst.problem(), &opts, engine)
 }
 
 /// Prices the stand-in's measured counters at the *original* SuiteSparse

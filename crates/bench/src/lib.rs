@@ -148,9 +148,10 @@ pub fn ranks_arg() -> Option<usize> {
 }
 
 /// Parses a `--threads T` command-line flag: intra-rank worker threads for
-/// the parallel kernel layer (`SolveOptions::threads`). `None` means "use
-/// the default", which honours the `SPCG_THREADS` environment variable. A
-/// `--threads` with a missing, unparsable, or zero value aborts.
+/// the parallel kernel layer (`SolveOptions::threads`). `None` leaves the
+/// bin's base options alone (fig1/table3 start from
+/// `SolveOptions::from_env()`, so `SPCG_THREADS` applies). A `--threads`
+/// with a missing, unparsable, or zero value aborts.
 pub fn threads_arg() -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
     let i = args.iter().position(|a| a == "--threads")?;
@@ -165,7 +166,7 @@ pub fn threads_arg() -> Option<usize> {
 
 /// Parses a `--no-overlap` command-line flag: run ranked solves on the
 /// blocking halo-exchange schedule instead of the default overlapped one
-/// (`SolveOptions::overlap(false)`). Results are bitwise identical either
+/// (`SolveOptions::with_overlap(false)`). Results are bitwise identical either
 /// way; the flag exists to time the two schedules against each other.
 pub fn no_overlap_arg() -> bool {
     std::env::args().any(|a| a == "--no-overlap")
@@ -199,19 +200,10 @@ pub fn trace_arg() -> Option<PathBuf> {
 }
 
 /// The tracer a bin should thread through its solves: `Some` when
-/// `--trace` was passed or `SPCG_TRACE` is set (cap still honours
-/// `SPCG_TRACE_CAP`), `None` otherwise.
+/// `--trace` was passed or `SPCG_TRACE` is set, `None` otherwise.
 pub fn tracer_from_args(trace_path: &Option<PathBuf>) -> Option<spcg_obs::Tracer> {
-    if let Some(t) = spcg_obs::Tracer::from_env() {
-        return Some(t);
-    }
-    // Explicit --trace without SPCG_TRACE: on, still honouring the env cap.
-    trace_path.as_ref().map(
-        |_| match spcg_solvers::env::parsed::<usize>("SPCG_TRACE_CAP") {
-            Some(cap) => spcg_obs::Tracer::with_capacity(cap),
-            None => spcg_obs::Tracer::new(),
-        },
-    )
+    let from_env = spcg_solvers::SolveOptions::from_env().trace;
+    from_env.or_else(|| trace_path.as_ref().map(|_| spcg_obs::Tracer::new()))
 }
 
 /// Writes the Chrome trace-event export of `tracer` (phase summary and
@@ -250,10 +242,17 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Quick-mode toggle (`SPCG_QUICK=1`): subsample heavy sweeps so smoke
-/// runs finish fast.
+/// Quick-mode toggle (`SPCG_QUICK=1`; unset, empty, `0` and `false` are
+/// off): subsample heavy sweeps so smoke runs finish fast.
 pub fn quick_mode() -> bool {
-    spcg_solvers::env::flag("SPCG_QUICK", false)
+    let v = std::env::var("SPCG_QUICK").unwrap_or_default();
+    !matches!(v.trim().to_ascii_lowercase().as_str(), "" | "0" | "false")
+}
+
+/// Poisson grid edge of a bin: `SPCG_GRID` when it parses, else `default`.
+pub fn grid_or(default: usize) -> usize {
+    let v = std::env::var("SPCG_GRID").ok();
+    v.and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
 /// A plain-text fixed-width table builder.

@@ -110,12 +110,19 @@ pub trait Exchange {
     /// vector — the all-neighbour variant of the replicated fallbacks.
     fn complete_snapshot(&self, track: Option<&Track>) -> Vec<f64>;
 
+    /// This board's partition offsets (length `nranks + 1`).
+    fn offsets(&self) -> &[usize];
+
     /// Compresses `indices` (global vector positions) into a reusable
     /// [`GatherPlan`] against this board's partition.
-    fn plan(&self, indices: &[usize]) -> GatherPlan;
+    fn plan(&self, indices: &[usize]) -> GatherPlan {
+        GatherPlan::build(self.offsets(), indices)
+    }
 
     /// Row range owned by `rank` under this board's partition.
-    fn range(&self, rank: usize) -> (usize, usize);
+    fn range(&self, rank: usize) -> (usize, usize) {
+        (self.offsets()[rank], self.offsets()[rank + 1])
+    }
 }
 
 /// The thread backend's [`Exchange`]: a [`VectorBoard`] handle bound to
@@ -146,12 +153,8 @@ impl Exchange for ThreadBoard {
         self.board.complete_snapshot_traced(&self.comm, track)
     }
 
-    fn plan(&self, indices: &[usize]) -> GatherPlan {
-        self.board.plan(indices)
-    }
-
-    fn range(&self, rank: usize) -> (usize, usize) {
-        self.board.range(rank)
+    fn offsets(&self) -> &[usize] {
+        self.board.offsets()
     }
 }
 
@@ -162,7 +165,7 @@ pub enum Backend {
     #[default]
     Thread,
     /// Ranks as worker processes over Unix-domain sockets. Selected with
-    /// `SPCG_BACKEND=proc` or `SolveOptions::backend`.
+    /// `SolveOptions::backend`.
     Proc,
 }
 
@@ -185,11 +188,6 @@ impl Backend {
         } else {
             None
         }
-    }
-
-    /// Backend selected by `SPCG_BACKEND`, if set and well-formed.
-    pub fn from_env() -> Option<Backend> {
-        Backend::parse(&std::env::var("SPCG_BACKEND").ok()?)
     }
 }
 

@@ -39,9 +39,10 @@
 //! a thread rank or inside a worker process, which reports its count home
 //! through [`FaultPlan::record_remote`].
 //!
-//! Arm a plan process-wide with `SPCG_FAULTS=<seed>:<rate>` (for example
-//! `SPCG_FAULTS=101:0.05`), or construct one explicitly with
-//! [`FaultPlan::new`] for targeted tests.
+//! A plan is a value on `SolveOptions::faults`: construct one with
+//! [`FaultPlan::new`], or let a process edge that calls
+//! `SolveOptions::from_env()` take it from `SPCG_FAULTS=<seed>:<rate>` (for
+//! example `SPCG_FAULTS=101:0.05`, parsed by [`FaultPlan::parse`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -189,13 +190,10 @@ impl FaultPlan {
         self.inner.sites
     }
 
-    /// Parses `SPCG_FAULTS=<seed>:<rate>` into a plan; `None` when the
-    /// variable is unset or malformed. Each call builds a **fresh** plan
-    /// (fresh counters) from the same environment, so concurrent solves
-    /// report independently while injecting identically.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("SPCG_FAULTS").ok()?;
-        let (seed, rate) = raw.split_once(':')?;
+    /// Parses `<seed>:<rate>` (the `SPCG_FAULTS` grammar) into a fresh
+    /// plan; `None` when malformed.
+    pub fn parse(s: &str) -> Option<Self> {
+        let (seed, rate) = s.split_once(':')?;
         let seed = seed.trim().parse::<u64>().ok()?;
         let rate = rate.trim().parse::<f64>().ok()?;
         Some(FaultPlan::new(seed, rate))
@@ -306,13 +304,6 @@ impl FaultCounts {
             })
             .collect()
     }
-}
-
-/// True when `SPCG_FAULTS` arms an active plan in this environment — the
-/// switch test suites use to relax exact-count assertions that restart
-/// recovery legitimately perturbs.
-pub fn faults_armed() -> bool {
-    FaultPlan::from_env().is_some_and(|p| p.active())
 }
 
 /// SplitMix64 — the standard 64-bit finalizer-style mixer.
@@ -428,13 +419,13 @@ mod tests {
 
     #[test]
     fn env_parsing_shapes() {
-        // from_env reads the live environment; exercise the parser through
-        // a plan round-trip instead of mutating the process env (unsafe
-        // under parallel tests).
-        let plan = FaultPlan::new(101, 0.05);
+        let plan = FaultPlan::parse(" 101 : 0.05 ").unwrap();
         assert_eq!(plan.seed(), 101);
         assert!((plan.rate() - 0.05).abs() < 1e-12);
         assert!(plan.active());
         assert!(plan.window() > 0);
+        for bad in ["", "101", "x:0.05", "101:often", "-1:0.05"] {
+            assert!(FaultPlan::parse(bad).is_none(), "{bad:?}");
+        }
     }
 }

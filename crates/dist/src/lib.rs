@@ -28,5 +28,5 @@ pub use backend::{Backend, Comm, Exchange, ThreadBoard};
 pub use comm::{Abort, Aborted, CommGroup, ThreadComm};
 pub use counters::Counters;
 pub use exchange::{GatherPlan, VectorBoard};
-pub use fault::{faults_armed, FaultCounts, FaultPlan, FaultSite, FAULT_SITES};
+pub use fault::{FaultCounts, FaultPlan, FaultSite, FAULT_SITES};
 pub use topology::MachineTopology;

@@ -21,8 +21,8 @@
 //!    is one mutex acquisition when the track drains into the shared
 //!    [`Tracer`] at rank exit (RAII, on drop).
 //! 3. **Bounded.** Each track stops recording after a configurable event
-//!    cap (default 1 M events; `SPCG_TRACE_CAP` overrides) and counts
-//!    what it dropped, so tracing a long solve cannot exhaust memory.
+//!    cap (default 1 M events; [`Tracer::with_capacity`] overrides) and
+//!    counts what it dropped, so tracing a long solve cannot exhaust memory.
 //!
 //! Two exporters read the collected tracks:
 //!
@@ -228,21 +228,6 @@ impl Tracer {
                 tracks: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// The environment default: `Some(Tracer)` when `SPCG_TRACE` is set to
-    /// anything but `0` or the empty string, with the event cap taken from
-    /// `SPCG_TRACE_CAP` when that parses. `None` (tracing off) otherwise.
-    pub fn from_env() -> Option<Tracer> {
-        let v = std::env::var("SPCG_TRACE").ok()?;
-        if v.is_empty() || v == "0" {
-            return None;
-        }
-        let cap = std::env::var("SPCG_TRACE_CAP")
-            .ok()
-            .and_then(|c| c.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_EVENT_CAP);
-        Some(Tracer::with_capacity(cap))
     }
 
     /// The per-track event cap this tracer was built with — forwarded to
@@ -970,16 +955,5 @@ mod tests {
         validate_chrome_trace(&parent.chrome_trace_json()).unwrap();
         // The raw form is faithful: re-exporting reproduces it.
         assert_eq!(parent.raw_tracks(), worker.raw_tracks());
-    }
-
-    #[test]
-    fn from_env_parses_toggle() {
-        // Only exercised when the caller's environment opts in; the
-        // parsing itself is deterministic.
-        match std::env::var("SPCG_TRACE") {
-            Ok(v) if !v.is_empty() && v != "0" => assert!(Tracer::from_env().is_some()),
-            Ok(_) => assert!(Tracer::from_env().is_none()),
-            Err(_) => assert!(Tracer::from_env().is_none()),
-        }
     }
 }

@@ -1,27 +1,33 @@
 //! Operator fingerprints: content hashes keying the setup cache.
 //!
-//! A [`Fingerprint`] identifies everything that determines a solve's
-//! cached setup artifacts: the matrix (structure *and* values), the
-//! preconditioner recipe, the method (including its s-step basis), the
-//! engine, and every deterministic [`SolveOptions`] field. Two submissions
+//! A [`Fingerprint`] identifies everything that determines a solve: the
+//! matrix (structure *and* values) and the [`SolveSpec`]. Two submissions
 //! hash equal exactly when a [`crate::SolverHandle`] built for one is
-//! valid — and bitwise-reproducing — for the other.
+//! valid — and bitwise-reproducing — for the other; since the service
+//! solves with the handle's own spec, that means equal in every field that
+//! can change a result, a counter or a cached artifact.
+//!
+//! The spec is hashed as its **wire encoding** — the bytes a proc worker's
+//! `Setup` frame carries ([`encode_precond`], [`Method::encode`],
+//! [`SolveOptions::encode`]). Those codecs destructure their types
+//! exhaustively, so a field added to `SolveOptions` or `Resilience` does
+//! not compile until it is shipped, and from then on keys the cache too;
+//! there is no second, hand-kept field list here to fall behind. The one
+//! field cleared first is the tracer ([`SolveOptions::trace`]): spans only
+//! observe, and a handle serves traced and untraced submissions alike.
 //!
 //! The hash is a 64-bit FNV-1a folded over native words (one multiply per
 //! `f64`/`usize`, not per byte), so fingerprinting costs a single streaming
-//! pass over the matrix — the whole cache-hit setup path. Observational
-//! options are deliberately **excluded**: tracing ([`SolveOptions::trace`])
-//! never changes results, and a fault plan only matters to ranked solves
-//! that arm it, where it perturbs timing rather than cached setup.
+//! pass over the matrix — the whole cache-hit setup path.
 //!
-//! [`SolveOptions`]: spcg_solvers::SolveOptions
 //! [`SolveOptions::trace`]: spcg_solvers::SolveOptions
+//! [`SolveOptions::encode`]: spcg_solvers::SolveOptions::encode
+//! [`Method::encode`]: spcg_solvers::Method::encode
 
 use crate::handle::SolveSpec;
-use spcg_basis::BasisType;
-use spcg_precond::PrecondSpec;
-use spcg_solvers::{Engine, Method, StoppingCriterion};
-use spcg_sparse::{CsrMatrix, SparseFormat};
+use spcg_dist::wire::WireWriter;
+use spcg_solvers::{encode_precond, Engine, SolveOptions};
+use spcg_sparse::CsrMatrix;
 use std::fmt;
 
 /// A 64-bit content hash naming one operator + solve configuration.
@@ -58,10 +64,6 @@ impl Fnv {
         self.word(v as u64);
     }
 
-    fn f64(&mut self, v: f64) {
-        self.word(v.to_bits());
-    }
-
     fn usizes(&mut self, vs: &[usize]) {
         self.usize(vs.len());
         for &v in vs {
@@ -72,181 +74,64 @@ impl Fnv {
     fn f64s(&mut self, vs: &[f64]) {
         self.usize(vs.len());
         for &v in vs {
-            self.f64(v);
+            self.word(v.to_bits());
         }
     }
 
-    fn bool(&mut self, v: bool) {
-        self.word(v as u64);
+    /// Length, then the bytes eight at a time, then the zero-padded tail.
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.usize(bytes.len());
+        let (words, tail) = bytes.split_at(bytes.len() / 8 * 8);
+        for w in words.chunks_exact(8) {
+            self.word(u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+        }
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        self.word(u64::from_le_bytes(last));
     }
 }
 
 /// Hashes the matrix and the full solve spec into one cache key.
 pub fn fingerprint(a: &CsrMatrix, spec: &SolveSpec) -> Fingerprint {
     let mut h = Fnv::new();
-    hash_matrix(&mut h, a);
-    hash_precond(&mut h, &spec.precond);
-    hash_method(&mut h, &spec.method);
-    match spec.engine {
-        Engine::Serial => h.word(0),
-        Engine::Ranked { ranks } => {
-            h.word(1);
-            h.usize(ranks);
-        }
-    }
-    let o = &spec.opts;
-    h.f64(o.tol);
-    h.usize(o.max_iters);
-    h.word(match o.criterion {
-        StoppingCriterion::TrueResidual2Norm => 0,
-        StoppingCriterion::RecursiveResidual2Norm => 1,
-        StoppingCriterion::PrecondMNorm => 2,
-    });
-    h.f64(o.divergence_factor);
-    h.usize(o.stall_checks);
-    h.bool(o.keep_history);
-    match o.residual_replacement {
-        None => h.word(0),
-        Some(f) => {
-            h.word(1);
-            h.f64(f);
-        }
-    }
-    // Execution-shape options: they never change results (bitwise
-    // determinism), but they do change which artifacts a handle warms
-    // (SELL form, schedule width), so they key the cache too.
-    h.usize(o.threads);
-    h.bool(o.overlap);
-    h.word(match o.format {
-        SparseFormat::Csr => 0,
-        SparseFormat::Sell => 1,
-    });
-    h.word(match o.backend {
-        spcg_dist::Backend::Thread => 0,
-        spcg_dist::Backend::Proc => 1,
-    });
-    match &o.resilience {
-        None => h.word(0),
-        Some(r) => {
-            h.word(1);
-            h.usize(r.max_restarts);
-            h.bool(r.shrink_s);
-        }
-    }
-    h.usize(o.adaptive.s_min);
-    h.usize(o.adaptive.s_max);
-    h.f64(o.adaptive.cond_grow);
-    h.f64(o.adaptive.cond_shrink);
-    h.f64(o.adaptive.cond_reject);
-    h.f64(o.adaptive.gap_tol);
-    h.f64(o.adaptive.drift_tol);
-    h.usize(o.adaptive.grow_patience);
-    h.usize(o.adaptive.min_ritz);
-    h.usize(o.adaptive.max_ritz);
-    h.f64(o.adaptive.margin);
-    h.bool(spec.tune_basis);
-    Fingerprint(h.0)
-}
-
-fn hash_matrix(h: &mut Fnv, a: &CsrMatrix) {
     h.usize(a.nrows());
     h.usize(a.ncols());
     h.usizes(a.row_ptr());
     h.usizes(a.col_idx());
     h.f64s(a.values());
-}
-
-fn hash_precond(h: &mut Fnv, spec: &PrecondSpec) {
-    match spec {
-        PrecondSpec::Identity { n } => {
-            h.word(0);
-            h.usize(*n);
-        }
-        PrecondSpec::Jacobi { inv_diag } => {
-            h.word(1);
-            h.f64s(inv_diag);
-        }
-        PrecondSpec::BlockJacobi { block } => {
-            h.word(2);
-            h.usize(*block);
-        }
-        PrecondSpec::Chebyshev { degree, lo, hi } => {
-            h.word(3);
-            h.usize(*degree);
-            h.f64(*lo);
-            h.f64(*hi);
-        }
-        PrecondSpec::Ssor { omega } => {
-            h.word(4);
-            h.f64(*omega);
-        }
-        PrecondSpec::Ic0 => h.word(5),
-    }
-}
-
-fn hash_method(h: &mut Fnv, method: &Method) {
-    match method {
-        Method::Pcg => h.word(0),
-        Method::Pcg3 => h.word(1),
-        Method::SPcg { s, basis } => {
-            h.word(2);
-            h.usize(*s);
-            hash_basis(h, basis);
-        }
-        Method::SPcgMon { s } => {
-            h.word(3);
-            h.usize(*s);
-        }
-        Method::CaPcg { s, basis } => {
-            h.word(4);
-            h.usize(*s);
-            hash_basis(h, basis);
-        }
-        Method::CaPcg3 { s, basis } => {
-            h.word(5);
-            h.usize(*s);
-            hash_basis(h, basis);
-        }
-        Method::AdaptiveCaPcg { s, basis } => {
-            h.word(6);
-            h.usize(*s);
-            hash_basis(h, basis);
-        }
-        Method::CaPcgGs { s, basis } => {
-            h.word(7);
-            h.usize(*s);
-            hash_basis(h, basis);
-        }
-        Method::EkCg { t } => {
-            h.word(8);
-            h.usize(*t);
-        }
-    }
-}
-
-fn hash_basis(h: &mut Fnv, basis: &BasisType) {
-    match basis {
-        BasisType::Monomial => h.word(0),
-        BasisType::Newton { shifts } => {
-            h.word(1);
-            h.f64s(shifts);
-        }
-        BasisType::Chebyshev {
-            lambda_min,
-            lambda_max,
-        } => {
-            h.word(2);
-            h.f64(*lambda_min);
-            h.f64(*lambda_max);
-        }
-    }
+    // Exhaustive on purpose, like the codecs: a new spec field does not
+    // compile until it is hashed.
+    let SolveSpec {
+        method,
+        precond,
+        opts,
+        engine,
+        tune_basis,
+    } = spec;
+    let mut w = WireWriter::new();
+    encode_precond(precond, &mut w);
+    method.encode(&mut w);
+    let untraced = SolveOptions {
+        trace: None,
+        ..opts.clone()
+    };
+    untraced.encode(&mut w);
+    let ranks = match engine {
+        Engine::Serial => None,
+        Engine::Ranked { ranks } => Some(*ranks),
+    };
+    w.option(ranks, WireWriter::usize);
+    w.bool(*tune_basis);
+    h.bytes(&w.into_bytes());
+    Fingerprint(h.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spcg_precond::Jacobi;
-    use spcg_precond::Preconditioner;
+    use spcg_dist::{FaultPlan, FaultSite};
+    use spcg_precond::{Jacobi, PrecondSpec, Preconditioner};
+    use spcg_solvers::{Method, Resilience};
     use spcg_sparse::generators::poisson::poisson_2d;
     use spcg_sparse::CooMatrix;
 
@@ -309,14 +194,47 @@ mod tests {
         s5.engine = Engine::Ranked { ranks: 2 };
         assert_ne!(base, fingerprint(&a, &s5));
 
-        // Toggle away from whatever the (env-derived) default format is,
-        // so the test holds under SPCG_FORMAT overrides too.
         let mut s6 = spec.clone();
-        s6.opts.format = match spec.opts.format {
-            SparseFormat::Sell => SparseFormat::Csr,
-            _ => SparseFormat::Sell,
-        };
+        s6.opts.format = spcg_sparse::SparseFormat::Sell;
         assert_ne!(base, fingerprint(&a, &s6));
+
+        let mut s7 = spec.clone();
+        s7.tune_basis = true;
+        assert_ne!(base, fingerprint(&a, &s7));
+    }
+
+    /// Every pair of `specs` hashes differently.
+    fn assert_all_distinct(a: &CsrMatrix, specs: &[SolveSpec]) {
+        let fps: Vec<_> = specs.iter().map(|s| fingerprint(a, s)).collect();
+        for i in 0..fps.len() {
+            for j in 0..i {
+                assert_ne!(fps[i], fps[j], "specs {j} and {i} collide");
+            }
+        }
+    }
+
+    #[test]
+    fn resilience_recovery_policy_changes_the_hash() {
+        // The service solves with the handle's spec: two tenants differing
+        // only in `gs_recovery` must not share a handle.
+        let a = poisson_2d(9);
+        let with = |gs: bool| {
+            let res = Resilience::default().with_gs_recovery(gs);
+            spec_for(&a).with_opts(SolveOptions::default().with_resilience(res))
+        };
+        assert_all_distinct(&a, &[spec_for(&a), with(false), with(true)]);
+    }
+
+    #[test]
+    fn fault_plan_changes_the_hash() {
+        let a = poisson_2d(9);
+        let with = |plan: Option<FaultPlan>| {
+            let spec = spec_for(&a).with_engine(Engine::Ranked { ranks: 2 });
+            spec.with_opts(SolveOptions::default().with_faults(plan))
+        };
+        let plan = |seed| Some(FaultPlan::new(seed, 0.05));
+        let stalls = plan(101).map(|p| p.with_sites(&[FaultSite::PostStall]));
+        assert_all_distinct(&a, &[None, plan(101), plan(202), stalls].map(with));
     }
 
     #[test]

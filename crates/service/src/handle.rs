@@ -248,7 +248,8 @@ mod tests {
         let a = Arc::new(poisson_2d(12));
         let b = paper_rhs(&a);
         let m = Jacobi::new(&a);
-        let spec = SolveSpec::new(Method::Pcg, m.spec().unwrap());
+        let spec =
+            SolveSpec::new(Method::Pcg, m.spec().unwrap()).with_opts(SolveOptions::from_env());
         let handle = SolverHandle::build(Arc::clone(&a), spec.clone());
         let res = handle.solve_one(&b);
         let direct = spcg_solvers::solve(
@@ -275,6 +276,7 @@ mod tests {
             },
             m.spec().unwrap(),
         )
+        .with_opts(SolveOptions::from_env())
         .with_tuned_basis();
         let handle = SolverHandle::build(Arc::clone(&a), spec);
         assert!(handle.spectrum().is_some());

@@ -272,13 +272,14 @@ impl SolveService {
 mod tests {
     use super::*;
     use spcg_precond::{Jacobi, Preconditioner};
-    use spcg_solvers::Method;
+    use spcg_solvers::{Method, Resilience, SolveOptions};
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::poisson_2d;
 
     fn setup() -> (Arc<CsrMatrix>, SolveSpec, Vec<f64>) {
         let a = Arc::new(poisson_2d(12));
-        let spec = SolveSpec::new(Method::Pcg, Jacobi::new(&a).spec().unwrap());
+        let spec = SolveSpec::new(Method::Pcg, Jacobi::new(&a).spec().unwrap())
+            .with_opts(SolveOptions::from_env());
         let b = paper_rhs(&a);
         (a, spec, b)
     }
@@ -305,6 +306,19 @@ mod tests {
         tighter.opts.tol = 1e-12;
         svc.submit(&a, &tighter, &b, None);
         assert_eq!(svc.stats().misses, 2);
+        // Specs that differ only in the recovery policy, or only in the
+        // fault plan, once shared the first one's handle (and were solved
+        // under its policy).
+        let mut gs = spec.clone();
+        gs.opts.resilience = Some(Resilience::default());
+        let mut no_gs = spec.clone();
+        no_gs.opts.resilience = Some(Resilience::default().with_gs_recovery(false));
+        let mut faulted = spec.clone();
+        faulted.opts.faults = Some(spcg_dist::FaultPlan::new(7, 0.25));
+        for other in [&gs, &no_gs, &faulted] {
+            svc.submit(&a, other, &b, None);
+        }
+        assert_eq!((svc.stats().misses, svc.stats().hits), (5, 0));
     }
 
     #[test]

@@ -597,7 +597,7 @@ mod tests {
             StoppingCriterion::PrecondMNorm,
         ] {
             for format in [SparseFormat::Csr, SparseFormat::Sell] {
-                let opts = SolveOptions::default()
+                let opts = SolveOptions::from_env()
                     .with_criterion(criterion)
                     .with_format(format)
                     .with_history();
@@ -640,7 +640,7 @@ mod tests {
         let m = Jacobi::new(&a);
         let bs = rhs_family(&a, 4);
         for format in [SparseFormat::Csr, SparseFormat::Sell] {
-            let opts = SolveOptions::default().with_format(format).with_history();
+            let opts = SolveOptions::from_env().with_format(format).with_history();
             let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
             let batch = solve_batch(&Method::Pcg, &a, &m, &reqs, &opts, Engine::Serial);
             for (j, b) in bs.iter().enumerate() {
@@ -667,7 +667,7 @@ mod tests {
         let a = poisson_1d(40);
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
-        let opts = SolveOptions::default().with_history();
+        let opts = SolveOptions::from_env().with_history();
         for method in [
             Method::Pcg3,
             Method::SPcg {
@@ -702,7 +702,7 @@ mod tests {
             &a,
             &m,
             &[BatchRequest::with_deadline(&b, past)],
-            &SolveOptions::default(),
+            &SolveOptions::from_env(),
             Engine::Serial,
         );
         assert_eq!(batch[0].outcome, Outcome::DeadlineExpired);
@@ -713,7 +713,7 @@ mod tests {
             &a,
             &m,
             &[BatchRequest::with_deadline(&b, past)],
-            &SolveOptions::default(),
+            &SolveOptions::from_env(),
             Engine::Serial,
         );
         assert_eq!(batch[0].outcome, Outcome::DeadlineExpired);
@@ -723,7 +723,7 @@ mod tests {
             &a,
             &m,
             &[BatchRequest::with_deadline(&b, past), BatchRequest::new(&b)],
-            &SolveOptions::default(),
+            &SolveOptions::from_env(),
             Engine::Serial,
         );
         assert_eq!(batch[0].outcome, Outcome::DeadlineExpired);
@@ -735,7 +735,7 @@ mod tests {
         let a = poisson_2d(12);
         let m = Jacobi::new(&a);
         let bs = rhs_family(&a, 8);
-        let opts = SolveOptions::default().with_tol(1e-9);
+        let opts = SolveOptions::from_env().with_tol(1e-9);
         let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
         let batch = solve_batch(&Method::Pcg, &a, &m, &reqs, &opts, Engine::Serial);
         for (j, (res, b)) in batch.iter().zip(&bs).enumerate() {
@@ -757,7 +757,7 @@ mod tests {
             &a,
             &m,
             &[],
-            &SolveOptions::default(),
+            &SolveOptions::from_env(),
             Engine::Serial,
         );
         assert!(out.is_empty());

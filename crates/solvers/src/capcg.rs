@@ -1,7 +1,8 @@
 //! CA-PCG — communication-avoiding PCG (Toledo \[21\], paper Algorithm 3) —
-//! under a fixed block size ([`capcg`]) or the `spcg_adapt` controller
-//! ([`adaptive_capcg`], Carson's adaptive s-step CG with dynamic basis
-//! updating): one block body, two crate-private `BlockPolicy`s.
+//! under a fixed block size ([`crate::Method::CaPcg`]) or the `spcg_adapt`
+//! controller ([`crate::Method::AdaptiveCaPcg`], Carson's adaptive s-step CG
+//! with dynamic basis updating): one block body, two crate-private
+//! `BlockPolicy`s.
 //!
 //! Transforms the PCG vectors into a `(2s+1)`-dimensional coordinate space
 //! spanned by `Y^(k) = [Q^(k), R̂^(k)]` and runs s inner PCG steps entirely
@@ -16,8 +17,8 @@
 //! Figure 1 despite its excellent stability in Table 2.
 
 use crate::blockops::{gemv_concat, gemv_concat_acc, gram_concat, quad_form};
-use crate::engine::{allreduce_gram, Exec, SerialExec};
-use crate::options::{Outcome, Problem, SolveOptions, SolveResult, StoppingCriterion};
+use crate::engine::{allreduce_gram, Exec};
+use crate::options::{Outcome, SolveOptions, SolveResult, StoppingCriterion};
 use crate::resilience::charge_budget;
 use crate::stopping::StopState;
 use spcg_adapt::{
@@ -66,36 +67,6 @@ pub(crate) enum BlockPolicy {
     /// so adaptive shrink and stage-level shrink compose without
     /// double-charging.
     Adaptive,
-}
-
-/// Solves `A x = b` with CA-PCG (Alg. 3).
-///
-/// # Panics
-/// Panics if `s < 2` (the coordinate-space layout needs at least two inner
-/// steps; use plain PCG for `s = 1`).
-pub fn capcg(
-    problem: &Problem<'_>,
-    s: usize,
-    basis: &BasisType,
-    opts: &SolveOptions,
-) -> SolveResult {
-    let exec = &mut SerialExec::new(problem, opts);
-    capcg_g(exec, s, basis, BlockPolicy::Fixed, opts)
-}
-
-/// Solves `A x = b` with adaptive CA-PCG, starting at block size `s` and
-/// basis `basis` (see [`crate::Method::AdaptiveCaPcg`]).
-///
-/// # Panics
-/// Panics if `s < 2`, as [`capcg`] does.
-pub fn adaptive_capcg(
-    problem: &Problem<'_>,
-    s: usize,
-    basis: &BasisType,
-    opts: &SolveOptions,
-) -> SolveResult {
-    let exec = &mut SerialExec::new(problem, opts);
-    capcg_g(exec, s, basis, BlockPolicy::Adaptive, opts)
 }
 
 /// A block's basis and everything whose shape follows `(basis, s)`: the MPK
@@ -455,8 +426,8 @@ pub(crate) fn capcg_g<E: Exec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::StoppingCriterion;
-    use crate::pcg::pcg;
+    use crate::options::{Problem, StoppingCriterion};
+    use crate::{solve, Engine::Serial, Method};
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
@@ -471,7 +442,9 @@ mod tests {
         let m = Identity::new(64);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = capcg(&problem, 3, &BasisType::Monomial, &SolveOptions::default());
+        let basis = BasisType::Monomial;
+        let opts = SolveOptions::from_env();
+        let res = solve(&Method::CaPcg { s: 3, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(res.true_relative_residual(&a, &b) < 1e-8);
     }
@@ -483,9 +456,11 @@ mod tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = chebyshev_basis(&problem);
-        let r_pcg = pcg(&problem, &SolveOptions::default());
+        let opts = SolveOptions::from_env();
+        let r_pcg = solve(&Method::Pcg, &problem, &opts, Serial);
+        let capcg = Method::CaPcg { s: 2, basis };
         for s in [2usize, 5, 10] {
-            let res = capcg(&problem, s, &basis, &SolveOptions::default());
+            let res = solve(&capcg.with_s(s), &problem, &opts, Serial);
             assert!(res.converged(), "s={s}: {:?}", res.outcome);
             let cap = ((r_pcg.iterations + s) / s) * s + 2 * s;
             assert!(
@@ -505,8 +480,8 @@ mod tests {
         let problem = Problem::new(&a, &m, &b);
         let s = 4;
         let basis = chebyshev_basis(&problem);
-        let opts = SolveOptions::default().with_criterion(StoppingCriterion::PrecondMNorm);
-        let res = capcg(&problem, s, &basis, &opts);
+        let opts = SolveOptions::from_env().with_criterion(StoppingCriterion::PrecondMNorm);
+        let res = solve(&Method::CaPcg { s, basis }, &problem, &opts, Serial);
         assert!(res.converged());
         let outer = res.counters.outer_iterations;
         // Setup costs 1 precond; each outer (incl. final check) 2s−1 each.
@@ -533,8 +508,8 @@ mod tests {
         // tol 1e-7: above the s-step attainable-accuracy floor at this κ
         // (at 1e-9 even the Chebyshev basis stalls — the behaviour the
         // paper's Table 2 hyphens record for its hardest matrices).
-        let opts = SolveOptions::default().with_max_iters(8000).with_tol(1e-7);
-        let r_pcg = pcg(&problem, &opts);
+        let opts = SolveOptions::from_env().with_max_iters(8000).with_tol(1e-7);
+        let r_pcg = solve(&Method::Pcg, &problem, &opts, Serial);
         assert!(r_pcg.converged());
         // The generator pins the spectrum to [1/κ, 1] exactly, so the
         // Chebyshev basis interval needs no Ritz estimation here.
@@ -542,8 +517,10 @@ mod tests {
             lambda_min: 1.0 / kappa,
             lambda_max: 1.0,
         };
-        let r_mono = capcg(&problem, 10, &BasisType::Monomial, &opts);
-        let r_cheb = capcg(&problem, 10, &basis, &opts);
+        let cheb = Method::CaPcg { s: 10, basis };
+        let mono = cheb.with_basis(BasisType::Monomial);
+        let r_mono = solve(&mono, &problem, &opts, Serial);
+        let r_cheb = solve(&cheb, &problem, &opts, Serial);
         assert!(
             r_cheb.converged(),
             "chebyshev should converge: {:?}",
@@ -567,8 +544,9 @@ mod tests {
         let m = Identity::new(a.nrows());
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-15).with_max_iters(10);
-        let res = capcg(&problem, 5, &BasisType::Monomial, &opts);
+        let opts = SolveOptions::from_env().with_tol(1e-15).with_max_iters(10);
+        let basis = BasisType::Monomial;
+        let res = solve(&Method::CaPcg { s: 5, basis }, &problem, &opts, Serial);
         assert!(matches!(
             res.outcome,
             Outcome::MaxIterations | Outcome::Stagnated
@@ -579,7 +557,8 @@ mod tests {
 #[cfg(test)]
 mod adaptive_tests {
     use super::*;
-    use crate::pcg::pcg;
+    use crate::options::Problem;
+    use crate::{solve, Engine::Serial, Method};
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::poisson_2d;
@@ -592,11 +571,14 @@ mod adaptive_tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
-        let opts = SolveOptions::default();
-        let res = adaptive_capcg(&problem, 4, &basis, &opts);
+        let opts = SolveOptions::from_env();
+        let fixed = Method::CaPcg { s: 4, basis };
+        let basis = fixed.basis().unwrap().clone();
+        let adaptive = Method::AdaptiveCaPcg { s: 4, basis };
+        let res = solve(&adaptive, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(res.true_relative_residual(&a, &b) < 1e-7);
-        let fixed = capcg(&problem, 4, &basis, &opts);
+        let fixed = solve(&fixed, &problem, &opts, Serial);
         assert!(
             res.iterations <= fixed.iterations + 2 * 16,
             "adaptive {} vs fixed {}",
@@ -616,7 +598,9 @@ mod adaptive_tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
-        let res = adaptive_capcg(&problem, 4, &basis, &SolveOptions::default());
+        let opts = SolveOptions::from_env();
+        let adaptive = Method::AdaptiveCaPcg { s: 4, basis };
+        let res = solve(&adaptive, &problem, &opts, Serial);
         let ritz = &res.adaptive.as_ref().unwrap().ritz;
         assert!(ritz.len() >= 2, "expected a spectrum estimate");
         assert!(ritz.windows(2).all(|w| w[0] <= w[1]));
@@ -635,10 +619,13 @@ mod adaptive_tests {
         let n = a.nrows();
         let b = vec![1.0 / (n as f64).sqrt(); n];
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_max_iters(8000).with_tol(1e-7);
-        assert!(pcg(&problem, &opts).converged());
-        let r_mono = capcg(&problem, 10, &BasisType::Monomial, &opts);
-        let res = adaptive_capcg(&problem, 10, &BasisType::Monomial, &opts);
+        let opts = SolveOptions::from_env().with_max_iters(8000).with_tol(1e-7);
+        assert!(solve(&Method::Pcg, &problem, &opts, Serial).converged());
+        let basis = BasisType::Monomial;
+        let r_mono = solve(&Method::CaPcg { s: 10, basis }, &problem, &opts, Serial);
+        let basis = BasisType::Monomial;
+        let adaptive = Method::AdaptiveCaPcg { s: 10, basis };
+        let res = solve(&adaptive, &problem, &opts, Serial);
         assert!(
             res.converged(),
             "adaptive from monomial must converge: {:?}",
@@ -673,14 +660,16 @@ mod adaptive_tests {
         let n = a.nrows();
         let b = vec![1.0 / (n as f64).sqrt(); n];
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_max_iters(8000).with_tol(1e-7);
+        let opts = SolveOptions::from_env().with_max_iters(8000).with_tol(1e-7);
         let basis = BasisType::Chebyshev {
             lambda_min: 1.0 / kappa,
             lambda_max: 1.0,
         };
-        let r_cheb = capcg(&problem, 10, &basis, &opts);
+        let r_cheb = solve(&Method::CaPcg { s: 10, basis }, &problem, &opts, Serial);
         assert!(r_cheb.converged());
-        let res = adaptive_capcg(&problem, 10, &BasisType::Monomial, &opts);
+        let basis = BasisType::Monomial;
+        let adaptive = Method::AdaptiveCaPcg { s: 10, basis };
+        let res = solve(&adaptive, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         // The issue's acceptance margin: adaptive-from-monomial within
         // 1.1× of the oracle fixed-Chebyshev iteration count.
@@ -700,9 +689,10 @@ mod adaptive_tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
-        let mut opts = SolveOptions::default().with_tol(1e-12);
+        let mut opts = SolveOptions::from_env().with_tol(1e-12);
         opts.adaptive = opts.adaptive.with_s_range(2, 8).with_grow_patience(2);
-        let res = adaptive_capcg(&problem, 2, &basis, &opts);
+        let adaptive = Method::AdaptiveCaPcg { s: 2, basis };
+        let res = solve(&adaptive, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(
             res.s_schedule.iter().any(|&s| s > 2),
@@ -717,8 +707,10 @@ mod adaptive_tests {
         let m = Identity::new(a.nrows());
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-15).with_max_iters(10);
-        let res = adaptive_capcg(&problem, 4, &BasisType::Monomial, &opts);
+        let opts = SolveOptions::from_env().with_tol(1e-15).with_max_iters(10);
+        let basis = BasisType::Monomial;
+        let adaptive = Method::AdaptiveCaPcg { s: 4, basis };
+        let res = solve(&adaptive, &problem, &opts, Serial);
         assert!(matches!(
             res.outcome,
             Outcome::MaxIterations | Outcome::Stagnated
@@ -733,6 +725,9 @@ mod adaptive_tests {
         let m = Identity::new(a.nrows());
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let _ = adaptive_capcg(&problem, 1, &BasisType::Monomial, &SolveOptions::default());
+        let basis = BasisType::Monomial;
+        let opts = SolveOptions::from_env();
+        let adaptive = Method::AdaptiveCaPcg { s: 1, basis };
+        let _ = solve(&adaptive, &problem, &opts, Serial);
     }
 }

@@ -23,27 +23,14 @@
 //! performance drawback the paper holds against CA-PCG3 (§4.1).
 
 use crate::blockops::{gemv_concat, gram_concat, quad_form};
-use crate::engine::{allreduce_gram, Exec, SerialExec};
-use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
+use crate::engine::{allreduce_gram, Exec};
+use crate::options::{Outcome, SolveOptions, SolveResult};
 use crate::stopping::StopState;
 use spcg_basis::cob::b_small;
 use spcg_basis::BasisType;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
 use spcg_sparse::{DenseMat, MultiVector};
-
-/// Solves `A x = b` with CA-PCG3 (Alg. 4).
-///
-/// # Panics
-/// Panics if `s < 2`.
-pub fn capcg3(
-    problem: &Problem<'_>,
-    s: usize,
-    basis: &BasisType,
-    opts: &SolveOptions,
-) -> SolveResult {
-    capcg3_g(&mut SerialExec::new(problem, opts), s, basis, opts)
-}
 
 /// CA-PCG3 over any execution substrate (see [`crate::engine`]).
 pub(crate) fn capcg3_g<E: Exec>(
@@ -252,9 +239,8 @@ fn build_d_operator(s: usize, gamma_hist: &[f64], rho_hist: &[f64], b_w: &DenseM
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::StoppingCriterion;
-    use crate::pcg::pcg;
-    use crate::pcg3::pcg3;
+    use crate::options::{Problem, StoppingCriterion};
+    use crate::{solve, Engine::Serial, Method};
     use spcg_basis::ritz::estimate_spectrum;
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
@@ -275,7 +261,9 @@ mod tests {
         let m = Identity::new(64);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = capcg3(&problem, 3, &BasisType::Monomial, &SolveOptions::default());
+        let basis = BasisType::Monomial;
+        let opts = SolveOptions::from_env();
+        let res = solve(&Method::CaPcg3 { s: 3, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(res.true_relative_residual(&a, &b) < 1e-8);
     }
@@ -287,9 +275,11 @@ mod tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = chebyshev_basis(&problem);
-        let r3 = pcg3(&problem, &SolveOptions::default());
+        let opts = SolveOptions::from_env();
+        let r3 = solve(&Method::Pcg3, &problem, &opts, Serial);
+        let capcg3 = Method::CaPcg3 { s: 2, basis };
         for s in [2usize, 5] {
-            let res = capcg3(&problem, s, &basis, &SolveOptions::default());
+            let res = solve(&capcg3.with_s(s), &problem, &opts, Serial);
             assert!(res.converged(), "s={s}: {:?}", res.outcome);
             let cap = ((r3.iterations + s) / s) * s + 2 * s;
             assert!(
@@ -310,9 +300,10 @@ mod tests {
         let m = Identity::new(20);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let o = SolveOptions::default().with_max_iters(4).with_tol(1e-30);
-        let r3 = pcg3(&problem, &o);
-        let rc = capcg3(&problem, 4, &BasisType::Monomial, &o);
+        let o = SolveOptions::from_env().with_max_iters(4).with_tol(1e-30);
+        let r3 = solve(&Method::Pcg3, &problem, &o, Serial);
+        let basis = BasisType::Monomial;
+        let rc = solve(&Method::CaPcg3 { s: 4, basis }, &problem, &o, Serial);
         for (p, q) in r3.x.iter().zip(&rc.x) {
             assert!((p - q).abs() < 1e-10, "{p} vs {q}");
         }
@@ -326,8 +317,8 @@ mod tests {
         let problem = Problem::new(&a, &m, &b);
         let s = 4;
         let basis = chebyshev_basis(&problem);
-        let opts = SolveOptions::default().with_criterion(StoppingCriterion::PrecondMNorm);
-        let res = capcg3(&problem, s, &basis, &opts);
+        let opts = SolveOptions::from_env().with_criterion(StoppingCriterion::PrecondMNorm);
+        let res = solve(&Method::CaPcg3 { s, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         let outer = res.counters.outer_iterations;
         assert_eq!(res.counters.spmv_count, s as u64 * (outer + 1));
@@ -346,9 +337,10 @@ mod tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_max_iters(3000);
-        assert!(pcg(&problem, &opts).converged());
-        let res = capcg3(&problem, 10, &BasisType::Monomial, &opts);
+        let opts = SolveOptions::from_env().with_max_iters(3000);
+        assert!(solve(&Method::Pcg, &problem, &opts, Serial).converged());
+        let basis = BasisType::Monomial;
+        let res = solve(&Method::CaPcg3 { s: 10, basis }, &problem, &opts, Serial);
         assert!(
             !res.converged(),
             "monomial s=10 should fail, got {:?}",
@@ -362,8 +354,9 @@ mod tests {
         let m = Identity::new(a.nrows());
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-15).with_max_iters(8);
-        let res = capcg3(&problem, 4, &BasisType::Monomial, &opts);
+        let opts = SolveOptions::from_env().with_tol(1e-15).with_max_iters(8);
+        let basis = BasisType::Monomial;
+        let res = solve(&Method::CaPcg3 { s: 4, basis }, &problem, &opts, Serial);
         assert!(matches!(
             res.outcome,
             Outcome::MaxIterations | Outcome::Stagnated

@@ -40,12 +40,11 @@
 //! breaking down.
 //!
 //! `t = 1` is mathematically plain PCG but would compute different
-//! floating-point expressions; the body delegates to [`crate::pcg()`]'s
-//! generic path outright, making the degenerate case bitwise identical by
-//! construction.
+//! floating-point expressions; `engine::dispatch` maps it to the PCG body
+//! outright, making the degenerate case bitwise identical by construction.
 
-use crate::engine::{allreduce_gram, Exec, SerialExec};
-use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
+use crate::engine::{allreduce_gram, Exec};
+use crate::options::{Outcome, SolveOptions, SolveResult};
 use crate::stopping::StopState;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
@@ -55,22 +54,9 @@ use spcg_sparse::MultiVector;
 /// Relative pivot threshold for the rank-revealing t×t Gram factorization.
 const GRAM_EPS: f64 = 1e-12;
 
-/// Solves `A x = b` with enlarged-Krylov CG over `t` contiguous row blocks.
-///
-/// # Panics
-/// Panics if `t < 1` or `t` exceeds the global row count.
-pub fn ekcg(problem: &Problem<'_>, t: usize, opts: &SolveOptions) -> SolveResult {
-    ekcg_g(&mut SerialExec::new(problem, opts), t, opts)
-}
-
 /// EkCG over any execution substrate (see [`crate::engine`]).
 pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> SolveResult {
     assert!(t >= 1, "ekcg: t must be at least 1");
-    if t == 1 {
-        // One block is plain PCG; delegate so the degenerate case is
-        // bitwise identical to Method::Pcg rather than merely equivalent.
-        return crate::pcg::pcg_g(exec, opts);
-    }
     let n = exec.nl();
     let nw = exec.n_global();
     let ng = nw as usize;
@@ -226,8 +212,8 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::StoppingCriterion;
-    use crate::pcg::pcg;
+    use crate::options::{Problem, StoppingCriterion};
+    use crate::{solve, Engine::Serial, Method};
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
@@ -248,8 +234,9 @@ mod tests {
         let m = Identity::new(48);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
+        let opts = SolveOptions::from_env();
         for t in [2usize, 3, 4, 8] {
-            let res = ekcg(&problem, t, &SolveOptions::default());
+            let res = solve(&Method::EkCg { t }, &problem, &opts, Serial);
             assert!(res.converged(), "t={t}: {:?}", res.outcome);
             assert!(res.true_relative_residual(&a, &b) < 1e-8, "t={t}");
         }
@@ -261,9 +248,9 @@ mod tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_history();
-        let r_pcg = pcg(&problem, &opts);
-        let r_ek = ekcg(&problem, 1, &opts);
+        let opts = SolveOptions::from_env().with_history();
+        let r_pcg = solve(&Method::Pcg, &problem, &opts, Serial);
+        let r_ek = solve(&Method::EkCg { t: 1 }, &problem, &opts, Serial);
         assert_eq!(r_ek.x, r_pcg.x);
         assert_eq!(r_ek.iterations, r_pcg.iterations);
         assert_eq!(r_ek.history, r_pcg.history);
@@ -278,11 +265,11 @@ mod tests {
         let m = Jacobi::new(&a);
         let b = dense_rhs(a.nrows());
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-8);
-        let r_pcg = pcg(&problem, &opts);
+        let opts = SolveOptions::from_env().with_tol(1e-8);
+        let r_pcg = solve(&Method::Pcg, &problem, &opts, Serial);
         let mut prev = r_pcg.iterations;
         for t in [2usize, 4, 8] {
-            let res = ekcg(&problem, t, &opts);
+            let res = solve(&Method::EkCg { t }, &problem, &opts, Serial);
             assert!(res.converged(), "t={t}: {:?}", res.outcome);
             assert!(
                 res.iterations < prev,
@@ -300,8 +287,8 @@ mod tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_criterion(StoppingCriterion::PrecondMNorm);
-        let res = ekcg(&problem, 4, &opts);
+        let opts = SolveOptions::from_env().with_criterion(StoppingCriterion::PrecondMNorm);
+        let res = solve(&Method::EkCg { t: 4 }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         let it = res.counters.outer_iterations;
         // Two reductions per completed iteration, one for the final
@@ -320,7 +307,8 @@ mod tests {
         let b = dense_rhs(30);
         let ident = Identity::new(30);
         let p2 = Problem::new(&a, &ident, &b);
-        let res = ekcg(&p2, 30, &SolveOptions::default().with_tol(1e-10));
+        let opts = SolveOptions::from_env().with_tol(1e-10);
+        let res = solve(&Method::EkCg { t: 30 }, &p2, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(
             res.iterations <= 2,
@@ -337,11 +325,8 @@ mod tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = ekcg(
-            &problem,
-            8,
-            &SolveOptions::default().with_tol(1e-13).with_max_iters(500),
-        );
+        let opts = SolveOptions::from_env().with_tol(1e-13).with_max_iters(500);
+        let res = solve(&Method::EkCg { t: 8 }, &problem, &opts, Serial);
         assert!(
             matches!(res.outcome, Outcome::Converged | Outcome::Stagnated),
             "{:?}",
@@ -357,8 +342,8 @@ mod tests {
         let m = Identity::new(a.nrows());
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-15).with_max_iters(5);
-        let res = ekcg(&problem, 4, &opts);
+        let opts = SolveOptions::from_env().with_tol(1e-15).with_max_iters(5);
+        let res = solve(&Method::EkCg { t: 4 }, &problem, &opts, Serial);
         assert!(matches!(
             res.outcome,
             Outcome::MaxIterations | Outcome::Stagnated

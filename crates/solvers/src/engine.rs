@@ -826,6 +826,9 @@ pub(crate) fn dispatch<E: Exec>(method: &Method, exec: &mut E, opts: &SolveOptio
         Method::CaPcg { s, basis } => capcg_g(exec, *s, basis, BlockPolicy::Fixed, opts),
         Method::AdaptiveCaPcg { s, basis } => capcg_g(exec, *s, basis, BlockPolicy::Adaptive, opts),
         Method::CaPcg3 { s, basis } => crate::capcg3::capcg3_g(exec, *s, basis, opts),
+        // One block is plain PCG: the same body, so the degenerate case is
+        // bitwise identical to `Method::Pcg` rather than merely equivalent.
+        Method::EkCg { t: 1 } => crate::pcg::pcg_g(exec, opts),
         Method::EkCg { t } => crate::ekcg::ekcg_g(exec, *t, opts),
     }
 }

@@ -15,9 +15,10 @@
 //! | CA-PCG3 | Alg. 4, Hoemmen \[14\] | [`mod@capcg3`] | three-term s-step method, BLAS1 updates |
 //! | EkCG | Grigori & Moufawad | [`mod@ekcg`] | enlarged Krylov: `t` directions per iteration |
 //!
-//! [`engine`]'s `dispatch` is the one place a `Method` variant is mapped to a
-//! body and its configuration; [`mod@resilience`] restarts any of them on a
-//! breakdown, and [`mod@batch`] is the blocked multi-right-hand-side PCG.
+//! [`solve`] is the only entry to a method and [`engine`]'s `dispatch` the
+//! only `Method` → body map (the bodies themselves are crate-private);
+//! [`mod@resilience`] restarts any of them on a breakdown, and [`mod@batch`]
+//! is the blocked multi-right-hand-side PCG.
 //!
 //! All s-step solvers perform **one global reduction per s steps**; every
 //! solver charges `spcg_dist::Counters` with the operation classes of the
@@ -43,19 +44,9 @@ pub mod sstep;
 pub mod stopping;
 
 pub use batch::{solve_batch, BatchRequest};
-pub use capcg::{adaptive_capcg, capcg};
-pub use capcg3::capcg3;
-pub use ekcg::ekcg;
 pub use engine::Engine;
-pub use method::{solve, Method};
-pub use options::env;
-pub use options::{
-    Outcome, Problem, ProblemError, SolveOptions, SolveOptionsBuilder, SolveResult,
-    StoppingCriterion,
-};
-pub use pcg::pcg;
-pub use pcg3::pcg3;
+pub use method::{decode_precond, encode_precond, solve, Method};
+pub use options::{Outcome, Problem, ProblemError, SolveOptions, SolveResult, StoppingCriterion};
 pub use resilience::Resilience;
 pub use setup::{chebyshev_basis, newton_basis};
 pub use spcg_adapt::{AdaptivePolicy, AdaptiveReport, ShiftUpdate};
-pub use sstep::{capcg_gs, spcg, spcg_mon};

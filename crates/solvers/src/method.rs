@@ -4,6 +4,7 @@ use crate::engine::Engine;
 use crate::options::{Problem, SolveOptions, SolveResult};
 use spcg_basis::BasisType;
 use spcg_dist::wire::{WireReader, WireResult, WireWriter};
+use spcg_precond::PrecondSpec;
 
 /// A solver selection, carrying its s-step configuration where applicable.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,6 +212,56 @@ impl Method {
     }
 }
 
+/// Appends a preconditioner recipe to a frame — with [`Method::encode`] and
+/// [`SolveOptions::encode`], everything besides the matrix that determines
+/// a solve (a proc worker's `Setup`, the service's cache key).
+pub fn encode_precond(spec: &PrecondSpec, w: &mut WireWriter) {
+    match spec {
+        PrecondSpec::Identity { n } => {
+            w.u8(0);
+            w.usize(*n);
+        }
+        PrecondSpec::Jacobi { inv_diag } => {
+            w.u8(1);
+            w.f64s(inv_diag);
+        }
+        PrecondSpec::BlockJacobi { block } => {
+            w.u8(2);
+            w.usize(*block);
+        }
+        PrecondSpec::Chebyshev { degree, lo, hi } => {
+            w.u8(3);
+            w.usize(*degree);
+            w.f64(*lo);
+            w.f64(*hi);
+        }
+        PrecondSpec::Ssor { omega } => {
+            w.u8(4);
+            w.f64(*omega);
+        }
+        PrecondSpec::Ic0 => w.u8(5),
+    }
+}
+
+/// Reads what [`encode_precond`] wrote.
+pub fn decode_precond(r: &mut WireReader<'_>) -> WireResult<PrecondSpec> {
+    Ok(match r.u8()? {
+        0 => PrecondSpec::Identity { n: r.usize()? },
+        1 => PrecondSpec::Jacobi {
+            inv_diag: r.f64s()?,
+        },
+        2 => PrecondSpec::BlockJacobi { block: r.usize()? },
+        3 => PrecondSpec::Chebyshev {
+            degree: r.usize()?,
+            lo: r.f64()?,
+            hi: r.f64()?,
+        },
+        4 => PrecondSpec::Ssor { omega: r.f64()? },
+        5 => PrecondSpec::Ic0,
+        k => return Err(format!("unknown preconditioner spec kind {k}")),
+    })
+}
+
 /// Runs the selected method on the chosen execution [`Engine`].
 ///
 /// `Engine::Serial` runs the reference single-address-space solver;
@@ -218,6 +269,15 @@ impl Method {
 /// ranks (`spcg_dist::ThreadComm`) and solves the same system with the same
 /// arithmetic, one rank per OS thread. Iterates agree with serial execution
 /// up to reduction rounding (bitwise for one rank).
+///
+/// This is the only entry to a method: the bodies are crate-private, and
+/// `crate::engine::dispatch` is the only `Method` → body map.
+///
+/// # Panics
+/// Panics if the method's block parameter is below its minimum (`s < 1` for
+/// sPCG, sPCG_mon and CA-PCG-GS; `s < 2` for CA-PCG, adaptive CA-PCG and
+/// CA-PCG3; `t < 1` or `t > n` for EkCG) or a Newton basis provides fewer
+/// than `s` shifts.
 pub fn solve(
     method: &Method,
     problem: &Problem<'_>,
@@ -228,8 +288,7 @@ pub fn solve(
         Engine::Serial => {
             // Serial execution has no distributed substrate to fault, so
             // the resilience driver runs only when explicitly configured;
-            // with the default `resilience: None` this is exactly the
-            // direct `pcg(problem, opts)`-style call it always was.
+            // with the default `resilience: None` this is the body itself.
             let mut exec = crate::engine::SerialExec::new(problem, opts);
             crate::resilience::solve_resilient(method, &mut exec, opts, opts.resilience.as_ref())
         }
@@ -275,7 +334,7 @@ mod tests {
             Method::EkCg { t: 4 },
         ];
         for method in &methods {
-            let res = solve(method, &problem, &SolveOptions::default(), Engine::Serial);
+            let res = solve(method, &problem, &SolveOptions::from_env(), Engine::Serial);
             assert!(
                 res.converged(),
                 "{} failed: {:?}",

@@ -155,9 +155,7 @@ pub struct SolveOptions {
     /// (`spcg_sparse::ParKernels`). Under [`crate::Engine::Ranked`] each
     /// rank gets its own pool of this width (`T·R` workers total). Results
     /// are bitwise identical for any thread count; `1` (the default) runs
-    /// every kernel inline. The default honours the `SPCG_THREADS`
-    /// environment variable so test suites can sweep thread counts without
-    /// code changes.
+    /// every kernel inline.
     pub threads: usize,
     /// Overlap halo exchange with interior computation under
     /// [`crate::Engine::Ranked`]: each rank posts its chunk, computes the
@@ -167,9 +165,8 @@ pub struct SolveOptions {
     /// rows run the same per-row arithmetic; only the execution order of
     /// two disjoint row sets changes), and communication counters are
     /// unchanged (the same one exchange per round happens either way).
-    /// Defaults to `true` — set the `SPCG_OVERLAP` environment variable to
-    /// `0` to default it off. Ignored by [`crate::Engine::Serial`], which
-    /// has no exchanges to hide.
+    /// Defaults to `true`. Ignored by [`crate::Engine::Serial`], which has
+    /// no exchanges to hide.
     pub overlap: bool,
     /// Sparse format driving the SpMV and matrix-powers kernels:
     /// [`SparseFormat::Csr`] (the default) streams rows from the assembled
@@ -180,10 +177,7 @@ pub struct SolveOptions {
     /// sweep where applicable. Solutions, iteration counts, and
     /// [`Counters`] are **bitwise identical** across formats for every
     /// engine, rank count, thread count, and overlap setting — the sliced
-    /// kernels accumulate each row's entries in the same CSR order. The
-    /// default honours the `SPCG_FORMAT` environment variable
-    /// (`csr` | `sell`), so `SPCG_FORMAT=sell cargo test` moves a whole
-    /// suite onto the sliced layout.
+    /// kernels accumulate each row's entries in the same CSR order.
     pub format: SparseFormat,
     /// Communication backend under [`crate::Engine::Ranked`]:
     /// [`Backend::Thread`] (the default) runs ranks as OS threads over
@@ -192,34 +186,25 @@ pub struct SolveOptions {
     /// sockets. Solutions and [`Counters`] are **bitwise identical**
     /// across backends; the proc transport additionally survives a rank
     /// process dying mid-solve (the driver respawns the world and
-    /// re-solves, charging a restart). The default honours the
-    /// `SPCG_BACKEND` environment variable (`thread` | `proc`), so
-    /// `SPCG_BACKEND=proc cargo test` moves a whole suite onto the
-    /// process transport. Ranked solves fall back to the thread backend
-    /// — with a diagnostic on stderr — when the proc transport cannot
-    /// run (missing `spcg-rankd` binary, single rank, or a
-    /// preconditioner without a [`spcg_precond::PrecondSpec`] recipe).
+    /// re-solves, charging a restart). Ranked solves fall back to the
+    /// thread backend — with a diagnostic on stderr — when the proc
+    /// transport cannot run (missing `spcg-rankd` binary, single rank, or
+    /// a preconditioner without a [`spcg_precond::PrecondSpec`] recipe).
     /// Ignored by [`crate::Engine::Serial`].
     pub backend: Backend,
     /// Span tracer recording a per-rank phase timeline of the solve (see
     /// `spcg_obs`). `None` (the default) disables tracing entirely: every
     /// instrumentation site branches on the `Option` and takes no
     /// timestamp, and results and [`Counters`] are bitwise identical with
-    /// tracing on, off, or absent — spans only observe. The default
-    /// honours the `SPCG_TRACE` environment variable (any value but `0`
-    /// enables a fresh tracer; `SPCG_TRACE_CAP` bounds per-rank events),
-    /// so `SPCG_TRACE=1 cargo test` traces a whole suite without code
-    /// changes. Read the timeline back from this handle after the solve
-    /// (`tracer.export_json(...)`).
+    /// tracing on, off, or absent — spans only observe. Read the timeline
+    /// back from this handle after the solve (`tracer.export_json(...)`).
     pub trace: Option<Tracer>,
     /// Deterministic fault-injection plan for the distributed substrate
     /// (see `spcg_dist::fault`): seeded rank stalls at exchange
     /// boundaries, duplicated epoch publishes, and NaN payload poisoning.
     /// `None` (the default) injects nothing and leaves every code path
-    /// bitwise identical to an unfaulted build. The default honours the
-    /// `SPCG_FAULTS=<seed>:<rate>` environment variable, so
-    /// `SPCG_FAULTS=101:0.05 cargo test` fault-sweeps a whole suite.
-    /// Single-rank and serial runs never inject regardless of the plan.
+    /// bitwise identical to an unfaulted build. Single-rank and serial
+    /// runs never inject regardless of the plan.
     pub faults: Option<FaultPlan>,
     /// Self-healing policy (see [`Resilience`]): breakdown detection with
     /// residual-replacement restart for every method. `None` (the default)
@@ -233,112 +218,13 @@ pub struct SolveOptions {
     /// (see `spcg_adapt::AdaptivePolicy`): the `s` range, the Gram
     /// conditioning thresholds of the grow/shrink rule, and the Ritz-drift
     /// tolerance for mid-solve basis rebuilds. Ignored by the fixed-s
-    /// methods. The default honours the `SPCG_ADAPTIVE_SMIN`,
-    /// `SPCG_ADAPTIVE_SMAX`, `SPCG_ADAPTIVE_COND`, and
-    /// `SPCG_ADAPTIVE_PATIENCE` environment variables.
+    /// methods.
     pub adaptive: AdaptivePolicy,
 }
 
-/// Default adaptive policy: `spcg_adapt::AdaptivePolicy::default()` with
-/// the `SPCG_ADAPTIVE_*` environment overrides applied (see [`env`]).
-fn default_adaptive() -> AdaptivePolicy {
-    let mut p = AdaptivePolicy::default();
-    let s_min = env::parsed::<usize>("SPCG_ADAPTIVE_SMIN").unwrap_or(p.s_min);
-    let s_max = env::parsed::<usize>("SPCG_ADAPTIVE_SMAX").unwrap_or(p.s_max);
-    p = p.with_s_range(s_min, s_max);
-    if let Some(c) = env::parsed::<f64>("SPCG_ADAPTIVE_COND").filter(|c| *c > 1.0) {
-        let (grow, reject) = (p.cond_grow.min(c), p.cond_reject.max(c));
-        p = p.with_cond_thresholds(grow, c, reject);
-    }
-    if let Some(n) = env::parsed::<usize>("SPCG_ADAPTIVE_PATIENCE") {
-        p = p.with_grow_patience(n);
-    }
-    p
-}
-
-/// Default thread count: `SPCG_THREADS` if set to a positive integer, else 1.
-fn default_threads() -> usize {
-    env::parsed::<usize>("SPCG_THREADS")
-        .filter(|&t| t > 0)
-        .unwrap_or(1)
-}
-
-/// Default overlap mode: on, unless `SPCG_OVERLAP=0` turns it off (the
-/// escape hatch for comparing the blocking schedule without code changes).
-fn default_overlap() -> bool {
-    env::flag("SPCG_OVERLAP", true)
-}
-
-/// Centralized `SPCG_*` environment-variable handling — the one table of
-/// every knob the workspace reads from the environment.
-///
-/// All variables are read at **configuration time** (`SolveOptions::
-/// default()`, tool startup), never mid-solve, and every one of them is
-/// optional: unset — or set to something unparseable — always falls back
-/// to the documented default. None of them can change *results* except
-/// `SPCG_FAULTS` (which injects recoverable faults by design); the rest
-/// select execution shape or observation, all covered by the workspace's
-/// bitwise-determinism guarantee.
-///
-/// | Variable | Values | Default | Read by | Effect |
-/// |---|---|---|---|---|
-/// | `SPCG_THREADS` | integer ≥ 1 | `1` | [`SolveOptions::threads`] default | Intra-rank worker threads per rank. |
-/// | `SPCG_OVERLAP` | `0` \| `1` | `1` | [`SolveOptions::overlap`] default | Halo-exchange/compute overlap under ranked execution. |
-/// | `SPCG_FORMAT` | `csr` \| `sell` | `csr` | `spcg_sparse::SparseFormat::from_env` → [`SolveOptions::format`] default | Sparse kernel layout (CSR vs SELL-C-σ). |
-/// | `SPCG_BACKEND` | `thread` \| `proc` | `thread` | `spcg_dist::Backend::from_env` → [`SolveOptions::backend`] default | Ranked transport: OS threads vs worker processes. |
-/// | `SPCG_TRACE` | `0` \| anything else | off | `spcg_obs::Tracer::from_env` → [`SolveOptions::trace`] default | Span tracing (observational only). |
-/// | `SPCG_TRACE_CAP` | integer | tracer default | `spcg_obs::Tracer::from_env`, `spcg-bench` | Per-rank traced-event cap. |
-/// | `SPCG_FAULTS` | `<seed>:<rate>` | none | `spcg_dist::FaultPlan::from_env` → [`SolveOptions::faults`] default | Deterministic fault injection under ranked execution. |
-/// | `SPCG_RANKS` | integer ≥ 1 | suite-specific | integration test suites | Extra rank count added to the test sweeps. |
-/// | `SPCG_RANKD` | path | auto-discovered | `spcg_solvers::procexec` | Explicit location of the `spcg-rankd` worker binary. |
-/// | `SPCG_PROC_KILL` | `<rank>:<nth>` | none | `spcg_solvers::procexec` | Fault drill: the rank exits before its nth allreduce. |
-/// | `SPCG_QUICK` | `0` \| `1` | `0` | `spcg-bench` | Shrink benchmark sweeps for smoke runs. |
-/// | `SPCG_GRID` | integer ≥ 1 | bin-specific | `spcg-bench` bins | Poisson grid edge override. |
-/// | `SPCG_ADAPTIVE_SMIN` | integer ≥ 2 | `2` | [`SolveOptions::adaptive`] default | Smallest `s` the adaptive controller shrinks to. |
-/// | `SPCG_ADAPTIVE_SMAX` | integer ≥ smin | `16` | [`SolveOptions::adaptive`] default | Largest `s` the adaptive controller grows to (also the ghost-zone depth of adaptive ranked solves). |
-/// | `SPCG_ADAPTIVE_COND` | float > 1 | `1e7` | [`SolveOptions::adaptive`] default | Gram conditioning estimate above which a block shrinks `s`. |
-/// | `SPCG_ADAPTIVE_PATIENCE` | integer ≥ 1 | `3` | [`SolveOptions::adaptive`] default | Consecutive healthy blocks before `s` doubles. |
-///
-/// Crates below this one in the dependency graph (`spcg_sparse`,
-/// `spcg_dist`, `spcg_obs`) parse their variables locally — they cannot
-/// call up into this module — but every variable is documented here, and
-/// all parsing in this crate and the tools layer goes through
-/// [`parsed`](env::parsed) / [`flag`](env::flag) / [`raw`](env::raw).
-pub mod env {
-    use std::str::FromStr;
-
-    /// `Some(value)` when `name` is set and its trimmed value parses as
-    /// `T`. Unset, empty, or unparseable all yield `None`: a malformed
-    /// setting behaves like an absent one, so the documented default is
-    /// always reachable.
-    pub fn parsed<T: FromStr>(name: &str) -> Option<T> {
-        raw(name)?.trim().parse().ok()
-    }
-
-    /// Boolean knob: unset or empty yields `default`; `0` and `false`
-    /// (case-insensitive) are off; anything else is on.
-    pub fn flag(name: &str, default: bool) -> bool {
-        match raw(name) {
-            None => default,
-            Some(v) => {
-                let v = v.trim();
-                if v.is_empty() {
-                    default
-                } else {
-                    v != "0" && !v.eq_ignore_ascii_case("false")
-                }
-            }
-        }
-    }
-
-    /// The raw string, `None` when unset — for values with their own
-    /// grammar (`SPCG_FAULTS=<seed>:<rate>`, paths).
-    pub fn raw(name: &str) -> Option<String> {
-        std::env::var(name).ok()
-    }
-}
-
 impl Default for SolveOptions {
+    /// A constant: a library call never reads the environment (see
+    /// [`SolveOptions::from_env`] for the process-edge overlay).
     fn default() -> Self {
         SolveOptions {
             tol: 1e-9,
@@ -348,14 +234,14 @@ impl Default for SolveOptions {
             stall_checks: 4000,
             keep_history: false,
             residual_replacement: None,
-            threads: default_threads(),
-            overlap: default_overlap(),
-            format: SparseFormat::from_env().unwrap_or_default(),
-            backend: Backend::from_env().unwrap_or_default(),
-            trace: Tracer::from_env(),
-            faults: FaultPlan::from_env(),
+            threads: 1,
+            overlap: true,
+            format: SparseFormat::Csr,
+            backend: Backend::Thread,
+            trace: None,
+            faults: None,
             resilience: None,
-            adaptive: default_adaptive(),
+            adaptive: AdaptivePolicy::default(),
         }
     }
 }
@@ -367,10 +253,44 @@ impl SolveOptions {
         Self::default()
     }
 
-    /// Starts a [`SolveOptionsBuilder`] seeded with the defaults.
-    pub fn builder() -> SolveOptionsBuilder {
-        SolveOptionsBuilder {
-            opts: Self::default(),
+    /// [`SolveOptions::default`] overlaid with the process environment —
+    /// the one configuration read of the library, for process edges only
+    /// (bench bins, examples, test harnesses); no solver path calls it.
+    ///
+    /// | Variable | Values | Field |
+    /// |---|---|---|
+    /// | `SPCG_THREADS` | integer ≥ 1 | [`SolveOptions::threads`] |
+    /// | `SPCG_OVERLAP` | `0` \| `1` | [`SolveOptions::overlap`] |
+    /// | `SPCG_FORMAT` | `csr` \| `sell` | [`SolveOptions::format`] |
+    /// | `SPCG_BACKEND` | `thread` \| `proc` | [`SolveOptions::backend`] |
+    /// | `SPCG_TRACE` | `0` \| anything else | [`SolveOptions::trace`] (a fresh tracer) |
+    /// | `SPCG_FAULTS` | `<seed>:<rate>` | [`SolveOptions::faults`] (a fresh plan) |
+    ///
+    /// Unset, empty or malformed values leave the default in place.
+    pub fn from_env() -> Self {
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`SolveOptions::from_env`] over an injected lookup.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let set = |name: &str| Some(var(name)?.trim().to_owned()).filter(|v| !v.is_empty());
+        let flag = |name: &str| Some(!["0", "false"].contains(&set(name)?.to_lowercase().as_str()));
+        let dflt = Self::default();
+        SolveOptions {
+            threads: set("SPCG_THREADS")
+                .and_then(|v| v.parse().ok())
+                .filter(|&t| t > 0)
+                .unwrap_or(dflt.threads),
+            overlap: flag("SPCG_OVERLAP").unwrap_or(dflt.overlap),
+            format: set("SPCG_FORMAT")
+                .and_then(|v| SparseFormat::parse(&v))
+                .unwrap_or(dflt.format),
+            backend: set("SPCG_BACKEND")
+                .and_then(|v| Backend::parse(&v))
+                .unwrap_or(dflt.backend),
+            trace: flag("SPCG_TRACE").unwrap_or(false).then(Tracer::new),
+            faults: set("SPCG_FAULTS").and_then(|v| FaultPlan::parse(&v)),
+            ..dflt
         }
     }
 
@@ -439,8 +359,7 @@ impl SolveOptions {
         self
     }
 
-    /// Builder-style fault plan (see [`SolveOptions::faults`]). Pass
-    /// `None` to force faults off even when `SPCG_FAULTS` is set.
+    /// Builder-style fault plan (see [`SolveOptions::faults`]).
     pub fn with_faults(mut self, faults: Option<FaultPlan>) -> Self {
         self.faults = faults;
         self
@@ -570,130 +489,6 @@ impl SolveOptions {
                 margin: r.f64()?,
             },
         })
-    }
-}
-
-/// Fluent constructor for [`SolveOptions`] (see [`SolveOptions::builder`]).
-///
-/// ```
-/// use spcg_solvers::{SolveOptions, StoppingCriterion};
-/// let opts = SolveOptions::builder()
-///     .tol(1e-9)
-///     .max_iters(500)
-///     .criterion(StoppingCriterion::RecursiveResidual2Norm)
-///     .build();
-/// assert_eq!(opts.max_iters, 500);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SolveOptionsBuilder {
-    opts: SolveOptions,
-}
-
-impl SolveOptionsBuilder {
-    /// Relative reduction required by the stopping criterion.
-    pub fn tol(mut self, tol: f64) -> Self {
-        self.opts.tol = tol;
-        self
-    }
-
-    /// Cap on fine-grained (PCG-equivalent) iterations.
-    pub fn max_iters(mut self, max_iters: usize) -> Self {
-        self.opts.max_iters = max_iters;
-        self
-    }
-
-    /// Stopping criterion.
-    pub fn criterion(mut self, criterion: StoppingCriterion) -> Self {
-        self.opts.criterion = criterion;
-        self
-    }
-
-    /// Relative growth of the criterion value that is declared divergence.
-    pub fn divergence_factor(mut self, factor: f64) -> Self {
-        self.opts.divergence_factor = factor;
-        self
-    }
-
-    /// Convergence checks without improvement before declaring stagnation.
-    pub fn stall_checks(mut self, checks: usize) -> Self {
-        self.opts.stall_checks = checks;
-        self
-    }
-
-    /// Record the criterion value at every check into the result's history.
-    pub fn keep_history(mut self, keep: bool) -> Self {
-        self.opts.keep_history = keep;
-        self
-    }
-
-    /// Residual replacement factor (see [`SolveOptions::residual_replacement`]).
-    pub fn residual_replacement(mut self, factor: f64) -> Self {
-        assert!(
-            factor > 0.0 && factor < 1.0,
-            "replacement factor must be in (0, 1)"
-        );
-        self.opts.residual_replacement = Some(factor);
-        self
-    }
-
-    /// Intra-rank thread count (see [`SolveOptions::threads`]).
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "threads must be positive");
-        self.opts.threads = threads;
-        self
-    }
-
-    /// Halo-exchange overlap under ranked execution (see
-    /// [`SolveOptions::overlap`]).
-    pub fn overlap(mut self, overlap: bool) -> Self {
-        self.opts.overlap = overlap;
-        self
-    }
-
-    /// Sparse format for the SpMV and matrix-powers kernels (see
-    /// [`SolveOptions::format`]).
-    pub fn format(mut self, format: SparseFormat) -> Self {
-        self.opts.format = format;
-        self
-    }
-
-    /// Communication backend under ranked execution (see
-    /// [`SolveOptions::backend`]).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.opts.backend = backend;
-        self
-    }
-
-    /// Span tracer for a per-rank phase timeline (see
-    /// [`SolveOptions::trace`]). Pass `None` to force tracing off even
-    /// when `SPCG_TRACE` is set.
-    pub fn trace(mut self, trace: Option<Tracer>) -> Self {
-        self.opts.trace = trace;
-        self
-    }
-
-    /// Fault-injection plan (see [`SolveOptions::faults`]). Pass `None`
-    /// to force faults off even when `SPCG_FAULTS` is set.
-    pub fn faults(mut self, faults: Option<FaultPlan>) -> Self {
-        self.opts.faults = faults;
-        self
-    }
-
-    /// Resilience policy (see [`SolveOptions::resilience`]).
-    pub fn resilience(mut self, resilience: Resilience) -> Self {
-        self.opts.resilience = Some(resilience);
-        self
-    }
-
-    /// Adaptive-controller policy (see [`SolveOptions::adaptive`]).
-    pub fn adaptive(mut self, adaptive: AdaptivePolicy) -> Self {
-        self.opts.adaptive = adaptive;
-        self
-    }
-
-    /// Finalizes the options.
-    pub fn build(self) -> SolveOptions {
-        self.opts
     }
 }
 
@@ -976,94 +771,101 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_with_style() {
-        let o = SolveOptions::builder()
-            .tol(1e-6)
-            .max_iters(100)
-            .criterion(StoppingCriterion::PrecondMNorm)
-            .keep_history(true)
-            .stall_checks(7)
-            .divergence_factor(1e6)
-            .residual_replacement(0.25)
-            .build();
-        assert_eq!(o.tol, 1e-6);
-        assert_eq!(o.max_iters, 100);
-        assert_eq!(o.criterion, StoppingCriterion::PrecondMNorm);
-        assert!(o.keep_history);
-        assert_eq!(o.stall_checks, 7);
-        assert_eq!(o.divergence_factor, 1e6);
-        assert_eq!(o.residual_replacement, Some(0.25));
+    fn default_is_a_constant() {
+        // Every field, by its Debug form: a new field changes this string.
+        let want = "SolveOptions { tol: 1e-9, max_iters: 12000, \
+            criterion: TrueResidual2Norm, divergence_factor: 100000000.0, \
+            stall_checks: 4000, keep_history: false, residual_replacement: None, \
+            threads: 1, overlap: true, format: Csr, backend: Thread, trace: None, \
+            faults: None, resilience: None, adaptive: AdaptivePolicy { s_min: 2, \
+            s_max: 16, cond_grow: 10000.0, cond_shrink: 10000000.0, \
+            cond_reject: 10000000000.0, gap_tol: 0.5, drift_tol: 0.25, \
+            grow_patience: 3, min_ritz: 6, max_ritz: 64, margin: 0.05 } }";
+        assert_eq!(format!("{:?}", SolveOptions::default()), want);
+    }
+
+    /// `from_vars` over `vars`, through an injected lookup that fails the
+    /// test on any name but the six.
+    fn from_table(vars: &[(&str, &str)]) -> String {
+        const NAMES: [&str; 6] = [
+            "SPCG_THREADS",
+            "SPCG_OVERLAP",
+            "SPCG_FORMAT",
+            "SPCG_BACKEND",
+            "SPCG_TRACE",
+            "SPCG_FAULTS",
+        ];
+        let opts = SolveOptions::from_vars(|name| {
+            assert!(NAMES.contains(&name), "from_vars consulted {name}");
+            let hit = vars.iter().find(|(k, _)| *k == name);
+            hit.map(|(_, v)| v.to_string())
+        });
+        format!("{opts:?}")
+    }
+
+    #[test]
+    fn from_vars_overlays_exactly_the_six_names() {
+        let dflt = SolveOptions::default;
+        let same = |vars: &[(&str, &str)], want: SolveOptions, why: &str| {
+            assert_eq!(from_table(vars), format!("{want:?}"), "{why}");
+        };
+        same(&[], dflt(), "nothing set");
+        let (sell, proc) = (SparseFormat::Sell, Backend::Proc);
+        let (tracer, plan) = (Tracer::new(), FaultPlan::new(101, 0.05));
+        // (name, a good value, one that leaves the default, what the good one sets)
+        let table = [
+            ("SPCG_THREADS", " 4 ", "0", dflt().with_threads(4)),
+            ("SPCG_OVERLAP", "False", "yes", dflt().with_overlap(false)),
+            ("SPCG_FORMAT", "SELL", "ellpack", dflt().with_format(sell)),
+            ("SPCG_BACKEND", "proc", "mpi", dflt().with_backend(proc)),
+            ("SPCG_TRACE", "1", "0", dflt().with_trace(Some(tracer))),
+            (
+                "SPCG_FAULTS",
+                "101:0.05",
+                "101",
+                dflt().with_faults(Some(plan)),
+            ),
+        ];
+        for (name, good, inert, want) in table {
+            same(&[(name, good)], want, name);
+            same(&[(name, inert)], dflt(), name);
+            same(&[(name, "")], dflt(), name);
+        }
+        same(&[("SPCG_THREADS", "four")], dflt(), "unparseable");
+        // A name the overlay does not know is never looked up.
+        same(&[("SPCG_ADAPTIVE_SMAX", "4")], dflt(), "unknown name");
     }
 
     #[test]
     fn threads_option_defaults_and_builds() {
-        // Default is 1 unless SPCG_THREADS overrides it (not set in tests
-        // unless the CI thread-sweep job exports it).
-        let dflt = SolveOptions::default().threads;
-        assert!(dflt >= 1);
-        assert_eq!(SolveOptions::builder().threads(4).build().threads, 4);
+        assert_eq!(SolveOptions::default().threads, 1);
         assert_eq!(SolveOptions::default().with_threads(2).threads, 2);
     }
 
     #[test]
     fn overlap_option_defaults_on_and_builds() {
-        // Default is on unless SPCG_OVERLAP=0 (not set in the default test
-        // environment; the CI blocking-schedule job may export it).
-        if std::env::var("SPCG_OVERLAP").is_err() {
-            assert!(SolveOptions::default().overlap);
-        }
-        assert!(!SolveOptions::builder().overlap(false).build().overlap);
-        assert!(SolveOptions::builder().overlap(true).build().overlap);
+        assert!(SolveOptions::default().overlap);
         assert!(!SolveOptions::default().with_overlap(false).overlap);
     }
 
     #[test]
     fn backend_option_defaults_and_builds() {
-        // Default is Thread unless SPCG_BACKEND overrides it (the CI proc
-        // job exports it; tests that need a specific backend set it
-        // explicitly rather than trusting the environment).
-        if std::env::var("SPCG_BACKEND").is_err() {
-            assert_eq!(SolveOptions::default().backend, Backend::Thread);
-        }
-        assert_eq!(
-            SolveOptions::builder()
-                .backend(Backend::Proc)
-                .build()
-                .backend,
-            Backend::Proc
-        );
-        assert_eq!(
-            SolveOptions::default().with_backend(Backend::Proc).backend,
-            Backend::Proc
-        );
+        assert_eq!(SolveOptions::default().backend, Backend::Thread);
+        let proc = SolveOptions::default().with_backend(Backend::Proc);
+        assert_eq!(proc.backend, Backend::Proc);
     }
 
     #[test]
     fn format_option_defaults_and_builds() {
-        // Default is Csr unless SPCG_FORMAT overrides it (the CI sell job
-        // exports it; tests needing a specific format set it explicitly).
-        if std::env::var("SPCG_FORMAT").is_err() {
-            assert_eq!(SolveOptions::default().format, SparseFormat::Csr);
-        }
-        assert_eq!(
-            SolveOptions::builder()
-                .format(SparseFormat::Sell)
-                .build()
-                .format,
-            SparseFormat::Sell
-        );
-        assert_eq!(
-            SolveOptions::default()
-                .with_format(SparseFormat::Sell)
-                .format,
-            SparseFormat::Sell
-        );
+        assert_eq!(SolveOptions::default().format, SparseFormat::Csr);
+        let sell = SolveOptions::default().with_format(SparseFormat::Sell);
+        assert_eq!(sell.format, SparseFormat::Sell);
     }
 
     #[test]
     #[should_panic(expected = "threads must be positive")]
     fn zero_threads_rejected() {
-        let _ = SolveOptions::builder().threads(0);
+        let _ = SolveOptions::default().with_threads(0);
     }
 
     #[test]

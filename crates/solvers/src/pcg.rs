@@ -5,16 +5,11 @@
 //! global reductions, which is what stops PCG from scaling beyond ~32 nodes
 //! in the paper's Figure 1.
 
-use crate::engine::{Exec, SerialExec};
-use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
+use crate::engine::Exec;
+use crate::options::{Outcome, SolveOptions, SolveResult};
 use crate::stopping::{StopState, Verdict};
 use spcg_dist::Counters;
 use spcg_obs::Phase;
-
-/// Solves `A x = b` with standard PCG (zero initial guess).
-pub fn pcg(problem: &Problem<'_>, opts: &SolveOptions) -> SolveResult {
-    pcg_g(&mut SerialExec::new(problem, opts), opts)
-}
 
 /// PCG over any execution substrate (see [`crate::engine`]).
 pub(crate) fn pcg_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
@@ -119,7 +114,8 @@ pub(crate) fn pcg_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::StoppingCriterion;
+    use crate::options::{Problem, StoppingCriterion};
+    use crate::{solve, Engine::Serial, Method};
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
@@ -130,7 +126,7 @@ mod tests {
         let m = Identity::new(32);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = pcg(&problem, &SolveOptions::default());
+        let res = solve(&Method::Pcg, &problem, &SolveOptions::from_env(), Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(res.true_relative_residual(&a, &b) < 1e-8);
         // Solution entries are 1/√n.
@@ -146,7 +142,8 @@ mod tests {
         let m = Identity::new(24);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = pcg(&problem, &SolveOptions::default().with_tol(1e-12));
+        let opts = SolveOptions::from_env().with_tol(1e-12);
+        let res = solve(&Method::Pcg, &problem, &opts, Serial);
         assert!(res.converged());
         assert!(
             res.iterations <= 24,
@@ -176,8 +173,9 @@ mod tests {
         let jac = Jacobi::new(&a);
         let p1 = Problem::new(&a, &ident, &b);
         let p2 = Problem::new(&a, &jac, &b);
-        let r1 = pcg(&p1, &SolveOptions::default().with_tol(1e-8));
-        let r2 = pcg(&p2, &SolveOptions::default().with_tol(1e-8));
+        let opts = SolveOptions::from_env().with_tol(1e-8);
+        let r1 = solve(&Method::Pcg, &p1, &opts, Serial);
+        let r2 = solve(&Method::Pcg, &p2, &opts, Serial);
         assert!(r1.converged() && r2.converged());
         assert!(
             r2.iterations < r1.iterations,
@@ -194,10 +192,10 @@ mod tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         // M-norm criterion: no extra instrumented work per check.
-        let opts = SolveOptions::default()
+        let opts = SolveOptions::from_env()
             .with_criterion(StoppingCriterion::PrecondMNorm)
             .with_tol(1e-10);
-        let res = pcg(&problem, &opts);
+        let res = solve(&Method::Pcg, &problem, &opts, Serial);
         assert!(res.converged());
         let it = res.iterations as u64;
         let n = 50u64;
@@ -222,7 +220,8 @@ mod tests {
             StoppingCriterion::RecursiveResidual2Norm,
             StoppingCriterion::PrecondMNorm,
         ] {
-            let res = pcg(&problem, &SolveOptions::default().with_criterion(crit));
+            let opts = SolveOptions::from_env().with_criterion(crit);
+            let res = solve(&Method::Pcg, &problem, &opts, Serial);
             assert!(res.converged(), "{crit:?} failed: {:?}", res.outcome);
             assert!(res.true_relative_residual(&a, &b) < 1e-6, "{crit:?}");
         }
@@ -234,10 +233,8 @@ mod tests {
         let m = Identity::new(a.nrows());
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = pcg(
-            &problem,
-            &SolveOptions::default().with_tol(1e-14).with_max_iters(3),
-        );
+        let opts = SolveOptions::from_env().with_tol(1e-14).with_max_iters(3);
+        let res = solve(&Method::Pcg, &problem, &opts, Serial);
         assert_eq!(res.outcome, Outcome::MaxIterations);
         assert_eq!(res.iterations, 3);
     }
@@ -248,7 +245,8 @@ mod tests {
         let m = Identity::new(16);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = pcg(&problem, &SolveOptions::default().with_history());
+        let opts = SolveOptions::from_env().with_history();
+        let res = solve(&Method::Pcg, &problem, &opts, Serial);
         assert!(res.history.len() >= 2);
         // True residual of CG on SPD decreases monotonically in A-norm; the
         // 2-norm may wiggle, so only check overall reduction.

@@ -16,16 +16,11 @@
 //! three-term foundation as a stability liability. Both dot products of an
 //! iteration reduce in a single collective.
 
-use crate::engine::{Exec, SerialExec};
-use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
+use crate::engine::Exec;
+use crate::options::{Outcome, SolveOptions, SolveResult};
 use crate::stopping::{StopState, Verdict};
 use spcg_dist::Counters;
 use spcg_obs::Phase;
-
-/// Solves `A x = b` with three-term-recurrence PCG (zero initial guess).
-pub fn pcg3(problem: &Problem<'_>, opts: &SolveOptions) -> SolveResult {
-    pcg3_g(&mut SerialExec::new(problem, opts), opts)
-}
 
 /// PCG3 over any execution substrate (see [`crate::engine`]).
 pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
@@ -146,7 +141,8 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pcg::pcg;
+    use crate::options::Problem;
+    use crate::{solve, Engine::Serial, Method};
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
@@ -157,7 +153,7 @@ mod tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = pcg3(&problem, &SolveOptions::default());
+        let res = solve(&Method::Pcg3, &problem, &SolveOptions::from_env(), Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(res.true_relative_residual(&a, &b) < 1e-8);
     }
@@ -170,8 +166,9 @@ mod tests {
         let m = Identity::new(a.nrows());
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let r2 = pcg(&problem, &SolveOptions::default().with_tol(1e-8));
-        let r3 = pcg3(&problem, &SolveOptions::default().with_tol(1e-8));
+        let opts = SolveOptions::from_env().with_tol(1e-8);
+        let r2 = solve(&Method::Pcg, &problem, &opts, Serial);
+        let r3 = solve(&Method::Pcg3, &problem, &opts, Serial);
         assert!(r2.converged() && r3.converged());
         let d = r2.iterations.abs_diff(r3.iterations);
         assert!(d <= 2, "PCG {} vs PCG3 {}", r2.iterations, r3.iterations);
@@ -184,9 +181,9 @@ mod tests {
         let m = Identity::new(12);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let o = SolveOptions::default().with_max_iters(1).with_tol(1e-30);
-        let r2 = pcg(&problem, &o);
-        let r3 = pcg3(&problem, &o);
+        let o = SolveOptions::from_env().with_max_iters(1).with_tol(1e-30);
+        let r2 = solve(&Method::Pcg, &problem, &o, Serial);
+        let r3 = solve(&Method::Pcg3, &problem, &o, Serial);
         for (p, q) in r2.x.iter().zip(&r3.x) {
             assert!((p - q).abs() < 1e-14);
         }
@@ -198,9 +195,9 @@ mod tests {
         let m = Identity::new(30);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts =
-            SolveOptions::default().with_criterion(crate::options::StoppingCriterion::PrecondMNorm);
-        let res = pcg3(&problem, &opts);
+        let opts = SolveOptions::from_env()
+            .with_criterion(crate::options::StoppingCriterion::PrecondMNorm);
+        let res = solve(&Method::Pcg3, &problem, &opts, Serial);
         assert!(res.converged());
         let it = res.counters.iterations;
         assert_eq!(res.counters.global_collectives, it + 1); // +1 setup

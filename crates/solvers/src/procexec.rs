@@ -61,7 +61,7 @@
 //! can panic the parent: every worker → hub frame is decoded fallibly.
 
 use crate::engine::{RankExec, Ranking, World};
-use crate::method::Method;
+use crate::method::{decode_precond, encode_precond, Method};
 use crate::options::{Problem, SolveOptions, SolveResult};
 use crate::resilience::solve_resilient;
 use spcg_dist::wire::{read_frame, write_frame, WireReader, WireResult, WireWriter};
@@ -137,52 +137,6 @@ struct Setup {
     opts: SolveOptions,
 }
 
-fn encode_spec(w: &mut WireWriter, spec: &PrecondSpec) {
-    match spec {
-        PrecondSpec::Identity { n } => {
-            w.u8(0);
-            w.usize(*n);
-        }
-        PrecondSpec::Jacobi { inv_diag } => {
-            w.u8(1);
-            w.f64s(inv_diag);
-        }
-        PrecondSpec::BlockJacobi { block } => {
-            w.u8(2);
-            w.usize(*block);
-        }
-        PrecondSpec::Chebyshev { degree, lo, hi } => {
-            w.u8(3);
-            w.usize(*degree);
-            w.f64(*lo);
-            w.f64(*hi);
-        }
-        PrecondSpec::Ssor { omega } => {
-            w.u8(4);
-            w.f64(*omega);
-        }
-        PrecondSpec::Ic0 => w.u8(5),
-    }
-}
-
-fn decode_spec(r: &mut WireReader<'_>) -> WireResult<PrecondSpec> {
-    Ok(match r.u8()? {
-        0 => PrecondSpec::Identity { n: r.usize()? },
-        1 => PrecondSpec::Jacobi {
-            inv_diag: r.f64s()?,
-        },
-        2 => PrecondSpec::BlockJacobi { block: r.usize()? },
-        3 => PrecondSpec::Chebyshev {
-            degree: r.usize()?,
-            lo: r.f64()?,
-            hi: r.f64()?,
-        },
-        4 => PrecondSpec::Ssor { omega: r.f64()? },
-        5 => PrecondSpec::Ic0,
-        k => return Err(format!("unknown preconditioner spec kind {k}")),
-    })
-}
-
 impl Setup {
     /// The part of the frame that every rank of a world shares — all of it
     /// but the header — encoded once per world.
@@ -201,7 +155,7 @@ impl Setup {
         w.usizes(problem.a.col_idx());
         w.f64s(problem.a.values());
         w.f64s(problem.b);
-        encode_spec(&mut w, spec);
+        encode_precond(spec, &mut w);
         method.encode(&mut w);
         let shipped = SolveOptions {
             faults: ranking.plan.clone(),
@@ -236,7 +190,7 @@ impl Setup {
             offsets: r.usizes()?,
             a: CsrMatrix::from_raw(r.usize()?, r.usize()?, r.usizes()?, r.usizes()?, r.f64s()?),
             b: r.f64s()?,
-            spec: decode_spec(r)?,
+            spec: decode_precond(r)?,
             method: Method::decode(r)?,
             opts: SolveOptions::decode(r)?,
         })
@@ -452,12 +406,8 @@ impl Exchange for ProcBoard {
         full
     }
 
-    fn plan(&self, indices: &[usize]) -> GatherPlan {
-        GatherPlan::build(&self.offsets, indices)
-    }
-
-    fn range(&self, rank: usize) -> (usize, usize) {
-        (self.offsets[rank], self.offsets[rank + 1])
+    fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 }
 
@@ -553,7 +503,7 @@ fn run_worker(setup: Setup, link: Rc<Link>) -> WorkerResult {
 /// binaries (in `deps/`) and installed tools. `None` when neither exists;
 /// ranked solves then fall back to the thread backend.
 pub fn rankd_path() -> Option<PathBuf> {
-    if let Some(p) = crate::options::env::raw("SPCG_RANKD") {
+    if let Some(p) = std::env::var_os("SPCG_RANKD") {
         let p = PathBuf::from(p);
         return p.is_file().then_some(p);
     }
@@ -606,7 +556,7 @@ fn sock_path() -> PathBuf {
 /// Parses `SPCG_PROC_KILL=<rank>:<nth>` — the fault drill that makes the
 /// targeted rank of incarnation 0 exit just before its nth allreduce.
 fn kill_directive() -> Option<(usize, u64)> {
-    let v = crate::options::env::raw("SPCG_PROC_KILL")?;
+    let v = std::env::var("SPCG_PROC_KILL").ok()?;
     let (rank, nth) = v.split_once(':')?;
     Some((rank.trim().parse().ok()?, nth.trim().parse().ok()?))
 }
@@ -931,7 +881,7 @@ mod tests {
     /// A hub over socket pairs for 2 ranks of a 6-word board (3 words
     /// each); the test plays the workers on the returned ends.
     fn hub() -> (UnixStream, UnixStream, Served) {
-        let ranking = Ranking::new(6, 2, &SolveOptions::default().with_faults(None));
+        let ranking = Ranking::new(6, 2, &SolveOptions::default());
         let (hub0, rank0) = UnixStream::pair().unwrap();
         let (hub1, rank1) = UnixStream::pair().unwrap();
         for end in [&rank0, &rank1] {

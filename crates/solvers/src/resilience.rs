@@ -393,10 +393,8 @@ pub(crate) fn solve_resilient<E: Exec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
-    use crate::method::solve;
     use crate::options::Problem;
-    use crate::pcg::pcg;
+    use crate::{solve, Engine, Engine::Serial, Method};
     use spcg_basis::BasisType;
     use spcg_precond::Jacobi;
     use spcg_sparse::generators::paper_rhs;
@@ -425,7 +423,7 @@ mod tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
-        let out = shrinking_spcg(&problem, 5, &basis, SolveOptions::default());
+        let out = shrinking_spcg(&problem, 5, &basis, SolveOptions::from_env());
         assert!(out.converged());
         assert_eq!(out.s_schedule, vec![5]);
         assert_eq!(out.restarts, 0);
@@ -439,10 +437,10 @@ mod tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default()
+        let opts = SolveOptions::from_env()
             .with_max_iters(20_000)
             .with_history();
-        assert!(pcg(&problem, &opts).converged());
+        assert!(solve(&Method::Pcg, &problem, &opts, Serial).converged());
         let out = shrinking_spcg(&problem, 10, &BasisType::Monomial, opts);
         if out.converged() {
             assert!(!out.s_schedule.is_empty());
@@ -464,7 +462,7 @@ mod tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
-        let out = shrinking_spcg(&problem, 4, &basis, SolveOptions::default());
+        let out = shrinking_spcg(&problem, 4, &basis, SolveOptions::from_env());
         assert!(out.converged());
         assert!(out.true_relative_residual(&a, &b) < 1e-7);
     }
@@ -478,7 +476,7 @@ mod tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
-        let out = shrinking_spcg(&problem, 4, &basis, SolveOptions::default());
+        let out = shrinking_spcg(&problem, 4, &basis, SolveOptions::from_env());
         assert_eq!(out.s_schedule.len(), out.restarts + 1);
         assert_eq!(out.s_schedule[0], 4);
         assert_eq!(out.iterations as u64, out.counters.iterations);

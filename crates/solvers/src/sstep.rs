@@ -22,13 +22,13 @@
 //!
 //! | Method | Gram form | Gram solve |
 //! |---|---|---|
-//! | sPCG (Alg. 5/6, [`spcg`]) | `Direct` | `Cholesky` |
-//! | sPCG_mon (Alg. 2, [`spcg_mon`]) | `Moments` | `Cholesky` |
-//! | CA-PCG-GS (D'Ambra et al., [`capcg_gs`]) | `Direct` | `GaussSeidel` |
+//! | sPCG (Alg. 5/6, [`crate::Method::SPcg`]) | `Direct` | `Cholesky` |
+//! | sPCG_mon (Alg. 2, [`crate::Method::SPcgMon`]) | `Moments` | `Cholesky` |
+//! | CA-PCG-GS (D'Ambra et al., [`crate::Method::CaPcgGs`]) | `Direct` | `GaussSeidel` |
 
 use crate::blockops::{gram_stacked, sstep_update};
-use crate::engine::{allreduce_gram, Exec, SerialExec};
-use crate::options::{Outcome, Problem, SolveOptions, SolveResult};
+use crate::engine::{allreduce_gram, Exec};
+use crate::options::{Outcome, SolveOptions, SolveResult};
 use crate::stopping::StopState;
 use spcg_adapt::consensus;
 use spcg_basis::cob::b_small;
@@ -138,51 +138,6 @@ fn true_residual<E: Exec>(exec: &mut E, x: &[f64], r: &mut [f64], counters: &mut
     counters.record_spmv(exec.spmv_flops());
     exec.kernels().sub(exec.b_local(), &ax, r);
     counters.blas1_flops += exec.n_global();
-}
-
-/// Solves `A x = b` with sPCG (Alg. 5), blocking `s` steps per global
-/// reduction and building the s-step bases with `basis`.
-///
-/// # Panics
-/// Panics if `s < 1` or the Newton basis provides fewer than `s` shifts.
-pub fn spcg(
-    problem: &Problem<'_>,
-    s: usize,
-    basis: &BasisType,
-    opts: &SolveOptions,
-) -> SolveResult {
-    let exec = &mut SerialExec::new(problem, opts);
-    sstep_g(exec, s, GramForm::Direct(basis), GramSolve::Cholesky, opts)
-}
-
-/// Solves `A x = b` with the monomial-basis s-step PCG of \[7\] (Alg. 2).
-///
-/// # Panics
-/// Panics if `s < 1`.
-pub fn spcg_mon(problem: &Problem<'_>, s: usize, opts: &SolveOptions) -> SolveResult {
-    let exec = &mut SerialExec::new(problem, opts);
-    sstep_g(exec, s, GramForm::Moments, GramSolve::Cholesky, opts)
-}
-
-/// Solves `A x = b` with CA-PCG-GS: s-step blocking with Gauss-Seidel Gram
-/// solves.
-///
-/// # Panics
-/// Panics if `s < 1` or the Newton basis provides fewer than `s` shifts.
-pub fn capcg_gs(
-    problem: &Problem<'_>,
-    s: usize,
-    basis: &BasisType,
-    opts: &SolveOptions,
-) -> SolveResult {
-    let exec = &mut SerialExec::new(problem, opts);
-    sstep_g(
-        exec,
-        s,
-        GramForm::Direct(basis),
-        GramSolve::GaussSeidel,
-        opts,
-    )
 }
 
 /// The Alg. 5 loop over any execution substrate (see [`crate::engine`]).
@@ -447,8 +402,8 @@ pub(crate) fn sstep_g<E: Exec>(
 #[cfg(test)]
 mod spcg_tests {
     use super::*;
-    use crate::options::StoppingCriterion;
-    use crate::pcg::pcg;
+    use crate::options::{Problem, StoppingCriterion};
+    use crate::{solve, Engine::Serial, Method};
     use spcg_basis::ritz::estimate_spectrum;
     use spcg_precond::{Identity, Jacobi, Preconditioner};
     use spcg_sparse::generators::paper_rhs;
@@ -464,7 +419,9 @@ mod spcg_tests {
         let m = Identity::new(64);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = spcg(&problem, 2, &BasisType::Monomial, &SolveOptions::default());
+        let basis = BasisType::Monomial;
+        let opts = SolveOptions::from_env();
+        let res = solve(&Method::SPcg { s: 2, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(res.true_relative_residual(&a, &b) < 1e-8);
     }
@@ -478,10 +435,11 @@ mod spcg_tests {
         let basis = chebyshev_basis(&problem);
         // tol 1e-7 keeps the comparison above the s-step attainable-accuracy
         // floor, which at s = 8 sits near 1e-9 relative on this problem.
-        let opts = SolveOptions::default().with_tol(1e-7);
-        let r_pcg = pcg(&problem, &opts);
+        let opts = SolveOptions::from_env().with_tol(1e-7);
+        let r_pcg = solve(&Method::Pcg, &problem, &opts, Serial);
+        let spcg = Method::SPcg { s: 2, basis };
         for s in [2usize, 4, 8] {
-            let r_s = spcg(&problem, s, &basis, &opts);
+            let r_s = solve(&spcg.with_s(s), &problem, &opts, Serial);
             assert!(r_s.converged(), "s={s}: {:?}", r_s.outcome);
             // s-step methods check every s steps: allow the s-rounding plus
             // a small slack (the paper's "not significant" margin).
@@ -503,8 +461,9 @@ mod spcg_tests {
         let problem = Problem::new(&a, &m, &b);
         let est = estimate_spectrum(&a, problem.m, &b, 24);
         let shifts = spcg_basis::leja::newton_shifts(&est.ritz, 6);
-        let opts = SolveOptions::default().with_tol(1e-7);
-        let res = spcg(&problem, 6, &BasisType::Newton { shifts }, &opts);
+        let opts = SolveOptions::from_env().with_tol(1e-7);
+        let basis = BasisType::Newton { shifts };
+        let res = solve(&Method::SPcg { s: 6, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(res.true_relative_residual(&a, &b) < 1e-6);
     }
@@ -516,8 +475,8 @@ mod spcg_tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = chebyshev_basis(&problem);
-        let opts = SolveOptions::default().with_criterion(StoppingCriterion::PrecondMNorm);
-        let res = spcg(&problem, 5, &basis, &opts);
+        let opts = SolveOptions::from_env().with_criterion(StoppingCriterion::PrecondMNorm);
+        let res = solve(&Method::SPcg { s: 5, basis }, &problem, &opts, Serial);
         assert!(res.converged());
         // One reduction per outer iteration, including the final check-only
         // iteration.
@@ -538,8 +497,8 @@ mod spcg_tests {
         let problem = Problem::new(&a, &m, &b);
         let s = 4usize;
         let basis = chebyshev_basis(&problem);
-        let opts = SolveOptions::default().with_criterion(StoppingCriterion::PrecondMNorm);
-        let res = spcg(&problem, s, &basis, &opts);
+        let opts = SolveOptions::from_env().with_criterion(StoppingCriterion::PrecondMNorm);
+        let res = solve(&Method::SPcg { s, basis }, &problem, &opts, Serial);
         assert!(res.converged());
         let outer = res.counters.outer_iterations;
         assert!(outer >= 2);
@@ -566,14 +525,15 @@ mod spcg_tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_max_iters(4000);
-        let r_pcg = pcg(&problem, &opts);
+        let opts = SolveOptions::from_env().with_max_iters(4000);
+        let r_pcg = solve(&Method::Pcg, &problem, &opts, Serial);
         assert!(
             r_pcg.converged(),
             "baseline PCG should converge: {:?}",
             r_pcg.outcome
         );
-        let r_mono = spcg(&problem, 10, &BasisType::Monomial, &opts);
+        let basis = BasisType::Monomial;
+        let r_mono = solve(&Method::SPcg { s: 10, basis }, &problem, &opts, Serial);
         assert!(
             !r_mono.converged() || r_mono.iterations > 2 * r_pcg.iterations,
             "monomial s=10 unexpectedly healthy: {:?} in {}",
@@ -582,7 +542,7 @@ mod spcg_tests {
         );
         // And the Chebyshev basis repairs it.
         let basis = chebyshev_basis(&problem);
-        let r_cheb = spcg(&problem, 10, &basis, &opts);
+        let r_cheb = solve(&Method::SPcg { s: 10, basis }, &problem, &opts, Serial);
         assert!(
             r_cheb.converged(),
             "chebyshev basis should fix it: {:?}",
@@ -596,7 +556,9 @@ mod spcg_tests {
         let m = Identity::new(40);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = spcg(&problem, 1, &BasisType::Monomial, &SolveOptions::default());
+        let basis = BasisType::Monomial;
+        let opts = SolveOptions::from_env();
+        let res = solve(&Method::SPcg { s: 1, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
     }
 
@@ -606,8 +568,9 @@ mod spcg_tests {
         let m = Identity::new(a.nrows());
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-15).with_max_iters(20);
-        let res = spcg(&problem, 5, &BasisType::Monomial, &opts);
+        let opts = SolveOptions::from_env().with_tol(1e-15).with_max_iters(20);
+        let basis = BasisType::Monomial;
+        let res = solve(&Method::SPcg { s: 5, basis }, &problem, &opts, Serial);
         assert!(matches!(
             res.outcome,
             Outcome::MaxIterations | Outcome::Stagnated
@@ -627,8 +590,11 @@ mod spcg_tests {
         assert_eq!(jac.apply_alloc(&b), ident.apply_alloc(&b));
         let p1 = Problem::new(&a, &ident, &b);
         let p2 = Problem::new(&a, &jac, &b);
-        let r1 = spcg(&p1, 3, &BasisType::Monomial, &SolveOptions::default());
-        let r2 = spcg(&p2, 3, &BasisType::Monomial, &SolveOptions::default());
+        let basis = BasisType::Monomial;
+        let opts = SolveOptions::from_env();
+        let spcg = Method::SPcg { s: 3, basis };
+        let r1 = solve(&spcg, &p1, &opts, Serial);
+        let r2 = solve(&spcg, &p2, &opts, Serial);
         assert_eq!(r1.iterations, r2.iterations);
         assert_eq!(r1.x, r2.x);
     }
@@ -637,7 +603,8 @@ mod spcg_tests {
 #[cfg(test)]
 mod residual_replacement_tests {
     use super::*;
-    use crate::options::{Problem, SolveOptions, StoppingCriterion};
+    use crate::options::{Problem, StoppingCriterion};
+    use crate::{solve, Engine::Serial, Method};
     use spcg_precond::Jacobi;
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::poisson_3d;
@@ -649,16 +616,13 @@ mod residual_replacement_tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
-        let base = SolveOptions::default()
+        let base = SolveOptions::from_env()
             .with_criterion(StoppingCriterion::PrecondMNorm)
             .with_tol(1e-8);
-        let plain = spcg(&problem, 5, &basis, &base);
-        let rr = spcg(
-            &problem,
-            5,
-            &basis,
-            &base.clone().with_residual_replacement(1e-3),
-        );
+        let spcg = Method::SPcg { s: 5, basis };
+        let plain = solve(&spcg, &problem, &base, Serial);
+        let replacing = base.clone().with_residual_replacement(1e-3);
+        let rr = solve(&spcg, &problem, &replacing, Serial);
         assert!(plain.converged() && rr.converged());
         // Replacement costs at least one extra SpMV per replacement event.
         assert!(rr.counters.spmv_count > plain.counters.spmv_count);
@@ -675,17 +639,14 @@ mod residual_replacement_tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.05);
-        let opts = SolveOptions::default()
+        let opts = SolveOptions::from_env()
             .with_criterion(StoppingCriterion::PrecondMNorm)
             .with_tol(1e-10)
             .with_max_iters(2000);
-        let plain = spcg(&problem, 8, &basis, &opts);
-        let rr = spcg(
-            &problem,
-            8,
-            &basis,
-            &opts.clone().with_residual_replacement(1e-2),
-        );
+        let spcg = Method::SPcg { s: 8, basis };
+        let plain = solve(&spcg, &problem, &opts, Serial);
+        let replacing = opts.clone().with_residual_replacement(1e-2);
+        let rr = solve(&spcg, &problem, &replacing, Serial);
         let tp = plain.true_relative_residual(&a, &b);
         let tr = rr.true_relative_residual(&a, &b);
         assert!(
@@ -698,8 +659,8 @@ mod residual_replacement_tests {
 #[cfg(test)]
 mod spcg_mon_tests {
     use super::*;
-    use crate::options::StoppingCriterion;
-    use crate::pcg::pcg;
+    use crate::options::{Problem, StoppingCriterion};
+    use crate::{solve, Engine::Serial, Method};
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
@@ -710,9 +671,10 @@ mod spcg_mon_tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let r_pcg = pcg(&problem, &SolveOptions::default());
+        let opts = SolveOptions::from_env();
+        let r_pcg = solve(&Method::Pcg, &problem, &opts, Serial);
         for s in [2usize, 3] {
-            let res = spcg_mon(&problem, s, &SolveOptions::default());
+            let res = solve(&Method::SPcgMon { s }, &problem, &opts, Serial);
             assert!(res.converged(), "s={s}: {:?}", res.outcome);
             let cap = ((r_pcg.iterations + s) / s) * s + 2 * s;
             assert!(
@@ -732,9 +694,10 @@ mod spcg_mon_tests {
         let m = Identity::new(48);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default();
-        let r1 = spcg_mon(&problem, 3, &opts);
-        let r2 = spcg(&problem, 3, &BasisType::Monomial, &opts);
+        let opts = SolveOptions::from_env();
+        let r1 = solve(&Method::SPcgMon { s: 3 }, &problem, &opts, Serial);
+        let basis = BasisType::Monomial;
+        let r2 = solve(&Method::SPcg { s: 3, basis }, &problem, &opts, Serial);
         assert!(r1.converged() && r2.converged());
         assert_eq!(r1.iterations, r2.iterations);
         for (p, q) in r1.x.iter().zip(&r2.x) {
@@ -749,8 +712,8 @@ mod spcg_mon_tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let s = 4;
-        let opts = SolveOptions::default().with_criterion(StoppingCriterion::PrecondMNorm);
-        let res = spcg_mon(&problem, s, &opts);
+        let opts = SolveOptions::from_env().with_criterion(StoppingCriterion::PrecondMNorm);
+        let res = solve(&Method::SPcgMon { s }, &problem, &opts, Serial);
         assert!(res.converged());
         let outer = res.counters.outer_iterations;
         assert_eq!(res.counters.global_collectives, outer + 1);
@@ -766,11 +729,12 @@ mod spcg_mon_tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let base = SolveOptions::default()
+        let base = SolveOptions::from_env()
             .with_criterion(StoppingCriterion::PrecondMNorm)
             .with_tol(1e-8);
-        let plain = spcg_mon(&problem, 3, &base);
-        let rr = spcg_mon(&problem, 3, &base.clone().with_residual_replacement(1e-3));
+        let plain = solve(&Method::SPcgMon { s: 3 }, &problem, &base, Serial);
+        let replacing = base.clone().with_residual_replacement(1e-3);
+        let rr = solve(&Method::SPcgMon { s: 3 }, &problem, &replacing, Serial);
         assert!(plain.converged() && rr.converged());
         assert!(rr.counters.spmv_count > plain.counters.spmv_count);
         assert!(rr.true_relative_residual(&a, &b) < 1e-6);
@@ -783,9 +747,9 @@ mod spcg_mon_tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_max_iters(3000);
-        assert!(pcg(&problem, &opts).converged());
-        let res = spcg_mon(&problem, 10, &opts);
+        let opts = SolveOptions::from_env().with_max_iters(3000);
+        assert!(solve(&Method::Pcg, &problem, &opts, Serial).converged());
+        let res = solve(&Method::SPcgMon { s: 10 }, &problem, &opts, Serial);
         assert!(
             !res.converged(),
             "monomial s=10 should fail here, got {:?}",
@@ -797,7 +761,8 @@ mod spcg_mon_tests {
 #[cfg(test)]
 mod capcg_gs_tests {
     use super::*;
-    use crate::options::StoppingCriterion;
+    use crate::options::{Problem, StoppingCriterion};
+    use crate::{solve, Engine::Serial, Method};
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
@@ -808,7 +773,9 @@ mod capcg_gs_tests {
         let m = Identity::new(64);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = capcg_gs(&problem, 2, &BasisType::Monomial, &SolveOptions::default());
+        let basis = BasisType::Monomial;
+        let opts = SolveOptions::from_env();
+        let res = solve(&Method::CaPcgGs { s: 2, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(res.true_relative_residual(&a, &b) < 1e-8);
     }
@@ -823,10 +790,12 @@ mod capcg_gs_tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.1);
-        let opts = SolveOptions::default().with_tol(1e-7);
+        let opts = SolveOptions::from_env().with_tol(1e-7);
+        let spcg = Method::SPcg { s: 2, basis };
         for s in [2usize, 4, 8] {
-            let r_ch = spcg(&problem, s, &basis, &opts);
-            let r_gs = capcg_gs(&problem, s, &basis, &opts);
+            let r_ch = solve(&spcg.with_s(s), &problem, &opts, Serial);
+            let gs = spcg.with_s(s).gs_analogue().unwrap();
+            let r_gs = solve(&gs, &problem, &opts, Serial);
             assert!(r_gs.converged(), "s={s}: {:?}", r_gs.outcome);
             assert!(
                 r_gs.iterations <= r_ch.iterations + 2 * s,
@@ -844,8 +813,8 @@ mod capcg_gs_tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let basis = crate::setup::chebyshev_basis(&problem, 20, 0.1);
-        let opts = SolveOptions::default().with_criterion(StoppingCriterion::PrecondMNorm);
-        let res = capcg_gs(&problem, 5, &basis, &opts);
+        let opts = SolveOptions::from_env().with_criterion(StoppingCriterion::PrecondMNorm);
+        let res = solve(&Method::CaPcgGs { s: 5, basis }, &problem, &opts, Serial);
         assert!(res.converged());
         let outer = res.counters.outer_iterations;
         // Sweep-consensus words ride on the existing reduction: still one
@@ -860,7 +829,9 @@ mod capcg_gs_tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = capcg_gs(&problem, 4, &BasisType::Monomial, &SolveOptions::default());
+        let basis = BasisType::Monomial;
+        let opts = SolveOptions::from_env();
+        let res = solve(&Method::CaPcgGs { s: 4, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
         assert!(res.counters.small_flops > 0, "GS sweeps must be charged");
     }
@@ -871,7 +842,9 @@ mod capcg_gs_tests {
         let m = Identity::new(40);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = capcg_gs(&problem, 1, &BasisType::Monomial, &SolveOptions::default());
+        let basis = BasisType::Monomial;
+        let opts = SolveOptions::from_env();
+        let res = solve(&Method::CaPcgGs { s: 1, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);
     }
 
@@ -881,8 +854,9 @@ mod capcg_gs_tests {
         let m = Identity::new(a.nrows());
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-15).with_max_iters(20);
-        let res = capcg_gs(&problem, 5, &BasisType::Monomial, &opts);
+        let opts = SolveOptions::from_env().with_tol(1e-15).with_max_iters(20);
+        let basis = BasisType::Monomial;
+        let res = solve(&Method::CaPcgGs { s: 5, basis }, &problem, &opts, Serial);
         assert!(matches!(
             res.outcome,
             Outcome::MaxIterations | Outcome::Stagnated

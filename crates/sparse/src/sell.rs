@@ -76,7 +76,7 @@ pub const SELL_SIGMA: usize = 256;
 pub const LANE_BLOCK: usize = 8;
 
 /// Which sparse-matrix storage the executors run their SpMV-class kernels
-/// on. Selected per solve via `SolveOptions` (`SPCG_FORMAT=csr|sell`);
+/// on. Selected per solve via `SolveOptions::format`;
 /// results are bitwise identical across formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SparseFormat {
@@ -88,20 +88,12 @@ pub enum SparseFormat {
 }
 
 impl SparseFormat {
-    /// Reads `SPCG_FORMAT` (`csr` | `sell`, case-insensitive). `None` when
-    /// unset or empty.
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value — a misspelled format silently
-    /// falling back to CSR would invalidate a benchmark run.
-    pub fn from_env() -> Option<Self> {
-        let v = std::env::var("SPCG_FORMAT").ok()?;
-        match v.to_ascii_lowercase().as_str() {
-            "" => None,
-            "csr" => Some(SparseFormat::Csr),
-            "sell" => Some(SparseFormat::Sell),
-            other => panic!("SPCG_FORMAT: unknown format {other:?} (expected csr|sell)"),
-        }
+    /// Parses `"csr"` / `"sell"` (ASCII case-insensitive), the inverse of
+    /// [`SparseFormat::name`]; `None` for anything else.
+    pub fn parse(s: &str) -> Option<Self> {
+        [SparseFormat::Csr, SparseFormat::Sell]
+            .into_iter()
+            .find(|f| s.trim().eq_ignore_ascii_case(f.name()))
     }
 
     /// Short lowercase name (`"csr"` | `"sell"`), stable for JSON keys.
@@ -1070,5 +1062,9 @@ mod tests {
         assert_eq!(SparseFormat::default(), SparseFormat::Csr);
         assert_eq!(SparseFormat::Csr.name(), "csr");
         assert_eq!(SparseFormat::Sell.name(), "sell");
+        assert_eq!(SparseFormat::parse(" SELL "), Some(SparseFormat::Sell));
+        assert_eq!(SparseFormat::parse("csr"), Some(SparseFormat::Csr));
+        assert_eq!(SparseFormat::parse("ellpack"), None);
+        assert_eq!(SparseFormat::parse(""), None);
     }
 }

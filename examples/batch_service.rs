@@ -27,7 +27,7 @@ fn main() {
         Method::Pcg,
         Jacobi::new(&a).spec().expect("Jacobi always has a spec"),
     )
-    .with_opts(SolveOptions::builder().tol(1e-8).build());
+    .with_opts(SolveOptions::default().with_tol(1e-8));
 
     let service = SolveService::new(ServiceConfig::default());
 

@@ -5,7 +5,7 @@
 //! Without an argument, a sample file is generated and solved.
 
 use spcg::precond::Jacobi;
-use spcg::solvers::{pcg, spcg as spcg_solve, Problem, SolveOptions};
+use spcg::solvers::{solve, Engine, Method, Problem, SolveOptions};
 use spcg::sparse::generators::paper_rhs;
 use spcg::sparse::io::{read_matrix_market, write_matrix_market};
 
@@ -26,9 +26,14 @@ fn main() {
     let problem = Problem::new(&a, &m, &b);
     let opts = SolveOptions::default().with_tol(1e-9);
 
-    let r1 = pcg(&problem, &opts);
+    let r1 = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
     println!("PCG : {:?} in {} iterations", r1.outcome, r1.iterations);
     let basis = spcg::solvers::chebyshev_basis(&problem, 20, 0.05);
-    let r2 = spcg_solve(&problem, 10, &basis, &opts);
+    let r2 = solve(
+        &Method::SPcg { s: 10, basis },
+        &problem,
+        &opts,
+        Engine::Serial,
+    );
     println!("sPCG: {:?} in {} iterations", r2.outcome, r2.iterations);
 }

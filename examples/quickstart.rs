@@ -18,7 +18,10 @@ fn main() {
     println!("system: n = {}, nnz = {}", a.nrows(), a.nnz());
 
     // 2. Baseline: standard PCG.
-    let opts = SolveOptions::builder().tol(1e-9).build();
+    //    `from_env()` is `default()` overlaid with SPCG_THREADS / FORMAT /
+    //    BACKEND / TRACE / FAULTS / OVERLAP: a binary opts in to the
+    //    environment, the library itself never reads it.
+    let opts = SolveOptions::from_env().with_tol(1e-9);
     let r_pcg = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
     println!(
         "PCG : {:?} in {} iterations, {} global reductions",

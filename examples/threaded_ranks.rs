@@ -33,7 +33,10 @@ fn main() {
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
     let basis = spcg::solvers::chebyshev_basis(&problem, 20, 0.05);
-    let opts = SolveOptions::builder().tol(1e-9).max_iters(20_000).build();
+    // from_env(): `SPCG_BACKEND=proc` moves the ranks into worker processes.
+    let opts = SolveOptions::from_env()
+        .with_tol(1e-9)
+        .with_max_iters(20_000);
     let engine = Engine::Ranked { ranks };
 
     println!(

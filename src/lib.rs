@@ -32,10 +32,7 @@
 //! let b = paper_rhs(&a);
 //! let m = Jacobi::new(&a);
 //! let problem = Problem::try_new(&a, &m, &b).unwrap();
-//! let opts = SolveOptions::builder().tol(1e-8).build();
-//! # // Exact-count assertions below assume a fault-free run; stay
-//! # // deterministic even under the CI fault job's SPCG_FAULTS.
-//! # let opts = opts.with_faults(None);
+//! let opts = SolveOptions::default().with_tol(1e-8);
 //!
 //! // Standard PCG: two global reductions per iteration.
 //! let reference = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
@@ -70,7 +67,7 @@ pub use spcg_sparse as sparse;
 /// let b = spcg::sparse::generators::paper_rhs(&a);
 /// let m = spcg::precond::Jacobi::new(&a);
 /// let problem = Problem::try_new(&a, &m, &b).unwrap();
-/// let opts = SolveOptions::builder().tol(1e-8).build().with_faults(None);
+/// let opts = SolveOptions::default().with_tol(1e-8);
 /// let res = solve(&Method::Pcg, &problem, &opts, Engine::Ranked { ranks: 2 });
 /// assert!(res.converged());
 /// ```

@@ -28,7 +28,7 @@ use spcg::sparse::{CsrMatrix, SparseFormat};
 /// True when `SPCG_FAULTS` arms deterministic fault injection (the CI
 /// fault job): exact-equality assertions stand down to residual quality.
 fn faulted() -> bool {
-    spcg::dist::faults_armed()
+    SolveOptions::from_env().faults.is_some_and(|p| p.active())
 }
 
 fn adaptive_method(s0: usize, basis: spcg::basis::BasisType) -> Method {
@@ -46,11 +46,10 @@ fn hard_problem() -> (CsrMatrix, Vec<f64>) {
 }
 
 fn opts(backend: Backend, threads: usize, format: SparseFormat) -> SolveOptions {
-    SolveOptions::builder()
-        .tol(1e-7)
-        .max_iters(8000)
-        .keep_history(true)
-        .build()
+    SolveOptions::from_env()
+        .with_tol(1e-7)
+        .with_max_iters(8000)
+        .with_history()
         .with_backend(backend)
         .with_threads(threads)
         .with_format(format)
@@ -192,9 +191,8 @@ fn adaptive_and_resilience_shrink_compose_under_faults() {
     let engine = Engine::Ranked { ranks: 2 };
     let run = |backend| {
         let plan = spcg::dist::FaultPlan::new(7, 0.05);
-        let o = SolveOptions::builder()
-            .tol(1e-8)
-            .build()
+        let o = SolveOptions::from_env()
+            .with_tol(1e-8)
             .with_backend(backend)
             .with_threads(1)
             .with_faults(Some(plan));
@@ -209,7 +207,7 @@ fn adaptive_and_resilience_shrink_compose_under_faults() {
     // the body's internal shrink restarts charge inside the stage. Total
     // charged work can therefore never exceed the configured budget.
     assert!(
-        t.iterations <= SolveOptions::default().max_iters,
+        t.iterations <= SolveOptions::from_env().max_iters,
         "budget overdrawn: {} iterations",
         t.iterations
     );

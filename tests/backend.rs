@@ -48,10 +48,9 @@ fn all_methods(problem: &Problem<'_>) -> Vec<(&'static str, Method)> {
 }
 
 fn opts(backend: Backend, threads: usize) -> SolveOptions {
-    SolveOptions::builder()
-        .tol(1e-8)
-        .keep_history(true)
-        .build()
+    SolveOptions::from_env()
+        .with_tol(1e-8)
+        .with_history()
         .with_backend(backend)
         .with_threads(threads)
         .with_faults(None)
@@ -151,9 +150,8 @@ fn proc_backend_parity_holds_under_injected_faults() {
     let engine = Engine::Ranked { ranks: 2 };
     let run = |backend| {
         let plan = spcg::dist::FaultPlan::new(7, 0.05);
-        let o = SolveOptions::builder()
-            .tol(1e-8)
-            .build()
+        let o = SolveOptions::from_env()
+            .with_tol(1e-8)
             .with_backend(backend)
             .with_threads(1)
             .with_faults(Some(plan));
@@ -178,9 +176,8 @@ fn proc_backend_ships_trace_tracks_home() {
     let m = spcg::precond::Jacobi::new(&a);
     let problem = Problem::try_new(&a, &m, &b).unwrap();
     let tracer = spcg::obs::Tracer::new();
-    let o = SolveOptions::builder()
-        .tol(1e-8)
-        .build()
+    let o = SolveOptions::from_env()
+        .with_tol(1e-8)
         .with_backend(Backend::Proc)
         .with_threads(1)
         .with_faults(None)

@@ -44,7 +44,7 @@ fn every_method_solves_every_easy_family() {
         let b = paper_rhs(&a);
         let m = Jacobi::new(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-7);
+        let opts = SolveOptions::from_env().with_tol(1e-7);
         for method in all_methods(&problem, 4) {
             let res = solve(&method, &problem, &opts, Engine::Serial);
             assert!(
@@ -74,10 +74,16 @@ fn all_preconditioners_work_with_spcg() {
         Box::new(Ssor::new(&a, 1.0)),
         Box::new(ChebyshevPrecond::from_matrix(Arc::clone(&a), 3, 30.0)),
     ];
+    let opts = SolveOptions::from_env().with_tol(1e-7);
     for m in &preconds {
         let problem = Problem::new(&a, m.as_ref(), &b);
         let basis = spcg::solvers::chebyshev_basis(&problem, 25, 0.1);
-        let res = spcg::solvers::spcg(&problem, 5, &basis, &SolveOptions::default().with_tol(1e-7));
+        let res = solve(
+            &Method::SPcg { s: 5, basis },
+            &problem,
+            &opts,
+            Engine::Serial,
+        );
         assert!(res.converged(), "{}: {:?}", m.name(), res.outcome);
     }
 }
@@ -89,7 +95,7 @@ fn solution_matches_across_methods() {
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::default().with_tol(1e-9);
+    let opts = SolveOptions::from_env().with_tol(1e-9);
     let reference = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
     for method in all_methods(&problem, 5) {
         let res = solve(&method, &problem, &opts, Engine::Serial);
@@ -115,7 +121,7 @@ fn s_step_methods_use_one_collective_per_s_steps() {
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::default()
+    let opts = SolveOptions::from_env()
         .with_criterion(StoppingCriterion::PrecondMNorm)
         .with_tol(1e-8);
     let pcg = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
@@ -145,8 +151,10 @@ fn matrix_market_roundtrip_preserves_solve() {
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let m2 = Jacobi::new(&a2);
-    let r1 = spcg::solvers::pcg(&Problem::new(&a, &m, &b), &SolveOptions::default());
-    let r2 = spcg::solvers::pcg(&Problem::new(&a2, &m2, &b), &SolveOptions::default());
+    let (p1, p2) = (Problem::new(&a, &m, &b), Problem::new(&a2, &m2, &b));
+    let opts = SolveOptions::from_env();
+    let r1 = solve(&Method::Pcg, &p1, &opts, Engine::Serial);
+    let r2 = solve(&Method::Pcg, &p2, &opts, Engine::Serial);
     assert_eq!(r1.iterations, r2.iterations);
 }
 
@@ -156,16 +164,16 @@ fn parallel_and_serial_agree_end_to_end() {
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::default()
+    let opts = SolveOptions::from_env()
         .with_criterion(StoppingCriterion::RecursiveResidual2Norm)
         .with_tol(1e-8)
         .with_max_iters(12_000);
-    let serial = spcg::solvers::pcg(&problem, &opts);
+    let serial = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
     let par = solve(&Method::Pcg, &problem, &opts, Engine::Ranked { ranks: 6 });
     assert!(serial.converged() && par.converged());
     // Under injected faults (SPCG_FAULTS) the ranked solve restarts its way
     // to convergence; the equality checks below hold fault-free.
-    let faulted = spcg::dist::faults_armed();
+    let faulted = SolveOptions::from_env().faults.is_some_and(|p| p.active());
     if !faulted {
         assert_eq!(serial.iterations, par.iterations);
     }
@@ -208,7 +216,7 @@ fn adaptive_spcg_end_to_end() {
             basis: BasisType::Monomial,
         },
         &problem,
-        &SolveOptions::default()
+        &SolveOptions::from_env()
             .with_tol(1e-6)
             .with_max_iters(30_000)
             .with_history()

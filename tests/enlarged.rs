@@ -13,10 +13,7 @@
 use spcg::basis::BasisType;
 use spcg::dist::FaultPlan;
 use spcg::precond::Jacobi;
-use spcg::solvers::{
-    capcg_gs, chebyshev_basis, ekcg, pcg, solve, spcg as run_spcg, Engine, Method, Problem,
-    SolveOptions, SolveResult,
-};
+use spcg::solvers::{chebyshev_basis, solve, Engine, Method, Problem, SolveOptions, SolveResult};
 use spcg::sparse::generators::paper_rhs;
 use spcg::sparse::generators::poisson::poisson_2d;
 use spcg::sparse::generators::random_spd::{spd_with_spectrum, SpectrumShape};
@@ -44,9 +41,9 @@ fn ekcg_with_one_block_is_bitwise_pcg() {
     let (a, b) = system();
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::default().with_tol(1e-9);
-    let p = pcg(&problem, &opts);
-    let e = ekcg(&problem, 1, &opts);
+    let opts = SolveOptions::from_env().with_tol(1e-9);
+    let p = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
+    let e = solve(&Method::EkCg { t: 1 }, &problem, &opts, Engine::Serial);
     assert!(p.converged() && e.converged());
     assert_eq!(p.iterations, e.iterations, "t=1 must walk PCG's iterates");
     assert_eq!(p.x, e.x, "t=1 solution not bitwise PCG");
@@ -61,11 +58,11 @@ fn ekcg_converges_for_uneven_and_even_splits() {
     let (a, b) = system();
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::default().with_tol(1e-9);
-    let reference = pcg(&problem, &opts);
+    let opts = SolveOptions::from_env().with_tol(1e-9);
+    let reference = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
     assert!(reference.converged());
     for t in [2usize, 3, 5, 8] {
-        let res = ekcg(&problem, t, &opts);
+        let res = solve(&Method::EkCg { t }, &problem, &opts, Engine::Serial);
         assert!(res.converged(), "t={t}: {:?}", res.outcome);
         assert!(
             res.true_relative_residual(&a, &b) < 1e-7,
@@ -88,9 +85,9 @@ fn ekcg_enlarging_cuts_iterations() {
     let (a, b) = system();
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::default().with_tol(1e-9);
-    let t1 = ekcg(&problem, 1, &opts);
-    let t4 = ekcg(&problem, 4, &opts);
+    let opts = SolveOptions::from_env().with_tol(1e-9);
+    let t1 = solve(&Method::EkCg { t: 1 }, &problem, &opts, Engine::Serial);
+    let t4 = solve(&Method::EkCg { t: 4 }, &problem, &opts, Engine::Serial);
     assert!(t1.converged() && t4.converged());
     assert!(
         t4.iterations < t1.iterations,
@@ -114,17 +111,24 @@ fn capcg_gs_survives_monomial_high_s_where_cholesky_breaks_down() {
     let m = Jacobi::new(&a);
     let b = paper_rhs(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::default().with_max_iters(4000).with_tol(1e-6);
-    let r_pcg = pcg(&problem, &opts);
+    let opts = SolveOptions::from_env().with_max_iters(4000).with_tol(1e-6);
+    let r_pcg = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
     assert!(r_pcg.converged(), "baseline PCG: {:?}", r_pcg.outcome);
-    let r_chol = run_spcg(&problem, 10, &BasisType::Monomial, &opts);
+    let basis = BasisType::Monomial;
+    let chol = Method::SPcg { s: 10, basis };
+    let r_chol = solve(&chol, &problem, &opts, Engine::Serial);
     assert!(
         !r_chol.converged() || r_chol.iterations > 2 * r_pcg.iterations,
         "cholesky path unexpectedly healthy: {:?} in {}",
         r_chol.outcome,
         r_chol.iterations
     );
-    let r_gs = capcg_gs(&problem, 10, &BasisType::Monomial, &opts);
+    let r_gs = solve(
+        &chol.gs_analogue().unwrap(),
+        &problem,
+        &opts,
+        Engine::Serial,
+    );
     assert!(
         r_gs.converged(),
         "GS path should survive s=10 monomial: {:?} in {}",
@@ -141,7 +145,7 @@ fn assert_ranked_family_matches_serial(method: &Method, problem: &Problem<'_>) {
     // Serial solves never inject, so iteration parity with them is a claim
     // about clean ranked solves: an armed `SPCG_FAULTS` would charge the
     // ranked side its recovery stages.
-    let opts = SolveOptions::default().with_tol(1e-8).with_faults(None);
+    let opts = SolveOptions::from_env().with_tol(1e-8).with_faults(None);
     let serial = solve(method, problem, &opts, Engine::Serial);
     assert!(
         serial.converged(),
@@ -199,7 +203,9 @@ fn enlarged_family_self_heals_under_injected_faults() {
     let basis = chebyshev_basis(&problem, 20, 0.05);
     let run = |method: &Method| -> SolveResult {
         let plan = FaultPlan::new(7, 0.05);
-        let o = SolveOptions::builder().tol(1e-8).faults(Some(plan)).build();
+        let o = SolveOptions::from_env()
+            .with_tol(1e-8)
+            .with_faults(Some(plan));
         solve(method, &problem, &o, Engine::Ranked { ranks: 2 })
     };
     for method in [Method::EkCg { t: 4 }, Method::CaPcgGs { s: 4, basis }] {

@@ -3,7 +3,7 @@
 //!
 //! Every plan here is constructed explicitly (never from `SPCG_FAULTS`),
 //! so the suite behaves identically whether or not the environment arms
-//! injection — clean baselines pass `.faults(None)` to override any
+//! injection — clean baselines pass `.with_faults(None)` to override any
 //! ambient plan the CI fault job sets.
 
 use spcg::dist::{FaultPlan, FaultSite};
@@ -67,20 +67,15 @@ fn armed_resilience_without_faults_is_bitwise_passthrough() {
     for method in all_methods(&problem) {
         for ranks in [1usize, 2, 4] {
             for threads in [1usize, 2] {
-                let base = SolveOptions::builder()
-                    .tol(1e-8)
-                    .threads(threads)
-                    .faults(None);
-                let plain = solve(
-                    &method,
-                    &problem,
-                    &base.clone().build(),
-                    Engine::Ranked { ranks },
-                );
+                let base = SolveOptions::from_env()
+                    .with_tol(1e-8)
+                    .with_threads(threads)
+                    .with_faults(None);
+                let plain = solve(&method, &problem, &base, Engine::Ranked { ranks });
                 let armed = solve(
                     &method,
                     &problem,
-                    &base.resilience(Resilience::default()).build(),
+                    &base.with_resilience(Resilience::default()),
                     Engine::Ranked { ranks },
                 );
                 assert!(plain.converged(), "{}: {:?}", method.name(), plain.outcome);
@@ -103,12 +98,12 @@ fn serial_resilience_is_bitwise_passthrough() {
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
     for method in all_methods(&problem) {
-        let base = SolveOptions::builder().tol(1e-8).faults(None);
-        let plain = solve(&method, &problem, &base.clone().build(), Engine::Serial);
+        let base = SolveOptions::from_env().with_tol(1e-8).with_faults(None);
+        let plain = solve(&method, &problem, &base, Engine::Serial);
         let armed = solve(
             &method,
             &problem,
-            &base.resilience(Resilience::default()).build(),
+            &base.with_resilience(Resilience::default()),
             Engine::Serial,
         );
         assert_bitwise_equal(&plain, &armed, &method.name());
@@ -125,7 +120,7 @@ fn zero_rate_plan_equals_no_plan() {
     let clean = solve(
         &method,
         &problem,
-        &SolveOptions::builder().tol(1e-8).faults(None).build(),
+        &SolveOptions::from_env().with_tol(1e-8).with_faults(None),
         Engine::Ranked { ranks: 2 },
     );
     let plan = FaultPlan::new(42, 0.0);
@@ -133,10 +128,9 @@ fn zero_rate_plan_equals_no_plan() {
     let zeroed = solve(
         &method,
         &problem,
-        &SolveOptions::builder()
-            .tol(1e-8)
-            .faults(Some(plan.clone()))
-            .build(),
+        &SolveOptions::from_env()
+            .with_tol(1e-8)
+            .with_faults(Some(plan.clone())),
         Engine::Ranked { ranks: 2 },
     );
     assert_bitwise_equal(&clean, &zeroed, "rate-0 plan");
@@ -157,10 +151,9 @@ fn seeded_faulted_solve_is_deterministic() {
         let res = solve(
             &method,
             &problem,
-            &SolveOptions::builder()
-                .tol(1e-8)
-                .faults(Some(plan.clone()))
-                .build(),
+            &SolveOptions::from_env()
+                .with_tol(1e-8)
+                .with_faults(Some(plan.clone())),
             Engine::Ranked { ranks: 2 },
         );
         (res, plan.counts())
@@ -198,7 +191,7 @@ fn stall_faults_preserve_results_bitwise() {
     let clean = solve(
         &method,
         &problem,
-        &SolveOptions::builder().tol(1e-8).faults(None).build(),
+        &SolveOptions::from_env().with_tol(1e-8).with_faults(None),
         Engine::Ranked { ranks: 2 },
     );
     let plan = FaultPlan::new(9, 0.3).with_sites(&[
@@ -209,10 +202,9 @@ fn stall_faults_preserve_results_bitwise() {
     let stalled = solve(
         &method,
         &problem,
-        &SolveOptions::builder()
-            .tol(1e-8)
-            .faults(Some(plan.clone()))
-            .build(),
+        &SolveOptions::from_env()
+            .with_tol(1e-8)
+            .with_faults(Some(plan.clone())),
         Engine::Ranked { ranks: 2 },
     );
     assert!(
@@ -253,10 +245,9 @@ fn poisoned_payload_runs_self_heal_and_converge() {
         let res = solve(
             &method,
             &problem,
-            &SolveOptions::builder()
-                .tol(1e-8)
-                .faults(Some(plan.clone()))
-                .build(),
+            &SolveOptions::from_env()
+                .with_tol(1e-8)
+                .with_faults(Some(plan.clone())),
             Engine::Ranked { ranks: 2 },
         );
         let tag = site.as_str();
@@ -292,11 +283,10 @@ fn faulted_s_step_methods_converge() {
         let res = solve(
             &method,
             &problem,
-            &SolveOptions::builder()
-                .tol(1e-8)
-                .max_iters(5_000)
-                .faults(Some(plan.clone()))
-                .build(),
+            &SolveOptions::from_env()
+                .with_tol(1e-8)
+                .with_max_iters(5_000)
+                .with_faults(Some(plan.clone())),
             Engine::Ranked { ranks: 2 },
         );
         assert!(

@@ -52,12 +52,11 @@ fn all_methods(problem: &Problem<'_>) -> Vec<(&'static str, Method)> {
 }
 
 fn opts(format: SparseFormat, threads: usize, overlap: bool) -> SolveOptions {
-    SolveOptions::builder()
-        .tol(1e-8)
-        .keep_history(true)
-        .overlap(overlap)
-        .format(format)
-        .build()
+    SolveOptions::from_env()
+        .with_tol(1e-8)
+        .with_history()
+        .with_overlap(overlap)
+        .with_format(format)
         .with_threads(threads)
         .with_faults(None)
 }

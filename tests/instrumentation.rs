@@ -9,7 +9,7 @@ use spcg::solvers::{solve, Engine, Method, Problem, SolveOptions, StoppingCriter
 use spcg::sparse::generators::{paper_rhs, poisson::poisson_2d};
 
 fn run(method: &Method, problem: &Problem<'_>) -> spcg::solvers::SolveResult {
-    let opts = SolveOptions::default()
+    let opts = SolveOptions::from_env()
         .with_criterion(StoppingCriterion::PrecondMNorm)
         .with_tol(1e-8);
     solve(method, problem, &opts, Engine::Serial)

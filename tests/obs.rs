@@ -25,7 +25,7 @@ use spcg::sparse::generators::paper_rhs;
 use spcg::sparse::generators::poisson::{poisson_2d, poisson_3d};
 
 fn opts() -> SolveOptions {
-    SolveOptions::default()
+    SolveOptions::from_env()
         .with_criterion(StoppingCriterion::PrecondMNorm)
         .with_tol(1e-8)
         .with_trace(None)

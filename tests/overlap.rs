@@ -64,17 +64,19 @@ fn overlap_on_off_is_bitwise_and_counter_identical_for_all_methods() {
     for method in all_methods(&problem) {
         for ranks in rank_counts() {
             for threads in [1usize, 2] {
-                let base = SolveOptions::builder().tol(1e-8).threads(threads);
+                let base = SolveOptions::from_env()
+                    .with_tol(1e-8)
+                    .with_threads(threads);
                 let on = solve(
                     &method,
                     &problem,
-                    &base.clone().overlap(true).build(),
+                    &base.clone().with_overlap(true),
                     Engine::Ranked { ranks },
                 );
                 let off = solve(
                     &method,
                     &problem,
-                    &base.overlap(false).build(),
+                    &base.with_overlap(false),
                     Engine::Ranked { ranks },
                 );
                 let tag = format!("{} ranks={ranks} threads={threads}", method.name());
@@ -118,7 +120,7 @@ fn single_rank_overlap_matches_serial_bitwise() {
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::builder().tol(1e-8).overlap(true).build();
+    let opts = SolveOptions::from_env().with_tol(1e-8).with_overlap(true);
     for method in all_methods(&problem) {
         let serial = solve(&method, &problem, &opts, Engine::Serial);
         let ranked = solve(&method, &problem, &opts, Engine::Ranked { ranks: 1 });
@@ -147,17 +149,17 @@ fn overlap_parity_holds_for_non_pointwise_preconditioners() {
         let basis = chebyshev_basis(&problem, 20, 0.05);
         let method = Method::SPcg { s: S, basis };
         for ranks in [2usize, 4] {
-            let base = SolveOptions::builder().tol(1e-8);
+            let base = SolveOptions::from_env().with_tol(1e-8);
             let on = solve(
                 &method,
                 &problem,
-                &base.clone().overlap(true).build(),
+                &base.clone().with_overlap(true),
                 Engine::Ranked { ranks },
             );
             let off = solve(
                 &method,
                 &problem,
-                &base.overlap(false).build(),
+                &base.with_overlap(false),
                 Engine::Ranked { ranks },
             );
             assert_eq!(on.x, off.x, "{name} ranks={ranks}");
@@ -170,7 +172,7 @@ fn overlap_parity_holds_for_non_pointwise_preconditioners() {
 /// s-step methods still do one halo exchange per s-block.
 #[test]
 fn overlap_keeps_one_exchange_per_s_block() {
-    if spcg::dist::faults_armed() {
+    if SolveOptions::from_env().faults.is_some_and(|p| p.active()) {
         // Restart stages of the self-healing driver re-anchor the residual
         // with extra exchanges; the exact per-block count holds fault-free.
         // (The bitwise overlap-parity tests above stay armed: injection
@@ -184,11 +186,10 @@ fn overlap_keeps_one_exchange_per_s_block() {
     let problem = Problem::new(&a, &m, &b);
     let basis = chebyshev_basis(&problem, 20, 0.05);
     let method = Method::SPcg { s: S, basis };
-    let opts = SolveOptions::builder()
-        .tol(1e-8)
-        .criterion(StoppingCriterion::PrecondMNorm)
-        .overlap(true)
-        .build();
+    let opts = SolveOptions::from_env()
+        .with_tol(1e-8)
+        .with_criterion(StoppingCriterion::PrecondMNorm)
+        .with_overlap(true);
     let r = solve(&method, &problem, &opts, Engine::Ranked { ranks: 4 });
     assert!(r.converged());
     // One depth-s exchange per entered block, including the final check round.

@@ -57,7 +57,7 @@ fn all_methods_bitwise_identical_across_thread_counts() {
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::default();
+    let opts = SolveOptions::from_env();
     for method in all_methods(&problem) {
         let base = solve(
             &method,
@@ -91,7 +91,7 @@ fn threads_compose_with_ranked_engine() {
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::default();
+    let opts = SolveOptions::from_env();
     for method in all_methods(&problem) {
         for ranks in [2usize, 4] {
             let engine = Engine::Ranked { ranks };
@@ -129,7 +129,7 @@ fn batched_multi_rhs_bitwise_identical_across_thread_counts() {
             .collect();
         let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
         for format in [SparseFormat::Csr, SparseFormat::Sell] {
-            let opts = SolveOptions::default().with_format(format);
+            let opts = SolveOptions::from_env().with_format(format);
             let base = solve_batch(
                 &Method::Pcg,
                 &a,

@@ -28,9 +28,8 @@ fn killed_rank_process_is_healed_by_world_respawn() {
     let b = paper_rhs(&a);
     let m = spcg::precond::Jacobi::new(&a);
     let problem = Problem::try_new(&a, &m, &b).unwrap();
-    let opts = SolveOptions::builder()
-        .tol(1e-8)
-        .build()
+    let opts = SolveOptions::from_env()
+        .with_tol(1e-8)
         .with_backend(Backend::Proc)
         .with_threads(1)
         .with_faults(None);

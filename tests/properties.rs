@@ -197,7 +197,7 @@ fn partition_is_disjoint_cover() {
 #[test]
 fn pcg_solves_random_spd_to_tolerance() {
     use spcg::precond::Jacobi;
-    use spcg::solvers::{pcg, Problem, SolveOptions};
+    use spcg::solvers::{solve, Engine, Method, Problem, SolveOptions};
     use spcg::sparse::generators::paper_rhs;
     let mut rng = Rng64::seed_from_u64(0x5eed_0009);
     for case in 0..16 {
@@ -212,7 +212,8 @@ fn pcg_solves_random_spd_to_tolerance() {
         let b = paper_rhs(&a);
         let m = Jacobi::new(&a);
         let problem = Problem::new(&a, &m, &b);
-        let res = pcg(&problem, &SolveOptions::default().with_tol(1e-8));
+        let opts = SolveOptions::from_env().with_tol(1e-8);
+        let res = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
         assert!(res.converged(), "case {case} (seed {seed})");
         assert!(
             res.true_relative_residual(&a, &b) < 1e-6,
@@ -245,7 +246,7 @@ fn gs_solve_matches_cholesky_on_random_spd_systems() {
 #[test]
 fn capcg_gs_agrees_with_pcg_on_easy_random_problems() {
     use spcg::precond::Jacobi;
-    use spcg::solvers::{capcg_gs, pcg, Problem, SolveOptions};
+    use spcg::solvers::{solve, Engine, Method, Problem, SolveOptions};
     use spcg::sparse::generators::paper_rhs;
     let mut rng = Rng64::seed_from_u64(0x5eed_000c);
     for case in 0..8 {
@@ -261,10 +262,15 @@ fn capcg_gs_agrees_with_pcg_on_easy_random_problems() {
         let b = paper_rhs(&a);
         let m = Jacobi::new(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-7);
+        let opts = SolveOptions::from_env().with_tol(1e-7);
         let basis = spcg::solvers::chebyshev_basis(&problem, 15, 0.1);
-        let r1 = pcg(&problem, &opts);
-        let r2 = capcg_gs(&problem, s, &basis, &opts);
+        let r1 = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
+        let r2 = solve(
+            &Method::CaPcgGs { s, basis },
+            &problem,
+            &opts,
+            Engine::Serial,
+        );
         assert!(
             r1.converged() && r2.converged(),
             "case {case} (seed {seed}, s {s})"
@@ -287,7 +293,7 @@ fn capcg_gs_agrees_with_pcg_on_easy_random_problems() {
 #[test]
 fn ekcg_solves_random_spd_for_every_block_count() {
     use spcg::precond::Jacobi;
-    use spcg::solvers::{ekcg, Problem, SolveOptions};
+    use spcg::solvers::{solve, Engine, Method, Problem, SolveOptions};
     let mut rng = Rng64::seed_from_u64(0x5eed_000d);
     for case in 0..8 {
         let seed = rng.next_u64() % 50;
@@ -305,9 +311,9 @@ fn ekcg_solves_random_spd_for_every_block_count() {
             .collect();
         let m = Jacobi::new(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-7);
+        let opts = SolveOptions::from_env().with_tol(1e-7);
         for t in [1usize, 2, 4] {
-            let res = ekcg(&problem, t, &opts);
+            let res = solve(&Method::EkCg { t }, &problem, &opts, Engine::Serial);
             assert!(res.converged(), "case {case} (seed {seed}, t {t})");
             assert!(
                 res.true_relative_residual(&a, &b) < 1e-5,
@@ -320,7 +326,7 @@ fn ekcg_solves_random_spd_for_every_block_count() {
 #[test]
 fn spcg_agrees_with_pcg_on_easy_random_problems() {
     use spcg::precond::Jacobi;
-    use spcg::solvers::{pcg, spcg as run_spcg, Problem, SolveOptions};
+    use spcg::solvers::{solve, Engine, Method, Problem, SolveOptions};
     use spcg::sparse::generators::paper_rhs;
     let mut rng = Rng64::seed_from_u64(0x5eed_000a);
     for case in 0..12 {
@@ -336,10 +342,10 @@ fn spcg_agrees_with_pcg_on_easy_random_problems() {
         let b = paper_rhs(&a);
         let m = Jacobi::new(&a);
         let problem = Problem::new(&a, &m, &b);
-        let opts = SolveOptions::default().with_tol(1e-7);
+        let opts = SolveOptions::from_env().with_tol(1e-7);
         let basis = spcg::solvers::chebyshev_basis(&problem, 15, 0.1);
-        let r1 = pcg(&problem, &opts);
-        let r2 = run_spcg(&problem, s, &basis, &opts);
+        let r1 = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
+        let r2 = solve(&Method::SPcg { s, basis }, &problem, &opts, Engine::Serial);
         assert!(
             r1.converged() && r2.converged(),
             "case {case} (seed {seed}, s {s})"

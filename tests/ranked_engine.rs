@@ -38,7 +38,7 @@ fn all_methods(problem: &Problem<'_>) -> Vec<Method> {
 /// exact-equality and exact-count assertions stand down — convergence and
 /// residual quality are what a faulted run owes.
 fn faulted() -> bool {
-    spcg::dist::faults_armed()
+    SolveOptions::from_env().faults.is_some_and(|p| p.active())
 }
 
 fn assert_ranked_matches_serial(a: &CsrMatrix, opts: &SolveOptions, x_tol: f64) {
@@ -144,7 +144,9 @@ fn assert_iterate_sequence_matches(a: &CsrMatrix) {
     let b = paper_rhs(a);
     let m = Jacobi::new(a);
     let problem = Problem::new(a, &m, &b);
-    let opts = SolveOptions::builder().tol(1e-30).max_iters(2 * S).build();
+    let opts = SolveOptions::from_env()
+        .with_tol(1e-30)
+        .with_max_iters(2 * S);
     for method in all_methods(&problem) {
         let serial = solve(&method, &problem, &opts, Engine::Serial);
         for ranks in [1usize, 2, 4] {
@@ -169,7 +171,7 @@ fn assert_iterate_sequence_matches(a: &CsrMatrix) {
 #[test]
 fn ranked_matches_serial_on_poisson_2d() {
     let a = poisson_2d(12);
-    let opts = SolveOptions::builder().tol(1e-8).build();
+    let opts = SolveOptions::from_env().with_tol(1e-8);
     assert_ranked_matches_serial(&a, &opts, 1e-8);
     assert_iterate_sequence_matches(&a);
 }
@@ -179,7 +181,7 @@ fn all_methods_solve_poisson_3d_on_four_ranks() {
     // The acceptance scenario: every method solves a 3D Poisson system via
     // Engine::Ranked { ranks: 4 } with iterates matching serial execution.
     let a = poisson_3d(8);
-    let opts = SolveOptions::builder().tol(1e-8).build();
+    let opts = SolveOptions::from_env().with_tol(1e-8);
     assert_ranked_matches_serial(&a, &opts, 1e-8);
     assert_iterate_sequence_matches(&a);
 }
@@ -188,7 +190,7 @@ fn all_methods_solve_poisson_3d_on_four_ranks() {
 fn ranked_matches_serial_on_random_spd_property() {
     // Hand-rolled property test (no proptest in the tree): random SPD
     // systems across seeds and spectrum shapes, R ∈ {1, 2, 4}.
-    let opts = SolveOptions::builder().tol(1e-8).build();
+    let opts = SolveOptions::from_env().with_tol(1e-8);
     for (seed, kappa) in [(1u64, 50.0), (2, 200.0), (3, 80.0)] {
         let a = spd_with_spectrum(160, &SpectrumShape::Geometric { kappa }, 1.0, 3, seed);
         assert_ranked_matches_serial(&a, &opts, 1e-8);
@@ -209,10 +211,9 @@ fn spcg_collectives_are_one_per_s_block() {
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
     let basis = chebyshev_basis(&problem, 20, 0.05);
-    let opts = SolveOptions::builder()
-        .tol(1e-8)
-        .criterion(StoppingCriterion::PrecondMNorm)
-        .build();
+    let opts = SolveOptions::from_env()
+        .with_tol(1e-8)
+        .with_criterion(StoppingCriterion::PrecondMNorm);
     for s in [2usize, 5, 10] {
         let method = Method::SPcg {
             s,
@@ -239,10 +240,9 @@ fn s_step_methods_do_one_halo_exchange_per_block() {
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
     let basis = chebyshev_basis(&problem, 20, 0.05);
-    let opts = SolveOptions::builder()
-        .tol(1e-8)
-        .criterion(StoppingCriterion::PrecondMNorm)
-        .build();
+    let opts = SolveOptions::from_env()
+        .with_tol(1e-8)
+        .with_criterion(StoppingCriterion::PrecondMNorm);
 
     let pcg = solve(&Method::Pcg, &problem, &opts, Engine::Ranked { ranks: 4 });
     assert!(pcg.converged());
@@ -302,7 +302,7 @@ fn ranked_works_with_non_pointwise_preconditioners() {
     use std::sync::Arc;
     let a = Arc::new(poisson_2d(12));
     let b = paper_rhs(&a);
-    let opts = SolveOptions::builder().tol(1e-8).build();
+    let opts = SolveOptions::from_env().with_tol(1e-8);
     let preconds: Vec<Box<dyn Preconditioner>> = vec![
         Box::new(BlockJacobi::new(&a, 12)),
         Box::new(ChebyshevPrecond::from_matrix(Arc::clone(&a), 3, 30.0)),
@@ -333,7 +333,7 @@ fn problem_try_new_round_trips_through_solve() {
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::try_new(&a, &m, &b).expect("valid system");
-    let opts = SolveOptions::builder().tol(1e-8).build();
+    let opts = SolveOptions::from_env().with_tol(1e-8);
     let res = solve(&Method::Pcg, &problem, &opts, Engine::Ranked { ranks: 2 });
     assert!(res.converged());
 
@@ -392,10 +392,9 @@ fn ranked_solves_do_not_depend_on_the_matrix_zone_cache() {
     for format in [SparseFormat::Csr, SparseFormat::Sell] {
         for overlap in [true, false] {
             for backend in [Backend::Thread, Backend::Proc] {
-                let opts = SolveOptions::builder()
-                    .tol(1e-8)
-                    .keep_history(true)
-                    .build()
+                let opts = SolveOptions::from_env()
+                    .with_tol(1e-8)
+                    .with_history()
                     .with_threads(1)
                     .with_overlap(overlap)
                     .with_format(format)

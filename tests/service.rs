@@ -42,7 +42,8 @@ fn all_methods(problem: &Problem<'_>) -> Vec<Method> {
 
 fn engines() -> Vec<Engine> {
     let mut engines = vec![Engine::Serial, Engine::Ranked { ranks: 2 }];
-    if let Some(r) = spcg::solvers::env::parsed::<usize>("SPCG_RANKS") {
+    let extra = std::env::var("SPCG_RANKS").ok();
+    if let Some(r) = extra.and_then(|v| v.trim().parse().ok()) {
         let e = Engine::Ranked { ranks: r };
         if !engines.contains(&e) {
             engines.push(e);
@@ -92,7 +93,7 @@ fn k1_service_solve_is_bitwise_identical_to_plain_solve() {
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
     for format in [SparseFormat::Csr, SparseFormat::Sell] {
-        let opts = SolveOptions::default().with_format(format).with_history();
+        let opts = SolveOptions::from_env().with_format(format).with_history();
         for engine in engines() {
             for method in all_methods(&problem) {
                 let what = format!("{} {engine:?} {format:?}", method.name());
@@ -116,7 +117,7 @@ fn wide_batches_converge_and_match_standalone_solves() {
     let m = Jacobi::new(&a);
     let bs = rhs_family(&a, 4);
     for format in [SparseFormat::Csr, SparseFormat::Sell] {
-        let opts = SolveOptions::default().with_format(format).with_history();
+        let opts = SolveOptions::from_env().with_format(format).with_history();
         for method in [Method::Pcg, Method::SPcgMon { s: S }] {
             let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
             let batch = solve_batch(&method, &a, &m, &reqs, &opts, Engine::Serial);
@@ -142,6 +143,13 @@ fn fingerprint_cache_hits_and_misses() {
     let a = Arc::new(poisson_2d(10));
     let b = paper_rhs(&a);
     let spec = SolveSpec::new(Method::Pcg, Jacobi::new(&a).spec().unwrap());
+    // A resident service is configured by its caller, never by the
+    // environment the process happened to start in.
+    assert_eq!(
+        format!("{:?}", spec.opts),
+        format!("{:?}", SolveOptions::default())
+    );
+    let spec = spec.with_opts(SolveOptions::from_env());
     let svc = SolveService::new(ServiceConfig {
         max_batch: 8,
         cache_capacity: 8,
@@ -194,7 +202,7 @@ fn fingerprint_cache_hits_and_misses() {
 fn concurrent_submissions_reproduce_standalone_solves() {
     let a = Arc::new(poisson_2d(12));
     let m = Jacobi::new(&a);
-    let spec = SolveSpec::new(Method::Pcg, m.spec().unwrap());
+    let spec = SolveSpec::new(Method::Pcg, m.spec().unwrap()).with_opts(SolveOptions::from_env());
     let svc = Arc::new(SolveService::default());
     let bs = rhs_family(&a, 6);
     let expected: Vec<SolveResult> = bs
