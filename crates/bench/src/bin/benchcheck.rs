@@ -59,8 +59,8 @@
 //! * a service sweep (a file with `batch_widths`) must show
 //!   `gflops.batched_pcg` monotone non-decreasing from k = 1 to k = 8
 //!   (pairwise noise slack [`SERVICE_MONOTONE_SLACK`], strict end-to-end),
-//!   a width-1 batched solve within [`MAX_RATIO`]× of the plain `solve()`
-//!   baseline, and a cache-hit setup within [`SERVICE_MAX_HIT_RATIO`] of
+//!   a width-1 batched solve within [`SERVICE_K1_MAX_RATIO`]× of the plain
+//!   `solve()` it shares its body with, and a cache-hit setup within [`SERVICE_MAX_HIT_RATIO`] of
 //!   the cold-start solve. Batching exists to amortize the matrix stream;
 //!   a falling curve means the blocked path regressed into overhead.
 
@@ -118,6 +118,11 @@ const SERVICE_MONOTONE_SLACK: f64 = 0.9;
 /// looser because quick-mode grids shrink the cold solve far more than
 /// the (fixed-cost) fingerprint hash.
 const SERVICE_MAX_HIT_RATIO: f64 = 0.5;
+
+/// Largest width-1 `solve_batch` / plain `solve` time ratio. The two run one
+/// PCG body on one executor, so only timing noise separates them; 1.25 is
+/// the bound `BENCHMARK.json` puts on every end-to-end metric.
+const SERVICE_K1_MAX_RATIO: f64 = 1.25;
 
 /// Maximum adaptive-from-monomial iteration count as a multiple of the
 /// oracle fixed-Chebyshev count at the same κ. This is the paper-grade
@@ -400,8 +405,8 @@ fn check_allreduce_gate(base: &Value, fresh: &Value, errors: &mut Vec<String>) {
 /// `batch_widths` array): the batched GF/s curve must be monotone
 /// non-decreasing from k = 1 to k = 8 (batching amortizes the matrix
 /// stream — a falling curve means the blocked path turned into pure
-/// overhead), the width-1 batch must stay within [`MAX_RATIO`]× of the
-/// plain `solve()` baseline, and a cache hit must cost at most
+/// overhead), the width-1 batch must stay within [`SERVICE_K1_MAX_RATIO`]×
+/// of the plain `solve()` baseline, and a cache hit must cost at most
 /// [`SERVICE_MAX_HIT_RATIO`] of the cold-start solve.
 fn check_service_gate(fresh: &Value, errors: &mut Vec<String>) {
     let Some(widths) = num_array(fresh.get("batch_widths")) else {
@@ -443,10 +448,10 @@ fn check_service_gate(fresh: &Value, errors: &mut Vec<String>) {
         number(fresh.get("plain_solve_seconds")),
     ) {
         (Some(k1), Some(plain)) if plain > 0.0 => {
-            if !(k1 / plain <= MAX_RATIO) {
+            if !(k1 / plain <= SERVICE_K1_MAX_RATIO) {
                 errors.push(format!(
                     "$.batch_k1_seconds: width-1 batch {k1}s vs plain solve {plain}s exceeds \
-                     {MAX_RATIO}x"
+                     {SERVICE_K1_MAX_RATIO}x"
                 ));
             }
         }

@@ -146,33 +146,31 @@ impl Table1Check {
     }
 }
 
-/// Compares a solver's measured counters against the Table-1 formulas.
+/// Compares what a solver charges for **one full block of s steps** against
+/// the Table-1 formulas.
 ///
-/// `counters` must come from a solve with the *free* M-norm criterion so no
-/// criterion overhead is mixed in; `n` is the matrix dimension and
-/// `arbitrary_basis` selects which total to compare with. MV+precond counts
-/// are normalized per s steps = `2 · mv_and_precond / (2·outer)`-style via
-/// the recorded outer iterations.
+/// A solve's totals also hold its edge rounds — the first block carries half
+/// the dots and no `4s²` update, the closing check round no update at all —
+/// so the block is isolated by difference: `shorter` and `longer` are the
+/// counters of the same solve capped at `k·s` and `(k + 1)·s` iterations
+/// (`k ≥ 1`, both ending at the cap), whose edge rounds cancel. Both must use
+/// the *free* M-norm criterion so no criterion overhead is mixed in; `n` is
+/// the matrix dimension and `arbitrary_basis` selects which total to compare
+/// with.
 pub fn verify_against_counters(
     alg: Algorithm,
     s: u64,
     n: usize,
     arbitrary_basis: bool,
-    counters: &Counters,
+    shorter: &Counters,
+    longer: &Counters,
 ) -> Table1Check {
-    // Outer iterations include the final check-only Gram/MPK round for
-    // s-step methods; normalize by the actual count of rounds charged.
-    let rounds = if alg == Algorithm::Pcg {
-        (counters.outer_iterations as f64) / s as f64
-    } else {
-        counters.outer_iterations as f64 + 1.0
-    };
-    let per_round = |v: f64| v / rounds;
-    let mv = per_round((counters.spmv_count + counters.precond_count) as f64) / 2.0;
-    let dots = per_round(counters.dot_count as f64);
-    let vec_flops = per_round(
-        (counters.blas1_flops + counters.blas2_flops + counters.blas3_flops) as f64 / n as f64,
+    assert_eq!(
+        longer.iterations - shorter.iterations,
+        s,
+        "the two runs must differ by one block of s steps"
     );
+    let block = |f: fn(&Counters) -> u64| (f(longer) - f(shorter)) as f64;
     let formula_total = if arbitrary_basis {
         alg.total_arbitrary(s)
             .expect("algorithm supports only the monomial basis") as f64
@@ -180,11 +178,11 @@ pub fn verify_against_counters(
         alg.total_monomial(s) as f64
     };
     Table1Check {
-        measured_mv_precond: mv,
+        measured_mv_precond: block(|c| c.spmv_count + c.precond_count) / 2.0,
         formula_mv_precond: alg.mv_and_precond(s) as f64,
-        measured_reductions: dots,
+        measured_reductions: block(|c| c.dot_count),
         formula_reductions: alg.local_reductions(s) as f64,
-        measured_vector_flops: vec_flops,
+        measured_vector_flops: block(|c| c.blas1_flops + c.blas2_flops + c.blas3_flops) / n as f64,
         formula_vector_flops: formula_total - alg.local_reductions(s) as f64,
     }
 }

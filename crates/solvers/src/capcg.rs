@@ -347,7 +347,7 @@ pub(crate) fn capcg_g<E: Exec>(
             gemv_concat_acc(&pk, &blk.p_mat, &blk.u_mat, &x_c, &mut x);
             gemv_concat(&pk, &blk.q_mat, &blk.r_mat, &r_c, &mut r);
             counters.blas2_flops += 2 * 2 * dim as u64 * nw;
-            let v = stop.criterion_value(exec, &x, &r, rho, &mut counters);
+            let v = stop.criterion_value(exec, None, &x, &r, rho, &mut counters);
             // The adaptive policy counts the completed inner steps (below);
             // the fixed one reports the block boundary its result carries.
             let at = iterations + if adapt.is_some() { step } else { 0 };

@@ -24,7 +24,7 @@
 
 use crate::blockops::{gemv_concat, gram_concat, quad_form};
 use crate::engine::{allreduce_gram, Exec};
-use crate::options::{Outcome, SolveOptions, SolveResult};
+use crate::options::{SolveOptions, SolveResult};
 use crate::stopping::StopState;
 use spcg_basis::cob::b_small;
 use spcg_basis::BasisType;
@@ -138,7 +138,7 @@ pub(crate) fn capcg3_g<E: Exec>(
             let nu = quad_form(&g_mat, &g_c, &d_c);
             if !(nu > 0.0) || !(mu > 0.0) || !nu.is_finite() || !mu.is_finite() {
                 // x, r, u are live full vectors; judge before failing.
-                let v = stop.criterion_value(exec, &x, &r, mu, &mut counters);
+                let v = stop.criterion_value(exec, None, &x, &r, mu, &mut counters);
                 break 'outer stop.resolve_breakdown(
                     iterations + j,
                     v,
@@ -146,14 +146,10 @@ pub(crate) fn capcg3_g<E: Exec>(
                 );
             }
             let gamma = mu / nu;
-            let rho = if iterations + j == 0 {
-                1.0
-            } else {
-                let denom = 1.0 - (gamma / gamma_prev) * (mu / mu_prev) * (1.0 / rho_prev);
-                if denom == 0.0 || !denom.is_finite() {
-                    break 'outer Outcome::Breakdown(format!("rho denominator {denom}"));
-                }
-                1.0 / denom
+            let prev = (gamma_prev, mu_prev, rho_prev);
+            let rho = match crate::pcg3::rho_step(iterations + j == 0, gamma, mu, prev) {
+                Ok(rho) => rho,
+                Err(outcome) => break 'outer outcome,
             };
 
             drop(scalar_span);
@@ -239,7 +235,7 @@ fn build_d_operator(s: usize, gamma_hist: &[f64], rho_hist: &[f64], b_w: &DenseM
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{Problem, StoppingCriterion};
+    use crate::options::{Outcome, Problem, StoppingCriterion};
     use crate::{solve, Engine::Serial, Method};
     use spcg_basis::ritz::estimate_spectrum;
     use spcg_precond::{Identity, Jacobi};

@@ -106,7 +106,7 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
         }
 
         // --- AZ = A·Z: one matrix stream, t columns ---
-        exec.spmm(&z_mat, &mut az_mat, &mut counters);
+        exec.spmm(&z_mat, &mut az_mat, std::slice::from_mut(&mut counters));
         for _ in 0..t {
             counters.record_spmv(exec.spmv_flops());
         }
@@ -179,7 +179,7 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
             // Every direction fell below the pivot threshold: the block has
             // no usable curvature left. Judge by the criterion first, the
             // same way PCG treats vanished pᵀAp.
-            let v = stop.criterion_value(exec, &x, &r, rtu, &mut counters);
+            let v = stop.criterion_value(exec, None, &x, &r, rtu, &mut counters);
             break stop.resolve_breakdown(
                 iterations,
                 v,

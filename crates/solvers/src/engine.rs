@@ -131,16 +131,20 @@ pub(crate) trait Exec {
     fn row_offset(&self) -> usize {
         0
     }
-    /// `Y ← A·X` column by column. The contract is per-column bitwise
-    /// equality with [`Exec::spmv`]; serial execution overrides the default
-    /// loop with the interleaved-operand SpMM kernel, whose columns are
-    /// documented bitwise equal to the single-vector kernels, so the
-    /// override is unobservable in results.
-    fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, counters: &mut Counters) {
-        let mut yc = vec![0.0; self.nl()];
+    /// The local block of the preconditioner's weights when `M⁻¹` is a
+    /// pointwise scaling (`z[i] = w[i]·r[i]`: Jacobi, identity), else
+    /// `None`. What lets a body fuse the apply into a vector sweep.
+    fn pointwise(&self) -> Option<&[f64]>;
+    /// `Y ← A·X`: per column bitwise equal to [`Exec::spmv`], column `j`'s
+    /// halo traffic charged to `counters[j]` (or all of it to a lone entry).
+    /// This default *is* the `spmv` loop; serial execution overrides it with
+    /// the interleaved-operand SpMM kernel, whose columns are documented
+    /// bitwise equal to the single-vector kernels — unobservable in results.
+    fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, counters: &mut [Counters]) {
+        let shared = counters.len() == 1;
         for j in 0..x.k() {
-            self.spmv(x.col(j), &mut yc, counters);
-            y.col_mut(j).copy_from_slice(&yc);
+            let cj = &mut counters[if shared { 0 } else { j }];
+            self.spmv(x.col(j), y.col_mut(j), cj);
         }
     }
 }
@@ -258,7 +262,17 @@ impl Exec for SerialExec<'_> {
     fn track(&self) -> Option<&Track> {
         self.track.as_ref()
     }
-    fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, _counters: &mut Counters) {
+    fn pointwise(&self) -> Option<&[f64]> {
+        match self.m.dist_form() {
+            DistForm::Pointwise(w) => Some(w),
+            _ => None,
+        }
+    }
+    fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, counters: &mut [Counters]) {
+        if x.k() == 1 {
+            // One column is a plain SpMV: same kernel, same span.
+            return self.spmv(x.col(0), y.col_mut(0), &mut counters[0]);
+        }
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmm);
         self.pk.spmm_on(self.op(), x, y);
     }
@@ -674,6 +688,13 @@ impl Exec for RankExec<'_> {
     fn track(&self) -> Option<&Track> {
         self.track.as_ref()
     }
+
+    fn pointwise(&self) -> Option<&[f64]> {
+        match self.m.dist_form() {
+            DistForm::Pointwise(w) => Some(&w[self.lo..self.hi]),
+            _ => None,
+        }
+    }
 }
 
 /// How one solve is laid over `ranks` ranks, whichever backend runs them:
@@ -810,7 +831,9 @@ pub(crate) fn dispatch<E: Exec>(method: &Method, exec: &mut E, opts: &SolveOptio
     use crate::capcg::{capcg_g, BlockPolicy};
     use crate::sstep::{sstep_g, GramForm, GramSolve};
     match method {
-        Method::Pcg => crate::pcg::pcg_g(exec, opts),
+        // EkCG with one block is plain PCG: the same body, so the degenerate
+        // case is bitwise identical to `Method::Pcg`, not merely equivalent.
+        Method::Pcg | Method::EkCg { t: 1 } => crate::pcg::pcg_own_rhs(exec, opts),
         Method::Pcg3 => crate::pcg3::pcg3_g(exec, opts),
         Method::SPcg { s, basis } => {
             sstep_g(exec, *s, GramForm::Direct(basis), GramSolve::Cholesky, opts)
@@ -826,9 +849,6 @@ pub(crate) fn dispatch<E: Exec>(method: &Method, exec: &mut E, opts: &SolveOptio
         Method::CaPcg { s, basis } => capcg_g(exec, *s, basis, BlockPolicy::Fixed, opts),
         Method::AdaptiveCaPcg { s, basis } => capcg_g(exec, *s, basis, BlockPolicy::Adaptive, opts),
         Method::CaPcg3 { s, basis } => crate::capcg3::capcg3_g(exec, *s, basis, opts),
-        // One block is plain PCG: the same body, so the degenerate case is
-        // bitwise identical to `Method::Pcg` rather than merely equivalent.
-        Method::EkCg { t: 1 } => crate::pcg::pcg_g(exec, opts),
         Method::EkCg { t } => crate::ekcg::ekcg_g(exec, *t, opts),
     }
 }

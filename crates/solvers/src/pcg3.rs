@@ -53,7 +53,7 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
     let mu0 = red[0];
     counters.record_dots(1, nw);
     counters.record_collective(1);
-    let v0 = stop.criterion_value(exec, &x, &r, mu0, &mut counters);
+    let v0 = stop.criterion_value(exec, None, &x, &r, mu0, &mut counters);
     let mut verdict = stop.check(0, v0);
 
     let mut iterations = 0usize;
@@ -78,20 +78,11 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
             );
         }
         let gamma = mu / nu;
-        let rho = if iterations == 0 {
-            1.0
-        } else {
-            let denom = 1.0 - (gamma / gamma_prev) * (mu / mu_prev) * (1.0 / rho_prev);
-            if denom == 0.0 || !denom.is_finite() {
-                return SolveResult::new(
-                    x,
-                    Outcome::Breakdown(format!("rho denominator {denom}")),
-                    iterations,
-                    stop.history,
-                    counters,
-                );
+        let rho = match rho_step(iterations == 0, gamma, mu, (gamma_prev, mu_prev, rho_prev)) {
+            Ok(rho) => rho,
+            Err(outcome) => {
+                return SolveResult::new(x, outcome, iterations, stop.history, counters)
             }
-            1.0 / denom
         };
 
         {
@@ -125,7 +116,7 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
         let rtu = red[0];
         counters.record_dots(1, nw);
         counters.piggyback_words(1);
-        let v = stop.criterion_value(exec, &x, &r, rtu, &mut counters);
+        let v = stop.criterion_value(exec, None, &x, &r, rtu, &mut counters);
         verdict = stop.check(iterations, v);
     }
 
@@ -136,6 +127,26 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
         stop.history,
         counters,
     )
+}
+
+/// The three-term recurrence's `ρ = 1 / (1 − (γ/γ₋)(μ/μ₋)(1/ρ₋))` from this
+/// step's `γ`, `μ` and the previous step's `(γ₋, μ₋, ρ₋)` — 1 on the first
+/// step. A zero or non-finite denominator is a breakdown. Shared by PCG3 and
+/// CA-PCG3.
+pub(crate) fn rho_step(
+    first: bool,
+    gamma: f64,
+    mu: f64,
+    (gamma_prev, mu_prev, rho_prev): (f64, f64, f64),
+) -> Result<f64, Outcome> {
+    if first {
+        return Ok(1.0);
+    }
+    let denom = 1.0 - (gamma / gamma_prev) * (mu / mu_prev) * (1.0 / rho_prev);
+    if denom == 0.0 || !denom.is_finite() {
+        return Err(Outcome::Breakdown(format!("rho denominator {denom}")));
+    }
+    Ok(1.0 / denom)
 }
 
 #[cfg(test)]

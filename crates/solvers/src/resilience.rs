@@ -209,7 +209,10 @@ impl<E: Exec> Exec for RhsOverride<'_, E> {
     fn row_offset(&self) -> usize {
         self.inner.row_offset()
     }
-    fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, counters: &mut Counters) {
+    fn pointwise(&self) -> Option<&[f64]> {
+        self.inner.pointwise()
+    }
+    fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, counters: &mut [Counters]) {
         self.inner.spmm(x, y, counters);
     }
 }

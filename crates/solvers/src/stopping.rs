@@ -3,6 +3,8 @@
 use crate::engine::Exec;
 use crate::options::{Outcome, SolveOptions, StoppingCriterion};
 use spcg_dist::Counters;
+use spcg_obs::Phase;
+use spcg_sparse::MultiVector;
 
 /// Verdict of one convergence check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,57 +109,60 @@ impl StopState {
         }
     }
 
-    /// Evaluates the stopping-criterion value for the current state,
-    /// charging the instrumentation for whatever the chosen criterion costs:
+    /// Evaluates the stopping-criterion value of the iterate `x` (residual
+    /// `r`, `rtu = rᵀM⁻¹r`) against the right-hand side `b` (`None`: the
+    /// substrate's own), charging the instrumentation for whatever the
+    /// chosen criterion costs:
     ///
     /// * true residual — one extra SpMV, one dot, one piggybacked word;
     /// * recursive 2-norm — one dot, one piggybacked word;
-    /// * M-norm — free (`rtu = rᵀM⁻¹r` is already reduced by every solver).
+    /// * M-norm — free (`rtu` is already reduced by every solver).
     ///
-    /// `x` and `r` are the local blocks of the execution substrate; the dots
-    /// combine local partials through the substrate's allreduce (serially
-    /// the identity, so serial values are unchanged bitwise).
+    /// `b`, `x` and `r` are the local blocks of the execution substrate; the
+    /// dots combine local partials through the substrate's allreduce
+    /// (serially the identity, so serial values are unchanged bitwise).
     pub(crate) fn criterion_value<E: Exec>(
         &mut self,
         exec: &mut E,
+        b: Option<&[f64]>,
         x: &[f64],
         r: &[f64],
         rtu: f64,
         counters: &mut Counters,
     ) -> f64 {
-        let nl = exec.nl();
-        let nw = exec.n_global();
-        match self.criterion {
-            StoppingCriterion::TrueResidual2Norm => {
-                self.scratch.resize(nl, 0.0);
-                exec.spmv(x, &mut self.scratch, counters);
-                counters.record_spmv(exec.spmv_flops());
-                let mut acc = 0.0;
-                let b = exec.b_local();
-                for i in 0..nl {
-                    let d = b[i] - self.scratch[i];
-                    acc += d * d;
-                }
-                counters.record_dots(1, nw);
-                counters.blas1_flops += nw;
-                counters.piggyback_words(1);
-                let mut red = [acc];
-                exec.allreduce(&mut red);
-                red[0].sqrt()
-            }
-            StoppingCriterion::RecursiveResidual2Norm => {
-                counters.record_dots(1, nw);
-                counters.piggyback_words(1);
-                let mut red = [exec.dot(r, r)];
-                exec.allreduce(&mut red);
-                red[0].sqrt()
-            }
-            StoppingCriterion::PrecondMNorm => {
-                // rtu can dip (tiny) negative in finite precision near
-                // convergence; clamp so the sqrt stays defined.
-                rtu.max(0.0).sqrt()
-            }
+        if self.criterion == StoppingCriterion::TrueResidual2Norm {
+            self.scratch.resize(exec.nl(), 0.0);
+            exec.spmv(x, &mut self.scratch, counters);
         }
+        column_value(self.criterion, exec, b, &self.scratch, r, rtu, counters)
+    }
+
+    /// The criterion of `k` columns at once: column `j` of `xm`/`rm` with
+    /// `rtus[j]` is judged against `bs[j]` and charged to `counters[j]`.
+    /// Per column the value and the charges are exactly those of
+    /// [`StopState::criterion_value`]; the true residual's `k` products
+    /// are one [`Exec::spmm`] into `scr` (any `n × k` scratch), so the batch
+    /// still streams the matrix once.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn criterion_values<E: Exec>(
+        criterion: StoppingCriterion,
+        exec: &mut E,
+        bs: &[&[f64]],
+        xm: &MultiVector,
+        rm: &MultiVector,
+        rtus: &[f64],
+        scr: &mut MultiVector,
+        counters: &mut [Counters],
+    ) -> Vec<f64> {
+        if criterion == StoppingCriterion::TrueResidual2Norm {
+            exec.spmm(xm, scr, counters);
+        }
+        (0..bs.len())
+            .map(|j| {
+                let (ax, r, ctr) = (scr.col(j), rm.col(j), &mut counters[j]);
+                column_value(criterion, exec, Some(bs[j]), ax, r, rtus[j], ctr)
+            })
+            .collect()
     }
 
     /// The check every blocked body makes at a block boundary: evaluates the
@@ -173,13 +178,57 @@ impl StopState {
         rtu: f64,
         counters: &mut Counters,
     ) -> Result<f64, Outcome> {
-        let value = self.criterion_value(exec, x, r, rtu, counters);
+        let value = self.criterion_value(exec, None, x, r, rtu, counters);
         match self.check(iterations, value) {
             Verdict::Continue if iterations >= self.max_iters => Err(Outcome::MaxIterations),
             Verdict::Continue => Ok(value),
             verdict => Err(StopState::outcome(verdict)),
         }
     }
+}
+
+/// The criterion value of one column — the one place a
+/// [`StoppingCriterion`] is evaluated. `ax = A·x` is read by the true
+/// residual only (whose caller formed it); `b = None` judges against the
+/// substrate's own right-hand side.
+fn column_value<E: Exec>(
+    criterion: StoppingCriterion,
+    exec: &mut E,
+    b: Option<&[f64]>,
+    ax: &[f64],
+    r: &[f64],
+    rtu: f64,
+    counters: &mut Counters,
+) -> f64 {
+    let true_residual = match criterion {
+        // rtu can dip (tiny) negative in finite precision near
+        // convergence; clamp so the sqrt stays defined. Not `f64::max`,
+        // which would turn a NaN into 0 — "converged".
+        StoppingCriterion::PrecondMNorm => return if rtu <= 0.0 { 0.0 } else { rtu.sqrt() },
+        StoppingCriterion::TrueResidual2Norm => true,
+        StoppingCriterion::RecursiveResidual2Norm => false,
+    };
+    let nw = exec.n_global();
+    let tr = exec.track().cloned();
+    let _g = spcg_obs::span(tr.as_ref(), Phase::Gram);
+    counters.record_dots(1, nw);
+    counters.piggyback_words(1);
+    let local = if true_residual {
+        counters.record_spmv(exec.spmv_flops());
+        counters.blas1_flops += nw;
+        let b = b.unwrap_or_else(|| exec.b_local());
+        let mut acc = 0.0;
+        for i in 0..b.len() {
+            let d = b[i] - ax[i];
+            acc += d * d;
+        }
+        acc
+    } else {
+        exec.dot(r, r)
+    };
+    let mut red = [local];
+    exec.allreduce(&mut red);
+    red[0].sqrt()
 }
 
 #[cfg(test)]
@@ -249,5 +298,67 @@ mod tests {
         s.check(0, 2.0);
         s.check(5, 1.0);
         assert_eq!(s.history, vec![(0, 2.0), (5, 1.0)]);
+    }
+
+    /// `criterion_values` against `k` single-column `criterion_value` calls
+    /// on the same data: value bits and `Counters`, per column and criterion.
+    fn k_columns_match_single_columns<E: Exec>(exec: &mut E) {
+        let (n, lo) = (exec.nl(), exec.row_offset());
+        let cols = |salt: f64| -> Vec<Vec<f64>> {
+            let entry = |i: usize, j: usize| ((i * (j + 3)) % 17) as f64 * salt - 0.4 * j as f64;
+            (0..3)
+                .map(|j| (lo..lo + n).map(|i| entry(i, j)).collect())
+                .collect()
+        };
+        let (bs, xs, rs) = (cols(0.25), cols(0.01), cols(0.5));
+        let (xm, rm) = (
+            MultiVector::from_columns(&xs),
+            MultiVector::from_columns(&rs),
+        );
+        let b_refs: Vec<&[f64]> = bs.iter().map(Vec::as_slice).collect();
+        let rtus = [2.5, 0.0, -1e-20];
+        for criterion in [
+            StoppingCriterion::TrueResidual2Norm,
+            StoppingCriterion::RecursiveResidual2Norm,
+            StoppingCriterion::PrecondMNorm,
+        ] {
+            let mut scr = MultiVector::zeros(n, 3);
+            let mut wide = vec![Counters::new(); 3];
+            let values = StopState::criterion_values(
+                criterion, exec, &b_refs, &xm, &rm, &rtus, &mut scr, &mut wide,
+            );
+            let mut stop = StopState::new(&SolveOptions::from_env().with_criterion(criterion));
+            for j in 0..3 {
+                let mut one = Counters::new();
+                let (b, x, r) = (Some(&bs[j][..]), &xs[j], &rs[j]);
+                let v = stop.criterion_value(exec, b, x, r, rtus[j], &mut one);
+                assert_eq!(values[j].to_bits(), v.to_bits(), "{criterion:?} column {j}");
+                assert_eq!(wide[j], one, "{criterion:?} column {j} counters");
+            }
+        }
+    }
+
+    #[test]
+    fn k_column_criterion_is_the_single_column_criterion_per_column() {
+        use crate::engine::{RankExec, Ranking, SerialExec};
+        use spcg_dist::{executor::run_ranks_in, ThreadBoard, ThreadComm};
+
+        let a = spcg_sparse::generators::poisson::poisson_2d(9);
+        let m = spcg_precond::Jacobi::new(&a);
+        let b = spcg_sparse::generators::paper_rhs(&a);
+        let problem = crate::options::Problem::new(&a, &m, &b);
+        // No fault plan: it would poison the two forms' exchanges at
+        // different sequence numbers.
+        let opts = SolveOptions::from_env().with_faults(None);
+        k_columns_match_single_columns(&mut SerialExec::new(&problem, &opts));
+        let world = Ranking::new(a.nrows(), 2, &opts).world();
+        run_ranks_in(&world.group, |comm: ThreadComm| {
+            let board =
+                |b: &spcg_dist::VectorBoard| Box::new(ThreadBoard::new(b.handle(), comm.clone()));
+            let (method, comm) = (crate::Method::Pcg, Box::new(comm.clone()));
+            let (b1, b2) = (board(&world.board), board(&world.board2));
+            let mut exec = RankExec::new(&problem, &method, &opts, comm, b1, b2, None, None);
+            k_columns_match_single_columns(&mut exec);
+        });
     }
 }

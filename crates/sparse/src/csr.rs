@@ -28,114 +28,6 @@ pub(crate) const SPMM_ROW_BLOCK: usize = 128;
 /// scratch copy of the whole operand.
 pub(crate) const SPMM_PANEL_ROWS: usize = 8192;
 
-/// A consumer of SpMM results: `put` receives each result as both the
-/// column-major flat index `i = j·nrows + r` (what the plain `write`
-/// closures use) and its `(row, column)` decomposition (so fused sinks
-/// never divide in the hot loop), and `block_done` fires after every
-/// `SPMM_ROW_BLOCK` row block so fused post-passes (the true-residual
-/// diff, the pᵀAp Gram fold) can touch the freshly produced slice while
-/// it is still cache-hot. Any `FnMut(usize, f64)` is a sink with a no-op
-/// `block_done`.
-pub(crate) trait SpmmSink {
-    fn put(&mut self, i: usize, r: usize, j: usize, v: f64);
-    fn block_done(&mut self, _lo: usize, _hi: usize) {}
-}
-
-impl<F: FnMut(usize, f64)> SpmmSink for F {
-    #[inline(always)]
-    fn put(&mut self, i: usize, _r: usize, _j: usize, v: f64) {
-        self(i, v)
-    }
-}
-
-/// Sink of [`CsrMatrix::spmm_residual_sq`]: stages each row block of the
-/// product in a `SPMM_ROW_BLOCK``×k` buffer (a few KB, L1-resident) and
-/// folds it straight into the per-column `Σ (b − A·x)²` accumulators —
-/// the product itself never reaches memory, which matters because the
-/// criterion's `A·x` is dead the moment it is diffed. Per column the diff
-/// visits rows `0..nrows` ascending with `acc += d·d`, exactly the serial
-/// pass over a stored product, so the accumulators are bitwise
-/// independent of both the blocking and the skipped store.
-struct CritSink<'a> {
-    bs: &'a [&'a [f64]],
-    /// `SPMM_ROW_BLOCK × k` staging tile, row-major like the pack.
-    buf: Vec<f64>,
-    acc: Vec<f64>,
-    k: usize,
-}
-
-impl SpmmSink for CritSink<'_> {
-    #[inline(always)]
-    fn put(&mut self, _i: usize, r: usize, j: usize, v: f64) {
-        self.buf[(r & (SPMM_ROW_BLOCK - 1)) * self.k + j] = v;
-    }
-
-    fn block_done(&mut self, lo: usize, hi: usize) {
-        for (j, a) in self.acc.iter_mut().enumerate() {
-            let b = self.bs[j];
-            let mut s = *a;
-            for r in lo..hi {
-                let d = b[r] - self.buf[(r & (SPMM_ROW_BLOCK - 1)) * self.k + j];
-                s += d * d;
-            }
-            *a = s;
-        }
-    }
-}
-
-/// Sink of [`CsrMatrix::spmm_dot`]: stores the product `Y = A·X` and folds
-/// each row block into per-column `xᵀ·(A·x)` Gram accumulators while the
-/// block is hot. The fold replicates [`crate::blas::dot`]'s fixed shape
-/// exactly — four accumulator lanes by `index mod 4` within each
-/// [`REDUCE_BLOCK`]-aligned block (plus the serial tail of a final short
-/// block), lanes combined `(a₀+a₁)+(a₂+a₃)+tail` into one partial per
-/// block, partials combined by [`crate::blas::pairwise_sum`] — so the
-/// returned dots are bitwise equal to `blas::dot(x_j, y_j)` on the
-/// finished columns. Row blocks and panels are multiples of
-/// [`REDUCE_BLOCK`] apart, so a reduce block never straddles `block_done`
-/// calls.
-struct DotSink<'a> {
-    data: &'a mut [f64],
-    xs: Vec<&'a [f64]>,
-    /// Live lane accumulators `[a₀..a₃, tail]` of the current reduce
-    /// block, per column.
-    lanes: Vec<[f64; 5]>,
-    /// Finished per-reduce-block partials, per column.
-    partials: Vec<Vec<f64>>,
-    ld: usize,
-    n: usize,
-}
-
-impl SpmmSink for DotSink<'_> {
-    #[inline(always)]
-    fn put(&mut self, i: usize, _r: usize, _j: usize, v: f64) {
-        self.data[i] = v;
-    }
-
-    fn block_done(&mut self, lo: usize, hi: usize) {
-        let rb_lo = lo / crate::blas::REDUCE_BLOCK * crate::blas::REDUCE_BLOCK;
-        let rb_len = crate::blas::REDUCE_BLOCK.min(self.n - rb_lo);
-        let q4 = rb_len / 4 * 4;
-        for (j, xj) in self.xs.iter().enumerate() {
-            let yj = &self.data[j * self.ld..][..self.ld];
-            let lanes = &mut self.lanes[j];
-            for r in lo..hi {
-                let l = r - rb_lo;
-                let p = xj[r] * yj[r];
-                if l < q4 {
-                    lanes[l & 3] += p;
-                } else {
-                    lanes[4] += p;
-                }
-            }
-            if hi == rb_lo + rb_len {
-                self.partials[j].push((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + lanes[4]);
-                *lanes = [0.0; 5];
-            }
-        }
-    }
-}
-
 /// Stored column-index widths the SpMM kernels can stream: the native
 /// `usize` array or the packed `u32` copy from [`CsrMatrix::cols_u32`].
 /// The conversion back to `usize` is free; the win is the halved bytes
@@ -474,87 +366,6 @@ impl CsrMatrix {
         self.spmm_rows_into(0, self.nrows, x, &mut |i, v| data[i] = v);
     }
 
-    /// Per column `j`, the true-residual accumulation
-    /// `Σ_i (bs[j][i] − (A·X)_j[i])²` with the product `A·X` never stored:
-    /// each `SPMM_ROW_BLOCK` row block is staged in an L1-resident tile
-    /// and diffed immediately (see `CritSink`), so the criterion costs
-    /// one matrix stream and one read of `bs` — no `n·k` scratch write,
-    /// no re-read. Per column the accumulation visits rows `0..nrows` in
-    /// order with `acc += d·d`, exactly the serial diff loop over a
-    /// finished product, so the result is bitwise identical to
-    /// [`CsrMatrix::spmm`] into scratch followed by a separate pass.
-    ///
-    /// # Panics
-    /// Panics on any dimension mismatch.
-    pub fn spmm_residual_sq(&self, x: &MultiVector, bs: &[&[f64]]) -> Vec<f64> {
-        assert_eq!(x.n(), self.ncols, "spmm: x row mismatch");
-        assert_eq!(bs.len(), x.k(), "spmm_residual_sq: rhs count mismatch");
-        for b in bs {
-            assert_eq!(b.len(), self.nrows, "spmm_residual_sq: rhs length mismatch");
-        }
-        let k = x.k();
-        let mut sink = CritSink {
-            bs,
-            buf: vec![0.0; SPMM_ROW_BLOCK * k],
-            acc: vec![0.0; k],
-            k,
-        };
-        if k == 1 {
-            // Width 1 runs the direct SpMV loop into the staging tile —
-            // no interleaved pack to amortize.
-            let mut blk = 0;
-            while blk < self.nrows {
-                let blk_end = (blk + SPMM_ROW_BLOCK).min(self.nrows);
-                self.spmm_rows_into(blk, blk_end, x, &mut sink);
-                sink.block_done(blk, blk_end);
-                blk = blk_end;
-            }
-        } else {
-            self.spmm_windowed(0, self.nrows, x, &mut sink);
-        }
-        sink.acc
-    }
-
-    /// `Y ← A·X` plus, per column `j`, the Gram value `xⱼᵀ·(A·x)ⱼ` folded
-    /// in while each row block of the product is cache-hot (see
-    /// `DotSink`) — the pᵀAp inner product of a CG iteration without
-    /// re-streaming either vector. The returned dots are bitwise equal to
-    /// `blas::dot(x.col(j), y.col(j))` run on the finished product.
-    ///
-    /// # Panics
-    /// Panics on any dimension mismatch or if the matrix is not square
-    /// (the Gram fold pairs operand and product rows one-to-one).
-    pub fn spmm_dot(&self, x: &MultiVector, y: &mut MultiVector) -> Vec<f64> {
-        assert_eq!(self.nrows, self.ncols, "spmm_dot: matrix must be square");
-        assert_eq!(x.n(), self.ncols, "spmm: x row mismatch");
-        assert_eq!(y.n(), self.nrows, "spmm: y row mismatch");
-        assert_eq!(x.k(), y.k(), "spmm: column count mismatch");
-        let (k, nrows) = (x.k(), self.nrows);
-        let mut sink = DotSink {
-            data: y.data_mut(),
-            xs: (0..k).map(|j| x.col(j)).collect(),
-            lanes: vec![[0.0; 5]; k],
-            partials: vec![Vec::with_capacity(nrows.div_ceil(crate::blas::REDUCE_BLOCK)); k],
-            ld: nrows,
-            n: nrows,
-        };
-        if k == 1 {
-            let mut blk = 0;
-            while blk < nrows {
-                let blk_end = (blk + SPMM_ROW_BLOCK).min(nrows);
-                self.spmm_rows_into(blk, blk_end, x, &mut sink);
-                sink.block_done(blk, blk_end);
-                blk = blk_end;
-            }
-        } else {
-            self.spmm_windowed(0, nrows, x, &mut sink);
-        }
-        sink.partials
-            .iter_mut()
-            .map(|p| crate::blas::pairwise_sum(p))
-            .collect()
-    }
-
     /// Runs `f` with `x` repacked row-major (element `i·k + j` holds
     /// `x.col(j)[i]`) in a reused thread-local scratch buffer. The
     /// interleaved layout puts the `k` operand values of one matrix
@@ -594,12 +405,12 @@ impl CsrMatrix {
     /// the scalar gather loop carries several independent accumulator
     /// chains per matrix entry; per (row, column) the accumulation is
     /// the CSR entry order of [`CsrMatrix::spmv`].
-    pub(crate) fn spmm_rows_into<S: SpmmSink>(
+    pub(crate) fn spmm_rows_into<W: FnMut(usize, f64)>(
         &self,
         row_begin: usize,
         row_end: usize,
         x: &MultiVector,
-        write: &mut S,
+        write: &mut W,
     ) {
         let k = x.k();
         if k == 1 {
@@ -612,7 +423,7 @@ impl CsrMatrix {
                 for e in lo..hi {
                     acc += self.values[e] * xj[self.col_idx[e]];
                 }
-                write.put(r, r, 0, acc);
+                write(r, acc);
             }
             return;
         }
@@ -624,13 +435,13 @@ impl CsrMatrix {
     /// row `i` of column `j`. Threaded callers repack once and hand every
     /// chunk the same buffer. Results go to `write(j·nrows + r, acc)`
     /// exactly like [`CsrMatrix::spmm_rows_into`].
-    pub(crate) fn spmm_rows_interleaved<S: SpmmSink>(
+    pub(crate) fn spmm_rows_interleaved<W: FnMut(usize, f64)>(
         &self,
         row_begin: usize,
         row_end: usize,
         xr: &[f64],
         k: usize,
-        write: &mut S,
+        write: &mut W,
     ) {
         assert!(xr.len() >= self.ncols * k, "spmm: operand too short");
         self.ensure_cols_bounded();
@@ -649,7 +460,7 @@ impl CsrMatrix {
     /// so a full pack passes `off = 0` and the windowed pack passes
     /// `reach.lo · k` with `xr` holding only rows `[reach.lo, reach.hi)`.
     #[allow(clippy::too_many_arguments)]
-    fn spmm_ladder<I: ColIndex, S: SpmmSink>(
+    fn spmm_ladder<I: ColIndex, W: FnMut(usize, f64)>(
         &self,
         row_begin: usize,
         row_end: usize,
@@ -657,7 +468,7 @@ impl CsrMatrix {
         xr: &[f64],
         k: usize,
         off: usize,
-        write: &mut S,
+        write: &mut W,
     ) {
         debug_assert_eq!(cols.len(), self.values.len());
         let simd = crate::sell::simd_ok();
@@ -669,19 +480,19 @@ impl CsrMatrix {
             // of operand per matrix entry and measures ~25% slower than
             // two 8-wide passes over the (cached) row block.
             while j + 8 <= k {
-                self.group_dispatch::<8, I, S>(simd, blk, blk_end, cols, xr, k, j, off, write);
+                self.group_dispatch::<8, I, W>(simd, blk, blk_end, cols, xr, k, j, off, write);
                 j += 8;
             }
             if j + 4 <= k {
-                self.group_dispatch::<4, I, S>(simd, blk, blk_end, cols, xr, k, j, off, write);
+                self.group_dispatch::<4, I, W>(simd, blk, blk_end, cols, xr, k, j, off, write);
                 j += 4;
             }
             if j + 2 <= k {
-                self.spmm_rows_group::<2, I, S>(blk, blk_end, cols, xr, k, j, off, write);
+                self.spmm_rows_group::<2, I, W>(blk, blk_end, cols, xr, k, j, off, write);
                 j += 2;
             }
             if j < k {
-                self.spmm_rows_group::<1, I, S>(blk, blk_end, cols, xr, k, j, off, write);
+                self.spmm_rows_group::<1, I, W>(blk, blk_end, cols, xr, k, j, off, write);
             }
             blk = blk_end;
         }
@@ -694,7 +505,7 @@ impl CsrMatrix {
     #[allow(unused_variables)]
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn group_dispatch<const G: usize, I: ColIndex, S: SpmmSink>(
+    fn group_dispatch<const G: usize, I: ColIndex, W: FnMut(usize, f64)>(
         &self,
         simd: bool,
         row_begin: usize,
@@ -704,20 +515,20 @@ impl CsrMatrix {
         k: usize,
         j0: usize,
         off: usize,
-        write: &mut S,
+        write: &mut W,
     ) {
         #[cfg(target_arch = "x86_64")]
         if simd {
             // Safety: AVX2 presence was just checked; the operand/index
             // bounds contract is `spmm_rows_interleaved`'s.
             unsafe {
-                self.spmm_rows_group_avx2::<G, I, S>(
+                self.spmm_rows_group_avx2::<G, I, W>(
                     row_begin, row_end, cols, xr, k, j0, off, write,
                 )
             };
             return;
         }
-        self.spmm_rows_group::<G, I, S>(row_begin, row_end, cols, xr, k, j0, off, write);
+        self.spmm_rows_group::<G, I, W>(row_begin, row_end, cols, xr, k, j0, off, write);
     }
 
     /// One group of `G` columns over a row range of the interleaved
@@ -737,7 +548,7 @@ impl CsrMatrix {
     /// windowed pack, `ncols·k` for a full one), with `j0 + G ≤ k`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn spmm_rows_group<const G: usize, I: ColIndex, S: SpmmSink>(
+    fn spmm_rows_group<const G: usize, I: ColIndex, W: FnMut(usize, f64)>(
         &self,
         row_begin: usize,
         row_end: usize,
@@ -746,7 +557,7 @@ impl CsrMatrix {
         k: usize,
         j0: usize,
         off: usize,
-        write: &mut S,
+        write: &mut W,
     ) {
         let ld = self.nrows;
         for r in row_begin..row_end {
@@ -767,7 +578,7 @@ impl CsrMatrix {
                 }
             }
             for g in 0..G {
-                write.put((j0 + g) * ld + r, r, j0 + g, acc[g]);
+                write((j0 + g) * ld + r, acc[g]);
             }
         }
     }
@@ -788,7 +599,7 @@ impl CsrMatrix {
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    unsafe fn spmm_rows_group_avx2<const G: usize, I: ColIndex, S: SpmmSink>(
+    unsafe fn spmm_rows_group_avx2<const G: usize, I: ColIndex, W: FnMut(usize, f64)>(
         &self,
         row_begin: usize,
         row_end: usize,
@@ -797,7 +608,7 @@ impl CsrMatrix {
         k: usize,
         j0: usize,
         off: usize,
-        write: &mut S,
+        write: &mut W,
     ) {
         use std::arch::x86_64::*;
         const { assert!(G == 4 || G == 8 || G == 16) };
@@ -823,7 +634,7 @@ impl CsrMatrix {
                 _mm256_storeu_pd(out.as_mut_ptr().add(4 * q), acc[q]);
             }
             for g in 0..G {
-                write.put((j0 + g) * ld + r, r, j0 + g, out[g]);
+                write((j0 + g) * ld + r, out[g]);
             }
         }
     }
@@ -866,18 +677,16 @@ impl CsrMatrix {
     /// both inflated the resident set and doubled the operand traffic of
     /// the full pack) never exists. On matrices whose panel reaches would
     /// repack more than twice the operand (irregular structure), one full
-    /// pack is used instead. After every `SPMM_ROW_BLOCK` row block the
-    /// sink's `block_done` hook fires, enabling fused post-passes over the
-    /// still-hot output slice. The arithmetic per (row, column) is the
+    /// pack is used instead. The arithmetic per (row, column) is the
     /// ladder's regardless of windowing — packing changes addressing, not
     /// values — so results stay bitwise equal to [`CsrMatrix::spmv`] per
     /// column.
-    pub(crate) fn spmm_windowed<S: SpmmSink>(
+    pub(crate) fn spmm_windowed<W: FnMut(usize, f64)>(
         &self,
         row_begin: usize,
         row_end: usize,
         x: &MultiVector,
-        sink: &mut S,
+        write: &mut W,
     ) {
         let k = x.k();
         assert!(x.n() >= self.ncols, "spmm: x row mismatch");
@@ -912,15 +721,9 @@ impl CsrMatrix {
                     }
                 }
                 let off = clo * k;
-                let mut blk = r;
-                while blk < panel_end {
-                    let end = (blk + SPMM_ROW_BLOCK).min(panel_end);
-                    match &u32cols {
-                        Some(c) => self.spmm_ladder(blk, end, c, &buf, k, off, sink),
-                        None => self.spmm_ladder(blk, end, &self.col_idx, &buf, k, off, sink),
-                    }
-                    sink.block_done(blk, end);
-                    blk = end;
+                match &u32cols {
+                    Some(c) => self.spmm_ladder(r, panel_end, c, &buf, k, off, write),
+                    None => self.spmm_ladder(r, panel_end, &self.col_idx, &buf, k, off, write),
                 }
                 r = panel_end;
             }

@@ -12,8 +12,8 @@
 use spcg::precond::{Jacobi, Preconditioner};
 use spcg::service::{fingerprint, ServiceConfig, SolveService, SolveSpec, SolverHandle};
 use spcg::solvers::{
-    chebyshev_basis, solve, solve_batch, BatchRequest, Engine, Method, Problem, SolveOptions,
-    SolveResult,
+    chebyshev_basis, solve, solve_batch, BatchRequest, Engine, Method, Outcome, Problem,
+    SolveOptions, SolveResult, StoppingCriterion,
 };
 use spcg::sparse::generators::paper_rhs;
 use spcg::sparse::generators::poisson::poisson_2d;
@@ -131,6 +131,60 @@ fn wide_batches_converge_and_match_standalone_solves() {
                     batch[j].true_relative_residual(&a, b)
                 );
                 assert_bitwise(&batch[j], &plain, &what);
+            }
+        }
+    }
+}
+
+/// Hostile columns share a batch with ordinary ones: each freezes alone,
+/// with the outcome and iteration count of its own standalone solve, and
+/// leaves every other column bitwise intact.
+#[test]
+fn hostile_columns_freeze_alone() {
+    let g = 20;
+    let a = poisson_2d(g);
+    let m = Jacobi::new(&a);
+    // A sum of `q` eigenvectors of M⁻¹A: PCG is exact after `q` steps.
+    let modes = |q: usize| -> Vec<f64> {
+        let wave = |p: usize, i: usize| {
+            (std::f64::consts::PI * (p * (i + 1)) as f64 / (g + 1) as f64).sin()
+        };
+        (0..g * g)
+            .map(|i| (1..=q).map(|p| wave(p, i % g) * wave(p + 1, i / g)).sum())
+            .collect()
+    };
+    let mut nan = modes(2);
+    nan[7] = f64::NAN;
+    let bs = [vec![0.0; g * g], modes(2), nan, paper_rhs(&a), modes(3)];
+    let want = [
+        (Outcome::Converged, 0),
+        (Outcome::Converged, 2),
+        (Outcome::Diverged, 0),
+        (Outcome::MaxIterations, 6),
+        (Outcome::Converged, 3),
+    ];
+    let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
+    for criterion in [
+        StoppingCriterion::TrueResidual2Norm,
+        StoppingCriterion::RecursiveResidual2Norm,
+        StoppingCriterion::PrecondMNorm,
+    ] {
+        for format in [SparseFormat::Csr, SparseFormat::Sell] {
+            for threads in [1, 2] {
+                let opts = SolveOptions::from_env()
+                    .with_criterion(criterion)
+                    .with_format(format)
+                    .with_threads(threads)
+                    .with_max_iters(6)
+                    .with_history();
+                let batch = solve_batch(&Method::Pcg, &a, &m, &reqs, &opts, Engine::Serial);
+                for (j, res) in batch.iter().enumerate() {
+                    let what = format!("col {j} {criterion:?} {format:?} t{threads}");
+                    assert_eq!((res.outcome.clone(), res.iterations), want[j], "{what}");
+                    let problem = Problem::new(&a, &m, &bs[j]);
+                    let plain = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
+                    assert_bitwise(res, &plain, &what);
+                }
             }
         }
     }
