@@ -104,23 +104,9 @@ impl AdaptivePolicy {
         self
     }
 
-    /// Builder-style conditioning thresholds (grow < shrink < reject).
-    pub fn with_cond_thresholds(mut self, grow: f64, shrink: f64, reject: f64) -> Self {
-        self.cond_grow = grow;
-        self.cond_shrink = shrink.max(grow);
-        self.cond_reject = reject.max(self.cond_shrink);
-        self
-    }
-
     /// Builder-style growth hysteresis (≥ 1 healthy blocks before growing).
     pub fn with_grow_patience(mut self, patience: usize) -> Self {
         self.grow_patience = patience.max(1);
-        self
-    }
-
-    /// Builder-style Ritz drift tolerance for basis rebuilds.
-    pub fn with_drift_tol(mut self, drift_tol: f64) -> Self {
-        self.drift_tol = drift_tol.max(0.0);
         self
     }
 }
@@ -390,8 +376,6 @@ mod tests {
         let p = AdaptivePolicy::default().with_s_range(1, 0);
         assert_eq!(p.s_min, 2);
         assert_eq!(p.s_max, 2);
-        let p = AdaptivePolicy::default().with_cond_thresholds(1e6, 1e4, 1e2);
-        assert!(p.cond_grow <= p.cond_shrink && p.cond_shrink <= p.cond_reject);
         assert_eq!(
             AdaptivePolicy::default()
                 .with_grow_patience(0)

@@ -92,9 +92,10 @@ impl<'a> Mpk<'a> {
 
     /// Attaches a trace track: each basis column records an
     /// [`MpkLevel`](Phase) span with the SpMV and preconditioner apply
-    /// nested inside. Instrumentation only — results are unchanged. A
-    /// track forces the level-by-level path so the per-level spans stay
-    /// meaningful.
+    /// nested inside; a cache-fused sweep, which has no level boundaries in
+    /// time, records one `MpkLevel` span for the whole sweep.
+    /// Instrumentation only — the kernels that run and their results are
+    /// those of an untraced kernel.
     pub fn with_track(mut self, track: Option<Track>) -> Self {
         self.track = track;
         self
@@ -121,14 +122,14 @@ impl<'a> Mpk<'a> {
     }
 
     /// Whether a run with `v_cols` basis columns would take the cache-fused
-    /// sweep: SELL format selected, fusion enabled, no trace track, at
-    /// least two levels, a [`DistForm::Pointwise`] preconditioner, and a
-    /// level skew `(levels−1)·h` smaller than the window count.
+    /// sweep: SELL format selected, fusion enabled, at least two levels, a
+    /// [`DistForm::Pointwise`] preconditioner, and a level skew
+    /// `(levels−1)·h` smaller than the window count.
     pub fn fused_applicable(&self, v_cols: usize) -> bool {
         let Some(sell) = self.sell.as_deref() else {
             return false;
         };
-        if !self.fuse || self.track.is_some() || v_cols < 3 {
+        if !self.fuse || v_cols < 3 {
             return false;
         }
         if !matches!(self.m.dist_form(), DistForm::Pointwise(_)) {
@@ -211,6 +212,7 @@ impl<'a> Mpk<'a> {
         }
 
         if self.fused_applicable(v_cols) {
+            let _sweep = spcg_obs::span(self.track.as_ref(), Phase::MpkLevel);
             let sell = Arc::clone(self.sell.as_ref().unwrap());
             self.run_fused(&sell, params, v, mv, counters);
             return;

@@ -10,9 +10,8 @@
 //!   `allreduce_sum`). Exactly the MPI subset the s-step methods use: one
 //!   global reduction per s steps.
 //! * [`Exchange`] — the split-phase halo protocol (`post` /
-//!   `complete_into` / `complete_snapshot`) plus plan construction. An
-//!   implementation carries its own rank and transport state; callers
-//!   never pass a communicator into exchange calls.
+//!   `complete_into` / `complete_snapshot`) plus plan construction. Every
+//!   call names the rank making it by that rank's [`Comm`].
 //!
 //! Both traits are dyn-safe on purpose: the ranked engine holds
 //! `Box<dyn Comm>` and `Box<dyn Exchange>`, so a solve is generic over the
@@ -20,9 +19,8 @@
 //!
 //! Two backends exist ([`Backend`]):
 //!
-//! * [`Backend::Thread`] — [`ThreadComm`] + [`ThreadBoard`] (a
-//!   [`VectorBoard`] bound to one rank's communicator). In-process,
-//!   shared-memory, the default.
+//! * [`Backend::Thread`] — [`ThreadComm`] + a [`VectorBoard`] handle.
+//!   In-process, shared-memory, the default.
 //! * [`Backend::Proc`] — worker *processes* over Unix-domain sockets
 //!   (implemented in `spcg-solvers`, which owns the solver state a worker
 //!   must rebuild). A worker's [`Comm`] and [`Exchange`] send a frame and
@@ -94,21 +92,28 @@ impl Comm for ThreadComm {
 /// completion ([`Exchange::complete_into`] or
 /// [`Exchange::complete_snapshot`]) on every rank, rounds are sequenced by
 /// per-rank epochs, and a completion returns only whole published rounds.
-/// Implementations carry their own rank and transport handle.
+/// `comm` is the calling rank's communicator (a transport whose handle is
+/// already one rank's own may ignore it).
 pub trait Exchange {
     /// Posts this rank's chunk for the next round (the *send* side);
     /// returns without waiting for remote data. `track` wraps the call in
     /// an `ExchangePost` span when given.
-    fn post(&self, chunk: &[f64], track: Option<&Track>);
+    fn post(&self, comm: &dyn Comm, chunk: &[f64], track: Option<&Track>);
 
     /// Completes the posted round: waits for the plan's source ranks and
     /// gathers the plan's runs into `out` (in plan order). `track` wraps
     /// the call in an `ExchangeWait` span when given.
-    fn complete_into(&self, plan: &GatherPlan, out: &mut [f64], track: Option<&Track>);
+    fn complete_into(
+        &self,
+        comm: &dyn Comm,
+        plan: &GatherPlan,
+        out: &mut [f64],
+        track: Option<&Track>,
+    );
 
     /// Completes the posted round with a copy of the full assembled
     /// vector — the all-neighbour variant of the replicated fallbacks.
-    fn complete_snapshot(&self, track: Option<&Track>) -> Vec<f64>;
+    fn complete_snapshot(&self, comm: &dyn Comm, track: Option<&Track>) -> Vec<f64>;
 
     /// This board's partition offsets (length `nranks + 1`).
     fn offsets(&self) -> &[usize];
@@ -125,36 +130,28 @@ pub trait Exchange {
     }
 }
 
-/// The thread backend's [`Exchange`]: a [`VectorBoard`] handle bound to
-/// one rank's [`ThreadComm`].
-pub struct ThreadBoard {
-    board: VectorBoard,
-    comm: ThreadComm,
-}
-
-impl ThreadBoard {
-    /// Binds a board handle to `comm`'s rank.
-    pub fn new(board: VectorBoard, comm: ThreadComm) -> Self {
-        ThreadBoard { board, comm }
-    }
-}
-
-impl Exchange for ThreadBoard {
-    fn post(&self, chunk: &[f64], track: Option<&Track>) {
-        self.board.post_traced(&self.comm, chunk, track);
+/// The thread backend's [`Exchange`] is a [`VectorBoard`] handle itself.
+impl Exchange for VectorBoard {
+    fn post(&self, comm: &dyn Comm, chunk: &[f64], track: Option<&Track>) {
+        self.post_traced(comm, chunk, track);
     }
 
-    fn complete_into(&self, plan: &GatherPlan, out: &mut [f64], track: Option<&Track>) {
-        self.board
-            .complete_into_traced(&self.comm, plan, out, track);
+    fn complete_into(
+        &self,
+        comm: &dyn Comm,
+        plan: &GatherPlan,
+        out: &mut [f64],
+        track: Option<&Track>,
+    ) {
+        self.complete_into_traced(comm, plan, out, track);
     }
 
-    fn complete_snapshot(&self, track: Option<&Track>) -> Vec<f64> {
-        self.board.complete_snapshot_traced(&self.comm, track)
+    fn complete_snapshot(&self, comm: &dyn Comm, track: Option<&Track>) -> Vec<f64> {
+        self.complete_snapshot_traced(comm, track)
     }
 
     fn offsets(&self) -> &[usize] {
-        self.board.offsets()
+        VectorBoard::offsets(self)
     }
 }
 
@@ -222,14 +219,14 @@ mod tests {
         let board = VectorBoard::new(vec![0, 2, 4]);
         let handles: Vec<_> = (0..2)
             .map(|r| {
-                let ex: Box<dyn Exchange + Send> =
-                    Box::new(ThreadBoard::new(board.handle(), g.rank_comm(r)));
+                let ex: Box<dyn Exchange + Send> = Box::new(board.handle());
+                let comm = g.rank_comm(r);
                 std::thread::spawn(move || {
                     let plan = ex.plan(if r == 0 { &[2, 3] } else { &[0, 1] });
                     assert_eq!(ex.range(r), (2 * r, 2 * r + 2));
-                    ex.post(&[r as f64, r as f64], None);
+                    ex.post(&comm, &[r as f64, r as f64], None);
                     let mut halo = vec![0.0; 2];
-                    ex.complete_into(&plan, &mut halo, None);
+                    ex.complete_into(&comm, &plan, &mut halo, None);
                     halo
                 })
             })

@@ -210,20 +210,9 @@ impl Counters {
         self.local_reduction_flops + self.blas1_flops + self.blas2_flops + self.blas3_flops
     }
 
-    /// The paper's Table-1 normalization: remaining FLOPs divided by n.
-    pub fn remaining_flops_per_row(&self, n: usize) -> f64 {
-        self.remaining_vector_flops() as f64 / n as f64
-    }
-
     /// Total FLOPs of every class.
     pub fn total_flops(&self) -> u64 {
         self.spmv_flops + self.precond_flops + self.remaining_vector_flops() + self.small_flops
-    }
-
-    /// MV products plus preconditioner applications — the second column of
-    /// Table 1.
-    pub fn mv_plus_precond(&self) -> u64 {
-        self.spmv_count + self.precond_count
     }
 
     /// Every field as a flat JSON object — the `"counters"` block of the
@@ -262,15 +251,6 @@ mod tests {
         assert_eq!(b.allreduce_words, 21);
         assert_eq!(b.local_reduction_flops, 60);
         assert_eq!(b.remaining_vector_flops(), 67);
-        assert_eq!(b.mv_plus_precond(), 3);
-    }
-
-    #[test]
-    fn per_row_normalization() {
-        let mut c = Counters::new();
-        c.blas1_flops = 600;
-        c.local_reduction_flops = 200;
-        assert!((c.remaining_flops_per_row(100) - 8.0).abs() < 1e-12);
     }
 
     #[test]

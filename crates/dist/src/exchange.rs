@@ -179,11 +179,6 @@ impl GatherPlan {
         self.total
     }
 
-    /// Number of contiguous runs the indices compressed into.
-    pub fn n_runs(&self) -> usize {
-        self.runs.len()
-    }
-
     /// The plan's contiguous runs as `(first board index, words)`, in plan
     /// order — what a transport without shared memory asks its peer for.
     pub fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
@@ -630,12 +625,11 @@ mod tests {
         // neighbours, then the next layer out.
         let plan = board.plan(&[3, 8, 2, 9]);
         assert_eq!(plan.words(), 4);
-        assert_eq!(plan.n_runs(), 4); // 3 | 8 | 2 | 9 (order preserved)
+        assert_eq!(plan.runs().count(), 4); // 3 | 8 | 2 | 9 (order preserved)
         assert_eq!(plan.src_ranks(), &[0, 2]);
         // A sorted contiguous block compresses maximally and never crosses
         // the rank boundary at 8.
         let plan = board.plan(&[5, 6, 7, 8, 9]);
-        assert_eq!(plan.n_runs(), 2);
         assert_eq!(plan.runs().collect::<Vec<_>>(), vec![(5, 3), (8, 2)]);
         assert_eq!(plan.src_ranks(), &[1, 2]);
         assert!(!plan.is_empty());

@@ -24,7 +24,7 @@ pub mod fault;
 pub mod topology;
 pub mod wire;
 
-pub use backend::{Backend, Comm, Exchange, ThreadBoard};
+pub use backend::{Backend, Comm, Exchange};
 pub use comm::{Abort, Aborted, CommGroup, ThreadComm};
 pub use counters::Counters;
 pub use exchange::{GatherPlan, VectorBoard};

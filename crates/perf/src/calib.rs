@@ -154,16 +154,11 @@ impl Calibrator {
             samples: self.samples.len(),
         }
     }
-
-    /// [`Calibrator::fit_format`] with the default CSR format label.
-    pub fn fit(&self, backend: &str) -> Calibration {
-        self.fit_format(backend, "csr")
-    }
 }
 
 /// Ordinary least squares for `t = α + β·w`. With fewer than two distinct
 /// abscissae the slope is unidentifiable: the mean wait becomes α and β
-/// falls to the floor in [`Calibrator::fit`].
+/// falls to the floor in [`Calibrator::fit_format`].
 fn fit_affine(samples: &[CalibSample]) -> (f64, f64) {
     let n = samples.len() as f64;
     if samples.is_empty() {
@@ -288,7 +283,7 @@ mod tests {
         ];
         c.compute_seconds = 1.0;
         c.spmv_flops = 1.0e9;
-        let cal = c.fit("thread");
+        let cal = c.fit_format("thread", "csr");
         assert!(
             (cal.alpha - 0.1 * 1.0e-5).abs() < 1e-12,
             "alpha {}",
@@ -329,7 +324,7 @@ mod tests {
         let mut counters = Counters::new();
         counters.spmv_flops = 1_000_000;
         c.ingest(&tracer, &counters);
-        let cal = c.fit("thread");
+        let cal = c.fit_format("thread", "csr");
         assert_eq!(cal.samples, 0);
         assert!(cal.gamma > 1e4);
         cal.machine_params().validate();
@@ -343,17 +338,13 @@ mod tests {
         let cal = c.fit_format("proc", "sell");
         assert_eq!(cal.backend, "proc");
         assert_eq!(cal.format, "sell");
-        assert_eq!(c.fit("proc").format, "csr", "fit() defaults to csr");
-        assert_eq!(
-            cal.gamma,
-            c.fit("proc").gamma,
-            "label does not change the fit"
-        );
+        let other = c.fit_format("proc", "csr");
+        assert_eq!(cal.gamma, other.gamma, "label does not change the fit");
     }
 
     #[test]
     #[should_panic(expected = "no measurements")]
     fn fitting_nothing_panics() {
-        Calibrator::new().fit("thread");
+        Calibrator::new().fit_format("thread", "csr");
     }
 }

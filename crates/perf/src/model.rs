@@ -57,8 +57,9 @@ pub fn allreduce_time(machine: &MachineParams, topo: &MachineTopology, words: f6
 /// Converts a solve's counters into modeled time on `topo`.
 ///
 /// `halo_words_per_rank` is the average number of remote vector entries one
-/// rank consumes per SpMV under block-row partitioning (use
-/// `BlockRowPartition::halo_volume / nranks`, or the stencil closed form).
+/// rank consumes per SpMV under block-row partitioning (the sizes of
+/// `BlockRowPartition::halo_columns` averaged over ranks, or the stencil
+/// closed form).
 pub fn predict_time(
     counters: &Counters,
     machine: &MachineParams,

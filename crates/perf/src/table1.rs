@@ -105,17 +105,6 @@ impl Algorithm {
             _ => 1,
         }
     }
-
-    /// Words per collective (payload of the one reduction per s steps; for
-    /// PCG, per reduction).
-    pub fn collective_words(&self, s: u64) -> u64 {
-        match self {
-            Algorithm::Pcg => 1,
-            Algorithm::SPcgMon => 2 * s,
-            Algorithm::SPcg => 2 * s * (s + 1),
-            Algorithm::CaPcg | Algorithm::CaPcg3 => (2 * s + 1) * (2 * s + 1),
-        }
-    }
 }
 
 /// Discrepancy report from checking the formulas against measured counters.

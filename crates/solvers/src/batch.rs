@@ -82,10 +82,12 @@ pub fn solve_batch(
             })
             .collect();
     }
-    // Same dimension validation (and panic message) as a plain solve; the
-    // executor is the one `solve` builds, its own right-hand side unread.
-    let problems: Vec<Problem<'_>> = requests.iter().map(|r| Problem::new(a, m, r.b)).collect();
-    let mut exec = SerialExec::new(&problems[0], opts);
+    // Same dimension validation (and panic message) as a plain solve, on
+    // the executor `solve` builds.
+    for req in requests {
+        Problem::new(a, m, req.b);
+    }
+    let mut exec = SerialExec::new(a, m, opts);
     crate::pcg::pcg_g(&mut exec, requests, opts)
 }
 

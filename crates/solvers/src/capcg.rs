@@ -186,6 +186,7 @@ impl Adaptive {
 /// under [`BlockPolicy::Adaptive`] `s0` and `basis0` are starting values.
 pub(crate) fn capcg_g<E: Exec>(
     exec: &mut E,
+    b: &[f64],
     s0: usize,
     basis0: &BasisType,
     policy: BlockPolicy,
@@ -205,7 +206,7 @@ pub(crate) fn capcg_g<E: Exec>(
     };
 
     let mut x = vec![0.0; n];
-    let mut r = exec.b_local().to_vec();
+    let mut r = b.to_vec();
     let mut u = vec![0.0; n];
     exec.precond(&r, &mut u, &mut counters);
     counters.record_precond(exec.m_flops());
@@ -233,7 +234,7 @@ pub(crate) fn capcg_g<E: Exec>(
         let mut extra = Vec::new();
         if let Some(ad) = &adapt {
             extra.extend(consensus::pack(s, ad.last_rebuild));
-            extra.push(exec.dot(&r, &r));
+            extra.push(pk.dot(&r, &r));
         }
         counters.record_dots((dim * dim) as u64 + adapt.is_some() as u64, nw);
         counters.record_collective((dim * dim + extra.len()) as u64);
@@ -267,7 +268,7 @@ pub(crate) fn capcg_g<E: Exec>(
 
         // --- convergence check every s steps ---
         let rtu = g[(s + 1, s + 1)]; // uᵀr
-        let value = match stop.block_check(exec, iterations, &x, &r, rtu, &mut counters) {
+        let value = match stop.block_check(exec, b, iterations, &x, &r, rtu, &mut counters) {
             Ok(value) => value,
             Err(outcome) => break outcome,
         };
@@ -347,7 +348,7 @@ pub(crate) fn capcg_g<E: Exec>(
             gemv_concat_acc(&pk, &blk.p_mat, &blk.u_mat, &x_c, &mut x);
             gemv_concat(&pk, &blk.q_mat, &blk.r_mat, &r_c, &mut r);
             counters.blas2_flops += 2 * 2 * dim as u64 * nw;
-            let v = stop.criterion_value(exec, None, &x, &r, rho, &mut counters);
+            let v = stop.criterion_value(exec, b, &x, &r, rho, &mut counters);
             // The adaptive policy counts the completed inner steps (below);
             // the fixed one reports the block boundary its result carries.
             let at = iterations + if adapt.is_some() { step } else { 0 };

@@ -35,6 +35,7 @@ use spcg_sparse::{DenseMat, MultiVector};
 /// CA-PCG3 over any execution substrate (see [`crate::engine`]).
 pub(crate) fn capcg3_g<E: Exec>(
     exec: &mut E,
+    b: &[f64],
     s: usize,
     basis: &BasisType,
     opts: &SolveOptions,
@@ -56,7 +57,7 @@ pub(crate) fn capcg3_g<E: Exec>(
     let mut x_prev = vec![0.0; n];
     let mut x = vec![0.0; n];
     let mut r_prev = vec![0.0; n];
-    let mut r = exec.b_local().to_vec();
+    let mut r = b.to_vec();
     let mut u_prev = vec![0.0; n];
     let mut u = vec![0.0; n];
     exec.precond(&r, &mut u, &mut counters);
@@ -101,7 +102,7 @@ pub(crate) fn capcg3_g<E: Exec>(
 
         // --- convergence check every s steps ---
         let rtu = g_mat[(s, s)]; // uᵀr (V col 0 · W col 0)
-        if let Err(outcome) = stop.block_check(exec, iterations, &x, &r, rtu, &mut counters) {
+        if let Err(outcome) = stop.block_check(exec, b, iterations, &x, &r, rtu, &mut counters) {
             break outcome;
         }
 
@@ -138,7 +139,7 @@ pub(crate) fn capcg3_g<E: Exec>(
             let nu = quad_form(&g_mat, &g_c, &d_c);
             if !(nu > 0.0) || !(mu > 0.0) || !nu.is_finite() || !mu.is_finite() {
                 // x, r, u are live full vectors; judge before failing.
-                let v = stop.criterion_value(exec, None, &x, &r, mu, &mut counters);
+                let v = stop.criterion_value(exec, b, &x, &r, mu, &mut counters);
                 break 'outer stop.resolve_breakdown(
                     iterations + j,
                     v,

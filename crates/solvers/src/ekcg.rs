@@ -55,7 +55,12 @@ use spcg_sparse::MultiVector;
 const GRAM_EPS: f64 = 1e-12;
 
 /// EkCG over any execution substrate (see [`crate::engine`]).
-pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> SolveResult {
+pub(crate) fn ekcg_g<E: Exec>(
+    exec: &mut E,
+    b: &[f64],
+    t: usize,
+    opts: &SolveOptions,
+) -> SolveResult {
     assert!(t >= 1, "ekcg: t must be at least 1");
     let n = exec.nl();
     let nw = exec.n_global();
@@ -74,7 +79,7 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
     let cut = |j: usize| j * ng / t;
 
     let mut x = vec![0.0; n];
-    let mut r = exec.b_local().to_vec(); // x0 = 0
+    let mut r = b.to_vec(); // x0 = 0
     let mut u = vec![0.0; n];
     exec.precond(&r, &mut u, &mut counters);
     counters.record_precond(exec.m_flops());
@@ -113,7 +118,7 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
 
         // --- reduction #1: Wⱼ = APⱼᵀZ for every stored block, + rᵀu ---
         let gram_span = spcg_obs::span(tr.as_ref(), Phase::Gram);
-        let mut extra = [exec.dot(&r, &u)];
+        let mut extra = [pk.dot(&r, &u)];
         let mut ws: Vec<_> = hist
             .iter()
             .map(|(_, apj, _)| pk.gram(apj, &z_mat))
@@ -129,7 +134,7 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
         let rtu = extra[0];
 
         // --- convergence check ---
-        if let Err(outcome) = stop.block_check(exec, iterations, &x, &r, rtu, &mut counters) {
+        if let Err(outcome) = stop.block_check(exec, b, iterations, &x, &r, rtu, &mut counters) {
             break outcome;
         }
         if !rtu.is_finite() {
@@ -158,7 +163,7 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
         let mut g = pk.gram(&p_mat, &ap_mat);
         let mut c = vec![0.0; t];
         for (j, cj) in c.iter_mut().enumerate() {
-            *cj = exec.dot(p_mat.col(j), &r);
+            *cj = pk.dot(p_mat.col(j), &r);
         }
         counters.record_dots(tw * tw + tw, nw);
         counters.record_collective(tw * tw + tw);
@@ -179,7 +184,7 @@ pub(crate) fn ekcg_g<E: Exec>(exec: &mut E, t: usize, opts: &SolveOptions) -> So
             // Every direction fell below the pivot threshold: the block has
             // no usable curvature left. Judge by the criterion first, the
             // same way PCG treats vanished pᵀAp.
-            let v = stop.criterion_value(exec, None, &x, &r, rtu, &mut counters);
+            let v = stop.criterion_value(exec, b, &x, &r, rtu, &mut counters);
             break stop.resolve_breakdown(
                 iterations,
                 v,

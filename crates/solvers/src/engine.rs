@@ -2,18 +2,19 @@
 //! rank-parallel execution.
 //!
 //! Every solver body in this crate is written once, generically over an
-//! `Exec` — the small set of operations whose *implementation* differs
-//! between serial and distributed execution: SpMV, preconditioner
-//! application, the Matrix Powers Kernel, local dot partials, and the
-//! allreduce combining them. The bodies record all [`Counters`] charges
+//! `Exec`: the operators of a solve, `(A, M⁻¹, transport)`, and nothing
+//! else — SpMV/SpMM, preconditioner application, the Matrix Powers Kernel
+//! and the allreduce, whose *implementation* differs between serial and
+//! distributed execution. The right-hand side is an argument: `dispatch`
+//! and every body take the local block `b`, so one executor serves any
+//! number of right-hand sides. The bodies record all [`Counters`] charges
 //! themselves, always with **global** operation sizes, so a ranked run
 //! reports the same Table-1 instrumentation as the serial run it mirrors;
 //! the `Exec` implementations only *perform* the work (and additionally
 //! count halo traffic, which exists only under ranking).
 //!
-//! * `SerialExec` delegates straight to `CsrMatrix::spmv`,
-//!   `Preconditioner::apply`, `Mpk::run`, and `blas::dot`, with a no-op
-//!   allreduce — bitwise identical to the pre-engine serial solvers.
+//! * `SerialExec` delegates straight to the kernels of its pool, with a
+//!   no-op allreduce.
 //! * `RankExec` owns a block of rows `[lo, hi)` on one rank of a
 //!   pluggable [`Comm`]/[`Exchange`] transport ([`ThreadComm`] threads by
 //!   default, `spcg-rankd` worker processes under
@@ -41,6 +42,7 @@
 //! same branches and a ranked solve is reproducible run to run *and*
 //! bitwise identical across backends.
 
+use crate::batch::BatchRequest;
 use crate::method::Method;
 use crate::options::{Problem, SolveOptions, SolveResult};
 use crate::resilience::{solve_resilient, Resilience};
@@ -49,8 +51,8 @@ use spcg_basis::{DistMpk, Mpk};
 use spcg_dist::executor::run_ranks_in;
 use spcg_dist::fault::FaultCounts;
 use spcg_dist::{
-    Backend, Comm, CommGroup, Counters, Exchange, FaultPlan, FaultSite, GatherPlan, ThreadBoard,
-    ThreadComm, VectorBoard,
+    Backend, Comm, CommGroup, Counters, Exchange, FaultPlan, FaultSite, GatherPlan, ThreadComm,
+    VectorBoard,
 };
 use spcg_obs::{Phase, Track};
 use spcg_precond::{DistForm, Preconditioner};
@@ -80,9 +82,9 @@ pub enum Engine {
 ///
 /// Vectors handled through an `Exec` are rank-local slices of length
 /// [`Exec::nl`]; under serial execution the "local" block is the whole
-/// vector. `dot` returns the **local partial** — bodies combine partials
-/// with [`Exec::allreduce`], which serially is the identity, so packing a
-/// value through it never perturbs bits.
+/// vector. Bodies form **local partials** on [`Exec::kernels`] and combine
+/// them with [`Exec::allreduce`], which serially is the identity, so packing
+/// a value through it never perturbs bits.
 pub(crate) trait Exec {
     /// Local row count.
     fn nl(&self) -> usize;
@@ -92,8 +94,6 @@ pub(crate) trait Exec {
     fn spmv_flops(&self) -> u64;
     /// Global FLOPs of one full preconditioner application.
     fn m_flops(&self) -> u64;
-    /// Local block of the right-hand side.
-    fn b_local(&self) -> &[f64];
     /// `y ← A x` on the local rows (halo traffic is counted; the SpMV FLOP
     /// charge itself is the body's job).
     fn spmv(&mut self, x: &[f64], y: &mut [f64], counters: &mut Counters);
@@ -111,8 +111,6 @@ pub(crate) trait Exec {
         mv: &mut MultiVector,
         counters: &mut Counters,
     );
-    /// Local partial of `aᵀb`.
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64;
     /// Sums `buf` across ranks (in rank order); serially a no-op.
     fn allreduce(&mut self, buf: &mut [f64]);
     /// The intra-rank thread pool ([`SolveOptions::threads`] workers per
@@ -153,26 +151,18 @@ pub(crate) trait Exec {
 /// and unpacks — the one-collective-per-s-steps fusion of the s-step
 /// methods. Serially this is a pack/unpack round trip: bitwise identity.
 pub(crate) fn allreduce_gram<E: Exec>(exec: &mut E, mats: &mut [&mut DenseMat], extra: &mut [f64]) {
+    // Row-major matrix after matrix, then the scalars.
     let mut buf: Vec<f64> = Vec::new();
     for m in mats.iter() {
-        for i in 0..m.nrows() {
-            for j in 0..m.ncols() {
-                buf.push(m[(i, j)]);
-            }
-        }
+        buf.extend_from_slice(m.data());
     }
     buf.extend_from_slice(extra);
     exec.allreduce(&mut buf);
-    let mut it = buf.into_iter();
-    for m in mats.iter_mut() {
-        for i in 0..m.nrows() {
-            for j in 0..m.ncols() {
-                m[(i, j)] = it.next().unwrap();
-            }
-        }
-    }
-    for e in extra.iter_mut() {
-        *e = it.next().unwrap();
+    let mut rest = &buf[..];
+    for part in mats.iter_mut().map(|m| m.data_mut()).chain([extra]) {
+        let (head, tail) = rest.split_at(part.len());
+        part.copy_from_slice(head);
+        rest = tail;
     }
 }
 
@@ -181,7 +171,6 @@ pub(crate) fn allreduce_gram<E: Exec>(exec: &mut E, mats: &mut [&mut DenseMat], 
 pub(crate) struct SerialExec<'a> {
     a: &'a CsrMatrix,
     m: &'a dyn Preconditioner,
-    b: &'a [f64],
     mpk: Mpk<'a>,
     pk: ParKernels,
     /// The matrix's cached SELL-C-σ form under [`SparseFormat::Sell`];
@@ -191,18 +180,14 @@ pub(crate) struct SerialExec<'a> {
 }
 
 impl<'a> SerialExec<'a> {
-    pub(crate) fn new(problem: &Problem<'a>, opts: &SolveOptions) -> Self {
+    pub(crate) fn new(a: &'a CsrMatrix, m: &'a dyn Preconditioner, opts: &SolveOptions) -> Self {
         let pk = ParKernels::new(opts.threads);
         let track = opts.trace.as_ref().map(|t| t.track(0));
-        let sell = match opts.format {
-            SparseFormat::Csr => None,
-            SparseFormat::Sell => Some(problem.a.sell()),
-        };
+        let sell = (opts.format == SparseFormat::Sell).then(|| a.sell());
         SerialExec {
-            a: problem.a,
-            m: problem.m,
-            b: problem.b,
-            mpk: Mpk::new_par(problem.a, problem.m, pk.clone())
+            a,
+            m,
+            mpk: Mpk::new_par(a, m, pk.clone())
                 .with_format(opts.format)
                 .with_track(track.clone()),
             pk,
@@ -230,9 +215,6 @@ impl Exec for SerialExec<'_> {
     fn m_flops(&self) -> u64 {
         self.m.flops_per_apply()
     }
-    fn b_local(&self) -> &[f64] {
-        self.b
-    }
     fn spmv(&mut self, x: &[f64], y: &mut [f64], _counters: &mut Counters) {
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmv);
         self.pk.spmv_on(self.op(), x, y);
@@ -251,9 +233,6 @@ impl Exec for SerialExec<'_> {
         counters: &mut Counters,
     ) {
         self.mpk.run(w, known_mw, params, v, mv, counters);
-    }
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.pk.dot(a, b)
     }
     fn allreduce(&mut self, _buf: &mut [f64]) {}
     fn kernels(&self) -> &ParKernels {
@@ -278,60 +257,10 @@ impl Exec for SerialExec<'_> {
     }
 }
 
-/// The distributed SpMV `y ← A x` on the owned-row prefix of the rank's
-/// ghost zone, through the split-phase exchange; `plan` gathers the zone's
-/// depth-1 ghosts, which is all the owned rows reference. With `overlap`
-/// on, the interior rows (no ghost operands) run between the post and the
-/// completion — inside the exchange's latency window — and only the
-/// frontier rows wait; with it off, the completion directly follows the
-/// post (the blocking schedule). Both schedules run the same per-row
-/// arithmetic on the same data and record the same halo traffic: one
-/// exchange of `plan.words()` ghost words per call.
-#[allow(clippy::too_many_arguments)] // internal kernel, three call sites
-fn dist_spmv(
-    board: &dyn Exchange,
-    zone: &GhostZone,
-    plan: &GatherPlan,
-    pk: &ParKernels,
-    overlap: bool,
-    ext_buf: &mut Vec<f64>,
-    x: &[f64],
-    y: &mut [f64],
-    counters: &mut Counters,
-    track: Option<&Track>,
-) {
-    let nl = zone.n_owned();
-    // The zone's kernels want a full-length operand; past the depth-1
-    // ghosts it stays unread (owned rows reference nothing deeper).
-    ext_buf.resize(zone.ext_len(), 0.0);
-    board.post(x, track);
-    ext_buf[..nl].copy_from_slice(x);
-    let ghosts = nl..nl + plan.words();
-    if overlap {
-        // Interior rows read only the owned prefix; the stale ghost tail
-        // is never touched.
-        {
-            let _s = spcg_obs::span(track, Phase::Spmv);
-            zone.spmv_interior(pk, ext_buf, y);
-        }
-        board.complete_into(plan, &mut ext_buf[ghosts], track);
-        counters.record_halo_exchange(plan.words() as u64);
-        let _f = spcg_obs::span(track, Phase::Frontier);
-        zone.spmv_frontier(pk, nl, ext_buf, y);
-    } else {
-        board.complete_into(plan, &mut ext_buf[ghosts], track);
-        counters.record_halo_exchange(plan.words() as u64);
-        let _s = spcg_obs::span(track, Phase::Spmv);
-        zone.spmv_prefix(pk, nl, ext_buf, y);
-    }
-}
-
 /// One rank of a block-row-partitioned solve.
 pub(crate) struct RankExec<'a> {
     a: &'a CsrMatrix,
     m: &'a dyn Preconditioner,
-    /// This rank's slice of the right-hand side.
-    b: &'a [f64],
     /// Collective transport — [`ThreadComm`] under the in-process backend,
     /// a socket hub client under the proc backend.
     comm: Box<dyn Comm>,
@@ -349,11 +278,10 @@ pub(crate) struct RankExec<'a> {
     plan1: GatherPlan,
     /// Depth-s MPK on the same zone — present when the method is s-step
     /// and the preconditioner is pointwise (the paper's Jacobi
-    /// configuration).
-    dist_mpk: Option<DistMpk>,
-    /// Gather plan for the MPK's depth-s ghosts; both boards share the
-    /// partition offsets, so one plan serves the seed and `M⁻¹`-seed.
-    plan_s: Option<GatherPlan>,
+    /// configuration) — with the gather plan for its depth-s ghosts; both
+    /// boards share the partition offsets, so one plan serves the seed and
+    /// `M⁻¹`-seed.
+    dist_mpk: Option<(DistMpk, GatherPlan)>,
     /// Overlap halo exchange with interior compute
     /// ([`SolveOptions::overlap`]).
     overlap: bool,
@@ -389,7 +317,8 @@ impl<'a> RankExec<'a> {
     /// created on the rank's own thread.
     #[allow(clippy::too_many_arguments)] // internal constructor, two call sites
     pub(crate) fn new(
-        problem: &Problem<'a>,
+        a: &'a CsrMatrix,
+        m: &'a dyn Preconditioner,
         method: &Method,
         opts: &SolveOptions,
         comm: Box<dyn Comm>,
@@ -400,29 +329,29 @@ impl<'a> RankExec<'a> {
     ) -> Self {
         let (lo, hi) = board.range(comm.rank());
         let pk = ParKernels::new(opts.threads);
-        let mpk = match (method.mpk_depth(opts), problem.m.dist_form()) {
+        let mpk = match (method.mpk_depth(opts), m.dist_form()) {
             (Some(depth), DistForm::Pointwise(w)) => Some((depth, w)),
             _ => None,
         };
         let depth = mpk.map_or(1, |(depth, _)| depth);
-        let zone = problem.a.ghost_zone(lo, hi, depth, opts.format);
+        let zone = a.ghost_zone(lo, hi, depth, opts.format);
         let plan1 = board.plan(&zone.ghost_indices()[..zone.reach_len(1) - (hi - lo)]);
         let dist_mpk = mpk.map(|(depth, w)| {
-            let m_flops = problem.m.flops_per_apply();
-            DistMpk::new(problem.a, Arc::clone(&zone), depth, w, m_flops, pk.clone())
-                .with_track(track.clone())
+            let m_flops = m.flops_per_apply();
+            let dk = DistMpk::new(a, Arc::clone(&zone), depth, w, m_flops, pk.clone())
+                .with_track(track.clone());
+            let plan_s = board.plan(dk.ghost_indices());
+            (dk, plan_s)
         });
-        let rank_local_ok = match problem.m.dist_form() {
+        let rank_local_ok = match m.dist_form() {
             DistForm::RankLocal { offsets, .. } => {
                 offsets.binary_search(&lo).is_ok() && offsets.binary_search(&hi).is_ok()
             }
             _ => false,
         };
-        let plan_s = dist_mpk.as_ref().map(|dk| board.plan(dk.ghost_indices()));
         RankExec {
-            a: problem.a,
-            m: problem.m,
-            b: &problem.b[lo..hi],
+            a,
+            m,
             comm,
             lo,
             hi,
@@ -431,7 +360,6 @@ impl<'a> RankExec<'a> {
             zone,
             plan1,
             dist_mpk,
-            plan_s,
             overlap: opts.overlap,
             format: opts.format,
             rank_local_ok,
@@ -452,8 +380,9 @@ impl<'a> RankExec<'a> {
     /// completion directly follows the post regardless of the overlap mode
     /// (counters therefore cannot differ between modes here either).
     fn precond_replicated(&mut self, r: &[f64], z: &mut [f64], counters: &mut Counters) {
-        self.board.post(r, self.track.as_ref());
-        let r_full = self.board.complete_snapshot(self.track.as_ref());
+        let (comm, track) = (&*self.comm, self.track.as_ref());
+        self.board.post(comm, r, track);
+        let r_full = self.board.complete_snapshot(comm, track);
         counters.record_halo_exchange((r_full.len() - (self.hi - self.lo)) as u64);
         self.full_buf.resize(r_full.len(), 0.0);
         self.m.apply_par(&self.pk, &r_full, &mut self.full_buf);
@@ -477,33 +406,43 @@ impl Exec for RankExec<'_> {
     fn m_flops(&self) -> u64 {
         self.m.flops_per_apply()
     }
-    fn b_local(&self) -> &[f64] {
-        self.b
-    }
 
+    /// The distributed SpMV on the owned-row prefix of the rank's ghost
+    /// zone, through the split-phase exchange; `plan1` gathers the zone's
+    /// depth-1 ghosts, which is all the owned rows reference. With `overlap`
+    /// on, the interior rows (no ghost operands) run between the post and
+    /// the completion — inside the exchange's latency window — and only the
+    /// frontier rows wait; with it off, the completion directly follows the
+    /// post (the blocking schedule). Both schedules run the same per-row
+    /// arithmetic on the same data and record the same halo traffic: one
+    /// exchange of `plan1.words()` ghost words per call.
     fn spmv(&mut self, x: &[f64], y: &mut [f64], counters: &mut Counters) {
-        let RankExec {
-            board,
-            zone,
-            plan1,
-            overlap,
-            pk,
-            ext_buf,
-            track,
-            ..
-        } = self;
-        dist_spmv(
-            &**board,
-            zone,
-            plan1,
-            pk,
-            *overlap,
-            ext_buf,
-            x,
-            y,
-            counters,
-            track.as_ref(),
-        );
+        let (comm, board, zone, plan) = (&*self.comm, &*self.board, &*self.zone, &self.plan1);
+        let (pk, ext_buf, track) = (&self.pk, &mut self.ext_buf, self.track.as_ref());
+        let nl = zone.n_owned();
+        // The zone's kernels want a full-length operand; past the depth-1
+        // ghosts it stays unread (owned rows reference nothing deeper).
+        ext_buf.resize(zone.ext_len(), 0.0);
+        board.post(comm, x, track);
+        ext_buf[..nl].copy_from_slice(x);
+        let ghosts = nl..nl + plan.words();
+        if self.overlap {
+            // Interior rows read only the owned prefix; the stale ghost tail
+            // is never touched.
+            {
+                let _s = spcg_obs::span(track, Phase::Spmv);
+                zone.spmv_interior(pk, ext_buf, y);
+            }
+            board.complete_into(comm, plan, &mut ext_buf[ghosts], track);
+            counters.record_halo_exchange(plan.words() as u64);
+            let _f = spcg_obs::span(track, Phase::Frontier);
+            zone.spmv_frontier(pk, nl, ext_buf, y);
+        } else {
+            board.complete_into(comm, plan, &mut ext_buf[ghosts], track);
+            counters.record_halo_exchange(plan.words() as u64);
+            let _s = spcg_obs::span(track, Phase::Spmv);
+            zone.spmv_prefix(pk, nl, ext_buf, y);
+        }
     }
 
     fn precond(&mut self, r: &[f64], z: &mut [f64], counters: &mut Counters) {
@@ -521,30 +460,7 @@ impl Exec for RankExec<'_> {
                 op.apply_rows(self.lo, self.hi, r, z);
             }
             DistForm::SpmvPolynomial(op) => {
-                let RankExec {
-                    board,
-                    zone,
-                    plan1,
-                    overlap,
-                    pk,
-                    ext_buf,
-                    track,
-                    ..
-                } = self;
-                op.apply_with_spmv(r, z, &mut |xv, yv| {
-                    dist_spmv(
-                        &**board,
-                        zone,
-                        plan1,
-                        pk,
-                        *overlap,
-                        ext_buf,
-                        xv,
-                        yv,
-                        counters,
-                        track.as_ref(),
-                    );
-                });
+                op.apply_with_spmv(r, z, &mut |xv, yv| self.spmv(xv, yv, counters));
             }
             // Coupled operators — and block operators whose boundaries cut
             // across the partition — need the assembled vector.
@@ -563,36 +479,25 @@ impl Exec for RankExec<'_> {
         mv: &mut MultiVector,
         counters: &mut Counters,
     ) {
-        if self.dist_mpk.is_some() {
+        if let Some((dk, plan)) = &mut self.dist_mpk {
             // PA1: one depth-s ghost exchange covers the whole s-step block.
-            let RankExec {
-                board,
-                board2,
-                dist_mpk,
-                plan_s,
-                overlap,
-                ext_buf,
-                ext_buf2,
-                track,
-                ..
-            } = self;
-            let track = track.as_ref();
-            let dk = dist_mpk.as_mut().unwrap();
-            let plan = plan_s.as_ref().unwrap();
+            let (comm, board, board2) = (&*self.comm, &*self.board, &*self.board2);
+            let (ext_buf, ext_buf2) = (&mut self.ext_buf, &mut self.ext_buf2);
+            let (plan, track) = (&*plan, self.track.as_ref());
             let vectors = if known_mw.is_some() { 2 } else { 1 };
             counters.record_halo_exchange(plan.words() as u64 * vectors);
-            if *overlap {
+            if self.overlap {
                 // Post the seed(s), run the interior rows of the first
                 // basis product inside the exchange window, complete the
                 // exchange from the kernel's callback, finish frontier.
-                board.post(w, track);
+                board.post(comm, w, track);
                 if let Some(mw) = known_mw {
-                    board2.post(mw, track);
+                    board2.post(comm, mw, track);
                 }
                 dk.run_overlapped(w, known_mw, params, v, mv, counters, &mut |wg, mwg| {
-                    board.complete_into(plan, wg, track);
+                    board.complete_into(comm, plan, wg, track);
                     if let Some(mwg) = mwg {
-                        board2.complete_into(plan, mwg, track);
+                        board2.complete_into(comm, plan, mwg, track);
                     }
                 });
             } else {
@@ -601,23 +506,17 @@ impl Exec for RankExec<'_> {
                 let nl = dk.ghost().n_owned();
                 let ghosts = nl..nl + plan.words();
                 ext_buf.resize(dk.ghost().ext_len(), 0.0);
-                board.post(w, track);
+                board.post(comm, w, track);
                 ext_buf[..nl].copy_from_slice(w);
-                board.complete_into(plan, &mut ext_buf[ghosts.clone()], track);
+                board.complete_into(comm, plan, &mut ext_buf[ghosts.clone()], track);
                 if let Some(mw) = known_mw {
                     ext_buf2.resize(dk.ghost().ext_len(), 0.0);
-                    board2.post(mw, track);
+                    board2.post(comm, mw, track);
                     ext_buf2[..nl].copy_from_slice(mw);
-                    board2.complete_into(plan, &mut ext_buf2[ghosts], track);
+                    board2.complete_into(comm, plan, &mut ext_buf2[ghosts], track);
                 }
-                dk.run(
-                    ext_buf,
-                    known_mw.map(|_| ext_buf2.as_slice()),
-                    params,
-                    v,
-                    mv,
-                    counters,
-                );
+                let mw_ext = known_mw.map(|_| ext_buf2.as_slice());
+                dk.run(ext_buf, mw_ext, params, v, mv, counters);
             }
         } else {
             // Non-pointwise preconditioner: the basis recurrence couples all
@@ -628,12 +527,13 @@ impl Exec for RankExec<'_> {
             // both overlap modes take this identical path.
             let n = self.a.nrows();
             let nl = self.hi - self.lo;
-            self.board.post(w, self.track.as_ref());
-            let w_full = self.board.complete_snapshot(self.track.as_ref());
+            let (comm, track) = (&*self.comm, self.track.as_ref());
+            self.board.post(comm, w, track);
+            let w_full = self.board.complete_snapshot(comm, track);
             let mut words = (n - nl) as u64;
             let mw_full = known_mw.map(|mw| {
-                self.board2.post(mw, self.track.as_ref());
-                let full = self.board2.complete_snapshot(self.track.as_ref());
+                self.board2.post(comm, mw, track);
+                let full = self.board2.complete_snapshot(comm, track);
                 words += (n - nl) as u64;
                 full
             });
@@ -651,19 +551,13 @@ impl Exec for RankExec<'_> {
                     &mut mv_full,
                     counters,
                 );
-            for j in 0..v.k() {
-                v.col_mut(j)
-                    .copy_from_slice(&v_full.col(j)[self.lo..self.hi]);
-            }
-            for j in 0..mv.k() {
-                mv.col_mut(j)
-                    .copy_from_slice(&mv_full.col(j)[self.lo..self.hi]);
+            for (own, full) in [(v, &v_full), (mv, &mv_full)] {
+                for j in 0..own.k() {
+                    let block = &full.col(j)[self.lo..self.hi];
+                    own.col_mut(j).copy_from_slice(block);
+                }
             }
         }
-    }
-
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.pk.dot(a, b)
     }
 
     fn allreduce(&mut self, buf: &mut [f64]) {
@@ -810,45 +704,121 @@ pub(crate) fn run_ranked(
         // thread: it is a thread-local buffer that drains into the shared
         // tracer when the rank exits.
         let track = opts.trace.as_ref().map(|t| t.track(comm.rank()));
+        let (lo, hi) = world.board.range(comm.rank());
         let mut exec = RankExec::new(
-            problem,
+            problem.a,
+            problem.m,
             method,
             opts,
-            Box::new(comm.clone()),
-            Box::new(ThreadBoard::new(world.board.handle(), comm.clone())),
-            Box::new(ThreadBoard::new(world.board2.handle(), comm)),
+            Box::new(comm),
+            Box::new(world.board.handle()),
+            Box::new(world.board2.handle()),
             track,
             ranking.plan.clone(),
         );
-        solve_resilient(method, &mut exec, opts, ranking.resilience.as_ref())
+        let b = &problem.b[lo..hi];
+        solve_resilient(method, &mut exec, b, opts, ranking.resilience.as_ref())
     });
     ranking.assemble(results)
 }
 
-/// Dispatches a method onto an execution substrate — the one place a
-/// [`Method`] variant is mapped to a body and its configuration.
-pub(crate) fn dispatch<E: Exec>(method: &Method, exec: &mut E, opts: &SolveOptions) -> SolveResult {
+/// Dispatches a method onto an execution substrate, for the right-hand side
+/// whose local block is `b` — the one place a [`Method`] variant is mapped to
+/// a body and its configuration.
+pub(crate) fn dispatch<E: Exec>(
+    method: &Method,
+    exec: &mut E,
+    b: &[f64],
+    opts: &SolveOptions,
+) -> SolveResult {
     use crate::capcg::{capcg_g, BlockPolicy};
     use crate::sstep::{sstep_g, GramForm, GramSolve};
     match method {
-        // EkCG with one block is plain PCG: the same body, so the degenerate
-        // case is bitwise identical to `Method::Pcg`, not merely equivalent.
-        Method::Pcg | Method::EkCg { t: 1 } => crate::pcg::pcg_own_rhs(exec, opts),
-        Method::Pcg3 => crate::pcg3::pcg3_g(exec, opts),
-        Method::SPcg { s, basis } => {
-            sstep_g(exec, *s, GramForm::Direct(basis), GramSolve::Cholesky, opts)
+        // EkCG with one block is plain PCG: the same body (at width 1), so
+        // the degenerate case is bitwise identical to `Method::Pcg`, not
+        // merely equivalent.
+        Method::Pcg | Method::EkCg { t: 1 } => {
+            let mut out = crate::pcg::pcg_g(exec, &[BatchRequest::new(b)], opts);
+            out.pop().expect("pcg: one column in, one result out")
         }
-        Method::SPcgMon { s } => sstep_g(exec, *s, GramForm::Moments, GramSolve::Cholesky, opts),
-        Method::CaPcgGs { s, basis } => sstep_g(
-            exec,
-            *s,
-            GramForm::Direct(basis),
-            GramSolve::GaussSeidel,
-            opts,
-        ),
-        Method::CaPcg { s, basis } => capcg_g(exec, *s, basis, BlockPolicy::Fixed, opts),
-        Method::AdaptiveCaPcg { s, basis } => capcg_g(exec, *s, basis, BlockPolicy::Adaptive, opts),
-        Method::CaPcg3 { s, basis } => crate::capcg3::capcg3_g(exec, *s, basis, opts),
-        Method::EkCg { t } => crate::ekcg::ekcg_g(exec, *t, opts),
+        Method::Pcg3 => crate::pcg3::pcg3_g(exec, b, opts),
+        Method::SPcg { s, basis } => {
+            let form = GramForm::Direct(basis);
+            sstep_g(exec, b, *s, form, GramSolve::Cholesky, opts)
+        }
+        Method::SPcgMon { s } => sstep_g(exec, b, *s, GramForm::Moments, GramSolve::Cholesky, opts),
+        Method::CaPcgGs { s, basis } => {
+            let form = GramForm::Direct(basis);
+            sstep_g(exec, b, *s, form, GramSolve::GaussSeidel, opts)
+        }
+        Method::CaPcg { s, basis } => capcg_g(exec, b, *s, basis, BlockPolicy::Fixed, opts),
+        Method::AdaptiveCaPcg { s, basis } => {
+            capcg_g(exec, b, *s, basis, BlockPolicy::Adaptive, opts)
+        }
+        Method::CaPcg3 { s, basis } => crate::capcg3::capcg3_g(exec, b, *s, basis, opts),
+        Method::EkCg { t } => crate::ekcg::ekcg_g(exec, b, *t, opts),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::solve;
+    use spcg_sparse::generators::{paper_rhs, poisson::poisson_2d};
+
+    /// An executor holds no per-solve state: every method, dispatched for two
+    /// right-hand sides on one executor — a `SerialExec`, then the
+    /// `RankExec`s of one 2-rank world — returns what a fresh `solve`
+    /// returns: `x`, history, counters, schedule, report and outcome, by bits.
+    #[test]
+    fn one_executor_serves_many_right_hand_sides() {
+        let a = poisson_2d(10);
+        let m = spcg_precond::Jacobi::new(&a);
+        let b0 = paper_rhs(&a);
+        let b1: Vec<f64> = (0..b0.len())
+            .map(|i| 0.5 * b0[i] - ((i * 7) % 11) as f64 * 0.03)
+            .collect();
+        // No fault plan: its sequence numbers run on across an executor's
+        // solves and start over in a fresh one.
+        let opts = SolveOptions::from_env().with_faults(None).with_history();
+        let methods = Method::prototypes(4);
+        let cases = || methods.iter().flat_map(|m| [(m, &b0[..]), (m, &b1[..])]);
+        let check = |got: SolveResult, (method, b): (&Method, &[f64]), engine: Engine| {
+            let key = |r: SolveResult| {
+                let x: Vec<u64> = r.x.iter().map(|v| v.to_bits()).collect();
+                let h: Vec<_> = (r.history.iter().map(|&(it, v)| (it, v.to_bits()))).collect();
+                let rest = (r.outcome, r.iterations, r.s_schedule, r.adaptive);
+                (x, h, r.counters, rest)
+            };
+            let want = solve(method, &Problem::new(&a, &m, b), &opts, engine);
+            assert_eq!(key(got), key(want), "{} on {engine:?}", method.name());
+        };
+
+        let mut serial = SerialExec::new(&a, &m, &opts);
+        for (method, b) in cases() {
+            let got = dispatch(method, &mut serial, b, &opts);
+            check(got, (method, b), Engine::Serial);
+        }
+
+        let ranking = Ranking::new(a.nrows(), 2, &opts);
+        let world = ranking.world();
+        let blocks = run_ranks_in(&world.group, |comm: ThreadComm| {
+            let (lo, hi) = world.board.range(comm.rank());
+            let track = opts.trace.as_ref().map(|t| t.track(comm.rank()));
+            let mut out = Vec::new();
+            for method in &methods {
+                let comm = Box::new(comm.clone());
+                let (h1, h2) = (world.board.handle(), world.board2.handle());
+                let (h1, h2, tr) = (Box::new(h1), Box::new(h2), track.clone());
+                let mut exec = RankExec::new(&a, &m, method, &opts, comm, h1, h2, tr, None);
+                out.extend([&b0, &b1].map(|b| dispatch(method, &mut exec, &b[lo..hi], &opts)));
+            }
+            out
+        });
+        let mut blocks: Vec<_> = blocks.into_iter().map(Vec::into_iter).collect();
+        for case in cases() {
+            let got = blocks.iter_mut().map(|rank| rank.next().unwrap()).collect();
+            check(ranking.assemble(got), case, Engine::Ranked { ranks: 2 });
+        }
     }
 }

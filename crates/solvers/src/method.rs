@@ -119,7 +119,7 @@ impl Method {
     /// Every variant with block parameter `size` (`s`, or EkCG's `t`) and a
     /// placeholder basis, in wire order: a method travels as the index of
     /// its variant here, its block parameter and its basis.
-    fn prototypes(size: usize) -> [Method; 9] {
+    pub(crate) fn prototypes(size: usize) -> [Method; 9] {
         let (s, basis) = (size, || BasisType::Monomial);
         [
             Method::Pcg,
@@ -289,8 +289,9 @@ pub fn solve(
             // Serial execution has no distributed substrate to fault, so
             // the resilience driver runs only when explicitly configured;
             // with the default `resilience: None` this is the body itself.
-            let mut exec = crate::engine::SerialExec::new(problem, opts);
-            crate::resilience::solve_resilient(method, &mut exec, opts, opts.resilience.as_ref())
+            let mut exec = crate::engine::SerialExec::new(problem.a, problem.m, opts);
+            let pol = opts.resilience.as_ref();
+            crate::resilience::solve_resilient(method, &mut exec, problem.b, opts, pol)
         }
         Engine::Ranked { ranks } => crate::engine::run_ranked(method, problem, opts, ranks),
     }

@@ -14,8 +14,8 @@
 //! bitwise equal per column to its single-vector form, so a column's `x`,
 //! history and counters do not depend on the width it ran at. Width 1
 //! leaves nothing over — a one-column `Exec::spmm` *is* `Exec::spmv` — and
-//! is what `Method::Pcg` runs on every engine (`pcg_own_rhs`); wider calls
-//! come from [`crate::solve_batch`].
+//! is what `Method::Pcg` runs on every engine (`engine::dispatch`); wider
+//! calls come from [`crate::solve_batch`].
 //!
 //! A column that converges, breaks down or passes its deadline is *frozen*:
 //! its result is emitted and the survivors are compacted into narrower
@@ -95,14 +95,6 @@ fn retain<T>(v: &mut Vec<T>, live: &[bool]) {
     v.retain(|_| *flags.next().expect("one flag per column"));
 }
 
-/// `Method::Pcg`: the body at width 1, on the substrate's own right-hand
-/// side (a copy — the body reads `b` beside `&mut exec`).
-pub(crate) fn pcg_own_rhs<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
-    let b = exec.b_local().to_vec();
-    let mut out = pcg_g(exec, &[BatchRequest::new(&b)], opts);
-    out.pop().expect("pcg: one column in, one result out")
-}
-
 /// PCG on `requests.len()` right-hand sides (local blocks, length
 /// [`Exec::nl`]) over any execution substrate; one result per request, in
 /// order. Deadlines are read from this rank's clock once per iteration, so
@@ -123,11 +115,11 @@ pub(crate) fn pcg_g<E: Exec>(
     let mut out: Vec<Option<SolveResult>> = (0..k0).map(|_| None).collect();
     // One dot product summed over ranks: its charges, and one Gram span
     // over the local partial and the allreduce.
-    let reduce = |exec: &mut E, ctr: &mut Counters, local: &dyn Fn(&E) -> f64| {
+    let reduce = |exec: &mut E, ctr: &mut Counters, local: &dyn Fn() -> f64| {
         let _g = spcg_obs::span(tr, Phase::Gram);
         ctr.record_dots(1, nw);
         ctr.record_collective(1);
-        let mut red = [local(exec)];
+        let mut red = [local()];
         exec.allreduce(&mut red);
         red[0]
     };
@@ -155,7 +147,7 @@ pub(crate) fn pcg_g<E: Exec>(
         blk.p.col_mut(c).copy_from_slice(&u);
         // rtu = rᵀu (reduced together with the first pᵀs next iteration in
         // real MPI; charged as part of the 2 collectives/iter).
-        blk.rtu[c] = reduce(exec, ctr, &|e| e.dot(blk.r.col(c), &u));
+        blk.rtu[c] = reduce(exec, ctr, &|| pk.dot(blk.r.col(c), &u));
     }
 
     let mut it = 0usize;
@@ -209,11 +201,11 @@ pub(crate) fn pcg_g<E: Exec>(
             let ctr = &mut blk.counters[c];
             let rtu = blk.rtu[c];
             ctr.record_spmv(spmv_flops);
-            let pts = reduce(exec, ctr, &|e| e.dot(blk.p.col(c), blk.s.col(c)));
+            let pts = reduce(exec, ctr, &|| pk.dot(blk.p.col(c), blk.s.col(c)));
             if !(pts > 0.0) || !pts.is_finite() {
                 // Zero curvature at machine-precision residuals means we are
                 // done, not broken; judge by the criterion before failing.
-                let (b, x, r) = (Some(blk.b[c]), blk.x.col(c), blk.r.col(c));
+                let (b, x, r) = (blk.b[c], blk.x.col(c), blk.r.col(c));
                 let v = blk.stop[c].criterion_value(exec, b, x, r, rtu, ctr);
                 let msg = format!("non-positive curvature pᵀAp = {pts}");
                 frozen[c] = Some(blk.stop[c].resolve_breakdown(it, v, msg));
@@ -236,9 +228,9 @@ pub(crate) fn pcg_g<E: Exec>(
                     pk.axpy(-alpha, s, r);
                 }
                 exec.precond(r, &mut u, ctr);
-                exec.dot(r, &u)
+                pk.dot(r, &u)
             };
-            let rtu_new = reduce(exec, ctr, &|_| ru);
+            let rtu_new = reduce(exec, ctr, &|| ru);
             ctr.blas1_flops += 4 * nw;
             ctr.record_precond(m_flops);
             if !rtu_new.is_finite() {

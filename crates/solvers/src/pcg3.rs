@@ -23,7 +23,7 @@ use spcg_dist::Counters;
 use spcg_obs::Phase;
 
 /// PCG3 over any execution substrate (see [`crate::engine`]).
-pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult {
+pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, b: &[f64], opts: &SolveOptions) -> SolveResult {
     let n = exec.nl();
     let nw = exec.n_global();
     let pk = exec.kernels().clone();
@@ -34,7 +34,7 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
     let mut x_prev = vec![0.0; n];
     let mut x = vec![0.0; n];
     let mut r_prev = vec![0.0; n];
-    let mut r = exec.b_local().to_vec();
+    let mut r = b.to_vec();
     let mut u = vec![0.0; n];
     exec.precond(&r, &mut u, &mut counters);
     counters.record_precond(exec.m_flops());
@@ -45,7 +45,7 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
     let mut gamma_prev = 0.0f64;
     let mut rho_prev = 1.0f64;
 
-    let mut red = [exec.dot(&r, &u)];
+    let mut red = [pk.dot(&r, &u)];
     {
         let _g = spcg_obs::span(tr.as_ref(), Phase::Gram);
         exec.allreduce(&mut red);
@@ -53,14 +53,14 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
     let mu0 = red[0];
     counters.record_dots(1, nw);
     counters.record_collective(1);
-    let v0 = stop.criterion_value(exec, None, &x, &r, mu0, &mut counters);
+    let v0 = stop.criterion_value(exec, b, &x, &r, mu0, &mut counters);
     let mut verdict = stop.check(0, v0);
 
     let mut iterations = 0usize;
     while verdict == Verdict::Continue && iterations < opts.max_iters {
         exec.spmv(&u, &mut au, &mut counters);
         counters.record_spmv(exec.spmv_flops());
-        let mut red = [exec.dot(&r, &u), exec.dot(&u, &au)];
+        let mut red = [pk.dot(&r, &u), pk.dot(&u, &au)];
         {
             let _g = spcg_obs::span(tr.as_ref(), Phase::Gram);
             exec.allreduce(&mut red);
@@ -108,7 +108,7 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
         counters.iterations += 1;
         counters.outer_iterations += 1;
 
-        let mut red = [exec.dot(&r, &u)]; // for the M-norm criterion
+        let mut red = [pk.dot(&r, &u)]; // for the M-norm criterion
         {
             let _g = spcg_obs::span(tr.as_ref(), Phase::Gram);
             exec.allreduce(&mut red);
@@ -116,7 +116,7 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, opts: &SolveOptions) -> SolveResult 
         let rtu = red[0];
         counters.record_dots(1, nw);
         counters.piggyback_words(1);
-        let v = stop.criterion_value(exec, None, &x, &r, rtu, &mut counters);
+        let v = stop.criterion_value(exec, b, &x, &r, rtu, &mut counters);
         verdict = stop.check(iterations, v);
     }
 

@@ -383,14 +383,20 @@ fn encode_post(board_id: u8, chunk: &[f64]) -> Vec<u8> {
 }
 
 impl Exchange for ProcBoard {
-    fn post(&self, chunk: &[f64], track: Option<&Track>) {
+    fn post(&self, _comm: &dyn Comm, chunk: &[f64], track: Option<&Track>) {
         let _span = spcg_obs::span(track, Phase::ExchangePost);
         let (lo, hi) = self.range(self.link.rank);
         assert_eq!(chunk.len(), hi - lo, "post: chunk length mismatch");
         self.link.send(TAG_POST, &encode_post(self.board_id, chunk));
     }
 
-    fn complete_into(&self, plan: &GatherPlan, out: &mut [f64], track: Option<&Track>) {
+    fn complete_into(
+        &self,
+        _comm: &dyn Comm,
+        plan: &GatherPlan,
+        out: &mut [f64],
+        track: Option<&Track>,
+    ) {
         assert_eq!(
             out.len(),
             plan.words(),
@@ -399,7 +405,7 @@ impl Exchange for ProcBoard {
         self.fetch(plan.runs(), out, track);
     }
 
-    fn complete_snapshot(&self, track: Option<&Track>) -> Vec<f64> {
+    fn complete_snapshot(&self, _comm: &dyn Comm, track: Option<&Track>) -> Vec<f64> {
         let n = *self.offsets.last().unwrap();
         let mut full = vec![0.0; n];
         self.fetch(std::iter::once((0, n)), &mut full, track);
@@ -472,8 +478,10 @@ fn run_worker(setup: Setup, link: Rc<Link>) -> WorkerResult {
         kill_at_reduce: setup.kill_at_reduce,
         reduces: Cell::new(0),
     };
+    let b = &problem.b[offsets[setup.rank]..offsets[setup.rank + 1]];
     let mut exec = RankExec::new(
-        &problem,
+        problem.a,
+        problem.m,
         &setup.method,
         &opts,
         Box::new(comm),
@@ -482,7 +490,7 @@ fn run_worker(setup: Setup, link: Rc<Link>) -> WorkerResult {
         track,
         opts.faults.clone(),
     );
-    let res = solve_resilient(&setup.method, &mut exec, &opts, opts.resilience.as_ref());
+    let res = solve_resilient(&setup.method, &mut exec, b, &opts, opts.resilience.as_ref());
     drop(exec); // drains this rank's trace track into the tracer
     WorkerResult {
         res,

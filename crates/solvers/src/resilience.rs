@@ -1,11 +1,12 @@
 //! Self-healing solves: breakdown detection with residual-replacement
 //! restart, for every method and both execution engines.
 //!
-//! The driver runs a method in *stages*. Each stage solves the residual
-//! system `A·d = b − A·x_acc` from a zero guess; restarting is exact
-//! because the remaining error `e = x* − x_acc` satisfies `A·e = r`, so
-//! correcting `x_acc += d` loses nothing — the same argument behind
-//! Carson & Demmel residual replacement, applied at stage granularity.
+//! The driver runs a method in *stages*. A stage is a dispatch on the
+//! caller's executor — same operators, the right-hand side `b − A·x_acc` —
+//! from a zero guess; restarting is exact because the remaining error
+//! `e = x* − x_acc` satisfies `A·e = r`, so correcting `x_acc += d` loses
+//! nothing — the same argument behind Carson & Demmel residual replacement,
+//! applied at stage granularity.
 //! A stage ends in one of three ways:
 //!
 //! * **accepted** — converged (or out of budget/stalled) with a finite
@@ -33,11 +34,9 @@ use crate::engine::{dispatch, Exec};
 use crate::method::Method;
 use crate::options::{Outcome, SolveOptions, SolveResult};
 use spcg_adapt::AdaptiveReport;
-use spcg_basis::poly::BasisParams;
 use spcg_dist::wire::{WireReader, WireResult, WireWriter};
 use spcg_dist::Counters;
-use spcg_obs::{Phase, Track};
-use spcg_sparse::{MultiVector, ParKernels};
+use spcg_obs::Phase;
 
 /// Self-healing policy (see [`SolveOptions::resilience`]
 /// (crate::SolveOptions::resilience) and the module docs).
@@ -152,89 +151,26 @@ fn nonfinite_consensus<E: Exec>(exec: &mut E, x: &[f64]) -> bool {
     !(buf[0] == 0.0)
 }
 
-/// An [`Exec`] view with the right-hand side overridden — the residual
-/// system of one restart stage. Everything else delegates to the wrapped
-/// substrate, so arithmetic, exchanges, and counter charges are those of
-/// a plain solve of `A·d = rhs`.
-struct RhsOverride<'e, E: Exec> {
-    inner: &'e mut E,
-    rhs: &'e [f64],
-}
-
-impl<E: Exec> Exec for RhsOverride<'_, E> {
-    fn nl(&self) -> usize {
-        self.inner.nl()
-    }
-    fn n_global(&self) -> u64 {
-        self.inner.n_global()
-    }
-    fn spmv_flops(&self) -> u64 {
-        self.inner.spmv_flops()
-    }
-    fn m_flops(&self) -> u64 {
-        self.inner.m_flops()
-    }
-    fn b_local(&self) -> &[f64] {
-        self.rhs
-    }
-    fn spmv(&mut self, x: &[f64], y: &mut [f64], counters: &mut Counters) {
-        self.inner.spmv(x, y, counters);
-    }
-    fn precond(&mut self, r: &[f64], z: &mut [f64], counters: &mut Counters) {
-        self.inner.precond(r, z, counters);
-    }
-    fn mpk(
-        &mut self,
-        w: &[f64],
-        known_mw: Option<&[f64]>,
-        params: &BasisParams,
-        v: &mut MultiVector,
-        mv: &mut MultiVector,
-        counters: &mut Counters,
-    ) {
-        self.inner.mpk(w, known_mw, params, v, mv, counters);
-    }
-    fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.inner.dot(a, b)
-    }
-    fn allreduce(&mut self, buf: &mut [f64]) {
-        self.inner.allreduce(buf);
-    }
-    fn kernels(&self) -> &ParKernels {
-        self.inner.kernels()
-    }
-    fn track(&self) -> Option<&Track> {
-        self.inner.track()
-    }
-    fn row_offset(&self) -> usize {
-        self.inner.row_offset()
-    }
-    fn pointwise(&self) -> Option<&[f64]> {
-        self.inner.pointwise()
-    }
-    fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, counters: &mut [Counters]) {
-        self.inner.spmm(x, y, counters);
-    }
-}
-
-/// Runs `method` on `exec` under the given resilience policy; with `None`
-/// this is exactly [`dispatch`]. See the module docs for the stage
-/// protocol and the bitwise passthrough guarantee.
+/// Runs `method` on `exec` for the right-hand side `b` (local block) under
+/// the given resilience policy; with `None` this is exactly [`dispatch`].
+/// See the module docs for the stage protocol and the bitwise passthrough
+/// guarantee.
 pub(crate) fn solve_resilient<E: Exec>(
     method: &Method,
     exec: &mut E,
+    b: &[f64],
     opts: &SolveOptions,
     resilience: Option<&Resilience>,
 ) -> SolveResult {
     let Some(pol) = resilience else {
-        return dispatch(method, exec, opts);
+        return dispatch(method, exec, b, opts);
     };
     // Static per-run property, identical on every rank — safe to branch on.
     let fault_tolerant = opts.faults.as_ref().is_some_and(|p| p.active());
     let nl = exec.nl();
     let nw = exec.n_global();
-    let b_orig = exec.b_local().to_vec();
-    let mut stage_rhs = b_orig.clone();
+    // `b − A·x_acc` of the stages after the first; the first runs on `b`.
+    let mut stage_rhs: Option<Vec<f64>> = None;
     let mut x_acc = vec![0.0; nl];
     let mut total = Counters::new();
     let mut history: Vec<(usize, f64)> = Vec::new();
@@ -257,13 +193,8 @@ pub(crate) fn solve_resilient<E: Exec>(
             keep_history: true,
             ..opts.clone()
         };
-        let res = {
-            let mut staged = RhsOverride {
-                inner: exec,
-                rhs: &stage_rhs,
-            };
-            dispatch(&method_now, &mut staged, &stage_opts)
-        };
+        let rhs = stage_rhs.as_deref().unwrap_or(b);
+        let res = dispatch(&method_now, exec, rhs, &stage_opts);
         // Adaptive bodies report the s-values they actually ran; fixed-s
         // bodies leave the schedule empty and contribute their stage s.
         if res.s_schedule.is_empty() {
@@ -386,9 +317,10 @@ pub(crate) fn solve_resilient<E: Exec>(
         let mut ax = vec![0.0; nl];
         exec.spmv(&x_acc, &mut ax, &mut total);
         total.record_spmv(exec.spmv_flops());
-        for i in 0..nl {
-            stage_rhs[i] = b_orig[i] - ax[i];
+        for (axi, bi) in ax.iter_mut().zip(b) {
+            *axi = bi - *axi;
         }
+        stage_rhs = Some(ax);
         total.blas1_flops += nw;
     }
 }

@@ -132,17 +132,24 @@ impl GramSolve {
 }
 
 /// `r ← b − A·x` with its charges: one SpMV and one BLAS1 pass.
-fn true_residual<E: Exec>(exec: &mut E, x: &[f64], r: &mut [f64], counters: &mut Counters) {
+fn true_residual<E: Exec>(
+    exec: &mut E,
+    b: &[f64],
+    x: &[f64],
+    r: &mut [f64],
+    counters: &mut Counters,
+) {
     let mut ax = vec![0.0; exec.nl()];
     exec.spmv(x, &mut ax, counters);
     counters.record_spmv(exec.spmv_flops());
-    exec.kernels().sub(exec.b_local(), &ax, r);
+    exec.kernels().sub(b, &ax, r);
     counters.blas1_flops += exec.n_global();
 }
 
 /// The Alg. 5 loop over any execution substrate (see [`crate::engine`]).
 pub(crate) fn sstep_g<E: Exec>(
     exec: &mut E,
+    b: &[f64],
     s: usize,
     form: GramForm<'_>,
     solve: GramSolve,
@@ -164,7 +171,7 @@ pub(crate) fn sstep_g<E: Exec>(
     let b_cob = b_small(&params, s + 1); // (s+1) × s
 
     let mut x = vec![0.0; n];
-    let mut r = exec.b_local().to_vec(); // x0 = 0
+    let mut r = b.to_vec(); // x0 = 0
 
     let mut s_mat = MultiVector::zeros(n, s + 1);
     let mut u_mat = MultiVector::zeros(n, s);
@@ -247,7 +254,7 @@ pub(crate) fn sstep_g<E: Exec>(
             GramForm::Direct(_) => grams[0][(0, 0)],
             GramForm::Moments => extra[0],
         };
-        let value = match stop.block_check(exec, iterations, &x, &r, rtu, &mut counters) {
+        let value = match stop.block_check(exec, b, iterations, &x, &r, rtu, &mut counters) {
             Ok(value) => value,
             Err(outcome) => break outcome,
         };
@@ -269,7 +276,7 @@ pub(crate) fn sstep_g<E: Exec>(
                 stall_blocks += 1;
                 if stall_blocks >= GS_STALL_BLOCKS {
                     stall_blocks = 0;
-                    true_residual(exec, &x, &mut r, &mut counters);
+                    true_residual(exec, b, &x, &mut r, &mut counters);
                     w_prev = None;
                     b_seed = None;
                     a_seed = None;
@@ -372,14 +379,14 @@ pub(crate) fn sstep_g<E: Exec>(
         if let Some(factor) = opts.residual_replacement {
             // The ‖r‖² partials piggyback on existing traffic (only the dot
             // is charged), matching the serial instrumentation.
-            let mut red = [exec.dot(&r, &r)];
+            let mut red = [pk.dot(&r, &r)];
             exec.allreduce(&mut red);
             let rr = red[0];
             counters.record_dots(1, nw);
             let anchor = *rr_anchor.get_or_insert(rr);
             if rr <= factor * factor * anchor {
-                true_residual(exec, &x, &mut r, &mut counters);
-                let mut red = [exec.dot(&r, &r)];
+                true_residual(exec, b, &x, &mut r, &mut counters);
+                let mut red = [pk.dot(&r, &r)];
                 exec.allreduce(&mut red);
                 rr_anchor = Some(red[0]);
             }

@@ -110,9 +110,8 @@ impl StopState {
     }
 
     /// Evaluates the stopping-criterion value of the iterate `x` (residual
-    /// `r`, `rtu = rᵀM⁻¹r`) against the right-hand side `b` (`None`: the
-    /// substrate's own), charging the instrumentation for whatever the
-    /// chosen criterion costs:
+    /// `r`, `rtu = rᵀM⁻¹r`) against the right-hand side `b`, charging the
+    /// instrumentation for whatever the chosen criterion costs:
     ///
     /// * true residual — one extra SpMV, one dot, one piggybacked word;
     /// * recursive 2-norm — one dot, one piggybacked word;
@@ -124,7 +123,7 @@ impl StopState {
     pub(crate) fn criterion_value<E: Exec>(
         &mut self,
         exec: &mut E,
-        b: Option<&[f64]>,
+        b: &[f64],
         x: &[f64],
         r: &[f64],
         rtu: f64,
@@ -160,7 +159,7 @@ impl StopState {
         (0..bs.len())
             .map(|j| {
                 let (ax, r, ctr) = (scr.col(j), rm.col(j), &mut counters[j]);
-                column_value(criterion, exec, Some(bs[j]), ax, r, rtus[j], ctr)
+                column_value(criterion, exec, bs[j], ax, r, rtus[j], ctr)
             })
             .collect()
     }
@@ -169,16 +168,18 @@ impl StopState {
     /// criterion, feeds it to [`StopState::check`], then applies the
     /// iteration cap. `Ok(value)` means keep iterating; `Err(outcome)` ends
     /// the solve.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn block_check<E: Exec>(
         &mut self,
         exec: &mut E,
+        b: &[f64],
         iterations: usize,
         x: &[f64],
         r: &[f64],
         rtu: f64,
         counters: &mut Counters,
     ) -> Result<f64, Outcome> {
-        let value = self.criterion_value(exec, None, x, r, rtu, counters);
+        let value = self.criterion_value(exec, b, x, r, rtu, counters);
         match self.check(iterations, value) {
             Verdict::Continue if iterations >= self.max_iters => Err(Outcome::MaxIterations),
             Verdict::Continue => Ok(value),
@@ -189,12 +190,11 @@ impl StopState {
 
 /// The criterion value of one column — the one place a
 /// [`StoppingCriterion`] is evaluated. `ax = A·x` is read by the true
-/// residual only (whose caller formed it); `b = None` judges against the
-/// substrate's own right-hand side.
+/// residual only (whose caller formed it).
 fn column_value<E: Exec>(
     criterion: StoppingCriterion,
     exec: &mut E,
-    b: Option<&[f64]>,
+    b: &[f64],
     ax: &[f64],
     r: &[f64],
     rtu: f64,
@@ -216,7 +216,6 @@ fn column_value<E: Exec>(
     let local = if true_residual {
         counters.record_spmv(exec.spmv_flops());
         counters.blas1_flops += nw;
-        let b = b.unwrap_or_else(|| exec.b_local());
         let mut acc = 0.0;
         for i in 0..b.len() {
             let d = b[i] - ax[i];
@@ -224,7 +223,7 @@ fn column_value<E: Exec>(
         }
         acc
     } else {
-        exec.dot(r, r)
+        exec.kernels().dot(r, r)
     };
     let mut red = [local];
     exec.allreduce(&mut red);
@@ -330,7 +329,7 @@ mod tests {
             let mut stop = StopState::new(&SolveOptions::from_env().with_criterion(criterion));
             for j in 0..3 {
                 let mut one = Counters::new();
-                let (b, x, r) = (Some(&bs[j][..]), &xs[j], &rs[j]);
+                let (b, x, r) = (&bs[j][..], &xs[j], &rs[j]);
                 let v = stop.criterion_value(exec, b, x, r, rtus[j], &mut one);
                 assert_eq!(values[j].to_bits(), v.to_bits(), "{criterion:?} column {j}");
                 assert_eq!(wide[j], one, "{criterion:?} column {j} counters");
@@ -341,23 +340,20 @@ mod tests {
     #[test]
     fn k_column_criterion_is_the_single_column_criterion_per_column() {
         use crate::engine::{RankExec, Ranking, SerialExec};
-        use spcg_dist::{executor::run_ranks_in, ThreadBoard, ThreadComm};
+        use spcg_dist::{executor::run_ranks_in, ThreadComm};
 
         let a = spcg_sparse::generators::poisson::poisson_2d(9);
         let m = spcg_precond::Jacobi::new(&a);
-        let b = spcg_sparse::generators::paper_rhs(&a);
-        let problem = crate::options::Problem::new(&a, &m, &b);
         // No fault plan: it would poison the two forms' exchanges at
         // different sequence numbers.
         let opts = SolveOptions::from_env().with_faults(None);
-        k_columns_match_single_columns(&mut SerialExec::new(&problem, &opts));
+        k_columns_match_single_columns(&mut SerialExec::new(&a, &m, &opts));
         let world = Ranking::new(a.nrows(), 2, &opts).world();
         run_ranks_in(&world.group, |comm: ThreadComm| {
-            let board =
-                |b: &spcg_dist::VectorBoard| Box::new(ThreadBoard::new(b.handle(), comm.clone()));
-            let (method, comm) = (crate::Method::Pcg, Box::new(comm.clone()));
-            let (b1, b2) = (board(&world.board), board(&world.board2));
-            let mut exec = RankExec::new(&problem, &method, &opts, comm, b1, b2, None, None);
+            let (method, comm) = (crate::Method::Pcg, Box::new(comm));
+            let (b1, b2) = (world.board.handle(), world.board2.handle());
+            let (b1, b2) = (Box::new(b1), Box::new(b2));
+            let mut exec = RankExec::new(&a, &m, &method, &opts, comm, b1, b2, None, None);
             k_columns_match_single_columns(&mut exec);
         });
     }

@@ -152,31 +152,11 @@ pub fn scale(a: f64, x: &mut [f64]) {
     }
 }
 
-/// Copy `src` into `dst`.
-#[inline]
-pub fn copy(src: &[f64], dst: &mut [f64]) {
-    dst.copy_from_slice(src);
-}
-
 /// Set every entry of `x` to zero.
 #[inline]
 pub fn zero(x: &mut [f64]) {
     for v in x.iter_mut() {
         *v = 0.0;
-    }
-}
-
-/// Three-term linear combination `out ← a·x + b·y + c·z`, the core update of
-/// the three-term recurrence solvers (PCG3, CA-PCG3).
-#[inline]
-pub fn lincomb3(a: f64, x: &[f64], b: f64, y: &[f64], c: f64, z: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    assert!(
-        x.len() == n && y.len() == n && z.len() == n,
-        "lincomb3: length mismatch"
-    );
-    for i in 0..n {
-        out[i] = a * x[i] + b * y[i] + c * z[i];
     }
 }
 
@@ -317,16 +297,6 @@ mod tests {
         let mut y = [2.0, 4.0];
         xpby(&x, 0.5, &mut y);
         assert_eq!(y, [2.0, 3.0]);
-    }
-
-    #[test]
-    fn lincomb3_basic() {
-        let x = [1.0, 0.0];
-        let y = [0.0, 1.0];
-        let z = [1.0, 1.0];
-        let mut out = [0.0, 0.0];
-        lincomb3(2.0, &x, 3.0, &y, -1.0, &z, &mut out);
-        assert_eq!(out, [1.0, 2.0]);
     }
 
     #[test]

@@ -113,6 +113,14 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
+    derived: Derived,
+}
+
+/// What a [`CsrMatrix`] computes lazily from its arrays and keeps: empty in
+/// a new or cloned matrix, emptied as a whole by an in-place edit, refilled
+/// on demand.
+#[derive(Debug, Default)]
+struct Derived {
     /// Lazily computed nnz-balanced row partition for the threaded SpMV,
     /// keyed by chunk count (see [`CsrMatrix::row_schedule`]).
     schedule: Mutex<Option<(usize, Arc<Vec<usize>>)>>,
@@ -160,21 +168,14 @@ fn ranges_overlap(a: (usize, usize), b: (usize, usize)) -> bool {
 
 impl Clone for CsrMatrix {
     fn clone(&self) -> Self {
-        // The schedule cache is derived data; the clone recomputes on demand.
-        CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
-            values: self.values.clone(),
-            schedule: Mutex::new(None),
-            splits: Mutex::new(Vec::new()),
-            zones: Mutex::new(Vec::new()),
-            sell: Mutex::new(None),
-            cols_u32: Mutex::new(None),
-            cols_bounded: AtomicBool::new(false),
-            panel_reach: Mutex::new(None),
-        }
+        // The clone recomputes its derived data on demand.
+        Self::assemble(
+            self.nrows,
+            self.ncols,
+            self.row_ptr.clone(),
+            self.col_idx.clone(),
+            self.values.clone(),
+        )
     }
 }
 
@@ -192,13 +193,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             values,
-            schedule: Mutex::new(None),
-            splits: Mutex::new(Vec::new()),
-            zones: Mutex::new(Vec::new()),
-            sell: Mutex::new(None),
-            cols_u32: Mutex::new(None),
-            cols_bounded: AtomicBool::new(false),
-            panel_reach: Mutex::new(None),
+            derived: Derived::default(),
         }
     }
 
@@ -332,20 +327,6 @@ impl CsrMatrix {
                 acc += self.values[k] * x[self.col_idx[k]];
             }
             y[r - row_begin] = acc;
-        }
-    }
-
-    /// `y ← y + a·A·x`.
-    pub fn spmv_acc(&self, a: f64, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "spmv_acc: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv_acc: y length mismatch");
-        for r in 0..self.nrows {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            y[r] += a * acc;
         }
     }
 
@@ -644,7 +625,7 @@ impl CsrMatrix {
     /// a CSR row are sorted, so each row contributes just its first and
     /// last entry; an empty panel reports `(0, 0)`.
     fn panel_reach(&self) -> Arc<Vec<(usize, usize)>> {
-        let mut guard = self.panel_reach.lock().unwrap();
+        let mut guard = self.derived.panel_reach.lock().unwrap();
         if let Some(reach) = guard.as_ref() {
             return Arc::clone(reach);
         }
@@ -739,14 +720,14 @@ impl CsrMatrix {
     /// matrix and remembered (relaxed ordering: a racing duplicate check
     /// is harmless).
     fn ensure_cols_bounded(&self) {
-        if self.cols_bounded.load(Ordering::Relaxed) {
+        if self.derived.cols_bounded.load(Ordering::Relaxed) {
             return;
         }
         assert!(
             self.col_idx.iter().all(|&c| c < self.ncols),
             "spmm: column index out of bounds"
         );
-        self.cols_bounded.store(true, Ordering::Relaxed);
+        self.derived.cols_bounded.store(true, Ordering::Relaxed);
     }
 
     /// Copies the diagonal into a vector; missing diagonal entries become 0.
@@ -827,14 +808,13 @@ impl CsrMatrix {
         for v in &mut self.values {
             *v *= a;
         }
-        self.drop_value_caches();
+        self.edited();
     }
 
-    /// Empties the caches that copy `values` (the SELL conversion and the
-    /// ghost zones) after an in-place edit; the structural ones stay valid.
-    fn drop_value_caches(&mut self) {
-        *self.sell.get_mut().expect("sell cache poisoned") = None;
-        self.zones.get_mut().expect("zone cache poisoned").clear();
+    /// Forgets everything derived after an in-place edit: some of it copies
+    /// `values`, and all of it is cheap to refill.
+    fn edited(&mut self) {
+        self.derived = Derived::default();
     }
 
     /// Adds `shift` to every diagonal entry, assuming the diagonal is fully
@@ -850,7 +830,7 @@ impl CsrMatrix {
                 .unwrap_or_else(|_| panic!("shift_diagonal: row {r} has no diagonal entry"));
             self.values[lo + pos] += shift;
         }
-        self.drop_value_caches();
+        self.edited();
     }
 
     /// Number of FLOPs of one SpMV with this matrix (`2·nnz`), used by the
@@ -870,7 +850,7 @@ impl CsrMatrix {
     /// threaded SpMVs pay the binary searches once.
     pub fn row_schedule(&self, nchunks: usize) -> Arc<Vec<usize>> {
         let nchunks = nchunks.max(1);
-        let mut cache = self.schedule.lock().unwrap();
+        let mut cache = self.derived.schedule.lock().unwrap();
         if let Some((c, bounds)) = cache.as_ref() {
             if *c == nchunks {
                 return Arc::clone(bounds);
@@ -890,7 +870,7 @@ impl CsrMatrix {
     /// # Panics
     /// Panics if the range is invalid.
     pub fn row_split(&self, lo: usize, hi: usize) -> Arc<RowSplit> {
-        let mut cache = self.splits.lock().unwrap();
+        let mut cache = self.derived.splits.lock().unwrap();
         if let Some((_, split)) = cache.iter().find(|(range, _)| *range == (lo, hi)) {
             return Arc::clone(split);
         }
@@ -928,11 +908,11 @@ impl CsrMatrix {
             };
             cache.iter().find(serves).cloned()
         };
-        if let Some(zone) = cached(&self.zones.lock().expect("zone cache poisoned")) {
+        if let Some(zone) = cached(&self.derived.zones.lock().expect("zone cache poisoned")) {
             return zone;
         }
         let zone = Arc::new(GhostZone::new(self, lo, hi, depth, format));
-        let mut cache = self.zones.lock().expect("zone cache poisoned");
+        let mut cache = self.derived.zones.lock().expect("zone cache poisoned");
         // Another thread may have built the same zone meanwhile.
         if let Some(zone) = cached(&cache) {
             return zone;
@@ -946,7 +926,7 @@ impl CsrMatrix {
     /// [`SellMatrix`]), built on first request and cached — every
     /// executor of a solve shares the one conversion.
     pub fn sell(&self) -> Arc<SellMatrix> {
-        let mut cache = self.sell.lock().unwrap();
+        let mut cache = self.derived.sell.lock().unwrap();
         if let Some(s) = cache.as_ref() {
             return Arc::clone(s);
         }
@@ -966,7 +946,7 @@ impl CsrMatrix {
         if self.ncols > u32::MAX as usize {
             return None;
         }
-        let mut cache = self.cols_u32.lock().unwrap();
+        let mut cache = self.derived.cols_u32.lock().unwrap();
         if let Some(c) = cache.as_ref() {
             return Some(Arc::clone(c));
         }
@@ -1036,15 +1016,6 @@ mod tests {
         let mut y = [0.0; 3];
         a.spmv(&x, &mut y);
         assert_eq!(y, [2.0, 4.0, 10.0]);
-    }
-
-    #[test]
-    fn spmv_acc_accumulates() {
-        let a = small();
-        let x = [1.0, 0.0, 0.0];
-        let mut y = [1.0, 1.0, 1.0];
-        a.spmv_acc(2.0, &x, &mut y);
-        assert_eq!(y, [9.0, -1.0, 1.0]);
     }
 
     #[test]
@@ -1215,7 +1186,7 @@ mod tests {
 
     /// `(range, depth, format)` of every cached zone, sorted.
     fn cached_zones(a: &CsrMatrix) -> Vec<((usize, usize), usize, &'static str)> {
-        let cache = a.zones.lock().unwrap();
+        let cache = a.derived.zones.lock().unwrap();
         let mut keys: Vec<_> = cache
             .iter()
             .map(|z| (z.range(), z.depth(), z.format().name()))
@@ -1252,7 +1223,51 @@ mod tests {
         let mut a = a;
         a.scale(2.0);
         assert!(cached_zones(&a).is_empty());
-        assert!(a.sell.lock().unwrap().is_none());
+        assert!(a.derived.sell.lock().unwrap().is_none());
+    }
+
+    /// The bits of every product that runs on derived data: the SELL SpMV,
+    /// then per format a width-8 SpMM and the SpMV of both zones of a
+    /// 2-range partition.
+    fn derived_products(a: &CsrMatrix) -> Vec<u64> {
+        let n = a.nrows();
+        let pk = crate::ParKernels::new(1);
+        let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 * 0.25 - 1.0).collect();
+        let cols: Vec<Vec<f64>> = (0..8)
+            .map(|j| x.iter().map(|v| v * (j as f64 + 0.5)).collect())
+            .collect();
+        let xm = MultiVector::from_columns(&cols);
+        let mut y = vec![0.0; n];
+        a.sell().spmv(&x, &mut y);
+        let mut out = y;
+        for format in [SparseFormat::Csr, SparseFormat::Sell] {
+            let sell = (format == SparseFormat::Sell).then(|| a.sell());
+            let mut ym = MultiVector::zeros(n, 8);
+            pk.spmm_on(crate::MatRef::of(a, sell.as_deref()), &xm, &mut ym);
+            (0..8).for_each(|j| out.extend_from_slice(ym.col(j)));
+            for (lo, hi) in [(0, n / 2), (n / 2, n)] {
+                let zone = a.ghost_zone(lo, hi, 2, format);
+                let mut y = vec![0.0; hi - lo];
+                zone.spmv_prefix(&pk, hi - lo, &zone.extend_from_global(&x), &mut y);
+                out.extend(y);
+            }
+        }
+        out.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn derived_data_follows_in_place_edits() {
+        // A clone is assembled anew from the arrays: nothing derived yet.
+        let mut a = crate::generators::poisson::poisson_2d(12);
+        let unedited = derived_products(&a); // every slot is now filled
+        a.scale(1.5);
+        let scaled = derived_products(&a);
+        assert_eq!(scaled, derived_products(&a.clone()), "after scale");
+        assert_ne!(scaled, unedited);
+        a.shift_diagonal(0.75);
+        let shifted = derived_products(&a);
+        assert_eq!(shifted, derived_products(&a.clone()), "after shift");
+        assert_ne!(shifted, scaled);
     }
 
     #[test]
@@ -1270,7 +1285,7 @@ mod tests {
             }
             let want: Vec<_> = ranges(ranks).into_iter().map(|r| (r, 2, "sell")).collect();
             assert_eq!(cached_zones(&a), want, "after {ranks} ranks");
-            let splits = a.splits.lock().unwrap();
+            let splits = a.derived.splits.lock().unwrap();
             let mut held: Vec<_> = splits.iter().map(|(range, _)| *range).collect();
             held.sort_unstable();
             assert_eq!(held, ranges(ranks), "splits after {ranks} ranks");

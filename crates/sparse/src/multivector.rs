@@ -126,12 +126,6 @@ impl MultiVector {
         crate::par::gram_cols_impl(None, self.n, &acols, &bcols)
     }
 
-    /// Gram product against a single vector: `selfᵀ · x` (length `k`).
-    pub fn gram_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n, "gram_vec: length mismatch");
-        (0..self.k).map(|j| blas::dot(self.col(j), x)).collect()
-    }
-
     /// Blocked search-direction update `self ← u + self · b`: see
     /// [`ParKernels::blocked_update`], which this forwards to. The update
     /// runs in place, so `_scratch` is no longer touched; the parameter
@@ -211,13 +205,5 @@ mod tests {
             w[1] = r[1] * 2.0;
         }
         assert_eq!(a.col(0)[1], 8.0);
-    }
-
-    #[test]
-    fn gram_vec_matches_gram() {
-        let a = mv(&[&[1.0, 2.0], &[0.5, -1.0]]);
-        let x = vec![2.0, 2.0];
-        let gv = a.gram_vec(&x);
-        assert_eq!(gv, vec![6.0, -1.0]);
     }
 }

@@ -427,11 +427,6 @@ impl ParKernels {
         pairwise_sum(&mut partials)
     }
 
-    /// Squared Euclidean norm `‖x‖²`.
-    pub fn norm2_sq(&self, x: &[f64]) -> f64 {
-        self.dot(x, x)
-    }
-
     /// Sparse matrix-vector product `y ← A·x` over the matrix's cached
     /// nnz-balanced row schedule. Row-partitioned, hence bitwise equal to
     /// [`CsrMatrix::spmv`] for any thread count.

@@ -54,11 +54,6 @@ impl BlockRowPartition {
         self.offsets[p + 1] - self.offsets[p]
     }
 
-    /// True if some part owns zero rows.
-    pub fn has_empty_part(&self) -> bool {
-        (0..self.nparts()).any(|p| self.len(p) == 0)
-    }
-
     /// The part that owns row `r`.
     pub fn owner(&self, r: usize) -> usize {
         assert!(r < self.n, "owner: row out of range");
@@ -101,18 +96,12 @@ impl BlockRowPartition {
         }
         halos
     }
-
-    /// Total halo volume (words exchanged per distributed SpMV, counting
-    /// each remote entry once per consuming rank).
-    pub fn halo_volume(&self, a: &CsrMatrix) -> usize {
-        self.halo_columns(a).iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::poisson::{poisson_1d, poisson_2d};
+    use crate::generators::poisson::poisson_1d;
 
     #[test]
     fn balanced_sizes_differ_by_at_most_one() {
@@ -158,20 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn poisson2d_halo_volume_scales_with_cuts() {
-        let m = 16;
-        let a = poisson_2d(m);
-        let p2 = BlockRowPartition::balanced(m * m, 2);
-        let p4 = BlockRowPartition::balanced(m * m, 4);
-        // Each cut through the grid costs ~2m remote entries (m each side).
-        assert_eq!(p2.halo_volume(&a), 2 * m);
-        assert_eq!(p4.halo_volume(&a), 6 * m);
-    }
-
-    #[test]
     fn more_parts_than_rows() {
         let p = BlockRowPartition::balanced(3, 5);
-        assert!(p.has_empty_part());
         let total: usize = (0..5).map(|q| p.len(q)).sum();
         assert_eq!(total, 3);
     }

@@ -119,15 +119,6 @@ impl Cholesky {
         out
     }
 
-    /// Determinant of `A` (product of squared diagonal entries of `L`).
-    pub fn det(&self) -> f64 {
-        let mut d = 1.0;
-        for i in 0..self.dim() {
-            d *= self.l[(i, i)] * self.l[(i, i)];
-        }
-        d
-    }
-
     /// Crude 2-norm condition estimate from the extreme Cholesky pivots:
     /// `cond(A) ≈ (max_i L_ii / min_i L_ii)²`. Cheap and adequate for the
     /// adaptive-s heuristic, which only needs an order of magnitude.
@@ -235,7 +226,7 @@ impl Lu {
     }
 }
 
-/// Default sweep cap for [`gauss_seidel`] / [`gauss_seidel_mat`]. Gram
+/// Default sweep cap for [`gs_solve`] / [`gs_solve_mat`]. Gram
 /// systems of s-step methods are tiny (`O(s)²`), so a generous cap costs
 /// microseconds while guaranteeing the iteration count stays bounded and
 /// deterministic.
@@ -250,155 +241,6 @@ pub const GS_MAX_SWEEPS: usize = 200;
 /// the happy-breakdown exit in the accelerated core bounds the extra cost
 /// at O(dim) sweeps.
 pub const GS_TOL: f64 = f64::EPSILON;
-
-/// Seeded Gauss-Seidel iteration for a small SPD system `A·x = b`.
-///
-/// Unlike [`Cholesky`], Gauss-Seidel has no pivot-failure mode: it converges
-/// (possibly slowly) for every symmetric positive definite matrix, including
-/// ones close enough to singular that Cholesky rejects them for a
-/// non-positive pivot. That is exactly the breakdown class of ill-conditioned
-/// s-step Gram systems, which is why the GS variant of CA-PCG survives
-/// large-s monomial bases that break the Cholesky path.
-///
-/// Determinism contract: sweeps run in fixed row order `0..n`, the residual
-/// check happens after every sweep, and the sweep count at exit is a pure
-/// function of `(a, b, seed, max_sweeps, tol)` — callers operating on
-/// replicated post-allreduce data therefore observe rank-identical sweep
-/// counts, which the solvers verify at runtime via a consensus word.
-///
-/// Returns `(x, sweeps)`; `sweeps == max_sweeps` means the tolerance was not
-/// met (the result may still be usable — callers judge by finiteness and the
-/// outer recurrence). Fails only if a diagonal entry is zero or non-finite,
-/// which makes the iteration undefined.
-pub fn gauss_seidel(
-    a: &DenseMat,
-    b: &[f64],
-    seed: Option<&[f64]>,
-    max_sweeps: usize,
-    tol: f64,
-) -> Result<(Vec<f64>, usize), SolveError> {
-    let n = a.nrows();
-    assert_eq!(a.ncols(), n, "gauss_seidel: matrix must be square");
-    assert_eq!(b.len(), n, "gauss_seidel: rhs length mismatch");
-    for i in 0..n {
-        let d = a[(i, i)];
-        if !(d != 0.0) || !d.is_finite() {
-            return Err(SolveError::Singular { pivot_index: i });
-        }
-    }
-    let mut x = match seed {
-        Some(s) => {
-            assert_eq!(s.len(), n, "gauss_seidel: seed length mismatch");
-            s.to_vec()
-        }
-        None => vec![0.0; n],
-    };
-    let bnorm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if bnorm == 0.0 {
-        return Ok((vec![0.0; n], 0));
-    }
-    let mut sweeps = 0;
-    while sweeps < max_sweeps {
-        for i in 0..n {
-            let mut v = b[i];
-            for j in 0..n {
-                if j != i {
-                    v -= a[(i, j)] * x[j];
-                }
-            }
-            x[i] = v / a[(i, i)];
-        }
-        sweeps += 1;
-        let mut rn = 0.0;
-        for i in 0..n {
-            let mut v = b[i];
-            for j in 0..n {
-                v -= a[(i, j)] * x[j];
-            }
-            rn += v * v;
-        }
-        if !(rn.sqrt() > tol * bnorm) {
-            break;
-        }
-    }
-    Ok((x, sweeps))
-}
-
-/// Matrix-RHS version of [`gauss_seidel`]: all columns are swept together in
-/// lockstep and the early exit fires only when *every* column's relative
-/// residual meets `tol`, so the returned sweep count is a single
-/// deterministic number for the whole system (one consensus word, not one
-/// per column).
-pub fn gauss_seidel_mat(
-    a: &DenseMat,
-    b: &DenseMat,
-    seed: Option<&DenseMat>,
-    max_sweeps: usize,
-    tol: f64,
-) -> Result<(DenseMat, usize), SolveError> {
-    let n = a.nrows();
-    assert_eq!(a.ncols(), n, "gauss_seidel_mat: matrix must be square");
-    assert_eq!(b.nrows(), n, "gauss_seidel_mat: rhs rows mismatch");
-    let k = b.ncols();
-    for i in 0..n {
-        let d = a[(i, i)];
-        if !(d != 0.0) || !d.is_finite() {
-            return Err(SolveError::Singular { pivot_index: i });
-        }
-    }
-    let mut x = match seed {
-        Some(s) => {
-            assert_eq!(s.nrows(), n, "gauss_seidel_mat: seed rows mismatch");
-            assert_eq!(s.ncols(), k, "gauss_seidel_mat: seed cols mismatch");
-            s.clone()
-        }
-        None => DenseMat::zeros(n, k),
-    };
-    let mut bnorm = vec![0.0f64; k];
-    for c in 0..k {
-        for i in 0..n {
-            bnorm[c] += b[(i, c)] * b[(i, c)];
-        }
-        bnorm[c] = bnorm[c].sqrt();
-    }
-    let mut sweeps = 0;
-    while sweeps < max_sweeps {
-        for c in 0..k {
-            for i in 0..n {
-                let mut v = b[(i, c)];
-                for j in 0..n {
-                    if j != i {
-                        v -= a[(i, j)] * x[(j, c)];
-                    }
-                }
-                x[(i, c)] = v / a[(i, i)];
-            }
-        }
-        sweeps += 1;
-        let mut all_met = true;
-        for c in 0..k {
-            if bnorm[c] == 0.0 {
-                continue;
-            }
-            let mut rn = 0.0;
-            for i in 0..n {
-                let mut v = b[(i, c)];
-                for j in 0..n {
-                    v -= a[(i, j)] * x[(j, c)];
-                }
-                rn += v * v;
-            }
-            if rn.sqrt() > tol * bnorm[c] {
-                all_met = false;
-                break;
-            }
-        }
-        if all_met {
-            break;
-        }
-    }
-    Ok((x, sweeps))
-}
 
 /// One symmetric Gauss-Seidel application `z = M⁻¹·r` with
 /// `M = (D+L)·D⁻¹·(D+U)`: a forward triangular solve, a diagonal scale,
@@ -529,11 +371,10 @@ fn gs_mr_core(a: &DenseMat, b: &[f64], x: &mut [f64], budget: usize, tol_abs: f6
 /// a small SPD system `A·x = b` — the Gram-system solver of the GS variant
 /// of CA-PCG.
 ///
-/// Plain Gauss-Seidel sweeps ([`gauss_seidel`]) converge for every SPD
-/// matrix but at a rate that collapses on the nearly-singular moment
-/// matrices s-step monomial bases produce — hundreds of sweeps can leave
-/// the residual at `1e-2`, and that inexactness compounds through the
-/// outer recurrence. This routine keeps the symmetric Gauss-Seidel sweep
+/// Plain Gauss-Seidel sweeps converge for every SPD matrix but at a rate
+/// that collapses on the nearly-singular moment matrices s-step monomial
+/// bases produce — hundreds of sweeps can leave the residual at `1e-2`,
+/// and that inexactness compounds through the outer recurrence. This routine keeps the symmetric Gauss-Seidel sweep
 /// as its only primitive but recombines the sweep directions with
 /// minimal-residual coefficients (`gs_mr_core`): each iteration applies
 /// one forward+backward sweep pair and the iterate is the residual-norm
@@ -544,11 +385,11 @@ fn gs_mr_core(a: &DenseMat, b: &[f64], x: &mut [f64], budget: usize, tol_abs: f6
 /// produces near the outer method's accuracy floor, and graceful
 /// (bounded, best-iterate) degradation on singular ones.
 ///
-/// Determinism contract: identical to [`gauss_seidel`] — fixed sweep
-/// order, residual early exit after every sweep, and the returned sweep
-/// count is a pure function of `(a, b, seed, max_sweeps, tol)`, so
-/// callers on replicated post-allreduce data observe rank-identical
-/// counts (verified by the solvers via a consensus word).
+/// Determinism contract: fixed sweep order, residual early exit after
+/// every sweep, and the returned sweep count is a pure function of
+/// `(a, b, seed, max_sweeps, tol)`, so callers on replicated
+/// post-allreduce data observe rank-identical counts (verified by the
+/// solvers via a consensus word).
 ///
 /// Returns `(x, sweeps)` where `sweeps` counts symmetric sweep pairs
 /// applied; fails only on a zero or non-finite diagonal entry.
@@ -720,11 +561,6 @@ impl PivotedCholesky {
         self.n
     }
 
-    /// Whether every pivot was accepted.
-    pub fn is_full_rank(&self) -> bool {
-        self.rank == self.n
-    }
-
     /// Solves `A·x = b` on the span of the accepted pivot directions;
     /// coordinates of rejected directions come back exactly zero.
     pub fn pseudo_solve(&self, b: &[f64]) -> Vec<f64> {
@@ -814,10 +650,9 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_det_and_cond() {
+    fn cholesky_cond_estimate() {
         let a = DenseMat::from_row_major(2, 2, vec![4.0, 0.0, 0.0, 1.0]);
         let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.det() - 4.0).abs() < 1e-14);
         assert!((ch.cond_estimate() - 4.0).abs() < 1e-12);
     }
 
@@ -871,80 +706,10 @@ mod tests {
     }
 
     #[test]
-    fn gauss_seidel_matches_cholesky_on_spd() {
-        let a = spd3();
-        let b = vec![1.0, 2.0, 3.0];
-        let want = Cholesky::factor(&a).unwrap().solve(&b);
-        let (x, sweeps) = gauss_seidel(&a, &b, None, GS_MAX_SWEEPS, GS_TOL).unwrap();
-        assert!(sweeps > 0 && sweeps < GS_MAX_SWEEPS);
-        for (xi, wi) in x.iter().zip(&want) {
-            assert!((xi - wi).abs() < 1e-10, "{x:?} vs {want:?}");
-        }
-    }
-
-    #[test]
-    fn gauss_seidel_is_deterministic_and_seedable() {
-        let a = spd3();
-        let b = vec![0.3, -1.2, 2.5];
-        let (x1, s1) = gauss_seidel(&a, &b, None, GS_MAX_SWEEPS, GS_TOL).unwrap();
-        let (x2, s2) = gauss_seidel(&a, &b, None, GS_MAX_SWEEPS, GS_TOL).unwrap();
-        assert_eq!(x1, x2);
-        assert_eq!(s1, s2);
-        // Seeding with the answer converges in one residual check.
-        let (x3, s3) = gauss_seidel(&a, &b, Some(&x1), GS_MAX_SWEEPS, GS_TOL).unwrap();
-        assert!(s3 <= 1, "warm start took {s3} sweeps");
-        for (a_, b_) in x3.iter().zip(&x1) {
-            assert!((a_ - b_).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn gauss_seidel_survives_near_singular_spd() {
-        // κ ≈ 1e14: Cholesky may succeed here, but push to the edge —
-        // GS must stay finite and bounded regardless.
-        let a = DenseMat::from_row_major(2, 2, vec![1.0, 1.0 - 5e-15, 1.0 - 5e-15, 1.0]);
-        let b = vec![1.0, 1.0];
-        let (x, sweeps) = gauss_seidel(&a, &b, None, 50, GS_TOL).unwrap();
-        assert!(sweeps <= 50);
-        assert!(x.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn gauss_seidel_zero_rhs_short_circuits() {
-        let a = spd3();
-        let (x, sweeps) = gauss_seidel(&a, &[0.0; 3], Some(&[1.0, 2.0, 3.0]), 50, GS_TOL).unwrap();
-        assert_eq!(sweeps, 0);
-        assert_eq!(x, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn gauss_seidel_rejects_zero_diagonal() {
-        let a = DenseMat::from_row_major(2, 2, vec![1.0, 1.0, 1.0, 0.0]);
-        assert!(matches!(
-            gauss_seidel(&a, &[1.0, 1.0], None, 10, GS_TOL),
-            Err(SolveError::Singular { pivot_index: 1 })
-        ));
-    }
-
-    #[test]
-    fn gauss_seidel_mat_matches_vector_columns() {
-        let a = spd3();
-        let b = DenseMat::from_row_major(3, 2, vec![1.0, -2.0, 0.5, 3.0, -1.0, 0.25]);
-        let (x, sweeps) = gauss_seidel_mat(&a, &b, None, GS_MAX_SWEEPS, GS_TOL).unwrap();
-        assert!(sweeps > 0);
-        for c in 0..2 {
-            let want = Cholesky::factor(&a).unwrap().solve(&b.col(c));
-            for i in 0..3 {
-                assert!((x[(i, c)] - want[i]).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn pivoted_cholesky_full_rank_matches_cholesky() {
         let a = spd3();
         let pc = PivotedCholesky::factor(&a, 1e-12);
-        assert!(pc.is_full_rank());
+        assert_eq!(pc.rank(), 3);
         let b = vec![1.0, 2.0, 3.0];
         let want = Cholesky::factor(&a).unwrap().solve(&b);
         let x = pc.pseudo_solve(&b);

@@ -85,17 +85,6 @@ impl RowSplit {
     pub fn n_frontier(&self) -> usize {
         self.frontier.len()
     }
-
-    /// Fraction of owned rows that are interior (`1.0` for an empty range —
-    /// nothing blocks on communication).
-    pub fn interior_fraction(&self) -> f64 {
-        let n = self.hi - self.lo;
-        if n == 0 {
-            1.0
-        } else {
-            self.interior.len() as f64 / n as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +98,6 @@ mod tests {
         let s = a.row_split(0, a.nrows());
         assert_eq!(s.n_interior(), a.nrows());
         assert_eq!(s.n_frontier(), 0);
-        assert_eq!(s.interior_fraction(), 1.0);
         assert_eq!(s.interior(), (0..a.nrows()).collect::<Vec<_>>());
     }
 
@@ -160,17 +148,13 @@ mod tests {
         let a = poisson_3d(g);
         let n = a.nrows();
         let mid = n / 2;
-        let mut last = -1.0;
+        // Plane-aligned cuts of the 7-point stencil: exactly one plane of
+        // frontier rows at each cut, whatever the block's height.
         for half in [g * g, 2 * g * g, 4 * g * g, 5 * g * g] {
             let s = a.row_split(mid - half, mid + half);
-            let f = s.interior_fraction();
-            assert!(f > last, "fraction {f} must grow (was {last})");
-            last = f;
+            assert_eq!(s.n_frontier(), 2 * g * g);
+            assert_eq!(s.n_interior(), 2 * half - 2 * g * g);
         }
-        // Plane-aligned cuts of the 7-point stencil: exactly one plane of
-        // frontier rows at each cut.
-        let s = a.row_split(mid - g * g, mid + g * g);
-        assert_eq!(s.n_frontier(), 2 * g * g);
     }
 
     #[test]

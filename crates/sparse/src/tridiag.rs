@@ -90,12 +90,6 @@ pub fn eigenvalues(d: &[f64], e: &[f64]) -> Vec<f64> {
     d
 }
 
-/// Extreme eigenvalues `(λ_min, λ_max)` of the symmetric tridiagonal matrix.
-pub fn extreme_eigenvalues(d: &[f64], e: &[f64]) -> (f64, f64) {
-    let ev = eigenvalues(d, e);
-    (ev[0], *ev.last().unwrap())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,13 +138,5 @@ mod tests {
         let trace: f64 = d.iter().sum();
         let sum: f64 = ev.iter().sum();
         assert!((trace - sum).abs() < 1e-10);
-    }
-
-    #[test]
-    fn extreme_eigenvalues_order() {
-        let (lo, hi) = extreme_eigenvalues(&[2.0, 2.0, 2.0], &[-1.0, -1.0]);
-        assert!(lo < hi);
-        assert!((lo - (2.0 - 2.0f64.sqrt())).abs() < 1e-12);
-        assert!((hi - (2.0 + 2.0f64.sqrt())).abs() < 1e-12);
     }
 }

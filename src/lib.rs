@@ -12,10 +12,11 @@
 //! This crate is a facade re-exporting the workspace members:
 //!
 //! * [`sparse`] — CSR matrices, multivectors, generators, Matrix Market I/O;
-//! * [`dist`] — operation counters and the threaded rank executor;
+//! * [`dist`] — operation counters and the rank transports (threads, worker
+//!   processes);
 //! * [`precond`] — Jacobi, Chebyshev, block-Jacobi, SSOR;
 //! * [`basis`] — polynomial bases, matrix powers kernel, Ritz/Leja shifts;
-//! * [`solvers`] — the six solvers plus rank-parallel variants;
+//! * [`solvers`] — the nine methods, on the serial and the ranked engine;
 //! * [`service`] — resident solve service: fingerprint setup cache and
 //!   batched multi-RHS admission;
 //! * [`perf`] — Table-1 formulas and the α-β cluster model;
