@@ -2,7 +2,7 @@
 //!
 //! Every adaptive decision is computed from already-allreduced scalars, so
 //! all ranks *should* decide identically — SPMD control flow. These words
-//! piggyback on the next Gram allreduce to verify that invariant at run
+//! ride the next Gram allreduce to verify that invariant at run
 //! time without an extra collective: each rank contributes its decision
 //! plus a count of one; after the reduction, `sum == local · nranks` holds
 //! (exactly, in f64 integer arithmetic) iff every rank decided the same.

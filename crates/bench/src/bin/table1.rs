@@ -62,6 +62,8 @@ fn main() {
         "dots (form)",
         "vecFLOPs/n (meas)",
         "vecFLOPs/n (form)",
+        "coll. (meas)",
+        "coll. (form)",
         "max rel err",
     ]);
     let cases = [
@@ -116,6 +118,8 @@ fn main() {
             format!("{:.0}", check.formula_reductions),
             format!("{:.1}", check.measured_vector_flops),
             format!("{:.0}", check.formula_vector_flops),
+            format!("{:.1}", check.measured_collectives),
+            format!("{:.0}", check.formula_collectives),
             format!("{:.2}", check.max_relative_error()),
         ]);
     }

@@ -265,6 +265,8 @@ pub struct CommGroup {
     /// Two banks of one deposit slot per rank; an allreduce uses the bank
     /// named by the parity of the barrier generation it completes.
     banks: [Vec<Mutex<Vec<f64>>>; 2],
+    /// Allreduces completed, counted by rank 0 ([`CommGroup::allreduces`]).
+    allreduces: AtomicU64,
 }
 
 impl CommGroup {
@@ -290,7 +292,13 @@ impl CommGroup {
             nranks,
             barrier: Barrier::new(nranks, spin),
             banks: [bank(), bank()],
+            allreduces: AtomicU64::new(0),
         })
+    }
+
+    /// Allreduces the group has completed (read it once the ranks joined).
+    pub fn allreduces(&self) -> u64 {
+        self.allreduces.load(Ordering::Relaxed)
     }
 
     /// The group's [`Abort`]: raise it when a rank is lost, attach it to the
@@ -386,6 +394,9 @@ impl ThreadComm {
             for (b, s) in buf.iter_mut().zip(slot.iter()) {
                 *b += *s;
             }
+        }
+        if self.rank == 0 {
+            group.allreduces.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }

@@ -78,7 +78,9 @@ impl Counters {
         self.precond_flops += flops;
     }
 
-    /// Records one global collective reducing `words` values.
+    /// Records one global collective reducing `words` values. The solvers'
+    /// one caller is the reduction itself (`Exec::allreduce` in
+    /// `spcg-solvers`), so a collective is charged where it is performed.
     #[inline]
     pub fn record_collective(&mut self, words: u64) {
         self.global_collectives += 1;
@@ -90,14 +92,6 @@ impl Counters {
     pub fn record_dots(&mut self, count: u64, n: u64) {
         self.dot_count += count;
         self.local_reduction_flops += 2 * count * n;
-    }
-
-    /// Adds piggybacked payload to the words of already-counted collectives
-    /// (e.g. a residual norm fused into the per-outer-iteration reduction)
-    /// without counting an extra synchronization.
-    #[inline]
-    pub fn piggyback_words(&mut self, words: u64) {
-        self.allreduce_words += words;
     }
 
     /// Records one halo (ghost-zone) exchange round reading `words` remote

@@ -99,9 +99,9 @@ impl Algorithm {
     }
 
     /// Global collectives per s steps.
-    pub fn collectives(&self, _s: u64) -> u64 {
+    pub fn collectives(&self, s: u64) -> u64 {
         match self {
-            Algorithm::Pcg => 2 * _s,
+            Algorithm::Pcg => 2 * s,
             _ => 1,
         }
     }
@@ -123,15 +123,20 @@ pub struct Table1Check {
     pub measured_vector_flops: f64,
     /// Formula value (monomial or arbitrary-basis total minus reductions).
     pub formula_vector_flops: f64,
+    /// Measured global collectives per s steps.
+    pub measured_collectives: f64,
+    /// Formula value.
+    pub formula_collectives: f64,
 }
 
 impl Table1Check {
-    /// Largest relative deviation across the three measures.
+    /// Largest relative deviation across the four measures.
     pub fn max_relative_error(&self) -> f64 {
         let rel = |m: f64, f: f64| if f == 0.0 { m.abs() } else { (m - f).abs() / f };
         rel(self.measured_mv_precond, self.formula_mv_precond)
             .max(rel(self.measured_reductions, self.formula_reductions))
             .max(rel(self.measured_vector_flops, self.formula_vector_flops))
+            .max(rel(self.measured_collectives, self.formula_collectives))
     }
 }
 
@@ -173,6 +178,8 @@ pub fn verify_against_counters(
         formula_reductions: alg.local_reductions(s) as f64,
         measured_vector_flops: block(|c| c.blas1_flops + c.blas2_flops + c.blas3_flops) / n as f64,
         formula_vector_flops: formula_total - alg.local_reductions(s) as f64,
+        measured_collectives: block(|c| c.global_collectives),
+        formula_collectives: alg.collectives(s) as f64,
     }
 }
 

@@ -58,7 +58,7 @@ pub(crate) enum BlockPolicy {
     ///   Newton–Leja shifts) and the MPK coefficients are rebuilt mid-solve
     ///   under a [`Phase::BasisRebuild`] span.
     ///
-    /// Consensus words piggyback on each block's Gram allreduce
+    /// Consensus words ride each block's Gram allreduce
     /// (`spcg_adapt::consensus`), verifying at run time that all ranks
     /// entered the block with the same `(s, rebuild)` decision — no extra
     /// collective. Mid-block breakdowns recover the iterate, shrink `s`,
@@ -225,10 +225,10 @@ pub(crate) fn capcg_g<E: Exec>(
         let (params, c) = (&blk.params, &mut counters);
         exec.mpk(&q, Some(&p), params, &mut blk.q_mat, &mut blk.p_mat, c);
         exec.mpk(&r, Some(&u), params, &mut blk.r_mat, &mut blk.u_mat, c);
+        let partial = stop.partial(exec, b, &x, &r, &mut counters);
 
         // --- single global reduction: G = ZᵀY, (2s+1)² words; the adaptive
-        //     policy piggybacks its consensus words and the
-        //     recurrence-residual dot ---
+        //     policy's consensus words and recurrence-residual dot ride it ---
         let gram_span = spcg_obs::span(tr.as_ref(), Phase::Gram);
         let mut g = gram_concat(&pk, &blk.p_mat, &blk.u_mat, &blk.q_mat, &blk.r_mat);
         let mut extra = Vec::new();
@@ -237,8 +237,7 @@ pub(crate) fn capcg_g<E: Exec>(
             extra.push(pk.dot(&r, &r));
         }
         counters.record_dots((dim * dim) as u64 + adapt.is_some() as u64, nw);
-        counters.record_collective((dim * dim + extra.len()) as u64);
-        allreduce_gram(exec, &mut [&mut g], &mut extra);
+        let crit = allreduce_gram(exec, &mut [&mut g], &mut extra, partial, &mut counters);
         drop(gram_span);
 
         let mut cond = 0.0;
@@ -268,7 +267,7 @@ pub(crate) fn capcg_g<E: Exec>(
 
         // --- convergence check every s steps ---
         let rtu = g[(s + 1, s + 1)]; // uᵀr
-        let value = match stop.block_check(exec, b, iterations, &x, &r, rtu, &mut counters) {
+        let value = match stop.block_check(iterations, rtu, crit) {
             Ok(value) => value,
             Err(outcome) => break outcome,
         };
@@ -348,7 +347,6 @@ pub(crate) fn capcg_g<E: Exec>(
             gemv_concat_acc(&pk, &blk.p_mat, &blk.u_mat, &x_c, &mut x);
             gemv_concat(&pk, &blk.q_mat, &blk.r_mat, &r_c, &mut r);
             counters.blas2_flops += 2 * 2 * dim as u64 * nw;
-            let v = stop.criterion_value(exec, b, &x, &r, rho, &mut counters);
             // The adaptive policy counts the completed inner steps (below);
             // the fixed one reports the block boundary its result carries.
             let at = iterations + if adapt.is_some() { step } else { 0 };
@@ -356,7 +354,8 @@ pub(crate) fn capcg_g<E: Exec>(
                 "coordinate-space curvature breakdown at inner step {step}: \
                  pᵀGBp = {denom}, rᵀGr = {rho}"
             );
-            let outcome = stop.resolve_breakdown(at, v, msg);
+            let c = &mut counters;
+            let outcome = stop.resolve_breakdown(exec, b, at, &x, &r, rho, msg, c);
             let Some(ad) = adapt.as_mut().filter(|_| !outcome.converged()) else {
                 break outcome;
             };

@@ -90,19 +90,19 @@ pub(crate) fn capcg3_g<E: Exec>(
         // application per s steps.
         exec.mpk(&r, None, &params, &mut w_mat, &mut v_mat, &mut counters);
         u.copy_from_slice(v_mat.col(0));
+        let partial = stop.partial(exec, b, &x, &r, &mut counters);
 
         // --- single global reduction: G = [U_old|V]ᵀ[R_old|W] ---
         let gram_span = spcg_obs::span(tr.as_ref(), Phase::Gram);
         let mut g_mat = gram_concat(&pk, &u_old, &v_mat, &r_old, &w_mat);
         counters.record_dots((dim * dim) as u64, nw);
-        counters.record_collective((dim * dim) as u64);
-        allreduce_gram(exec, &mut [&mut g_mat], &mut []);
+        let crit = allreduce_gram(exec, &mut [&mut g_mat], &mut [], partial, &mut counters);
         drop(gram_span);
         let g_mat = g_mat;
 
         // --- convergence check every s steps ---
         let rtu = g_mat[(s, s)]; // uᵀr (V col 0 · W col 0)
-        if let Err(outcome) = stop.block_check(exec, b, iterations, &x, &r, rtu, &mut counters) {
+        if let Err(outcome) = stop.block_check(iterations, rtu, crit) {
             break outcome;
         }
 
@@ -139,12 +139,9 @@ pub(crate) fn capcg3_g<E: Exec>(
             let nu = quad_form(&g_mat, &g_c, &d_c);
             if !(nu > 0.0) || !(mu > 0.0) || !nu.is_finite() || !mu.is_finite() {
                 // x, r, u are live full vectors; judge before failing.
-                let v = stop.criterion_value(exec, b, &x, &r, mu, &mut counters);
-                break 'outer stop.resolve_breakdown(
-                    iterations + j,
-                    v,
-                    format!("coordinate moments uᵀAu = {nu}, rᵀu = {mu}"),
-                );
+                let msg = format!("coordinate moments uᵀAu = {nu}, rᵀu = {mu}");
+                let c = &mut counters;
+                break 'outer stop.resolve_breakdown(exec, b, iterations + j, &x, &r, mu, msg, c);
             }
             let gamma = mu / nu;
             let prev = (gamma_prev, mu_prev, rho_prev);
@@ -238,19 +235,9 @@ mod tests {
     use super::*;
     use crate::options::{Outcome, Problem, StoppingCriterion};
     use crate::{solve, Engine::Serial, Method};
-    use spcg_basis::ritz::estimate_spectrum;
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
     use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
-
-    fn chebyshev_basis(problem: &Problem<'_>) -> BasisType {
-        let est = estimate_spectrum(problem.a, problem.m, problem.b, 20);
-        let (lo, hi) = est.chebyshev_interval(0.1);
-        BasisType::Chebyshev {
-            lambda_min: lo,
-            lambda_max: hi,
-        }
-    }
 
     #[test]
     fn monomial_small_s_solves_poisson() {
@@ -271,7 +258,7 @@ mod tests {
         let m = Jacobi::new(&a);
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
-        let basis = chebyshev_basis(&problem);
+        let basis = crate::setup::chebyshev_basis(&problem, 20, 0.1);
         let opts = SolveOptions::from_env();
         let r3 = solve(&Method::Pcg3, &problem, &opts, Serial);
         let capcg3 = Method::CaPcg3 { s: 2, basis };
@@ -313,7 +300,7 @@ mod tests {
         let b = paper_rhs(&a);
         let problem = Problem::new(&a, &m, &b);
         let s = 4;
-        let basis = chebyshev_basis(&problem);
+        let basis = crate::setup::chebyshev_basis(&problem, 20, 0.1);
         let opts = SolveOptions::from_env().with_criterion(StoppingCriterion::PrecondMNorm);
         let res = solve(&Method::CaPcg3 { s, basis }, &problem, &opts, Serial);
         assert!(res.converged(), "{:?}", res.outcome);

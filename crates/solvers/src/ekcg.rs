@@ -117,6 +117,7 @@ pub(crate) fn ekcg_g<E: Exec>(
         }
 
         // --- reduction #1: Wⱼ = APⱼᵀZ for every stored block, + rᵀu ---
+        let partial = stop.partial(exec, b, &x, &r, &mut counters);
         let gram_span = spcg_obs::span(tr.as_ref(), Phase::Gram);
         let mut extra = [pk.dot(&r, &u)];
         let mut ws: Vec<_> = hist
@@ -125,16 +126,13 @@ pub(crate) fn ekcg_g<E: Exec>(
             .collect();
         let kh = hist.len() as u64;
         counters.record_dots(kh * tw * tw + 1, nw);
-        counters.record_collective(kh * tw * tw + 1);
-        {
-            let mut refs: Vec<&mut spcg_sparse::DenseMat> = ws.iter_mut().collect();
-            allreduce_gram(exec, &mut refs, &mut extra);
-        }
+        let mut refs: Vec<&mut spcg_sparse::DenseMat> = ws.iter_mut().collect();
+        let crit = allreduce_gram(exec, &mut refs, &mut extra, partial, &mut counters);
         drop(gram_span);
         let rtu = extra[0];
 
         // --- convergence check ---
-        if let Err(outcome) = stop.block_check(exec, b, iterations, &x, &r, rtu, &mut counters) {
+        if let Err(outcome) = stop.block_check(iterations, rtu, crit) {
             break outcome;
         }
         if !rtu.is_finite() {
@@ -166,8 +164,7 @@ pub(crate) fn ekcg_g<E: Exec>(
             *cj = pk.dot(p_mat.col(j), &r);
         }
         counters.record_dots(tw * tw + tw, nw);
-        counters.record_collective(tw * tw + tw);
-        allreduce_gram(exec, &mut [&mut g], &mut c);
+        allreduce_gram(exec, &mut [&mut g], &mut c, None, &mut counters);
         drop(gram_span);
 
         g.symmetrize();
@@ -184,12 +181,9 @@ pub(crate) fn ekcg_g<E: Exec>(
             // Every direction fell below the pivot threshold: the block has
             // no usable curvature left. Judge by the criterion first, the
             // same way PCG treats vanished pᵀAp.
-            let v = stop.criterion_value(exec, b, &x, &r, rtu, &mut counters);
-            break stop.resolve_breakdown(
-                iterations,
-                v,
-                "enlarged direction Gram has numerical rank 0".into(),
-            );
+            let msg = "enlarged direction Gram has numerical rank 0".into();
+            let c = &mut counters;
+            break stop.resolve_breakdown(exec, b, iterations, &x, &r, rtu, msg, c);
         }
         let gamma = fact.pseudo_solve(&c);
         drop(scalar_span);

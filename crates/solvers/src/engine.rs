@@ -7,14 +7,14 @@
 //! and the allreduce, whose *implementation* differs between serial and
 //! distributed execution. The right-hand side is an argument: `dispatch`
 //! and every body take the local block `b`, so one executor serves any
-//! number of right-hand sides. The bodies record all [`Counters`] charges
+//! number of right-hand sides. The bodies record their [`Counters`] charges
 //! themselves, always with **global** operation sizes, so a ranked run
 //! reports the same Table-1 instrumentation as the serial run it mirrors;
-//! the `Exec` implementations only *perform* the work (and additionally
-//! count halo traffic, which exists only under ranking).
+//! the `Exec` implementations charge only what they perform: halo traffic
+//! (ranked only) and every reduction (`Exec::allreduce`).
 //!
-//! * `SerialExec` delegates straight to the kernels of its pool, with a
-//!   no-op allreduce.
+//! * `SerialExec` delegates straight to the kernels of its pool, with an
+//!   allreduce that only charges.
 //! * `RankExec` owns a block of rows `[lo, hi)` on one rank of a
 //!   pluggable [`Comm`]/[`Exchange`] transport ([`ThreadComm`] threads by
 //!   default, `spcg-rankd` worker processes under
@@ -111,8 +111,9 @@ pub(crate) trait Exec {
         mv: &mut MultiVector,
         counters: &mut Counters,
     );
-    /// Sums `buf` across ranks (in rank order); serially a no-op.
-    fn allreduce(&mut self, buf: &mut [f64]);
+    /// The one door of a reduction: charges one collective of `buf.len()`
+    /// words, then sums `buf` across ranks in rank order (serially: no sum).
+    fn allreduce(&mut self, buf: &mut [f64], counters: &mut Counters);
     /// The intra-rank thread pool ([`SolveOptions::threads`] workers per
     /// rank). Solver bodies route their row-local BLAS1/BLAS3 work through
     /// it; every kernel is bitwise deterministic in the thread count.
@@ -147,23 +148,30 @@ pub(crate) trait Exec {
     }
 }
 
-/// Packs Gram matrices (and loose scalars) into one buffer, allreduces it,
-/// and unpacks — the one-collective-per-s-steps fusion of the s-step
-/// methods. Serially this is a pack/unpack round trip: bitwise identity.
-pub(crate) fn allreduce_gram<E: Exec>(exec: &mut E, mats: &mut [&mut DenseMat], extra: &mut [f64]) {
-    // Row-major matrix after matrix, then the scalars.
+/// Packs Gram matrices, loose scalars and the criterion's `partial` into one
+/// buffer, allreduces it, and unpacks (returning the reduced partial) — one
+/// collective per s steps. Serially a pack/unpack round trip: bitwise identity.
+pub(crate) fn allreduce_gram<E: Exec>(
+    exec: &mut E,
+    mats: &mut [&mut DenseMat],
+    extra: &mut [f64],
+    partial: Option<f64>,
+    counters: &mut Counters,
+) -> Option<f64> {
+    // Row-major matrix after matrix, then the scalars, the partial last.
     let mut buf: Vec<f64> = Vec::new();
     for m in mats.iter() {
         buf.extend_from_slice(m.data());
     }
-    buf.extend_from_slice(extra);
-    exec.allreduce(&mut buf);
+    buf.extend(extra.iter().chain(&partial));
+    exec.allreduce(&mut buf, counters);
     let mut rest = &buf[..];
     for part in mats.iter_mut().map(|m| m.data_mut()).chain([extra]) {
         let (head, tail) = rest.split_at(part.len());
         part.copy_from_slice(head);
         rest = tail;
     }
+    partial.and_then(|_| buf.pop())
 }
 
 /// Serial execution: the whole problem is one "rank" (optionally with an
@@ -234,7 +242,9 @@ impl Exec for SerialExec<'_> {
     ) {
         self.mpk.run(w, known_mw, params, v, mv, counters);
     }
-    fn allreduce(&mut self, _buf: &mut [f64]) {}
+    fn allreduce(&mut self, buf: &mut [f64], counters: &mut Counters) {
+        counters.record_collective(buf.len() as u64);
+    }
     fn kernels(&self) -> &ParKernels {
         &self.pk
     }
@@ -560,7 +570,8 @@ impl Exec for RankExec<'_> {
         }
     }
 
-    fn allreduce(&mut self, buf: &mut [f64]) {
+    fn allreduce(&mut self, buf: &mut [f64], counters: &mut Counters) {
+        counters.record_collective(buf.len() as u64);
         if let Some(plan) = &self.faults {
             let seq = self.reduce_calls;
             self.reduce_calls += 1;
@@ -653,20 +664,21 @@ impl Ranking {
         }
     }
 
-    /// Assembles the per-rank results, given in rank order.
+    /// Assembles the per-rank results, given in rank order, of a world that
+    /// completed `collectives` allreduces.
     ///
     /// Every branch a solver takes depends only on allreduced
     /// (deterministic, rank-order-summed) scalars, so all ranks run the same
     /// control flow; rank 0's outcome/iterations/counters describe the
     /// collective run, and the solution is the concatenation of the
     /// rank-local blocks.
-    pub(crate) fn assemble(&self, results: Vec<SolveResult>) -> SolveResult {
+    pub(crate) fn assemble(&self, results: Vec<SolveResult>, collectives: u64) -> SolveResult {
         let mut x = Vec::with_capacity(*self.offsets.last().unwrap());
         for r in &results {
             x.extend_from_slice(&r.x);
         }
         let mut out = results.into_iter().next().unwrap();
-        out.collectives_per_rank = Some(out.counters.global_collectives);
+        out.collectives_per_rank = Some(collectives);
         out.x = x;
         if let (Some(plan), Some(before)) = (&self.plan, &self.before) {
             out.faults_absorbed = plan.counts().since(before).total();
@@ -719,7 +731,7 @@ pub(crate) fn run_ranked(
         let b = &problem.b[lo..hi];
         solve_resilient(method, &mut exec, b, opts, ranking.resilience.as_ref())
     });
-    ranking.assemble(results)
+    ranking.assemble(results, world.group.allreduces())
 }
 
 /// Dispatches a method onto an execution substrate, for the right-hand side
@@ -818,7 +830,33 @@ mod tests {
         let mut blocks: Vec<_> = blocks.into_iter().map(Vec::into_iter).collect();
         for case in cases() {
             let got = blocks.iter_mut().map(|rank| rank.next().unwrap()).collect();
-            check(ranking.assemble(got), case, Engine::Ranked { ranks: 2 });
+            // One world served every solve: its count is not one solve's.
+            check(ranking.assemble(got, 0), case, Engine::Ranked { ranks: 2 });
         }
+    }
+
+    /// The door charges one collective of `buf.len()` words per call,
+    /// serially and on each rank of a world whose transport counts the calls.
+    #[test]
+    fn the_allreduce_door_charges_buf_len_words_per_call() {
+        let (a, opts) = (poisson_2d(6), SolveOptions::from_env().with_faults(None));
+        let m = spcg_precond::Jacobi::new(&a);
+        fn check<E: Exec>(exec: &mut E) {
+            let mut c = Counters::new();
+            for (calls, len) in [1, 3, 0, 7].into_iter().enumerate() {
+                let want = (calls as u64 + 1, c.allreduce_words + len as u64);
+                exec.allreduce(&mut vec![1.0; len], &mut c);
+                assert_eq!((c.global_collectives, c.allreduce_words), want);
+            }
+        }
+        check(&mut SerialExec::new(&a, &m, &opts));
+        let world = Ranking::new(a.nrows(), 2, &opts).world();
+        run_ranks_in(&world.group, |comm: ThreadComm| {
+            let (b1, b2) = (world.board.handle(), world.board2.handle());
+            let (comm, h1, h2) = (Box::new(comm), Box::new(b1), Box::new(b2));
+            let mut exec = RankExec::new(&a, &m, &Method::Pcg, &opts, comm, h1, h2, None, None);
+            check(&mut exec);
+        });
+        assert_eq!(world.group.allreduces(), 4);
     }
 }

@@ -115,12 +115,11 @@ impl<'a> Problem<'a> {
 /// free).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoppingCriterion {
-    /// `‖b − A·x^(i)‖₂ / ‖b − A·x^(0)‖₂ < tol` — costs one extra SpMV per
-    /// check.
+    /// `‖b − A·x^(i)‖₂ / ‖b − A·x^(0)‖₂ < tol` — costs one extra SpMV and
+    /// dot per check, whose word rides an existing reduction.
     TrueResidual2Norm,
     /// `‖r^(i)‖₂ / ‖r^(0)‖₂ < tol` on the recursively updated residual —
-    /// one extra dot product per check, piggybacked on an existing
-    /// reduction.
+    /// one extra dot per check, whose word rides an existing reduction.
     RecursiveResidual2Norm,
     /// `√(r^(i)ᵀ M⁻¹ r^(i))` reduced by `tol` — free, the solvers already
     /// reduce `rᵀu`.
@@ -539,10 +538,11 @@ pub struct SolveResult {
     pub history: Vec<(usize, f64)>,
     /// Instrumented operation counts.
     pub counters: Counters,
-    /// Global collectives observed by each rank under ranked execution
-    /// ([`crate::Engine::Ranked`]); `None` for serial solves. Every rank
-    /// participates in every collective, so this is also the per-rank
-    /// synchronization count the paper's Table 1 models.
+    /// Global collectives each rank took part in under ranked execution
+    /// ([`crate::Engine::Ranked`]), counted by the transport itself; `None`
+    /// for serial solves. Every rank participates in every collective, so
+    /// this is also the per-rank synchronization count the paper's Table 1
+    /// models, and it equals `counters.global_collectives`.
     pub collectives_per_rank: Option<u64>,
     /// Residual-replacement restarts the resilience driver took. Zero for
     /// undisturbed solves and whenever [`SolveOptions::resilience`] was

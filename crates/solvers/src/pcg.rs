@@ -3,7 +3,8 @@
 //! The baseline every s-step method is compared against. Per iteration and
 //! right-hand side: one SpMV, one preconditioner application, two dot
 //! products — and two global reductions, which is what stops PCG from
-//! scaling beyond ~32 nodes in the paper's Figure 1.
+//! scaling beyond ~32 nodes in the paper's Figure 1. A 2-norm criterion's
+//! word rides the `rᵀu` reduction.
 //!
 //! `pcg_g` is the only Algorithm-1 loop in the crate: `k` independent
 //! recurrences in lockstep over any `Exec`. **Shared** per iteration is the
@@ -22,36 +23,42 @@
 //! multivectors, so late iterations spend no bandwidth on finished columns.
 
 use crate::batch::BatchRequest;
-use crate::engine::Exec;
-use crate::options::{Outcome, SolveOptions, SolveResult};
-use crate::stopping::{StopState, Verdict};
+use crate::engine::{allreduce_gram, Exec};
+use crate::options::{Outcome, SolveOptions, SolveResult, StoppingCriterion};
+use crate::stopping::{column_partial, StopState};
 use spcg_dist::Counters;
-use spcg_obs::Phase;
+use spcg_obs::{Phase, Track};
 use spcg_sparse::MultiVector;
 use std::time::Instant;
 
 /// The live columns of one [`pcg_g`] call: per-column state in parallel
-/// vectors beside the four carried `n × k` blocks.
+/// vectors beside the `n × k` blocks.
 struct Block<'a> {
     /// Index into the request slice (columns compact; requests don't).
     req: Vec<usize>,
     b: Vec<&'a [f64]>,
     stop: Vec<StopState>,
     counters: Vec<Counters>,
-    /// Current `rᵀu` of each recurrence.
-    rtu: Vec<f64>,
+    /// Current `rᵀu` of each recurrence and the criterion partial that rode
+    /// its reduction.
+    rtu: Vec<(f64, Option<f64>)>,
+    /// Local `rᵀu` partial of the step in flight.
+    ru: Vec<f64>,
     x: MultiVector,
     r: MultiVector,
     p: MultiVector,
-    /// `A·P`; dead between iterations, where it doubles as the criterion's
-    /// `A·X` scratch.
+    /// `A·P`; once the step has read it, the criterion's `A·X` scratch.
     s: MultiVector,
+    /// `M⁻¹R` of the step in flight: one column shared by all unless the
+    /// reductions wait for every step ([`pcg_g`]).
+    u: MultiVector,
+    criterion: StoppingCriterion,
+    tr: Option<Track>,
 }
 
 impl Block<'_> {
     /// Emits the result of every column with a `Some` outcome and compacts
-    /// the rest. `s` is recomputed every iteration, so it is simply
-    /// reallocated at the new width.
+    /// the rest; `s`, dead at every freeze, is simply reallocated.
     fn freeze(
         &mut self,
         frozen: Vec<Option<Outcome>>,
@@ -78,7 +85,11 @@ impl Block<'_> {
         retain(&mut self.stop, &live);
         retain(&mut self.counters, &live);
         retain(&mut self.rtu, &live);
-        for mv in [&mut self.x, &mut self.r, &mut self.p] {
+        retain(&mut self.ru, &live);
+        for mv in [&mut self.x, &mut self.r, &mut self.p, &mut self.u] {
+            if mv.k() != live.len() {
+                continue; // a shared `u`: nothing to compact
+            }
             let mut kept = MultiVector::zeros(mv.n(), self.req.len());
             for (j, c) in (0..live.len()).filter(|&c| live[c]).enumerate() {
                 kept.col_mut(j).copy_from_slice(mv.col(c));
@@ -86,6 +97,37 @@ impl Block<'_> {
             *mv = kept;
         }
         self.s = MultiVector::zeros(self.x.n(), self.req.len());
+    }
+
+    /// Column `c`'s `rᵀu`, the criterion partial of its iterate riding it
+    /// (the true residual's reads `A·X` from `s`).
+    fn reduce<E: Exec>(&mut self, exec: &mut E, c: usize) -> (f64, Option<f64>) {
+        let (b, ax, r) = (self.b[c], self.s.col(c), self.r.col(c));
+        let ctr = &mut self.counters[c];
+        let partial = column_partial(self.criterion, exec, b, ax, r, ctr);
+        let _g = spcg_obs::span(self.tr.as_ref(), Phase::Gram);
+        ctr.record_dots(1, exec.n_global());
+        let mut red = [self.ru[c]];
+        let crit = allreduce_gram(exec, &mut [], &mut red, partial, ctr);
+        (red[0], crit)
+    }
+
+    /// Ends column `c`'s iteration: its reduction, then `p = u + βp`;
+    /// `Some(Diverged)` on a non-finite `rᵀu`.
+    fn finish<E: Exec>(&mut self, exec: &mut E, c: usize) -> Option<Outcome> {
+        let (rtu_new, crit) = self.reduce(exec, c);
+        if !rtu_new.is_finite() {
+            return Some(Outcome::Diverged);
+        }
+        let rtu = std::mem::replace(&mut self.rtu[c], (rtu_new, crit)).0;
+        let ctr = &mut self.counters[c];
+        ctr.blas1_flops += 2 * exec.n_global();
+        ctr.iterations += 1;
+        ctr.outer_iterations += 1;
+        let _v = spcg_obs::span(self.tr.as_ref(), Phase::VecUpdate);
+        let u = self.u.col(if self.u.k() == 1 { 0 } else { c });
+        exec.kernels().xpby(u, rtu_new / rtu, self.p.col_mut(c));
+        None
     }
 }
 
@@ -99,6 +141,11 @@ fn retain<T>(v: &mut Vec<T>, live: &[bool]) {
 /// [`Exec::nl`]) over any execution substrate; one result per request, in
 /// order. Deadlines are read from this rank's clock once per iteration, so
 /// only serial callers may set them — ranks must branch alike.
+///
+/// A column's `rᵀu` reduction carries its criterion partial. The true
+/// residual's needs `A·X`, one product over every column's new `x`, so its
+/// reductions wait for every step; otherwise a column finishes its
+/// iteration while its vectors are hot.
 pub(crate) fn pcg_g<E: Exec>(
     exec: &mut E,
     requests: &[BatchRequest<'_>],
@@ -112,68 +159,47 @@ pub(crate) fn pcg_g<E: Exec>(
     let tr = tr.as_ref();
     let k0 = requests.len();
     let any_deadline = requests.iter().any(|r| r.deadline.is_some());
+    let defer = opts.criterion == StoppingCriterion::TrueResidual2Norm;
     let mut out: Vec<Option<SolveResult>> = (0..k0).map(|_| None).collect();
-    // One dot product summed over ranks: its charges, and one Gram span
-    // over the local partial and the allreduce.
-    let reduce = |exec: &mut E, ctr: &mut Counters, local: &dyn Fn() -> f64| {
-        let _g = spcg_obs::span(tr, Phase::Gram);
-        ctr.record_dots(1, nw);
-        ctr.record_collective(1);
-        let mut red = [local()];
-        exec.allreduce(&mut red);
-        red[0]
-    };
 
-    // x0 = 0, r0 = b, u0 = M⁻¹r0, p0 = u0. `u = M⁻¹r` never carries across
-    // iterations — each column's u is consumed by its dot and xpby in the
-    // same step — so one shared column replaces an `n × k` block.
+    // x0 = 0, r0 = b, u0 = M⁻¹r0, p0 = u0, r0ᵀu0.
     let mut blk = Block {
         req: (0..k0).collect(),
         b: requests.iter().map(|r| r.b).collect(),
         stop: (0..k0).map(|_| StopState::new(opts)).collect(),
         counters: vec![Counters::new(); k0],
-        rtu: vec![0.0; k0],
+        rtu: Vec::new(),
+        ru: vec![0.0; k0],
         x: MultiVector::zeros(n, k0),
         r: MultiVector::zeros(n, k0),
         p: MultiVector::zeros(n, k0),
         s: MultiVector::zeros(n, k0),
+        u: MultiVector::zeros(n, if defer { k0 } else { 1 }),
+        criterion: opts.criterion,
+        tr: tr.cloned(),
     };
-    let mut u = vec![0.0; n];
     for c in 0..k0 {
-        let ctr = &mut blk.counters[c];
+        let (ctr, uc) = (&mut blk.counters[c], if defer { c } else { 0 });
         blk.r.col_mut(c).copy_from_slice(blk.b[c]);
-        exec.precond(blk.r.col(c), &mut u, ctr);
+        exec.precond(blk.r.col(c), blk.u.col_mut(uc), ctr);
         ctr.record_precond(m_flops);
-        blk.p.col_mut(c).copy_from_slice(&u);
-        // rtu = rᵀu (reduced together with the first pᵀs next iteration in
-        // real MPI; charged as part of the 2 collectives/iter).
-        blk.rtu[c] = reduce(exec, ctr, &|| pk.dot(blk.r.col(c), &u));
+        blk.p.col_mut(c).copy_from_slice(blk.u.col(uc));
+        blk.ru[c] = pk.dot(blk.r.col(c), blk.u.col(uc));
     }
+    if defer {
+        exec.spmm(&blk.x, &mut blk.s, &mut blk.counters);
+    }
+    blk.rtu = (0..k0).map(|c| blk.reduce(exec, c)).collect();
 
     let mut it = 0usize;
     loop {
         // The criterion after `it` iterations (a zero right-hand side
         // converges at the first check), then the iteration cap.
-        if !blk.req.is_empty() {
-            let values = StopState::criterion_values(
-                opts.criterion,
-                exec,
-                &blk.b,
-                &blk.x,
-                &blk.r,
-                &blk.rtu,
-                &mut blk.s,
-                &mut blk.counters,
-            );
-            let decided = (blk.stop.iter_mut().zip(values))
-                .map(|(stop, v)| match stop.check(it, v) {
-                    Verdict::Continue => None,
-                    verdict => Some(StopState::outcome(verdict)),
-                })
-                .collect();
-            blk.freeze(decided, it, &mut out);
-        }
-        if blk.req.is_empty() || it >= opts.max_iters {
+        let decided = (blk.stop.iter_mut().zip(&blk.rtu))
+            .map(|(stop, &(rtu, partial))| stop.block_check(it, rtu, partial).err())
+            .collect();
+        blk.freeze(decided, it, &mut out);
+        if blk.req.is_empty() {
             break;
         }
 
@@ -195,63 +221,62 @@ pub(crate) fn pcg_g<E: Exec>(
         // S = A P: the one matrix stream of the iteration.
         exec.spmm(&blk.p, &mut blk.s, &mut blk.counters);
 
-        // Scalar and vector work, column by column.
+        // The step, column by column; a column frozen mid-iteration reports
+        // the iterations it completed.
         let mut frozen: Vec<Option<Outcome>> = vec![None; blk.req.len()];
         for c in 0..blk.req.len() {
-            let ctr = &mut blk.counters[c];
-            let rtu = blk.rtu[c];
+            let (ctr, uc) = (&mut blk.counters[c], if defer { c } else { 0 });
+            let rtu = blk.rtu[c].0;
             ctr.record_spmv(spmv_flops);
-            let pts = reduce(exec, ctr, &|| pk.dot(blk.p.col(c), blk.s.col(c)));
+            let pts = {
+                let _g = spcg_obs::span(tr, Phase::Gram);
+                ctr.record_dots(1, nw);
+                let mut red = [pk.dot(blk.p.col(c), blk.s.col(c))];
+                exec.allreduce(&mut red, ctr);
+                red[0]
+            };
             if !(pts > 0.0) || !pts.is_finite() {
                 // Zero curvature at machine-precision residuals means we are
                 // done, not broken; judge by the criterion before failing.
                 let (b, x, r) = (blk.b[c], blk.x.col(c), blk.r.col(c));
-                let v = blk.stop[c].criterion_value(exec, b, x, r, rtu, ctr);
                 let msg = format!("non-positive curvature pᵀAp = {pts}");
-                frozen[c] = Some(blk.stop[c].resolve_breakdown(it, v, msg));
+                let stop = &mut blk.stop[c];
+                frozen[c] = Some(stop.resolve_breakdown(exec, b, it, x, r, rtu, msg, ctr));
                 continue;
             }
             let alpha = rtu / pts;
             let (p, s) = (blk.p.col(c), blk.s.col(c));
-            let (x, r) = (blk.x.col_mut(c), blk.r.col_mut(c));
+            let (x, r, u) = (blk.x.col_mut(c), blk.r.col_mut(c), blk.u.col_mut(uc));
             // x += αp, r −= αs, u = M⁻¹r, rᵀu. A pointwise M⁻¹ (Jacobi,
             // identity) takes all four in one cache-hot sweep whose
             // expressions and reduction shape are the unfused ones —
             // fewer passes over the column, never a different bit.
-            let ru = if let Some(w) = exec.pointwise() {
+            blk.ru[c] = if let Some(w) = exec.pointwise() {
                 let _v = spcg_obs::span(tr, Phase::VecUpdate);
-                pk.pcg_step_fused(alpha, p, s, w, x, r, &mut u)
+                pk.pcg_step_fused(alpha, p, s, w, x, r, u)
             } else {
                 {
                     let _v = spcg_obs::span(tr, Phase::VecUpdate);
                     pk.axpy(alpha, p, x);
                     pk.axpy(-alpha, s, r);
                 }
-                exec.precond(r, &mut u, ctr);
-                pk.dot(r, &u)
+                exec.precond(r, u, ctr);
+                pk.dot(r, u)
             };
-            let rtu_new = reduce(exec, ctr, &|| ru);
             ctr.blas1_flops += 4 * nw;
             ctr.record_precond(m_flops);
-            if !rtu_new.is_finite() {
-                frozen[c] = Some(Outcome::Diverged);
-                continue;
+            if !defer {
+                frozen[c] = blk.finish(exec, c);
             }
-            blk.rtu[c] = rtu_new;
-            ctr.blas1_flops += 2 * nw;
-            ctr.iterations += 1;
-            ctr.outer_iterations += 1;
-            let _v = spcg_obs::span(tr, Phase::VecUpdate);
-            pk.xpby(&u, rtu_new / rtu, blk.p.col_mut(c)); // p = u + βp
         }
-        // A column frozen mid-iteration reports the iterations it completed.
         blk.freeze(frozen, it, &mut out);
+        if defer {
+            exec.spmm(&blk.x, &mut blk.s, &mut blk.counters);
+            let frozen = (0..blk.req.len()).map(|c| blk.finish(exec, c)).collect();
+            blk.freeze(frozen, it, &mut out);
+        }
         it += 1;
     }
-
-    // Anything still live hit the iteration cap.
-    let capped = vec![Some(Outcome::MaxIterations); blk.req.len()];
-    blk.freeze(capped, it, &mut out);
     out.into_iter()
         .map(|r| r.expect("pcg: every column resolves"))
         .collect()

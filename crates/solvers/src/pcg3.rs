@@ -13,12 +13,16 @@
 //!
 //! Mathematically equivalent to PCG, but its rounding behaviour is worse
 //! (Gutknecht & Strakoš \[13\]) — the reason the paper flags CA-PCG3's
-//! three-term foundation as a stability liability. Both dot products of an
-//! iteration reduce in a single collective.
+//! three-term foundation as a stability liability.
+//!
+//! One collective per iteration, at the top of the loop: `[(r,u), (u,Au)]`,
+//! the criterion's partial riding it, and the criterion judged on that `μ`.
+//! The pass that judges the exit has formed `A·u` too, so `k` iterations
+//! take `k + 1` SpMVs and `k + 1` collectives.
 
-use crate::engine::Exec;
+use crate::engine::{allreduce_gram, Exec};
 use crate::options::{Outcome, SolveOptions, SolveResult};
-use crate::stopping::{StopState, Verdict};
+use crate::stopping::StopState;
 use spcg_dist::Counters;
 use spcg_obs::Phase;
 
@@ -45,44 +49,28 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, b: &[f64], opts: &SolveOptions) -> S
     let mut gamma_prev = 0.0f64;
     let mut rho_prev = 1.0f64;
 
-    let mut red = [pk.dot(&r, &u)];
-    {
-        let _g = spcg_obs::span(tr.as_ref(), Phase::Gram);
-        exec.allreduce(&mut red);
-    }
-    let mu0 = red[0];
-    counters.record_dots(1, nw);
-    counters.record_collective(1);
-    let v0 = stop.criterion_value(exec, b, &x, &r, mu0, &mut counters);
-    let mut verdict = stop.check(0, v0);
-
     let mut iterations = 0usize;
-    while verdict == Verdict::Continue && iterations < opts.max_iters {
+    let outcome = loop {
         exec.spmv(&u, &mut au, &mut counters);
         counters.record_spmv(exec.spmv_flops());
+        let partial = stop.partial(exec, b, &x, &r, &mut counters);
         let mut red = [pk.dot(&r, &u), pk.dot(&u, &au)];
-        {
+        let crit = {
             let _g = spcg_obs::span(tr.as_ref(), Phase::Gram);
-            exec.allreduce(&mut red);
-        }
-        let (mu, nu) = (red[0], red[1]);
+            allreduce_gram(exec, &mut [], &mut red, partial, &mut counters)
+        };
+        let [mu, nu] = red;
         counters.record_dots(2, nw);
-        counters.record_collective(2); // both dots fused in one reduction
+        if let Err(outcome) = stop.block_check(iterations, mu, crit) {
+            break outcome;
+        }
         if !(nu > 0.0) || !mu.is_finite() || !nu.is_finite() {
-            return SolveResult::new(
-                x,
-                Outcome::Breakdown(format!("uᵀAu = {nu}, rᵀu = {mu}")),
-                iterations,
-                stop.history,
-                counters,
-            );
+            break Outcome::Breakdown(format!("uᵀAu = {nu}, rᵀu = {mu}"));
         }
         let gamma = mu / nu;
         let rho = match rho_step(iterations == 0, gamma, mu, (gamma_prev, mu_prev, rho_prev)) {
             Ok(rho) => rho,
-            Err(outcome) => {
-                return SolveResult::new(x, outcome, iterations, stop.history, counters)
-            }
+            Err(outcome) => break outcome,
         };
 
         {
@@ -107,26 +95,9 @@ pub(crate) fn pcg3_g<E: Exec>(exec: &mut E, b: &[f64], opts: &SolveOptions) -> S
         iterations += 1;
         counters.iterations += 1;
         counters.outer_iterations += 1;
+    };
 
-        let mut red = [pk.dot(&r, &u)]; // for the M-norm criterion
-        {
-            let _g = spcg_obs::span(tr.as_ref(), Phase::Gram);
-            exec.allreduce(&mut red);
-        }
-        let rtu = red[0];
-        counters.record_dots(1, nw);
-        counters.piggyback_words(1);
-        let v = stop.criterion_value(exec, b, &x, &r, rtu, &mut counters);
-        verdict = stop.check(iterations, v);
-    }
-
-    SolveResult::new(
-        x,
-        StopState::outcome(verdict),
-        iterations,
-        stop.history,
-        counters,
-    )
+    SolveResult::new(x, outcome, iterations, stop.history, counters)
 }
 
 /// The three-term recurrence's `ρ = 1 / (1 − (γ/γ₋)(μ/μ₋)(1/ρ₋))` from this
@@ -210,8 +181,10 @@ mod tests {
             .with_criterion(crate::options::StoppingCriterion::PrecondMNorm);
         let res = solve(&Method::Pcg3, &problem, &opts, Serial);
         assert!(res.converged());
+        // One reduction per pass of the loop; the last pass judges the exit
+        // after forming A·u.
         let it = res.counters.iterations;
-        assert_eq!(res.counters.global_collectives, it + 1); // +1 setup
-        assert_eq!(res.counters.spmv_count, it);
+        assert_eq!(res.counters.global_collectives, it + 1);
+        assert_eq!(res.counters.spmv_count, it + 1);
     }
 }

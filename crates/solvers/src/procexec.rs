@@ -715,13 +715,14 @@ fn serve(
 
 /// Runs one world incarnation: spawn `spcg-rankd` per rank, feed Setups
 /// (the `shared` part with each rank's header, `kill_at_reduce[rank]` in
-/// it), serve the ranks until every one ships its result.
+/// it), serve the ranks until every one ships its result — returned with
+/// the count of allreduces the hub's group completed.
 fn run_world(
     rankd: &PathBuf,
     ranking: &Ranking,
     shared: Vec<u8>,
     kill_at_reduce: &[Option<u64>],
-) -> Result<Vec<WorkerResult>, WorldError> {
+) -> Result<(Vec<WorkerResult>, u64), WorldError> {
     let nranks = kill_at_reduce.len();
     let path = sock_path();
     let _cleanup = SockCleanup(path.clone());
@@ -794,7 +795,8 @@ fn run_world(
     }
     // The matrix has been shipped; the solve need not hold a copy of it.
     drop(shared);
-    serve(&ranking.world(), &ranking.offsets, &streams)
+    let world = ranking.world();
+    serve(&world, &ranking.offsets, &streams).map(|res| (res, world.group.allreduces()))
 }
 
 /// Runs `method` over `ranks` worker processes — the proc-backend twin of
@@ -818,7 +820,7 @@ pub(crate) fn run_proc(
     let kill = kill_directive();
 
     let mut incarnation = 0usize;
-    let results = loop {
+    let (results, collectives) = loop {
         let kill_at_reduce: Vec<Option<u64>> = (0..ranks)
             .map(|rank| {
                 kill.filter(|&(target, _)| incarnation == 0 && target == rank)
@@ -856,7 +858,7 @@ pub(crate) fn run_proc(
         }
         solves.push(worker.res);
     }
-    let mut out = ranking.assemble(solves);
+    let mut out = ranking.assemble(solves, collectives);
     // World respawns are restarts the driver took on the caller's behalf;
     // charge them like the resilience layer charges its own.
     out.restarts += incarnation;

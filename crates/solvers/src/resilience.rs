@@ -27,12 +27,15 @@
 //!
 //! With the policy `None` the driver is a transparent passthrough, and
 //! even with a policy armed, a solve whose first stage converges returns
-//! that stage's result object unchanged — the zero-fault path is bitwise
-//! identical (solution, outcome, counters) to an undriven solve.
+//! that stage's result object — the zero-fault path is bitwise identical
+//! (solution, outcome, iterations, history) to an undriven solve, and its
+//! counters are the undriven ones plus exactly one 1-word collective per
+//! stage: the consensus flag.
 
 use crate::engine::{dispatch, Exec};
 use crate::method::Method;
 use crate::options::{Outcome, SolveOptions, SolveResult};
+use crate::sstep::true_residual;
 use spcg_adapt::AdaptiveReport;
 use spcg_dist::wire::{WireReader, WireResult, WireWriter};
 use spcg_dist::Counters;
@@ -138,19 +141,6 @@ pub(crate) fn charge_budget(left: usize, ran: usize, zero_streak: &mut u32) -> u
     }
 }
 
-/// Consensus finiteness test: allreduces a per-rank bad-flag and tests it
-/// NaN-safely, so a poisoned reduction also reads as bad — on every rank.
-fn nonfinite_consensus<E: Exec>(exec: &mut E, x: &[f64]) -> bool {
-    let local_bad = if x.iter().any(|v| !v.is_finite()) {
-        1.0
-    } else {
-        0.0
-    };
-    let mut buf = [local_bad];
-    exec.allreduce(&mut buf);
-    !(buf[0] == 0.0)
-}
-
 /// Runs `method` on `exec` for the right-hand side `b` (local block) under
 /// the given resilience policy; with `None` this is exactly [`dispatch`].
 /// See the module docs for the stage protocol and the bitwise passthrough
@@ -168,7 +158,6 @@ pub(crate) fn solve_resilient<E: Exec>(
     // Static per-run property, identical on every rank — safe to branch on.
     let fault_tolerant = opts.faults.as_ref().is_some_and(|p| p.active());
     let nl = exec.nl();
-    let nw = exec.n_global();
     // `b − A·x_acc` of the stages after the first; the first runs on `b`.
     let mut stage_rhs: Option<Vec<f64>> = None;
     let mut x_acc = vec![0.0; nl];
@@ -194,7 +183,7 @@ pub(crate) fn solve_resilient<E: Exec>(
             ..opts.clone()
         };
         let rhs = stage_rhs.as_deref().unwrap_or(b);
-        let res = dispatch(&method_now, exec, rhs, &stage_opts);
+        let mut res = dispatch(&method_now, exec, rhs, &stage_opts);
         // Adaptive bodies report the s-values they actually ran; fixed-s
         // bodies leave the schedule empty and contribute their stage s.
         if res.s_schedule.is_empty() {
@@ -202,7 +191,11 @@ pub(crate) fn solve_resilient<E: Exec>(
         } else {
             s_schedule.extend_from_slice(&res.s_schedule);
         }
-        let bad = nonfinite_consensus(exec, &res.x);
+        // Consensus finiteness: a per-rank bad-flag, reduced (a collective of
+        // the stage) and tested NaN-safely, so poison reads as bad everywhere.
+        let mut flag = [f64::from(u8::from(res.x.iter().any(|v| !v.is_finite())))];
+        exec.allreduce(&mut flag, &mut res.counters);
+        let bad = !(flag[0] == 0.0);
         total.merge(&res.counters);
         let stage_base = iterations_total;
         iterations_total += res.iterations;
@@ -234,9 +227,9 @@ pub(crate) fn solve_resilient<E: Exec>(
                 Outcome::Converged | Outcome::Stagnated | Outcome::MaxIterations
             );
         if accepted && restarts == 0 {
-            // First stage succeeded: return its result object unchanged —
-            // the bitwise zero-fault passthrough (x_acc accumulation could
-            // flip -0.0 signs; handing the stage's own iterate back cannot).
+            // First stage succeeded: return its result object — the bitwise
+            // zero-fault passthrough (x_acc accumulation could flip -0.0
+            // signs; handing the stage's own iterate back cannot).
             let mut out = res;
             if !opts.keep_history {
                 out.history = Vec::new();
@@ -314,14 +307,9 @@ pub(crate) fn solve_resilient<E: Exec>(
         }
         let tr = exec.track().cloned();
         let _sp = spcg_obs::span(tr.as_ref(), Phase::Restart);
-        let mut ax = vec![0.0; nl];
-        exec.spmv(&x_acc, &mut ax, &mut total);
-        total.record_spmv(exec.spmv_flops());
-        for (axi, bi) in ax.iter_mut().zip(b) {
-            *axi = bi - *axi;
-        }
-        stage_rhs = Some(ax);
-        total.blas1_flops += nw;
+        let mut rhs = vec![0.0; nl];
+        true_residual(exec, b, &x_acc, &mut rhs, &mut total);
+        stage_rhs = Some(rhs);
     }
 }
 

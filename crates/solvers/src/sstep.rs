@@ -66,10 +66,9 @@ pub(crate) enum GramForm<'a> {
     /// Table-2 matrices. The original algorithm gets the cross term
     /// `−P^(k-1)ᵀAU^(k)` through a scalar recurrence in the moments and
     /// `a^(k-1)`; we compute the numerically equivalent Gram product
-    /// directly but *charge the instrumentation with the original
-    /// algorithm's cost* (2s local reduction units, one 2s-word collective
-    /// per s steps — Table 1 row sPCG_mon), so performance modeling reflects
-    /// the published method (see DESIGN.md).
+    /// directly but *charge its local work with the original algorithm's
+    /// cost* (2s local reduction units per s steps — Table 1 row sPCG_mon);
+    /// the one collective also carries the cross term (see DESIGN.md).
     Moments,
 }
 
@@ -92,8 +91,8 @@ pub(crate) enum GramSolve {
     /// Determinism contract: the Gram data entering the sweeps is replicated
     /// post-allreduce state, the sweep order is fixed, and the early exit is
     /// a pure function of that state — so every rank runs the *same* number
-    /// of sweeps. That invariant is verified at run time by piggybacking the
-    /// two sweep counts of block `k` on block `k+1`'s Gram allreduce
+    /// of sweeps. That invariant is verified at run time by riding the two
+    /// sweep counts of block `k` on block `k+1`'s Gram allreduce
     /// ([`consensus::pack_sweeps`]), costing zero extra collectives.
     GaussSeidel,
 }
@@ -132,7 +131,7 @@ impl GramSolve {
 }
 
 /// `r ← b − A·x` with its charges: one SpMV and one BLAS1 pass.
-fn true_residual<E: Exec>(
+pub(crate) fn true_residual<E: Exec>(
     exec: &mut E,
     b: &[f64],
     x: &[f64],
@@ -196,6 +195,8 @@ pub(crate) fn sstep_g<E: Exec>(
     let outcome = loop {
         // --- s-step basis (neighbour communication only) ---
         exec.mpk(&r, None, &params, &mut s_mat, &mut u_mat, &mut counters);
+        // The criterion's partial of the block's starting iterate.
+        let partial = stop.partial(exec, b, &x, &r, &mut counters);
 
         // --- the single global reduction ---
         let gram_span = spcg_obs::span(tr.as_ref(), Phase::Gram);
@@ -221,19 +222,17 @@ pub(crate) fn sstep_g<E: Exec>(
                 let high = pk.gram_cols(n, &ucols, &[s_mat.col(s)]);
                 let moments = [low.data(), high.data()].concat();
                 // The cross-term Gram (original: moment recurrence — see
-                // module docs; charged as the moment vector only).
+                // module docs; its local work charged as the moments only).
                 let g2 = p_prev.map(|p| pk.gram(p, &s_mat));
                 (g2.into_iter().collect(), moments, 2 * sw)
             }
         };
         counters.record_dots(dots, nw);
-        let mut words = dots;
         if let Some((sb, sa)) = prev_sweeps {
             extra.extend(consensus::pack_sweeps(sb, sa));
-            words += consensus::SWEEP_WORDS as u64;
         }
-        counters.record_collective(words);
-        allreduce_gram(exec, &mut grams.iter_mut().collect::<Vec<_>>(), &mut extra);
+        let mut mats: Vec<_> = grams.iter_mut().collect();
+        let crit = allreduce_gram(exec, &mut mats, &mut extra, partial, &mut counters);
         drop(gram_span);
         if let Some((sb, sa)) = prev_sweeps.take() {
             let reduced = &extra[extra.len() - consensus::SWEEP_WORDS..];
@@ -254,7 +253,7 @@ pub(crate) fn sstep_g<E: Exec>(
             GramForm::Direct(_) => grams[0][(0, 0)],
             GramForm::Moments => extra[0],
         };
-        let value = match stop.block_check(exec, b, iterations, &x, &r, rtu, &mut counters) {
+        let value = match stop.block_check(iterations, rtu, crit) {
             Ok(value) => value,
             Err(outcome) => break outcome,
         };
@@ -377,17 +376,15 @@ pub(crate) fn sstep_g<E: Exec>(
         // residual has shrunk far enough, re-anchor it to b − A·x so the
         // recursion's accumulated drift cannot cap the attainable accuracy.
         if let Some(factor) = opts.residual_replacement {
-            // The ‖r‖² partials piggyback on existing traffic (only the dot
-            // is charged), matching the serial instrumentation.
             let mut red = [pk.dot(&r, &r)];
-            exec.allreduce(&mut red);
+            exec.allreduce(&mut red, &mut counters);
             let rr = red[0];
             counters.record_dots(1, nw);
             let anchor = *rr_anchor.get_or_insert(rr);
             if rr <= factor * factor * anchor {
                 true_residual(exec, b, &x, &mut r, &mut counters);
                 let mut red = [pk.dot(&r, &r)];
-                exec.allreduce(&mut red);
+                exec.allreduce(&mut red, &mut counters);
                 rr_anchor = Some(red[0]);
             }
         }
@@ -722,10 +719,13 @@ mod spcg_mon_tests {
         let opts = SolveOptions::from_env().with_criterion(StoppingCriterion::PrecondMNorm);
         let res = solve(&Method::SPcgMon { s }, &problem, &opts, Serial);
         assert!(res.converged());
-        let outer = res.counters.outer_iterations;
+        let (outer, s) = (res.counters.outer_iterations, s as u64);
         assert_eq!(res.counters.global_collectives, outer + 1);
-        assert_eq!(res.counters.allreduce_words, 2 * s as u64 * (outer + 1));
-        assert_eq!(res.counters.dot_count, 2 * s as u64 * (outer + 1));
+        // 2s moment words a block, and from the second block on the
+        // s × (s+1) cross-term Gram riding the same reduction.
+        let words = 2 * s * (outer + 1) + s * (s + 1) * outer;
+        assert_eq!(res.counters.allreduce_words, words);
+        assert_eq!(res.counters.dot_count, 2 * s * (outer + 1));
     }
 
     #[test]

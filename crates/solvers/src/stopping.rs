@@ -1,10 +1,9 @@
 //! Convergence / divergence / stagnation tracking shared by all solvers.
 
-use crate::engine::Exec;
+use crate::engine::{allreduce_gram, Exec};
 use crate::options::{Outcome, SolveOptions, StoppingCriterion};
 use spcg_dist::Counters;
 use spcg_obs::Phase;
-use spcg_sparse::MultiVector;
 
 /// Verdict of one convergence check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,151 +87,119 @@ impl StopState {
         Verdict::Continue
     }
 
-    /// Resolves a breakdown: if the current iterate already satisfies the
-    /// criterion, the solve *converged* — breakdowns at machine-precision
-    /// residuals (zero curvature, singular scalar work) are the normal way
-    /// an s-step block ends when the solution is reached mid-block.
-    pub fn resolve_breakdown(&mut self, iteration: usize, value: f64, msg: String) -> Outcome {
-        match self.check(iteration, value) {
+    /// The criterion's **local partial** of the iterate `x` (residual `r`)
+    /// for the body to append to a reduction it performs anyway, charging
+    /// its work: `‖b − A·x‖²` (one SpMV and a dot), `rᵀr` (a dot), or `None`
+    /// under the M-norm, which judges the `rᵀu` every body reduces.
+    pub(crate) fn partial<E: Exec>(
+        &mut self,
+        exec: &mut E,
+        b: &[f64],
+        x: &[f64],
+        r: &[f64],
+        counters: &mut Counters,
+    ) -> Option<f64> {
+        if self.criterion == StoppingCriterion::TrueResidual2Norm {
+            self.scratch.resize(exec.nl(), 0.0);
+            exec.spmv(x, &mut self.scratch, counters);
+        }
+        column_partial(self.criterion, exec, b, &self.scratch, r, counters)
+    }
+
+    /// The criterion value from the reduced `rtu = rᵀM⁻¹r` and the reduced
+    /// partial (`None` under the M-norm).
+    pub(crate) fn value(rtu: f64, reduced: Option<f64>) -> f64 {
+        match reduced {
+            Some(sq) => sq.sqrt(),
+            // rtu can dip (tiny) negative in finite precision near
+            // convergence; clamp so the sqrt stays defined. Not `f64::max`,
+            // which would turn a NaN into 0 — "converged".
+            None if rtu <= 0.0 => 0.0,
+            None => rtu.sqrt(),
+        }
+    }
+
+    /// Resolves a breakdown of the iterate `x` (residual `r`, `rtu`) at
+    /// `iteration`: if it already satisfies the criterion, the solve
+    /// *converged* — breakdowns at machine-precision residuals (zero
+    /// curvature, singular scalar work) are the normal way an s-step block
+    /// ends when the solution is reached mid-block. With no reduction to
+    /// ride, the criterion's partial is reduced alone (a charged collective).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn resolve_breakdown<E: Exec>(
+        &mut self,
+        exec: &mut E,
+        b: &[f64],
+        iteration: usize,
+        x: &[f64],
+        r: &[f64],
+        rtu: f64,
+        msg: String,
+        counters: &mut Counters,
+    ) -> Outcome {
+        let partial = self.partial(exec, b, x, r, counters);
+        let reduced =
+            partial.and_then(|_| allreduce_gram(exec, &mut [], &mut [], partial, counters));
+        match self.check(iteration, StopState::value(rtu, reduced)) {
             Verdict::Converged => Outcome::Converged,
             _ => Outcome::Breakdown(msg),
         }
     }
 
-    /// Maps a final verdict to an [`Outcome`].
-    pub fn outcome(verdict: Verdict) -> Outcome {
-        match verdict {
-            Verdict::Converged => Outcome::Converged,
-            Verdict::Diverged => Outcome::Diverged,
-            Verdict::Stagnated => Outcome::Stagnated,
-            Verdict::Continue => Outcome::MaxIterations,
-        }
-    }
-
-    /// Evaluates the stopping-criterion value of the iterate `x` (residual
-    /// `r`, `rtu = rᵀM⁻¹r`) against the right-hand side `b`, charging the
-    /// instrumentation for whatever the chosen criterion costs:
-    ///
-    /// * true residual — one extra SpMV, one dot, one piggybacked word;
-    /// * recursive 2-norm — one dot, one piggybacked word;
-    /// * M-norm — free (`rtu` is already reduced by every solver).
-    ///
-    /// `b`, `x` and `r` are the local blocks of the execution substrate; the
-    /// dots combine local partials through the substrate's allreduce
-    /// (serially the identity, so serial values are unchanged bitwise).
-    pub(crate) fn criterion_value<E: Exec>(
+    /// The check every body makes at a block boundary: [`StopState::value`],
+    /// then [`StopState::check`], then the iteration cap. `Ok(value)` means
+    /// keep iterating; `Err(outcome)` ends the solve.
+    pub(crate) fn block_check(
         &mut self,
-        exec: &mut E,
-        b: &[f64],
-        x: &[f64],
-        r: &[f64],
-        rtu: f64,
-        counters: &mut Counters,
-    ) -> f64 {
-        if self.criterion == StoppingCriterion::TrueResidual2Norm {
-            self.scratch.resize(exec.nl(), 0.0);
-            exec.spmv(x, &mut self.scratch, counters);
-        }
-        column_value(self.criterion, exec, b, &self.scratch, r, rtu, counters)
-    }
-
-    /// The criterion of `k` columns at once: column `j` of `xm`/`rm` with
-    /// `rtus[j]` is judged against `bs[j]` and charged to `counters[j]`.
-    /// Per column the value and the charges are exactly those of
-    /// [`StopState::criterion_value`]; the true residual's `k` products
-    /// are one [`Exec::spmm`] into `scr` (any `n × k` scratch), so the batch
-    /// still streams the matrix once.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn criterion_values<E: Exec>(
-        criterion: StoppingCriterion,
-        exec: &mut E,
-        bs: &[&[f64]],
-        xm: &MultiVector,
-        rm: &MultiVector,
-        rtus: &[f64],
-        scr: &mut MultiVector,
-        counters: &mut [Counters],
-    ) -> Vec<f64> {
-        if criterion == StoppingCriterion::TrueResidual2Norm {
-            exec.spmm(xm, scr, counters);
-        }
-        (0..bs.len())
-            .map(|j| {
-                let (ax, r, ctr) = (scr.col(j), rm.col(j), &mut counters[j]);
-                column_value(criterion, exec, bs[j], ax, r, rtus[j], ctr)
-            })
-            .collect()
-    }
-
-    /// The check every blocked body makes at a block boundary: evaluates the
-    /// criterion, feeds it to [`StopState::check`], then applies the
-    /// iteration cap. `Ok(value)` means keep iterating; `Err(outcome)` ends
-    /// the solve.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn block_check<E: Exec>(
-        &mut self,
-        exec: &mut E,
-        b: &[f64],
         iterations: usize,
-        x: &[f64],
-        r: &[f64],
         rtu: f64,
-        counters: &mut Counters,
+        reduced: Option<f64>,
     ) -> Result<f64, Outcome> {
-        let value = self.criterion_value(exec, b, x, r, rtu, counters);
+        let value = StopState::value(rtu, reduced);
         match self.check(iterations, value) {
             Verdict::Continue if iterations >= self.max_iters => Err(Outcome::MaxIterations),
             Verdict::Continue => Ok(value),
-            verdict => Err(StopState::outcome(verdict)),
+            Verdict::Converged => Err(Outcome::Converged),
+            Verdict::Diverged => Err(Outcome::Diverged),
+            Verdict::Stagnated => Err(Outcome::Stagnated),
         }
     }
 }
 
-/// The criterion value of one column — the one place a
-/// [`StoppingCriterion`] is evaluated. `ax = A·x` is read by the true
+/// The criterion partial of one column. `ax = A·x` is read by the true
 /// residual only (whose caller formed it).
-fn column_value<E: Exec>(
+pub(crate) fn column_partial<E: Exec>(
     criterion: StoppingCriterion,
     exec: &mut E,
     b: &[f64],
     ax: &[f64],
     r: &[f64],
-    rtu: f64,
     counters: &mut Counters,
-) -> f64 {
-    let true_residual = match criterion {
-        // rtu can dip (tiny) negative in finite precision near
-        // convergence; clamp so the sqrt stays defined. Not `f64::max`,
-        // which would turn a NaN into 0 — "converged".
-        StoppingCriterion::PrecondMNorm => return if rtu <= 0.0 { 0.0 } else { rtu.sqrt() },
-        StoppingCriterion::TrueResidual2Norm => true,
-        StoppingCriterion::RecursiveResidual2Norm => false,
-    };
+) -> Option<f64> {
+    if criterion == StoppingCriterion::PrecondMNorm {
+        return None;
+    }
     let nw = exec.n_global();
     let tr = exec.track().cloned();
     let _g = spcg_obs::span(tr.as_ref(), Phase::Gram);
     counters.record_dots(1, nw);
-    counters.piggyback_words(1);
-    let local = if true_residual {
-        counters.record_spmv(exec.spmv_flops());
-        counters.blas1_flops += nw;
-        let mut acc = 0.0;
-        for i in 0..b.len() {
-            let d = b[i] - ax[i];
-            acc += d * d;
-        }
-        acc
-    } else {
-        exec.kernels().dot(r, r)
-    };
-    let mut red = [local];
-    exec.allreduce(&mut red);
-    red[0].sqrt()
+    if criterion == StoppingCriterion::RecursiveResidual2Norm {
+        return Some(exec.kernels().dot(r, r));
+    }
+    counters.record_spmv(exec.spmv_flops());
+    counters.blas1_flops += nw;
+    let mut acc = 0.0;
+    for i in 0..b.len() {
+        let d = b[i] - ax[i];
+        acc += d * d;
+    }
+    Some(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spcg_sparse::MultiVector;
 
     fn opts() -> SolveOptions {
         SolveOptions {
@@ -299,8 +266,10 @@ mod tests {
         assert_eq!(s.history, vec![(0, 2.0), (5, 1.0)]);
     }
 
-    /// `criterion_values` against `k` single-column `criterion_value` calls
-    /// on the same data: value bits and `Counters`, per column and criterion.
+    /// The `k`-column form PCG's batches take — one `Exec::spmm` for `A·X`,
+    /// then `column_partial` per column — against `k` single-column
+    /// `partial` calls on the same data: bits and `Counters`, per column and
+    /// criterion.
     fn k_columns_match_single_columns<E: Exec>(exec: &mut E) {
         let (n, lo) = (exec.nl(), exec.row_offset());
         let cols = |salt: f64| -> Vec<Vec<f64>> {
@@ -314,8 +283,6 @@ mod tests {
             MultiVector::from_columns(&xs),
             MultiVector::from_columns(&rs),
         );
-        let b_refs: Vec<&[f64]> = bs.iter().map(Vec::as_slice).collect();
-        let rtus = [2.5, 0.0, -1e-20];
         for criterion in [
             StoppingCriterion::TrueResidual2Norm,
             StoppingCriterion::RecursiveResidual2Norm,
@@ -323,15 +290,20 @@ mod tests {
         ] {
             let mut scr = MultiVector::zeros(n, 3);
             let mut wide = vec![Counters::new(); 3];
-            let values = StopState::criterion_values(
-                criterion, exec, &b_refs, &xm, &rm, &rtus, &mut scr, &mut wide,
-            );
+            if criterion == StoppingCriterion::TrueResidual2Norm {
+                exec.spmm(&xm, &mut scr, &mut wide);
+            }
             let mut stop = StopState::new(&SolveOptions::from_env().with_criterion(criterion));
             for j in 0..3 {
+                let (ax, r) = (scr.col(j), rm.col(j));
+                let got = column_partial(criterion, exec, &bs[j], ax, r, &mut wide[j]);
                 let mut one = Counters::new();
-                let (b, x, r) = (&bs[j][..], &xs[j], &rs[j]);
-                let v = stop.criterion_value(exec, b, x, r, rtus[j], &mut one);
-                assert_eq!(values[j].to_bits(), v.to_bits(), "{criterion:?} column {j}");
+                let want = stop.partial(exec, &bs[j], &xs[j], &rs[j], &mut one);
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{criterion:?} {j}"
+                );
                 assert_eq!(wide[j], one, "{criterion:?} column {j} counters");
             }
         }

@@ -47,18 +47,33 @@ fn system() -> (CsrMatrix, Vec<f64>) {
 }
 
 fn assert_bitwise_equal(p: &SolveResult, q: &SolveResult, what: &str) {
+    let bits = |r: &SolveResult| -> Vec<_> {
+        (r.history.iter().map(|&(it, v)| (it, v.to_bits()))).collect()
+    };
     assert_eq!(p.outcome, q.outcome, "{what}: outcome");
     assert_eq!(p.iterations, q.iterations, "{what}: iterations");
     assert_eq!(p.x, q.x, "{what}: iterate not bitwise equal");
+    assert_eq!(bits(p), bits(q), "{what}: history");
     assert_eq!(p.counters, q.counters, "{what}: counters");
     assert_eq!(p.restarts, q.restarts, "{what}: restarts");
     // s_schedule is deliberately not compared: a driven solve records its
     // stage schedule while an undriven one leaves it empty.
 }
 
+/// `plain` as the resilience driver returns it after one stage: the driver
+/// adds exactly one 1-word collective per stage, the consensus flag, and
+/// nothing else.
+fn driven(plain: &SolveResult) -> SolveResult {
+    let mut out = plain.clone();
+    out.counters.global_collectives += 1;
+    out.counters.allreduce_words += 1;
+    out
+}
+
 /// The hard invariant of the resilience layer: with no faults, arming the
-/// driver changes nothing — all six methods, ranks {1, 2, 4}, threads
-/// {1, 2}, bitwise-identical solution, outcome, and counters.
+/// driver changes nothing but its consensus flag — all eight methods, ranks
+/// {1, 2, 4}, threads {1, 2}, bitwise-identical solution, outcome,
+/// iterations and history, and counters plus one 1-word collective.
 #[test]
 fn armed_resilience_without_faults_is_bitwise_passthrough() {
     let (a, b) = system();
@@ -70,6 +85,7 @@ fn armed_resilience_without_faults_is_bitwise_passthrough() {
                 let base = SolveOptions::from_env()
                     .with_tol(1e-8)
                     .with_threads(threads)
+                    .with_history()
                     .with_faults(None);
                 let plain = solve(&method, &problem, &base, Engine::Ranked { ranks });
                 let armed = solve(
@@ -80,7 +96,7 @@ fn armed_resilience_without_faults_is_bitwise_passthrough() {
                 );
                 assert!(plain.converged(), "{}: {:?}", method.name(), plain.outcome);
                 assert_bitwise_equal(
-                    &plain,
+                    &driven(&plain),
                     &armed,
                     &format!("{} ranks={ranks} threads={threads}", method.name()),
                 );
@@ -98,7 +114,9 @@ fn serial_resilience_is_bitwise_passthrough() {
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
     for method in all_methods(&problem) {
-        let base = SolveOptions::from_env().with_tol(1e-8).with_faults(None);
+        let base = (SolveOptions::from_env().with_tol(1e-8))
+            .with_history()
+            .with_faults(None);
         let plain = solve(&method, &problem, &base, Engine::Serial);
         let armed = solve(
             &method,
@@ -106,7 +124,7 @@ fn serial_resilience_is_bitwise_passthrough() {
             &base.with_resilience(Resilience::default()),
             Engine::Serial,
         );
-        assert_bitwise_equal(&plain, &armed, &method.name());
+        assert_bitwise_equal(&driven(&plain), &armed, &method.name());
     }
 }
 
@@ -179,9 +197,10 @@ fn seeded_faulted_solve_is_deterministic() {
 }
 
 /// Stall-class faults (delays, duplicated publishes) perturb timing only:
-/// the solve must be bitwise identical to the clean run while the timeout
-/// and retry machinery visibly engages (the injected stalls sleep several
-/// armed wait slices, and the plan records the fires).
+/// the solve must be bitwise identical to the clean run — driven, since an
+/// active plan arms the resilience driver — while the timeout and retry
+/// machinery visibly engages (the injected stalls sleep several armed wait
+/// slices, and the plan records the fires).
 #[test]
 fn stall_faults_preserve_results_bitwise() {
     let (a, b) = system();
@@ -213,7 +232,7 @@ fn stall_faults_preserve_results_bitwise() {
     );
     assert_eq!(stalled.faults_absorbed, plan.counts().total());
     assert_eq!(stalled.restarts, 0, "stalls must not trigger restarts");
-    assert_bitwise_equal(&clean, &stalled, "stall-only plan");
+    assert_bitwise_equal(&driven(&clean), &stalled, "stall-only plan");
 }
 
 /// Payload poisoning (NaN into a halo chunk or a reduction contribution)

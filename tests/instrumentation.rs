@@ -75,6 +75,14 @@ fn measured_counters_track_table1_formulas() {
             "{}: {check:?}",
             method.name()
         );
+        // Table 1's collective column, the synchronisation count the
+        // paper's scaling argument rests on, holds exactly for every row.
+        assert_eq!(
+            check.measured_collectives,
+            check.formula_collectives,
+            "{}: {check:?}",
+            method.name()
+        );
         // The coordinate-space methods charge a few vector FLOPs per row
         // beyond the formulas, and CA-PCG3 one more M⁻¹ apply per block.
         let bound = if exact { 0.0 } else { 0.1 };

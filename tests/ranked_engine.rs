@@ -205,24 +205,32 @@ fn spcg_collectives_are_one_per_s_block() {
         return;
     }
     // sPCG's collective count under ranked execution is ⌈iters/s⌉ blocks
-    // plus the final check round — one fused allreduce per s steps.
+    // plus the final check round — one fused allreduce per s steps, under
+    // the free M-norm and under the default criterion, whose true-residual
+    // norm rides the same reduction.
     let a = poisson_2d(14);
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
     let basis = chebyshev_basis(&problem, 20, 0.05);
-    let opts = SolveOptions::from_env()
-        .with_tol(1e-8)
-        .with_criterion(StoppingCriterion::PrecondMNorm);
-    for s in [2usize, 5, 10] {
-        let method = Method::SPcg {
-            s,
-            basis: basis.clone(),
-        };
-        let res = solve(&method, &problem, &opts, Engine::Ranked { ranks: 4 });
-        assert!(res.converged(), "s={s}: {:?}", res.outcome);
-        let blocks = res.iterations.div_ceil(s) as u64;
-        assert_eq!(res.collectives_per_rank, Some(blocks + 1), "s={s}");
+    for criterion in [
+        StoppingCriterion::PrecondMNorm,
+        SolveOptions::default().criterion,
+    ] {
+        let opts = SolveOptions::from_env()
+            .with_tol(1e-8)
+            .with_criterion(criterion);
+        for s in [2usize, 5, 10] {
+            let method = Method::SPcg {
+                s,
+                basis: basis.clone(),
+            };
+            let res = solve(&method, &problem, &opts, Engine::Ranked { ranks: 4 });
+            assert!(res.converged(), "s={s} {criterion:?}: {:?}", res.outcome);
+            let blocks = res.iterations.div_ceil(s) as u64;
+            let want = Some(blocks + 1);
+            assert_eq!(res.collectives_per_rank, want, "s={s} {criterion:?}");
+        }
     }
 }
 
