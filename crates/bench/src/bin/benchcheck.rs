@@ -37,7 +37,9 @@
 //! through the same function: a kernels sweep's `ghost_zone` rows must show
 //! the one-iteration ranked solve on a freshly cloned matrix taking at
 //! least [`ZONE_COLD_OVER_WARM_MIN`]× what it takes on a matrix that has
-//! the zones cached.
+//! the zones cached, and the process's first proc-backend solve (which
+//! spawns the workers and ships the matrix) at least
+//! [`PROC_COLD_OVER_WARM_MIN`]× a later one on the resident world.
 //!
 //! A kernels sweep also carries the `allreduce` row (median µs of one
 //! thread-transport collective per rank count and payload): it must be
@@ -107,6 +109,13 @@ const CHEB_SELL_MIN_RATIO: f64 = 1.15;
 /// stopped finding the matrix's cached zones.
 const ZONE_COLD_OVER_WARM_MIN: f64 = 1.0 / 0.7;
 
+/// Minimum fresh `rank_solve_floor_proc_cold_ms /
+/// rank_solve_floor_proc_warm_ms`: a proc-backend `max_iters = 1` solve on
+/// the resident world must take at most 0.5× the process's first one,
+/// which spawns the workers and ships the matrix. Above that, proc solves
+/// have stopped reusing their workers.
+const PROC_COLD_OVER_WARM_MIN: f64 = 2.0;
+
 /// Pairwise noise slack on the service GF/s curve: each step from one
 /// batch width to the next may dip to this fraction of its predecessor
 /// before the check fails. The end-to-end k=1 → k=8 comparison gets no
@@ -165,6 +174,12 @@ fn main() -> ExitCode {
                         "rank_solve_floor_cold_ms",
                         "rank_solve_floor_warm_ms",
                         ZONE_COLD_OVER_WARM_MIN,
+                    ),
+                    (
+                        "ghost_zone",
+                        "rank_solve_floor_proc_cold_ms",
+                        "rank_solve_floor_proc_warm_ms",
+                        PROC_COLD_OVER_WARM_MIN,
                     ),
                 ] {
                     check_ratio_gate(&fresh, group, leg, base, min_ratio, &mut errors);
@@ -296,8 +311,8 @@ fn check_ratio_gate(
 /// The kernels-sweep gate on a fresh result file: a `gflops` object that
 /// reports the `spmv` leg marks a kernel sweep, which must then carry a
 /// top-level `nproc` field, one `speedup_vs_1_thread` array per `gflops`
-/// leg, and the `ghost_zone` warm floor (the base leg of its ratio gate,
-/// which would otherwise pass a file without the rows). Fresh-file-only,
+/// leg, and the `ghost_zone` warm floors, thread and proc (the base legs of
+/// their ratio gates, which would otherwise pass a file without the rows). Fresh-file-only,
 /// like the ratio gates — older baselines must not grandfather the missing
 /// fields.
 fn check_kernels_gate(fresh: &Value, errors: &mut Vec<String>) {
@@ -314,10 +329,12 @@ fn check_kernels_gate(fresh: &Value, errors: &mut Vec<String>) {
         errors.push("$.nproc: missing core count in fresh kernels output".to_string());
     }
     let zone = fresh.get("ghost_zone");
-    if number(zone.and_then(|z| z.get("rank_solve_floor_warm_ms"))).is_none() {
-        errors.push(
-            "$.ghost_zone.rank_solve_floor_warm_ms: missing from fresh kernels output".to_string(),
-        );
+    for floor in ["rank_solve_floor_warm_ms", "rank_solve_floor_proc_warm_ms"] {
+        if number(zone.and_then(|z| z.get(floor))).is_none() {
+            errors.push(format!(
+                "$.ghost_zone.{floor}: missing from fresh kernels output"
+            ));
+        }
     }
     let speedups = fresh.get("speedup_vs_1_thread");
     for (key, _) in legs {

@@ -11,7 +11,10 @@
 //! `ghost_zone` rows: what building a rank-local operator costs cold, what
 //! finding it cached costs, and the `max_iters = 1` floor of a 2-rank
 //! sPCG(s=5) solve on a matrix that has it cached against one that does
-//! not — benchcheck holds the warm floor to 0.7× the cold one) and
+//! not — benchcheck holds the warm floor to 0.7× the cold one — and the
+//! same floor at 16³ on `spcg-rankd` workers, the process's first proc
+//! solve against later ones on the resident world, held to 0.5×; the proc
+//! rows need the worker binary built beside this one) and
 //! `BENCH_overlap.json` (interior/frontier split-SpMV and halo
 //! post/complete timings per rank count).
 //!
@@ -45,7 +48,7 @@
 use spcg_basis::{BasisParams, Mpk};
 use spcg_bench::{quick_mode, write_results};
 use spcg_dist::executor::run_ranks;
-use spcg_dist::{Counters, ThreadComm, VectorBoard};
+use spcg_dist::{Backend, Counters, ThreadComm, VectorBoard};
 use spcg_obs::{Phase, Tracer};
 use spcg_precond::{ChebyshevPrecond, Jacobi, Preconditioner, SpmvPolyApply};
 use spcg_solvers::blockops::gram_stacked;
@@ -266,14 +269,61 @@ fn ghost_zone_rows(a: &CsrMatrix) -> String {
         cold_ms = cold_ms.min(floor(&a.clone()));
         warm_ms = warm_ms.min(floor(&warm));
     }
+    let (proc_cold_ms, proc_warm_ms) = proc_floor_ms();
     eprintln!(
-        "[kernels] ghost_zone: build ms {{{}}}, lookup {lookup_us:.3} us, rank_solve_floor cold {cold_ms:.3} ms, warm {warm_ms:.3} ms",
+        "[kernels] ghost_zone: build ms {{{}}}, lookup {lookup_us:.3} us, rank_solve_floor cold {cold_ms:.3} ms, warm {warm_ms:.3} ms, proc cold {proc_cold_ms:.3} ms, proc warm {proc_warm_ms:.3} ms",
         build_cells.join(", ")
     );
     format!(
-        "{{\n    \"ranks\": {ZONE_RANKS},\n    \"cold_build_ms\": {{{}}},\n    \"cached_lookup_us\": {lookup_us:.4},\n    \"rank_solve_floor_cold_ms\": {cold_ms:.4},\n    \"rank_solve_floor_warm_ms\": {warm_ms:.4}\n  }}",
+        "{{\n    \"ranks\": {ZONE_RANKS},\n    \"cold_build_ms\": {{{}}},\n    \"cached_lookup_us\": {lookup_us:.4},\n    \"rank_solve_floor_cold_ms\": {cold_ms:.4},\n    \"rank_solve_floor_warm_ms\": {warm_ms:.4},\n    \"rank_solve_floor_proc_cold_ms\": {proc_cold_ms:.4},\n    \"rank_solve_floor_proc_warm_ms\": {proc_warm_ms:.4}\n  }}",
         build_cells.join(", ")
     )
+}
+
+/// The floor on `spcg-rankd` workers: a `max_iters = 1` 2-rank sPCG(s=5)
+/// SELL solve of `poisson_3d(16)` over the proc backend, cold and warm.
+/// Cold is the first proc solve of this process, which spawns the world
+/// and ships the matrix — what every proc solve paid before workers were
+/// resident — so it is one sample by construction; warm is the best of
+/// `ZONE_REPS` later solves on the same matrix.
+///
+/// # Panics
+/// Panics if the solve ran on threads (no `spcg-rankd` binary beside this
+/// one, or a stale one).
+fn proc_floor_ms() -> (f64, f64) {
+    let a = poisson_3d(16);
+    let b = paper_rhs(&a);
+    let m = Jacobi::new(&a);
+    let problem = Problem::new(&a, &m, &b);
+    let basis = chebyshev_basis(&problem, 20, 0.05);
+    let method = Method::SPcg {
+        s: ZONE_DEPTHS[1],
+        basis,
+    };
+    let opts = SolveOptions::default()
+        .with_max_iters(1)
+        .with_format(SparseFormat::Sell)
+        .with_backend(Backend::Proc);
+    let floor = || {
+        best_ms(1, || {
+            let res = solve(
+                &method,
+                &problem,
+                &opts,
+                Engine::Ranked { ranks: ZONE_RANKS },
+            );
+            assert_eq!(
+                res.backend,
+                Some(Backend::Proc),
+                "proc floor ran on threads: `cargo build --release --bin spcg-rankd` first"
+            );
+        })
+    };
+    let cold = floor();
+    let warm = (0..ZONE_REPS)
+        .map(|_| floor())
+        .fold(f64::INFINITY, f64::min);
+    (cold, warm)
 }
 
 fn main() {

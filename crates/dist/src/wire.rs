@@ -20,7 +20,7 @@
 use std::io::{self, Read, Write};
 
 /// Upper bound on a single frame's payload — far above any real message
-/// (the largest is a Setup frame carrying a CSR matrix), small enough to
+/// (the largest is a `LOAD` frame carrying a CSR matrix), small enough to
 /// turn stream corruption into an immediate error instead of an
 /// out-of-memory wedge.
 const MAX_FRAME: u64 = 1 << 34;

@@ -8,7 +8,7 @@
 //! can change a result, a counter or a cached artifact.
 //!
 //! The spec is hashed as its **wire encoding** — the bytes a proc worker's
-//! `Setup` frame carries ([`encode_precond`], [`Method::encode`],
+//! `SOLVE` frame carries ([`encode_precond`], [`Method::encode`],
 //! [`SolveOptions::encode`]). Those codecs destructure their types
 //! exhaustively, so a field added to `SolveOptions` or `Resilience` does
 //! not compile until it is shipped, and from then on keys the cache too;
@@ -16,9 +16,12 @@
 //! field cleared first is the tracer ([`SolveOptions::trace`]): spans only
 //! observe, and a handle serves traced and untraced submissions alike.
 //!
-//! The hash is a 64-bit FNV-1a folded over native words (one multiply per
-//! `f64`/`usize`, not per byte), so fingerprinting costs a single streaming
-//! pass over the matrix — the whole cache-hit setup path.
+//! The hash is a 64-bit FNV-1a folded over native words ([`Fnv`]). The
+//! matrix enters as its [`CsrMatrix::content_hash`], which the matrix
+//! computes in one streaming pass and keeps until an in-place edit, so a
+//! cache hit on a matrix the service has seen before hashes the spec bytes
+//! only. Fingerprints are not persisted anywhere; their values are free to
+//! change between versions.
 //!
 //! [`SolveOptions::trace`]: spcg_solvers::SolveOptions
 //! [`SolveOptions::encode`]: spcg_solvers::SolveOptions::encode
@@ -27,6 +30,7 @@
 use crate::handle::SolveSpec;
 use spcg_dist::wire::WireWriter;
 use spcg_solvers::{encode_precond, Engine, SolveOptions};
+use spcg_sparse::hash::Fnv;
 use spcg_sparse::CsrMatrix;
 use std::fmt;
 
@@ -40,65 +44,13 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// Word-folding FNV-1a. Not cryptographic — the cache tolerates the
-/// astronomically unlikely collision the same way a hash map would not:
-/// it doesn't; a collision would alias two configurations. At 64 bits
-/// over a handful of resident operators that risk is acceptable for a
-/// performance cache.
-struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    fn word(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(Self::PRIME);
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.word(v as u64);
-    }
-
-    fn usizes(&mut self, vs: &[usize]) {
-        self.usize(vs.len());
-        for &v in vs {
-            self.usize(v);
-        }
-    }
-
-    fn f64s(&mut self, vs: &[f64]) {
-        self.usize(vs.len());
-        for &v in vs {
-            self.word(v.to_bits());
-        }
-    }
-
-    /// Length, then the bytes eight at a time, then the zero-padded tail.
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.usize(bytes.len());
-        let (words, tail) = bytes.split_at(bytes.len() / 8 * 8);
-        for w in words.chunks_exact(8) {
-            self.word(u64::from_le_bytes(w.try_into().expect("chunks of 8")));
-        }
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        self.word(u64::from_le_bytes(last));
-    }
-}
-
-/// Hashes the matrix and the full solve spec into one cache key.
+/// Hashes the matrix and the full solve spec into one cache key. Not
+/// cryptographic: a collision would alias two configurations, a risk a
+/// performance cache over a handful of resident operators accepts at 64
+/// bits.
 pub fn fingerprint(a: &CsrMatrix, spec: &SolveSpec) -> Fingerprint {
     let mut h = Fnv::new();
-    h.usize(a.nrows());
-    h.usize(a.ncols());
-    h.usizes(a.row_ptr());
-    h.usizes(a.col_idx());
-    h.f64s(a.values());
+    h.word(a.content_hash());
     // Exhaustive on purpose, like the codecs: a new spec field does not
     // compile until it is hashed.
     let SolveSpec {
@@ -123,7 +75,7 @@ pub fn fingerprint(a: &CsrMatrix, spec: &SolveSpec) -> Fingerprint {
     w.option(ranks, WireWriter::usize);
     w.bool(*tune_basis);
     h.bytes(&w.into_bytes());
-    Fingerprint(h.0)
+    Fingerprint(h.finish())
 }
 
 #[cfg(test)]

@@ -664,21 +664,27 @@ impl Ranking {
         }
     }
 
-    /// Assembles the per-rank results, given in rank order, of a world that
-    /// completed `collectives` allreduces.
+    /// Assembles the per-rank results, given in rank order, of a world on
+    /// `backend` that completed `collectives` allreduces.
     ///
     /// Every branch a solver takes depends only on allreduced
     /// (deterministic, rank-order-summed) scalars, so all ranks run the same
     /// control flow; rank 0's outcome/iterations/counters describe the
     /// collective run, and the solution is the concatenation of the
     /// rank-local blocks.
-    pub(crate) fn assemble(&self, results: Vec<SolveResult>, collectives: u64) -> SolveResult {
+    pub(crate) fn assemble(
+        &self,
+        results: Vec<SolveResult>,
+        collectives: u64,
+        backend: Backend,
+    ) -> SolveResult {
         let mut x = Vec::with_capacity(*self.offsets.last().unwrap());
         for r in &results {
             x.extend_from_slice(&r.x);
         }
         let mut out = results.into_iter().next().unwrap();
         out.collectives_per_rank = Some(collectives);
+        out.backend = Some(backend);
         out.x = x;
         if let (Some(plan), Some(before)) = (&self.plan, &self.before) {
             out.faults_absorbed = plan.counts().since(before).total();
@@ -731,7 +737,7 @@ pub(crate) fn run_ranked(
         let b = &problem.b[lo..hi];
         solve_resilient(method, &mut exec, b, opts, ranking.resilience.as_ref())
     });
-    ranking.assemble(results, world.group.allreduces())
+    ranking.assemble(results, world.group.allreduces(), Backend::Thread)
 }
 
 /// Dispatches a method onto an execution substrate, for the right-hand side
@@ -831,7 +837,8 @@ mod tests {
         for case in cases() {
             let got = blocks.iter_mut().map(|rank| rank.next().unwrap()).collect();
             // One world served every solve: its count is not one solve's.
-            check(ranking.assemble(got, 0), case, Engine::Ranked { ranks: 2 });
+            let got = ranking.assemble(got, 0, Backend::Thread);
+            check(got, case, Engine::Ranked { ranks: 2 });
         }
     }
 

@@ -134,7 +134,7 @@ impl Method {
         ]
     }
 
-    /// Appends the method to a proc-backend frame (the `Setup` a worker
+    /// Appends the method to a proc-backend frame (the `SOLVE` a worker
     /// rebuilds its solve from).
     pub fn encode(&self, w: &mut WireWriter) {
         let same_variant = |p: &Method| std::mem::discriminant(p) == std::mem::discriminant(self);
@@ -214,7 +214,7 @@ impl Method {
 
 /// Appends a preconditioner recipe to a frame — with [`Method::encode`] and
 /// [`SolveOptions::encode`], everything besides the matrix that determines
-/// a solve (a proc worker's `Setup`, the service's cache key).
+/// a solve (a proc worker's `SOLVE`, the service's cache key).
 pub fn encode_precond(spec: &PrecondSpec, w: &mut WireWriter) {
     match spec {
         PrecondSpec::Identity { n } => {

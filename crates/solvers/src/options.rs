@@ -185,11 +185,15 @@ pub struct SolveOptions {
     /// sockets. Solutions and [`Counters`] are **bitwise identical**
     /// across backends; the proc transport additionally survives a rank
     /// process dying mid-solve (the driver respawns the world and
-    /// re-solves, charging a restart). Ranked solves fall back to the
-    /// thread backend — with a diagnostic on stderr — when the proc
-    /// transport cannot run (missing `spcg-rankd` binary, single rank, or
-    /// a preconditioner without a [`spcg_precond::PrecondSpec`] recipe).
-    /// Ignored by [`crate::Engine::Serial`].
+    /// re-solves, charging a restart). The workers are resident: the first
+    /// proc solve of a process at a rank count spawns them, later ones
+    /// reuse them, and a matrix is shipped to them once per
+    /// [`CsrMatrix::instance_id`]. Ranked solves fall back to the thread
+    /// backend — with a diagnostic on stderr, and
+    /// [`SolveResult::backend`] saying so — when the proc transport cannot
+    /// run (missing `spcg-rankd` binary, single rank, or a preconditioner
+    /// without a [`spcg_precond::PrecondSpec`] recipe). Ignored by
+    /// [`crate::Engine::Serial`].
     pub backend: Backend,
     /// Span tracer recording a per-rank phase timeline of the solve (see
     /// `spcg_obs`). `None` (the default) disables tracing entirely: every
@@ -544,6 +548,11 @@ pub struct SolveResult {
     /// this is also the per-rank synchronization count the paper's Table 1
     /// models, and it equals `counters.global_collectives`.
     pub collectives_per_rank: Option<u64>,
+    /// The transport that actually ran the ranks under ranked execution;
+    /// `None` for serial solves. A ranked solve asked for
+    /// [`Backend::Proc`] reports [`Backend::Thread`] here when it fell back
+    /// (see [`SolveOptions::backend`]), and always for a single rank.
+    pub backend: Option<Backend>,
     /// Residual-replacement restarts the resilience driver took. Zero for
     /// undisturbed solves and whenever [`SolveOptions::resilience`] was
     /// off (also mirrored into `counters.restarts`).
@@ -567,7 +576,7 @@ pub struct SolveResult {
 
 impl SolveResult {
     /// The result of one undriven solver body: no rank engine
-    /// (`collectives_per_rank`), resilience driver (`restarts`,
+    /// (`collectives_per_rank`, `backend`), resilience driver (`restarts`,
     /// `s_schedule`, `faults_absorbed`) or controller (`adaptive`) has
     /// contributed yet; whoever does overwrites its field.
     pub(crate) fn new(
@@ -584,6 +593,7 @@ impl SolveResult {
             history,
             counters,
             collectives_per_rank: None,
+            backend: None,
             restarts: 0,
             s_schedule: Vec::new(),
             faults_absorbed: 0,
@@ -601,6 +611,7 @@ impl SolveResult {
             history,
             counters,
             collectives_per_rank,
+            backend,
             restarts,
             s_schedule,
             faults_absorbed,
@@ -626,6 +637,7 @@ impl SolveResult {
         });
         counters.encode(w);
         w.option(*collectives_per_rank, WireWriter::u64);
+        w.option(backend.as_ref(), |w, b| w.variant(&BACKENDS, b));
         w.usize(*restarts);
         w.usizes(s_schedule);
         w.u64(*faults_absorbed);
@@ -669,6 +681,7 @@ impl SolveResult {
             history: r.seq(|r| Ok((r.usize()?, r.f64()?)))?,
             counters: Counters::decode(r)?,
             collectives_per_rank: r.option(WireReader::u64)?,
+            backend: r.option(|r| r.variant(&BACKENDS, "backend"))?,
             restarts: r.usize()?,
             s_schedule: r.usizes()?,
             faults_absorbed: r.u64()?,

@@ -10,20 +10,21 @@
 //! bitwise identical to the thread backend, because it *is* the thread
 //! backend:
 //!
-//! * **The hub is a thread world.** For each incarnation the parent builds
-//!   the same world `run_ranked` builds — one `CommGroup`, two
-//!   `VectorBoard`s with the fault plan attached — and runs one **proxy**
-//!   thread per rank in it. A proxy reads its worker's frames and performs
-//!   each one on the real objects, as that rank: `POST` is
-//!   `VectorBoard::post`, `WANT` is `complete_into` of the runs it names,
-//!   `BARRIER` and `REDUCE` are the `ThreadComm` collectives. Round
-//!   sequencing, the rank-order reduction and the four exchange fault sites
-//!   therefore exist once, in `spcg_dist`; nothing here keeps an epoch or
-//!   adds two numbers.
-//! * **Same arithmetic** — a worker rebuilds the matrix, right-hand side and
-//!   preconditioner (via [`PrecondSpec`]) from its `SETUP` frame, which also
-//!   carries the [`Method`] and the caller's [`SolveOptions`] whole, and runs
-//!   the same `RankExec` + resilient driver as a thread rank. Its `Comm` and
+//! * **The hub is a thread world.** For each solve (and each incarnation)
+//!   the parent builds the same world `run_ranked` builds — one
+//!   `CommGroup`, two `VectorBoard`s with the fault plan attached, epochs
+//!   at zero — and runs one **proxy** thread per rank in it. A proxy reads
+//!   its worker's frames and performs each one on the real objects, as
+//!   that rank: `POST` is `VectorBoard::post`, `WANT` is `complete_into` of
+//!   the runs it names, `BARRIER` and `REDUCE` are the `ThreadComm`
+//!   collectives. Round sequencing, the rank-order reduction and the four
+//!   exchange fault sites therefore exist once, in `spcg_dist`; nothing
+//!   here keeps an epoch or adds two numbers.
+//! * **Same arithmetic** — a worker holds the matrix of its last `LOAD`
+//!   frame and builds the preconditioner from the `SOLVE` frame's
+//!   [`PrecondSpec`], which also carries the rank's block of `b`, the
+//!   [`Method`] and the caller's [`SolveOptions`] whole, and runs the same
+//!   `RankExec` + resilient driver as a thread rank. Its `Comm` and
 //!   `Exchange` are "send a frame, read the reply".
 //! * **Same fault semantics** — the exchange sites fire in the hub's boards
 //!   at the `(site, salt, rank, round)` points they fire at under threads.
@@ -31,12 +32,23 @@
 //!   rank: the worker fires it in `RankExec` from a plan rebuilt from
 //!   `(seed, rate, sites)` and reports the count home.
 //!
+//! **Residency.** Workers outlive a solve. A process-wide slot holds at
+//! most one idle world per `(spcg-rankd path, ranks)`, with the
+//! [`CsrMatrix::instance_id`] of the matrix its workers hold. A solve takes
+//! that world or spawns one (the spawn that also serves a respawn), sends
+//! `LOAD` only for another matrix, and parks the world again only if every
+//! rank shipped `RESULT`; any other end kills and reaps it, and a world
+//! parked on an occupied slot is dropped. Workers exit when the hub hangs
+//! up, so none outlives the parent, and their matrix keeps its derived
+//! caches warm across solves, as a thread rank's does.
+//!
 //! Frames are `[tag][len][payload]` (see `spcg_dist::wire`):
 //!
 //! | tag | direction | payload | reply |
 //! |---|---|---|---|
-//! | `HELLO` | worker → hub | protocol version, rank | `SETUP` |
-//! | `SETUP` | hub → worker | version, rank, kill drill, partition, matrix, rhs, preconditioner recipe, method, options | — |
+//! | `HELLO` | worker → hub | protocol version, rank | none |
+//! | `LOAD` | hub → worker | partition, matrix | none |
+//! | `SOLVE` | hub → worker | kill drill, the rank's block of `b`, preconditioner recipe, method, options | the solve's frames, then `RESULT` |
 //! | `POST` | worker → hub | board, the rank's chunk | none |
 //! | `WANT` | worker → hub | board, runs `(first index, words)` | `BOARD` |
 //! | `BOARD` | hub → worker | the words of those runs, in order | — |
@@ -56,9 +68,10 @@
 //! down, which ends the proxies blocked in a read — so the hub returns at
 //! once, with the first cause. The cause is recorded *before* the abort is
 //! raised, so the EOFs the shutdown itself produces never overwrite it. A
-//! dead worker respawns the world; anything malformed refuses the
-//! transport, and the caller falls back to threads. Nothing a worker sends
-//! can panic the parent: every worker → hub frame is decoded fallibly.
+//! dead worker respawns the world (one line on stderr); anything malformed
+//! refuses the transport, and the caller falls back to threads. Nothing a
+//! worker sends can panic the parent: every worker → hub frame is decoded
+//! fallibly.
 
 use crate::engine::{RankExec, Ranking, World};
 use crate::method::{decode_precond, encode_precond, Method};
@@ -67,7 +80,7 @@ use crate::resilience::solve_resilient;
 use spcg_dist::wire::{read_frame, write_frame, WireReader, WireResult, WireWriter};
 use spcg_dist::{Aborted, Backend, Comm, Exchange, FaultSite, GatherPlan};
 use spcg_obs::{Phase, RawTrack, Track};
-use spcg_precond::PrecondSpec;
+use spcg_precond::{PrecondSpec, Preconditioner};
 use spcg_sparse::CsrMatrix;
 
 use std::cell::{Cell, RefCell};
@@ -75,19 +88,19 @@ use std::io::{BufReader, ErrorKind};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Protocol version — bumped on any frame-layout change so a stale
 /// `spcg-rankd` binary fails loudly instead of misparsing.
-const PROTO: u64 = 6;
+const PROTO: u64 = 7;
 
 // Frame tags; the module docs have the table.
-const TAG_SETUP: u8 = 1;
+const TAG_LOAD: u8 = 1;
 const TAG_HELLO: u8 = 2;
 const TAG_POST: u8 = 3;
 const TAG_WANT: u8 = 4;
@@ -97,6 +110,7 @@ const TAG_RESULT: u8 = 7;
 const TAG_BOARD: u8 = 8;
 const TAG_BARRIER_OK: u8 = 9;
 const TAG_REDUCE_SUM: u8 = 10;
+const TAG_SOLVE: u8 = 11;
 
 /// How long a proxy waits for its worker's next frame before declaring the
 /// world wedged. Generous: the in-process exchange's own wait budget is
@@ -115,20 +129,47 @@ const ACCEPT_POLL: (Duration, Duration) = (Duration::from_micros(50), Duration::
 /// World respawns allowed after rank deaths before the solve is abandoned.
 const MAX_INCARNATIONS: usize = 3;
 
+/// Preconditioners a worker keeps built for its matrix; the oldest goes.
+const MAX_PRECONDS: usize = 4;
+
 // ---------------------------------------------------------------------------
-// Setup / result payloads
+// Load / solve / result payloads
 // ---------------------------------------------------------------------------
 
-/// Everything a worker needs to run its rank, self-contained — workers
-/// never consult the environment, so `SPCG_*` variables in the parent's
-/// environment cannot skew a remote solve.
-struct Setup {
-    rank: usize,
+/// A `LOAD` frame: the partition and the matrix every later `SOLVE` of the
+/// world runs on. The same bytes go to every rank.
+struct Load {
+    offsets: Vec<usize>,
+    a: CsrMatrix,
+}
+
+impl Load {
+    fn encode(offsets: &[usize], a: &CsrMatrix) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.usizes(offsets);
+        w.usize(a.nrows());
+        w.usize(a.ncols());
+        w.usizes(a.row_ptr());
+        w.usizes(a.col_idx());
+        w.f64s(a.values());
+        w.into_bytes()
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> WireResult<Load> {
+        Ok(Load {
+            offsets: r.usizes()?,
+            a: CsrMatrix::from_raw(r.usize()?, r.usize()?, r.usizes()?, r.usizes()?, r.f64s()?),
+        })
+    }
+}
+
+/// One rank's `SOLVE` frame: everything a solve on the loaded matrix needs
+/// besides it. Workers never consult the environment, so `SPCG_*`
+/// variables in the parent's environment cannot skew a remote solve.
+struct Solve {
     /// Fault-drill directive: die just before allreduce number `n`
     /// (0-based). Shipped only to the targeted rank of incarnation 0.
     kill_at_reduce: Option<u64>,
-    offsets: Vec<usize>,
-    a: CsrMatrix,
     b: Vec<f64>,
     spec: PrecondSpec,
     method: Method,
@@ -137,24 +178,16 @@ struct Setup {
     opts: SolveOptions,
 }
 
-impl Setup {
-    /// The part of the frame that every rank of a world shares — all of it
-    /// but the header — encoded once per world.
+impl Solve {
+    /// The part of the frame that every rank of a solve shares — all of it
+    /// but the kill drill and the block of `b` — encoded once per solve.
     fn encode_shared(
         ranking: &Ranking,
-        problem: &Problem<'_>,
         spec: &PrecondSpec,
         method: &Method,
         opts: &SolveOptions,
     ) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.usizes(&ranking.offsets);
-        w.usize(problem.a.nrows());
-        w.usize(problem.a.ncols());
-        w.usizes(problem.a.row_ptr());
-        w.usizes(problem.a.col_idx());
-        w.f64s(problem.a.values());
-        w.f64s(problem.b);
         encode_precond(spec, &mut w);
         method.encode(&mut w);
         let shipped = SolveOptions {
@@ -166,29 +199,20 @@ impl Setup {
         w.into_bytes()
     }
 
-    /// One rank's frame: the header, then the shared part.
-    fn encode(rank: usize, kill_at_reduce: Option<u64>, shared: &[u8]) -> Vec<u8> {
+    /// One rank's frame: its kill drill and block of `b`, then the shared
+    /// part.
+    fn encode(kill_at_reduce: Option<u64>, b: &[f64], shared: &[u8]) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.u64(PROTO);
-        w.usize(rank);
         w.option(kill_at_reduce, WireWriter::u64);
+        w.f64s(b);
         let mut frame = w.into_bytes();
         frame.extend_from_slice(shared);
         frame
     }
 
-    fn decode(r: &mut WireReader<'_>) -> WireResult<Setup> {
-        let proto = r.u64()?;
-        if proto != PROTO {
-            return Err(format!(
-                "protocol {proto}, expected {PROTO} (stale spcg-rankd?)"
-            ));
-        }
-        Ok(Setup {
-            rank: r.usize()?,
+    fn decode(r: &mut WireReader<'_>) -> WireResult<Solve> {
+        Ok(Solve {
             kill_at_reduce: r.option(WireReader::u64)?,
-            offsets: r.usizes()?,
-            a: CsrMatrix::from_raw(r.usize()?, r.usize()?, r.usizes()?, r.usizes()?, r.f64s()?),
             b: r.f64s()?,
             spec: decode_precond(r)?,
             method: Method::decode(r)?,
@@ -276,6 +300,11 @@ impl Link {
         }
     }
 
+    /// The hub's next frame.
+    fn next(&self) -> (u8, Vec<u8>) {
+        read_frame(&mut *self.reader.borrow_mut()).unwrap_or_else(|_| self.hub_is_gone())
+    }
+
     /// Reads the reply to the request just sent: a frame that must carry
     /// `tag` — the protocol is strict request/reply — parsed by `get`.
     ///
@@ -284,17 +313,24 @@ impl Link {
     /// does not parse is a bug in it, and a worker that dies of it is a
     /// rank death the hub knows how to report.
     fn reply<T>(&self, tag: u8, get: impl FnOnce(&mut WireReader<'_>) -> WireResult<T>) -> T {
-        let Ok((got, payload)) = read_frame(&mut *self.reader.borrow_mut()) else {
-            self.hub_is_gone();
-        };
+        let (got, payload) = self.next();
+        assert_eq!(got, tag, "rankd[{}]: expected frame tag {tag}", self.rank);
+        self.parse(tag, &payload, get)
+    }
+
+    /// Parses a hub frame, panicking (see [`Link::reply`]) if it does not.
+    fn parse<T, G>(&self, tag: u8, payload: &[u8], get: G) -> T
+    where
+        G: FnOnce(&mut WireReader<'_>) -> WireResult<T>,
+    {
         let rank = self.rank;
-        assert_eq!(got, tag, "rankd[{rank}]: expected frame tag {tag}");
-        WireReader::parse(&payload, get)
+        WireReader::parse(payload, get)
             .unwrap_or_else(|e| panic!("rankd[{rank}]: malformed frame {tag}: {e}"))
     }
 
-    /// The hub hung up: it died, or it aborted this world because another
-    /// rank did. Either way nobody is left to report to, so leave quietly.
+    /// The hub hung up: the parent exited or dropped this world, or it
+    /// aborted a solve because another rank died. Either way nobody is
+    /// left to report to, so leave quietly.
     fn hub_is_gone(&self) -> ! {
         std::process::exit(4)
     }
@@ -417,8 +453,37 @@ impl Exchange for ProcBoard {
     }
 }
 
-/// Entry point of the `spcg-rankd` worker binary: connect, say hello,
-/// receive the Setup, run the rank, ship the result. Never returns.
+/// What a worker holds between solves: its last `LOAD`, and the operators
+/// built on that matrix by the recipes' wire bytes ([`MAX_PRECONDS`]).
+struct Resident {
+    offsets: Rc<Vec<usize>>,
+    a: Arc<CsrMatrix>,
+    preconds: Vec<(Vec<u8>, Box<dyn Preconditioner>)>,
+}
+
+impl Resident {
+    /// The operator `spec` builds on the resident matrix, built once.
+    fn precond(&mut self, spec: &PrecondSpec) -> &dyn Preconditioner {
+        let mut w = WireWriter::new();
+        encode_precond(spec, &mut w);
+        let key = w.into_bytes();
+        let at = match self.preconds.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                if self.preconds.len() == MAX_PRECONDS {
+                    self.preconds.remove(0);
+                }
+                self.preconds.push((key, spec.build(&self.a)));
+                self.preconds.len() - 1
+            }
+        };
+        &*self.preconds[at].1
+    }
+}
+
+/// Entry point of the `spcg-rankd` worker binary: connect, say hello, then
+/// serve the hub's frames — keep each `LOAD`, run each `SOLVE` and ship
+/// its result — until the hub hangs up. Never returns.
 ///
 /// # Panics
 /// Panics (exiting the process, which the hub reads as rank death) on any
@@ -443,46 +508,60 @@ pub fn worker_main() -> ! {
     hello.u64(PROTO);
     hello.usize(rank);
     link.send(TAG_HELLO, &hello.into_bytes());
-    let setup = link.reply(TAG_SETUP, Setup::decode);
-    assert_eq!(setup.rank, rank, "rankd[{rank}]: setup for wrong rank");
-    let result = run_worker(setup, Rc::clone(&link));
-    link.send(TAG_RESULT, &result.encode());
-    std::process::exit(0);
+    let mut resident: Option<Resident> = None;
+    loop {
+        let (tag, payload) = link.next();
+        match tag {
+            TAG_LOAD => {
+                drop(resident.take()); // one matrix in memory at a time
+                let load = link.parse(tag, &payload, Load::decode);
+                resident = Some(Resident {
+                    offsets: Rc::new(load.offsets),
+                    a: Arc::new(load.a),
+                    preconds: Vec::new(),
+                });
+            }
+            TAG_SOLVE => {
+                let solve = link.parse(tag, &payload, Solve::decode);
+                let held = resident.as_mut().expect("rankd: SOLVE before LOAD");
+                let result = run_worker(held, solve, &link);
+                link.send(TAG_RESULT, &result.encode());
+            }
+            _ => panic!("rankd[{rank}]: unexpected frame tag {tag}"),
+        }
+    }
 }
 
 /// Runs one rank's solve against the hub — the process-backend twin of
 /// `run_ranked`'s per-rank closure.
-fn run_worker(setup: Setup, link: Rc<Link>) -> WorkerResult {
-    let a = Arc::new(setup.a);
-    let m = setup.spec.build(&a);
-    let problem = Problem::new(&a, &*m, &setup.b);
+fn run_worker(held: &mut Resident, solve: Solve, link: &Rc<Link>) -> WorkerResult {
+    let (a, offsets) = (Arc::clone(&held.a), Rc::clone(&held.offsets));
+    let m = held.precond(&solve.spec);
     // The decoded tracer and fault plan are fresh handles, this process's
     // own; the one field a worker overrides is the backend, since it *is*
     // the proc backend's rank and must not try to spawn another.
     let opts = SolveOptions {
         backend: Backend::Thread,
-        ..setup.opts
+        ..solve.opts
     };
-    let track = opts.trace.as_ref().map(|t| t.track(setup.rank));
-    let offsets = Rc::new(setup.offsets);
+    let track = opts.trace.as_ref().map(|t| t.track(link.rank));
     let board = |board_id| {
         Box::new(ProcBoard {
-            link: Rc::clone(&link),
+            link: Rc::clone(link),
             board_id,
             offsets: Rc::clone(&offsets),
         })
     };
     let comm = ProcComm {
-        link: Rc::clone(&link),
+        link: Rc::clone(link),
         nranks: offsets.len() - 1,
-        kill_at_reduce: setup.kill_at_reduce,
+        kill_at_reduce: solve.kill_at_reduce,
         reduces: Cell::new(0),
     };
-    let b = &problem.b[offsets[setup.rank]..offsets[setup.rank + 1]];
     let mut exec = RankExec::new(
-        problem.a,
-        problem.m,
-        &setup.method,
+        &a,
+        m,
+        &solve.method,
         &opts,
         Box::new(comm),
         board(0),
@@ -490,7 +569,8 @@ fn run_worker(setup: Setup, link: Rc<Link>) -> WorkerResult {
         track,
         opts.faults.clone(),
     );
-    let res = solve_resilient(&setup.method, &mut exec, b, &opts, opts.resilience.as_ref());
+    let pol = opts.resilience.as_ref();
+    let res = solve_resilient(&solve.method, &mut exec, &solve.b, &opts, pol);
     drop(exec); // drains this rank's trace track into the tracer
     WorkerResult {
         res,
@@ -567,6 +647,13 @@ fn kill_directive() -> Option<(usize, u64)> {
     let v = std::env::var("SPCG_PROC_KILL").ok()?;
     let (rank, nth) = v.split_once(':')?;
     Some((rank.trim().parse().ok()?, nth.trim().parse().ok()?))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Worlds spawned, and `LOAD`s sent, by this thread's proc solves.
+    static SPAWNS: Cell<u64> = const { Cell::new(0) };
+    static LOADS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// One rank's proxy in the hub: performs each of the worker's frames on the
@@ -713,96 +800,148 @@ fn serve(
     }
 }
 
-/// Runs one world incarnation: spawn `spcg-rankd` per rank, feed Setups
-/// (the `shared` part with each rank's header, `kill_at_reduce[rank]` in
-/// it), serve the ranks until every one ships its result — returned with
-/// the count of allreduces the hub's group completed.
-fn run_world(
-    rankd: &PathBuf,
-    ranking: &Ranking,
-    shared: Vec<u8>,
-    kill_at_reduce: &[Option<u64>],
-) -> Result<(Vec<WorkerResult>, u64), WorldError> {
-    let nranks = kill_at_reduce.len();
-    let path = sock_path();
-    let _cleanup = SockCleanup(path.clone());
-    let listener = UnixListener::bind(&path)
-        .map_err(|e| WorldError::Fatal(format!("bind {}: {e}", path.display())))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| WorldError::Fatal(format!("listener: {e}")))?;
+/// A world of live workers: their connected streams in rank order, the
+/// processes, and the [`CsrMatrix::instance_id`] of the matrix they hold.
+struct ProcWorld {
+    streams: Vec<UnixStream>,
+    workers: ChildReaper,
+    loaded: Option<u64>,
+}
 
-    let mut reaper = ChildReaper(Vec::with_capacity(nranks));
-    for rank in 0..nranks {
-        let child = Command::new(rankd)
-            .arg(&path)
-            .arg(rank.to_string())
-            .stdin(Stdio::null())
-            .spawn()
-            .map_err(|e| WorldError::Fatal(format!("spawn {}: {e}", rankd.display())))?;
-        reaper.0.push(child);
+/// The idle worlds, at most one per `(spcg-rankd path, ranks)`.
+static IDLE: Mutex<Vec<(WorldKey, ProcWorld)>> = Mutex::new(Vec::new());
+type WorldKey = (PathBuf, usize);
+
+impl ProcWorld {
+    /// Spawns `spcg-rankd` per rank and accepts each one's hello — the one
+    /// place a world is born, the first time and on a respawn alike.
+    fn spawn(rankd: &Path, nranks: usize) -> Result<ProcWorld, String> {
+        #[cfg(test)]
+        SPAWNS.with(|n| n.set(n.get() + 1));
+        let path = sock_path();
+        let _cleanup = SockCleanup(path.clone());
+        let listener =
+            UnixListener::bind(&path).map_err(|e| format!("bind {}: {e}", path.display()))?;
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| format!("listener: {e}"))?;
+
+        let mut workers = ChildReaper(Vec::with_capacity(nranks));
+        for rank in 0..nranks {
+            let child = Command::new(rankd)
+                .arg(&path)
+                .arg(rank.to_string())
+                .stdin(Stdio::null())
+                .spawn()
+                .map_err(|e| format!("spawn {}: {e}", rankd.display()))?;
+            workers.0.push(child);
+        }
+
+        // Accept all workers; the Hello frame tells us who is who (accept
+        // order is scheduler-dependent).
+        let mut streams: Vec<Option<UnixStream>> = (0..nranks).map(|_| None).collect();
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
+        let mut connected = 0;
+        let mut poll = ACCEPT_POLL.0;
+        while connected < nranks {
+            match listener.accept() {
+                Ok((mut stream, _)) => {
+                    stream
+                        .set_nonblocking(false)
+                        .map_err(|e| format!("accept: {e}"))?;
+                    // Unbuffered, so no byte past the Hello leaves the socket.
+                    let (tag, payload) =
+                        read_frame(&mut stream).map_err(|e| format!("hello: {e}"))?;
+                    if tag != TAG_HELLO {
+                        return Err(format!("expected hello, got tag {tag}"));
+                    }
+                    let (proto, rank) = WireReader::parse(&payload, |r| Ok((r.u64()?, r.usize()?)))
+                        .map_err(|e| format!("hello: {e}"))?;
+                    if proto != PROTO {
+                        return Err(format!(
+                            "spcg-rankd speaks protocol {proto}, parent speaks {PROTO} — rebuild"
+                        ));
+                    }
+                    if rank >= nranks || streams[rank].is_some() {
+                        return Err(format!("bogus hello from rank {rank}"));
+                    }
+                    streams[rank] = Some(stream);
+                    connected += 1;
+                    poll = ACCEPT_POLL.0;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if Instant::now() > deadline {
+                        return Err(format!(
+                            "only {connected}/{nranks} workers connected within {CONNECT_TIMEOUT:?}"
+                        ));
+                    }
+                    std::thread::sleep(poll);
+                    poll = (poll * 2).min(ACCEPT_POLL.1);
+                }
+                Err(e) => return Err(format!("accept: {e}")),
+            }
+        }
+        Ok(ProcWorld {
+            streams: streams.into_iter().flatten().collect(), // every rank said hello
+            workers,
+            loaded: None,
+        })
     }
 
-    // Accept all workers; the Hello frame tells us who is who (accept
-    // order is scheduler-dependent).
-    let mut streams: Vec<Option<UnixStream>> = (0..nranks).map(|_| None).collect();
-    let deadline = Instant::now() + CONNECT_TIMEOUT;
-    let mut connected = 0;
-    let mut poll = ACCEPT_POLL.0;
-    while connected < nranks {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| WorldError::Fatal(format!("accept: {e}")))?;
-                // Unbuffered, so no byte past the Hello leaves the socket.
-                let (tag, payload) = read_frame(&mut stream)
-                    .map_err(|e| WorldError::Fatal(format!("hello: {e}")))?;
-                if tag != TAG_HELLO {
-                    return Err(WorldError::Fatal(format!("expected hello, got tag {tag}")));
-                }
-                let (proto, rank) = WireReader::parse(&payload, |r| Ok((r.u64()?, r.usize()?)))
-                    .map_err(|e| WorldError::Fatal(format!("hello: {e}")))?;
-                if proto != PROTO {
-                    return Err(WorldError::Fatal(format!(
-                        "spcg-rankd speaks protocol {proto}, parent speaks {PROTO} — rebuild"
-                    )));
-                }
-                if rank >= nranks || streams[rank].is_some() {
-                    return Err(WorldError::Fatal(format!("bogus hello from rank {rank}")));
-                }
-                streams[rank] = Some(stream);
-                connected += 1;
-                poll = ACCEPT_POLL.0;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if Instant::now() > deadline {
-                    return Err(WorldError::Fatal(format!(
-                        "only {connected}/{nranks} workers connected within {CONNECT_TIMEOUT:?}"
-                    )));
-                }
-                std::thread::sleep(poll);
-                poll = (poll * 2).min(ACCEPT_POLL.1);
-            }
-            Err(e) => return Err(WorldError::Fatal(format!("accept: {e}"))),
+    /// The idle world of `key`, taken out of the slot — unless a worker of
+    /// it has exited meanwhile, which drops it.
+    fn take_idle(key: &WorldKey) -> Option<ProcWorld> {
+        let mut idle = IDLE.lock().unwrap_or_else(PoisonError::into_inner);
+        let at = idle.iter().position(|(k, _)| k == key)?;
+        let (_, mut world) = idle.swap_remove(at);
+        let live = |c: &mut Child| matches!(c.try_wait(), Ok(None));
+        world.workers.0.iter_mut().all(live).then_some(world)
+    }
+
+    /// Puts a world that served its solve back in the slot, or drops it
+    /// (killed and reaped) if another one got there first.
+    fn park(self, key: &WorldKey) {
+        let mut idle = IDLE.lock().unwrap_or_else(PoisonError::into_inner);
+        if !idle.iter().any(|(k, _)| k == key) {
+            idle.push((key.clone(), self));
         }
     }
-    let mut streams: Vec<UnixStream> = streams.into_iter().map(|s| s.unwrap()).collect();
 
-    for (rank, stream) in streams.iter_mut().enumerate() {
-        let setup = Setup::encode(rank, kill_at_reduce[rank], &shared);
-        write_frame(stream, TAG_SETUP, &setup).map_err(|_| WorldError::RankDied(rank))?;
+    /// Runs one solve on this world: `LOAD` if it holds another matrix, each
+    /// rank's `SOLVE`, then a fresh hub until every rank has shipped its
+    /// result — returned with the count of allreduces the hub completed.
+    fn solve(
+        &mut self,
+        ranking: &Ranking,
+        problem: &Problem<'_>,
+        shared: &[u8],
+        kill_at_reduce: &[Option<u64>],
+    ) -> Result<(Vec<WorkerResult>, u64), WorldError> {
+        let id = problem.a.instance_id();
+        if self.loaded != Some(id) {
+            #[cfg(test)]
+            LOADS.with(|n| n.set(n.get() + 1));
+            let load = Load::encode(&ranking.offsets, problem.a);
+            for (rank, stream) in self.streams.iter_mut().enumerate() {
+                write_frame(stream, TAG_LOAD, &load).map_err(|_| WorldError::RankDied(rank))?;
+            }
+            self.loaded = Some(id);
+        }
+        for (rank, stream) in self.streams.iter_mut().enumerate() {
+            let b = &problem.b[ranking.offsets[rank]..ranking.offsets[rank + 1]];
+            let frame = Solve::encode(kill_at_reduce[rank], b, shared);
+            write_frame(stream, TAG_SOLVE, &frame).map_err(|_| WorldError::RankDied(rank))?;
+        }
+        let world = ranking.world();
+        serve(&world, &ranking.offsets, &self.streams).map(|res| (res, world.group.allreduces()))
     }
-    // The matrix has been shipped; the solve need not hold a copy of it.
-    drop(shared);
-    let world = ranking.world();
-    serve(&world, &ranking.offsets, &streams).map(|res| (res, world.group.allreduces()))
 }
 
 /// Runs `method` over `ranks` worker processes — the proc-backend twin of
-/// `run_ranked`, assembling the identical `SolveResult`. `Err` means the
-/// transport could not run at all (the caller falls back to threads);
-/// rank deaths are healed internally by respawning the world.
+/// `run_ranked`, assembling the identical `SolveResult` — on the resident
+/// world of that rank count (see the module docs). `Err` means the
+/// transport could not run at all (the caller falls back to threads); rank
+/// deaths are healed internally by respawning the world.
 pub(crate) fn run_proc(
     method: &Method,
     problem: &Problem<'_>,
@@ -816,7 +955,9 @@ pub(crate) fn run_proc(
         )
     })?;
     let rankd = rankd_path().ok_or("spcg-rankd binary not found (set SPCG_RANKD or build it)")?;
+    let key = (rankd, ranks);
     let ranking = Ranking::new(problem.n(), ranks, opts);
+    let shared = Solve::encode_shared(&ranking, &spec, method, opts);
     let kill = kill_directive();
 
     let mut incarnation = 0usize;
@@ -827,11 +968,15 @@ pub(crate) fn run_proc(
                     .map(|(_, nth)| nth)
             })
             .collect();
-        // Encoded per incarnation and dropped once sent: a respawn is rare,
-        // a matrix-sized buffer held for the whole solve is not free.
-        let shared = Setup::encode_shared(&ranking, problem, &spec, method, opts);
-        match run_world(&rankd, &ranking, shared, &kill_at_reduce) {
-            Ok(results) => break results,
+        let mut world = match ProcWorld::take_idle(&key) {
+            Some(world) => world,
+            None => ProcWorld::spawn(&key.0, ranks)?,
+        };
+        match world.solve(&ranking, problem, &shared, &kill_at_reduce) {
+            Ok(done) => {
+                world.park(&key);
+                break done;
+            }
             Err(WorldError::RankDied(rank)) => {
                 incarnation += 1;
                 if incarnation >= MAX_INCARNATIONS {
@@ -858,7 +1003,7 @@ pub(crate) fn run_proc(
         }
         solves.push(worker.res);
     }
-    let mut out = ranking.assemble(solves, collectives);
+    let mut out = ranking.assemble(solves, collectives, Backend::Proc);
     // World respawns are restarts the driver took on the caller's behalf;
     // charge them like the resilience layer charges its own.
     out.restarts += incarnation;
@@ -875,7 +1020,7 @@ mod tests {
     use spcg_basis::BasisType;
     use spcg_dist::FaultPlan;
     use spcg_obs::Tracer;
-    use spcg_sparse::generators::poisson::poisson_1d;
+    use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
     use spcg_sparse::SparseFormat;
     use std::thread::JoinHandle;
 
@@ -1209,15 +1354,14 @@ mod tests {
         );
     }
 
-    /// The Setup frame carries `Method` and `SolveOptions` whole: every
-    /// method × options that differ from the default in every field × every
+    /// The `LOAD` frame carries the partition and the matrix, and the
+    /// `SOLVE` frame `Method` and `SolveOptions` whole: every method ×
+    /// options that differ from the default in every field × every
     /// preconditioner recipe comes back as it went in.
     #[test]
-    fn setup_roundtrips_every_method_option_and_preconditioner() {
+    fn load_and_solve_frames_roundtrip_every_method_option_and_preconditioner() {
         let a = poisson_1d(6);
         let b: Vec<f64> = (0..6).map(|i| 0.5 - i as f64).collect();
-        let m = spcg_precond::Jacobi::new(&a);
-        let problem = Problem::new(&a, &m, &b);
         let cheb = BasisType::Chebyshev {
             lambda_min: 0.125,
             lambda_max: 1.875,
@@ -1296,29 +1440,74 @@ mod tests {
             },
         };
         let ranking = Ranking::new(6, 2, &opts);
+        let frame = Load::encode(&ranking.offsets, &a);
+        let load = WireReader::parse(&frame, Load::decode).unwrap();
+        assert_eq!(load.offsets, [0, 3, 6]);
+        assert_eq!(load.a.row_ptr(), a.row_ptr());
+        assert_eq!(load.a.col_idx(), a.col_idx());
+        assert_eq!(load.a.values(), a.values());
+        assert!(WireReader::parse(&frame[..frame.len() - 1], Load::decode).is_err());
         for method in &methods {
             for spec in &specs {
-                let shared = Setup::encode_shared(&ranking, &problem, spec, method, &opts);
-                let frame = Setup::encode(1, Some(4), &shared);
-                let setup = WireReader::parse(&frame, Setup::decode).unwrap();
-                assert_eq!((setup.rank, setup.kill_at_reduce), (1, Some(4)));
-                assert_eq!(setup.offsets, [0, 3, 6]);
-                assert_eq!(setup.a.row_ptr(), a.row_ptr());
-                assert_eq!(setup.a.col_idx(), a.col_idx());
-                assert_eq!(setup.a.values(), a.values());
-                assert_eq!(setup.b, b);
-                assert_eq!(&setup.spec, spec);
-                assert_eq!(&setup.method, method);
-                assert_same_options(&setup.opts, &opts);
+                let shared = Solve::encode_shared(&ranking, spec, method, &opts);
+                let frame = Solve::encode(Some(4), &b[3..], &shared);
+                let solve = WireReader::parse(&frame, Solve::decode).unwrap();
+                assert_eq!(solve.kill_at_reduce, Some(4));
+                assert_eq!(solve.b, b[3..]);
+                assert_eq!(&solve.spec, spec);
+                assert_eq!(&solve.method, method);
+                assert_same_options(&solve.opts, &opts);
                 // Not one byte of the frame is optional.
-                let cut = WireReader::parse(&frame[..frame.len() - 1], Setup::decode);
+                let cut = WireReader::parse(&frame[..frame.len() - 1], Solve::decode);
                 assert!(cut.is_err());
             }
         }
-        // A stale worker is refused by version, before anything is parsed.
-        let mut stale = Setup::encode(0, None, &[]);
-        stale[0] ^= 1;
-        let err = WireReader::parse(&stale, Setup::decode).err().unwrap();
-        assert!(err.contains("stale spcg-rankd"), "{err}");
+    }
+
+    /// Spawns and `LOAD`s this thread's proc solves performed.
+    fn tally() -> (u64, u64) {
+        (SPAWNS.with(Cell::get), LOADS.with(Cell::get))
+    }
+
+    /// One world serves a sequence of solves: spawned once, loaded once
+    /// per matrix identity — A, B, A, A edited in place, a clone of A —
+    /// and every solve bitwise the thread backend's.
+    #[test]
+    fn one_world_serves_a_sequence_and_loads_once_per_identity() {
+        if rankd_path().is_none() {
+            eprintln!("skipped: spcg-rankd is not built");
+            return;
+        }
+        // No other test of this binary solves on 3 ranks, so none takes
+        // this world from the slot between two of these solves.
+        let engine = crate::Engine::Ranked { ranks: 3 };
+        let opts = SolveOptions::default().with_history();
+        let run = |a: &CsrMatrix| {
+            let m = spcg_precond::Jacobi::new(a);
+            let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 7) as f64).collect();
+            let problem = Problem::new(a, &m, &b);
+            let basis = crate::chebyshev_basis(&problem, 20, 0.05);
+            for method in [Method::Pcg, Method::SPcg { s: 5, basis }] {
+                let proc = opts.clone().with_backend(Backend::Proc);
+                let p = crate::solve(&method, &problem, &proc, engine);
+                let t = crate::solve(&method, &problem, &opts, engine);
+                assert_eq!(p.backend, Some(Backend::Proc), "stale spcg-rankd?");
+                let key = |r: &SolveResult| {
+                    let x: Vec<u64> = r.x.iter().map(|v| v.to_bits()).collect();
+                    (x, r.iterations, r.counters.clone(), r.collectives_per_rank)
+                };
+                assert_eq!(key(&p), key(&t), "{}", method.name());
+            }
+        };
+        let (mut a, b) = (poisson_2d(9), poisson_2d(8));
+        let before = tally();
+        run(&a);
+        run(&b);
+        run(&a);
+        a.scale(2.0);
+        run(&a);
+        run(&a.clone());
+        let (spawns, loads) = tally();
+        assert_eq!((spawns - before.0, loads - before.1), (1, 5));
     }
 }

@@ -12,8 +12,8 @@ use crate::ghost::GhostZone;
 use crate::multivector::MultiVector;
 use crate::sell::{SellMatrix, SparseFormat};
 use crate::split::RowSplit;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Row-block granularity of the SpMM kernels: one block's CSR entries are
 /// streamed once and reused from cache for every right-hand-side column,
@@ -116,9 +116,10 @@ pub struct CsrMatrix {
     derived: Derived,
 }
 
-/// What a [`CsrMatrix`] computes lazily from its arrays and keeps: empty in
-/// a new or cloned matrix, emptied as a whole by an in-place edit, refilled
-/// on demand.
+/// What a [`CsrMatrix`] computes lazily from its arrays and keeps, and the
+/// name it is known by while they stay as they are: empty in a new or
+/// cloned matrix, emptied as a whole by an in-place edit, refilled on
+/// demand.
 #[derive(Debug, Default)]
 struct Derived {
     /// Lazily computed nnz-balanced row partition for the threaded SpMV,
@@ -149,7 +150,15 @@ struct Derived {
     /// `[p·SPMM_PANEL_ROWS, (p+1)·SPMM_PANEL_ROWS)` and touches only
     /// operand rows inside its reach.
     panel_reach: ReachCache,
+    /// This object's name while its arrays stay as they are (see
+    /// [`CsrMatrix::instance_id`]), drawn on first request.
+    instance_id: OnceLock<u64>,
+    /// The hash of the arrays (see [`CsrMatrix::content_hash`]).
+    content_hash: OnceLock<u64>,
 }
+
+/// The next [`CsrMatrix::instance_id`]; ids are never handed out twice.
+static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Lazily filled per-panel column-reach cache (see
 /// [`CsrMatrix::panel_reach`]).
@@ -817,6 +826,38 @@ impl CsrMatrix {
         self.derived = Derived::default();
     }
 
+    /// A process-wide name for this object *and its current contents*:
+    /// drawn from a counter on first request, never handed out twice, and
+    /// replaced by a fresh one after an in-place edit; a clone gets its
+    /// own. Two equal ids therefore mean the same arrays, exactly — no
+    /// hashing, no collision — which is what lets a proc-backend world
+    /// decide for free whether its workers already hold this matrix.
+    pub fn instance_id(&self) -> u64 {
+        *self
+            .derived
+            .instance_id
+            .get_or_init(|| NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// A 64-bit [`Fnv`](crate::hash::Fnv) hash of the dimensions and the
+    /// three arrays, computed on first request and kept until an in-place
+    /// edit; a clone recomputes it (to the same value). Equal matrices hash
+    /// equal wherever they live; unequal ones can, rarely, collide.
+    pub fn content_hash(&self) -> u64 {
+        *self.derived.content_hash.get_or_init(|| self.hash_arrays())
+    }
+
+    /// [`CsrMatrix::content_hash`], uncached.
+    fn hash_arrays(&self) -> u64 {
+        let mut h = crate::hash::Fnv::new();
+        h.usize(self.nrows);
+        h.usize(self.ncols);
+        h.usizes(&self.row_ptr);
+        h.usizes(&self.col_idx);
+        h.f64s(&self.values);
+        h.finish()
+    }
+
     /// Adds `shift` to every diagonal entry, assuming the diagonal is fully
     /// stored (true for all generators in this workspace).
     ///
@@ -1268,6 +1309,45 @@ mod tests {
         let shifted = derived_products(&a);
         assert_eq!(shifted, derived_products(&a.clone()), "after shift");
         assert_ne!(shifted, scaled);
+    }
+
+    /// The id names the object's current contents: stable while they are,
+    /// fresh after an edit, fresh in a clone, never repeated.
+    #[test]
+    fn instance_id_is_new_per_clone_and_per_edit() {
+        let mut a = crate::generators::poisson::poisson_2d(6);
+        let id = a.instance_id();
+        assert_eq!(a.instance_id(), id);
+        let clone = a.clone();
+        assert_ne!(clone.instance_id(), id);
+        a.scale(2.0);
+        let scaled = a.instance_id();
+        a.shift_diagonal(1.0);
+        let ids = [id, clone.instance_id(), scaled, a.instance_id()];
+        for i in 0..ids.len() {
+            for j in 0..i {
+                assert_ne!(ids[i], ids[j], "ids {j} and {i}");
+            }
+        }
+    }
+
+    /// The cached hash is the fresh computation's; an edit changes it; a
+    /// clone starts without one and computes the same value.
+    #[test]
+    fn content_hash_is_cached_reset_by_edits_and_recomputed_by_clones() {
+        let mut a = crate::generators::poisson::poisson_2d(9);
+        let h = a.content_hash();
+        assert_eq!(h, a.hash_arrays());
+        assert_eq!(a.derived.content_hash.get(), Some(&h));
+        let clone = a.clone();
+        assert!(clone.derived.content_hash.get().is_none());
+        assert_eq!(clone.content_hash(), h);
+        a.scale(2.0);
+        assert!(a.derived.content_hash.get().is_none());
+        assert_ne!(a.content_hash(), h);
+        assert_eq!(a.content_hash(), a.hash_arrays());
+        a.scale(0.5); // exact: back to the original bits
+        assert_eq!(a.content_hash(), h);
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod csr;
 pub mod dense;
 pub mod generators;
 pub mod ghost;
+pub mod hash;
 pub mod io;
 pub mod multivector;
 pub mod par;

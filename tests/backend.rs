@@ -95,7 +95,7 @@ fn proc_backend_is_bitwise_identical_to_thread_backend() {
     }
 }
 
-/// Other-preconditioner coverage for the Setup codec: every serializable
+/// Other-preconditioner coverage for the `SOLVE` codec: every serializable
 /// spec kind round-trips through a worker process and still matches the
 /// thread backend bitwise.
 #[test]
@@ -164,6 +164,108 @@ fn proc_backend_parity_holds_under_injected_faults() {
     assert_eq!(t.faults_absorbed, p.faults_absorbed, "fault crediting");
     assert_eq!(t.restarts, p.restarts, "restart counts");
     assert!(t.converged() && p.converged());
+}
+
+/// Everything of a result that must match across backends, by bits.
+fn key(r: &SolveResult) -> impl PartialEq + std::fmt::Debug {
+    let x: Vec<u64> = r.x.iter().map(|v| v.to_bits()).collect();
+    let history: Vec<(usize, u64)> = r.history.iter().map(|&(i, v)| (i, v.to_bits())).collect();
+    let rest = (r.collectives_per_rank, r.outcome.clone(), r.iterations);
+    (x, history, r.counters.clone(), rest)
+}
+
+/// Solves `a` with PCG and sPCG(5) on 2 ranks of each backend and checks
+/// that the two agree bitwise.
+fn assert_proc_matches_thread(a: &spcg::sparse::CsrMatrix, tag: &str) {
+    let b = paper_rhs(a);
+    let m = spcg::precond::Jacobi::new(a);
+    let problem = Problem::try_new(a, &m, &b).unwrap();
+    let basis = spcg::solvers::chebyshev_basis(&problem, 20, 0.05);
+    let engine = Engine::Ranked { ranks: 2 };
+    for method in [Method::Pcg, Method::SPcg { s: 5, basis }] {
+        let t = solve(&method, &problem, &opts(Backend::Thread, 1), engine);
+        let p = solve(&method, &problem, &opts(Backend::Proc, 1), engine);
+        let tag = format!("{tag} {}", method.name());
+        assert_eq!(p.backend, Some(Backend::Proc), "{tag}: fell back");
+        assert_eq!(key(&t), key(&p), "{tag}");
+        assert!(t.converged(), "{tag}: did not converge");
+    }
+}
+
+/// The resident world follows the matrix it is handed: a new matrix, the
+/// old one again, the old one edited in place, and a clone of it all solve
+/// exactly as on threads — the world never solves a stale copy.
+#[test]
+fn resident_world_follows_a_sequence_of_matrices() {
+    assert!(spcg::solvers::procexec::rankd_path().is_some());
+    let (mut a, b) = (poisson_2d(12), poisson_2d(10));
+    assert_proc_matches_thread(&a, "A");
+    assert_proc_matches_thread(&b, "B");
+    assert_proc_matches_thread(&a, "A again");
+    a.scale(2.0);
+    assert_proc_matches_thread(&a, "A scaled in place");
+    assert_proc_matches_thread(&a.clone(), "a clone of A");
+}
+
+/// Two threads solving on proc ranks at once: one takes the idle world,
+/// the other spawns its own, and both match the thread backend.
+#[test]
+fn concurrent_proc_solves_match_the_thread_backend() {
+    assert!(spcg::solvers::procexec::rankd_path().is_some());
+    std::thread::scope(|scope| {
+        for grid in [11, 13] {
+            scope.spawn(move || {
+                let a = poisson_2d(grid);
+                for round in 0..3 {
+                    assert_proc_matches_thread(&a, &format!("grid {grid} round {round}"));
+                }
+            });
+        }
+    });
+}
+
+/// Jacobi without a recipe: the proc transport cannot ship it.
+struct Unshippable(spcg::precond::Jacobi);
+
+impl spcg::precond::Preconditioner for Unshippable {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.0.apply(r, z);
+    }
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn flops_per_apply(&self) -> u64 {
+        self.0.flops_per_apply()
+    }
+    fn name(&self) -> String {
+        "unshippable".into()
+    }
+}
+
+/// A result names the transport that ran its ranks: proc when it could,
+/// thread when the preconditioner has no recipe to ship, none serially.
+#[test]
+fn result_reports_the_backend_that_ran() {
+    assert!(spcg::solvers::procexec::rankd_path().is_some());
+    use spcg::precond::Preconditioner;
+    let a = poisson_2d(12);
+    let b = paper_rhs(&a);
+    let jacobi = spcg::precond::Jacobi::new(&a);
+    let unshippable = Unshippable(spcg::precond::Jacobi::new(&a));
+    assert!(unshippable.spec().is_none());
+    let proc = opts(Backend::Proc, 1);
+    let run = |m: &dyn Preconditioner, engine| {
+        let problem = Problem::try_new(&a, m, &b).unwrap();
+        solve(&Method::Pcg, &problem, &proc, engine).backend
+    };
+    let ranked = Engine::Ranked { ranks: 2 };
+    assert_eq!(run(&jacobi, ranked), Some(Backend::Proc));
+    assert_eq!(run(&unshippable, ranked), Some(Backend::Thread));
+    assert_eq!(
+        run(&jacobi, Engine::Ranked { ranks: 1 }),
+        Some(Backend::Thread)
+    );
+    assert_eq!(run(&jacobi, Engine::Serial), None);
 }
 
 /// Span tracing crosses the process boundary: a traced proc solve imports

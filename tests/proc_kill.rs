@@ -3,8 +3,9 @@
 //! `SPCG_PROC_KILL=<rank>:<nth>` makes the targeted worker process of the
 //! first world incarnation exit — no farewell frame, just a dead socket —
 //! right before its nth allreduce. The parent must detect the death,
-//! respawn the world, and converge anyway, charging the incarnation as a
-//! restart.
+//! reap the dead world, respawn one, and converge anyway, charging the
+//! incarnation as a restart — and the respawned world stays resident for
+//! the next solve.
 //!
 //! This lives in its own integration-test binary because the kill
 //! directive is process-wide environment state: it must not leak into the
@@ -45,13 +46,38 @@ fn killed_rank_process_is_healed_by_world_respawn() {
     );
     assert!(res.counters.restarts >= 1);
 
+    // The dead world was reaped; the respawned one stayed resident.
+    let respawned = workers();
+    #[cfg(target_os = "linux")]
+    assert_eq!(respawned.len(), 2, "live workers after the healed solve");
+
     // With the directive gone the same configuration runs clean — the
     // respawn path leaves no persistent state behind.
     std::env::remove_var("SPCG_PROC_KILL");
     let clean = solve(&Method::Pcg, &problem, &opts, Engine::Ranked { ranks: 2 });
     assert!(clean.converged());
     assert_eq!(clean.restarts, 0, "clean solve charged a restart");
+    // It ran on the respawned world: no further worker was spawned.
+    assert_eq!(workers(), respawned, "the clean solve spawned a new world");
     // And the healed solution matches the clean one bitwise: the respawned
     // world restarted from the same initial state.
     assert_eq!(res.x, clean.x, "healed solution differs from clean solve");
+}
+
+/// The pids of this process's live `spcg-rankd` children, from `/proc`
+/// (empty where there is none).
+fn workers() -> std::collections::BTreeSet<u32> {
+    let me = std::process::id();
+    let Ok(dir) = std::fs::read_dir("/proc") else {
+        return Default::default();
+    };
+    dir.filter_map(|entry| {
+        let pid: u32 = entry.ok()?.file_name().to_str()?.parse().ok()?;
+        // `pid (comm) state ppid …`
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+        let (head, tail) = stat.rsplit_once(')')?;
+        let ppid: u32 = tail.split_whitespace().nth(1)?.parse().ok()?;
+        (head.ends_with("(spcg-rankd") && ppid == me).then_some(pid)
+    })
+    .collect()
 }
