@@ -14,7 +14,8 @@
 //! not — benchcheck holds the warm floor to 0.7× the cold one — and the
 //! same floor at 16³ on `spcg-rankd` workers, the process's first proc
 //! solve against later ones on the resident world, held to 0.5×; the proc
-//! rows need the worker binary built beside this one) and
+//! rows need the worker binary built beside this one, and the bin exits
+//! before measuring without it) and
 //! `BENCH_overlap.json` (interior/frontier split-SpMV and halo
 //! post/complete timings per rank count).
 //!
@@ -288,8 +289,8 @@ fn ghost_zone_rows(a: &CsrMatrix) -> String {
 /// `ZONE_REPS` later solves on the same matrix.
 ///
 /// # Panics
-/// Panics if the solve ran on threads (no `spcg-rankd` binary beside this
-/// one, or a stale one).
+/// Panics if the solve ran on threads (a stale `spcg-rankd`; `main` has
+/// already refused a missing one).
 fn proc_floor_ms() -> (f64, f64) {
     let a = poisson_3d(16);
     let b = paper_rhs(&a);
@@ -327,6 +328,16 @@ fn proc_floor_ms() -> (f64, f64) {
 }
 
 fn main() {
+    // The proc floor rows come late in the sweep; refuse before measuring
+    // anything rather than lose the sweep to a missing worker binary.
+    #[cfg(unix)]
+    if spcg_solvers::procexec::rankd_path().is_none() {
+        eprintln!(
+            "kernels: spcg-rankd not found — `cargo build --release --bin spcg-rankd` \
+             first or set SPCG_RANKD"
+        );
+        std::process::exit(1);
+    }
     let quick = quick_mode();
     let default_grid = if quick { 24 } else { 48 };
     let grid = spcg_bench::grid_or(default_grid);

@@ -129,9 +129,6 @@ const ACCEPT_POLL: (Duration, Duration) = (Duration::from_micros(50), Duration::
 /// World respawns allowed after rank deaths before the solve is abandoned.
 const MAX_INCARNATIONS: usize = 3;
 
-/// Preconditioners a worker keeps built for its matrix; the oldest goes.
-const MAX_PRECONDS: usize = 4;
-
 // ---------------------------------------------------------------------------
 // Load / solve / result payloads
 // ---------------------------------------------------------------------------
@@ -453,31 +450,29 @@ impl Exchange for ProcBoard {
     }
 }
 
-/// What a worker holds between solves: its last `LOAD`, and the operators
-/// built on that matrix by the recipes' wire bytes ([`MAX_PRECONDS`]).
+/// What a worker holds between solves: its last `LOAD`, and the operator
+/// its last recipe built on that matrix, by the recipe's wire bytes.
 struct Resident {
     offsets: Rc<Vec<usize>>,
     a: Arc<CsrMatrix>,
-    preconds: Vec<(Vec<u8>, Box<dyn Preconditioner>)>,
+    precond: Option<(Vec<u8>, Box<dyn Preconditioner>)>,
 }
 
 impl Resident {
-    /// The operator `spec` builds on the resident matrix, built once.
+    /// The operator `spec` builds on the resident matrix: the last solve's
+    /// if the recipe is the same, otherwise built in its place.
     fn precond(&mut self, spec: &PrecondSpec) -> &dyn Preconditioner {
         let mut w = WireWriter::new();
         encode_precond(spec, &mut w);
         let key = w.into_bytes();
-        let at = match self.preconds.iter().position(|(k, _)| *k == key) {
-            Some(at) => at,
-            None => {
-                if self.preconds.len() == MAX_PRECONDS {
-                    self.preconds.remove(0);
-                }
-                self.preconds.push((key, spec.build(&self.a)));
-                self.preconds.len() - 1
+        let kept = match self.precond.take() {
+            Some((k, m)) if k == key => (k, m),
+            stale => {
+                drop(stale); // one operator in memory at a time
+                (key, spec.build(&self.a))
             }
         };
-        &*self.preconds[at].1
+        &*self.precond.insert(kept).1
     }
 }
 
@@ -518,7 +513,7 @@ pub fn worker_main() -> ! {
                 resident = Some(Resident {
                     offsets: Rc::new(load.offsets),
                     a: Arc::new(load.a),
-                    preconds: Vec::new(),
+                    precond: None,
                 });
             }
             TAG_SOLVE => {
@@ -1461,6 +1456,31 @@ mod tests {
                 let cut = WireReader::parse(&frame[..frame.len() - 1], Solve::decode);
                 assert!(cut.is_err());
             }
+        }
+    }
+
+    /// A worker keeps one operator, the last recipe's, and whatever order
+    /// the recipes come in hands out the operator the asked-for one builds.
+    #[test]
+    fn resident_keeps_the_last_recipes_operator() {
+        let a = Arc::new(poisson_1d(6));
+        let mut held = Resident {
+            offsets: Rc::new(vec![0, 6]),
+            a: Arc::clone(&a),
+            precond: None,
+        };
+        let r: Vec<f64> = (0..6).map(|i| 1.0 + i as f64).collect();
+        let jacobi = PrecondSpec::Jacobi {
+            inv_diag: vec![0.5; 6],
+        };
+        for spec in [&jacobi, &jacobi, &PrecondSpec::Ic0, &jacobi] {
+            let (mut got, mut want) = (vec![0.0; 6], vec![0.0; 6]);
+            held.precond(spec).apply(&r, &mut got);
+            spec.build(&a).apply(&r, &mut want);
+            assert_eq!(got, want, "{spec:?}");
+            let mut key = WireWriter::new();
+            encode_precond(spec, &mut key);
+            assert_eq!(held.precond.as_ref().unwrap().0, key.into_bytes());
         }
     }
 
