@@ -39,7 +39,10 @@
 //! least [`ZONE_COLD_OVER_WARM_MIN`]× what it takes on a matrix that has
 //! the zones cached, and the process's first proc-backend solve (which
 //! spawns the workers and ships the matrix) at least
-//! [`PROC_COLD_OVER_WARM_MIN`]× a later one on the resident world.
+//! [`PROC_COLD_OVER_WARM_MIN`]× a later one on the resident world. Its
+//! `spmm_gflops` row must show the interleaved CSR SpMM at k = 8 at least
+//! [`SPMM_CSR_OVER_SELL_MIN`]× SELL's SpMM, the reason every multi-column
+//! product of a solve runs on CSR.
 //!
 //! A kernels sweep also carries the `allreduce` row (median µs of one
 //! thread-transport collective per rank count and payload): it must be
@@ -116,6 +119,13 @@ const ZONE_COLD_OVER_WARM_MIN: f64 = 1.0 / 0.7;
 /// have stopped reusing their workers.
 const PROC_COLD_OVER_WARM_MIN: f64 = 2.0;
 
+/// Minimum fresh single-thread `spmm_gflops` `k8.csr / k8.sell` ratio.
+/// Every multi-column product of a solve runs the interleaved CSR SpMM
+/// whatever the solve's format, on the premise that it beats SELL's
+/// column-at-a-time SpMM (reference runner: ≈1.6×). Under 1× the premise
+/// is gone: the routing, or the CSR kernel, has to be looked at again.
+const SPMM_CSR_OVER_SELL_MIN: f64 = 1.0;
+
 /// Pairwise noise slack on the service GF/s curve: each step from one
 /// batch width to the next may dip to this fraction of its predecessor
 /// before the check fails. The end-to-end k=1 → k=8 comparison gets no
@@ -181,6 +191,7 @@ fn main() -> ExitCode {
                         "rank_solve_floor_proc_warm_ms",
                         PROC_COLD_OVER_WARM_MIN,
                     ),
+                    ("spmm_gflops", "k8.csr", "k8.sell", SPMM_CSR_OVER_SELL_MIN),
                 ] {
                     check_ratio_gate(&fresh, group, leg, base, min_ratio, &mut errors);
                 }
@@ -311,8 +322,9 @@ fn check_ratio_gate(
 /// The kernels-sweep gate on a fresh result file: a `gflops` object that
 /// reports the `spmv` leg marks a kernel sweep, which must then carry a
 /// top-level `nproc` field, one `speedup_vs_1_thread` array per `gflops`
-/// leg, and the `ghost_zone` warm floors, thread and proc (the base legs of
-/// their ratio gates, which would otherwise pass a file without the rows). Fresh-file-only,
+/// leg, the `ghost_zone` warm floors, thread and proc, and SELL's k = 8
+/// SpMM rate (the base legs of their ratio gates, which would otherwise
+/// pass a file without the rows). Fresh-file-only,
 /// like the ratio gates — older baselines must not grandfather the missing
 /// fields.
 fn check_kernels_gate(fresh: &Value, errors: &mut Vec<String>) {
@@ -328,11 +340,14 @@ fn check_kernels_gate(fresh: &Value, errors: &mut Vec<String>) {
     if !matches!(fresh.get("nproc"), Some(Value::Number(_))) {
         errors.push("$.nproc: missing core count in fresh kernels output".to_string());
     }
-    let zone = fresh.get("ghost_zone");
-    for floor in ["rank_solve_floor_warm_ms", "rank_solve_floor_proc_warm_ms"] {
-        if number(zone.and_then(|z| z.get(floor))).is_none() {
+    for (group, base) in [
+        ("ghost_zone", "rank_solve_floor_warm_ms"),
+        ("ghost_zone", "rank_solve_floor_proc_warm_ms"),
+        ("spmm_gflops", "k8.sell"),
+    ] {
+        if number(fresh.get(group).and_then(|g| g.get(base))).is_none() {
             errors.push(format!(
-                "$.ghost_zone.{floor}: missing from fresh kernels output"
+                "$.{group}.{base}: missing from fresh kernels output"
             ));
         }
     }

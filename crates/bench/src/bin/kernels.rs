@@ -15,7 +15,9 @@
 //! same floor at 16³ on `spcg-rankd` workers, the process's first proc
 //! solve against later ones on the resident world, held to 0.5×; the proc
 //! rows need the worker binary built beside this one, and the bin exits
-//! before measuring without it) and
+//! before measuring without it, and the `spmm_gflops` row: single-thread
+//! `Y ← A·X` at k = 2, 4, 8 on CSR and on SELL, CSR held to at least SELL's
+//! rate at k = 8) and
 //! `BENCH_overlap.json` (interior/frontier split-SpMV and halo
 //! post/complete timings per rank count).
 //!
@@ -58,7 +60,8 @@ use spcg_sparse::generators::paper_rhs;
 use spcg_sparse::generators::poisson::poisson_3d;
 use spcg_sparse::partition::BlockRowPartition;
 use spcg_sparse::{
-    CsrMatrix, DenseMat, GhostZone, MatRef, MultiVector, ParKernels, SparseFormat, SstepBlock,
+    CsrMatrix, DenseMat, GhostZone, MatRef, MultiVector, ParKernels, SellMatrix, SparseFormat,
+    SstepBlock,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -98,6 +101,11 @@ const ZONE_RANKS: usize = 2;
 const ZONE_DEPTHS: [usize; 2] = [1, 5];
 const ZONE_REPS: usize = 7;
 const ZONE_LOOKUPS: usize = 10_000;
+/// Column counts of the `spmm_gflops` rows, and samples per leg in quick
+/// mode too (benchcheck gates a ratio of two of them; a sample is
+/// milliseconds).
+const SPMM_WIDTHS: [usize; 3] = [2, 4, 8];
+const SPMM_REPS: usize = 7;
 
 fn filled_multivector(n: usize, k: usize, seed: usize) -> MultiVector {
     let cols: Vec<Vec<f64>> = (0..k)
@@ -279,6 +287,35 @@ fn ghost_zone_rows(a: &CsrMatrix) -> String {
         "{{\n    \"ranks\": {ZONE_RANKS},\n    \"cold_build_ms\": {{{}}},\n    \"cached_lookup_us\": {lookup_us:.4},\n    \"rank_solve_floor_cold_ms\": {cold_ms:.4},\n    \"rank_solve_floor_warm_ms\": {warm_ms:.4},\n    \"rank_solve_floor_proc_cold_ms\": {proc_cold_ms:.4},\n    \"rank_solve_floor_proc_warm_ms\": {proc_warm_ms:.4}\n  }}",
         build_cells.join(", ")
     )
+}
+
+/// The `spmm_gflops` object of `BENCH_kernels.json`: single-thread Gflop/s
+/// of `Y ← A·X` at each of [`SPMM_WIDTHS`] on both stored forms, keyed
+/// `k<k>.<format>` — the interleaved CSR kernel every multi-column product
+/// of a solve runs whatever its format, and SELL's column-at-a-time
+/// `ParKernels::spmm_sell`, which no solve runs. The legs alternate sample
+/// by sample; benchcheck fails a CSR rate at k = 8 under SELL's, the
+/// premise of that routing.
+fn spmm_rows(a: &CsrMatrix, sell: &SellMatrix) -> String {
+    let pk = ParKernels::new(1);
+    let mut cells = Vec::new();
+    for k in SPMM_WIDTHS {
+        let x = filled_multivector(a.ncols(), k, 23);
+        let mut y = MultiVector::zeros(a.nrows(), k);
+        let flops = 2.0 * a.nnz() as f64 * k as f64;
+        // First calls build the panel reach and the slice schedule.
+        pk.spmm(a, &x, &mut y);
+        pk.spmm_sell(sell, &x, &mut y);
+        let (mut csr_ms, mut sell_ms) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..SPMM_REPS {
+            csr_ms = csr_ms.min(best_ms(1, || pk.spmm(a, black_box(&x), &mut y)));
+            sell_ms = sell_ms.min(best_ms(1, || pk.spmm_sell(sell, black_box(&x), &mut y)));
+        }
+        let (csr, sell) = (flops / csr_ms / 1e6, flops / sell_ms / 1e6);
+        eprintln!("[kernels] spmm k={k}: csr {csr:.2} GF/s, sell {sell:.2} GF/s");
+        cells.push(format!("\"k{k}.csr\": {csr:.4}, \"k{k}.sell\": {sell:.4}"));
+    }
+    format!("{{{}}}", cells.join(", "))
 }
 
 /// The floor on `spcg-rankd` workers: a `max_iters = 1` 2-rank sPCG(s=5)
@@ -592,6 +629,7 @@ fn main() {
         })
         .collect();
 
+    let spmm = spmm_rows(&a, &sell);
     let zone_rows = ghost_zone_rows(&a);
 
     let speedup = |gf: &[f64]| -> Vec<f64> { gf.iter().map(|g| g / gf[0]).collect() };
@@ -600,7 +638,7 @@ fn main() {
     // kernel that fails to scale from a machine that cannot show scaling.
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let out = format!(
-        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }},\n  \"ghost_zone\": {zone_rows}\n}}\n",
+        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }},\n  \"spmm_gflops\": {spmm},\n  \"ghost_zone\": {zone_rows}\n}}\n",
         threads_list.join(", "),
         sell.pad_ratio(),
         json_array(&spmv_gf),

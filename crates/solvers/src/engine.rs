@@ -137,8 +137,9 @@ pub(crate) trait Exec {
     /// `Y ← A·X`: per column bitwise equal to [`Exec::spmv`], column `j`'s
     /// halo traffic charged to `counters[j]` (or all of it to a lone entry).
     /// This default *is* the `spmv` loop; serial execution overrides it with
-    /// the interleaved-operand SpMM kernel, whose columns are documented
-    /// bitwise equal to the single-vector kernels — unobservable in results.
+    /// the interleaved-operand CSR SpMM kernel whatever the format, whose
+    /// columns are documented bitwise equal to the single-vector kernels —
+    /// unobservable in results.
     fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, counters: &mut [Counters]) {
         let shared = counters.len() == 1;
         for j in 0..x.k() {
@@ -262,8 +263,11 @@ impl Exec for SerialExec<'_> {
             // One column is a plain SpMV: same kernel, same span.
             return self.spmv(x.col(0), y.col_mut(0), &mut counters[0]);
         }
+        // The interleaved CSR kernel whatever the format: one matrix entry
+        // feeds a whole column group, where SELL's SpMM walks the columns
+        // one at a time (`SparseFormat`).
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmm);
-        self.pk.spmm_on(self.op(), x, y);
+        self.pk.spmm(self.a, x, y);
     }
 }
 

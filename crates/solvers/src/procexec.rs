@@ -38,9 +38,10 @@
 //! that world or spawns one (the spawn that also serves a respawn), sends
 //! `LOAD` only for another matrix, and parks the world again only if every
 //! rank shipped `RESULT`; any other end kills and reaps it, and a world
-//! parked on an occupied slot is dropped. Workers exit when the hub hangs
-//! up, so none outlives the parent, and their matrix keeps its derived
-//! caches warm across solves, as a thread rank's does.
+//! parked on an occupied slot is dropped. An exit hook, registered by the
+//! first park, kills and reaps the idle worlds' workers before the parent
+//! exits, so none outlives it, not even as a zombie. Their matrix keeps its
+//! derived caches warm across solves, as a thread rank's does.
 //!
 //! Frames are `[tag][len][payload]` (see `spcg_dist::wire`):
 //!
@@ -92,7 +93,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, Once, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Protocol version — bumped on any frame-layout change so a stale
@@ -807,6 +808,37 @@ struct ProcWorld {
 static IDLE: Mutex<Vec<(WorldKey, ProcWorld)>> = Mutex::new(Vec::new());
 type WorldKey = (PathBuf, usize);
 
+/// Registers, once per process, an exit hook that kills and reaps every
+/// idle world's workers. Nothing else ever drops the `IDLE` slot, so
+/// without it the workers would see their parent's EOF only after it is
+/// gone, and linger as zombies of whatever process inherits them.
+fn reap_idle_at_exit() {
+    extern "C" {
+        fn atexit(hook: extern "C" fn()) -> std::os::raw::c_int;
+    }
+    extern "C" fn reap_idle() {
+        // A lock still held at exit is left alone: exit must not hang.
+        let mut idle = match IDLE.try_lock() {
+            Ok(idle) => idle,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return,
+        };
+        let worlds = std::mem::take(&mut *idle);
+        drop(idle);
+        drop(worlds); // each world's `ChildReaper` kills and waits
+    }
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        // SAFETY: `atexit` is the C library's own, which std links on every
+        // Unix, declared with its C signature. `reap_idle` takes nothing,
+        // is a plain function (valid for the life of the process), and
+        // cannot unwind: it only try-locks, moves a vector out and drops
+        // worlds, whose drops ignore every error. A registration that fails
+        // (a full table) only leaves the workers to their EOF, as before.
+        unsafe { atexit(reap_idle) };
+    });
+}
+
 impl ProcWorld {
     /// Spawns `spcg-rankd` per rank and accepts each one's hello — the one
     /// place a world is born, the first time and on a respawn alike.
@@ -896,6 +928,7 @@ impl ProcWorld {
     /// Puts a world that served its solve back in the slot, or drops it
     /// (killed and reaped) if another one got there first.
     fn park(self, key: &WorldKey) {
+        reap_idle_at_exit();
         let mut idle = IDLE.lock().unwrap_or_else(PoisonError::into_inner);
         if !idle.iter().any(|(k, _)| k == key) {
             idle.push((key.clone(), self));

@@ -28,28 +28,6 @@ pub(crate) const SPMM_ROW_BLOCK: usize = 128;
 /// scratch copy of the whole operand.
 pub(crate) const SPMM_PANEL_ROWS: usize = 8192;
 
-/// Stored column-index widths the SpMM kernels can stream: the native
-/// `usize` array or the packed `u32` copy from [`CsrMatrix::cols_u32`].
-/// The conversion back to `usize` is free; the win is the halved bytes
-/// per matrix entry in the hot loop.
-pub(crate) trait ColIndex: Copy {
-    fn idx(self) -> usize;
-}
-
-impl ColIndex for usize {
-    #[inline(always)]
-    fn idx(self) -> usize {
-        self
-    }
-}
-
-impl ColIndex for u32 {
-    #[inline(always)]
-    fn idx(self) -> usize {
-        self as usize
-    }
-}
-
 /// Validates the CSR invariants in debug builds only — the single gate
 /// every trusted ("unchecked") construction path goes through, so hot
 /// paths cannot drift apart in which invariants they skip. Release builds
@@ -136,11 +114,6 @@ struct Derived {
     /// Lazily converted SELL-C-σ sibling of this matrix (see
     /// [`CsrMatrix::sell`]), built on first request and shared.
     sell: Mutex<Option<Arc<SellMatrix>>>,
-    /// Lazily built `u32` copy of `col_idx` for the SpMM kernels (see
-    /// [`CsrMatrix::cols_u32`]): half the index bytes per matrix entry,
-    /// which matters because the batched solver is bound by how much of
-    /// its working set stays cache-resident.
-    cols_u32: Mutex<Option<Arc<Vec<u32>>>>,
     /// One-time "every column index is `< ncols`" verification, backing
     /// the unchecked gathers of the SpMM group kernels (see
     /// [`CsrMatrix::spmm_rows_into`]).
@@ -435,32 +408,23 @@ impl CsrMatrix {
     ) {
         assert!(xr.len() >= self.ncols * k, "spmm: operand too short");
         self.ensure_cols_bounded();
-        // The narrow index copy halves the bytes of matrix metadata the
-        // kernel streams per entry; on matrices too wide for `u32` the
-        // ladder runs off the original indices unchanged.
-        match self.cols_u32() {
-            Some(cols) => self.spmm_ladder(row_begin, row_end, &cols, xr, k, 0, write),
-            None => self.spmm_ladder(row_begin, row_end, &self.col_idx, xr, k, 0, write),
-        }
+        self.spmm_ladder(row_begin, row_end, xr, k, 0, write);
     }
 
-    /// The column-group ladder of [`CsrMatrix::spmm_rows_interleaved`],
-    /// generic over the stored index width. `off` is the flat-index base
-    /// of the operand window: entry column `c` reads `xr[c·k + j − off]`,
-    /// so a full pack passes `off = 0` and the windowed pack passes
-    /// `reach.lo · k` with `xr` holding only rows `[reach.lo, reach.hi)`.
-    #[allow(clippy::too_many_arguments)]
-    fn spmm_ladder<I: ColIndex, W: FnMut(usize, f64)>(
+    /// The column-group ladder of [`CsrMatrix::spmm_rows_interleaved`].
+    /// `off` is the flat-index base of the operand window: entry column
+    /// `c` reads `xr[c·k + j − off]`, so a full pack passes `off = 0` and
+    /// the windowed pack passes `reach.lo · k` with `xr` holding only rows
+    /// `[reach.lo, reach.hi)`.
+    fn spmm_ladder<W: FnMut(usize, f64)>(
         &self,
         row_begin: usize,
         row_end: usize,
-        cols: &[I],
         xr: &[f64],
         k: usize,
         off: usize,
         write: &mut W,
     ) {
-        debug_assert_eq!(cols.len(), self.values.len());
         let simd = crate::sell::simd_ok();
         let mut blk = row_begin;
         while blk < row_end {
@@ -470,19 +434,19 @@ impl CsrMatrix {
             // of operand per matrix entry and measures ~25% slower than
             // two 8-wide passes over the (cached) row block.
             while j + 8 <= k {
-                self.group_dispatch::<8, I, W>(simd, blk, blk_end, cols, xr, k, j, off, write);
+                self.group_dispatch::<8, W>(simd, blk, blk_end, xr, k, j, off, write);
                 j += 8;
             }
             if j + 4 <= k {
-                self.group_dispatch::<4, I, W>(simd, blk, blk_end, cols, xr, k, j, off, write);
+                self.group_dispatch::<4, W>(simd, blk, blk_end, xr, k, j, off, write);
                 j += 4;
             }
             if j + 2 <= k {
-                self.spmm_rows_group::<2, I, W>(blk, blk_end, cols, xr, k, j, off, write);
+                self.spmm_rows_group::<2, W>(blk, blk_end, xr, k, j, off, write);
                 j += 2;
             }
             if j < k {
-                self.spmm_rows_group::<1, I, W>(blk, blk_end, cols, xr, k, j, off, write);
+                self.spmm_rows_group::<1, W>(blk, blk_end, xr, k, j, off, write);
             }
             blk = blk_end;
         }
@@ -495,12 +459,11 @@ impl CsrMatrix {
     #[allow(unused_variables)]
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn group_dispatch<const G: usize, I: ColIndex, W: FnMut(usize, f64)>(
+    fn group_dispatch<const G: usize, W: FnMut(usize, f64)>(
         &self,
         simd: bool,
         row_begin: usize,
         row_end: usize,
-        cols: &[I],
         xr: &[f64],
         k: usize,
         j0: usize,
@@ -511,14 +474,10 @@ impl CsrMatrix {
         if simd {
             // Safety: AVX2 presence was just checked; the operand/index
             // bounds contract is `spmm_rows_interleaved`'s.
-            unsafe {
-                self.spmm_rows_group_avx2::<G, I, W>(
-                    row_begin, row_end, cols, xr, k, j0, off, write,
-                )
-            };
+            unsafe { self.spmm_rows_group_avx2::<G, W>(row_begin, row_end, xr, k, j0, off, write) };
             return;
         }
-        self.spmm_rows_group::<G, I, W>(row_begin, row_end, cols, xr, k, j0, off, write);
+        self.spmm_rows_group::<G, W>(row_begin, row_end, xr, k, j0, off, write);
     }
 
     /// One group of `G` columns over a row range of the interleaved
@@ -538,11 +497,10 @@ impl CsrMatrix {
     /// windowed pack, `ncols·k` for a full one), with `j0 + G ≤ k`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn spmm_rows_group<const G: usize, I: ColIndex, W: FnMut(usize, f64)>(
+    fn spmm_rows_group<const G: usize, W: FnMut(usize, f64)>(
         &self,
         row_begin: usize,
         row_end: usize,
-        cols: &[I],
         xr: &[f64],
         k: usize,
         j0: usize,
@@ -555,7 +513,7 @@ impl CsrMatrix {
             let mut acc = [0.0f64; G];
             for e in lo..hi {
                 let v = self.values[e];
-                let c = cols[e].idx();
+                let c = self.col_idx[e];
                 let base = c * k + j0 - off;
                 debug_assert!(c * k + j0 >= off);
                 debug_assert!(base + G <= xr.len());
@@ -589,11 +547,10 @@ impl CsrMatrix {
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    unsafe fn spmm_rows_group_avx2<const G: usize, I: ColIndex, W: FnMut(usize, f64)>(
+    unsafe fn spmm_rows_group_avx2<const G: usize, W: FnMut(usize, f64)>(
         &self,
         row_begin: usize,
         row_end: usize,
-        cols: &[I],
         xr: &[f64],
         k: usize,
         j0: usize,
@@ -613,7 +570,7 @@ impl CsrMatrix {
             let mut acc = [_mm256_setzero_pd(); 4];
             for e in lo..hi {
                 let v = _mm256_set1_pd(*self.values.get_unchecked(e));
-                let base = cols.get_unchecked(e).idx() * k + j0 - off;
+                let base = *self.col_idx.get_unchecked(e) * k + j0 - off;
                 for q in 0..nv {
                     let x = _mm256_loadu_pd(xp.add(base + 4 * q));
                     acc[q] = _mm256_add_pd(acc[q], _mm256_mul_pd(v, x));
@@ -684,7 +641,6 @@ impl CsrMatrix {
         let reach = self.panel_reach();
         let repacked: usize = reach.iter().map(|&(lo, hi)| hi - lo).sum();
         let full = repacked > 2 * self.ncols;
-        let u32cols = self.cols_u32();
         thread_local! {
             static SLAB: std::cell::RefCell<Vec<f64>> =
                 const { std::cell::RefCell::new(Vec::new()) };
@@ -710,11 +666,7 @@ impl CsrMatrix {
                         *dst = unsafe { *col.get_unchecked(clo + i) };
                     }
                 }
-                let off = clo * k;
-                match &u32cols {
-                    Some(c) => self.spmm_ladder(r, panel_end, c, &buf, k, off, write),
-                    None => self.spmm_ladder(r, panel_end, &self.col_idx, &buf, k, off, write),
-                }
+                self.spmm_ladder(r, panel_end, &buf, k, clo * k, write);
                 r = panel_end;
             }
         });
@@ -974,26 +926,6 @@ impl CsrMatrix {
         let s = Arc::new(SellMatrix::from_csr(self));
         *cache = Some(Arc::clone(&s));
         s
-    }
-
-    /// The column indices packed into `u32`, built on first request and
-    /// cached; `None` when the matrix is too wide to pack. The SpMM
-    /// kernels stream this copy instead of the `usize` array — 4 bytes of
-    /// index per entry instead of 8 — which both halves the metadata
-    /// traffic of every matrix pass and shrinks the hot working set a
-    /// wide batch must keep cache-resident. Indices carry no arithmetic,
-    /// so the packed copy cannot change a result bit.
-    fn cols_u32(&self) -> Option<Arc<Vec<u32>>> {
-        if self.ncols > u32::MAX as usize {
-            return None;
-        }
-        let mut cache = self.derived.cols_u32.lock().unwrap();
-        if let Some(c) = cache.as_ref() {
-            return Some(Arc::clone(c));
-        }
-        let c = Arc::new(self.col_idx.iter().map(|&c| c as u32).collect::<Vec<u32>>());
-        *cache = Some(Arc::clone(&c));
-        Some(c)
     }
 }
 
@@ -1282,9 +1214,11 @@ mod tests {
         a.sell().spmv(&x, &mut y);
         let mut out = y;
         for format in [SparseFormat::Csr, SparseFormat::Sell] {
-            let sell = (format == SparseFormat::Sell).then(|| a.sell());
             let mut ym = MultiVector::zeros(n, 8);
-            pk.spmm_on(crate::MatRef::of(a, sell.as_deref()), &xm, &mut ym);
+            match format {
+                SparseFormat::Csr => pk.spmm(a, &xm, &mut ym),
+                SparseFormat::Sell => pk.spmm_sell(&a.sell(), &xm, &mut ym),
+            }
             (0..8).for_each(|j| out.extend_from_slice(ym.col(j)));
             for (lo, hi) in [(0, n / 2), (n / 2, n)] {
                 let zone = a.ghost_zone(lo, hi, 2, format);

@@ -549,6 +549,15 @@ impl ParKernels {
     /// the result is bitwise equal to [`ParKernels::spmv_sell`] — and to
     /// the CSR kernels — for any thread count.
     ///
+    /// No solve runs this kernel: every multi-column product of a solve
+    /// is [`ParKernels::spmm`] on the CSR matrix, whatever the solve's
+    /// format, because the interleaved CSR kernel feeds a whole column
+    /// group from one matrix entry while this one walks the columns one
+    /// at a time (k = 8, single thread, 48³ Poisson: ≈1.5× this kernel's
+    /// rate). It stays public as the comparator that keeps that choice
+    /// measured: the benchmark's `sparse.spmm_gflops.k8` probe and the
+    /// `kernels` bin's `spmm_gflops` row time it.
+    ///
     /// # Panics
     /// Panics on dimension mismatches.
     pub fn spmm_sell(&self, a: &SellMatrix, x: &MultiVector, y: &mut MultiVector) {
@@ -577,15 +586,6 @@ impl ParKernels {
         match op {
             MatRef::Csr(a) => self.spmv(a, x, y),
             MatRef::Sell(a) => self.spmv_sell(a, x, y),
-        }
-    }
-
-    /// `Y ← A·X` on whichever stored form `op` is: [`ParKernels::spmm`] or
-    /// [`ParKernels::spmm_sell`]. Same bits either way.
-    pub fn spmm_on(&self, op: MatRef<'_>, x: &MultiVector, y: &mut MultiVector) {
-        match op {
-            MatRef::Csr(a) => self.spmm(a, x, y),
-            MatRef::Sell(a) => self.spmm_sell(a, x, y),
         }
     }
 

@@ -75,9 +75,14 @@ pub const SELL_SIGMA: usize = 256;
 /// four blocks.
 pub const LANE_BLOCK: usize = 8;
 
-/// Which sparse-matrix storage the executors run their SpMV-class kernels
-/// on. Selected per solve via `SolveOptions::format`;
-/// results are bitwise identical across formats.
+/// Which sparse-matrix storage the executors run their one-column kernels
+/// on: SpMV, the matrix powers kernel, a polynomial preconditioner's
+/// products and the ranks' ghost zones. Selected per solve via
+/// `SolveOptions::format`; results are bitwise identical across formats.
+/// A product over k ≥ 2 columns does not follow it: it always runs the
+/// interleaved CSR kernel ([`crate::ParKernels::spmm`]), which feeds a
+/// whole column group from each matrix entry where SELL's SpMM walks the
+/// columns one at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SparseFormat {
     /// Compressed sparse row — the assembly format and the default.
@@ -108,7 +113,7 @@ impl SparseFormat {
 /// A borrowed operator in whichever storage the caller's
 /// [`SparseFormat`] selected: what an executor hands to a kernel that must
 /// follow the solve's format ([`crate::ParKernels::spmv_on`],
-/// [`crate::ParKernels::spmm_on`], [`crate::ParKernels::spmv_bands`]). Two
+/// [`crate::ParKernels::spmv_bands`]). Two
 /// stored forms of one matrix, so an enum and not a trait; the SELL side
 /// must be a [`SellMatrix::from_csr`] conversion of the whole matrix.
 #[derive(Debug, Clone, Copy)]

@@ -224,6 +224,58 @@ fn concurrent_proc_solves_match_the_thread_backend() {
     });
 }
 
+/// Set in the copy of this binary that
+/// `no_worker_outlives_its_parent` starts.
+const REEXEC: &str = "BACKEND_TEST_REEXEC";
+
+/// No worker outlives its parent, not even as a zombie: this binary runs
+/// again in a process group of its own, does one proc solve (which leaves
+/// its world parked) and returns. Once that process has been waited for,
+/// no process of its group may be left in the process table.
+#[test]
+fn no_worker_outlives_its_parent() {
+    assert!(spcg::solvers::procexec::rankd_path().is_some());
+    if std::env::var_os(REEXEC).is_some() {
+        let a = poisson_2d(8);
+        let b = paper_rhs(&a);
+        let m = spcg::precond::Jacobi::new(&a);
+        let problem = Problem::try_new(&a, &m, &b).unwrap();
+        let engine = Engine::Ranked { ranks: 2 };
+        let res = solve(&Method::Pcg, &problem, &opts(Backend::Proc, 1), engine);
+        assert_eq!(res.backend, Some(Backend::Proc));
+        return;
+    }
+    use std::os::unix::process::CommandExt;
+    let exe = std::env::current_exe().unwrap();
+    let mut child = std::process::Command::new(exe)
+        .args([
+            "--exact",
+            "no_worker_outlives_its_parent",
+            "--test-threads=1",
+        ])
+        .env(REEXEC, "1")
+        .stdout(std::process::Stdio::null())
+        .process_group(0)
+        .spawn()
+        .unwrap();
+    let group = child.id();
+    assert!(
+        child.wait().unwrap().success(),
+        "the re-executed solve failed"
+    );
+    // `/proc/<pid>/stat` is `pid (comm) state ppid pgrp ...`; the name may
+    // hold spaces, so fields are counted after its closing parenthesis.
+    let left: Vec<String> = std::fs::read_dir("/proc")
+        .unwrap()
+        .filter_map(|entry| std::fs::read_to_string(entry.ok()?.path().join("stat")).ok())
+        .filter(|stat| {
+            let fields = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+            fields.split_whitespace().nth(2) == Some(group.to_string().as_str())
+        })
+        .collect();
+    assert!(left.is_empty(), "left in the process table: {left:?}");
+}
+
 /// Jacobi without a recipe: the proc transport cannot ship it.
 struct Unshippable(spcg::precond::Jacobi);
 

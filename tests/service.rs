@@ -16,7 +16,7 @@ use spcg::solvers::{
     SolveOptions, SolveResult, StoppingCriterion,
 };
 use spcg::sparse::generators::paper_rhs;
-use spcg::sparse::generators::poisson::poisson_2d;
+use spcg::sparse::generators::poisson::{poisson_2d, poisson_3d};
 use spcg::sparse::{CsrMatrix, SparseFormat};
 use std::sync::Arc;
 
@@ -110,27 +110,51 @@ fn k1_service_solve_is_bitwise_identical_to_plain_solve() {
 }
 
 /// Wider batches: every column converges to the shared tolerance, and
-/// each is bitwise identical to its standalone solve.
+/// each is bitwise identical to its standalone solve. The blocked PCG's
+/// product is the interleaved CSR SpMM under either format, so its inputs
+/// walk that kernel's paths: widths 2, 8 and 15 (15 takes every rung of the
+/// 8/4/2/1 column ladder), more rows than one 8192-row operand panel, and
+/// two threads (the pooled, fully packed kernel) beside one. sPCG takes the
+/// per-column fallback, on a small matrix.
 #[test]
 fn wide_batches_converge_and_match_standalone_solves() {
-    let a = Arc::new(poisson_2d(12));
-    let m = Jacobi::new(&a);
-    let bs = rhs_family(&a, 4);
-    for format in [SparseFormat::Csr, SparseFormat::Sell] {
-        let opts = SolveOptions::from_env().with_format(format).with_history();
-        for method in [Method::Pcg, Method::SPcgMon { s: S }] {
-            let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
-            let batch = solve_batch(&method, &a, &m, &reqs, &opts, Engine::Serial);
-            for (j, b) in bs.iter().enumerate() {
-                let what = format!("{} col {j} {format:?}", method.name());
-                let plain = solve(&method, &Problem::new(&a, &m, b), &opts, Engine::Serial);
-                assert!(batch[j].converged(), "{what}: {:?}", batch[j].outcome);
-                assert!(
-                    batch[j].true_relative_residual(&a, b) < opts.tol * 10.0,
-                    "{what}: residual {}",
-                    batch[j].true_relative_residual(&a, b)
-                );
-                assert_bitwise(&batch[j], &plain, &what);
+    let cases = [
+        (poisson_3d(24), Method::Pcg, vec![2, 8, 15]),
+        (poisson_2d(12), Method::SPcgMon { s: S }, vec![4]),
+    ];
+    for (a, method, widths) in cases {
+        let m = Jacobi::new(&a);
+        let bs = rhs_family(&a, *widths.iter().max().unwrap());
+        // A standalone solve has the same bits in every format and at every
+        // thread count (tests/format.rs), so one set serves them all.
+        let plain: Vec<SolveResult> = bs
+            .iter()
+            .map(|b| {
+                let opts = SolveOptions::from_env().with_history();
+                solve(&method, &Problem::new(&a, &m, b), &opts, Engine::Serial)
+            })
+            .collect();
+        for format in [SparseFormat::Csr, SparseFormat::Sell] {
+            for threads in [1, 2] {
+                let opts = SolveOptions::from_env()
+                    .with_format(format)
+                    .with_threads(threads)
+                    .with_history();
+                for &k in &widths {
+                    let reqs: Vec<BatchRequest<'_>> =
+                        bs[..k].iter().map(|b| BatchRequest::new(b)).collect();
+                    let batch = solve_batch(&method, &a, &m, &reqs, &opts, Engine::Serial);
+                    for (j, b) in bs[..k].iter().enumerate() {
+                        let what = format!("{} k={k} col {j} {format:?} t{threads}", method.name());
+                        assert!(batch[j].converged(), "{what}: {:?}", batch[j].outcome);
+                        assert!(
+                            batch[j].true_relative_residual(&a, b) < opts.tol * 10.0,
+                            "{what}: residual {}",
+                            batch[j].true_relative_residual(&a, b)
+                        );
+                        assert_bitwise(&batch[j], &plain[j], &what);
+                    }
+                }
             }
         }
     }
