@@ -343,19 +343,27 @@ mod tests {
 
     #[test]
     fn apply_on_matches_the_closure_form_bitwise() {
+        use spcg_sparse::generators::perturb_diagonal;
         use spcg_sparse::generators::poisson::{poisson_2d, poisson_3d};
         // n = 400 (under one band), 1728 (a ragged second band) and 39 304:
         // the last is over the pool's split floor in both formats, so two
         // threads on a machine with two cores take the pooled band path.
+        // The stencils run SELL on diagonals; their variable-coefficient
+        // twins on slots.
         let cases: [(CsrMatrix, &[usize], &[usize]); 3] = [
             (poisson_2d(20), &[1, 2, 3, 4, 5, 6], &[1, 2, 4, 8]),
             (poisson_3d(12), &[1, 2, 3, 4, 5, 6], &[1, 2, 4, 8]),
             (poisson_3d(34), &[3, 4], &[1, 2]),
         ];
-        for (a, degrees, threads) in cases {
+        let cases = cases.into_iter().flat_map(|(a, degrees, threads)| {
+            let twin = perturb_diagonal(&a, a.nrows() as u64);
+            [(a, true, degrees, threads), (twin, false, degrees, threads)]
+        });
+        for (a, diagonal, degrees, threads) in cases {
             let a = Arc::new(a);
             let n = a.nrows();
             let sell = a.sell();
+            assert_eq!(sell.is_diagonal(), diagonal);
             let r: Vec<f64> = (0..n).map(|i| ((i * 13 % 19) as f64) - 9.0).collect();
             // Both parities of the ping-pong: an odd degree starts in the
             // temporary, an even one in `z`.
@@ -368,7 +376,9 @@ mod tests {
                     for (format, op) in ops {
                         let mut z = vec![f64::NAN; n];
                         p.apply_on(&pk, op, &r, &mut z);
-                        let tag = format!("n={n} degree={degree} threads={t} {format}");
+                        let tag = format!(
+                            "n={n} diagonal={diagonal} degree={degree} threads={t} {format}"
+                        );
                         assert_same_bits(&z, &want, &tag);
                         let mut z = vec![f64::NAN; n];
                         p.apply_par_on(&pk, op, &r, &mut z);

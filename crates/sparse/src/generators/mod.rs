@@ -27,6 +27,30 @@ pub fn paper_rhs(a: &crate::CsrMatrix) -> Vec<f64> {
     b
 }
 
+/// `a` with every diagonal entry scaled by its own seeded factor in
+/// `[1, 1.1)`, rebuilt through COO: the same sparsity pattern with
+/// variable coefficients. A diagonally dominant `a` stays so (and SPD); a
+/// constant-coefficient `a` of two or more rows stops being
+/// constant-diagonal, so its [`crate::SellMatrix`] takes the slot
+/// encoding. The variable-coefficient twin the format parity tests and the
+/// `kernels` bench run the slot kernel on.
+pub fn perturb_diagonal(a: &crate::CsrMatrix, seed: u64) -> crate::CsrMatrix {
+    let mut rng = crate::rng::Rng64::seed_from_u64(seed);
+    let mut coo = crate::CooMatrix::with_capacity(a.nrows(), a.ncols(), a.nnz());
+    for r in 0..a.nrows() {
+        let (cols, vals) = a.row(r);
+        for (&c, &v) in cols.iter().zip(vals) {
+            let v = if c == r {
+                v * rng.range_f64(1.0, 1.1)
+            } else {
+                v
+            };
+            coo.push(r, c, v);
+        }
+    }
+    coo.to_csr()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
