@@ -137,9 +137,10 @@ pub(crate) trait Exec {
     /// `Y ← A·X`: per column bitwise equal to [`Exec::spmv`], column `j`'s
     /// halo traffic charged to `counters[j]` (or all of it to a lone entry).
     /// This default *is* the `spmv` loop; serial execution overrides it with
-    /// the interleaved-operand CSR SpMM kernel whatever the format, whose
-    /// columns are documented bitwise equal to the single-vector kernels —
-    /// unobservable in results.
+    /// the interleaved-operand CSR SpMM kernel, or under
+    /// [`SparseFormat::Sell`] on a diagonal-encoded matrix with SELL's
+    /// SpMM, whose columns are documented bitwise equal to the
+    /// single-vector kernels — unobservable in results.
     fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, counters: &mut [Counters]) {
         let shared = counters.len() == 1;
         for j in 0..x.k() {
@@ -263,11 +264,15 @@ impl Exec for SerialExec<'_> {
             // One column is a plain SpMV: same kernel, same span.
             return self.spmv(x.col(0), y.col_mut(0), &mut counters[0]);
         }
-        // The interleaved CSR kernel whatever the format: one matrix entry
-        // feeds a whole column group, where SELL's SpMM walks the columns
-        // one at a time (`SparseFormat`).
+        // SELL's diagonals stream no matrix, so a column at a time is the
+        // cheapest product there; otherwise the interleaved CSR kernel,
+        // where one matrix entry feeds a whole column group while SELL's
+        // slot SpMM walks the columns one at a time (`SparseFormat`).
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmm);
-        self.pk.spmm(self.a, x, y);
+        match self.sell.as_deref() {
+            Some(sell) if sell.is_diagonal() => self.pk.spmm_sell(sell, x, y),
+            _ => self.pk.spmm(self.a, x, y),
+        }
     }
 }
 

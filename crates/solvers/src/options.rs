@@ -173,14 +173,16 @@ pub struct SolveOptions {
     /// sliced layout (cached on the matrix) whose padded column-major
     /// slices multiply at unit stride with eight-way independent
     /// accumulators, and enables the cache-fused multi-level matrix powers
-    /// sweep where applicable. It governs the one-column kernels only (SpMV,
-    /// matrix powers, polynomial preconditioner products, ghost zones): a
+    /// sweep where applicable. It governs the one-column kernels (SpMV,
+    /// matrix powers, polynomial preconditioner products, ghost zones); a
     /// serial product of k ≥ 2 columns (`solve_batch`, EkCG, the true
-    /// residual's `A·X`) always runs the interleaved CSR SpMM, ≈1.5× SELL's
-    /// SpMM at k = 8. Solutions, iteration counts, and
-    /// [`Counters`] are **bitwise identical** across formats for every
-    /// engine, rank count, thread count, and overlap setting — the sliced
-    /// kernels accumulate each row's entries in the same CSR order.
+    /// residual's `A·X`) runs SELL's SpMM only on a constant-coefficient
+    /// matrix's diagonals (1.6–1.9× the interleaved CSR SpMM at k = 8) and the
+    /// interleaved CSR SpMM otherwise (≈1.5× SELL's slot SpMM). Solutions,
+    /// iteration counts, and [`Counters`] are **bitwise identical** across
+    /// formats for every engine, rank count, thread count, and overlap
+    /// setting — the sliced kernels accumulate each row's entries in the
+    /// same CSR order.
     pub format: SparseFormat,
     /// Communication backend under [`crate::Engine::Ranked`]:
     /// [`Backend::Thread`] (the default) runs ranks as OS threads over

@@ -305,7 +305,7 @@ impl GhostZone {
     pub fn interior_rows(&self) -> &[usize] {
         match &self.rows {
             LocalRows::Csr { interior, .. } => interior,
-            LocalRows::Sell { interior, .. } => interior.perm(),
+            LocalRows::Sell { interior, .. } => interior.perm().expect("row-list builds are slots"),
         }
     }
 
@@ -324,7 +324,7 @@ impl GhostZone {
         );
         let all = match &self.rows {
             LocalRows::Csr { frontier, .. } => frontier,
-            LocalRows::Sell { frontier, .. } => frontier.perm(),
+            LocalRows::Sell { frontier, .. } => frontier.perm().expect("row-list builds are slots"),
         };
         &all[..all.partition_point(|&r| r < nrows)]
     }

@@ -11,8 +11,8 @@ use spcg::precond::Jacobi;
 use spcg::solvers::{
     chebyshev_basis, solve, solve_batch, BatchRequest, Engine, Method, Problem, SolveOptions,
 };
-use spcg::sparse::generators::paper_rhs;
 use spcg::sparse::generators::poisson::poisson_3d;
+use spcg::sparse::generators::{paper_rhs, perturb_diagonal};
 use spcg::sparse::SparseFormat;
 
 const S: usize = 4;
@@ -51,34 +51,36 @@ fn assert_bitwise_equal(
 ///
 /// n = 14³ = 2744 spans multiple reduction blocks (`REDUCE_BLOCK` = 1024),
 /// so the threaded partial sums genuinely exercise the pairwise combine.
+/// Under `SPCG_FORMAT=sell` the stencil runs SELL's diagonal encoding and
+/// its variable-coefficient twin the slots.
 #[test]
 fn all_methods_bitwise_identical_across_thread_counts() {
-    let a = poisson_3d(14);
-    let b = paper_rhs(&a);
-    let m = Jacobi::new(&a);
-    let problem = Problem::new(&a, &m, &b);
-    let opts = SolveOptions::from_env();
-    for method in all_methods(&problem) {
-        let base = solve(
-            &method,
-            &problem,
-            &opts.clone().with_threads(1),
-            Engine::Serial,
-        );
-        assert!(
-            base.converged(),
-            "{} threads=1: {:?}",
-            method.name(),
-            base.outcome
-        );
-        for t in [2usize, 4, 8] {
-            let res = solve(
+    let stencil = poisson_3d(14);
+    let twin = perturb_diagonal(&stencil, 14);
+    for (a, diagonal) in [(stencil, true), (twin, false)] {
+        assert_eq!(a.sell().is_diagonal(), diagonal);
+        let b = paper_rhs(&a);
+        let m = Jacobi::new(&a);
+        let problem = Problem::new(&a, &m, &b);
+        let opts = SolveOptions::from_env();
+        for method in all_methods(&problem) {
+            let base = solve(
                 &method,
                 &problem,
-                &opts.clone().with_threads(t),
+                &opts.clone().with_threads(1),
                 Engine::Serial,
             );
-            assert_bitwise_equal(&base, &res, &format!("{} threads={t}", method.name()));
+            let tag = format!("{} diagonal={diagonal}", method.name());
+            assert!(base.converged(), "{tag} threads=1: {:?}", base.outcome);
+            for t in [2usize, 4, 8] {
+                let res = solve(
+                    &method,
+                    &problem,
+                    &opts.clone().with_threads(t),
+                    Engine::Serial,
+                );
+                assert_bitwise_equal(&base, &res, &format!("{tag} threads={t}"));
+            }
         }
     }
 }
@@ -117,56 +119,61 @@ fn threads_compose_with_ranked_engine() {
 /// The blocked multi-RHS path keeps the determinism contract at every
 /// batch width: for k ∈ {2, 4, 8}, both sparse formats, the batched solve
 /// is bitwise identical across thread counts — and every column matches
-/// its own single-threaded standalone solve.
+/// its own single-threaded standalone solve. Under SELL the stencil runs
+/// the diagonal encoding and its variable-coefficient twin the slots.
 #[test]
 fn batched_multi_rhs_bitwise_identical_across_thread_counts() {
-    let a = poisson_3d(14);
-    let m = Jacobi::new(&a);
-    let base_b = paper_rhs(&a);
-    for k in [2usize, 4, 8] {
-        let bs: Vec<Vec<f64>> = (0..k)
-            .map(|j| base_b.iter().map(|v| v * (1.0 + j as f64)).collect())
-            .collect();
-        let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
-        for format in [SparseFormat::Csr, SparseFormat::Sell] {
-            let opts = SolveOptions::from_env().with_format(format);
-            let base = solve_batch(
-                &Method::Pcg,
-                &a,
-                &m,
-                &reqs,
-                &opts.clone().with_threads(1),
-                Engine::Serial,
-            );
-            for (j, (res, b)) in base.iter().zip(&bs).enumerate() {
-                assert!(res.converged(), "k={k} col {j}: {:?}", res.outcome);
-                let standalone = solve(
-                    &Method::Pcg,
-                    &Problem::new(&a, &m, b),
-                    &opts.clone().with_threads(1),
-                    Engine::Serial,
-                );
-                assert_bitwise_equal(
-                    res,
-                    &standalone,
-                    &format!("k={k} col {j} {format:?} vs standalone"),
-                );
-            }
-            for t in [2usize, 4, 8] {
-                let threaded = solve_batch(
+    let stencil = poisson_3d(14);
+    let twin = perturb_diagonal(&stencil, 14);
+    for (a, diagonal) in [(stencil, true), (twin, false)] {
+        assert_eq!(a.sell().is_diagonal(), diagonal);
+        let m = Jacobi::new(&a);
+        let base_b = paper_rhs(&a);
+        for k in [2usize, 4, 8] {
+            let bs: Vec<Vec<f64>> = (0..k)
+                .map(|j| base_b.iter().map(|v| v * (1.0 + j as f64)).collect())
+                .collect();
+            let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
+            for format in [SparseFormat::Csr, SparseFormat::Sell] {
+                let opts = SolveOptions::from_env().with_format(format);
+                let base = solve_batch(
                     &Method::Pcg,
                     &a,
                     &m,
                     &reqs,
-                    &opts.clone().with_threads(t),
+                    &opts.clone().with_threads(1),
                     Engine::Serial,
                 );
-                for (j, (res, one)) in threaded.iter().zip(&base).enumerate() {
+                for (j, (res, b)) in base.iter().zip(&bs).enumerate() {
+                    assert!(res.converged(), "k={k} col {j}: {:?}", res.outcome);
+                    let standalone = solve(
+                        &Method::Pcg,
+                        &Problem::new(&a, &m, b),
+                        &opts.clone().with_threads(1),
+                        Engine::Serial,
+                    );
                     assert_bitwise_equal(
                         res,
-                        one,
-                        &format!("k={k} col {j} {format:?} threads={t}"),
+                        &standalone,
+                        &format!("k={k} col {j} {format:?} diagonal={diagonal} vs standalone"),
                     );
+                }
+                for t in [2usize, 4, 8] {
+                    let threaded = solve_batch(
+                        &Method::Pcg,
+                        &a,
+                        &m,
+                        &reqs,
+                        &opts.clone().with_threads(t),
+                        Engine::Serial,
+                    );
+                    for (j, (res, one)) in threaded.iter().zip(&base).enumerate() {
+                        assert_bitwise_equal(
+                            res,
+                            one,
+                            &format!("k={k} col {j} {format:?} diagonal={diagonal} threads={t}"),
+                        );
+                    }
                 }
             }
         }
