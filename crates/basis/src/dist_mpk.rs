@@ -29,6 +29,7 @@
 //! fields the engine adds. The redundant ghost-row arithmetic is the price
 //! of the avoided latency and is deliberately not double-counted.
 
+use crate::mpk::recurrence_step;
 use crate::poly::BasisParams;
 use spcg_dist::Counters;
 use spcg_obs::{Phase, Track};
@@ -170,8 +171,9 @@ impl DistMpk {
     }
 
     /// Everything of level `j + 1` after its basis product `A·(M⁻¹v_j)`
-    /// sits in `v_ext[j + 1][..rows]`: the counter charge, the basis
-    /// corrections, and the pointwise `M⁻¹` of the new column if wanted.
+    /// sits in `v_ext[j + 1][..rows]`: the serial kernel's
+    /// [`recurrence_step`], then the pointwise `M⁻¹` of the new column if
+    /// wanted.
     fn finish_level(
         &mut self,
         j: usize,
@@ -180,24 +182,11 @@ impl DistMpk {
         params: &BasisParams,
         counters: &mut Counters,
     ) {
-        counters.record_spmv(self.spmv_flops);
         let (lower, upper) = self.v_ext.split_at_mut(j + 1);
+        let lower = [&lower[j][..rows], &lower[j.saturating_sub(1)][..rows]];
         // t is the storage of the new column v_{j+1}, built in place.
-        let t = &mut upper[0][..rows];
-        // As in the serial kernel, `t += (−θ)·v` is bitwise equal to
-        // the historical `t −= θ·v` pass.
-        let theta = params.theta[j];
-        let inv_gamma = 1.0 / params.gamma[j];
-        if theta != 0.0 {
-            self.pk.axpy(-theta, &lower[j][..rows], t);
-        }
-        if j >= 1 && params.mu[j - 1] != 0.0 {
-            self.pk.axpy(-params.mu[j - 1], &lower[j - 1][..rows], t);
-        }
-        if inv_gamma != 1.0 {
-            self.pk.scale(inv_gamma, t);
-        }
-        counters.blas1_flops += params.extra_flops_for_column(j + 1, self.n_global);
+        let (t, charge) = (&mut upper[0][..rows], (self.spmv_flops, self.n_global));
+        recurrence_step(&self.pk, params, j, lower, t, charge, counters);
         if j + 1 < mv_cols {
             let _p = spcg_obs::span(self.track.as_ref(), Phase::Precond);
             self.pk.pointwise_mul(
@@ -230,8 +219,8 @@ impl DistMpk {
     ///   serial kernel's contract (`v_cols − 1 ≤ mv_cols ≤ v_cols`).
     ///
     /// Owned-row results are bitwise identical to [`crate::Mpk::run`]: the
-    /// remapped operator preserves per-row entry order and the elementwise
-    /// recurrence passes are the same code shape.
+    /// remapped operator preserves per-row entry order and both kernels run
+    /// the one `recurrence_step`.
     ///
     /// # Panics
     /// Panics on dimension or parameter-degree mismatches.

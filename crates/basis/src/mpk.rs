@@ -9,46 +9,23 @@
 //!
 //! using the recurrence `v_{j+1} = (A·(M⁻¹v_j) − θ_j·v_j − μ_{j-1}·v_{j-1}) / γ_j`:
 //! one SpMV per new `V` column and one preconditioner application per new
-//! `M⁻¹V` column. In a block-row-distributed setting the SpMV needs only
-//! neighbour (halo) communication, never a global reduction — that is the
-//! communication-avoiding property all three s-step methods share.
+//! `M⁻¹V` column, level by level. In a block-row-distributed setting the
+//! SpMV needs only neighbour (halo) communication, never a global
+//! reduction — that is the communication-avoiding property all three
+//! s-step methods share.
 //!
 //! The kernel charges the supplied [`Counters`] for the SpMVs, the
 //! preconditioner applications, and the extra `≤3n` / `≤5n` FLOPs per
-//! column that non-monomial bases add (paper §4.2).
-//!
-//! # Cache-fused multi-level sweep
-//!
-//! Under [`SparseFormat::Sell`] with a pointwise preconditioner the kernel
-//! can *fuse* the depth-`s` power sweep: instead of streaming every column
-//! through memory once per level, a band of σ-windows is carried through
-//! all `s` levels while its rows are still hot in cache. Correctness rests
-//! on the SELL σ-confinement property: window `w` of level `j+1` depends
-//! only on windows `w−h ‥ w+h` of level `j`, where `h` is the matrix's
-//! window reach half-width. The sweep keeps one cursor per level and, for
-//! each tile, advances level `l` to window `(t+1)·K − (l−1)·h`; the
-//! staggered targets make the dependency `done[l−1] ≥ done[l] + h` an
-//! exact invariant (asserted in debug builds). Every element is produced
-//! by the same scalar operations in the same order as the level-by-level
-//! kernel, so results are bitwise identical. When the accumulated skew
-//! `(s−1)·h` reaches the window count there is no locality left to win
-//! and the kernel silently falls back to the level-by-level path.
+//! column that non-monomial bases add (paper §4.2). The per-level update
+//! and its charges are one function, `recurrence_step`, which the
+//! ghost-zone [`crate::DistMpk`] runs too.
 
 use crate::poly::BasisParams;
 use spcg_dist::Counters;
 use spcg_obs::{Phase, Track};
-use spcg_precond::{DistForm, Preconditioner};
-use spcg_sparse::sell::{SELL_C, SELL_SIGMA};
+use spcg_precond::Preconditioner;
 use spcg_sparse::{CsrMatrix, MatRef, MultiVector, ParKernels, SellMatrix, SparseFormat};
 use std::sync::Arc;
-
-/// Cache budget for one fused tile: the band's matrix slices plus the
-/// vector columns in flight should stay resident across the tile's level
-/// passes. Sized for a private mid-level (L2) cache — on machines with a
-/// large shared last-level cache the whole matrix may already be
-/// LLC-resident, and the fusion's win is upgrading the repeated band
-/// reads from LLC to L2.
-const FUSE_CACHE_BYTES: usize = 1 << 20;
 
 /// Matrix powers kernel over `A` and `M⁻¹`.
 pub struct Mpk<'a> {
@@ -57,7 +34,6 @@ pub struct Mpk<'a> {
     pk: ParKernels,
     track: Option<Track>,
     sell: Option<Arc<SellMatrix>>,
-    fuse: bool,
 }
 
 impl<'a> Mpk<'a> {
@@ -86,25 +62,23 @@ impl<'a> Mpk<'a> {
             pk,
             track: None,
             sell: None,
-            fuse: true,
         }
     }
 
     /// Attaches a trace track: each basis column records an
     /// [`MpkLevel`](Phase) span with the SpMV and preconditioner apply
-    /// nested inside; a cache-fused sweep, which has no level boundaries in
-    /// time, records one `MpkLevel` span for the whole sweep.
-    /// Instrumentation only — the kernels that run and their results are
-    /// those of an untraced kernel.
+    /// nested inside. Instrumentation only — the kernels that run and their
+    /// results are those of an untraced kernel.
     pub fn with_track(mut self, track: Option<Track>) -> Self {
         self.track = track;
         self
     }
 
-    /// Selects the sparse format for the per-level SpMVs. Under
-    /// [`SparseFormat::Sell`] the matrix's cached SELL-C-σ form drives the
-    /// SpMV and, when [applicable](Self::fused_applicable), the cache-fused
-    /// multi-level sweep. Results are bitwise identical across formats.
+    /// Selects the sparse format of the per-level SpMVs and of the
+    /// operator a polynomial preconditioner applies. Under
+    /// [`SparseFormat::Sell`] the matrix's cached [`SellMatrix`] (its
+    /// diagonals or its slots) drives them. Results are bitwise identical
+    /// across formats.
     pub fn with_format(mut self, format: SparseFormat) -> Self {
         self.sell = match format {
             SparseFormat::Csr => None,
@@ -113,47 +87,16 @@ impl<'a> Mpk<'a> {
         self
     }
 
-    /// Enables or disables the cache-fused sweep (on by default; only takes
-    /// effect under [`SparseFormat::Sell`]). Useful for benchmarking the
-    /// fused sweep against the level-by-level SELL kernel.
-    pub fn with_fused(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
+    /// Accepted and ignored: the kernel has one sweep, level by level,
+    /// whatever `fuse` says. Kept so callers that still choose between
+    /// sweeps build; they time the same loop either way.
+    pub fn with_fused(self, _fuse: bool) -> Self {
         self
-    }
-
-    /// Whether a run with `v_cols` basis columns would take the cache-fused
-    /// sweep: SELL format selected, fusion enabled, at least two levels, a
-    /// [`DistForm::Pointwise`] preconditioner, and a level skew
-    /// `(levels−1)·h` smaller than the window count.
-    pub fn fused_applicable(&self, v_cols: usize) -> bool {
-        let Some(sell) = self.sell.as_deref() else {
-            return false;
-        };
-        if !self.fuse || v_cols < 3 {
-            return false;
-        }
-        if !matches!(self.m.dist_form(), DistForm::Pointwise(_)) {
-            return false;
-        }
-        let w_total = self.a.nrows().div_ceil(SELL_SIGMA);
-        (v_cols - 2) * sell.window_reach_halfwidth() < w_total
     }
 
     /// The system matrix in the format the per-level kernels run on.
     fn op(&self) -> MatRef<'_> {
         MatRef::of(self.a, self.sell.as_deref())
-    }
-
-    /// Tile width in σ-windows for the fused sweep, from a per-row byte
-    /// footprint: the matrix bytes per row of its encoding
-    /// ([`SellMatrix::stream_bytes`]: ≈10 per stored entry in slots, under
-    /// one on diagonals) plus the in-flight vector columns (~8 doubles of
-    /// band reads and writes).
-    fn fused_tile_windows(&self, sell: &SellMatrix) -> usize {
-        let n = self.a.nrows().max(1);
-        let w_total = self.a.nrows().div_ceil(SELL_SIGMA).max(1);
-        let bytes_per_row = sell.stream_bytes() / n + 64;
-        (FUSE_CACHE_BYTES / (SELL_SIGMA * bytes_per_row)).clamp(1, w_total)
     }
 
     /// Fills `v` (`n × v_cols`) and `mv` (`n × mv_cols`) with the basis
@@ -211,13 +154,7 @@ impl<'a> Mpk<'a> {
             }
         }
 
-        if self.fused_applicable(v_cols) {
-            let _sweep = spcg_obs::span(self.track.as_ref(), Phase::MpkLevel);
-            let sell = Arc::clone(self.sell.as_ref().unwrap());
-            self.run_fused(&sell, params, v, mv, counters);
-            return;
-        }
-
+        let charge = (self.a.spmv_flops(), n as u64);
         let mut t = vec![0.0; n];
         for j in 0..v_cols - 1 {
             let _level = spcg_obs::span(self.track.as_ref(), Phase::MpkLevel);
@@ -226,23 +163,8 @@ impl<'a> Mpk<'a> {
                 let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmv);
                 self.pk.spmv_on(self.op(), mv.col(j), &mut t);
             }
-            counters.record_spmv(self.a.spmv_flops());
-            // v_{j+1} = (t − θ_j v_j − μ_{j-1} v_{j-1}) / γ_j. The axpy
-            // form `t += (−θ)·v` is bitwise equal to `t −= θ·v` (IEEE
-            // negation is exact), so the threaded passes reproduce the
-            // historical serial recurrence exactly.
-            let theta = params.theta[j];
-            let inv_gamma = 1.0 / params.gamma[j];
-            if theta != 0.0 {
-                self.pk.axpy(-theta, v.col(j), &mut t);
-            }
-            if j >= 1 && params.mu[j - 1] != 0.0 {
-                self.pk.axpy(-params.mu[j - 1], v.col(j - 1), &mut t);
-            }
-            if inv_gamma != 1.0 {
-                self.pk.scale(inv_gamma, &mut t);
-            }
-            counters.blas1_flops += params.extra_flops_for_column(j + 1, n as u64);
+            let lower = [v.col(j), v.col(j.saturating_sub(1))];
+            recurrence_step(&self.pk, params, j, lower, &mut t, charge, counters);
             v.col_mut(j + 1).copy_from_slice(&t);
             if j + 1 < mv_cols {
                 let _p = spcg_obs::span(self.track.as_ref(), Phase::Precond);
@@ -252,103 +174,41 @@ impl<'a> Mpk<'a> {
             }
         }
     }
+}
 
-    /// Cache-fused sweep: carries a tile of σ-windows through all levels
-    /// while its rows are hot. Every element sees the same scalar ops in
-    /// the same order as the level-by-level kernel (the `axpy`/`scale`
-    /// passes are plain `+= a·x[i]` / `*= a` loops, and a pointwise
-    /// preconditioner applies as `w[i]·x[i]`), so results are bitwise
-    /// identical to [`Self::run`]'s level-by-level path for every thread
-    /// count and fusion setting.
-    fn run_fused(
-        &self,
-        sell: &SellMatrix,
-        params: &BasisParams,
-        v: &mut MultiVector,
-        mv: &mut MultiVector,
-        counters: &mut Counters,
-    ) {
-        let n = self.a.nrows();
-        let levels = v.k() - 1;
-        let mv_cols = mv.k();
-        let DistForm::Pointwise(wts) = self.m.dist_form() else {
-            unreachable!("run_fused: gate admits pointwise preconditioners only");
-        };
-        let w_total = n.div_ceil(SELL_SIGMA);
-        let h = sell.window_reach_halfwidth();
-        let k_tile = self.fused_tile_windows(sell);
-        let spw = SELL_SIGMA / SELL_C;
-
-        // `done[l]` counts σ-windows of level `l` already produced; level 0
-        // (the seed columns) is complete before the sweep starts.
-        let mut done = vec![0usize; levels + 1];
-        done[0] = w_total;
-        let mut t = vec![0.0; n];
-        for tile in 1.. {
-            if done[levels] >= w_total {
-                break;
-            }
-            for lvl in 1..=levels {
-                let target = (tile * k_tile).saturating_sub((lvl - 1) * h).min(w_total);
-                if target <= done[lvl] {
-                    continue;
-                }
-                debug_assert!(
-                    done[lvl - 1] >= (target + h).min(w_total),
-                    "fused sweep dependency violated at level {lvl}"
-                );
-                let (w_lo, w_hi) = (done[lvl], target);
-                let j = lvl - 1;
-                let r_lo = w_lo * SELL_SIGMA;
-                let r_hi = (w_hi * SELL_SIGMA).min(n);
-                // t[band] = A · (M⁻¹ v_j) restricted to the band's slices;
-                // σ-confinement keeps every output row inside the band.
-                sell.spmv_slices(
-                    w_lo * spw,
-                    (w_hi * spw).min(sell.nslices()),
-                    mv.col(j),
-                    &mut t,
-                );
-                let theta = params.theta[j];
-                let mu = if j >= 1 { params.mu[j - 1] } else { 0.0 };
-                let inv_gamma = 1.0 / params.gamma[j];
-                {
-                    let (head, vnext) = v.split_at_col_mut(j + 1);
-                    let vj = &head[j * n..(j + 1) * n];
-                    for r in r_lo..r_hi {
-                        let mut val = t[r];
-                        if theta != 0.0 {
-                            val += -theta * vj[r];
-                        }
-                        if mu != 0.0 {
-                            val += -mu * head[(j - 1) * n + r];
-                        }
-                        if inv_gamma != 1.0 {
-                            val *= inv_gamma;
-                        }
-                        vnext[r] = val;
-                    }
-                }
-                if j + 1 < mv_cols {
-                    let vnext = v.col(j + 1);
-                    let mvnext = mv.col_mut(j + 1);
-                    for r in r_lo..r_hi {
-                        mvnext[r] = wts[r] * vnext[r];
-                    }
-                }
-                done[lvl] = target;
-            }
-        }
-
-        // Same charges, per level, as the level-by-level path.
-        for j in 0..levels {
-            counters.record_spmv(self.a.spmv_flops());
-            counters.blas1_flops += params.extra_flops_for_column(j + 1, n as u64);
-            if j + 1 < mv_cols {
-                counters.record_precond(self.m.flops_per_apply());
-            }
-        }
+/// Level `j` of the basis recurrence, over plain slices: with
+/// `t = A·(M⁻¹v_j)` on entry, leaves
+/// `v_{j+1} = (t − θ_j·v_j − μ_{j−1}·v_{j−1}) / γ_j` in `t`, given
+/// `[v_j, v_{j−1}]` on `t`'s rows (the second is unread at `j = 0`). Charges
+/// the level's SpMV and the basis's extra BLAS1 at global size, from
+/// `(spmv_flops, n_global)`. [`Mpk`] and [`crate::DistMpk`] both run it,
+/// which is what keeps their bits and counters equal.
+///
+/// The axpy form `t += (−θ)·v` is bitwise equal to `t −= θ·v` (IEEE
+/// negation is exact), so the threaded passes reproduce the serial
+/// recurrence exactly.
+pub(crate) fn recurrence_step(
+    pk: &ParKernels,
+    params: &BasisParams,
+    j: usize,
+    [v_j, v_prev]: [&[f64]; 2],
+    t: &mut [f64],
+    (spmv_flops, n_global): (u64, u64),
+    counters: &mut Counters,
+) {
+    counters.record_spmv(spmv_flops);
+    let theta = params.theta[j];
+    let inv_gamma = 1.0 / params.gamma[j];
+    if theta != 0.0 {
+        pk.axpy(-theta, v_j, t);
     }
+    if j >= 1 && params.mu[j - 1] != 0.0 {
+        pk.axpy(-params.mu[j - 1], v_prev, t);
+    }
+    if inv_gamma != 1.0 {
+        pk.scale(inv_gamma, t);
+    }
+    counters.blas1_flops += params.extra_flops_for_column(j + 1, n_global);
 }
 
 #[cfg(test)]
@@ -523,96 +383,104 @@ mod tests {
         [a, twin]
     }
 
+    /// Runs `a` on SELL (with `with_fused(fuse)`, the request the
+    /// benchmark's MPK probe still makes) and on CSR with the same inputs,
+    /// and asserts bitwise equal columns and equal counters.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_sell_matches_csr(
+        a: &spcg_sparse::CsrMatrix,
+        m: &dyn Preconditioner,
+        w: &[f64],
+        known: Option<&[f64]>,
+        params: &BasisParams,
+        mv_cols: usize,
+        pk: &ParKernels,
+        fuse: bool,
+    ) {
+        let n = a.nrows();
+        let v_cols = params.degree() + 1;
+        let tag = format!(
+            "s={} mv_cols={mv_cols} known={} t={} fuse={fuse}",
+            v_cols - 1,
+            known.is_some(),
+            pk.threads()
+        );
+        let mut v_ref = MultiVector::zeros(n, v_cols);
+        let mut mv_ref = MultiVector::zeros(n, mv_cols);
+        let mut c_ref = counters();
+        Mpk::new(a, m).run(w, known, params, &mut v_ref, &mut mv_ref, &mut c_ref);
+        let sell = Mpk::new_par(a, m, pk.clone())
+            .with_format(SparseFormat::Sell)
+            .with_fused(fuse);
+        let mut v = MultiVector::zeros(n, v_cols);
+        let mut mv = MultiVector::zeros(n, mv_cols);
+        let mut c = counters();
+        sell.run(w, known, params, &mut v, &mut mv, &mut c);
+        for j in 0..v_cols {
+            assert_eq!(v.col(j), v_ref.col(j), "{tag} v col {j}");
+        }
+        for j in 0..mv_cols {
+            assert_eq!(mv.col(j), mv_ref.col(j), "{tag} mv col {j}");
+        }
+        assert_eq!(c, c_ref, "{tag}: counters must not change");
+    }
+
+    /// The SELL sweep against the CSR one on both encodings: every basis
+    /// family, both `M⁻¹V` shapes, with and without `known_mw`, one to ten
+    /// levels, threads 1, 2 and 4, with and without a fused request — one
+    /// level-by-level sweep, bitwise equal columns and equal counters.
     #[test]
     fn fused_sell_sweep_matches_levelwise_bitwise() {
-        // poisson_3d(14): n = 2744 → 11 σ-windows, window reach h = 1, so
-        // the fused gate holds up to s = 10 ((s−1)·h < 11). Exercises the
-        // three basis families (θ/μ patterns) and both mv shapes, on both
-        // SELL encodings.
+        let pks = [1usize, 2, 4].map(ParKernels::new);
         for a in stencil_and_twin() {
             let n = a.nrows();
             let m = Jacobi::new(&a);
             let w: Vec<f64> = (0..n)
                 .map(|i| ((i * 11 % 17) as f64) * 0.25 - 2.0)
                 .collect();
-            for s in [2usize, 4, 10] {
+            let mw = m.apply_alloc(&w);
+            for s in [1usize, 2, 4, 10] {
                 for params in [
                     BasisParams::monomial(s),
                     BasisParams::chebyshev(0.15, 11.8, s),
                     BasisParams::newton(
-                        &vec![1.0, 0.4, 2.3, 1.1, 0.9, 3.0, 0.2, 1.7, 2.8, 0.6][..s],
+                        &[1.0, 0.4, 2.3, 1.1, 0.9, 3.0, 0.2, 1.7, 2.8, 0.6][..s],
                         s,
                     ),
                 ] {
                     for mv_cols in [s, s + 1] {
-                        let mut v_ref = MultiVector::zeros(n, s + 1);
-                        let mut mv_ref = MultiVector::zeros(n, mv_cols);
-                        let mut c_ref = counters();
-                        Mpk::new(&a, &m).run(
-                            &w,
-                            None,
-                            &params,
-                            &mut v_ref,
-                            &mut mv_ref,
-                            &mut c_ref,
-                        );
-
-                        let fused = Mpk::new(&a, &m).with_format(SparseFormat::Sell);
-                        assert!(fused.fused_applicable(s + 1), "gate must hold for s={s}");
-                        let mut v = MultiVector::zeros(n, s + 1);
-                        let mut mv = MultiVector::zeros(n, mv_cols);
-                        let mut c = counters();
-                        fused.run(&w, None, &params, &mut v, &mut mv, &mut c);
-                        for j in 0..=s {
-                            assert_eq!(v.col(j), v_ref.col(j), "fused s={s} v col {j}");
+                        for known in [None, Some(&mw[..])] {
+                            for pk in &pks {
+                                for fuse in [true, false] {
+                                    assert_sell_matches_csr(
+                                        &a, &m, &w, known, &params, mv_cols, pk, fuse,
+                                    );
+                                }
+                            }
                         }
-                        for j in 0..mv_cols {
-                            assert_eq!(mv.col(j), mv_ref.col(j), "fused s={s} mv col {j}");
-                        }
-                        assert_eq!(c, c_ref, "fused s={s}: counters must not change");
-
-                        let lw = Mpk::new(&a, &m)
-                            .with_format(SparseFormat::Sell)
-                            .with_fused(false);
-                        assert!(!lw.fused_applicable(s + 1));
-                        let mut v = MultiVector::zeros(n, s + 1);
-                        let mut mv = MultiVector::zeros(n, mv_cols);
-                        let mut c = counters();
-                        lw.run(&w, None, &params, &mut v, &mut mv, &mut c);
-                        for j in 0..=s {
-                            assert_eq!(v.col(j), v_ref.col(j), "sell s={s} v col {j}");
-                        }
-                        assert_eq!(c, c_ref, "sell s={s}: counters must not change");
                     }
                 }
             }
         }
     }
 
+    /// The shapes that once kept the fused sweep off (a single level, and
+    /// more levels than `poisson_3d(8)`'s two σ-windows could hold) run the
+    /// same level-by-level sweep as any other: bitwise equal to CSR.
     #[test]
     fn fused_gate_falls_back_when_skew_or_shape_disqualifies() {
-        let a = spcg_sparse::generators::poisson::poisson_3d(8); // n = 512 → 2 windows
+        let a = spcg_sparse::generators::poisson::poisson_3d(8);
         let m = Jacobi::new(&a);
-        let mpk = Mpk::new(&a, &m).with_format(SparseFormat::Sell);
-        assert!(!mpk.fused_applicable(2), "one level is never fused");
-        assert!(mpk.fused_applicable(3), "s=2 fits in 2 windows");
-        assert!(!mpk.fused_applicable(5), "(s−1)·h = 3 exceeds 2 windows");
-        // Fallback still runs and stays bitwise equal to CSR.
         let n = a.nrows();
         let w: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let s = 4;
-        let params = BasisParams::chebyshev(0.2, 11.5, s);
-        let mut v_ref = MultiVector::zeros(n, s + 1);
-        let mut mv_ref = MultiVector::zeros(n, s);
-        Mpk::new(&a, &m).run(&w, None, &params, &mut v_ref, &mut mv_ref, &mut counters());
-        let mut v = MultiVector::zeros(n, s + 1);
-        let mut mv = MultiVector::zeros(n, s);
-        mpk.run(&w, None, &params, &mut v, &mut mv, &mut counters());
-        for j in 0..=s {
-            assert_eq!(v.col(j), v_ref.col(j), "fallback v col {j}");
+        for s in [1usize, 2, 4] {
+            let params = BasisParams::chebyshev(0.2, 11.5, s);
+            assert_sell_matches_csr(&a, &m, &w, None, &params, s, &ParKernels::serial(), true);
         }
     }
 
+    /// A fused request with `known_mw` on both encodings gives the serial
+    /// CSR bits at 1, 2 and 4 threads.
     #[test]
     fn fused_sweep_is_thread_count_invariant_with_known_mw() {
         for a in stencil_and_twin() {
@@ -622,25 +490,9 @@ mod tests {
             let mw = m.apply_alloc(&w);
             let s = 6;
             let params = BasisParams::newton(&[1.0, 0.5, 2.0, 1.5, 0.8, 2.5], s);
-            let mut v_ref = MultiVector::zeros(n, s + 1);
-            let mut mv_ref = MultiVector::zeros(n, s);
-            let mut c_ref = counters();
-            Mpk::new(&a, &m).run(&w, Some(&mw), &params, &mut v_ref, &mut mv_ref, &mut c_ref);
             for t in [1usize, 2, 4] {
-                let pk = spcg_sparse::ParKernels::new(t);
-                let mpk = Mpk::new_par(&a, &m, pk).with_format(SparseFormat::Sell);
-                assert!(mpk.fused_applicable(s + 1));
-                let mut v = MultiVector::zeros(n, s + 1);
-                let mut mv = MultiVector::zeros(n, s);
-                let mut c = counters();
-                mpk.run(&w, Some(&mw), &params, &mut v, &mut mv, &mut c);
-                for j in 0..=s {
-                    assert_eq!(v.col(j), v_ref.col(j), "threads {t} v col {j}");
-                }
-                for j in 0..s {
-                    assert_eq!(mv.col(j), mv_ref.col(j), "threads {t} mv col {j}");
-                }
-                assert_eq!(c, c_ref, "threads {t}: counters must not change");
+                let pk = ParKernels::new(t);
+                assert_sell_matches_csr(&a, &m, &w, Some(&mw), &params, s, &pk, true);
             }
         }
     }

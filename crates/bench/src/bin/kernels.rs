@@ -21,11 +21,10 @@
 //! `BENCH_overlap.json` (interior/frontier split-SpMV and halo
 //! post/complete timings per rank count).
 //!
-//! The SELL legs run on both encodings of `SellMatrix`: `spmv_sell`,
-//! `mpk_fused` and `mpk_levelwise_sell` on the Poisson matrix itself,
-//! which is stored as its diagonals, and `spmv_sell_slots`,
-//! `mpk_fused_slots` and `mpk_levelwise_sell_slots` on its
-//! variable-coefficient twin (`perturb_diagonal`: same pattern and nnz),
+//! The SELL legs run on both encodings of `SellMatrix`: `spmv_sell` and
+//! `mpk_levelwise_sell` on the Poisson matrix itself, which is stored as
+//! its diagonals, and `spmv_sell_slots` and `mpk_levelwise_sell_slots` on
+//! its variable-coefficient twin (`perturb_diagonal`: same pattern and nnz),
 //! which is stored in slots. benchcheck holds the slots to 1.5× CSR and
 //! the diagonals to 2× the slots.
 //!
@@ -85,16 +84,13 @@ const S: usize = 10;
 /// warm best-of-reps track of the same kernel.
 const COLD_THREAD: usize = 1;
 /// Pseudo-thread ids for the SELL-C-σ legs: the warm and cold SpMV on the
-/// sliced format, and the cache-fused vs level-by-level matrix powers
-/// sweep (both on SELL storage, so the delta is the fusion alone).
+/// sliced format, and the matrix powers sweep on SELL storage.
 const SELL_THREAD: usize = 2;
 const SELL_COLD_THREAD: usize = 3;
-const MPK_FUSED_THREAD: usize = 4;
 const MPK_LEVEL_THREAD: usize = 5;
 /// Pseudo-thread ids of the slot-encoding legs on the matrix's
-/// variable-coefficient twin: SELL SpMV, fused and level-by-level MPK.
+/// variable-coefficient twin: SELL SpMV and the matrix powers sweep.
 const SLOT_SPMV_THREAD: usize = 11;
-const SLOT_MPK_FUSED_THREAD: usize = 12;
 const SLOT_MPK_LEVEL_THREAD: usize = 13;
 /// Best-of samples of each SELL SpMV leg: a sample is tens of µs, and
 /// benchcheck gates two ratios of these legs in quick mode too.
@@ -434,8 +430,7 @@ fn main() {
     let sstep_flops = (4 * S * S + 9 * S - 2) as f64 * n as f64;
 
     // SELL-C-σ leg: one conversion (cached on the matrix), shared across
-    // thread counts. The fused-MPK comparator runs the same SELL storage
-    // level-by-level, so the measured delta is the cache fusion alone.
+    // thread counts.
     let sell = a.sell();
     let m_jac = Jacobi::new(&a);
     // The slot-encoding legs run on the matrix's variable-coefficient twin
@@ -447,8 +442,8 @@ fn main() {
     let m_twin = Jacobi::new(&twin);
     let mpk_params = BasisParams::chebyshev(0.1, 11.9, S);
     // FLOPs of one depth-S sweep, taken from the counters of a probe run
-    // (SpMV + basis corrections + pointwise precond) so the fused and the
-    // level-by-level leg are normalized by the identical total.
+    // (SpMV + basis corrections + pointwise precond) so both encodings'
+    // legs are normalized by the identical total.
     let mpk_flops: f64 = {
         let probe = Mpk::new_par(&a, &m_jac, ParKernels::new(1)).with_format(SparseFormat::Sell);
         let mut v = MultiVector::zeros(n, S + 1);
@@ -461,10 +456,8 @@ fn main() {
     let mut spmv_gf = Vec::new();
     let mut spmv_sell_gf = Vec::new();
     let mut spmv_sell_cold_gf = Vec::new();
-    let mut mpk_fused_gf = Vec::new();
     let mut mpk_level_gf = Vec::new();
     let mut spmv_slots_gf = Vec::new();
-    let mut mpk_fused_slots_gf = Vec::new();
     let mut mpk_level_slots_gf = Vec::new();
     let mut gram_gf = Vec::new();
     let mut stacked_gf = [Vec::new(), Vec::new()];
@@ -578,35 +571,19 @@ fn main() {
                 }
             }
 
-            // Matrix powers sweep on SELL storage, cache-fused tile sweep
-            // vs plain level-by-level: same storage, same recurrence, same
-            // counters — the measured delta is the fusion alone. Once per
-            // encoding.
+            // Matrix powers sweep on SELL storage, once per encoding.
             let legs = [
-                (&*a, &m_jac, MPK_FUSED_THREAD, MPK_LEVEL_THREAD),
-                (&twin, &m_twin, SLOT_MPK_FUSED_THREAD, SLOT_MPK_LEVEL_THREAD),
+                (&*a, &m_jac, MPK_LEVEL_THREAD),
+                (&twin, &m_twin, SLOT_MPK_LEVEL_THREAD),
             ];
-            for (op, m, fused_thread, level_thread) in legs {
-                let fused_track = tracer.track_on(t, fused_thread);
+            for (op, m, level_thread) in legs {
                 let level_track = tracer.track_on(t, level_thread);
-                let mpk_fused =
+                let mpk_level =
                     Mpk::new_par(op, m, ParKernels::new(t)).with_format(SparseFormat::Sell);
-                let mpk_level = Mpk::new_par(op, m, ParKernels::new(t))
-                    .with_format(SparseFormat::Sell)
-                    .with_fused(false);
-                assert!(
-                    mpk_fused.fused_applicable(S + 1),
-                    "fused MPK gate rejected the bench problem (s = {S})"
-                );
                 let mut v = MultiVector::zeros(n, S + 1);
                 let mut mv = MultiVector::zeros(n, S + 1);
                 let mut c = Counters::new();
-                // One warm-up per leg, then best-of-reps.
-                mpk_fused.run(&x, None, &mpk_params, &mut v, &mut mv, &mut c);
-                for _ in 0..reps {
-                    let _s = fused_track.span(Phase::MpkLevel);
-                    mpk_fused.run(&x, None, &mpk_params, &mut v, &mut mv, &mut c);
-                }
+                // One warm-up, then best-of-reps.
                 mpk_level.run(&x, None, &mpk_params, &mut v, &mut mv, &mut c);
                 for _ in 0..reps {
                     let _s = level_track.span(Phase::MpkLevel);
@@ -629,15 +606,12 @@ fn main() {
         let t_sstep = min_of(SSTEP_THREAD, Phase::VecUpdate);
         let ts_sell = min_of(SELL_THREAD, Phase::Spmv);
         let ts_sell_cold = min_of(SELL_COLD_THREAD, Phase::Spmv);
-        let tm_fused = min_of(MPK_FUSED_THREAD, Phase::MpkLevel);
         let tm_level = min_of(MPK_LEVEL_THREAD, Phase::MpkLevel);
         spmv_gf.push(spmv_flops / ts / 1e9);
         spmv_sell_gf.push(spmv_flops / ts_sell / 1e9);
         spmv_sell_cold_gf.push(spmv_flops / ts_sell_cold / 1e9);
-        mpk_fused_gf.push(mpk_flops / tm_fused / 1e9);
         mpk_level_gf.push(mpk_flops / tm_level / 1e9);
         spmv_slots_gf.push(spmv_flops / min_of(SLOT_SPMV_THREAD, Phase::Spmv) / 1e9);
-        mpk_fused_slots_gf.push(mpk_flops / min_of(SLOT_MPK_FUSED_THREAD, Phase::MpkLevel) / 1e9);
         mpk_level_slots_gf.push(mpk_flops / min_of(SLOT_MPK_LEVEL_THREAD, Phase::MpkLevel) / 1e9);
         gram_gf.push(gram_flops / tg / 1e9);
         for ((gf, (thread, _)), flops) in stacked_gf.iter_mut().zip(STACKED).zip(stacked_flops) {
@@ -650,15 +624,13 @@ fn main() {
             gf.push(cheb_flops / min_of(thread, Phase::Precond) / 1e9);
         }
         eprintln!(
-            "[kernels] threads={t}: spmv {:.2} GF/s (sell diagonals {:.2}, slots {:.2}), cheb apply {:.2} GF/s (sell {:.2}), mpk fused {:.2} vs level {:.2} GF/s (slots {:.2} vs {:.2}), gram {:.2} GF/s (stacked s=5 {:.2}, s=10 {:.2}), update {:.2} GF/s (cold {:.2}), sstep block update {:.2} GF/s",
+            "[kernels] threads={t}: spmv {:.2} GF/s (sell diagonals {:.2}, slots {:.2}), cheb apply {:.2} GF/s (sell {:.2}), mpk {:.2} GF/s (slots {:.2}), gram {:.2} GF/s (stacked s=5 {:.2}, s=10 {:.2}), update {:.2} GF/s (cold {:.2}), sstep block update {:.2} GF/s",
             spmv_gf.last().unwrap(),
             spmv_sell_gf.last().unwrap(),
             spmv_slots_gf.last().unwrap(),
             cheb_gf[0].last().unwrap(),
             cheb_gf[1].last().unwrap(),
-            mpk_fused_gf.last().unwrap(),
             mpk_level_gf.last().unwrap(),
-            mpk_fused_slots_gf.last().unwrap(),
             mpk_level_slots_gf.last().unwrap(),
             gram_gf.last().unwrap(),
             stacked_gf[0].last().unwrap(),
@@ -692,17 +664,15 @@ fn main() {
     // kernel that fails to scale from a machine that cannot show scaling.
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let out = format!(
-        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"sell_slots_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"spmv_sell_slots\": {},\n    \"mpk_fused_slots\": {},\n    \"mpk_levelwise_sell_slots\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_fused\": {},\n    \"mpk_levelwise_sell\": {},\n    \"spmv_sell_slots\": {},\n    \"mpk_fused_slots\": {},\n    \"mpk_levelwise_sell_slots\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }},\n  \"spmm_gflops\": {spmm},\n  \"ghost_zone\": {zone_rows}\n}}\n",
+        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"sell_slots_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_levelwise_sell\": {},\n    \"spmv_sell_slots\": {},\n    \"mpk_levelwise_sell_slots\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_levelwise_sell\": {},\n    \"spmv_sell_slots\": {},\n    \"mpk_levelwise_sell_slots\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }},\n  \"spmm_gflops\": {spmm},\n  \"ghost_zone\": {zone_rows}\n}}\n",
         threads_list.join(", "),
         sell.pad_ratio(),
         sell_slots.pad_ratio(),
         json_array(&spmv_gf),
         json_array(&spmv_sell_gf),
         json_array(&spmv_sell_cold_gf),
-        json_array(&mpk_fused_gf),
         json_array(&mpk_level_gf),
         json_array(&spmv_slots_gf),
-        json_array(&mpk_fused_slots_gf),
         json_array(&mpk_level_slots_gf),
         json_array(&gram_gf),
         json_array(&stacked_gf[0]),
@@ -715,10 +685,8 @@ fn main() {
         json_array(&speedup(&spmv_gf)),
         json_array(&speedup(&spmv_sell_gf)),
         json_array(&speedup(&spmv_sell_cold_gf)),
-        json_array(&speedup(&mpk_fused_gf)),
         json_array(&speedup(&mpk_level_gf)),
         json_array(&speedup(&spmv_slots_gf)),
-        json_array(&speedup(&mpk_fused_slots_gf)),
         json_array(&speedup(&mpk_level_slots_gf)),
         json_array(&speedup(&gram_gf)),
         json_array(&speedup(&stacked_gf[0])),

@@ -170,10 +170,11 @@ pub struct SolveOptions {
     /// Sparse format driving the SpMV and matrix-powers kernels:
     /// [`SparseFormat::Csr`] (the default) streams rows from the assembled
     /// CSR arrays, [`SparseFormat::Sell`] converts once to the SELL-C-σ
-    /// sliced layout (cached on the matrix) whose padded column-major
-    /// slices multiply at unit stride with eight-way independent
-    /// accumulators, and enables the cache-fused multi-level matrix powers
-    /// sweep where applicable. It governs the one-column kernels (SpMV,
+    /// sliced layout (cached on the matrix): a constant-coefficient
+    /// matrix's diagonals, read at unit stride without a gather, or padded
+    /// column-major slots with eight-way independent accumulators. Either
+    /// way the matrix powers kernel runs level by level, one SELL SpMV per
+    /// basis column. It governs the one-column kernels (SpMV,
     /// matrix powers, polynomial preconditioner products, ghost zones); a
     /// serial product of k ≥ 2 columns (`solve_batch`, EkCG, the true
     /// residual's `A·X`) runs SELL's SpMM only on a constant-coefficient

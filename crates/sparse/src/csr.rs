@@ -32,8 +32,9 @@ pub(crate) const SPMM_PANEL_ROWS: usize = 8192;
 /// every trusted ("unchecked") construction path goes through, so hot
 /// paths cannot drift apart in which invariants they skip. Release builds
 /// compile this to nothing; broken invariants there surface as index
-/// panics or wrong products, never memory unsafety (all access is
-/// bounds-checked).
+/// panics or wrong products, never memory unsafety (access is
+/// bounds-checked, and the SpMM kernels' unchecked reads verify the
+/// invariants once per matrix first).
 pub(crate) fn debug_assert_csr_invariants(
     nrows: usize,
     ncols: usize,
@@ -114,10 +115,10 @@ struct Derived {
     /// Lazily converted SELL-C-σ sibling of this matrix (see
     /// [`CsrMatrix::sell`]), built on first request and shared.
     sell: Mutex<Option<Arc<SellMatrix>>>,
-    /// One-time "every column index is `< ncols`" verification, backing
-    /// the unchecked gathers of the SpMM group kernels (see
+    /// One-time verification of every CSR invariant, backing the
+    /// unchecked reads of the SpMM group kernels (see
     /// [`CsrMatrix::spmm_rows_into`]).
-    cols_bounded: AtomicBool,
+    invariants_checked: AtomicBool,
     /// Lazily computed per-panel column reach `[lo, hi)` for the windowed
     /// SpMM pack (see [`CsrMatrix::panel_reach`]): panel `p` covers rows
     /// `[p·SPMM_PANEL_ROWS, (p+1)·SPMM_PANEL_ROWS)` and touches only
@@ -201,7 +202,9 @@ impl CsrMatrix {
     /// partition extraction) where the arrays come out of an algorithm that
     /// guarantees them; keep [`CsrMatrix::from_raw`] for I/O paths. Broken
     /// invariants in release builds lead to index panics or wrong products,
-    /// never to memory unsafety (all access is bounds-checked).
+    /// never to memory unsafety (access is bounds-checked, and the SpMM
+    /// kernels' unchecked reads verify the invariants once per matrix
+    /// first).
     pub fn from_raw_unchecked(
         nrows: usize,
         ncols: usize,
@@ -350,8 +353,9 @@ impl CsrMatrix {
             // prefetch-friendly unit-stride streams.
             for (i, row) in buf.chunks_exact_mut(k).enumerate() {
                 for (dst, col) in row.iter_mut().zip(&cols) {
-                    // Safety: every column has exactly `n` elements and
-                    // `chunks_exact(k)` yields exactly `n` rows.
+                    // SAFETY: every column has exactly `n` elements and
+                    // `chunks_exact_mut(k)` over `n·k` yields `n` rows, so
+                    // `i < n`.
                     *dst = unsafe { *col.get_unchecked(i) };
                 }
             }
@@ -407,17 +411,23 @@ impl CsrMatrix {
         write: &mut W,
     ) {
         assert!(xr.len() >= self.ncols * k, "spmm: operand too short");
-        self.ensure_cols_bounded();
-        self.spmm_ladder(row_begin, row_end, xr, k, 0, write);
+        self.ensure_invariants();
+        let simd = crate::sell::simd_ok();
+        self.spmm_ladder(simd, row_begin, row_end, xr, k, 0, write);
     }
 
-    /// The column-group ladder of [`CsrMatrix::spmm_rows_interleaved`].
+    /// The column-group ladder of [`CsrMatrix::spmm_rows_interleaved`],
+    /// on the AVX2 group kernels when `simd` (from `simd_ok()`) says so.
     /// `off` is the flat-index base of the operand window: entry column
     /// `c` reads `xr[c·k + j − off]`, so a full pack passes `off = 0` and
     /// the windowed pack passes `reach.lo · k` with `xr` holding only rows
-    /// `[reach.lo, reach.hi)`.
+    /// `[reach.lo, reach.hi)`. Callers have run
+    /// [`CsrMatrix::ensure_invariants`] and hand an `xr` that covers every
+    /// column the rows reference, rebased by `off`.
+    #[allow(clippy::too_many_arguments)]
     fn spmm_ladder<W: FnMut(usize, f64)>(
         &self,
+        simd: bool,
         row_begin: usize,
         row_end: usize,
         xr: &[f64],
@@ -425,7 +435,10 @@ impl CsrMatrix {
         off: usize,
         write: &mut W,
     ) {
-        let simd = crate::sell::simd_ok();
+        assert!(
+            row_begin <= row_end && row_end <= self.nrows,
+            "spmm: bad row range"
+        );
         let mut blk = row_begin;
         while blk < row_end {
             let blk_end = (blk + SPMM_ROW_BLOCK).min(row_end);
@@ -472,8 +485,10 @@ impl CsrMatrix {
     ) {
         #[cfg(target_arch = "x86_64")]
         if simd {
-            // Safety: AVX2 presence was just checked; the operand/index
-            // bounds contract is `spmm_rows_interleaved`'s.
+            // SAFETY: `simd` is `simd_ok()`, so AVX2 is present; the
+            // ladder calls with `G ∈ {4, 8}`, `j0 + G ≤ k` and
+            // `row_end ≤ nrows` (asserted), and its callers' contract is
+            // the operand half of the kernel's.
             unsafe { self.spmm_rows_group_avx2::<G, W>(row_begin, row_end, xr, k, j0, off, write) };
             return;
         }
@@ -491,7 +506,7 @@ impl CsrMatrix {
     /// [`CsrMatrix::spmv`] order (one multiply, one add per entry, CSR
     /// entry order), so results stay bitwise equal per column.
     ///
-    /// Callers must have run [`CsrMatrix::ensure_cols_bounded`] and
+    /// Callers must have run [`CsrMatrix::ensure_invariants`] and
     /// guaranteed that `xr` covers every operand index the row range can
     /// touch after the `off` rebase (`xr.len() ≥ reach·k − off` for a
     /// windowed pack, `ncols·k` for a full one), with `j0 + G ≤ k`.
@@ -518,10 +533,10 @@ impl CsrMatrix {
                 debug_assert!(c * k + j0 >= off);
                 debug_assert!(base + G <= xr.len());
                 for g in 0..G {
-                    // Safety: `c < ncols` was verified for the whole
-                    // matrix by `ensure_cols_bounded`, and the caller
-                    // guaranteed `xr` covers the rebased index range
-                    // with `j0 + G ≤ k`.
+                    // SAFETY: `c` is a column of this row, inside the
+                    // window `xr` holds (the caller's contract; the
+                    // invariants `ensure_invariants` checked make the
+                    // window's reach exact), and `g < G ≤ k − j0`.
                     acc[g] += v * unsafe { *xr.get_unchecked(base + g) };
                 }
             }
@@ -541,9 +556,16 @@ impl CsrMatrix {
     /// lane-wise IEEE operations; no FMA contraction).
     ///
     /// # Safety
-    /// Caller guarantees AVX2 is available, `G ∈ {4, 8, 16}`, and the
-    /// bounds contract of [`CsrMatrix::spmm_rows_interleaved`] (columns
-    /// verified `< ncols`, `xr.len() ≥ ncols·k`, `j0 + G ≤ k`).
+    /// The caller guarantees:
+    /// * AVX2 is available and `G ∈ {4, 8, 16}` (the latter asserted at
+    ///   compile time);
+    /// * [`CsrMatrix::ensure_invariants`] has passed on this matrix, so
+    ///   `row_ptr` is monotone with `row_ptr[nrows] = nnz` and every row's
+    ///   columns are strictly increasing and `< ncols`;
+    /// * `row_begin ≤ row_end ≤ nrows` and `j0 + G ≤ k`;
+    /// * every column `c` of the rows in range has `off ≤ c·k + j0` and
+    ///   `c·k + j0 + G − off ≤ xr.len()`: a full pack (`off = 0`,
+    ///   `xr.len() ≥ ncols·k`), or a window over the rows' column reach.
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
@@ -563,21 +585,28 @@ impl CsrMatrix {
         let ld = self.nrows;
         let xp = xr.as_ptr();
         for r in row_begin..row_end {
+            // SAFETY: `r < row_end ≤ nrows` and `row_ptr` has `nrows + 1`
+            // entries.
             let lo = *self.row_ptr.get_unchecked(r);
             let hi = *self.row_ptr.get_unchecked(r + 1);
             // Up to four 4-lane accumulators; unused slots fold away once
             // the `nv` loops unroll.
             let mut acc = [_mm256_setzero_pd(); 4];
             for e in lo..hi {
+                // SAFETY: `lo ≤ e < hi ≤ row_ptr[nrows] = nnz`, the length
+                // of `values` and `col_idx` (the checked invariants).
                 let v = _mm256_set1_pd(*self.values.get_unchecked(e));
                 let base = *self.col_idx.get_unchecked(e) * k + j0 - off;
                 for q in 0..nv {
+                    // SAFETY: `base + 4q + 4 ≤ base + G ≤ xr.len()` by the
+                    // operand clause of the contract.
                     let x = _mm256_loadu_pd(xp.add(base + 4 * q));
                     acc[q] = _mm256_add_pd(acc[q], _mm256_mul_pd(v, x));
                 }
             }
             let mut out = [0.0f64; G];
             for q in 0..nv {
+                // SAFETY: `4q + 4 ≤ G = out.len()`.
                 _mm256_storeu_pd(out.as_mut_ptr().add(4 * q), acc[q]);
             }
             for g in 0..G {
@@ -637,7 +666,8 @@ impl CsrMatrix {
     ) {
         let k = x.k();
         assert!(x.n() >= self.ncols, "spmm: x row mismatch");
-        self.ensure_cols_bounded();
+        self.ensure_invariants();
+        let simd = crate::sell::simd_ok();
         let reach = self.panel_reach();
         let repacked: usize = reach.iter().map(|&(lo, hi)| hi - lo).sum();
         let full = repacked > 2 * self.ncols;
@@ -662,33 +692,37 @@ impl CsrMatrix {
                 buf.resize(w * k, 0.0);
                 for (i, row) in buf.chunks_exact_mut(k).enumerate() {
                     for (dst, col) in row.iter_mut().zip(&cols) {
-                        // Safety: `clo + i < chi ≤ ncols ≤ col.len()`.
+                        // SAFETY: `clo + i < chi ≤ ncols ≤ x.n() =
+                        // col.len()` (asserted above).
                         *dst = unsafe { *col.get_unchecked(clo + i) };
                     }
                 }
-                self.spmm_ladder(r, panel_end, &buf, k, clo * k, write);
+                // The panel's rows reference columns in `[clo, chi)` only:
+                // their first and last entries bound them (columns ascend).
+                self.spmm_ladder(simd, r, panel_end, &buf, k, clo * k, write);
                 r = panel_end;
             }
         });
     }
 
-    /// One-time verification that every stored column index is `< ncols`,
-    /// backing the unchecked gathers of [`CsrMatrix::spmm_rows_group`].
-    /// [`CsrMatrix::from_raw`] already guarantees the invariant; this
-    /// explicit pass exists so a matrix assembled through
+    /// One-time verification of every CSR invariant (`validate_raw`),
+    /// backing the unchecked reads of the SpMM group kernels: row extents,
+    /// columns `< ncols`, and the ascending columns that make a panel's
+    /// reach exact. [`CsrMatrix::from_raw`] already guarantees them; this
+    /// pass exists so a matrix assembled through
     /// [`CsrMatrix::from_raw_unchecked`] with broken invariants panics on
     /// its first SpMM instead of reading out of bounds. Verified once per
     /// matrix and remembered (relaxed ordering: a racing duplicate check
     /// is harmless).
-    fn ensure_cols_bounded(&self) {
-        if self.derived.cols_bounded.load(Ordering::Relaxed) {
+    fn ensure_invariants(&self) {
+        if self.derived.invariants_checked.load(Ordering::Relaxed) {
             return;
         }
-        assert!(
-            self.col_idx.iter().all(|&c| c < self.ncols),
-            "spmm: column index out of bounds"
-        );
-        self.derived.cols_bounded.store(true, Ordering::Relaxed);
+        let (rows, cols, vals) = (&self.row_ptr, &self.col_idx, &self.values);
+        validate_raw(self.nrows, self.ncols, rows, cols, vals);
+        self.derived
+            .invariants_checked
+            .store(true, Ordering::Relaxed);
     }
 
     /// Copies the diagonal into a vector; missing diagonal entries become 0.
@@ -1334,5 +1368,85 @@ mod tests {
             let (lo, hi) = ranges[t % 2];
             assert!(Arc::ptr_eq(z, &a.ghost_zone(lo, hi, 3, SparseFormat::Csr)));
         }
+    }
+
+    /// The checked twin of the AVX2 SpMM group kernels: the column-group
+    /// ladder on AVX2 and on the scalar groups agree bit for bit with
+    /// `spmv` per column, on a full pack and on a window rebased by
+    /// `off`, for k = 2, 3, 4, 8 and 13 (every rung), row counts off the
+    /// group and row-block sizes, empty rows, and ±0.0 in the matrix and
+    /// the operand.
+    #[test]
+    fn spmm_group_kernels_match_their_scalar_twin_bitwise() {
+        let mut rng = crate::rng::Rng64::seed_from_u64(7);
+        let signed = |rng: &mut crate::rng::Rng64| match rng.below_inclusive(5) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.range_f64(-2.0, 2.0),
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [1usize, 7, 9, 127, 129, 301] {
+            // Banded rows of up to six entries, every fourth row empty.
+            let mut coo = CooMatrix::new(n, n);
+            for r in (0..n).filter(|r| r % 4 != 2) {
+                for _ in 0..=rng.below_inclusive(5) {
+                    let c = (r + rng.below_inclusive(24)).saturating_sub(12).min(n - 1);
+                    coo.push(r, c, signed(&mut rng));
+                }
+            }
+            let a = coo.to_csr();
+            a.ensure_invariants();
+            // Rows from `r0` on, and the column window `[clo, n)` they read.
+            let r0 = n / 3;
+            let clo = (r0..n)
+                .filter_map(|r| a.row(r).0.first().copied())
+                .min()
+                .unwrap_or(0);
+            for k in [2usize, 3, 4, 8, 13] {
+                let cols: Vec<Vec<f64>> = (0..k)
+                    .map(|_| (0..n).map(|_| signed(&mut rng)).collect())
+                    .collect();
+                let mut want = vec![0.0; n * k];
+                for (j, col) in cols.iter().enumerate() {
+                    a.spmv(col, &mut want[j * n..(j + 1) * n]);
+                }
+                // Row `i` of every column side by side, as the kernels read.
+                let full: Vec<f64> = (0..n)
+                    .flat_map(|i| cols.iter().map(move |c| c[i]))
+                    .collect();
+                for simd in [false, crate::sell::simd_ok()] {
+                    let tag = format!("n={n} k={k} simd={simd}");
+                    let mut got = vec![f64::NAN; n * k];
+                    a.spmm_ladder(simd, 0, n, &full, k, 0, &mut |i, v| got[i] = v);
+                    assert_eq!(bits(&got), bits(&want), "{tag} full pack");
+                    let (window, mut got) = (&full[clo * k..], vec![f64::NAN; n * k]);
+                    a.spmm_ladder(simd, r0, n, window, k, clo * k, &mut |i, v| got[i] = v);
+                    for j in 0..k {
+                        let rows = j * n + r0..(j + 1) * n;
+                        assert_eq!(bits(&got[rows.clone()]), bits(&want[rows]), "{tag} window");
+                    }
+                }
+                // The public entry point (the windowed pack) reaches them too.
+                let mut y = MultiVector::zeros(n, k);
+                a.spmm(&MultiVector::from_columns(&cols), &mut y);
+                for j in 0..k {
+                    assert_eq!(
+                        bits(y.col(j)),
+                        bits(&want[j * n..(j + 1) * n]),
+                        "n={n} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A matrix whose columns do not ascend would make a panel's reach
+    /// wrong; the SpMM refuses it before any unchecked read.
+    #[test]
+    #[should_panic(expected = "columns must be strictly increasing")]
+    fn spmm_refuses_a_matrix_with_broken_invariants() {
+        let a = CsrMatrix::from_raw_unchecked(2, 3, vec![0, 2, 3], vec![2, 0, 1], vec![1.0; 3]);
+        let mut y = MultiVector::zeros(2, 4);
+        a.spmm(&MultiVector::zeros(3, 4), &mut y);
     }
 }

@@ -89,17 +89,6 @@ impl MultiVector {
         }
     }
 
-    /// Splits the storage at column `write`: returns the concatenated
-    /// columns `0..write` (read-only, column-major contiguous) together with
-    /// column `write` mutable. Used by the cache-fused matrix powers kernel,
-    /// which reads columns `j` and `j-1` while writing column `j+1`.
-    pub fn split_at_col_mut(&mut self, write: usize) -> (&[f64], &mut [f64]) {
-        assert!(write < self.k, "split_at_col_mut: index out of bounds");
-        let n = self.n;
-        let (head, tail) = self.data.split_at_mut(write * n);
-        (head, &mut tail[..n])
-    }
-
     /// Sets every entry to zero.
     pub fn fill_zero(&mut self) {
         blas::zero(&mut self.data);

@@ -233,10 +233,6 @@ pub struct SellMatrix {
     slice_ptr: Vec<usize>,
     /// The stored entries.
     enc: Encoding,
-    /// Max σ-window distance between a row and the columns it touches —
-    /// the one-hop dependency half-width of the fused MPK tiling. Only
-    /// computed by [`SellMatrix::from_csr`] (zero for row-list builds).
-    window_reach: usize,
     /// Whether lane `p` holds a row of σ-window `p / σ` for every `p`: true
     /// of [`SellMatrix::from_csr`] conversions (the sort never leaves a
     /// window, and diagonals keep identity order), not promised by
@@ -257,7 +253,6 @@ impl Clone for SellMatrix {
             out_len: self.out_len,
             slice_ptr: self.slice_ptr.clone(),
             enc: self.enc.clone(),
-            window_reach: self.window_reach,
             sigma_confined: self.sigma_confined,
             schedule: Mutex::new(None),
         }
@@ -564,12 +559,12 @@ unsafe fn avx2_diag_blocks<const B: usize>(
 }
 
 impl Diagonals {
-    /// The diagonal encoding of `a` and its [`window_reach`], or `None`
-    /// when `a` is not constant-diagonal (module docs). One pass over the
-    /// entries that stops at the first mismatch and takes the reach on the
-    /// way: a per-row cursor walks the sorted offsets seen so far beside
-    /// the row's ascending columns, so an entry costs a compare or two.
-    fn detect(a: &CsrMatrix) -> Option<(Self, usize)> {
+    /// The diagonal encoding of `a`, or `None` when `a` is not
+    /// constant-diagonal (module docs). One pass over the entries that
+    /// stops at the first mismatch: a per-row cursor walks the sorted
+    /// offsets seen so far beside the row's ascending columns, so an entry
+    /// costs a compare or two.
+    fn detect(a: &CsrMatrix) -> Option<Self> {
         let n = a.nrows();
         if n == 0 || a.ncols() != n {
             return None;
@@ -582,7 +577,6 @@ impl Diagonals {
         let mut bits: Vec<u64> = Vec::with_capacity(MAX_DIAGONALS);
         let mut sorted: Vec<(isize, usize)> = Vec::with_capacity(MAX_DIAGONALS);
         let mut seen = vec![0u8; n.div_ceil(LANE_BLOCK) * MAX_DIAGONALS];
-        let mut reach = 0;
         for r in 0..n {
             let bit = 1u8 << (r % LANE_BLOCK);
             let block = &mut seen[r / LANE_BLOCK * MAX_DIAGONALS..][..MAX_DIAGONALS];
@@ -616,7 +610,6 @@ impl Diagonals {
                     return None;
                 }
                 block[slot] |= bit;
-                reach = reach.max((r / SELL_SIGMA).abs_diff(c / SELL_SIGMA));
                 k += 1;
             }
         }
@@ -633,7 +626,7 @@ impl Diagonals {
                 *p = src[slot];
             }
         }
-        let diag = Diagonals {
+        Some(Diagonals {
             n,
             offsets: sorted.iter().map(|&(d, _)| d).collect(),
             vals: sorted
@@ -641,8 +634,7 @@ impl Diagonals {
                 .map(|&(_, s)| f64::from_bits(bits[s]))
                 .collect(),
             presence,
-        };
-        Some((diag, reach))
+        })
     }
 
     /// The padded-work prefix over slices of [`SELL_C`] rows: 8 per
@@ -757,22 +749,20 @@ impl Diagonals {
 }
 
 impl SellMatrix {
-    /// Converts a full CSR matrix, output in original row order, and
-    /// records the σ-window reach half-width for the fused MPK tiling.
+    /// Converts a full CSR matrix, output in original row order.
     ///
     /// Picks the encoding: a constant-diagonal matrix (module docs; one
     /// O(nnz) pass that stops at the first mismatch) is stored as its
     /// diagonals and nothing else, any other matrix in σ-sorted slots.
     /// The product is bitwise the same either way.
     pub fn from_csr(a: &CsrMatrix) -> Self {
-        if let Some((diag, reach)) = Diagonals::detect(a) {
+        if let Some(diag) = Diagonals::detect(a) {
             return SellMatrix {
                 ncols: a.ncols(),
                 nnz: a.nnz(),
                 out_len: a.nrows(),
                 slice_ptr: diag.slice_work(),
                 enc: Encoding::Diagonals(diag),
-                window_reach: reach,
                 sigma_confined: true,
                 schedule: Mutex::new(None),
             };
@@ -780,7 +770,6 @@ impl SellMatrix {
         let order = sigma_sorted_order(a.row_ptr(), a.nrows());
         let mut m = Self::build(a.row_ptr(), a.col_idx(), a.values(), a.ncols(), order);
         m.out_len = a.nrows();
-        m.window_reach = window_reach(a);
         m.sigma_confined = true;
         m
     }
@@ -899,7 +888,6 @@ impl SellMatrix {
                 vals,
                 perm: order,
             }),
-            window_reach: 0,
             sigma_confined: false,
             schedule: Mutex::new(None),
         }
@@ -925,26 +913,6 @@ impl SellMatrix {
     #[inline]
     pub fn padded_nnz(&self) -> usize {
         *self.slice_ptr.last().unwrap()
-    }
-
-    /// Bytes of matrix data one full SpMV streams: per slot an `f64` value
-    /// and its column index, plus the lane permutation, in the slot
-    /// encoding; the presence bytes (and the offsets and values, once) on
-    /// diagonals. What a cache-tiled sweep has to keep resident per row.
-    pub fn stream_bytes(&self) -> usize {
-        match &self.enc {
-            Encoding::Slots(m) => {
-                let index = |k: &SliceCols| match k {
-                    SliceCols::Wide => 4,
-                    SliceCols::Narrow(_) => 2,
-                };
-                let slots: usize = (0..self.nslices())
-                    .map(|s| (self.slice_ptr[s + 1] - self.slice_ptr[s]) * (8 + index(&m.kind[s])))
-                    .sum();
-                slots + 8 * m.perm.len()
-            }
-            Encoding::Diagonals(d) => d.presence.len() + 16 * d.offsets.len(),
-        }
     }
 
     /// Minimum `x` length accepted by the kernels.
@@ -984,13 +952,6 @@ impl SellMatrix {
             Encoding::Slots(m) => Some(&m.perm),
             Encoding::Diagonals(_) => None,
         }
-    }
-
-    /// σ-window dependency half-width of the original matrix (see the
-    /// field docs); zero for row-list builds.
-    #[inline]
-    pub fn window_reach_halfwidth(&self) -> usize {
-        self.window_reach
     }
 
     /// Per-slice padded-work prefix (length `nslices + 1`), for external
@@ -1126,36 +1087,10 @@ impl SellMatrix {
         }
     }
 
-    /// Serial SpMV over the slice range `[s_begin, s_end)` only, writing
-    /// `y[perm[p]]` for every real lane of those slices. The band kernel
-    /// of the cache-fused matrix powers sweep: a σ-window band maps to a
-    /// slice range, and its output rows stay inside the band's original
-    /// window range (σ-confinement), so callers may pass the full output
-    /// column and rely on only the band being written.
-    ///
-    /// # Panics
-    /// Panics if the slice range is invalid or buffers are too short.
-    pub fn spmv_slices(&self, s_begin: usize, s_end: usize, x: &[f64], y: &mut [f64]) {
-        assert!(
-            s_begin <= s_end && s_end <= self.nslices(),
-            "sell spmv_slices: bad slice range"
-        );
-        assert!(x.len() >= self.ncols, "sell spmv_slices: x length mismatch");
-        assert!(
-            y.len() >= self.out_len,
-            "sell spmv_slices: y length mismatch"
-        );
-        let n = self.lanes();
-        let (lo, hi) = ((s_begin * SELL_C).min(n), (s_end * SELL_C).min(n));
-        if !self.rows_into(lo, hi, x, &mut y[lo..hi]) {
-            self.spmv_slices_with(s_begin, s_end, x, &mut |i, v| y[i] = v);
-        }
-    }
-
     /// One σ-aligned band of rows `[lo, hi)` into `out` (`out[i] =
-    /// (A·x)[lo + i]`): the slice range of [`SellMatrix::spmv_slices`] with
-    /// a band-local destination, so a caller can consume the product while
-    /// it is cache-hot instead of storing a full-length vector. See
+    /// (A·x)[lo + i]`): the band's slice range with a band-local
+    /// destination, so a caller can consume the product while it is
+    /// cache-hot instead of storing a full-length vector. See
     /// [`MatRef::spmv_band`] for the contract.
     fn spmv_band(&self, lo: usize, hi: usize, x: &[f64], out: &mut [f64]) {
         assert!(
@@ -1390,24 +1325,6 @@ fn sigma_sorted_order(row_ptr: &[usize], nrows: usize) -> Vec<usize> {
     order
 }
 
-/// Max σ-window distance between any row's window and the windows of the
-/// columns it references: the one-hop dependency half-width `h` of the
-/// fused MPK tiling. Because σ-sorting is window-confined, this purely
-/// structural quantity (computed in original indices) bounds the sorted
-/// layout's dependencies too.
-pub fn window_reach(a: &CsrMatrix) -> usize {
-    let mut h = 0usize;
-    for r in 0..a.nrows() {
-        let w = r / SELL_SIGMA;
-        let (cols, _) = a.row(r);
-        for &c in cols {
-            let cw = c / SELL_SIGMA;
-            h = h.max(w.abs_diff(cw));
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1441,7 +1358,6 @@ mod tests {
                 let s = SellMatrix::from_csr(m);
                 assert_eq!(s.is_diagonal(), diagonal, "n={n}");
                 assert_eq!(s.nnz(), m.nnz());
-                assert_eq!(s.window_reach_halfwidth(), window_reach(m));
                 for s in [s, slots_of(m)] {
                     let mut y_sell = vec![f64::NAN; n];
                     s.spmv(&x, &mut y_sell);
@@ -1561,19 +1477,6 @@ mod tests {
         assert!(Arc::ptr_eq(&b1, &b2));
     }
 
-    #[test]
-    fn window_reach_of_stencils() {
-        // 1D chain: neighbours are ±1 row, so reach is confined to
-        // adjacent windows.
-        let a = crate::generators::poisson::poisson_1d(1000);
-        assert_eq!(window_reach(&a), 1);
-        // 3D stencil on 12³: ±144 rows < σ, still one window.
-        let a = poisson_3d(12);
-        assert!(window_reach(&a) <= 1);
-        // Identity: zero reach.
-        assert_eq!(window_reach(&CsrMatrix::identity(600)), 0);
-    }
-
     /// A random constant-diagonal `n × n` matrix: offsets drawn from
     /// `[-(n + 9), n + 9]` (those beyond the matrix store nothing), each
     /// (row, offset) kept with probability 3/4, every fifth row emptied,
@@ -1629,7 +1532,6 @@ mod tests {
                     assert_eq!(a.nnz(), 0, "n={n} trial={trial}: not diagonal");
                     continue;
                 };
-                assert_eq!(s.window_reach_halfwidth(), window_reach(&a), "n={n}");
                 let mut x: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
                 x[hole] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][trial % 3];
                 let mut want = vec![0.0; n];
@@ -1648,13 +1550,14 @@ mod tests {
                     ParKernels::always_split(t).spmv_sell(&s, &x, &mut y);
                     assert!(bitwise_eq(&y, &want), "{tag} threads={t}");
                 }
-                // Every slice range (the fused MPK's bands), small sizes.
+                // Every slice range (the threaded SpMV's chunks), small
+                // sizes.
                 let ns = s.nslices();
                 if ns <= 4 {
                     for b in 0..=ns {
                         for e in b..=ns {
                             let mut y = vec![f64::NAN; n];
-                            s.spmv_slices(b, e, &x, &mut y);
+                            s.spmv_slices_into(b, e, &x, &mut |i, v| y[i] = v);
                             let (lo, hi) = ((b * SELL_C).min(n), (e * SELL_C).min(n));
                             assert!(bitwise_eq(&y[lo..hi], &want[lo..hi]), "{tag} [{b},{e})");
                             assert!(y[..lo].iter().chain(&y[hi..]).all(|v| v.is_nan()));
@@ -1688,10 +1591,6 @@ mod tests {
         let a = poisson_3d(12);
         let s = SellMatrix::from_csr(&a);
         assert!(s.is_diagonal());
-        assert_eq!(s.window_reach_halfwidth(), window_reach(&a));
-        // Under a byte per row: 7 presence bytes per 8-row block.
-        assert!(s.stream_bytes() < a.nrows());
-        assert!(slots_of(&a).stream_bytes() > 10 * a.nnz());
         // Padded work: eight lanes per present (block, offset), masked
         // boundary lanes included.
         assert!(s.padded_nnz() >= s.nnz() && s.padded_nnz() < 2 * s.nnz());
