@@ -15,8 +15,8 @@
 //! on the zone's depth prefix. Only the `reach_len(depth) − n_owned` ghosts
 //! of that prefix are exchanged; extended buffers are nevertheless
 //! `zone.ext_len()` long — the zone's kernels demand it — and the tail past
-//! `reach_len(depth)` is neither filled nor read. The zone was built in one
-//! sparse format, so there is no format to choose here.
+//! `reach_len(depth)` is neither filled nor read. The zone's rows are SELL
+//! slots, so there is no layout to choose here.
 //!
 //! This only works when the preconditioner is *pointwise* (`M⁻¹ = diag(w)`,
 //! i.e. Jacobi or identity): applying it on ghost rows needs nothing but
@@ -366,7 +366,6 @@ mod tests {
     use spcg_precond::{Jacobi, Preconditioner};
     use spcg_sparse::generators::poisson::poisson_2d;
     use spcg_sparse::partition::BlockRowPartition;
-    use spcg_sparse::SparseFormat;
 
     /// A kernel on its own fresh depth-`depth` zone.
     #[allow(clippy::too_many_arguments)]
@@ -377,9 +376,8 @@ mod tests {
         weights: &[f64],
         m_flops: u64,
         threads: usize,
-        format: SparseFormat,
     ) -> DistMpk {
-        let zone = Arc::new(GhostZone::new(a, lo, hi, depth, format));
+        let zone = Arc::new(GhostZone::new(a, lo, hi, depth));
         DistMpk::new(a, zone, depth, weights, m_flops, ParKernels::new(threads))
     }
 
@@ -415,15 +413,7 @@ mod tests {
         let mut c_sum = Counters::new();
         for p in 0..3 {
             let (lo, hi) = part.range(p);
-            let mut dk = kernel(
-                &a,
-                (lo, hi),
-                s,
-                &weights,
-                m.flops_per_apply(),
-                1,
-                SparseFormat::Csr,
-            );
+            let mut dk = kernel(&a, (lo, hi), s, &weights, m.flops_per_apply(), 1);
             let w_ext = dk.ghost().extend_from_global(&w);
             let mut v = MultiVector::zeros(hi - lo, s + 1);
             let mut mv = MultiVector::zeros(hi - lo, s);
@@ -465,15 +455,7 @@ mod tests {
 
         let weights: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
         let (lo, hi) = (14, 35);
-        let mut dk = kernel(
-            &a,
-            (lo, hi),
-            s,
-            &weights,
-            m.flops_per_apply(),
-            1,
-            SparseFormat::Csr,
-        );
+        let mut dk = kernel(&a, (lo, hi), s, &weights, m.flops_per_apply(), 1);
         let w_ext = dk.ghost().extend_from_global(&w);
         let mw_ext = dk.ghost().extend_from_global(&mw);
         let mut v = MultiVector::zeros(hi - lo, s + 1);
@@ -499,15 +481,7 @@ mod tests {
         let (v_ref, _, _) = serial_reference(&a, &m, &w, None, &params, s, s);
         let weights: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
         let (lo, hi) = (0, 20);
-        let mut dk = kernel(
-            &a,
-            (lo, hi),
-            s,
-            &weights,
-            m.flops_per_apply(),
-            1,
-            SparseFormat::Csr,
-        );
+        let mut dk = kernel(&a, (lo, hi), s, &weights, m.flops_per_apply(), 1);
         let w_ext = dk.ghost().extend_from_global(&w);
         let mut v = MultiVector::zeros(hi - lo, s);
         let mut mv = MultiVector::zeros(hi - lo, s);
@@ -528,30 +502,14 @@ mod tests {
         let params = BasisParams::chebyshev(0.2, 7.5, s);
         let weights: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
         let (lo, hi) = (n / 3, 4 * n / 5);
-        let mut dk_ref = kernel(
-            &a,
-            (lo, hi),
-            s,
-            &weights,
-            m.flops_per_apply(),
-            1,
-            SparseFormat::Csr,
-        );
+        let mut dk_ref = kernel(&a, (lo, hi), s, &weights, m.flops_per_apply(), 1);
         let w_ext = dk_ref.ghost().extend_from_global(&w);
         let mut v_ref = MultiVector::zeros(hi - lo, s + 1);
         let mut mv_ref = MultiVector::zeros(hi - lo, s);
         let mut c_ref = Counters::new();
         dk_ref.run(&w_ext, None, &params, &mut v_ref, &mut mv_ref, &mut c_ref);
         for t in [2usize, 4, 8] {
-            let mut dk = kernel(
-                &a,
-                (lo, hi),
-                s,
-                &weights,
-                m.flops_per_apply(),
-                t,
-                SparseFormat::Csr,
-            );
+            let mut dk = kernel(&a, (lo, hi), s, &weights, m.flops_per_apply(), t);
             let mut v = MultiVector::zeros(hi - lo, s + 1);
             let mut mv = MultiVector::zeros(hi - lo, s);
             let mut c = Counters::new();
@@ -581,15 +539,7 @@ mod tests {
         let part = BlockRowPartition::balanced(n, 3);
         for p in 0..3 {
             let (lo, hi) = part.range(p);
-            let mut dk = kernel(
-                &a,
-                (lo, hi),
-                s,
-                &weights,
-                m.flops_per_apply(),
-                1,
-                SparseFormat::Csr,
-            );
+            let mut dk = kernel(&a, (lo, hi), s, &weights, m.flops_per_apply(), 1);
             let w_ext = dk.ghost().extend_from_global(&w);
             let mut v_ref = MultiVector::zeros(hi - lo, s + 1);
             let mut mv_ref = MultiVector::zeros(hi - lo, s);
@@ -597,15 +547,7 @@ mod tests {
             dk.run(&w_ext, None, &params, &mut v_ref, &mut mv_ref, &mut c_ref);
 
             for t in [1usize, 2, 4] {
-                let mut dk = kernel(
-                    &a,
-                    (lo, hi),
-                    s,
-                    &weights,
-                    m.flops_per_apply(),
-                    t,
-                    SparseFormat::Csr,
-                );
+                let mut dk = kernel(&a, (lo, hi), s, &weights, m.flops_per_apply(), t);
                 let ghosts: Vec<usize> = dk.ghost_indices().to_vec();
                 let mut v = MultiVector::zeros(hi - lo, s + 1);
                 let mut mv = MultiVector::zeros(hi - lo, s);
@@ -651,15 +593,7 @@ mod tests {
         let params = BasisParams::monomial(s);
         let weights: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
         let (lo, hi) = (14, 35);
-        let mut dk = kernel(
-            &a,
-            (lo, hi),
-            s,
-            &weights,
-            m.flops_per_apply(),
-            1,
-            SparseFormat::Csr,
-        );
+        let mut dk = kernel(&a, (lo, hi), s, &weights, m.flops_per_apply(), 1);
         let ghosts: Vec<usize> = dk.ghost_indices().to_vec();
         let w_ext = dk.ghost().extend_from_global(&w);
         let mw_ext = dk.ghost().extend_from_global(&mw);
@@ -701,86 +635,65 @@ mod tests {
         assert_eq!(c, c_ref);
     }
 
-    /// SELL format must reproduce the CSR kernels bitwise on both the
-    /// blocking and the overlapped paths, for every rank and thread count.
+    /// Every rank's ghost-zone sweep against the CSR reference
+    /// ([`crate::mpk::csr_sweep`] on the whole matrix, restricted to the
+    /// rank's rows): bitwise equal columns and equal counters on both the
+    /// blocking and the overlapped paths, for every rank and thread count,
+    /// on the stencil and its variable-coefficient twin.
     #[test]
     fn sell_format_matches_csr_bitwise() {
-        let a = poisson_2d(13);
-        let n = a.nrows();
-        let m = Jacobi::new(&a);
-        let w: Vec<f64> = (0..n).map(|i| ((i * 5 % 11) as f64) - 4.0).collect();
-        let s = 4;
-        let params = BasisParams::newton(&[1.0, 0.5, 2.0, 1.5], s);
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
-        let part = BlockRowPartition::balanced(n, 3);
-        for p in 0..3 {
-            let (lo, hi) = part.range(p);
-            let mut dk = kernel(
-                &a,
-                (lo, hi),
-                s,
-                &weights,
-                m.flops_per_apply(),
-                1,
-                SparseFormat::Csr,
-            );
-            let w_ext = dk.ghost().extend_from_global(&w);
-            let mut v_ref = MultiVector::zeros(hi - lo, s + 1);
-            let mut mv_ref = MultiVector::zeros(hi - lo, s);
+        let stencil = poisson_2d(13);
+        let twin = spcg_sparse::generators::perturb_diagonal(&stencil, 13);
+        for a in [stencil, twin] {
+            let n = a.nrows();
+            let m = Jacobi::new(&a);
+            let w: Vec<f64> = (0..n).map(|i| ((i * 5 % 11) as f64) - 4.0).collect();
+            let s = 4;
+            let params = BasisParams::newton(&[1.0, 0.5, 2.0, 1.5], s);
+            let (mut v_ref, mut mv_ref) = (MultiVector::zeros(n, s + 1), MultiVector::zeros(n, s));
             let mut c_ref = Counters::new();
-            dk.run(&w_ext, None, &params, &mut v_ref, &mut mv_ref, &mut c_ref);
-
-            for t in [1usize, 2, 4] {
-                let mut dk = kernel(
-                    &a,
-                    (lo, hi),
-                    s,
-                    &weights,
-                    m.flops_per_apply(),
-                    t,
-                    SparseFormat::Sell,
-                );
-                let ghosts: Vec<usize> = dk.ghost_indices().to_vec();
-                let mut v = MultiVector::zeros(hi - lo, s + 1);
-                let mut mv = MultiVector::zeros(hi - lo, s);
-                let mut c = Counters::new();
-                dk.run(&w_ext, None, &params, &mut v, &mut mv, &mut c);
-                for j in 0..=s {
-                    assert_eq!(v.col(j), v_ref.col(j), "rank {p} t {t} v col {j}");
-                }
-                for j in 0..s {
-                    assert_eq!(mv.col(j), mv_ref.col(j), "rank {p} t {t} mv col {j}");
-                }
-                assert_eq!(c, c_ref, "rank {p} t {t}: counters must not change");
-
-                let mut v = MultiVector::zeros(hi - lo, s + 1);
-                let mut mv = MultiVector::zeros(hi - lo, s);
-                let mut c = Counters::new();
-                dk.run_overlapped(
-                    &w[lo..hi],
-                    None,
-                    &params,
-                    &mut v,
-                    &mut mv,
-                    &mut c,
-                    &mut |wg, mwg| {
-                        assert!(mwg.is_none());
-                        for (dst, &g) in wg.iter_mut().zip(&ghosts) {
-                            *dst = w[g];
+            let refs = (&mut v_ref, &mut mv_ref);
+            crate::mpk::csr_sweep(&a, &m, &w, None, &params, refs, &mut c_ref);
+            let weights: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
+            let part = BlockRowPartition::balanced(n, 3);
+            for p in 0..3 {
+                let (lo, hi) = part.range(p);
+                for t in [1usize, 2, 4] {
+                    let mut dk = kernel(&a, (lo, hi), s, &weights, m.flops_per_apply(), t);
+                    let ghosts: Vec<usize> = dk.ghost_indices().to_vec();
+                    let w_ext = dk.ghost().extend_from_global(&w);
+                    for overlapped in [false, true] {
+                        let tag = format!("rank {p} t {t} overlapped {overlapped}");
+                        let mut v = MultiVector::zeros(hi - lo, s + 1);
+                        let mut mv = MultiVector::zeros(hi - lo, s);
+                        let mut c = Counters::new();
+                        if overlapped {
+                            dk.run_overlapped(
+                                &w[lo..hi],
+                                None,
+                                &params,
+                                &mut v,
+                                &mut mv,
+                                &mut c,
+                                &mut |wg, mwg| {
+                                    assert!(mwg.is_none());
+                                    for (dst, &g) in wg.iter_mut().zip(&ghosts) {
+                                        *dst = w[g];
+                                    }
+                                },
+                            );
+                        } else {
+                            dk.run(&w_ext, None, &params, &mut v, &mut mv, &mut c);
                         }
-                    },
-                );
-                for j in 0..=s {
-                    assert_eq!(v.col(j), v_ref.col(j), "overlap rank {p} t {t} v col {j}");
+                        for j in 0..=s {
+                            assert_eq!(v.col(j), &v_ref.col(j)[lo..hi], "{tag} v col {j}");
+                        }
+                        for j in 0..s {
+                            assert_eq!(mv.col(j), &mv_ref.col(j)[lo..hi], "{tag} mv col {j}");
+                        }
+                        assert_eq!(c, c_ref, "{tag}: counters");
+                    }
                 }
-                for j in 0..s {
-                    assert_eq!(
-                        mv.col(j),
-                        mv_ref.col(j),
-                        "overlap rank {p} t {t} mv col {j}"
-                    );
-                }
-                assert_eq!(c, c_ref, "overlap rank {p} t {t}: counters must not change");
             }
         }
     }
@@ -802,51 +715,49 @@ mod tests {
                 .flat_map(|j| mv.col(j).iter().map(|x| x.to_bits()).collect::<Vec<_>>())
                 .collect()
         };
-        for format in [SparseFormat::Csr, SparseFormat::Sell] {
-            let deep = Arc::new(GhostZone::new(&a, lo, hi, 6, format));
-            for (d, threads) in [(1usize, 1usize), (2, 2), (4, 1), (6, 4)] {
-                let params = BasisParams::chebyshev(0.2, 7.5, d);
-                let run = |dk: &mut DistMpk, overlapped: bool| {
-                    let ghosts = dk.ghost_indices().to_vec();
-                    let mut v = MultiVector::zeros(hi - lo, d + 1);
-                    let mut mv = MultiVector::zeros(hi - lo, d);
-                    let mut c = Counters::new();
-                    if overlapped {
-                        let w_local = &w[lo..hi];
-                        dk.run_overlapped(
-                            w_local,
-                            None,
-                            &params,
-                            &mut v,
-                            &mut mv,
-                            &mut c,
-                            &mut |wg, _| {
-                                assert_eq!(wg.len(), ghosts.len());
-                                for (dst, &g) in wg.iter_mut().zip(&ghosts) {
-                                    *dst = w[g];
-                                }
-                            },
-                        );
-                    } else {
-                        let mut w_ext = vec![f64::NAN; dk.ghost().ext_len()];
-                        w_ext[..hi - lo].copy_from_slice(&w[lo..hi]);
-                        for (dst, &g) in w_ext[hi - lo..].iter_mut().zip(&ghosts) {
-                            *dst = w[g];
-                        }
-                        dk.run(&w_ext, None, &params, &mut v, &mut mv, &mut c);
-                    }
-                    (ghosts, bits(&v), bits(&mv), c)
-                };
-                let pk = ParKernels::new(threads);
-                let flops = m.flops_per_apply();
-                let mut shared = DistMpk::new(&a, Arc::clone(&deep), d, &weights, flops, pk);
-                let mut own = kernel(&a, (lo, hi), d, &weights, flops, threads, format);
-                for overlapped in [false, true] {
-                    assert!(
-                        run(&mut shared, overlapped) == run(&mut own, overlapped),
-                        "{format:?} depth {d} overlapped {overlapped}"
+        let deep = Arc::new(GhostZone::new(&a, lo, hi, 6));
+        for (d, threads) in [(1usize, 1usize), (2, 2), (4, 1), (6, 4)] {
+            let params = BasisParams::chebyshev(0.2, 7.5, d);
+            let run = |dk: &mut DistMpk, overlapped: bool| {
+                let ghosts = dk.ghost_indices().to_vec();
+                let mut v = MultiVector::zeros(hi - lo, d + 1);
+                let mut mv = MultiVector::zeros(hi - lo, d);
+                let mut c = Counters::new();
+                if overlapped {
+                    let w_local = &w[lo..hi];
+                    dk.run_overlapped(
+                        w_local,
+                        None,
+                        &params,
+                        &mut v,
+                        &mut mv,
+                        &mut c,
+                        &mut |wg, _| {
+                            assert_eq!(wg.len(), ghosts.len());
+                            for (dst, &g) in wg.iter_mut().zip(&ghosts) {
+                                *dst = w[g];
+                            }
+                        },
                     );
+                } else {
+                    let mut w_ext = vec![f64::NAN; dk.ghost().ext_len()];
+                    w_ext[..hi - lo].copy_from_slice(&w[lo..hi]);
+                    for (dst, &g) in w_ext[hi - lo..].iter_mut().zip(&ghosts) {
+                        *dst = w[g];
+                    }
+                    dk.run(&w_ext, None, &params, &mut v, &mut mv, &mut c);
                 }
+                (ghosts, bits(&v), bits(&mv), c)
+            };
+            let pk = ParKernels::new(threads);
+            let flops = m.flops_per_apply();
+            let mut shared = DistMpk::new(&a, Arc::clone(&deep), d, &weights, flops, pk);
+            let mut own = kernel(&a, (lo, hi), d, &weights, flops, threads);
+            for overlapped in [false, true] {
+                assert!(
+                    run(&mut shared, overlapped) == run(&mut own, overlapped),
+                    "depth {d} overlapped {overlapped}"
+                );
             }
         }
     }
@@ -855,7 +766,7 @@ mod tests {
     #[should_panic(expected = "need at least one V column")]
     fn rejects_zero_columns() {
         let a = poisson_2d(4);
-        let mut dk = kernel(&a, (0, 8), 2, &[1.0; 16], 0, 1, SparseFormat::Csr);
+        let mut dk = kernel(&a, (0, 8), 2, &[1.0; 16], 0, 1);
         let w_ext = vec![1.0; dk.ghost().ext_len()];
         let (mut v, mut mv) = (MultiVector::zeros(8, 0), MultiVector::zeros(8, 0));
         let params = BasisParams::monomial(2);
@@ -867,7 +778,7 @@ mod tests {
     fn rejects_too_many_levels() {
         let a = poisson_2d(4);
         let weights = vec![1.0; 16];
-        let mut dk = kernel(&a, (0, 8), 2, &weights, 0, 1, SparseFormat::Csr);
+        let mut dk = kernel(&a, (0, 8), 2, &weights, 0, 1);
         let w_ext = vec![1.0; dk.ghost().ext_len()];
         let params = BasisParams::monomial(4);
         let mut v = MultiVector::zeros(8, 4);

@@ -24,7 +24,7 @@ use crate::poly::BasisParams;
 use spcg_dist::Counters;
 use spcg_obs::{Phase, Track};
 use spcg_precond::Preconditioner;
-use spcg_sparse::{CsrMatrix, MatRef, MultiVector, ParKernels, SellMatrix, SparseFormat};
+use spcg_sparse::{CsrMatrix, MultiVector, ParKernels, SellMatrix, SparseFormat};
 use std::sync::Arc;
 
 /// Matrix powers kernel over `A` and `M⁻¹`.
@@ -33,7 +33,9 @@ pub struct Mpk<'a> {
     m: &'a dyn Preconditioner,
     pk: ParKernels,
     track: Option<Track>,
-    sell: Option<Arc<SellMatrix>>,
+    /// The matrix's cached SELL form, whichever encoding `from_csr` picked:
+    /// what the per-level SpMVs and a polynomial preconditioner run on.
+    sell: Arc<SellMatrix>,
 }
 
 impl<'a> Mpk<'a> {
@@ -49,7 +51,9 @@ impl<'a> Mpk<'a> {
     /// Creates the kernel with an intra-rank thread pool. The SpMV, the
     /// preconditioner applications, and the elementwise recurrence passes
     /// are row-partitioned over `pk`; results are bitwise identical to the
-    /// serial kernel for every thread count.
+    /// serial kernel for every thread count. The products run on the
+    /// matrix's cached [`CsrMatrix::sell`] form, converted here on first
+    /// use.
     ///
     /// # Panics
     /// Panics if dimensions are inconsistent.
@@ -61,7 +65,7 @@ impl<'a> Mpk<'a> {
             m,
             pk,
             track: None,
-            sell: None,
+            sell: a.sell(),
         }
     }
 
@@ -74,16 +78,11 @@ impl<'a> Mpk<'a> {
         self
     }
 
-    /// Selects the sparse format of the per-level SpMVs and of the
-    /// operator a polynomial preconditioner applies. Under
-    /// [`SparseFormat::Sell`] the matrix's cached [`SellMatrix`] (its
-    /// diagonals or its slots) drives them. Results are bitwise identical
-    /// across formats.
-    pub fn with_format(mut self, format: SparseFormat) -> Self {
-        self.sell = match format {
-            SparseFormat::Csr => None,
-            SparseFormat::Sell => Some(self.a.sell()),
-        };
+    /// Accepted and ignored: the per-level kernels run on the layout
+    /// [`SellMatrix::from_csr`] picks, whatever `format` says. Kept only
+    /// because the frozen `benchmark/` package still calls it; it goes with
+    /// the benchmark change that drops its format axis.
+    pub fn with_format(self, _format: SparseFormat) -> Self {
         self
     }
 
@@ -92,11 +91,6 @@ impl<'a> Mpk<'a> {
     /// sweeps build; they time the same loop either way.
     pub fn with_fused(self, _fuse: bool) -> Self {
         self
-    }
-
-    /// The system matrix in the format the per-level kernels run on.
-    fn op(&self) -> MatRef<'_> {
-        MatRef::of(self.a, self.sell.as_deref())
     }
 
     /// Fills `v` (`n × v_cols`) and `mv` (`n × mv_cols`) with the basis
@@ -148,7 +142,7 @@ impl<'a> Mpk<'a> {
                 None => {
                     let _p = spcg_obs::span(self.track.as_ref(), Phase::Precond);
                     self.m
-                        .apply_par_on(&self.pk, self.op(), v.col(0), mv.col_mut(0));
+                        .apply_par_on(&self.pk, &self.sell, v.col(0), mv.col_mut(0));
                     counters.record_precond(self.m.flops_per_apply());
                 }
             }
@@ -161,7 +155,7 @@ impl<'a> Mpk<'a> {
             // t = A · (M⁻¹ v_j).
             {
                 let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmv);
-                self.pk.spmv_on(self.op(), mv.col(j), &mut t);
+                self.pk.spmv_sell(&self.sell, mv.col(j), &mut t);
             }
             let lower = [v.col(j), v.col(j.saturating_sub(1))];
             recurrence_step(&self.pk, params, j, lower, &mut t, charge, counters);
@@ -169,7 +163,7 @@ impl<'a> Mpk<'a> {
             if j + 1 < mv_cols {
                 let _p = spcg_obs::span(self.track.as_ref(), Phase::Precond);
                 self.m
-                    .apply_par_on(&self.pk, self.op(), v.col(j + 1), mv.col_mut(j + 1));
+                    .apply_par_on(&self.pk, &self.sell, v.col(j + 1), mv.col_mut(j + 1));
                 counters.record_precond(self.m.flops_per_apply());
             }
         }
@@ -209,6 +203,47 @@ pub(crate) fn recurrence_step(
         pk.scale(inv_gamma, t);
     }
     counters.blas1_flops += params.extra_flops_for_column(j + 1, n_global);
+}
+
+/// The CSR reference of a sweep: [`CsrMatrix::spmv`] and the serial
+/// preconditioner apply around the shared [`recurrence_step`], on one
+/// thread, charging `counters` as [`Mpk::run`] does. What every SELL sweep,
+/// and every rank's ghost-zone sweep on its own rows, must reproduce bit
+/// for bit and count for count.
+#[cfg(test)]
+pub(crate) fn csr_sweep(
+    a: &CsrMatrix,
+    m: &dyn Preconditioner,
+    w: &[f64],
+    known_mw: Option<&[f64]>,
+    params: &BasisParams,
+    (v, mv): (&mut MultiVector, &mut MultiVector),
+    counters: &mut Counters,
+) {
+    let n = a.nrows();
+    let pk = ParKernels::serial();
+    v.col_mut(0).copy_from_slice(w);
+    if mv.k() > 0 {
+        match known_mw {
+            Some(mw) => mv.col_mut(0).copy_from_slice(mw),
+            None => {
+                m.apply(w, mv.col_mut(0));
+                counters.record_precond(m.flops_per_apply());
+            }
+        }
+    }
+    let mut t = vec![0.0; n];
+    for j in 0..v.k() - 1 {
+        a.spmv(mv.col(j), &mut t);
+        let lower = [v.col(j), v.col(j.saturating_sub(1))];
+        let charge = (a.spmv_flops(), n as u64);
+        recurrence_step(&pk, params, j, lower, &mut t, charge, counters);
+        v.col_mut(j + 1).copy_from_slice(&t);
+        if j + 1 < mv.k() {
+            m.apply(v.col(j + 1), mv.col_mut(j + 1));
+            counters.record_precond(m.flops_per_apply());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -383,9 +418,10 @@ mod tests {
         [a, twin]
     }
 
-    /// Runs `a` on SELL (with `with_fused(fuse)`, the request the
-    /// benchmark's MPK probe still makes) and on CSR with the same inputs,
-    /// and asserts bitwise equal columns and equal counters.
+    /// Runs `a`'s sweep (with `with_fused(fuse)`, the request the
+    /// benchmark's MPK probe still makes) and the CSR reference
+    /// [`csr_sweep`] with the same inputs, and asserts bitwise equal
+    /// columns and equal counters.
     #[allow(clippy::too_many_arguments)]
     fn assert_sell_matches_csr(
         a: &spcg_sparse::CsrMatrix,
@@ -408,10 +444,9 @@ mod tests {
         let mut v_ref = MultiVector::zeros(n, v_cols);
         let mut mv_ref = MultiVector::zeros(n, mv_cols);
         let mut c_ref = counters();
-        Mpk::new(a, m).run(w, known, params, &mut v_ref, &mut mv_ref, &mut c_ref);
-        let sell = Mpk::new_par(a, m, pk.clone())
-            .with_format(SparseFormat::Sell)
-            .with_fused(fuse);
+        let refs = (&mut v_ref, &mut mv_ref);
+        csr_sweep(a, m, w, known, params, refs, &mut c_ref);
+        let sell = Mpk::new_par(a, m, pk.clone()).with_fused(fuse);
         let mut v = MultiVector::zeros(n, v_cols);
         let mut mv = MultiVector::zeros(n, mv_cols);
         let mut c = counters();
@@ -425,7 +460,7 @@ mod tests {
         assert_eq!(c, c_ref, "{tag}: counters must not change");
     }
 
-    /// The SELL sweep against the CSR one on both encodings: every basis
+    /// The sweep against the CSR reference on both encodings: every basis
     /// family, both `M⁻¹V` shapes, with and without `known_mw`, one to ten
     /// levels, threads 1, 2 and 4, with and without a fused request — one
     /// level-by-level sweep, bitwise equal columns and equal counters.

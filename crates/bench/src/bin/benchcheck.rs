@@ -24,7 +24,7 @@
 //! band, or a γ outside 10 kFLOP/s–10 TFLOP/s means the fit ingested
 //! garbage (empty traces, a unit mix-up, hard-coded constants).
 //!
-//! The SELL format carries its own gates, one per encoding: a fresh
+//! The SELL layout carries its own gates, one per encoding: a fresh
 //! `gflops` object that reports a CSR `spmv` must also report
 //! `spmv_sell_slots` (the slot encoding, on the variable-coefficient twin),
 //! and the single-thread slots/CSR throughput ratio must reach
@@ -35,9 +35,8 @@
 //! [`DIAGONALS_OVER_SLOTS_MIN`]× the slots.
 //!
 //! The Gram kernel has the same kind of gate against the same run's
-//! `sstep_block_update` leg ([`GRAM_MIN_RATIO`]), and the Chebyshev
-//! preconditioner apply on SELL against the same apply on CSR
-//! ([`CHEB_SELL_MIN_RATIO`]), and the rank-local operator cache has one
+//! `sstep_block_update` leg ([`GRAM_MIN_RATIO`]), and the rank-local
+//! operator cache has one
 //! through the same function: a kernels sweep's `ghost_zone` rows must show
 //! the one-iteration ranked solve on a freshly cloned matrix taking at
 //! least [`ZONE_COLD_OVER_WARM_MIN`]× what it takes on a matrix that has
@@ -45,7 +44,7 @@
 //! spawns the workers and ships the matrix) at least
 //! [`PROC_COLD_OVER_WARM_MIN`]× a later one on the resident world. Its
 //! `spmm_gflops` row holds the two premises of how a serial solve routes
-//! a product of k ≥ 2 columns under the SELL format: at k = 8 the
+//! a product of k ≥ 2 columns: at k = 8 the
 //! interleaved CSR SpMM must reach [`SPMM_CSR_OVER_SELL_MIN`]× SELL's SpMM
 //! on slots (so a matrix in slots runs it on CSR), and SELL's SpMM on
 //! diagonals [`SPMM_DIAGONALS_OVER_CSR_MIN`]× the CSR kernel (so a
@@ -113,14 +112,6 @@ const DIAGONALS_OVER_SLOTS_MIN: f64 = 2.0;
 /// 1× means its tile fell out of L1 or lost its AVX2 body.
 const GRAM_MIN_RATIO: f64 = 1.0;
 
-/// Minimum fresh single-thread `cheb_apply.sell[0] / cheb_apply.csr[0]`
-/// ratio. The apply is three band-fused SpMVs on the operator it is handed
-/// (on SELL the Poisson matrix's diagonals) plus `19n` FLOPs of vector work
-/// shared by both legs, so the ratio is the SpMV ratio diluted (reference
-/// runner on slots: 1.3–1.5×). Under 1.15× means the apply stopped
-/// following the format, or the band epilogue ate the gain.
-const CHEB_SELL_MIN_RATIO: f64 = 1.15;
-
 /// Minimum fresh `rank_solve_floor_cold_ms / rank_solve_floor_warm_ms`: a
 /// 2-rank sPCG(s=5) `max_iters = 1` solve on a matrix whose ghost zones
 /// are cached must take at most 0.7× the same solve on a fresh clone,
@@ -138,15 +129,15 @@ const PROC_COLD_OVER_WARM_MIN: f64 = 2.0;
 /// Minimum fresh single-thread `spmm_gflops` `k8.csr / k8.sell` ratio
 /// (`sell` is the slot encoding, on the variable-coefficient twin). A
 /// multi-column product on a matrix SELL keeps in slots runs the
-/// interleaved CSR SpMM whatever the solve's format, on the premise that
+/// interleaved CSR SpMM, on the premise that
 /// it beats SELL's column-at-a-time slot SpMM (reference runner: ≈1.6×).
 /// Under 1× the premise is gone: the routing, or the CSR kernel, has to be
 /// looked at again.
 const SPMM_CSR_OVER_SELL_MIN: f64 = 1.0;
 
 /// Minimum fresh single-thread `spmm_gflops` `k8.diagonals / k8.csr`
-/// ratio. Under the SELL format a multi-column product on a
-/// constant-coefficient matrix runs SELL's SpMM on its diagonals, one
+/// ratio. A multi-column product on a constant-coefficient matrix runs
+/// SELL's SpMM on its diagonals, one
 /// gather-free SpMV per column, on the premise that streaming no matrix
 /// beats the interleaved CSR kernel's one pass over it (reference runner:
 /// 1.6–1.9×). Under 1× that routing is the slower choice for every
@@ -206,12 +197,6 @@ fn main() -> ExitCode {
                         DIAGONALS_OVER_SLOTS_MIN,
                     ),
                     ("gflops", "gram_fused", "sstep_block_update", GRAM_MIN_RATIO),
-                    (
-                        "gflops",
-                        "cheb_apply.sell",
-                        "cheb_apply.csr",
-                        CHEB_SELL_MIN_RATIO,
-                    ),
                     (
                         "ghost_zone",
                         "rank_solve_floor_cold_ms",

@@ -17,7 +17,7 @@
 //! rows need the worker binary built beside this one, and the bin exits
 //! before measuring without it, and the `spmm_gflops` row: single-thread
 //! `Y ← A·X` at k = 2, 4, 8 on CSR, SELL slots and SELL diagonals, CSR held
-//! to at least the slots' rate at k = 8) and
+//! to at least the slots' rate at k = 8 and the slots to CSR's at k = 2) and
 //! `BENCH_overlap.json` (interior/frontier split-SpMV and halo
 //! post/complete timings per rank count).
 //!
@@ -49,11 +49,9 @@
 //! `sstep_block_update` is the whole vector-update phase of an sPCG block
 //! (`AU = S·B`, both blocked updates, `x += P·a`, `r −= AP·a`) as the
 //! solvers run it: one pass, `4s² + 9s − 2` FLOPs per row with the
-//! Chebyshev recurrence. `cheb_apply.csr` / `cheb_apply.sell` time one
-//! degree-3 Chebyshev preconditioner application through `apply_on`, the
-//! band-fused recurrence, on each stored form of the operator
-//! (`flops_per_apply` per call); benchcheck holds the single-thread SELL
-//! leg to 1.15× the CSR one.
+//! Chebyshev recurrence. `cheb_apply.sell` times one degree-3 Chebyshev
+//! preconditioner application through `apply_on`, the band-fused
+//! recurrence, on the matrix's SELL form (`flops_per_apply` per call).
 
 use spcg_basis::{BasisParams, Mpk};
 use spcg_bench::{quick_mode, write_results};
@@ -67,8 +65,7 @@ use spcg_sparse::generators::poisson::poisson_3d;
 use spcg_sparse::generators::{paper_rhs, perturb_diagonal};
 use spcg_sparse::partition::BlockRowPartition;
 use spcg_sparse::{
-    CsrMatrix, DenseMat, GhostZone, MatRef, MultiVector, ParKernels, SellMatrix, SparseFormat,
-    SstepBlock,
+    CsrMatrix, DenseMat, GhostZone, MultiVector, ParKernels, SellMatrix, SstepBlock,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -99,8 +96,8 @@ const SELL_REPS: usize = 20;
 const SSTEP_THREAD: usize = 6;
 /// Pseudo-thread ids and `s` of the stacked `[U|P]ᵀS` Gram legs.
 const STACKED: [(usize, usize); 2] = [(7, 5), (8, S)];
-/// Pseudo-thread ids of the Chebyshev apply legs, CSR then SELL.
-const CHEB_THREADS: [usize; 2] = [9, 10];
+/// Pseudo-thread id of the Chebyshev apply leg.
+const CHEB_THREAD: usize = 10;
 /// Applies per timed sample of a Chebyshev leg (one apply is a millisecond,
 /// short enough for a timer tick or a migration to show) and samples per
 /// leg, in quick mode too: the whole row costs under a second.
@@ -188,7 +185,7 @@ fn overlap_round(
         let track = tracer.track(comm.rank());
         let (lo, hi) = part.range(comm.rank());
         let nl = hi - lo;
-        let gz = a.ghost_zone(lo, hi, 1, SparseFormat::Csr);
+        let gz = a.ghost_zone(lo, hi, 1);
         let plan = board.plan(gz.ghost_indices());
         let pk = ParKernels::new(1);
         let x_local = &x[lo..hi];
@@ -245,29 +242,27 @@ fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// The `ghost_zone` object of `BENCH_kernels.json` (see the module docs):
-/// cold `GhostZone::new` of rank 0's block per format and depth, a cache
+/// cold `GhostZone::new` of rank 0's block per depth, a cache
 /// hit of [`CsrMatrix::ghost_zone`], and the one-iteration floor of a
-/// `ZONE_RANKS`-rank sPCG(s=5) SELL solve, warm (the matrix has served the
+/// `ZONE_RANKS`-rank sPCG(s=5) solve, warm (the matrix has served the
 /// same solve) and cold (a fresh clone per sample), samples alternating.
 fn ghost_zone_rows(a: &CsrMatrix) -> String {
     let (lo, hi) = BlockRowPartition::balanced(a.nrows(), ZONE_RANKS).range(0);
     let mut build_cells = Vec::new();
-    for format in [SparseFormat::Csr, SparseFormat::Sell] {
-        for depth in ZONE_DEPTHS {
-            let ms = best_ms(ZONE_REPS, || {
-                black_box(GhostZone::new(a, lo, hi, depth, format));
-            });
-            build_cells.push(format!("\"{}_d{depth}\": {ms:.4}", format.name()));
-        }
+    for depth in ZONE_DEPTHS {
+        let ms = best_ms(ZONE_REPS, || {
+            black_box(GhostZone::new(a, lo, hi, depth));
+        });
+        build_cells.push(format!("\"sell_d{depth}\": {ms:.4}"));
     }
 
     let warm = a.clone();
     let depth = ZONE_DEPTHS[1];
-    warm.ghost_zone(lo, hi, depth, SparseFormat::Sell);
+    warm.ghost_zone(lo, hi, depth);
     let lookup_us = 1e3 / ZONE_LOOKUPS as f64
         * best_ms(1, || {
             for _ in 0..ZONE_LOOKUPS {
-                black_box(warm.ghost_zone(lo, hi, black_box(1), SparseFormat::Sell));
+                black_box(warm.ghost_zone(lo, hi, black_box(1)));
             }
         });
 
@@ -275,9 +270,7 @@ fn ghost_zone_rows(a: &CsrMatrix) -> String {
     let m = Jacobi::new(a);
     let basis = chebyshev_basis(&Problem::new(a, &m, &b), 20, 0.05);
     let method = Method::SPcg { s: depth, basis };
-    let opts = SolveOptions::default()
-        .with_max_iters(1)
-        .with_format(SparseFormat::Sell);
+    let opts = SolveOptions::default().with_max_iters(1);
     let engine = Engine::Ranked { ranks: ZONE_RANKS };
     let floor = |on: &CsrMatrix| {
         best_ms(1, || {
@@ -306,8 +299,8 @@ fn ghost_zone_rows(a: &CsrMatrix) -> String {
 /// interleaved CSR kernel (`csr`, on the variable-coefficient twin) and
 /// SELL's column-at-a-time `ParKernels::spmm_sell` on the twin's slots
 /// (`sell`) and on the matrix's diagonals (`diagonals`). A serial solve's
-/// multi-column products run `diagonals` under the SELL format on a
-/// constant-coefficient matrix and `csr` everywhere else. The legs
+/// multi-column products run `diagonals` on a constant-coefficient matrix
+/// and `csr` everywhere else. The legs
 /// alternate sample by sample; benchcheck fails a k = 8 rate ordering that
 /// contradicts that routing.
 fn spmm_rows(twin: &CsrMatrix, slots: &SellMatrix, diagonals: &SellMatrix) -> String {
@@ -341,7 +334,7 @@ fn spmm_rows(twin: &CsrMatrix, slots: &SellMatrix, diagonals: &SellMatrix) -> St
 }
 
 /// The floor on `spcg-rankd` workers: a `max_iters = 1` 2-rank sPCG(s=5)
-/// SELL solve of `poisson_3d(16)` over the proc backend, cold and warm.
+/// solve of `poisson_3d(16)` over the proc backend, cold and warm.
 /// Cold is the first proc solve of this process, which spawns the world
 /// and ships the matrix — what every proc solve paid before workers were
 /// resident — so it is one sample by construction; warm is the best of
@@ -362,7 +355,6 @@ fn proc_floor_ms() -> (f64, f64) {
     };
     let opts = SolveOptions::default()
         .with_max_iters(1)
-        .with_format(SparseFormat::Sell)
         .with_backend(Backend::Proc);
     let floor = || {
         best_ms(1, || {
@@ -445,7 +437,7 @@ fn main() {
     // (SpMV + basis corrections + pointwise precond) so both encodings'
     // legs are normalized by the identical total.
     let mpk_flops: f64 = {
-        let probe = Mpk::new_par(&a, &m_jac, ParKernels::new(1)).with_format(SparseFormat::Sell);
+        let probe = Mpk::new_par(&a, &m_jac, ParKernels::new(1));
         let mut v = MultiVector::zeros(n, S + 1);
         let mut mv = MultiVector::zeros(n, S + 1);
         let mut c = Counters::new();
@@ -464,7 +456,7 @@ fn main() {
     let mut update_gf = Vec::new();
     let mut update_cold_gf = Vec::new();
     let mut sstep_gf = Vec::new();
-    let mut cheb_gf = [Vec::new(), Vec::new()];
+    let mut cheb_gf = Vec::new();
     // Degree 3 on the Gershgorin interval, the paper's Table 3 setting.
     let cheb = ChebyshevPrecond::from_matrix(Arc::clone(&a), 3, 30.0);
     let cheb_flops = CHEB_CALLS as f64 * cheb.flops_per_apply() as f64;
@@ -530,24 +522,17 @@ fn main() {
                 pk.sstep_block_update(&blk, &mut p_mat, &mut ap_mat, &mut xv, &mut rv);
             }
 
-            // The Chebyshev apply on each stored form, operands built and
-            // dropped with the legs; the first calls warm the band
-            // schedules. The two legs alternate sample by sample, so a
-            // noisy stretch of the machine lands on both sides of the
-            // ratio benchcheck gates.
+            // The Chebyshev apply on the matrix's SELL form, operands built
+            // and dropped with the leg; the first call warms the band
+            // schedule.
             {
-                let legs = [MatRef::Csr(&a), MatRef::Sell(&sell)];
-                let cheb_tracks = CHEB_THREADS.map(|thread| tracer.track_on(t, thread));
+                let cheb_track = tracer.track_on(t, CHEB_THREAD);
                 let (r, mut z) = (x.clone(), vec![0.0; n]);
-                for op in legs {
-                    cheb.apply_on(&pk, op, &r, &mut z);
-                }
+                cheb.apply_on(&pk, &sell, &r, &mut z);
                 for _ in 0..CHEB_REPS {
-                    for (cheb_track, op) in cheb_tracks.iter().zip(legs) {
-                        let _s = cheb_track.span(Phase::Precond);
-                        for _ in 0..CHEB_CALLS {
-                            cheb.apply_on(&pk, op, std::hint::black_box(&r), &mut z);
-                        }
+                    let _s = cheb_track.span(Phase::Precond);
+                    for _ in 0..CHEB_CALLS {
+                        cheb.apply_on(&pk, &sell, std::hint::black_box(&r), &mut z);
                     }
                 }
             }
@@ -578,8 +563,7 @@ fn main() {
             ];
             for (op, m, level_thread) in legs {
                 let level_track = tracer.track_on(t, level_thread);
-                let mpk_level =
-                    Mpk::new_par(op, m, ParKernels::new(t)).with_format(SparseFormat::Sell);
+                let mpk_level = Mpk::new_par(op, m, ParKernels::new(t));
                 let mut v = MultiVector::zeros(n, S + 1);
                 let mut mv = MultiVector::zeros(n, S + 1);
                 let mut c = Counters::new();
@@ -620,16 +604,13 @@ fn main() {
         update_gf.push(update_flops / tu / 1e9);
         update_cold_gf.push(update_flops / tu_cold / 1e9);
         sstep_gf.push(sstep_flops / t_sstep / 1e9);
-        for (gf, thread) in cheb_gf.iter_mut().zip(CHEB_THREADS) {
-            gf.push(cheb_flops / min_of(thread, Phase::Precond) / 1e9);
-        }
+        cheb_gf.push(cheb_flops / min_of(CHEB_THREAD, Phase::Precond) / 1e9);
         eprintln!(
-            "[kernels] threads={t}: spmv {:.2} GF/s (sell diagonals {:.2}, slots {:.2}), cheb apply {:.2} GF/s (sell {:.2}), mpk {:.2} GF/s (slots {:.2}), gram {:.2} GF/s (stacked s=5 {:.2}, s=10 {:.2}), update {:.2} GF/s (cold {:.2}), sstep block update {:.2} GF/s",
+            "[kernels] threads={t}: spmv {:.2} GF/s (sell diagonals {:.2}, slots {:.2}), cheb apply {:.2} GF/s, mpk {:.2} GF/s (slots {:.2}), gram {:.2} GF/s (stacked s=5 {:.2}, s=10 {:.2}), update {:.2} GF/s (cold {:.2}), sstep block update {:.2} GF/s",
             spmv_gf.last().unwrap(),
             spmv_sell_gf.last().unwrap(),
             spmv_slots_gf.last().unwrap(),
-            cheb_gf[0].last().unwrap(),
-            cheb_gf[1].last().unwrap(),
+            cheb_gf.last().unwrap(),
             mpk_level_gf.last().unwrap(),
             mpk_level_slots_gf.last().unwrap(),
             gram_gf.last().unwrap(),
@@ -664,7 +645,7 @@ fn main() {
     // kernel that fails to scale from a machine that cannot show scaling.
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let out = format!(
-        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"sell_slots_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_levelwise_sell\": {},\n    \"spmv_sell_slots\": {},\n    \"mpk_levelwise_sell_slots\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_levelwise_sell\": {},\n    \"spmv_sell_slots\": {},\n    \"mpk_levelwise_sell_slots\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.csr\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }},\n  \"spmm_gflops\": {spmm},\n  \"ghost_zone\": {zone_rows}\n}}\n",
+        "{{\n  \"matrix\": \"poisson3d_{grid}\",\n  \"n\": {n},\n  \"nnz\": {nnz},\n  \"s\": {S},\n  \"gram_columns\": {k},\n  \"reps\": {reps},\n  \"nproc\": {nproc},\n  \"threads\": [{}],\n  \"sell_pad_ratio\": {:.4},\n  \"sell_slots_pad_ratio\": {:.4},\n  \"gflops\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_levelwise_sell\": {},\n    \"spmv_sell_slots\": {},\n    \"mpk_levelwise_sell_slots\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"speedup_vs_1_thread\": {{\n    \"spmv\": {},\n    \"spmv_sell\": {},\n    \"spmv_sell_cold\": {},\n    \"mpk_levelwise_sell\": {},\n    \"spmv_sell_slots\": {},\n    \"mpk_levelwise_sell_slots\": {},\n    \"gram_fused\": {},\n    \"gram_stacked_s5\": {},\n    \"gram_stacked_s10\": {},\n    \"blocked_update\": {},\n    \"blocked_update_cold\": {},\n    \"sstep_block_update\": {},\n    \"cheb_apply.sell\": {}\n  }},\n  \"allreduce\": {{\n    \"ranks\": {:?},\n    \"words\": {:?},\n    \"median_us\": [{}]\n  }},\n  \"spmm_gflops\": {spmm},\n  \"ghost_zone\": {zone_rows}\n}}\n",
         threads_list.join(", "),
         sell.pad_ratio(),
         sell_slots.pad_ratio(),
@@ -680,8 +661,7 @@ fn main() {
         json_array(&update_gf),
         json_array(&update_cold_gf),
         json_array(&sstep_gf),
-        json_array(&cheb_gf[0]),
-        json_array(&cheb_gf[1]),
+        json_array(&cheb_gf),
         json_array(&speedup(&spmv_gf)),
         json_array(&speedup(&spmv_sell_gf)),
         json_array(&speedup(&spmv_sell_cold_gf)),
@@ -694,8 +674,7 @@ fn main() {
         json_array(&speedup(&update_gf)),
         json_array(&speedup(&update_cold_gf)),
         json_array(&speedup(&sstep_gf)),
-        json_array(&speedup(&cheb_gf[0])),
-        json_array(&speedup(&cheb_gf[1])),
+        json_array(&speedup(&cheb_gf)),
         ALLREDUCE_RANKS,
         ALLREDUCE_WORDS,
         allreduce_rows.join(", "),

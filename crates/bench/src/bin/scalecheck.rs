@@ -27,7 +27,6 @@ use spcg_perf::scaling::{poisson3d_halo_per_rank, strong_scaling};
 use spcg_perf::{Calibration, Calibrator};
 use spcg_solvers::{solve, Engine, Method, SolveOptions, SolveResult};
 use spcg_sparse::generators::poisson::poisson_3d;
-use spcg_sparse::SparseFormat;
 
 const NODES: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 const RANKS_PER_NODE: usize = 128;
@@ -37,14 +36,12 @@ fn calibration_solve(
     inst: &Instance,
     method: &Method,
     backend: Backend,
-    format: SparseFormat,
     ranks: usize,
 ) -> (SolveResult, Tracer) {
     let tracer = Tracer::new();
     let opts = SolveOptions {
         tol: 1e-6,
         overlap: false,
-        format,
         backend,
         trace: Some(tracer.clone()),
         ..SolveOptions::default()
@@ -53,14 +50,9 @@ fn calibration_solve(
     (res, tracer)
 }
 
-/// Calibrates one `(backend, format)` pair over the grid sweep: the α-β
-/// transport fit is format-independent in principle, but γ is the rate of
-/// the format's own SpMV kernel, so each format gets its own fit.
-fn calibrate(
-    grids: &[usize],
-    backend: Backend,
-    format: SparseFormat,
-) -> (Calibration, Vec<Instance>) {
+/// Calibrates one backend over the grid sweep: the α-β transport fit and γ,
+/// the rate of the ranks' SpMV on their ghost zones.
+fn calibrate(grids: &[usize], backend: Backend) -> (Calibration, Vec<Instance>) {
     let mut cal = Calibrator::new();
     let mut instances = Vec::new();
     for &grid in grids {
@@ -70,19 +62,17 @@ fn calibrate(
             Precond::Jacobi,
         );
         for ranks in RANKS {
-            let (res, tracer) = calibration_solve(&inst, &Method::Pcg, backend, format, ranks);
+            let (res, tracer) = calibration_solve(&inst, &Method::Pcg, backend, ranks);
             assert!(
                 res.converged(),
-                "calibration solve diverged: {} {} {} ranks={ranks}",
+                "calibration solve diverged: {} {} ranks={ranks}",
                 backend.as_str(),
-                format.name(),
                 inst.name,
             );
             cal.ingest(&tracer, &res.counters);
             eprintln!(
-                "[scalecheck] {} {} {} ranks={ranks}: {} iters, {} exchanges",
+                "[scalecheck] {} {} ranks={ranks}: {} iters, {} exchanges",
                 backend.as_str(),
-                format.name(),
                 inst.name,
                 res.iterations,
                 res.counters.halo_exchanges,
@@ -90,7 +80,7 @@ fn calibrate(
         }
         instances.push(inst);
     }
-    (cal.fit_format(backend.as_str(), format.name()), instances)
+    (cal.fit(backend.as_str()), instances)
 }
 
 fn json_array_sci(values: &[f64]) -> String {
@@ -103,68 +93,49 @@ fn json_array(values: &[f64]) -> String {
     format!("[{}]", cells.join(", "))
 }
 
-/// One fitted-constants JSON object (the `calibration`/`calibration_sell`
-/// blocks).
+/// One fitted-constants JSON object (the `calibration` block).
 fn calibration_json(cal: &Calibration) -> String {
     format!(
-        "{{\n        \"format\": \"{}\",\n        \"alpha_seconds\": {:.3e},\n        \"beta_seconds_per_word\": {:.3e},\n        \"gamma_flops\": {:.3e},\n        \"samples\": {}\n      }}",
-        cal.format, cal.alpha, cal.beta, cal.gamma, cal.samples,
+        "{{\n        \"alpha_seconds\": {:.3e},\n        \"beta_seconds_per_word\": {:.3e},\n        \"gamma_flops\": {:.3e},\n        \"samples\": {}\n      }}",
+        cal.alpha, cal.beta, cal.gamma, cal.samples,
     )
 }
 
-/// One backend's JSON block: fitted constants for both sparse formats plus
-/// the replayed curves — Figure 1 priced with the CSR rate and again with
-/// the measured SELL rate.
+/// One backend's JSON block: the fitted constants plus the replayed
+/// Figure 1 curves priced with them.
 fn backend_block(
     cal: &Calibration,
-    cal_sell: &Calibration,
     replay_inst: &Instance,
     grid: usize,
     backend: Backend,
 ) -> String {
     let machine = cal.machine_params();
-    let machine_sell = cal_sell.machine_params();
     // Counter blocks for the replay: the calibrated transport prices a
     // fresh PCG and sPCG(s=10) solve of the largest calibration problem.
-    // Operation counts are format-independent (the formats are bitwise
-    // identical), so one counter block serves both machine fits.
-    let (pcg, _) = calibration_solve(
-        replay_inst,
-        &Method::Pcg,
-        backend,
-        SparseFormat::Csr,
-        RANKS[0],
-    );
+    let (pcg, _) = calibration_solve(replay_inst, &Method::Pcg, backend, RANKS[0]);
     let spcg = {
         let method = Method::SPcg {
             s: 10,
             basis: replay_inst.chebyshev.clone(),
         };
-        let (res, _) =
-            calibration_solve(replay_inst, &method, backend, SparseFormat::Csr, RANKS[0]);
-        res
+        calibration_solve(replay_inst, &method, backend, RANKS[0]).0
     };
     assert!(pcg.converged() && spcg.converged(), "replay solve diverged");
     let halo = |ranks: usize| poisson3d_halo_per_rank(grid, ranks);
     let pcg_pts = strong_scaling(&pcg.counters, &machine, &NODES, RANKS_PER_NODE, halo);
     let spcg_pts = strong_scaling(&spcg.counters, &machine, &NODES, RANKS_PER_NODE, halo);
-    let spcg_sell_pts = strong_scaling(&spcg.counters, &machine_sell, &NODES, RANKS_PER_NODE, halo);
     let pcg_t: Vec<f64> = pcg_pts.iter().map(|p| p.time.total()).collect();
     let spcg_t: Vec<f64> = spcg_pts.iter().map(|p| p.time.total()).collect();
-    let spcg_sell_t: Vec<f64> = spcg_sell_pts.iter().map(|p| p.time.total()).collect();
     let pcg_1n = pcg_t[0];
     let speedup = |ts: &[f64]| -> Vec<f64> { ts.iter().map(|t| pcg_1n / t).collect() };
     format!(
-        "    \"{}\": {{\n      \"calibration\": {},\n      \"calibration_sell\": {},\n      \"modeled_seconds\": {{\n        \"pcg\": {},\n        \"spcg_s10\": {},\n        \"spcg_s10_sell\": {}\n      }},\n      \"speedup_over_pcg_1node\": {{\n        \"pcg\": {},\n        \"spcg_s10\": {},\n        \"spcg_s10_sell\": {}\n      }}\n    }}",
+        "    \"{}\": {{\n      \"calibration\": {},\n      \"modeled_seconds\": {{\n        \"pcg\": {},\n        \"spcg_s10\": {}\n      }},\n      \"speedup_over_pcg_1node\": {{\n        \"pcg\": {},\n        \"spcg_s10\": {}\n      }}\n    }}",
         cal.backend,
         calibration_json(cal),
-        calibration_json(cal_sell),
         json_array_sci(&pcg_t),
         json_array_sci(&spcg_t),
-        json_array_sci(&spcg_sell_t),
         json_array(&speedup(&pcg_t)),
         json_array(&speedup(&spcg_t)),
-        json_array(&speedup(&spcg_sell_t)),
     )
 }
 
@@ -190,18 +161,14 @@ fn main() {
     let mut blocks = Vec::new();
     for backend in [Backend::Thread, Backend::Proc] {
         eprintln!("[scalecheck] calibrating {} backend", backend.as_str());
-        let (cal, instances) = calibrate(grids, backend, SparseFormat::Csr);
-        let (cal_sell, _) = calibrate(grids, backend, SparseFormat::Sell);
-        for c in [&cal, &cal_sell] {
-            eprintln!(
-                "[scalecheck] {} {}: alpha={:.3e}s beta={:.3e}s/word gamma={:.3e}flop/s ({} samples)",
-                c.backend, c.format, c.alpha, c.beta, c.gamma, c.samples
-            );
-        }
+        let (cal, instances) = calibrate(grids, backend);
+        eprintln!(
+            "[scalecheck] {}: alpha={:.3e}s beta={:.3e}s/word gamma={:.3e}flop/s ({} samples)",
+            cal.backend, cal.alpha, cal.beta, cal.gamma, cal.samples
+        );
         let replay_inst = instances.last().unwrap();
         blocks.push(backend_block(
             &cal,
-            &cal_sell,
             replay_inst,
             *grids.last().unwrap(),
             backend,

@@ -21,6 +21,9 @@
 //! so the k-scaling curve isolates the matrix-stream amortization alone.
 //! The requests/s curve must be monotone non-decreasing in k — that (and
 //! the width-1 overhead vs plain `solve()`) is what `benchcheck` gates.
+//! This stencil takes SELL's diagonal encoding, whose products stream no
+//! matrix, so the curve has nothing to amortize and fails that gate
+//! (ROADMAP 13(c)).
 
 use spcg_bench::{quick_mode, write_results};
 use spcg_precond::{Jacobi, Preconditioner};
@@ -105,11 +108,11 @@ fn main() {
     }
     let sc = handle.setup_cost();
     eprintln!(
-        "[service] setup: cold {:.1}ms (precond {:.1}ms, format {:.1}ms, warmup {:.1}ms), \
+        "[service] setup: cold {:.1}ms (precond {:.1}ms, layout {:.1}ms, warmup {:.1}ms), \
          hit {:.3}ms, cold-start solve {:.1}ms",
         cold_setup_s * 1e3,
         sc.precond.as_secs_f64() * 1e3,
-        sc.format.as_secs_f64() * 1e3,
+        sc.layout.as_secs_f64() * 1e3,
         sc.warmup.as_secs_f64() * 1e3,
         hit_setup_s * 1e3,
         cold_start_solve_s * 1e3,

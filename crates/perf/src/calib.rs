@@ -94,15 +94,12 @@ impl Calibrator {
         &self.samples
     }
 
-    /// Fits the accumulated measurements, labelling γ with the sparse
-    /// format the calibration solves ran on (`"csr"` | `"sell"`): the
-    /// compute rate is a property of the kernel that produced it, and the
-    /// scaling replay should say which one it replays.
+    /// Fits the accumulated measurements of one backend.
     ///
     /// # Panics
     /// Panics when nothing was ingested (no samples and no compute time) —
     /// a fit of nothing is a bug in the calling sweep.
-    pub fn fit_format(&self, backend: &str, format: &str) -> Calibration {
+    pub fn fit(&self, backend: &str) -> Calibration {
         assert!(
             !self.samples.is_empty() || self.compute_seconds > 0.0,
             "calibration: no measurements ingested"
@@ -147,7 +144,6 @@ impl Calibrator {
         };
         Calibration {
             backend: backend.to_string(),
-            format: format.to_string(),
             alpha,
             beta,
             gamma,
@@ -158,7 +154,7 @@ impl Calibrator {
 
 /// Ordinary least squares for `t = α + β·w`. With fewer than two distinct
 /// abscissae the slope is unidentifiable: the mean wait becomes α and β
-/// falls to the floor in [`Calibrator::fit_format`].
+/// falls to the floor in [`Calibrator::fit`].
 fn fit_affine(samples: &[CalibSample]) -> (f64, f64) {
     let n = samples.len() as f64;
     if samples.is_empty() {
@@ -193,10 +189,6 @@ fn fit_affine(samples: &[CalibSample]) -> (f64, f64) {
 pub struct Calibration {
     /// Backend the constants describe (`"thread"` or `"proc"`).
     pub backend: String,
-    /// Sparse format γ was measured on (`"csr"` or `"sell"`) — the two
-    /// kernels run at different flop rates, so a replay must price
-    /// compute with the matching fit.
-    pub format: String,
     /// Exchange latency floor (seconds): the fitted wait at zero words.
     pub alpha: f64,
     /// Inverse exchange bandwidth (seconds per word).
@@ -283,7 +275,7 @@ mod tests {
         ];
         c.compute_seconds = 1.0;
         c.spmv_flops = 1.0e9;
-        let cal = c.fit_format("thread", "csr");
+        let cal = c.fit("thread");
         assert!(
             (cal.alpha - 0.1 * 1.0e-5).abs() < 1e-12,
             "alpha {}",
@@ -297,7 +289,6 @@ mod tests {
     fn machine_params_preserve_default_ratios() {
         let cal = Calibration {
             backend: "thread".into(),
-            format: "csr".into(),
             alpha: 5.0e-7,
             beta: 2.0e-10,
             gamma: 3.0e9,
@@ -324,27 +315,26 @@ mod tests {
         let mut counters = Counters::new();
         counters.spmv_flops = 1_000_000;
         c.ingest(&tracer, &counters);
-        let cal = c.fit_format("thread", "csr");
+        let cal = c.fit("thread");
         assert_eq!(cal.samples, 0);
         assert!(cal.gamma > 1e4);
         cal.machine_params().validate();
     }
 
     #[test]
-    fn fit_carries_backend_and_format_labels() {
+    fn fit_carries_the_backend_label() {
         let mut c = Calibrator::new();
         c.compute_seconds = 0.5;
         c.spmv_flops = 2.0e9;
-        let cal = c.fit_format("proc", "sell");
+        let cal = c.fit("proc");
         assert_eq!(cal.backend, "proc");
-        assert_eq!(cal.format, "sell");
-        let other = c.fit_format("proc", "csr");
+        let other = c.fit("thread");
         assert_eq!(cal.gamma, other.gamma, "label does not change the fit");
     }
 
     #[test]
     #[should_panic(expected = "no measurements")]
     fn fitting_nothing_panics() {
-        Calibrator::new().fit_format("thread", "csr");
+        Calibrator::new().fit("thread");
     }
 }

@@ -16,11 +16,14 @@
 //! # One recurrence, on the caller's operator
 //!
 //! With `d` SpMVs per apply the preconditioner *is* the solve's SpMV
-//! layer, so it does not own a sparse format: [`SpmvPolyApply::apply_on`]
-//! takes the operator as a [`MatRef`] and the executors hand it the stored
-//! form their own kernels run on. [`Preconditioner::apply`] and
-//! [`Preconditioner::apply_par`], which have no format to follow, are the
-//! same body on the preconditioner's CSR matrix.
+//! layer, so it runs on the layout the solve's own products use:
+//! [`SpmvPolyApply::apply_on`] takes the matrix's [`SellMatrix`] (diagonals
+//! or slots, whichever `from_csr` picked) and the executors hand it theirs.
+//! [`Preconditioner::apply`] and [`Preconditioner::apply_par`], which no
+//! solve calls (their caller is set-up's spectrum estimate, whose own
+//! products are [`CsrMatrix::spmv`] too), are the closure form over the CSR
+//! reference SpMV on the preconditioner's own matrix: they neither convert
+//! nor pin a SELL copy of it.
 //!
 //! The body is a prologue pass writing `d = z₀ = r/θ` and then, per
 //! degree, one [`ParKernels::spmv_bands`] sweep whose epilogue is the
@@ -32,9 +35,10 @@
 //! `z` (odd degree: start in the temporary). Per element the operations
 //! are those of the closure form [`SpmvPolyApply::apply_with_spmv`] in the
 //! same order and a band of `A z` is bitwise the band of the whole-matrix
-//! SpMV in either format, so every form gives the same bits for every
+//! SpMV on either encoding, so every form gives the same bits for every
 //! thread count. The closure form stays for the ranked engine, whose SpMV
-//! is a halo exchange; both draw `(θ, c1, c2)` from one helper.
+//! is a halo exchange, and for the operator-less entry points; both forms
+//! draw `(θ, c1, c2)` from one helper.
 //!
 //! **Allocation rule.** Every apply makes exactly two length-`n` heap
 //! allocations and drops them on return (`d` and the second iterate
@@ -46,7 +50,7 @@
 
 use crate::spec::PrecondSpec;
 use crate::traits::{DistForm, Preconditioner, SpmvPolyApply};
-use spcg_sparse::{CsrMatrix, MatRef, ParKernels};
+use spcg_sparse::{CsrMatrix, ParKernels, SellMatrix};
 use std::sync::Arc;
 
 /// Chebyshev polynomial preconditioner of a given degree.
@@ -141,8 +145,8 @@ impl SpmvPolyApply for ChebyshevPrecond {
         }
     }
 
-    fn apply_on(&self, pk: &ParKernels, op: MatRef<'_>, r: &[f64], z: &mut [f64]) {
-        let n = op.nrows();
+    fn apply_on(&self, pk: &ParKernels, a: &SellMatrix, r: &[f64], z: &mut [f64]) {
+        let n = a.out_len();
         assert_eq!(r.len(), n, "ChebyshevPrecond::apply: input length mismatch");
         assert_eq!(
             z.len(),
@@ -162,7 +166,7 @@ impl SpmvPolyApply for ChebyshevPrecond {
         } else {
             (&mut other[..], z)
         };
-        let bounds = pk.band_schedule(op);
+        let bounds = pk.band_schedule(a);
         pk.for_each_ranges_mut([&mut d[..], &mut *cur], &bounds, |c, [d, z0]| {
             for ((di, zi), ri) in d.iter_mut().zip(z0).zip(&r[bounds[c]..]) {
                 *di = ri / theta;
@@ -171,7 +175,7 @@ impl SpmvPolyApply for ChebyshevPrecond {
         });
         for (c1, c2) in steps {
             let zc = &*cur;
-            pk.spmv_bands(op, zc, [&mut d[..], &mut *next], |lo, az, [d, zn]| {
+            pk.spmv_bands(a, zc, [&mut d[..], &mut *next], |lo, az, [d, zn]| {
                 let (r, zc) = (&r[lo..], &zc[lo..]);
                 for i in 0..az.len() {
                     d[i] = c1 * d[i] + c2 * (r[i] - az[i]);
@@ -193,7 +197,7 @@ impl Preconditioner for ChebyshevPrecond {
     }
 
     fn apply_par(&self, pk: &ParKernels, r: &[f64], z: &mut [f64]) {
-        self.apply_on(pk, MatRef::Csr(&self.a), r, z);
+        self.apply_with_spmv(r, z, &mut |x, y| pk.spmv(&self.a, x, y));
     }
 
     fn dim(&self) -> usize {
@@ -346,7 +350,7 @@ mod tests {
         use spcg_sparse::generators::perturb_diagonal;
         use spcg_sparse::generators::poisson::{poisson_2d, poisson_3d};
         // n = 400 (under one band), 1728 (a ragged second band) and 39 304:
-        // the last is over the pool's split floor in both formats, so two
+        // the last is over the pool's split floor on both encodings, so two
         // threads on a machine with two cores take the pooled band path.
         // The stencils run SELL on diagonals; their variable-coefficient
         // twins on slots.
@@ -372,18 +376,16 @@ mod tests {
                 let want = apply_by_closure(&p, &a, &r);
                 for &t in threads {
                     let pk = ParKernels::new(t);
-                    let ops = [("csr", MatRef::Csr(&a)), ("sell", MatRef::Sell(&sell))];
-                    for (format, op) in ops {
-                        let mut z = vec![f64::NAN; n];
-                        p.apply_on(&pk, op, &r, &mut z);
-                        let tag = format!(
-                            "n={n} diagonal={diagonal} degree={degree} threads={t} {format}"
-                        );
-                        assert_same_bits(&z, &want, &tag);
-                        let mut z = vec![f64::NAN; n];
-                        p.apply_par_on(&pk, op, &r, &mut z);
-                        assert_same_bits(&z, &want, &format!("{tag} via dist_form"));
-                    }
+                    let tag = format!("n={n} diagonal={diagonal} degree={degree} threads={t}");
+                    let mut z = vec![f64::NAN; n];
+                    p.apply_on(&pk, &sell, &r, &mut z);
+                    assert_same_bits(&z, &want, &tag);
+                    let mut z = vec![f64::NAN; n];
+                    p.apply_par_on(&pk, &sell, &r, &mut z);
+                    assert_same_bits(&z, &want, &format!("{tag} via dist_form"));
+                    let mut z = vec![f64::NAN; n];
+                    p.apply_par(&pk, &r, &mut z);
+                    assert_same_bits(&z, &want, &format!("{tag} via apply_par"));
                 }
             }
         }

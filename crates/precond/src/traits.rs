@@ -10,13 +10,12 @@
 //! The serial executor, the level-wise matrix powers kernel and the
 //! blocked batch dispatch on it too, through
 //! [`Preconditioner::apply_par_on`]: a [`DistForm::SpmvPolynomial`]
-//! operator is a recurrence over SpMVs, so it is run on the stored form of
-//! `A` the caller's own kernels use ([`SpmvPolyApply::apply_on`]) — the
-//! solve's `SparseFormat` decides the layout of *every* matrix stream, the
-//! preconditioner's included. All other forms own their data and take
+//! operator is a recurrence over SpMVs, so it is run on the caller's
+//! [`SellMatrix`] of `A` ([`SpmvPolyApply::apply_on`]), the one the
+//! caller's own products run on. All other forms own their data and take
 //! `apply_par`.
 
-use spcg_sparse::{MatRef, ParKernels};
+use spcg_sparse::{ParKernels, SellMatrix};
 
 /// How a preconditioner decomposes under a contiguous block-row partition.
 ///
@@ -61,23 +60,23 @@ pub trait RankLocalApply: Send + Sync {
 
 /// A preconditioner whose application is a polynomial in `A`, expressed
 /// against an operator the caller supplies: an injected SpMV, so the same
-/// recurrence runs over a distributed operator, or the stored form of `A`
-/// the caller's kernels run on, so it runs at their rate.
+/// recurrence runs over a distributed operator, or the [`SellMatrix`] of
+/// `A` the caller's kernels run on.
 pub trait SpmvPolyApply: Send + Sync {
     /// Applies `z ← q(A) r` where every product with `A` goes through
     /// `spmv`. Vector lengths follow `r.len()` (local length under a rank
     /// partition), not the global dimension.
     fn apply_with_spmv(&self, r: &[f64], z: &mut [f64], spmv: &mut dyn FnMut(&[f64], &mut [f64]));
 
-    /// Applies `z ← q(A) r` with every product taken on `op` — a stored
-    /// form of the matrix this operator was built for, in the format of
-    /// the caller's choosing — band-fused with the recurrence's vector
-    /// work ([`ParKernels::spmv_bands`]). Bitwise equal to
-    /// [`SpmvPolyApply::apply_with_spmv`] over [`CsrMatrix::spmv`] for
-    /// either format and any thread count.
+    /// Applies `z ← q(A) r` with every product taken on `a` — the
+    /// [`SellMatrix::from_csr`] form of the matrix this operator was built
+    /// for — band-fused with the recurrence's vector work
+    /// ([`ParKernels::spmv_bands`]). Bitwise equal to
+    /// [`SpmvPolyApply::apply_with_spmv`] over [`CsrMatrix::spmv`] for any
+    /// thread count and either encoding.
     ///
     /// [`CsrMatrix::spmv`]: spcg_sparse::CsrMatrix::spmv
-    fn apply_on(&self, pk: &ParKernels, op: MatRef<'_>, r: &[f64], z: &mut [f64]);
+    fn apply_on(&self, pk: &ParKernels, a: &SellMatrix, r: &[f64], z: &mut [f64]);
 
     /// Number of `spmv` calls one application makes (= halo exchanges the
     /// distributed engine will perform per apply).
@@ -120,14 +119,14 @@ pub trait Preconditioner: Send + Sync {
         self.apply(r, z);
     }
 
-    /// [`Preconditioner::apply_par`] for an executor that holds `op`, the
-    /// system matrix in the sparse format its own kernels run on: a
-    /// polynomial in `A` ([`DistForm::SpmvPolynomial`]) takes its products
-    /// on `op`, so the preconditioner follows the solve's format instead of
-    /// owning one; every other form ignores `op`. Same bits as `apply_par`.
-    fn apply_par_on(&self, pk: &ParKernels, op: MatRef<'_>, r: &[f64], z: &mut [f64]) {
+    /// [`Preconditioner::apply_par`] for an executor that holds `a`, the
+    /// SELL form of the system matrix its own kernels run on: a polynomial
+    /// in `A` ([`DistForm::SpmvPolynomial`]) takes its products on `a`
+    /// instead of looking up its own; every other form ignores `a`. Same
+    /// bits as `apply_par`.
+    fn apply_par_on(&self, pk: &ParKernels, a: &SellMatrix, r: &[f64], z: &mut [f64]) {
         match self.dist_form() {
-            DistForm::SpmvPolynomial(p) => p.apply_on(pk, op, r, z),
+            DistForm::SpmvPolynomial(p) => p.apply_on(pk, a, r, z),
             _ => self.apply_par(pk, r, z),
         }
     }

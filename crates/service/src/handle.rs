@@ -2,8 +2,8 @@
 //!
 //! A [`SolverHandle`] is the cached value behind one [`Fingerprint`]: the
 //! preconditioner factorization (IC(0)/block-Jacobi inversion/Chebyshev
-//! interval), the SELL-C-σ conversion and warmed row schedule for the
-//! configured format and thread count, and — when [`SolveSpec::tune_basis`]
+//! interval), the SELL conversion and warmed row schedule for the
+//! configured thread count, and — when [`SolveSpec::tune_basis`]
 //! is set — the one-time Ritz warm-up pass whose spectrum estimate retunes
 //! the method's Chebyshev interval or Newton shifts. Once built, a handle
 //! answers any number of solves against the same operator without paying
@@ -17,7 +17,7 @@ use spcg_basis::BasisType;
 use spcg_precond::{PrecondSpec, Preconditioner};
 use spcg_solvers::setup::{DEFAULT_MARGIN, DEFAULT_WARMUP_ITERS};
 use spcg_solvers::{solve_batch, BatchRequest, Engine, Method, SolveOptions, SolveResult};
-use spcg_sparse::{CsrMatrix, SparseFormat};
+use spcg_sparse::CsrMatrix;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,8 +83,8 @@ pub struct SetupCost {
     pub total: Duration,
     /// Preconditioner construction from its recipe.
     pub precond: Duration,
-    /// Format warm-up (SELL conversion, row schedule).
-    pub format: Duration,
+    /// Layout warm-up (SELL conversion, row schedule).
+    pub layout: Duration,
     /// Ritz warm-up pass (zero unless [`SolveSpec::tune_basis`]).
     pub warmup: Duration,
 }
@@ -110,15 +110,13 @@ impl SolverHandle {
         let fp = fingerprint(&a, &spec);
         let t0 = Instant::now();
 
-        // Format warm-up: the SELL conversion and the nnz-balanced row
+        // Layout warm-up: the SELL conversion and the nnz-balanced row
         // schedule are cached on the matrix; forcing them here moves their
         // cost out of the first solve.
         let tf = Instant::now();
-        if spec.opts.format == SparseFormat::Sell {
-            let _ = a.sell();
-        }
+        let _ = a.sell();
         let _ = a.row_schedule(spec.opts.threads.max(1));
-        let format = tf.elapsed();
+        let layout = tf.elapsed();
 
         let tp = Instant::now();
         let m = spec.precond.build(&a);
@@ -146,7 +144,7 @@ impl SolverHandle {
             cost: SetupCost {
                 total: t0.elapsed(),
                 precond,
-                format,
+                layout,
                 warmup,
             },
         }

@@ -8,8 +8,8 @@
 //! matrix–multivector product per iteration, and column `j` comes out
 //! **bitwise identical** — `x`, history, [`Counters`] — to
 //! `solve(Method::Pcg, …)` of that right-hand side alone, at any width,
-//! format and thread count (the body's module docs say why; the parity tests
-//! below pin it). Every other method/engine combination falls back to
+//! encoding and thread count (the body's module docs say why; the parity
+//! tests below pin it). Every other method/engine combination falls back to
 //! per-request [`solve`] calls, so the service layer has one entry point for
 //! the whole method zoo.
 //!
@@ -98,8 +98,19 @@ mod tests {
     use spcg_basis::BasisType;
     use spcg_precond::{Identity, Jacobi};
     use spcg_sparse::generators::paper_rhs;
+    use spcg_sparse::generators::perturb_diagonal;
     use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
-    use spcg_sparse::SparseFormat;
+
+    /// The stencil, whose products run on SELL's diagonals (its SpMM too),
+    /// and its variable-coefficient twin, whose SpMVs run on SELL slots and
+    /// whose SpMM on the interleaved CSR kernel.
+    fn stencil_and_twin(a: CsrMatrix) -> [(CsrMatrix, bool); 2] {
+        let twin = perturb_diagonal(&a, 12);
+        [(a, true), (twin, false)].map(|(a, diagonal)| {
+            assert_eq!(a.sell().is_diagonal(), diagonal);
+            (a, diagonal)
+        })
+    }
 
     fn rhs_family(a: &CsrMatrix, k: usize) -> Vec<Vec<f64>> {
         let base = paper_rhs(a);
@@ -115,18 +126,16 @@ mod tests {
 
     #[test]
     fn k1_blocked_path_is_bitwise_identical_to_solve() {
-        let a = poisson_2d(12);
-        let m = Jacobi::new(&a);
-        let b = paper_rhs(&a);
-        for criterion in [
-            StoppingCriterion::TrueResidual2Norm,
-            StoppingCriterion::RecursiveResidual2Norm,
-            StoppingCriterion::PrecondMNorm,
-        ] {
-            for format in [SparseFormat::Csr, SparseFormat::Sell] {
+        for (a, diagonal) in stencil_and_twin(poisson_2d(12)) {
+            let m = Jacobi::new(&a);
+            let b = paper_rhs(&a);
+            for criterion in [
+                StoppingCriterion::TrueResidual2Norm,
+                StoppingCriterion::RecursiveResidual2Norm,
+                StoppingCriterion::PrecondMNorm,
+            ] {
                 let opts = SolveOptions::from_env()
                     .with_criterion(criterion)
-                    .with_format(format)
                     .with_history();
                 let plain = solve(
                     &Method::Pcg,
@@ -144,16 +153,22 @@ mod tests {
                 );
                 assert_eq!(batch.len(), 1);
                 let res = &batch[0];
-                assert_eq!(res.x, plain.x, "{criterion:?}/{format:?} x");
-                assert_eq!(res.outcome, plain.outcome, "{criterion:?}/{format:?}");
-                assert_eq!(res.iterations, plain.iterations, "{criterion:?}/{format:?}");
+                assert_eq!(res.x, plain.x, "{criterion:?}/diagonal={diagonal} x");
+                assert_eq!(
+                    res.outcome, plain.outcome,
+                    "{criterion:?}/diagonal={diagonal}"
+                );
+                assert_eq!(
+                    res.iterations, plain.iterations,
+                    "{criterion:?}/diagonal={diagonal}"
+                );
                 assert_eq!(
                     res.history, plain.history,
-                    "{criterion:?}/{format:?} history"
+                    "{criterion:?}/diagonal={diagonal} history"
                 );
                 assert_eq!(
                     res.counters, plain.counters,
-                    "{criterion:?}/{format:?} counters"
+                    "{criterion:?}/diagonal={diagonal} counters"
                 );
             }
         }
@@ -163,11 +178,10 @@ mod tests {
     fn every_column_of_a_batch_matches_its_standalone_solve_bitwise() {
         // Columns converge at different iterations, so this exercises the
         // frozen-column compaction: survivors must be unperturbed.
-        let a = poisson_2d(10);
-        let m = Jacobi::new(&a);
-        let bs = rhs_family(&a, 4);
-        for format in [SparseFormat::Csr, SparseFormat::Sell] {
-            let opts = SolveOptions::from_env().with_format(format).with_history();
+        for (a, diagonal) in stencil_and_twin(poisson_2d(10)) {
+            let m = Jacobi::new(&a);
+            let bs = rhs_family(&a, 4);
+            let opts = SolveOptions::from_env().with_history();
             let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
             let batch = solve_batch(&Method::Pcg, &a, &m, &reqs, &opts, Engine::Serial);
             for (j, b) in bs.iter().enumerate() {
@@ -177,14 +191,23 @@ mod tests {
                     &opts,
                     Engine::Serial,
                 );
-                assert_eq!(batch[j].x, plain.x, "col {j} x ({format:?})");
-                assert_eq!(batch[j].outcome, plain.outcome, "col {j} ({format:?})");
+                assert_eq!(batch[j].x, plain.x, "col {j} x (diagonal={diagonal})");
+                assert_eq!(
+                    batch[j].outcome, plain.outcome,
+                    "col {j} (diagonal={diagonal})"
+                );
                 assert_eq!(
                     batch[j].iterations, plain.iterations,
-                    "col {j} ({format:?})"
+                    "col {j} (diagonal={diagonal})"
                 );
-                assert_eq!(batch[j].history, plain.history, "col {j} ({format:?})");
-                assert_eq!(batch[j].counters, plain.counters, "col {j} ({format:?})");
+                assert_eq!(
+                    batch[j].history, plain.history,
+                    "col {j} (diagonal={diagonal})"
+                );
+                assert_eq!(
+                    batch[j].counters, plain.counters,
+                    "col {j} (diagonal={diagonal})"
+                );
             }
         }
     }

@@ -20,8 +20,8 @@
 //!   default, `spcg-rankd` worker processes under
 //!   [`Backend::Proc`]). Its rows live in **one** rank-local operator, the
 //!   `Arc<GhostZone>` that [`CsrMatrix::ghost_zone`] builds once per
-//!   (matrix, range, format) and keeps across solves — as deep as the
-//!   method's MPK needs, in the solve's sparse format. SpMV gathers the
+//!   (matrix, range) and keeps across solves — as deep as the method's MPK
+//!   needs, its rows packed as SELL slots. SpMV gathers the
 //!   zone's depth-1 ghosts through the transport's split-phase exchange and
 //!   runs on its owned-row prefix; the MPK gathers its depth-s ghosts
 //!   **once per s-step block** and runs [`DistMpk`] on the same zone — the
@@ -57,9 +57,7 @@ use spcg_dist::{
 use spcg_obs::{Phase, Track};
 use spcg_precond::{DistForm, Preconditioner};
 use spcg_sparse::partition::BlockRowPartition;
-use spcg_sparse::{
-    CsrMatrix, DenseMat, GhostZone, MatRef, MultiVector, ParKernels, SellMatrix, SparseFormat,
-};
+use spcg_sparse::{CsrMatrix, DenseMat, GhostZone, MultiVector, ParKernels, SellMatrix};
 use std::sync::Arc;
 
 /// Where a [`solve`](crate::solve) call executes.
@@ -137,10 +135,9 @@ pub(crate) trait Exec {
     /// `Y ← A·X`: per column bitwise equal to [`Exec::spmv`], column `j`'s
     /// halo traffic charged to `counters[j]` (or all of it to a lone entry).
     /// This default *is* the `spmv` loop; serial execution overrides it with
-    /// the interleaved-operand CSR SpMM kernel, or under
-    /// [`SparseFormat::Sell`] on a diagonal-encoded matrix with SELL's
-    /// SpMM, whose columns are documented bitwise equal to the
-    /// single-vector kernels — unobservable in results.
+    /// SELL's SpMM on a diagonal-encoded matrix and the interleaved-operand
+    /// CSR SpMM kernel otherwise, whose columns are documented bitwise equal
+    /// to the single-vector kernels — unobservable in results.
     fn spmm(&mut self, x: &MultiVector, y: &mut MultiVector, counters: &mut [Counters]) {
         let shared = counters.len() == 1;
         for j in 0..x.k() {
@@ -183,9 +180,10 @@ pub(crate) struct SerialExec<'a> {
     m: &'a dyn Preconditioner,
     mpk: Mpk<'a>,
     pk: ParKernels,
-    /// The matrix's cached SELL-C-σ form under [`SparseFormat::Sell`];
-    /// `None` keeps the single SpMVs on the CSR kernel.
-    sell: Option<Arc<SellMatrix>>,
+    /// The matrix's cached SELL form, whichever encoding
+    /// [`SellMatrix::from_csr`] picked: what every one-column product runs
+    /// on.
+    sell: Arc<SellMatrix>,
     track: Option<Track>,
 }
 
@@ -193,22 +191,14 @@ impl<'a> SerialExec<'a> {
     pub(crate) fn new(a: &'a CsrMatrix, m: &'a dyn Preconditioner, opts: &SolveOptions) -> Self {
         let pk = ParKernels::new(opts.threads);
         let track = opts.trace.as_ref().map(|t| t.track(0));
-        let sell = (opts.format == SparseFormat::Sell).then(|| a.sell());
         SerialExec {
             a,
             m,
-            mpk: Mpk::new_par(a, m, pk.clone())
-                .with_format(opts.format)
-                .with_track(track.clone()),
+            mpk: Mpk::new_par(a, m, pk.clone()).with_track(track.clone()),
             pk,
-            sell,
+            sell: a.sell(),
             track,
         }
-    }
-
-    /// The system matrix in the format this solve's kernels run on.
-    fn op(&self) -> MatRef<'_> {
-        MatRef::of(self.a, self.sell.as_deref())
     }
 }
 
@@ -227,11 +217,11 @@ impl Exec for SerialExec<'_> {
     }
     fn spmv(&mut self, x: &[f64], y: &mut [f64], _counters: &mut Counters) {
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmv);
-        self.pk.spmv_on(self.op(), x, y);
+        self.pk.spmv_sell(&self.sell, x, y);
     }
     fn precond(&mut self, r: &[f64], z: &mut [f64], _counters: &mut Counters) {
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Precond);
-        self.m.apply_par_on(&self.pk, self.op(), r, z);
+        self.m.apply_par_on(&self.pk, &self.sell, r, z);
     }
     fn mpk(
         &mut self,
@@ -265,13 +255,14 @@ impl Exec for SerialExec<'_> {
             return self.spmv(x.col(0), y.col_mut(0), &mut counters[0]);
         }
         // SELL's diagonals stream no matrix, so a column at a time is the
-        // cheapest product there; otherwise the interleaved CSR kernel,
+        // cheapest product there; on slots the interleaved CSR kernel,
         // where one matrix entry feeds a whole column group while SELL's
-        // slot SpMM walks the columns one at a time (`SparseFormat`).
+        // slot SpMM walks the columns one at a time.
         let _s = spcg_obs::span(self.track.as_ref(), Phase::Spmm);
-        match self.sell.as_deref() {
-            Some(sell) if sell.is_diagonal() => self.pk.spmm_sell(sell, x, y),
-            _ => self.pk.spmm(self.a, x, y),
+        if self.sell.is_diagonal() {
+            self.pk.spmm_sell(&self.sell, x, y);
+        } else {
+            self.pk.spmm(self.a, x, y);
         }
     }
 }
@@ -288,8 +279,8 @@ pub(crate) struct RankExec<'a> {
     board: Box<dyn Exchange>,
     board2: Box<dyn Exchange>,
     /// The rank-local operator, from the matrix's cache: as deep as
-    /// `dist_mpk` needs (else 1) or deeper, in the solve's format. Single
-    /// SpMVs run on its owned-row prefix.
+    /// `dist_mpk` needs (else 1) or deeper. Single SpMVs run on its
+    /// owned-row prefix.
     zone: Arc<GhostZone>,
     /// Reusable gather plan for the zone's depth-1 ghosts (contiguous-run
     /// compressed, built once — no per-iteration index arithmetic or
@@ -304,9 +295,6 @@ pub(crate) struct RankExec<'a> {
     /// Overlap halo exchange with interior compute
     /// ([`SolveOptions::overlap`]).
     overlap: bool,
-    /// [`SolveOptions::format`], for the replicated [`Mpk`] fallback only —
-    /// the zone already is in it.
-    format: SparseFormat,
     /// Partition boundaries align with the block-operator boundaries, so a
     /// `DistForm::RankLocal` preconditioner can apply locally.
     rank_local_ok: bool,
@@ -329,8 +317,8 @@ pub(crate) struct RankExec<'a> {
 }
 
 impl<'a> RankExec<'a> {
-    /// One rank of `method` under `opts` (its `threads`, `overlap` and
-    /// `format`) on the transport the three boxes are handles of. `faults`
+    /// One rank of `method` under `opts` (its `threads` and `overlap`) on
+    /// the transport the three boxes are handles of. `faults`
     /// is the solve's *active* plan ([`Ranking::plan`]), for the
     /// `PoisonReduce` site. The track is the caller's to make: it must be
     /// created on the rank's own thread.
@@ -353,7 +341,7 @@ impl<'a> RankExec<'a> {
             _ => None,
         };
         let depth = mpk.map_or(1, |(depth, _)| depth);
-        let zone = a.ghost_zone(lo, hi, depth, opts.format);
+        let zone = a.ghost_zone(lo, hi, depth);
         let plan1 = board.plan(&zone.ghost_indices()[..zone.reach_len(1) - (hi - lo)]);
         let dist_mpk = mpk.map(|(depth, w)| {
             let m_flops = m.flops_per_apply();
@@ -380,7 +368,6 @@ impl<'a> RankExec<'a> {
             plan1,
             dist_mpk,
             overlap: opts.overlap,
-            format: opts.format,
             rank_local_ok,
             pk,
             ext_buf: Vec::new(),
@@ -560,7 +547,6 @@ impl Exec for RankExec<'_> {
             let mut v_full = MultiVector::zeros(n, v.k());
             let mut mv_full = MultiVector::zeros(n, mv.k());
             Mpk::new_par(self.a, self.m, self.pk.clone())
-                .with_format(self.format)
                 .with_track(self.track.clone())
                 .run(
                     &w_full,

@@ -167,23 +167,14 @@ pub struct SolveOptions {
     /// Defaults to `true`. Ignored by [`crate::Engine::Serial`], which has
     /// no exchanges to hide.
     pub overlap: bool,
-    /// Sparse format driving the SpMV and matrix-powers kernels:
-    /// [`SparseFormat::Csr`] (the default) streams rows from the assembled
-    /// CSR arrays, [`SparseFormat::Sell`] converts once to the SELL-C-σ
-    /// sliced layout (cached on the matrix): a constant-coefficient
-    /// matrix's diagonals, read at unit stride without a gather, or padded
-    /// column-major slots with eight-way independent accumulators. Either
-    /// way the matrix powers kernel runs level by level, one SELL SpMV per
-    /// basis column. It governs the one-column kernels (SpMV,
-    /// matrix powers, polynomial preconditioner products, ghost zones); a
-    /// serial product of k ≥ 2 columns (`solve_batch`, EkCG, the true
-    /// residual's `A·X`) runs SELL's SpMM only on a constant-coefficient
-    /// matrix's diagonals (1.6–1.9× the interleaved CSR SpMM at k = 8) and the
-    /// interleaved CSR SpMM otherwise (≈1.5× SELL's slot SpMM). Solutions,
-    /// iteration counts, and [`Counters`] are **bitwise identical** across
-    /// formats for every engine, rank count, thread count, and overlap
-    /// setting — the sliced kernels accumulate each row's entries in the
-    /// same CSR order.
+    /// An inert stub: no solve reads it, the codec does not ship it and
+    /// the service fingerprint does not hash it. Every solve's one-column
+    /// kernels (SpMV, matrix powers, a polynomial preconditioner's
+    /// products, the ranks' ghost zones) run on the layout
+    /// [`spcg_sparse::SellMatrix::from_csr`] picks, bitwise equal to CSR.
+    /// The field stays only because the frozen `benchmark/` package sets
+    /// it; it goes with the benchmark change that drops its
+    /// `Member::format`.
     pub format: SparseFormat,
     /// Communication backend under [`crate::Engine::Ranked`]:
     /// [`Backend::Thread`] (the default) runs ranks as OS threads over
@@ -271,7 +262,6 @@ impl SolveOptions {
     /// |---|---|---|
     /// | `SPCG_THREADS` | integer ≥ 1 | [`SolveOptions::threads`] |
     /// | `SPCG_OVERLAP` | `0` \| `1` | [`SolveOptions::overlap`] |
-    /// | `SPCG_FORMAT` | `csr` \| `sell` | [`SolveOptions::format`] |
     /// | `SPCG_BACKEND` | `thread` \| `proc` | [`SolveOptions::backend`] |
     /// | `SPCG_TRACE` | `0` \| anything else | [`SolveOptions::trace`] (a fresh tracer) |
     /// | `SPCG_FAULTS` | `<seed>:<rate>` | [`SolveOptions::faults`] (a fresh plan) |
@@ -292,9 +282,6 @@ impl SolveOptions {
                 .filter(|&t| t > 0)
                 .unwrap_or(dflt.threads),
             overlap: flag("SPCG_OVERLAP").unwrap_or(dflt.overlap),
-            format: set("SPCG_FORMAT")
-                .and_then(|v| SparseFormat::parse(&v))
-                .unwrap_or(dflt.format),
             backend: set("SPCG_BACKEND")
                 .and_then(|v| Backend::parse(&v))
                 .unwrap_or(dflt.backend),
@@ -351,12 +338,6 @@ impl SolveOptions {
         self
     }
 
-    /// Builder-style sparse format (see [`SolveOptions::format`]).
-    pub fn with_format(mut self, format: SparseFormat) -> Self {
-        self.format = format;
-        self
-    }
-
     /// Builder-style communication backend (see [`SolveOptions::backend`]).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -394,7 +375,6 @@ const CRITERIA: [StoppingCriterion; 3] = [
     StoppingCriterion::RecursiveResidual2Norm,
     StoppingCriterion::PrecondMNorm,
 ];
-const FORMATS: [SparseFormat; 2] = [SparseFormat::Csr, SparseFormat::Sell];
 const BACKENDS: [Backend; 2] = [Backend::Thread, Backend::Proc];
 
 impl SolveOptions {
@@ -403,7 +383,8 @@ impl SolveOptions {
     /// environment. The destructuring is exhaustive on purpose — a new field
     /// does not compile until it is shipped. The two handles travel as what
     /// rebuilds them: a tracer as its capacity, a fault plan as its seed,
-    /// rate and site mask.
+    /// rate and site mask. The inert [`SolveOptions::format`] is not
+    /// shipped.
     pub fn encode(&self, w: &mut WireWriter) {
         let SolveOptions {
             tol,
@@ -415,7 +396,7 @@ impl SolveOptions {
             residual_replacement,
             threads,
             overlap,
-            format,
+            format: _,
             backend,
             trace,
             faults,
@@ -431,7 +412,6 @@ impl SolveOptions {
         w.option(*residual_replacement, WireWriter::f64);
         w.usize(*threads);
         w.bool(*overlap);
-        w.variant(&FORMATS, format);
         w.variant(&BACKENDS, backend);
         w.option(trace.as_ref(), |w, tracer| w.usize(tracer.capacity()));
         w.option(faults.as_ref(), |w, plan| {
@@ -479,7 +459,7 @@ impl SolveOptions {
             residual_replacement: r.option(WireReader::f64)?,
             threads: r.usize()?,
             overlap: r.bool()?,
-            format: r.variant(&FORMATS, "sparse format")?,
+            format: Default::default(),
             backend: r.variant(&BACKENDS, "backend")?,
             trace: r.option(|r| Ok(Tracer::with_capacity(r.usize()?)))?,
             faults: r
@@ -805,12 +785,11 @@ mod tests {
     }
 
     /// `from_vars` over `vars`, through an injected lookup that fails the
-    /// test on any name but the six.
+    /// test on any name but the five.
     fn from_table(vars: &[(&str, &str)]) -> String {
-        const NAMES: [&str; 6] = [
+        const NAMES: [&str; 5] = [
             "SPCG_THREADS",
             "SPCG_OVERLAP",
-            "SPCG_FORMAT",
             "SPCG_BACKEND",
             "SPCG_TRACE",
             "SPCG_FAULTS",
@@ -830,13 +809,12 @@ mod tests {
             assert_eq!(from_table(vars), format!("{want:?}"), "{why}");
         };
         same(&[], dflt(), "nothing set");
-        let (sell, proc) = (SparseFormat::Sell, Backend::Proc);
+        let proc = Backend::Proc;
         let (tracer, plan) = (Tracer::new(), FaultPlan::new(101, 0.05));
         // (name, a good value, one that leaves the default, what the good one sets)
         let table = [
             ("SPCG_THREADS", " 4 ", "0", dflt().with_threads(4)),
             ("SPCG_OVERLAP", "False", "yes", dflt().with_overlap(false)),
-            ("SPCG_FORMAT", "SELL", "ellpack", dflt().with_format(sell)),
             ("SPCG_BACKEND", "proc", "mpi", dflt().with_backend(proc)),
             ("SPCG_TRACE", "1", "0", dflt().with_trace(Some(tracer))),
             (
@@ -873,13 +851,6 @@ mod tests {
         assert_eq!(SolveOptions::default().backend, Backend::Thread);
         let proc = SolveOptions::default().with_backend(Backend::Proc);
         assert_eq!(proc.backend, Backend::Proc);
-    }
-
-    #[test]
-    fn format_option_defaults_and_builds() {
-        assert_eq!(SolveOptions::default().format, SparseFormat::Csr);
-        let sell = SolveOptions::default().with_format(SparseFormat::Sell);
-        assert_eq!(sell.format, SparseFormat::Sell);
     }
 
     #[test]

@@ -98,7 +98,7 @@ use std::time::{Duration, Instant};
 
 /// Protocol version — bumped on any frame-layout change so a stale
 /// `spcg-rankd` binary fails loudly instead of misparsing.
-const PROTO: u64 = 7;
+const PROTO: u64 = 8;
 
 // Frame tags; the module docs have the table.
 const TAG_LOAD: u8 = 1;
@@ -1049,7 +1049,6 @@ mod tests {
     use spcg_dist::FaultPlan;
     use spcg_obs::Tracer;
     use spcg_sparse::generators::poisson::{poisson_1d, poisson_2d};
-    use spcg_sparse::SparseFormat;
     use std::thread::JoinHandle;
 
     type Served = JoinHandle<Result<Vec<WorkerResult>, WorldError>>;
@@ -1307,7 +1306,7 @@ mod tests {
             residual_replacement,
             threads,
             overlap,
-            format,
+            format: _, // inert, and not shipped
             backend,
             trace,
             faults,
@@ -1326,7 +1325,6 @@ mod tests {
         );
         assert_eq!(*threads, b.threads);
         assert_eq!(*overlap, b.overlap);
-        assert_eq!(*format, b.format);
         assert_eq!(*backend, b.backend);
         let capacity = |t: &Option<Tracer>| t.as_ref().map(Tracer::capacity);
         assert_eq!(capacity(trace), capacity(&b.trace));
@@ -1444,7 +1442,7 @@ mod tests {
             residual_replacement: Some(0.125),
             threads: 3,
             overlap: false,
-            format: SparseFormat::Sell,
+            format: Default::default(),
             backend: Backend::Proc,
             trace: Some(Tracer::with_capacity(777)),
             faults: Some(FaultPlan::new(9, 0.25).with_sites_mask(0b10101)),

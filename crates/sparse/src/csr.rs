@@ -1,8 +1,11 @@
 //! Compressed sparse row (CSR) matrix.
 //!
-//! CSR is the computational format for all system matrices in this
-//! workspace. The solvers only ever need `y = A·x` (plus row access for the
-//! Jacobi/SSOR preconditioners), so the interface is deliberately small; the
+//! CSR is the assembly format for all system matrices in this workspace,
+//! and its SpMV the reference every other kernel reproduces bit for bit; a
+//! solve's one-column products run on the matrix's cached
+//! [`CsrMatrix::sell`] form. The solvers only ever need `y = A·x` (plus row
+//! access for the Jacobi/SSOR preconditioners), so the interface is
+//! deliberately small; the
 //! SPD-oriented helpers (symmetry check, Gershgorin bounds, diagonal
 //! extraction) support the preconditioners and the basis-parameter
 //! estimation.
@@ -10,7 +13,7 @@
 use crate::coo::CooMatrix;
 use crate::ghost::GhostZone;
 use crate::multivector::MultiVector;
-use crate::sell::{SellMatrix, SparseFormat};
+use crate::sell::SellMatrix;
 use crate::split::RowSplit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -109,8 +112,8 @@ struct Derived {
     /// overlaps, so this holds one block-row partition's splits.
     splits: SplitCache,
     /// The rank-local operators built so far (see
-    /// [`CsrMatrix::ghost_zone`]), each carrying its own range, depth and
-    /// format; one partition's zones per format, by the same eviction.
+    /// [`CsrMatrix::ghost_zone`]), each carrying its own range and depth;
+    /// one partition's zones, by the same eviction.
     zones: Mutex<Vec<Arc<GhostZone>>>,
     /// Lazily converted SELL-C-σ sibling of this matrix (see
     /// [`CsrMatrix::sell`]), built on first request and shared.
@@ -891,8 +894,8 @@ impl CsrMatrix {
     /// The interior/frontier classification of rows `[lo, hi)` — which of
     /// them reference only columns inside the range (computable before a
     /// halo exchange completes) and which touch remote columns. Cached per
-    /// range, so the CSR- and SELL-format ghost zones of one rank share a
-    /// single scan; inserting a range evicts the cached ranges it overlaps.
+    /// range, so every ghost zone built for one rank's range shares a single
+    /// scan; inserting a range evicts the cached ranges it overlaps.
     ///
     /// # Panics
     /// Panics if the range is invalid.
@@ -907,44 +910,35 @@ impl CsrMatrix {
         split
     }
 
-    /// The rank-local operator of rows `[lo, hi)`: a [`GhostZone`] in
-    /// `format`, at least `depth` deep — by the zone's depth-prefix
-    /// property a deeper one serves every shallower request, so the cached
-    /// zone of this range and format is returned whenever it is deep
-    /// enough. Otherwise one is built (outside the lock: the ranks of a
-    /// cold world build theirs concurrently), every cached zone of this
-    /// format whose range overlaps `[lo, hi)` is evicted — the same range
-    /// at a shallower depth, or another partition's ranges — and the new
-    /// one is kept. A matrix that has served a ranked solve thus pins one
-    /// partition's zones per format until it is dropped, cloned (a clone
+    /// The rank-local operator of rows `[lo, hi)`: a [`GhostZone`] at
+    /// least `depth` deep — by the zone's depth-prefix property a deeper one
+    /// serves every shallower request, so the cached zone of this range is
+    /// returned whenever it is deep enough. Otherwise one is built (outside
+    /// the lock: the ranks of a cold world build theirs concurrently),
+    /// every cached zone whose range overlaps `[lo, hi)` is evicted — the
+    /// same range at a shallower depth, or another partition's ranges — and
+    /// the new one is kept. A matrix that has served a ranked solve thus
+    /// pins one partition's zones until it is dropped, cloned (a clone
     /// starts empty) or asked for another partition.
     ///
     /// # Panics
     /// Panics if `depth == 0`, the range is invalid, or the matrix is not
     /// square.
-    pub fn ghost_zone(
-        &self,
-        lo: usize,
-        hi: usize,
-        depth: usize,
-        format: SparseFormat,
-    ) -> Arc<GhostZone> {
+    pub fn ghost_zone(&self, lo: usize, hi: usize, depth: usize) -> Arc<GhostZone> {
         let cached = |cache: &[Arc<GhostZone>]| {
-            let serves = |z: &&Arc<GhostZone>| {
-                z.range() == (lo, hi) && z.format() == format && z.depth() >= depth
-            };
+            let serves = |z: &&Arc<GhostZone>| z.range() == (lo, hi) && z.depth() >= depth;
             cache.iter().find(serves).cloned()
         };
         if let Some(zone) = cached(&self.derived.zones.lock().expect("zone cache poisoned")) {
             return zone;
         }
-        let zone = Arc::new(GhostZone::new(self, lo, hi, depth, format));
+        let zone = Arc::new(GhostZone::new(self, lo, hi, depth));
         let mut cache = self.derived.zones.lock().expect("zone cache poisoned");
         // Another thread may have built the same zone meanwhile.
         if let Some(zone) = cached(&cache) {
             return zone;
         }
-        cache.retain(|z| z.format() != format || !ranges_overlap(z.range(), (lo, hi)));
+        cache.retain(|z| !ranges_overlap(z.range(), (lo, hi)));
         cache.push(Arc::clone(&zone));
         zone
     }
@@ -964,8 +958,8 @@ impl CsrMatrix {
 }
 
 /// Computes nnz-balanced chunk boundaries over `row_ptr[..=nrows]`; shared by
-/// the cached matrix schedule and the ghost-zone prefix SpMV (whose active
-/// row prefix changes per MPK level, so it cannot cache).
+/// the cached matrix and slice schedules and the ghost-zone frontier SpMV
+/// (whose active lane prefix changes per MPK level, so it cannot cache).
 pub(crate) fn nnz_balanced_bounds(row_ptr: &[usize], nrows: usize, nchunks: usize) -> Vec<usize> {
     let nnz = row_ptr[nrows];
     let mut bounds = Vec::with_capacity(nchunks + 1);
@@ -978,25 +972,6 @@ pub(crate) fn nnz_balanced_bounds(row_ptr: &[usize], nrows: usize, nchunks: usiz
     }
     bounds.push(nrows);
     bounds
-}
-
-/// [`nnz_balanced_bounds`] over a *scattered* row list: returns boundaries
-/// `b` (length `nchunks + 1`) into `rows` such that the rows
-/// `rows[b[c]..b[c+1]]` of chunk `c` carry roughly `nnz(list)/nchunks`
-/// nonzeros each. This is the schedule of the interior/frontier SpMV, whose
-/// row sets are non-contiguous.
-pub(crate) fn nnz_balanced_bounds_list(
-    rows: &[usize],
-    row_ptr: &[usize],
-    nchunks: usize,
-) -> Vec<usize> {
-    // Prefix nonzero counts over the list (position p = nnz of rows[..p]).
-    let mut prefix = Vec::with_capacity(rows.len() + 1);
-    prefix.push(0usize);
-    for &r in rows {
-        prefix.push(prefix.last().unwrap() + (row_ptr[r + 1] - row_ptr[r]));
-    }
-    nnz_balanced_bounds(&prefix, rows.len(), nchunks)
 }
 
 #[cfg(test)]
@@ -1191,40 +1166,27 @@ mod tests {
         assert!(!Arc::ptr_eq(&s1, &s3));
     }
 
-    /// `(range, depth, format)` of every cached zone, sorted.
-    fn cached_zones(a: &CsrMatrix) -> Vec<((usize, usize), usize, &'static str)> {
+    /// `(range, depth)` of every cached zone, sorted.
+    fn cached_zones(a: &CsrMatrix) -> Vec<((usize, usize), usize)> {
         let cache = a.derived.zones.lock().unwrap();
-        let mut keys: Vec<_> = cache
-            .iter()
-            .map(|z| (z.range(), z.depth(), z.format().name()))
-            .collect();
+        let mut keys: Vec<_> = cache.iter().map(|z| (z.range(), z.depth())).collect();
         keys.sort_unstable();
         keys
     }
 
     #[test]
     fn ghost_zone_cache_serves_shallower_requests_and_replaces_on_deeper() {
-        use SparseFormat::{Csr, Sell};
         let a = crate::generators::poisson::poisson_2d(12);
-        let z3 = a.ghost_zone(0, 72, 3, Sell);
-        assert!(Arc::ptr_eq(&z3, &a.ghost_zone(0, 72, 3, Sell)));
-        assert!(Arc::ptr_eq(&z3, &a.ghost_zone(0, 72, 1, Sell)));
-        // The formats are kept apart, and neither evicts the other.
-        let c1 = a.ghost_zone(0, 72, 1, Csr);
-        assert_eq!((c1.format(), c1.depth()), (Csr, 1));
-        assert!(Arc::ptr_eq(&z3, &a.ghost_zone(0, 72, 2, Sell)));
-        assert_eq!(
-            cached_zones(&a),
-            [((0, 72), 1, "csr"), ((0, 72), 3, "sell")]
-        );
+        let z3 = a.ghost_zone(0, 72, 3);
+        assert!(Arc::ptr_eq(&z3, &a.ghost_zone(0, 72, 3)));
+        assert!(Arc::ptr_eq(&z3, &a.ghost_zone(0, 72, 1)));
+        assert!(Arc::ptr_eq(&z3, &a.ghost_zone(0, 72, 2)));
+        assert_eq!(cached_zones(&a), [((0, 72), 3)]);
         // A deeper request rebuilds and replaces.
-        let z5 = a.ghost_zone(0, 72, 5, Sell);
+        let z5 = a.ghost_zone(0, 72, 5);
         assert_eq!(z5.depth(), 5);
-        assert!(Arc::ptr_eq(&z5, &a.ghost_zone(0, 72, 3, Sell)));
-        assert_eq!(
-            cached_zones(&a),
-            [((0, 72), 1, "csr"), ((0, 72), 5, "sell")]
-        );
+        assert!(Arc::ptr_eq(&z5, &a.ghost_zone(0, 72, 3)));
+        assert_eq!(cached_zones(&a), [((0, 72), 5)]);
         // A clone starts empty; an in-place edit empties the original.
         assert!(cached_zones(&a.clone()).is_empty());
         let mut a = a;
@@ -1234,8 +1196,8 @@ mod tests {
     }
 
     /// The bits of every product that runs on derived data: the SELL SpMV,
-    /// then per format a width-8 SpMM and the SpMV of both zones of a
-    /// 2-range partition.
+    /// a width-8 SpMM on each kernel (interleaved CSR, SELL) and the SpMV of
+    /// both zones of a 2-range partition.
     fn derived_products(a: &CsrMatrix) -> Vec<u64> {
         let n = a.nrows();
         let pk = crate::ParKernels::new(1);
@@ -1247,19 +1209,20 @@ mod tests {
         let mut y = vec![0.0; n];
         a.sell().spmv(&x, &mut y);
         let mut out = y;
-        for format in [SparseFormat::Csr, SparseFormat::Sell] {
+        for sell in [false, true] {
             let mut ym = MultiVector::zeros(n, 8);
-            match format {
-                SparseFormat::Csr => pk.spmm(a, &xm, &mut ym),
-                SparseFormat::Sell => pk.spmm_sell(&a.sell(), &xm, &mut ym),
+            if sell {
+                pk.spmm_sell(&a.sell(), &xm, &mut ym);
+            } else {
+                pk.spmm(a, &xm, &mut ym);
             }
             (0..8).for_each(|j| out.extend_from_slice(ym.col(j)));
-            for (lo, hi) in [(0, n / 2), (n / 2, n)] {
-                let zone = a.ghost_zone(lo, hi, 2, format);
-                let mut y = vec![0.0; hi - lo];
-                zone.spmv_prefix(&pk, hi - lo, &zone.extend_from_global(&x), &mut y);
-                out.extend(y);
-            }
+        }
+        for (lo, hi) in [(0, n / 2), (n / 2, n)] {
+            let zone = a.ghost_zone(lo, hi, 2);
+            let mut y = vec![0.0; hi - lo];
+            zone.spmv_prefix(&pk, hi - lo, &zone.extend_from_global(&x), &mut y);
+            out.extend(y);
         }
         out.into_iter().map(f64::to_bits).collect()
     }
@@ -1329,9 +1292,9 @@ mod tests {
         };
         for ranks in [2usize, 4, 3, 2] {
             for (lo, hi) in ranges(ranks) {
-                a.ghost_zone(lo, hi, 2, SparseFormat::Sell);
+                a.ghost_zone(lo, hi, 2);
             }
-            let want: Vec<_> = ranges(ranks).into_iter().map(|r| (r, 2, "sell")).collect();
+            let want: Vec<_> = ranges(ranks).into_iter().map(|r| (r, 2)).collect();
             assert_eq!(cached_zones(&a), want, "after {ranks} ranks");
             let splits = a.derived.splits.lock().unwrap();
             let mut held: Vec<_> = splits.iter().map(|(range, _)| *range).collect();
@@ -1353,20 +1316,17 @@ mod tests {
                     scope.spawn(move || {
                         let (lo, hi) = ranges[t % 2];
                         gate.wait();
-                        a.ghost_zone(lo, hi, 3, SparseFormat::Csr)
+                        a.ghost_zone(lo, hi, 3)
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(
-            cached_zones(&a),
-            [(ranges[0], 3, "csr"), (ranges[1], 3, "csr")]
-        );
+        assert_eq!(cached_zones(&a), [(ranges[0], 3), (ranges[1], 3)]);
         // Every requester holds the zone that stayed cached.
         for (t, z) in zones.iter().enumerate() {
             let (lo, hi) = ranges[t % 2];
-            assert!(Arc::ptr_eq(z, &a.ghost_zone(lo, hi, 3, SparseFormat::Csr)));
+            assert!(Arc::ptr_eq(z, &a.ghost_zone(lo, hi, 3)));
         }
     }
 

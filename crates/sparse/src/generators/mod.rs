@@ -32,7 +32,7 @@ pub fn paper_rhs(a: &crate::CsrMatrix) -> Vec<f64> {
 /// variable coefficients. A diagonally dominant `a` stays so (and SPD); a
 /// constant-coefficient `a` of two or more rows stops being
 /// constant-diagonal, so its [`crate::SellMatrix`] takes the slot
-/// encoding. The variable-coefficient twin the format parity tests and the
+/// encoding. The variable-coefficient twin the layout parity tests and the
 /// `kernels` bench run the slot kernel on.
 pub fn perturb_diagonal(a: &crate::CsrMatrix, seed: u64) -> crate::CsrMatrix {
     let mut rng = crate::rng::Rng64::seed_from_u64(seed);

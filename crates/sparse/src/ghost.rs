@@ -1,4 +1,5 @@
-//! The rank-local operator: a depth-s ghost zone held in one sparse format.
+//! The rank-local operator: a depth-s ghost zone whose rows are packed as
+//! two SELL slot matrices.
 //!
 //! A rank owning the contiguous row block `[lo, hi)` can compute `s` levels
 //! of the MPK recurrence from a **single** neighbour exchange if it first
@@ -10,29 +11,28 @@
 //! over the column structure of `A`, orders the extended index set so each
 //! reach set is a *prefix* (owned rows first, then ghosts grouped by BFS
 //! distance), and holds the rows of `A` remapped onto that extended index
-//! space in **one** [`SparseFormat`]: raw CSR arrays, or the interior and
-//! frontier row lists packed as [`SellMatrix`]es — never both. Entry order
-//! within each row is preserved, so row sums are bitwise identical to the
-//! global SpMV's in either format.
+//! space as two [`SellMatrix`] row lists: the interior rows and the
+//! frontier rows. Entry order within each row is preserved, so row sums
+//! are bitwise identical to the global SpMV's.
 //!
 //! **Depth-prefix property.** BFS levels are appended in order and sorted
 //! within a level, and a level depends only on the levels before it, so a
 //! depth-`D` zone *is* a depth-`d` zone for every `d ≤ D`:
 //! `ext[..reach_len(d)]`, `reach_len(0..=d)`, the interior rows, the
 //! frontier rows below `reach_len(d − 1)` and every remapped row among them
-//! are what `GhostZone::new(.., d, ..)` would have built. Rows below
+//! are what `GhostZone::new(.., d)` would have built. Rows below
 //! `reach_len(k)` reference only columns below `reach_len(k + 1)`, so a
 //! shallower user never reads the tail of an extended buffer it did not
 //! fill. One zone per rank therefore serves the depth-1 SpMV and the
 //! depth-s MPK alike, and [`CsrMatrix::ghost_zone`] keeps it across solves.
 
-use crate::csr::{nnz_balanced_bounds, nnz_balanced_bounds_list, CsrMatrix};
-use crate::par::{ParKernels, SendPtr};
-use crate::sell::{SellMatrix, SparseFormat};
+use crate::csr::CsrMatrix;
+use crate::par::ParKernels;
+use crate::sell::SellMatrix;
 use std::collections::HashMap;
 
 /// The depth-s reachability structure of one rank's row block, with the
-/// rank's rows of `A` in the format it was built for.
+/// rank's rows of `A` remapped onto it.
 #[derive(Debug)]
 pub struct GhostZone {
     lo: usize,
@@ -44,117 +44,24 @@ pub struct GhostZone {
     /// `prefix[d]` = |reach(d)| for `d = 0 ..= depth`; `prefix[0]` is the
     /// owned count and `prefix[depth] == ext.len()`.
     prefix: Vec<usize>,
-    /// Rows `0 .. prefix[depth-1]` of `A` over the extended index space.
-    rows: LocalRows,
-}
-
-/// The remapped rows in the zone's one format. Both variants carry the same
-/// two ascending row lists, which partition `[0, prefix[depth-1])`:
-/// **interior** — owned rows whose columns all fall inside the owned prefix
-/// (computable before the halo exchange completes; from the matrix's cached
-/// [`crate::RowSplit`]) — and **frontier** — every other row (owned rows
-/// touching ghost columns, then all ghost rows).
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // one per zone, behind its Arc; never moved in bulk
-enum LocalRows {
-    Csr {
-        raw: RawRows,
-        interior: Vec<usize>,
-        frontier: Vec<usize>,
-    },
-    /// The two lists packed in list order (no σ-sort), so `perm()` is the
-    /// list itself and a row prefix of the frontier is a lane prefix.
-    Sell {
-        interior: SellMatrix,
-        frontier: SellMatrix,
-    },
-}
-
-/// Remapped rows as raw CSR arrays: the renumbered columns are not
-/// ascending (ghosts are ordered by BFS distance), so this cannot be a
-/// [`CsrMatrix`]. Entry order within each row is the original
-/// ascending-global order, which keeps row-sum rounding identical to the
-/// global SpMV.
-#[derive(Debug)]
-struct RawRows {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl RawRows {
-    /// `Σ A[r, q]·x[q]` in stored entry order, as [`CsrMatrix::spmv`] sums.
-    #[inline]
-    fn dot(&self, r: usize, x: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-            acc += self.values[k] * x[self.col_idx[k]];
-        }
-        acc
-    }
-
-    /// `y[r] = dot(r, x)` for the contiguous rows `0 .. nrows`, split into
-    /// nnz-balanced chunks on the fly (the prefix length changes per MPK
-    /// level, so unlike [`CsrMatrix::row_schedule`] there is nothing to
-    /// cache). Row-partitioned, hence bitwise equal for any thread count.
-    fn spmv_prefix(&self, pk: &ParKernels, nrows: usize, x: &[f64], y: &mut [f64]) {
-        if pk.threads() == 1 {
-            for (r, out) in y[..nrows].iter_mut().enumerate() {
-                *out = self.dot(r, x);
-            }
-            return;
-        }
-        let bounds = nnz_balanced_bounds(&self.row_ptr, nrows, pk.threads());
-        pk.for_each_range_mut(&mut y[..nrows], &bounds, |c, piece| {
-            for (i, out) in piece.iter_mut().enumerate() {
-                *out = self.dot(bounds[c] + i, x);
-            }
-        });
-    }
-
-    /// `y[r] = dot(r, x)` for each `r` of a strictly ascending row list,
-    /// cut into nnz-balanced chunks; each chunk writes its own rows, so the
-    /// result is bitwise equal for any thread count.
-    ///
-    /// # Panics
-    /// Panics if the threaded path finds `rows` not strictly ascending (the
-    /// disjoint-write safety argument needs distinct rows) or a row is out
-    /// of range of `y`.
-    fn spmv_list(&self, pk: &ParKernels, rows: &[usize], x: &[f64], y: &mut [f64]) {
-        if pk.threads() == 1 || rows.len() <= 1 {
-            for &r in rows {
-                y[r] = self.dot(r, x);
-            }
-            return;
-        }
-        assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "GhostZone: row list must be strictly ascending"
-        );
-        assert!(*rows.last().unwrap() < y.len(), "GhostZone: y too short");
-        let bounds = nnz_balanced_bounds_list(rows, &self.row_ptr, pk.threads());
-        let ptr = SendPtr(y.as_mut_ptr());
-        pk.run_indexed(bounds.len() - 1, |c| {
-            for &r in &rows[bounds[c]..bounds[c + 1]] {
-                let acc = self.dot(r, x);
-                // SAFETY: the rows are strictly ascending (checked above)
-                // and the chunks partition the list, so every task writes a
-                // distinct set of in-bounds `y` elements; the exclusive
-                // borrow of `y` outlives the run.
-                unsafe { *ptr.get().add(r) = acc };
-            }
-        });
-    }
+    /// The owned rows whose columns all fall inside the owned prefix
+    /// (computable before the halo exchange completes; from the matrix's
+    /// cached [`crate::RowSplit`]), packed in ascending list order.
+    interior: SellMatrix,
+    /// Every other row of `0 .. prefix[depth-1]` (owned rows touching ghost
+    /// columns, then all ghost rows), ascending, so `perm()` is the list
+    /// itself and a row prefix of the frontier is a lane prefix.
+    frontier: SellMatrix,
 }
 
 impl GhostZone {
-    /// Builds the depth-`depth` ghost zone of rows `[lo, hi)` of `a`,
-    /// holding the remapped rows in `format`. Work and transient memory are
-    /// proportional to the zone, not to the matrix.
+    /// Builds the depth-`depth` ghost zone of rows `[lo, hi)` of `a`. Work
+    /// and transient memory are proportional to the zone, not to the
+    /// matrix.
     ///
     /// # Panics
     /// Panics if `depth == 0`, the range is invalid, or `a` is not square.
-    pub fn new(a: &CsrMatrix, lo: usize, hi: usize, depth: usize, format: SparseFormat) -> Self {
+    pub fn new(a: &CsrMatrix, lo: usize, hi: usize, depth: usize) -> Self {
         assert!(depth >= 1, "GhostZone: depth must be at least 1");
         assert!(lo <= hi && hi <= a.nrows(), "GhostZone: invalid row range");
         assert_eq!(a.nrows(), a.ncols(), "GhostZone: matrix must be square");
@@ -184,15 +91,16 @@ impl GhostZone {
             prefix.push(ext.len());
         }
 
-        // Remapped rows 0 .. prefix[depth-1] in original entry order.
+        // Remapped rows 0 .. prefix[depth-1] in original entry order, as raw
+        // CSR arrays that live only until they are packed: the renumbered
+        // columns are not ascending (ghosts are ordered by BFS distance), so
+        // they cannot be a `CsrMatrix`.
         let nrows_local = prefix[depth - 1];
         let nnz: usize = ext[..nrows_local].iter().map(|&g| a.row(g).0.len()).sum();
-        let mut raw = RawRows {
-            row_ptr: Vec::with_capacity(nrows_local + 1),
-            col_idx: Vec::with_capacity(nnz),
-            values: Vec::with_capacity(nnz),
-        };
-        raw.row_ptr.push(0);
+        let mut row_ptr = Vec::with_capacity(nrows_local + 1);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_ptr.push(0);
         let mut level = 0usize;
         for (p, &g) in ext[..nrows_local].iter().enumerate() {
             while p >= prefix[level] {
@@ -208,10 +116,10 @@ impl GhostZone {
                 // What lets a depth-d user of this zone leave the buffer
                 // tail past reach_len(d) unfilled.
                 debug_assert!(q < prefix[level + 1], "ghost closure violated");
-                raw.col_idx.push(q);
+                col_idx.push(q);
             }
-            raw.values.extend_from_slice(vals);
-            raw.row_ptr.push(raw.col_idx.len());
+            values.extend_from_slice(vals);
+            row_ptr.push(col_idx.len());
         }
 
         // Interior/frontier split: owned rows classified by the matrix's
@@ -223,29 +131,15 @@ impl GhostZone {
         let mut frontier: Vec<usize> = split.frontier().iter().map(|&g| g - lo).collect();
         frontier.extend(hi - lo..nrows_local);
 
-        let rows = match format {
-            SparseFormat::Csr => LocalRows::Csr {
-                raw,
-                interior,
-                frontier,
-            },
-            SparseFormat::Sell => {
-                let pack = |list: &[usize]| {
-                    SellMatrix::from_rows(&raw.row_ptr, &raw.col_idx, &raw.values, list)
-                };
-                LocalRows::Sell {
-                    interior: pack(&interior),
-                    frontier: pack(&frontier),
-                }
-            }
-        };
+        let pack = |list: &[usize]| SellMatrix::from_rows(&row_ptr, &col_idx, &values, list);
         GhostZone {
             lo,
             hi,
             depth,
             ext,
             prefix,
-            rows,
+            interior: pack(&interior),
+            frontier: pack(&frontier),
         }
     }
 
@@ -262,14 +156,6 @@ impl GhostZone {
     /// BFS depth of the plan.
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// The format the remapped rows are held in.
-    pub fn format(&self) -> SparseFormat {
-        match self.rows {
-            LocalRows::Csr { .. } => SparseFormat::Csr,
-            LocalRows::Sell { .. } => SparseFormat::Sell,
-        }
     }
 
     /// Size of the full extended index set (`|reach(depth)|`) — the length
@@ -303,10 +189,7 @@ impl GhostZone {
     /// (every column inside the owned prefix). Ascending, disjoint from
     /// [`GhostZone::frontier_rows`].
     pub fn interior_rows(&self) -> &[usize] {
-        match &self.rows {
-            LocalRows::Csr { interior, .. } => interior,
-            LocalRows::Sell { interior, .. } => interior.perm().expect("row-list builds are slots"),
-        }
+        self.interior.perm().expect("row-list builds are slots")
     }
 
     /// Local indices `< nrows` of the rows that need ghost operands:
@@ -322,10 +205,7 @@ impl GhostZone {
             nrows >= self.n_owned(),
             "frontier_rows: prefix shorter than the owned block"
         );
-        let all = match &self.rows {
-            LocalRows::Csr { frontier, .. } => frontier,
-            LocalRows::Sell { frontier, .. } => frontier.perm().expect("row-list builds are slots"),
-        };
+        let all = self.frontier.perm().expect("row-list builds are slots");
         &all[..all.partition_point(|&r| r < nrows)]
     }
 
@@ -333,17 +213,14 @@ impl GhostZone {
     /// `y[r] = Σ A[ext[r], ext[q]] · x_ext[q]` for each `r` of
     /// [`GhostZone::interior_rows`], with the per-row accumulation order of
     /// [`CsrMatrix::spmv`]. Reads only the owned prefix of `x_ext`; bitwise
-    /// equal for any thread count and either format.
+    /// equal for any thread count.
     ///
     /// # Panics
     /// Panics if `x_ext` is shorter than [`GhostZone::ext_len`] or `y` than
     /// the owned block.
     pub fn spmv_interior(&self, pk: &ParKernels, x_ext: &[f64], y: &mut [f64]) {
         self.check_operands(self.n_owned(), x_ext, y);
-        match &self.rows {
-            LocalRows::Csr { raw, interior, .. } => raw.spmv_list(pk, interior, x_ext, y),
-            LocalRows::Sell { interior, .. } => pk.spmv_sell(interior, x_ext, y),
-        }
+        pk.spmv_sell(&self.interior, x_ext, y);
     }
 
     /// The rows of [`GhostZone::frontier_rows`]`(nrows)`, same arithmetic:
@@ -355,38 +232,28 @@ impl GhostZone {
     /// buffer is too short.
     pub fn spmv_frontier(&self, pk: &ParKernels, nrows: usize, x_ext: &[f64], y: &mut [f64]) {
         self.check_operands(nrows, x_ext, y);
-        let list = self.frontier_rows(nrows);
-        match &self.rows {
-            LocalRows::Csr { raw, .. } => raw.spmv_list(pk, list, x_ext, y),
-            // The list is ascending, so the rows `< nrows` are a lane prefix.
-            LocalRows::Sell { frontier, .. } => pk.spmv_sell_prefix(frontier, list.len(), x_ext, y),
-        }
+        // The list is ascending, so the rows `< nrows` are a lane prefix.
+        let nlanes = self.frontier_rows(nrows).len();
+        pk.spmv_sell_prefix(&self.frontier, nlanes, x_ext, y);
     }
 
     /// Applies the remapped operator to rows `0 .. nrows` of the extended
     /// index space: `y[p] = Σ A[ext[p], ext[q]] · x_ext[q]`, with the same
     /// per-row accumulation order as [`CsrMatrix::spmv`] — bitwise equal
-    /// for any thread count and either format.
+    /// for any thread count. The interior rows, then the frontier rows.
     ///
     /// # Panics
     /// Panics if `nrows` is not in `[n_owned(), reach_len(depth-1)]` or a
     /// buffer is too short.
     pub fn spmv_prefix(&self, pk: &ParKernels, nrows: usize, x_ext: &[f64], y: &mut [f64]) {
-        match &self.rows {
-            LocalRows::Csr { raw, .. } => {
-                self.check_operands(nrows, x_ext, y);
-                raw.spmv_prefix(pk, nrows, x_ext, y);
-            }
-            LocalRows::Sell { .. } => {
-                self.spmv_interior(pk, x_ext, y);
-                self.spmv_frontier(pk, nrows, x_ext, y);
-            }
-        }
+        self.spmv_interior(pk, x_ext, y);
+        self.spmv_frontier(pk, nrows, x_ext, y);
     }
 
     /// The shape contract of the three kernels. The `x_ext` bound is what
     /// licenses the SELL kernels' unchecked gather (every packed column is
-    /// below `ext_len()`).
+    /// below `ext_len()`), the `y` bound what keeps their scatter in range
+    /// (every packed row is below `nrows`).
     fn check_operands(&self, nrows: usize, x_ext: &[f64], y: &[f64]) {
         assert!(
             self.n_owned() <= nrows && nrows <= self.prefix[self.depth - 1],
@@ -408,7 +275,6 @@ impl GhostZone {
 mod tests {
     use super::*;
     use crate::generators::poisson::{poisson_1d, poisson_2d, poisson_3d};
-    use SparseFormat::{Csr, Sell};
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -421,7 +287,7 @@ mod tests {
     #[test]
     fn depth1_matches_partition_halo() {
         let a = poisson_1d(12);
-        let gz = GhostZone::new(&a, 4, 8, 1, Csr);
+        let gz = GhostZone::new(&a, 4, 8, 1);
         assert_eq!(gz.n_owned(), 4);
         assert_eq!(gz.ghost_indices(), &[3, 8]);
         assert_eq!(gz.reach_len(0), 4);
@@ -431,7 +297,7 @@ mod tests {
     #[test]
     fn reach_sets_grow_by_one_layer_on_tridiagonal() {
         let a = poisson_1d(20);
-        let gz = GhostZone::new(&a, 8, 12, 3, Sell);
+        let gz = GhostZone::new(&a, 8, 12, 3);
         // Each depth adds one row on each side.
         assert_eq!(gz.ghost_indices(), &[7, 12, 6, 13, 5, 14]);
         assert_eq!(gz.reach_len(1), 6);
@@ -445,16 +311,14 @@ mod tests {
         let x: Vec<f64> = (0..64).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let mut y_global = vec![0.0; 64];
         a.spmv(&x, &mut y_global);
-        for format in [Csr, Sell] {
-            let gz = GhostZone::new(&a, 16, 40, 3, format);
-            let x_ext = gz.extend_from_global(&x);
-            let mut y_local = vec![0.0; gz.reach_len(2)];
-            gz.spmv_prefix(&ParKernels::serial(), gz.reach_len(2), &x_ext, &mut y_local);
-            for p in 0..gz.reach_len(2) {
-                let g = gz.ext_indices()[p];
-                // Bitwise: entry order inside each row is preserved.
-                assert_eq!(y_local[p], y_global[g], "{format:?} row {g}");
-            }
+        let gz = GhostZone::new(&a, 16, 40, 3);
+        let x_ext = gz.extend_from_global(&x);
+        let mut y_local = vec![0.0; gz.reach_len(2)];
+        gz.spmv_prefix(&ParKernels::serial(), gz.reach_len(2), &x_ext, &mut y_local);
+        for p in 0..gz.reach_len(2) {
+            let g = gz.ext_indices()[p];
+            // Bitwise: entry order inside each row is preserved.
+            assert_eq!(y_local[p], y_global[g], "row {g}");
         }
     }
 
@@ -462,7 +326,7 @@ mod tests {
     fn spmv_prefix_par_is_bitwise_identical_across_thread_counts() {
         let a = poisson_3d(14);
         let n = a.nrows();
-        let gz = GhostZone::new(&a, n / 4, 3 * n / 4, 3, Csr);
+        let gz = GhostZone::new(&a, n / 4, 3 * n / 4, 3);
         let x: Vec<f64> = (0..n).map(|i| ((i * 11 % 17) as f64) - 8.0).collect();
         let x_ext = gz.extend_from_global(&x);
         for d in [1usize, 2] {
@@ -482,32 +346,30 @@ mod tests {
     fn interior_and_frontier_partition_every_prefix() {
         let a = poisson_2d(10);
         let n = a.nrows();
-        for format in [Csr, Sell] {
-            let gz = GhostZone::new(&a, n / 4, 2 * n / 3, 3, format);
-            for d in 0..gz.depth() {
-                let rows = gz.reach_len(d);
-                let mut all: Vec<usize> = gz
-                    .interior_rows()
-                    .iter()
-                    .chain(gz.frontier_rows(rows))
-                    .copied()
-                    .collect();
-                all.sort_unstable();
-                assert_eq!(all, (0..rows).collect::<Vec<_>>(), "prefix depth {d}");
-            }
-            // Interior rows reference only owned columns.
-            for &r in gz.interior_rows() {
-                assert!(r < gz.n_owned());
-            }
-            // Every ghost row is frontier.
-            let rows = gz.reach_len(gz.depth() - 1);
-            let f = gz.frontier_rows(rows);
-            for g in gz.n_owned()..rows {
-                assert!(
-                    f.binary_search(&g).is_ok(),
-                    "ghost row {g} must be frontier"
-                );
-            }
+        let gz = GhostZone::new(&a, n / 4, 2 * n / 3, 3);
+        for d in 0..gz.depth() {
+            let rows = gz.reach_len(d);
+            let mut all: Vec<usize> = gz
+                .interior_rows()
+                .iter()
+                .chain(gz.frontier_rows(rows))
+                .copied()
+                .collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..rows).collect::<Vec<_>>(), "prefix depth {d}");
+        }
+        // Interior rows reference only owned columns.
+        for &r in gz.interior_rows() {
+            assert!(r < gz.n_owned());
+        }
+        // Every ghost row is frontier.
+        let rows = gz.reach_len(gz.depth() - 1);
+        let f = gz.frontier_rows(rows);
+        for g in gz.n_owned()..rows {
+            assert!(
+                f.binary_search(&g).is_ok(),
+                "ghost row {g} must be frontier"
+            );
         }
     }
 
@@ -516,51 +378,61 @@ mod tests {
         let a = poisson_3d(11);
         let n = a.nrows();
         let x_global = operand(n);
-        for format in [Csr, Sell] {
-            let gz = GhostZone::new(&a, n / 5, 4 * n / 5, 3, format);
-            let x_ext = gz.extend_from_global(&x_global);
-            for d in [0usize, 1, 2] {
-                let rows = gz.reach_len(d);
-                let mut reference = vec![0.0; rows];
-                gz.spmv_prefix(&ParKernels::serial(), rows, &x_ext, &mut reference);
-                for t in [1usize, 2, 4] {
-                    let pk = ParKernels::new(t);
-                    let mut y = vec![f64::NAN; rows];
-                    // Interior first with stale ghost operands is the overlap
-                    // execution order; the result must not depend on it.
-                    gz.spmv_interior(&pk, &x_ext, &mut y);
-                    gz.spmv_frontier(&pk, rows, &x_ext, &mut y);
-                    assert_eq!(bits(&y), bits(&reference), "{format:?} d {d} t {t}");
-                }
+        let gz = GhostZone::new(&a, n / 5, 4 * n / 5, 3);
+        let x_ext = gz.extend_from_global(&x_global);
+        for d in [0usize, 1, 2] {
+            let rows = gz.reach_len(d);
+            let mut reference = vec![0.0; rows];
+            gz.spmv_prefix(&ParKernels::serial(), rows, &x_ext, &mut reference);
+            for t in [1usize, 2, 4] {
+                let pk = ParKernels::new(t);
+                let mut y = vec![f64::NAN; rows];
+                // Interior first with stale ghost operands is the overlap
+                // execution order; the result must not depend on it.
+                gz.spmv_interior(&pk, &x_ext, &mut y);
+                gz.spmv_frontier(&pk, rows, &x_ext, &mut y);
+                assert_eq!(bits(&y), bits(&reference), "d {d} t {t}");
             }
         }
     }
 
-    /// A SELL-format zone against a CSR-format zone of the same block: all
-    /// three kernels, every level's row prefix, bit for bit.
+    /// The zone's kernels against the CSR reference: each zone row `p`
+    /// is [`CsrMatrix::spmv_rows`] of global row `ext[p]` on the extended
+    /// operand scattered back to global numbering, every entry outside the
+    /// reach set poisoned with NaN. All three kernels, every level's row
+    /// prefix, threads 1, 2 and 4 with the pooled paths forced, on the
+    /// stencil and its variable-coefficient twin, bit for bit.
     #[test]
     fn sell_prefix_matches_csr_prefix_bitwise() {
-        let a = poisson_3d(11);
-        let n = a.nrows();
-        let csr = GhostZone::new(&a, n / 5, 4 * n / 5, 3, Csr);
-        let sell = GhostZone::new(&a, n / 5, 4 * n / 5, 3, Sell);
-        assert_eq!((csr.format(), sell.format()), (Csr, Sell));
-        assert_eq!(csr.ext_indices(), sell.ext_indices());
-        assert_eq!(csr.interior_rows(), sell.interior_rows());
-        let x_ext = csr.extend_from_global(&operand(n));
-        for d in [0usize, 1, 2] {
-            let rows = csr.reach_len(d);
-            assert_eq!(csr.frontier_rows(rows), sell.frontier_rows(rows));
-            for t in [1usize, 2, 4] {
-                let pk = ParKernels::new(t);
-                let run = |gz: &GhostZone| {
+        let stencil = poisson_3d(11);
+        let twin = crate::generators::perturb_diagonal(&stencil, 11);
+        for a in [stencil, twin] {
+            let n = a.nrows();
+            let gz = GhostZone::new(&a, n / 5, 4 * n / 5, 3);
+            let x_ext = gz.extend_from_global(&operand(n));
+            for d in [0usize, 1, 2] {
+                let rows = gz.reach_len(d);
+                let mut x_global = vec![f64::NAN; n];
+                for (q, &g) in gz.ext_indices()[..gz.reach_len(d + 1)].iter().enumerate() {
+                    x_global[g] = x_ext[q];
+                }
+                let want: Vec<u64> = gz.ext_indices()[..rows]
+                    .iter()
+                    .map(|&g| {
+                        let mut out = [0.0];
+                        a.spmv_rows(g, g + 1, &x_global, &mut out);
+                        out[0].to_bits()
+                    })
+                    .collect();
+                for t in [1usize, 2, 4] {
+                    let pk = ParKernels::always_split(t);
                     let (mut whole, mut split) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);
                     gz.spmv_prefix(&pk, rows, &x_ext, &mut whole);
                     gz.spmv_interior(&pk, &x_ext, &mut split);
                     gz.spmv_frontier(&pk, rows, &x_ext, &mut split);
-                    (bits(&whole), bits(&split))
-                };
-                assert_eq!(run(&sell), run(&csr), "depth {d}, threads {t}");
+                    assert_eq!(bits(&whole), want, "prefix, depth {d}, threads {t}");
+                    assert_eq!(bits(&split), want, "split, depth {d}, threads {t}");
+                }
             }
         }
     }
@@ -597,43 +469,41 @@ mod tests {
             let n = a.nrows();
             let x_global = operand(n);
             for (lo, hi) in [(0, n / 3), (n / 3, 2 * n / 3), (2 * n / 3, n)] {
-                for format in [Csr, Sell] {
-                    for big_d in [2usize, 3, 5] {
-                        let deep = GhostZone::new(a, lo, hi, big_d, format);
-                        let x_deep = deep.extend_from_global(&x_global);
-                        for d in 1..=big_d {
-                            let fresh = GhostZone::new(a, lo, hi, d, format);
-                            let what = format!("{name} [{lo},{hi}) {format:?} D={big_d} d={d}");
-                            let reach = fresh.ext_len();
-                            assert_eq!(deep.reach_len(d), reach, "{what}");
-                            assert_eq!(&deep.ext_indices()[..reach], fresh.ext_indices());
-                            for k in 0..=d {
-                                assert_eq!(deep.reach_len(k), fresh.reach_len(k), "{what}");
-                            }
-                            assert_eq!(deep.interior_rows(), fresh.interior_rows(), "{what}");
-                            // Poison what a depth-d user never fills.
-                            let mut x_cut = x_deep.clone();
-                            x_cut[reach..].fill(f64::NAN);
-                            let x_fresh = &x_deep[..reach];
-                            for k in 0..d {
-                                let rows = fresh.reach_len(k);
-                                assert_eq!(deep.frontier_rows(rows), fresh.frontier_rows(rows));
-                                for t in [1usize, 2, 4] {
-                                    let pk = ParKernels::new(t);
-                                    let run = |gz: &GhostZone, x: &[f64]| {
-                                        let mut whole = vec![f64::NAN; rows];
-                                        let mut split = vec![f64::NAN; rows];
-                                        gz.spmv_prefix(&pk, rows, x, &mut whole);
-                                        gz.spmv_interior(&pk, x, &mut split);
-                                        gz.spmv_frontier(&pk, rows, x, &mut split);
-                                        (bits(&whole), bits(&split))
-                                    };
-                                    assert_eq!(
-                                        run(&deep, &x_cut),
-                                        run(&fresh, x_fresh),
-                                        "{what} level {k} threads {t}"
-                                    );
-                                }
+                for big_d in [2usize, 3, 5] {
+                    let deep = GhostZone::new(a, lo, hi, big_d);
+                    let x_deep = deep.extend_from_global(&x_global);
+                    for d in 1..=big_d {
+                        let fresh = GhostZone::new(a, lo, hi, d);
+                        let what = format!("{name} [{lo},{hi}) D={big_d} d={d}");
+                        let reach = fresh.ext_len();
+                        assert_eq!(deep.reach_len(d), reach, "{what}");
+                        assert_eq!(&deep.ext_indices()[..reach], fresh.ext_indices());
+                        for k in 0..=d {
+                            assert_eq!(deep.reach_len(k), fresh.reach_len(k), "{what}");
+                        }
+                        assert_eq!(deep.interior_rows(), fresh.interior_rows(), "{what}");
+                        // Poison what a depth-d user never fills.
+                        let mut x_cut = x_deep.clone();
+                        x_cut[reach..].fill(f64::NAN);
+                        let x_fresh = &x_deep[..reach];
+                        for k in 0..d {
+                            let rows = fresh.reach_len(k);
+                            assert_eq!(deep.frontier_rows(rows), fresh.frontier_rows(rows));
+                            for t in [1usize, 2, 4] {
+                                let pk = ParKernels::new(t);
+                                let run = |gz: &GhostZone, x: &[f64]| {
+                                    let mut whole = vec![f64::NAN; rows];
+                                    let mut split = vec![f64::NAN; rows];
+                                    gz.spmv_prefix(&pk, rows, x, &mut whole);
+                                    gz.spmv_interior(&pk, x, &mut split);
+                                    gz.spmv_frontier(&pk, rows, x, &mut split);
+                                    (bits(&whole), bits(&split))
+                                };
+                                assert_eq!(
+                                    run(&deep, &x_cut),
+                                    run(&fresh, x_fresh),
+                                    "{what} level {k} threads {t}"
+                                );
                             }
                         }
                     }
@@ -645,14 +515,14 @@ mod tests {
     #[test]
     fn boundary_block_has_one_sided_ghosts() {
         let a = poisson_1d(10);
-        let gz = GhostZone::new(&a, 0, 3, 2, Csr);
+        let gz = GhostZone::new(&a, 0, 3, 2);
         assert_eq!(gz.ghost_indices(), &[3, 4]);
     }
 
     #[test]
     fn full_matrix_block_has_no_ghosts() {
         let a = poisson_2d(5);
-        let gz = GhostZone::new(&a, 0, 25, 4, Sell);
+        let gz = GhostZone::new(&a, 0, 25, 4);
         assert!(gz.ghost_indices().is_empty());
         assert_eq!(gz.ext_len(), 25);
     }
@@ -661,6 +531,6 @@ mod tests {
     #[should_panic(expected = "depth must be at least 1")]
     fn rejects_zero_depth() {
         let a = poisson_1d(4);
-        GhostZone::new(&a, 0, 2, 0, Csr);
+        GhostZone::new(&a, 0, 2, 0);
     }
 }

@@ -50,7 +50,7 @@ pub use dense::DenseMat;
 pub use ghost::GhostZone;
 pub use multivector::MultiVector;
 pub use par::{GemvOut, ParKernels, SstepBlock, ThreadPool};
-pub use sell::{MatRef, SellMatrix, SparseFormat};
+pub use sell::{SellMatrix, SparseFormat};
 pub use split::RowSplit;
 
 /// Workspace-wide floating point scalar. The paper's experiments are all in

@@ -31,17 +31,17 @@
 //! walked in [`REDUCE_BLOCK`]-row bands, a band of `A·x` lands in an 8 KiB
 //! stack buffer and a caller epilogue folds it into the caller's vectors
 //! while it is in L1, so the product never makes a round trip through
-//! memory as a full-length vector. The operator arrives as a [`MatRef`] —
-//! CSR or SELL, the executor's choice. In SELL a band is four σ-windows =
-//! 32 slices, and σ-confinement makes those slices' lanes exactly the
-//! band's rows; that is why the fusion granule is a band and not the
+//! memory as a full-length vector. The operator is the matrix's
+//! [`SellMatrix`] (diagonals or slots, whichever `from_csr` picked). A band
+//! is four σ-windows = 32 slices, and σ-confinement makes those slices'
+//! lanes exactly the band's rows; that is why the fusion granule is a band and not the
 //! kernel's per-lane `write(row, acc)` sink: fusing through the sink
 //! scatters bounds-checked single-element updates over the caller's
 //! vectors and measured no faster than an unfused SELL SpMV plus one
 //! vector pass. Pooled runs hand each task a run of whole bands, so
 //! row-local epilogues are thread-count independent by construction.
 //!
-//! The row-partitioned sparse kernels (SpMV and SpMM, both formats) also
+//! The row-partitioned sparse kernels (SpMV and SpMM, CSR and SELL) also
 //! run inline when splitting cannot pay: the pool is wider than the machine,
 //! or the matrix is under `SPLIT_MIN_ENTRIES`. By the invariant above the
 //! choice never shows in a result.
@@ -50,7 +50,7 @@ use crate::blas::{self, pairwise_sum, REDUCE_BLOCK};
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMat;
 use crate::multivector::MultiVector;
-use crate::sell::{MatRef, SellMatrix, SELL_C};
+use crate::sell::{SellMatrix, SELL_C};
 use crate::tile::{combine, gram_block, with_scratch, GRAM_LANES, TILE, ZERO_TILE};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -206,7 +206,15 @@ fn worker_loop(shared: &PoolShared, id: usize) {
 /// crate and guarded by a disjointness argument: concurrent tasks write
 /// non-overlapping index ranges of the pointee.
 pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+// SAFETY: every `SendPtr` is made from an exclusive borrow that outlives the
+// pool run it is handed to (`ThreadPool::run` returns only once every task
+// has finished), and each use partitions the pointee so that no element is
+// touched by two task indices. Moving the pointer to a worker thus gives
+// that worker sole access to its own elements, which `T: Send` permits.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: the tasks of one run share the wrapper by reference only to reach
+// their disjoint elements (see `Send` above); nothing reads the pointee
+// through it after the run returns.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
@@ -470,9 +478,14 @@ impl ParKernels {
         }
         let ptr = SendPtr(y.as_mut_ptr());
         self.run_indexed(bounds.len() - 1, |c| {
-            // Safety: chunks own disjoint slice ranges, the permutation is
-            // injective, and out_len was bounds-checked above — so every
-            // write lands in `y` and no position is written twice.
+            // SAFETY: `i` is the output row `perm[p]` of a lane `p` in this
+            // task's slices. The slice ranges of distinct tasks are disjoint
+            // (the schedule is monotone) and the permutation is injective
+            // (`from_csr` sorts a bijection, `from_rows` refuses a repeated
+            // row), so no position is written by two tasks; every row is
+            // below `out_len() <= y.len()` (asserted above). The exclusive
+            // borrow of `y` outlives the run. Checked twin:
+            // `scatter_kernels_match_their_checked_twins`.
             let mut write = |i: usize, v: f64| unsafe { *ptr.get().add(i) = v };
             a.spmv_slices_into(bounds[c], bounds[c + 1], x, &mut write);
         });
@@ -497,10 +510,15 @@ impl ParKernels {
         // full-matrix schedule (mirrors GhostZone::spmv_prefix_par).
         let bounds = crate::csr::nnz_balanced_bounds(a.slice_ptr(), full, self.threads());
         self.run_indexed(bounds.len() - 1, |c| {
-            // Safety: disjoint slice ranges + injective permutation; each
-            // output index is bounds-checked before the raw write.
             let mut write = |i: usize, v: f64| {
                 assert!(i < y_len, "spmv_sell_prefix: y length mismatch");
+                // SAFETY: in bounds by the assert; the full slices of the
+                // prefix are cut into disjoint ranges, one per task, and
+                // the lane permutation is injective (as in `spmv_sell`), so
+                // no position is written by two tasks, nor by the inline
+                // partial slice after the run. The exclusive borrow of `y`
+                // outlives the run. Checked twin:
+                // `scatter_kernels_match_their_checked_twins`.
                 unsafe { *ptr.get().add(i) = v }
             };
             a.spmv_slices_into(bounds[c], bounds[c + 1], x, &mut write);
@@ -532,10 +550,14 @@ impl ParKernels {
         let ptr = SendPtr(y.data_mut().as_mut_ptr());
         if k == 1 {
             self.run_indexed(bounds.len() - 1, |c| {
-                // Safety: chunks own disjoint row ranges, and the flat
-                // index `j·nrows + r` stays inside `y`'s `nrows·k` buffer
-                // for every (row, column) pair — so no position is
-                // written twice.
+                // SAFETY: `i = j·nrows + r` for a row `r` of this task's
+                // range and a column `j < k`. The row schedule is monotone
+                // and ends at `nrows`, so the ranges of distinct tasks are
+                // disjoint and every `(j, r)` pair, hence every `i`, belongs
+                // to one task; `i < nrows·k`, the length of `y`'s buffer
+                // (shape asserted above). The exclusive borrow of `y`
+                // outlives the run. Checked twin:
+                // `scatter_kernels_match_their_checked_twins`.
                 let mut write = |i: usize, v: f64| unsafe { *ptr.get().add(i) = v };
                 a.spmm_rows_into(bounds[c], bounds[c + 1], x, &mut write);
             });
@@ -545,8 +567,9 @@ impl ParKernels {
         // reads the same interleaved buffer.
         CsrMatrix::with_interleaved(x, |xr| {
             self.run_indexed(bounds.len() - 1, |c| {
-                // Safety: as above — disjoint row ranges, in-bounds flat
-                // indices.
+                // SAFETY: as for `k == 1` above — the same disjoint row
+                // ranges and in-bounds flat indices `j·nrows + r`; the
+                // interleaved operand is a separate buffer, only read.
                 let mut write = |i: usize, v: f64| unsafe { *ptr.get().add(i) = v };
                 a.spmm_rows_interleaved(bounds[c], bounds[c + 1], xr, k, &mut write);
             });
@@ -561,13 +584,12 @@ impl ParKernels {
     /// result is bitwise equal to [`ParKernels::spmv_sell`] — and to the
     /// CSR kernels — for any thread count.
     ///
-    /// A serial solve under [`crate::SparseFormat::Sell`] runs this kernel
-    /// for its multi-column products only when `a` is on diagonals, which
-    /// stream no matrix (k = 8, single thread, 48³ Poisson: 1.6–1.9× the
-    /// interleaved CSR kernel). On slots it walks the columns one at a
-    /// time where [`ParKernels::spmm`] feeds a whole column group from one
-    /// matrix entry (≈1.5× this kernel's rate), so those products run on
-    /// CSR. The benchmark's `sparse.spmm_gflops.k8` probe and the
+    /// A serial solve runs this kernel for its multi-column products only
+    /// when `a` is on diagonals, which stream no matrix (k = 8, single
+    /// thread, 48³ Poisson: 1.6–1.9× the interleaved CSR kernel). On slots
+    /// it walks the columns one at a time where [`ParKernels::spmm`] feeds
+    /// a whole column group from one matrix entry (≈1.5× this kernel's rate
+    /// at k = 8), so those products run on CSR. The benchmark's `sparse.spmm_gflops.k8` probe and the
     /// `kernels` bin's `spmm_gflops` row time it on both encodings.
     ///
     /// # Panics
@@ -590,44 +612,36 @@ impl ParKernels {
         let bounds = a.slice_schedule(self.threads());
         let ptr = SendPtr(y.data_mut().as_mut_ptr());
         self.run_indexed(bounds.len() - 1, |c| {
-            // Safety: chunks own disjoint slice ranges, the permutation is
-            // injective per column, and `j·ld + row` was bounds-checked by
-            // the `out_len`/`k` asserts above.
+            // SAFETY: `i = j·ld + perm[p]` for a lane `p` of this task's
+            // slices and a column `j < k`. Slice ranges are disjoint across
+            // tasks and the permutation is injective (as in `spmv_sell`),
+            // so every `(j, row)` pair belongs to one task; `perm[p] <
+            // out_len() <= ld` and `j < y.k()` (asserted above) keep `i`
+            // inside `y`'s `ld·k` buffer. The exclusive borrow of `y`
+            // outlives the run. Checked twin:
+            // `scatter_kernels_match_their_checked_twins`.
             let mut write = |i: usize, v: f64| unsafe { *ptr.get().add(i) = v };
             a.spmm_slices_into(bounds[c], bounds[c + 1], x, ld, &mut write);
         });
-    }
-
-    /// `y ← A·x` on whichever stored form `op` is: [`ParKernels::spmv`] or
-    /// [`ParKernels::spmv_sell`]. Same bits either way.
-    pub fn spmv_on(&self, op: MatRef<'_>, x: &[f64], y: &mut [f64]) {
-        match op {
-            MatRef::Csr(a) => self.spmv(a, x, y),
-            MatRef::Sell(a) => self.spmv_sell(a, x, y),
-        }
     }
 
     /// The row partition of the band kernels: boundaries `b` with
     /// `b[0] = 0`, `b.last() = nrows` and every one in between a multiple
     /// of [`REDUCE_BLOCK`], so each task owns whole bands. `[0, nrows]`
     /// when the operator is too small to split (the rule of
-    /// [`ParKernels::spmv`]); otherwise the format's work-balanced schedule
-    /// ([`CsrMatrix::row_schedule`] / [`SellMatrix::slice_schedule`]) with
-    /// each cut moved to the nearest band boundary.
-    pub fn band_schedule(&self, op: MatRef<'_>) -> Vec<usize> {
-        let n = op.nrows();
-        // (work-balanced cuts, rows per unit they are counted in)
-        let (cuts, unit) = match op {
-            MatRef::Csr(a) if self.splits(a.nnz()) => (a.row_schedule(self.threads()), 1),
-            MatRef::Sell(a) if self.splits(a.padded_nnz()) => {
-                (a.slice_schedule(self.threads()), SELL_C)
-            }
-            _ => return vec![0, n],
-        };
+    /// [`ParKernels::spmv_sell`]); otherwise its work-balanced
+    /// [`SellMatrix::slice_schedule`] with each cut moved to the nearest
+    /// band boundary.
+    pub fn band_schedule(&self, a: &SellMatrix) -> Vec<usize> {
+        let n = a.out_len();
+        if !self.splits(a.padded_nnz()) {
+            return vec![0, n];
+        }
+        let cuts = a.slice_schedule(self.threads());
         let nearest_band = |row: usize| (row + REDUCE_BLOCK / 2) / REDUCE_BLOCK * REDUCE_BLOCK;
         let mut bounds: Vec<usize> = cuts[..cuts.len() - 1]
             .iter()
-            .map(|&c| nearest_band(c * unit).min(n))
+            .map(|&c| nearest_band(c * SELL_C).min(n))
             .collect();
         bounds.push(n);
         bounds
@@ -642,36 +656,37 @@ impl ParKernels {
     /// cache-hot. `x` is read across bands, so it cannot be one of `outs`:
     /// a recurrence writes its next iterate to a second buffer.
     ///
-    /// `ax_band` is bitwise the band of [`CsrMatrix::spmv`] in either
-    /// format (see [`MatRef::spmv_band`]), and the pool is handed whole
-    /// bands ([`ParKernels::band_schedule`]), so an epilogue that is
-    /// row-local — element `i` of its outputs depends on row `i` of its
-    /// inputs only — yields the same bits for every thread count.
+    /// `ax_band` is bitwise the band of [`CsrMatrix::spmv`] (a band's
+    /// slices hold exactly its rows, by σ-confinement), and the pool is
+    /// handed whole bands ([`ParKernels::band_schedule`]), so an epilogue
+    /// that is row-local — element `i` of its outputs depends on row `i` of
+    /// its inputs only — yields the same bits for every thread count.
     ///
     /// # Panics
-    /// Panics on length mismatches, and as [`MatRef::spmv_band`] does.
+    /// Panics on length mismatches, and unless `a` came from
+    /// [`SellMatrix::from_csr`] (a row-list build is not window-confined).
     pub fn spmv_bands<F, const K: usize>(
         &self,
-        op: MatRef<'_>,
+        a: &SellMatrix,
         x: &[f64],
         outs: [&mut [f64]; K],
         epilogue: F,
     ) where
         F: Fn(usize, &[f64], [&mut [f64]; K]) + Sync,
     {
-        let n = op.nrows();
-        assert!(x.len() >= op.ncols(), "spmv_bands: x length mismatch");
+        let n = a.out_len();
+        assert!(x.len() >= a.ncols(), "spmv_bands: x length mismatch");
         assert!(
             outs.iter().all(|o| o.len() == n),
             "spmv_bands: output length mismatch"
         );
-        let bounds = self.band_schedule(op);
+        let bounds = self.band_schedule(a);
         self.for_each_ranges_mut(outs, &bounds, |c, mut rest| {
             let mut ax = [0.0f64; REDUCE_BLOCK];
             let mut lo = bounds[c];
             while lo < bounds[c + 1] {
                 let len = REDUCE_BLOCK.min(bounds[c + 1] - lo);
-                op.spmv_band(lo, lo + len, x, &mut ax[..len]);
+                a.spmv_band(lo, lo + len, x, &mut ax[..len]);
                 epilogue(lo, &ax[..len], split_fronts(&mut rest, len));
                 lo += len;
             }
@@ -792,8 +807,12 @@ impl ParKernels {
         self.for_each_chunk_mut(&mut partials, 1, |b, _, out| {
             let lo = b * REDUCE_BLOCK;
             let hi = (lo + REDUCE_BLOCK).min(n);
-            // Safety: each task owns the disjoint block `[lo, hi)` of
-            // `x`, `r`, and `u`, all of length `n ≥ hi`.
+            // SAFETY: task `b` owns the block `[lo, hi)`, and the blocks of
+            // distinct task indices are disjoint; `x`, `r` and `u` all have
+            // length `n >= hi` (asserted above) and are three distinct
+            // exclusive borrows, so the three pieces alias neither each
+            // other nor another task's, and the borrows outlive the run.
+            // Checked twin: `pcg_step_fused_matches_its_checked_twin`.
             let (xs, rs, us) = unsafe {
                 (
                     std::slice::from_raw_parts_mut(px.get().add(lo), hi - lo),
@@ -1380,6 +1399,156 @@ mod tests {
         }
     }
 
+    /// Runs `task(c, write)` for every task index `c < ntasks` in turn, as
+    /// a pooled scatter kernel runs its tasks, but through a checked writer
+    /// that asserts the premises of the kernels' raw-pointer `SAFETY`
+    /// arguments: every index below `out.len()`, and no index written by
+    /// two tasks. Returns `out` with the writes applied.
+    fn checked_scatter(
+        mut out: Vec<f64>,
+        ntasks: usize,
+        task: impl Fn(usize, &mut dyn FnMut(usize, f64)),
+    ) -> Vec<f64> {
+        let mut owner = vec![usize::MAX; out.len()];
+        for c in 0..ntasks {
+            task(c, &mut |i, v| {
+                assert!(i < out.len(), "task {c} writes {i}, past {}", out.len());
+                let first = std::mem::replace(&mut owner[i], c);
+                assert!(
+                    first == usize::MAX || first == c,
+                    "tasks {first} and {c} write {i}"
+                );
+                out[i] = v;
+            });
+        }
+        out
+    }
+
+    /// The columns of `m` end to end, as the flat column-major buffer the
+    /// SpMM scatters index into.
+    fn flat(m: &MultiVector) -> Vec<f64> {
+        (0..m.k()).flat_map(|j| m.col(j).to_vec()).collect()
+    }
+
+    /// The checked twins of the raw-pointer scatters of `spmv_sell`,
+    /// `spmv_sell_prefix`, `spmm` and `spmm_sell`: each kernel's own task
+    /// decomposition (its schedule, its per-task kernel) replayed through
+    /// [`checked_scatter`], and the kernel's output bitwise equal to the
+    /// twin's. Threads 1, 2 and 4 with the pooled paths forced, on the
+    /// stencil (diagonals) and its variable-coefficient twin (slots).
+    #[test]
+    fn scatter_kernels_match_their_checked_twins() {
+        for (a, sell) in both_encodings(poisson_3d(14)) {
+            let n = a.nrows();
+            let x = random_vec(n, 41);
+            let rows: Vec<usize> = (0..n).collect();
+            let list = SellMatrix::from_rows(a.row_ptr(), a.col_idx(), a.values(), &rows);
+            assert!(!list.is_diagonal());
+            for t in [1usize, 2, 4] {
+                let pk = ParKernels::always_split(t);
+                let tag = |what: &str| format!("{what} t={t} diagonal={}", sell.is_diagonal());
+
+                let bounds = sell.slice_schedule(t);
+                let twin = checked_scatter(vec![f64::NAN; n], bounds.len() - 1, |c, w| {
+                    sell.spmv_slices_into(bounds[c], bounds[c + 1], &x, &mut |i, v| w(i, v))
+                });
+                assert!(
+                    twin.iter().all(|v| !v.is_nan()),
+                    "{}",
+                    tag("spmv_sell rows")
+                );
+                let mut y = vec![f64::NAN; n];
+                pk.spmv_sell(&sell, &x, &mut y);
+                assert_same_bits(&y, &twin, &tag("spmv_sell"));
+
+                // The pooled full slices, then the inline partial slice as
+                // one more task.
+                for nlanes in [n / 2 + 5, n] {
+                    let (full, rem) = (nlanes / SELL_C, nlanes % SELL_C);
+                    let bounds = crate::csr::nnz_balanced_bounds(list.slice_ptr(), full, t);
+                    let twin = checked_scatter(vec![f64::NAN; n], bounds.len(), |c, w| {
+                        if c + 1 < bounds.len() {
+                            list.spmv_slices_into(bounds[c], bounds[c + 1], &x, &mut |i, v| w(i, v))
+                        } else if rem > 0 {
+                            list.spmv_slice_lanes_into(full, rem, &x, &mut |i, v| w(i, v))
+                        }
+                    });
+                    let mut y = vec![f64::NAN; n];
+                    pk.spmv_sell_prefix(&list, nlanes, &x, &mut y);
+                    assert_same_bits(&y, &twin, &tag(&format!("spmv_sell_prefix {nlanes}")));
+                }
+
+                for k in [1usize, 3] {
+                    let xm = random_mv(n, k, 43);
+                    let bounds = a.row_schedule(t);
+                    let twin = checked_scatter(vec![f64::NAN; n * k], bounds.len() - 1, |c, w| {
+                        let (lo, hi) = (bounds[c], bounds[c + 1]);
+                        if k == 1 {
+                            a.spmm_rows_into(lo, hi, &xm, &mut |i, v| w(i, v));
+                        } else {
+                            CsrMatrix::with_interleaved(&xm, |xr| {
+                                a.spmm_rows_interleaved(lo, hi, xr, k, &mut |i, v| w(i, v))
+                            });
+                        }
+                    });
+                    let mut ym = MultiVector::zeros(n, k);
+                    pk.spmm(&a, &xm, &mut ym);
+                    assert_same_bits(&flat(&ym), &twin, &tag(&format!("spmm k={k}")));
+
+                    let bounds = sell.slice_schedule(t);
+                    let twin = checked_scatter(vec![f64::NAN; n * k], bounds.len() - 1, |c, w| {
+                        let (lo, hi) = (bounds[c], bounds[c + 1]);
+                        sell.spmm_slices_into(lo, hi, &xm, n, &mut |i, v| w(i, v))
+                    });
+                    let mut ym = MultiVector::zeros(n, k);
+                    pk.spmm_sell(&sell, &xm, &mut ym);
+                    assert_same_bits(&flat(&ym), &twin, &tag(&format!("spmm_sell k={k}")));
+                }
+            }
+        }
+    }
+
+    /// The checked twin of `pcg_step_fused`'s pooled path: the same
+    /// per-block body over safely split sub-slices, block by block, then
+    /// the same pairwise sum. Bitwise equal in `x`, `r`, `u` and the dot
+    /// at threads 1, 2 and 4, with `s = A·p` from the stencil and from its
+    /// variable-coefficient twin.
+    #[test]
+    fn pcg_step_fused_matches_its_checked_twin() {
+        let alpha = 0.731;
+        for (a, sell) in both_encodings(poisson_3d(14)) {
+            let n = a.nrows();
+            let p = random_vec(n, 51);
+            let mut s = vec![0.0; n];
+            a.spmv(&p, &mut s);
+            let w: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d).collect();
+            let (x0, r0) = (random_vec(n, 52), random_vec(n, 53));
+            let (mut xt, mut rt, mut ut) = (x0.clone(), r0.clone(), vec![0.0; n]);
+            let blocks = xt
+                .chunks_mut(REDUCE_BLOCK)
+                .zip(rt.chunks_mut(REDUCE_BLOCK))
+                .zip(ut.chunks_mut(REDUCE_BLOCK));
+            let mut partials: Vec<f64> = blocks
+                .enumerate()
+                .map(|(b, ((xs, rs), us))| {
+                    let (lo, hi) = (b * REDUCE_BLOCK, b * REDUCE_BLOCK + xs.len());
+                    pcg_fused_block(alpha, &p[lo..hi], &s[lo..hi], &w[lo..hi], xs, rs, us)
+                })
+                .collect();
+            let want = pairwise_sum(&mut partials);
+            for t in [1usize, 2, 4] {
+                let tag = format!("t={t} diagonal={}", sell.is_diagonal());
+                let (mut x, mut r, mut u) = (x0.clone(), r0.clone(), vec![f64::NAN; n]);
+                let got =
+                    ParKernels::new(t).pcg_step_fused(alpha, &p, &s, &w, &mut x, &mut r, &mut u);
+                assert_eq!(got.to_bits(), want.to_bits(), "{tag}: dot");
+                assert_same_bits(&x, &xt, &format!("{tag}: x"));
+                assert_same_bits(&r, &rt, &format!("{tag}: r"));
+                assert_same_bits(&u, &ut, &format!("{tag}: u"));
+            }
+        }
+    }
+
     /// The operators of the band twins, `n` rows each: a tridiagonal
     /// stencil (on diagonals) and its variable-coefficient twin (every
     /// SELL slice on `u16` offsets), a rectangular matrix
@@ -1418,9 +1587,10 @@ mod tests {
     }
 
     /// The band primitive under an epilogue that copies the band out must
-    /// reproduce the whole-matrix SpMV, hand every row to exactly one
-    /// epilogue call and report that call's first row, in both formats,
-    /// for any thread count and any ragged tail. This is also the checked
+    /// reproduce the whole-matrix SpMV (CSR's where the operand is finite),
+    /// hand every row to exactly one epilogue call and report that call's
+    /// first row, on both encodings, for any thread count and any ragged
+    /// tail. This is also the checked
     /// twin of the pooled disjoint-range writer under it.
     #[test]
     fn band_spmv_matches_whole_matrix_spmv_bitwise() {
@@ -1438,9 +1608,9 @@ mod tests {
                     "wide" if n > 1 => assert!(sell.wide_slices() > 0, "n={n}"),
                     _ => {}
                 }
-                // Signed zeros compare against CSR in both formats. A SELL
-                // pad slot multiplies zero by an operand entry (module docs
-                // of `sell`), which is NaN under ±Inf and, for the pad of an
+                // Signed zeros compare against CSR. A SELL pad slot
+                // multiplies zero by an operand entry (module docs of
+                // `sell`), which is NaN under ±Inf and, for the pad of an
                 // empty row, under NaN: there SELL answers to its own kernel.
                 let finite = band_operand(a.ncols(), &ZEROS);
                 let non_finite = band_operand(a.ncols(), &NON_FINITE);
@@ -1449,31 +1619,29 @@ mod tests {
                     a.spmv(x, &mut want_csr);
                     let mut want_sell = vec![0.0; n];
                     sell.spmv(x, &mut want_sell);
-                    if !sell_twin {
-                        assert_same_bits(&want_sell, &want_csr, &format!("{what} n={n} formats"));
-                    }
+                    let want = if sell_twin {
+                        &want_sell
+                    } else {
+                        assert_same_bits(&want_sell, &want_csr, &format!("{what} n={n} csr"));
+                        &want_csr
+                    };
                     for t in THREAD_COUNTS {
                         let pk = ParKernels::always_split(t);
-                        for (format, op, want) in [
-                            ("csr", MatRef::Csr(&a), &want_csr),
-                            ("sell", MatRef::Sell(&sell), &want_sell),
-                        ] {
-                            let tag = format!("{what} n={n} t={t} {format}");
-                            let mut y = vec![f64::NAN; n];
-                            let mut first_row = vec![usize::MAX as f64; n];
-                            let calls = AtomicUsize::new(0);
-                            pk.spmv_bands(op, x, [&mut y, &mut first_row], |lo, ax, [yb, fb]| {
-                                assert_eq!(lo % REDUCE_BLOCK, 0, "{tag}: band start");
-                                assert_eq!((yb.len(), fb.len()), (ax.len(), ax.len()));
-                                calls.fetch_add(1, Ordering::Relaxed);
-                                yb.copy_from_slice(ax);
-                                fb.fill(lo as f64);
-                            });
-                            assert_same_bits(&y, want, &tag);
-                            assert_eq!(calls.into_inner(), n.div_ceil(REDUCE_BLOCK), "{tag}");
-                            for (i, &f) in first_row.iter().enumerate() {
-                                assert_eq!(f, (i - i % REDUCE_BLOCK) as f64, "{tag}: row {i}");
-                            }
+                        let tag = format!("{what} n={n} t={t}");
+                        let mut y = vec![f64::NAN; n];
+                        let mut first_row = vec![usize::MAX as f64; n];
+                        let calls = AtomicUsize::new(0);
+                        pk.spmv_bands(&sell, x, [&mut y, &mut first_row], |lo, ax, [yb, fb]| {
+                            assert_eq!(lo % REDUCE_BLOCK, 0, "{tag}: band start");
+                            assert_eq!((yb.len(), fb.len()), (ax.len(), ax.len()));
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            yb.copy_from_slice(ax);
+                            fb.fill(lo as f64);
+                        });
+                        assert_same_bits(&y, want, &tag);
+                        assert_eq!(calls.into_inner(), n.div_ceil(REDUCE_BLOCK), "{tag}");
+                        for (i, &f) in first_row.iter().enumerate() {
+                            assert_eq!(f, (i - i % REDUCE_BLOCK) as f64, "{tag}: row {i}");
                         }
                     }
                 }
@@ -1484,11 +1652,10 @@ mod tests {
     #[test]
     fn band_schedule_cuts_on_band_boundaries() {
         let a = poisson_3d(17); // n = 4913: four full bands and a tail
-        let sell = SellMatrix::from_csr(&a);
-        for op in [MatRef::Csr(&a), MatRef::Sell(&sell)] {
-            assert_eq!(ParKernels::new(1).band_schedule(op), [0, a.nrows()]);
+        for (a, sell) in both_encodings(a) {
+            assert_eq!(ParKernels::new(1).band_schedule(&sell), [0, a.nrows()]);
             for t in THREAD_COUNTS {
-                let b = ParKernels::always_split(t).band_schedule(op);
+                let b = ParKernels::always_split(t).band_schedule(&sell);
                 assert_eq!((b[0], b[b.len() - 1]), (0, a.nrows()), "t={t}");
                 assert!(b.windows(2).all(|w| w[0] <= w[1]), "t={t}: {b:?}");
                 assert!(
@@ -1512,9 +1679,7 @@ mod tests {
         let sell = SellMatrix::from_rows(a.row_ptr(), a.col_idx(), a.values(), &rows);
         let x = vec![1.0; a.ncols()];
         let mut y = vec![0.0; a.nrows()];
-        ParKernels::serial().spmv_bands(MatRef::Sell(&sell), &x, [&mut y], |_, ax, [yb]| {
-            yb.copy_from_slice(ax)
-        });
+        ParKernels::serial().spmv_bands(&sell, &x, [&mut y], |_, ax, [yb]| yb.copy_from_slice(ax));
     }
 
     #[test]

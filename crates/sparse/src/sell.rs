@@ -113,99 +113,20 @@ pub const LANE_BLOCK: usize = 8;
 /// one scratch byte per (8-row block, offset) while it runs.
 pub const MAX_DIAGONALS: usize = 32;
 
-/// Which sparse-matrix storage the executors run their one-column kernels
-/// on: SpMV, the matrix powers kernel, a polynomial preconditioner's
-/// products and the ranks' ghost zones. Selected per solve via
-/// `SolveOptions::format`; results are bitwise identical across formats.
-/// Under `Sell` a constant-coefficient matrix runs the gather-free
-/// diagonal kernel and any other matrix the slot kernel (see
-/// [`SellMatrix::from_csr`]); ghost zones always take slots.
-/// A product over k ≥ 2 columns follows it only onto the diagonals
-/// ([`crate::ParKernels::spmm_sell`], one gather-free SpMV per column);
-/// on a matrix SELL keeps in slots it runs the interleaved CSR kernel
-/// ([`crate::ParKernels::spmm`]), which feeds a whole column group from
-/// each matrix entry where SELL's slot SpMM walks the columns one at a
-/// time.
+/// An inert stub: nothing in the library reads it. The one-column layout of
+/// every solve is the one [`SellMatrix::from_csr`] picks (diagonals or
+/// slots; ghost zones always take slots), and a product over k ≥ 2 columns
+/// runs SELL's SpMM on diagonals and the interleaved CSR SpMM otherwise.
+/// The type and `SolveOptions::format` stay only because the frozen
+/// `benchmark/` package names them; they go with the benchmark change that
+/// drops its `Member::format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SparseFormat {
-    /// Compressed sparse row — the assembly format and the default.
+    /// Formerly the CSR one-column kernels; now the same as `Sell`.
     #[default]
     Csr,
-    /// The [`SellMatrix`] of this module: the diagonal encoding for
-    /// constant-coefficient matrices, SELL-C-σ slots for the rest.
+    /// The layout [`SellMatrix::from_csr`] picks.
     Sell,
-}
-
-impl SparseFormat {
-    /// Parses `"csr"` / `"sell"` (ASCII case-insensitive), the inverse of
-    /// [`SparseFormat::name`]; `None` for anything else.
-    pub fn parse(s: &str) -> Option<Self> {
-        [SparseFormat::Csr, SparseFormat::Sell]
-            .into_iter()
-            .find(|f| s.trim().eq_ignore_ascii_case(f.name()))
-    }
-
-    /// Short lowercase name (`"csr"` | `"sell"`), stable for JSON keys.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SparseFormat::Csr => "csr",
-            SparseFormat::Sell => "sell",
-        }
-    }
-}
-
-/// A borrowed operator in whichever storage the caller's
-/// [`SparseFormat`] selected: what an executor hands to a kernel that must
-/// follow the solve's format ([`crate::ParKernels::spmv_on`],
-/// [`crate::ParKernels::spmv_bands`]). Two
-/// stored forms of one matrix, so an enum and not a trait; the SELL side
-/// must be a [`SellMatrix::from_csr`] conversion of the whole matrix.
-#[derive(Debug, Clone, Copy)]
-pub enum MatRef<'a> {
-    /// The assembly format.
-    Csr(&'a CsrMatrix),
-    /// The matrix's SELL conversion.
-    Sell(&'a SellMatrix),
-}
-
-impl<'a> MatRef<'a> {
-    /// The SELL form when the executor holds one, the CSR matrix otherwise.
-    pub fn of(a: &'a CsrMatrix, sell: Option<&'a SellMatrix>) -> Self {
-        sell.map_or(MatRef::Csr(a), MatRef::Sell)
-    }
-
-    /// Output rows.
-    pub fn nrows(&self) -> usize {
-        match self {
-            MatRef::Csr(a) => a.nrows(),
-            MatRef::Sell(a) => a.out_len(),
-        }
-    }
-
-    /// Minimum operand length.
-    pub fn ncols(&self) -> usize {
-        match self {
-            MatRef::Csr(a) => a.ncols(),
-            MatRef::Sell(a) => a.ncols(),
-        }
-    }
-
-    /// `out ← (A·x)[lo..hi]` for one band of rows: in CSR the row loop of
-    /// [`CsrMatrix::spmv_rows`], in SELL the slices `lo/C .. ⌈hi/C⌉`, whose
-    /// lanes are by σ-confinement exactly the band's rows. Per row the
-    /// arithmetic of the whole-matrix kernels, hence the same bits.
-    ///
-    /// # Panics
-    /// Panics in SELL unless the matrix came from [`SellMatrix::from_csr`]
-    /// and the band is σ-aligned (`lo` a multiple of [`SELL_SIGMA`], `hi`
-    /// one too or the row count), and on length mismatches.
-    pub fn spmv_band(&self, lo: usize, hi: usize, x: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), hi - lo, "spmv_band: output length mismatch");
-        match self {
-            MatRef::Csr(a) => a.spmv_rows(lo, hi, x, out),
-            MatRef::Sell(a) => a.spmv_band(lo, hi, x, out),
-        }
-    }
 }
 
 /// A sparse matrix (or scattered row subset of one) in one of this
@@ -751,10 +672,14 @@ impl Diagonals {
 impl SellMatrix {
     /// Converts a full CSR matrix, output in original row order.
     ///
-    /// Picks the encoding: a constant-diagonal matrix (module docs; one
+    /// This is the one place the layout of a solve's one-column kernels is
+    /// decided (SpMV, the matrix powers kernel, a polynomial
+    /// preconditioner's products; callers reach it through the cached
+    /// [`CsrMatrix::sell`]): a constant-diagonal matrix (module docs; one
     /// O(nnz) pass that stops at the first mismatch) is stored as its
     /// diagonals and nothing else, any other matrix in σ-sorted slots.
-    /// The product is bitwise the same either way.
+    /// The product is bitwise the same either way, and the same as
+    /// [`CsrMatrix::spmv`].
     pub fn from_csr(a: &CsrMatrix) -> Self {
         if let Some(diag) = Diagonals::detect(a) {
             return SellMatrix {
@@ -778,7 +703,19 @@ impl SellMatrix {
     /// order and without sorting: lane `p` holds `rows[p]` and scatters its
     /// result to `y[rows[p]]`. Used for the ghost-zone interior/frontier
     /// row lists, whose ascending order makes a row prefix a lane prefix.
+    ///
+    /// # Panics
+    /// Panics if a row is listed twice: the threaded kernels scatter lanes
+    /// to their rows through a raw pointer, which is sound only when no two
+    /// lanes share an output position.
     pub fn from_rows(row_ptr: &[usize], col_idx: &[usize], values: &[f64], rows: &[usize]) -> Self {
+        let mut listed = vec![false; rows.iter().map(|&r| r + 1).max().unwrap_or(0)];
+        for &r in rows {
+            assert!(
+                !std::mem::replace(&mut listed[r], true),
+                "SellMatrix: row {r} listed twice"
+            );
+        }
         let ncols = rows
             .iter()
             .flat_map(|&r| col_idx[row_ptr[r]..row_ptr[r + 1]].iter())
@@ -984,9 +921,10 @@ impl SellMatrix {
 
     /// The SpMV kernel over slices `[s_begin, s_end)`: each real lane's
     /// accumulator is fed its entries in original CSR order and handed to
-    /// `write(out, acc)`.
+    /// `write(out, acc)` (the threaded scatter paths of `ParKernels` pass a
+    /// raw-pointer writer).
     #[inline]
-    fn spmv_slices_with<F: FnMut(usize, f64)>(
+    pub(crate) fn spmv_slices_into<F: FnMut(usize, f64)>(
         &self,
         s_begin: usize,
         s_end: usize,
@@ -995,7 +933,7 @@ impl SellMatrix {
     ) {
         for s in s_begin..s_end {
             let lane_end = SELL_C.min(self.lanes() - s * SELL_C);
-            self.spmv_slice_lanes(s, lane_end, x, write);
+            self.spmv_slice_lanes_into(s, lane_end, x, write);
         }
     }
 
@@ -1005,7 +943,7 @@ impl SellMatrix {
     /// a stack buffer (callers with a contiguous destination use
     /// [`SellMatrix::rows_into`] and skip the copy).
     #[inline]
-    fn spmv_slice_lanes<F: FnMut(usize, f64)>(
+    pub(crate) fn spmv_slice_lanes_into<F: FnMut(usize, f64)>(
         &self,
         s: usize,
         lane_end: usize,
@@ -1083,16 +1021,24 @@ impl SellMatrix {
         assert!(y.len() >= self.out_len, "sell spmv: y length mismatch");
         let n = self.lanes();
         if !self.rows_into(0, n, x, &mut y[..n]) {
-            self.spmv_slices_with(0, self.nslices(), x, &mut |i, v| y[i] = v);
+            self.spmv_slices_into(0, self.nslices(), x, &mut |i, v| y[i] = v);
         }
     }
 
     /// One σ-aligned band of rows `[lo, hi)` into `out` (`out[i] =
     /// (A·x)[lo + i]`): the band's slice range with a band-local
     /// destination, so a caller can consume the product while it is
-    /// cache-hot instead of storing a full-length vector. See
-    /// [`MatRef::spmv_band`] for the contract.
-    fn spmv_band(&self, lo: usize, hi: usize, x: &[f64], out: &mut [f64]) {
+    /// cache-hot instead of storing a full-length vector. By σ-confinement
+    /// the slices `lo/C .. ⌈hi/C⌉` hold exactly the band's rows, and per
+    /// row the arithmetic is the whole-matrix kernel's, hence the same bits
+    /// as [`CsrMatrix::spmv`].
+    ///
+    /// # Panics
+    /// Panics unless the matrix came from [`SellMatrix::from_csr`] and the
+    /// band is σ-aligned (`lo` a multiple of [`SELL_SIGMA`], `hi` one too
+    /// or the row count), and on length mismatches.
+    pub(crate) fn spmv_band(&self, lo: usize, hi: usize, x: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), hi - lo, "spmv_band: output length mismatch");
         assert!(
             self.sigma_confined,
             "sell spmv_band: row-list builds are not window-confined"
@@ -1116,7 +1062,7 @@ impl SellMatrix {
         );
         // The index is checked: a lane outside the band would panic here,
         // never write elsewhere.
-        self.spmv_slices_with(lo / SELL_C, hi.div_ceil(SELL_C), x, &mut |i, v| {
+        self.spmv_slices_into(lo / SELL_C, hi.div_ceil(SELL_C), x, &mut |i, v| {
             out[i - lo] = v
         });
     }
@@ -1128,10 +1074,10 @@ impl SellMatrix {
         assert!(nlanes <= self.lanes(), "sell prefix: lane count too large");
         assert!(x.len() >= self.ncols, "sell prefix: x length mismatch");
         let full = nlanes / SELL_C;
-        self.spmv_slices_with(0, full, x, &mut |i, v| y[i] = v);
+        self.spmv_slices_into(0, full, x, &mut |i, v| y[i] = v);
         let rem = nlanes % SELL_C;
         if rem > 0 {
-            self.spmv_slice_lanes(full, rem, x, &mut |i, v| y[i] = v);
+            self.spmv_slice_lanes_into(full, rem, x, &mut |i, v| y[i] = v);
         }
     }
 
@@ -1153,31 +1099,6 @@ impl SellMatrix {
         ));
         *cache = Some((nchunks, Arc::clone(&bounds)));
         bounds
-    }
-
-    /// Slice-range kernel for the threaded scatter paths (crate-internal:
-    /// `ParKernels` drives it through a raw-pointer writer).
-    #[inline]
-    pub(crate) fn spmv_slices_into<F: FnMut(usize, f64)>(
-        &self,
-        s_begin: usize,
-        s_end: usize,
-        x: &[f64],
-        write: &mut F,
-    ) {
-        self.spmv_slices_with(s_begin, s_end, x, write);
-    }
-
-    /// Partial-slice kernel for the threaded prefix path.
-    #[inline]
-    pub(crate) fn spmv_slice_lanes_into<F: FnMut(usize, f64)>(
-        &self,
-        s: usize,
-        lane_end: usize,
-        x: &[f64],
-        write: &mut F,
-    ) {
-        self.spmv_slice_lanes(s, lane_end, x, write);
     }
 
     /// Sparse matrix–multivector product `Y ← A·X`, one column at a time.
@@ -1224,7 +1145,7 @@ impl SellMatrix {
             let lane_end = SELL_C.min(self.lanes() - s * SELL_C);
             for j in 0..x.k() {
                 let base = j * ld;
-                self.spmv_slice_lanes(s, lane_end, x.col(j), &mut |i, v| write(base + i, v));
+                self.spmv_slice_lanes_into(s, lane_end, x.col(j), &mut |i, v| write(base + i, v));
             }
         }
     }
@@ -1257,7 +1178,7 @@ fn lanes_core<C: ColIx, F: FnMut(usize, f64)>(
         // asserts every stored column — pads included — resolves below
         // `ncols ≤ x.len()`, which the public entry points check. The
         // unchecked gather is what lets the eight lanes pipeline without
-        // per-element bounds tests; the dispatch in `spmv_slice_lanes`
+        // per-element bounds tests; the dispatch in `spmv_slice_lanes_into`
         // only sets `use_simd` when AVX2 is detected and the indices fit
         // the gather's signed-i32 lanes.
         #[cfg(target_arch = "x86_64")]
@@ -1573,7 +1494,7 @@ mod tests {
                             continue;
                         }
                         let mut out = vec![f64::NAN; hi - lo];
-                        MatRef::Sell(&s).spmv_band(lo, hi, &x, &mut out);
+                        s.spmv_band(lo, hi, &x, &mut out);
                         assert!(bitwise_eq(&out, &want[lo..hi]), "{tag} band [{lo},{hi})");
                     }
                 }
@@ -1610,16 +1531,5 @@ mod tests {
         assert!(!SellMatrix::from_csr(&inf).is_diagonal());
         let rect = CsrMatrix::from_raw(2, 3, vec![0, 1, 2], vec![0, 1], vec![1.0, 1.0]);
         assert!(!SellMatrix::from_csr(&rect).is_diagonal());
-    }
-
-    #[test]
-    fn format_env_parsing() {
-        assert_eq!(SparseFormat::default(), SparseFormat::Csr);
-        assert_eq!(SparseFormat::Csr.name(), "csr");
-        assert_eq!(SparseFormat::Sell.name(), "sell");
-        assert_eq!(SparseFormat::parse(" SELL "), Some(SparseFormat::Sell));
-        assert_eq!(SparseFormat::parse("csr"), Some(SparseFormat::Csr));
-        assert_eq!(SparseFormat::parse("ellpack"), None);
-        assert_eq!(SparseFormat::parse(""), None);
     }
 }

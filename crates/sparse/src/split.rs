@@ -12,7 +12,7 @@
 //! disjoint row sets moves.
 //!
 //! The split is cached on [`CsrMatrix`] (see [`CsrMatrix::row_split`]) so
-//! the CSR- and SELL-format ghost zones of the same rank share one scan.
+//! every ghost zone built for the same rank's range shares one scan.
 
 use crate::csr::CsrMatrix;
 
@@ -130,7 +130,7 @@ mod tests {
         let n = a.nrows();
         for (lo, hi) in [(0, n / 4), (n / 4, n / 2), (n / 2, n)] {
             let s = a.row_split(lo, hi);
-            let gz = GhostZone::new(&a, lo, hi, 1, crate::SparseFormat::Csr);
+            let gz = GhostZone::new(&a, lo, hi, 1);
             let ghosts = gz.ghost_indices();
             let expected: Vec<usize> = (lo..hi)
                 .filter(|&r| a.row(r).0.iter().any(|c| ghosts.contains(c)))

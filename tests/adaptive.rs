@@ -4,8 +4,8 @@
 //! The controller's decisions (shrink, grow, rebuild) are functions of
 //! *allreduced* scalars only, so they must replay identically wherever
 //! the reduction order is identical: serial ≡ one rank, and — for a fixed
-//! rank count — across thread counts, transport backends, and sparse
-//! formats, the whole solve is owed **bitwise**: iterate, history,
+//! rank count — across thread counts and transport backends, the whole
+//! solve is owed **bitwise**: iterate, history,
 //! counters, s-schedule, and shift history. Across *different* rank
 //! counts the reductions round differently, so only the decision
 //! structure (schedule, rebuild targets) is owed, with the Ritz intervals
@@ -23,7 +23,7 @@ use spcg::prelude::*;
 use spcg::sparse::generators::paper_rhs;
 use spcg::sparse::generators::poisson::poisson_2d;
 use spcg::sparse::generators::random_spd::{spd_with_spectrum, SpectrumShape};
-use spcg::sparse::{CsrMatrix, SparseFormat};
+use spcg::sparse::CsrMatrix;
 
 /// True when `SPCG_FAULTS` arms deterministic fault injection (the CI
 /// fault job): exact-equality assertions stand down to residual quality.
@@ -45,14 +45,13 @@ fn hard_problem() -> (CsrMatrix, Vec<f64>) {
     (a, b)
 }
 
-fn opts(backend: Backend, threads: usize, format: SparseFormat) -> SolveOptions {
+fn opts(backend: Backend, threads: usize) -> SolveOptions {
     SolveOptions::from_env()
         .with_tol(1e-7)
         .with_max_iters(8000)
         .with_history()
         .with_backend(backend)
         .with_threads(threads)
-        .with_format(format)
         .with_faults(None)
 }
 
@@ -64,7 +63,7 @@ fn serial_equals_one_rank_bitwise() {
     let problem = Problem::new(&a, &m, &b);
     let basis = spcg::solvers::chebyshev_basis(&problem, 20, 0.05);
     let method = adaptive_method(4, basis);
-    let o = opts(Backend::Thread, 1, SparseFormat::Csr);
+    let o = opts(Backend::Thread, 1);
     let serial = solve(&method, &problem, &o, Engine::Serial);
     let ranked = solve(&method, &problem, &o, Engine::Ranked { ranks: 1 });
     assert!(serial.converged(), "{:?}", serial.outcome);
@@ -80,7 +79,7 @@ fn serial_equals_one_rank_bitwise() {
 }
 
 /// For a fixed rank count the decision replay is owed bitwise across
-/// every thread count × transport backend × sparse format.
+/// every thread count × transport backend.
 #[test]
 fn decisions_bitwise_across_backends_threads_and_formats() {
     assert!(spcg::solvers::procexec::rankd_path().is_some());
@@ -90,12 +89,7 @@ fn decisions_bitwise_across_backends_threads_and_formats() {
     let method = adaptive_method(10, spcg::basis::BasisType::Monomial);
     let engine = Engine::Ranked { ranks: 2 };
 
-    let reference = solve(
-        &method,
-        &problem,
-        &opts(Backend::Thread, 1, SparseFormat::Csr),
-        engine,
-    );
+    let reference = solve(&method, &problem, &opts(Backend::Thread, 1), engine);
     assert!(reference.converged(), "{:?}", reference.outcome);
     let ref_report = reference.adaptive.as_ref().expect("adaptive report");
     assert!(
@@ -106,24 +100,22 @@ fn decisions_bitwise_across_backends_threads_and_formats() {
 
     for backend in [Backend::Thread, Backend::Proc] {
         for threads in [1usize, 2] {
-            for format in [SparseFormat::Csr, SparseFormat::Sell] {
-                let res = solve(&method, &problem, &opts(backend, threads, format), engine);
-                let tag = format!("{backend:?} threads={threads} {format:?}");
-                if faulted() {
-                    assert!(res.true_relative_residual(&a, &b) < 1e-6, "{tag}");
-                    continue;
-                }
-                assert_eq!(reference.x, res.x, "{tag}: x not bitwise");
-                assert_eq!(reference.iterations, res.iterations, "{tag}: iterations");
-                assert_eq!(reference.history, res.history, "{tag}: history");
-                assert_eq!(reference.counters, res.counters, "{tag}: counters");
-                assert_eq!(reference.s_schedule, res.s_schedule, "{tag}: s_schedule");
-                assert_eq!(reference.adaptive, res.adaptive, "{tag}: adaptive report");
-                assert_eq!(
-                    reference.collectives_per_rank, res.collectives_per_rank,
-                    "{tag}: collectives"
-                );
+            let res = solve(&method, &problem, &opts(backend, threads), engine);
+            let tag = format!("{backend:?} threads={threads}");
+            if faulted() {
+                assert!(res.true_relative_residual(&a, &b) < 1e-6, "{tag}");
+                continue;
             }
+            assert_eq!(reference.x, res.x, "{tag}: x not bitwise");
+            assert_eq!(reference.iterations, res.iterations, "{tag}: iterations");
+            assert_eq!(reference.history, res.history, "{tag}: history");
+            assert_eq!(reference.counters, res.counters, "{tag}: counters");
+            assert_eq!(reference.s_schedule, res.s_schedule, "{tag}: s_schedule");
+            assert_eq!(reference.adaptive, res.adaptive, "{tag}: adaptive report");
+            assert_eq!(
+                reference.collectives_per_rank, res.collectives_per_rank,
+                "{tag}: collectives"
+            );
         }
     }
 }
@@ -137,7 +129,7 @@ fn decision_structure_stable_across_rank_counts() {
     let m = spcg::precond::Identity::new(a.nrows());
     let problem = Problem::new(&a, &m, &b);
     let method = adaptive_method(10, spcg::basis::BasisType::Monomial);
-    let o = opts(Backend::Thread, 1, SparseFormat::Csr);
+    let o = opts(Backend::Thread, 1);
     let serial = solve(&method, &problem, &o, Engine::Serial);
     assert!(serial.converged(), "{:?}", serial.outcome);
     let sref = serial.adaptive.as_ref().unwrap();
@@ -232,7 +224,7 @@ fn rebuild_spans_trace_and_validate() {
     let problem = Problem::new(&a, &m, &b);
     let method = adaptive_method(10, spcg::basis::BasisType::Monomial);
     let tracer = spcg::obs::Tracer::new();
-    let o = opts(Backend::Thread, 1, SparseFormat::Csr).with_trace(Some(tracer.clone()));
+    let o = opts(Backend::Thread, 1).with_trace(Some(tracer.clone()));
     let res = solve(&method, &problem, &o, Engine::Ranked { ranks: 2 });
     assert!(res.converged(), "{:?}", res.outcome);
     let report = res.adaptive.as_ref().unwrap();

@@ -1,15 +1,21 @@
-//! Sparse-format parity: a solve with the SELL-C-σ format must be
-//! **bitwise identical** to the same solve with CSR — same iterates, same
-//! iteration counts, same operation counters — for every method, engine,
-//! rank count, thread count, and overlap setting. The sliced format is a
-//! pure layout/performance change; any numerical drift is a kernel bug
-//! (re-ordered accumulation, an FMA sneaking into the SIMD path, a
-//! permutation applied to the wrong side).
+//! Layout parity. The one-column layout of a solve is the library's
+//! choice, made once by `SellMatrix::from_csr`: a constant-coefficient
+//! stencil runs on its diagonals, any other matrix on SELL-C-σ slots, and a
+//! rank's ghost zone always on slots. Every layout sums each row in CSR
+//! entry order, so a solve must come out **bitwise identical** whichever
+//! layout ran it — same iterates, iteration counts, residual history and
+//! operation counters. The serial engine against one rank pins diagonals
+//! against zone slots on the stencil (slots against slots on its
+//! variable-coefficient twin); the ranked grid pins the interior/frontier
+//! split, overlap on against off, at two and three ranks. Any drift is a
+//! kernel bug (re-ordered accumulation, an FMA sneaking into the SIMD path,
+//! a permutation applied to the wrong side). The kernel-level checks below
+//! hold each layout to the CSR reference `CsrMatrix::spmv`.
 //!
-//! Formats are selected explicitly via [`SolveOptions`]'s builder, never
-//! via `SPCG_FORMAT`, so the suite behaves identically under the CI SELL
-//! job's environment.
+//! The suite sets threads, overlap and faults explicitly, so it behaves
+//! the same under every CI leg's environment.
 
+use spcg::dist::Counters;
 use spcg::precond::ChebyshevPrecond;
 use spcg::prelude::*;
 use spcg::solvers::{solve_batch, BatchRequest};
@@ -19,7 +25,7 @@ use spcg::sparse::generators::poisson::{poisson_1d, poisson_2d, poisson_3d};
 use spcg::sparse::generators::SpectrumShape;
 use spcg::sparse::generators::{paper_rhs, perturb_diagonal, spd_with_spectrum, suite_matrices};
 use spcg::sparse::sell::MAX_DIAGONALS;
-use spcg::sparse::{CooMatrix, CsrMatrix, SellMatrix, SparseFormat};
+use spcg::sparse::{CooMatrix, CsrMatrix, SellMatrix};
 use std::sync::Arc;
 
 fn all_methods(problem: &Problem<'_>) -> Vec<(&'static str, Method)> {
@@ -54,14 +60,23 @@ fn all_methods(problem: &Problem<'_>) -> Vec<(&'static str, Method)> {
     ]
 }
 
-fn opts(format: SparseFormat, threads: usize, overlap: bool) -> SolveOptions {
+fn opts(threads: usize, overlap: bool) -> SolveOptions {
     SolveOptions::from_env()
         .with_tol(1e-8)
         .with_history()
         .with_overlap(overlap)
-        .with_format(format)
         .with_threads(threads)
         .with_faults(None)
+}
+
+/// The counters without the halo fields, which only a ranked solve
+/// charges (a lone rank exchanges nothing, but still counts its rounds).
+fn compute_counters(c: &Counters) -> Counters {
+    Counters {
+        halo_exchanges: 0,
+        halo_words: 0,
+        ..c.clone()
+    }
 }
 
 fn assert_parity(tag: &str, c: &SolveResult, s: &SolveResult) {
@@ -69,81 +84,74 @@ fn assert_parity(tag: &str, c: &SolveResult, s: &SolveResult) {
     assert_eq!(c.iterations, s.iterations, "{tag}: iterations");
     assert_eq!(c.x, s.x, "{tag}: solution not bitwise identical");
     assert_eq!(c.history, s.history, "{tag}: residual history");
-    assert_eq!(c.counters, s.counters, "{tag}: counters");
+    assert_eq!(
+        compute_counters(&c.counters),
+        compute_counters(&s.counters),
+        "{tag}: counters"
+    );
     assert!(c.converged(), "{tag}: did not converge");
 }
 
-/// CSR ≡ diagonals on the stencil, CSR ≡ slots on its
-/// variable-coefficient twin.
+/// `poisson_2d(12)` on SELL's diagonals and its variable-coefficient twin
+/// on slots, each checked to have taken its encoding.
+fn stencil_and_twin() -> [(CsrMatrix, bool); 2] {
+    let a = poisson_2d(12);
+    [(perturb_diagonal(&a, 11), false), (a, true)].map(|(a, diagonal)| {
+        assert_eq!(a.sell().is_diagonal(), diagonal);
+        (a, diagonal)
+    })
+}
+
+/// Serial ≡ one rank: the serial engine's products on the matrix's SELL
+/// form (diagonals on the stencil, slots on its twin) against the same
+/// products on one rank's ghost zone (slots), every method, one and two
+/// threads.
 #[test]
 fn sell_is_bitwise_identical_to_csr_on_the_serial_engine() {
-    let a = poisson_2d(12);
-    for (a, diagonal) in [(perturb_diagonal(&a, 11), false), (a, true)] {
-        assert_eq!(a.sell().is_diagonal(), diagonal);
+    for (a, diagonal) in stencil_and_twin() {
         let b = paper_rhs(&a);
         let m = spcg::precond::Jacobi::new(&a);
         let problem = Problem::try_new(&a, &m, &b).unwrap();
         for (name, method) in all_methods(&problem) {
             for threads in [1, 2] {
-                let c = solve(
-                    &method,
-                    &problem,
-                    &opts(SparseFormat::Csr, threads, false),
-                    Engine::Serial,
-                );
-                let s = solve(
-                    &method,
-                    &problem,
-                    &opts(SparseFormat::Sell, threads, false),
-                    Engine::Serial,
-                );
-                let tag = format!("serial {name} threads={threads} diagonal={diagonal}");
-                assert_parity(&tag, &c, &s);
+                let o = opts(threads, false);
+                let serial = solve(&method, &problem, &o, Engine::Serial);
+                let ranked = solve(&method, &problem, &o, Engine::Ranked { ranks: 1 });
+                let tag = format!("{name} threads={threads} diagonal={diagonal}");
+                assert_parity(&tag, &serial, &ranked);
             }
         }
     }
 }
 
+/// Overlap on ≡ off at two and three ranks: the zone's interior rows run
+/// before the exchange completes and the frontier rows after it, or all of
+/// them after it, with the same bits and the same counters.
 #[test]
 fn sell_is_bitwise_identical_to_csr_on_the_ranked_engine() {
-    let a = poisson_2d(12);
-    let b = paper_rhs(&a);
-    let m = spcg::precond::Jacobi::new(&a);
-    let problem = Problem::try_new(&a, &m, &b).unwrap();
-    for (name, method) in all_methods(&problem) {
-        for ranks in [1, 2, 4] {
-            for threads in [1, 2] {
-                for overlap in [false, true] {
+    for (a, diagonal) in stencil_and_twin() {
+        let b = paper_rhs(&a);
+        let m = spcg::precond::Jacobi::new(&a);
+        let problem = Problem::try_new(&a, &m, &b).unwrap();
+        for (name, method) in all_methods(&problem) {
+            for ranks in [2, 3] {
+                for threads in [1, 2] {
                     let engine = Engine::Ranked { ranks };
-                    let c = solve(
-                        &method,
-                        &problem,
-                        &opts(SparseFormat::Csr, threads, overlap),
-                        engine,
-                    );
-                    let s = solve(
-                        &method,
-                        &problem,
-                        &opts(SparseFormat::Sell, threads, overlap),
-                        engine,
-                    );
-                    let tag =
-                        format!("ranked {name} ranks={ranks} threads={threads} overlap={overlap}");
-                    assert_parity(&tag, &c, &s);
+                    let off = solve(&method, &problem, &opts(threads, false), engine);
+                    let on = solve(&method, &problem, &opts(threads, true), engine);
+                    let tag = format!("{name} ranks={ranks} threads={threads} diagonal={diagonal}");
+                    assert_parity(&tag, &off, &on);
+                    assert_eq!(off.counters, on.counters, "{tag}: halo counters");
                 }
             }
         }
     }
 }
 
-/// The paper's Table 3 pairing, small: anisotropic diffusion on an `m³`
-/// grid under a degree-3 Chebyshev preconditioner whose interval comes
-/// from Gershgorin circles (no warm-up solve, so nothing format-dependent
-/// enters the set-up).
-fn chebyshev_system(m: usize) -> (Arc<CsrMatrix>, ChebyshevPrecond, Vec<f64>) {
-    chebyshev_system_of(anisotropic_3d(m, 1e-2, 1e-1))
-}
-
+/// The paper's Table 3 pairing, small: anisotropic diffusion under a
+/// degree-3 Chebyshev preconditioner whose interval comes from Gershgorin
+/// circles (no warm-up solve, so nothing engine-dependent enters the
+/// set-up).
 fn chebyshev_system_of(a: CsrMatrix) -> (Arc<CsrMatrix>, ChebyshevPrecond, Vec<f64>) {
     let a = Arc::new(a);
     let b = paper_rhs(&a);
@@ -167,11 +175,10 @@ fn chebyshev_methods(problem: &Problem<'_>) -> Vec<(&'static str, Method)> {
 }
 
 /// A polynomial preconditioner takes its products on the executor's
-/// operator, so under SELL the whole apply — not only the solver's own
-/// SpMVs — runs on the sliced layout: the level-wise MPK applies, the
-/// per-iteration applies, and on the ranked engine the halo-exchanged
-/// substitute. The 13³ grid spans three bands with a ragged tail; its
-/// variable-coefficient twin runs the serial applies on slots.
+/// operator: serially the band-fused recurrence on the matrix's SELL form
+/// (diagonals on the stencil, slots on its twin), on one rank the closure
+/// form over the rank's zone SpMV. The two must agree bit for bit. The 13³
+/// grid spans three bands with a ragged tail.
 #[test]
 fn chebyshev_preconditioner_follows_the_format_bit_for_bit() {
     for m in [10, 13] {
@@ -182,15 +189,11 @@ fn chebyshev_preconditioner_follows_the_format_bit_for_bit() {
             assert_eq!(a.sell().is_diagonal(), diagonal);
             let problem = Problem::try_new(&a, &cheb, &b).unwrap();
             for (name, method) in chebyshev_methods(&problem) {
-                for engine in [Engine::Serial, Engine::Ranked { ranks: 2 }] {
-                    for threads in [1, 2] {
-                        let run =
-                            |format| solve(&method, &problem, &opts(format, threads, true), engine);
-                        let tag = format!(
-                            "cheb3 m={m} diagonal={diagonal} {name} {engine:?} threads={threads}"
-                        );
-                        assert_parity(&tag, &run(SparseFormat::Csr), &run(SparseFormat::Sell));
-                    }
+                for threads in [1, 2] {
+                    let run = |engine| solve(&method, &problem, &opts(threads, true), engine);
+                    let tag = format!("cheb3 m={m} diagonal={diagonal} {name} threads={threads}");
+                    let serial = run(Engine::Serial);
+                    assert_parity(&tag, &serial, &run(Engine::Ranked { ranks: 1 }));
                 }
             }
         }
@@ -198,33 +201,36 @@ fn chebyshev_preconditioner_follows_the_format_bit_for_bit() {
 }
 
 /// The blocked multi-RHS PCG applies the preconditioner column by column
-/// through the same dispatch; each column must also equal its own solve.
+/// through the same dispatch, and takes its products on SELL's SpMM on the
+/// stencil's diagonals and on the interleaved CSR SpMM on its twin; each
+/// column must equal its own solve.
 #[test]
 fn blocked_batch_with_chebyshev_is_bitwise_identical_across_formats() {
-    let (a, cheb, b) = chebyshev_system(10);
-    let rhs: Vec<Vec<f64>> = (1..=3)
-        .map(|k| b.iter().map(|v| v * k as f64 + (k - 1) as f64).collect())
-        .collect();
-    let requests: Vec<BatchRequest<'_>> = rhs.iter().map(|r| BatchRequest::new(r)).collect();
-    for threads in [1, 2] {
-        let run = |format| {
-            let o = opts(format, threads, false);
-            solve_batch(&Method::Pcg, &a, &cheb, &requests, &o, Engine::Serial)
-        };
-        let (csr, sell) = (run(SparseFormat::Csr), run(SparseFormat::Sell));
-        assert_eq!(csr.len(), 3);
-        for (j, (c, s)) in csr.iter().zip(&sell).enumerate() {
-            assert_parity(&format!("batch column {j} threads={threads}"), c, s);
-            let problem = Problem::try_new(&a, &cheb, &rhs[j]).unwrap();
-            let o = opts(SparseFormat::Sell, threads, false);
-            let alone = solve(&Method::Pcg, &problem, &o, Engine::Serial);
-            assert_parity(&format!("batch column {j} vs its own solve"), &alone, s);
+    let stencil = anisotropic_3d(10, 1e-2, 1e-1);
+    let twin = perturb_diagonal(&stencil, 10);
+    for (a, diagonal) in [(stencil, true), (twin, false)] {
+        let (a, cheb, b) = chebyshev_system_of(a);
+        assert_eq!(a.sell().is_diagonal(), diagonal);
+        let rhs: Vec<Vec<f64>> = (1..=3)
+            .map(|k| b.iter().map(|v| v * k as f64 + (k - 1) as f64).collect())
+            .collect();
+        let requests: Vec<BatchRequest<'_>> = rhs.iter().map(|r| BatchRequest::new(r)).collect();
+        for threads in [1, 2] {
+            let o = opts(threads, false);
+            let batch = solve_batch(&Method::Pcg, &a, &cheb, &requests, &o, Engine::Serial);
+            assert_eq!(batch.len(), 3);
+            for (j, column) in batch.iter().enumerate() {
+                let problem = Problem::try_new(&a, &cheb, &rhs[j]).unwrap();
+                let alone = solve(&Method::Pcg, &problem, &o, Engine::Serial);
+                let tag = format!("batch column {j} threads={threads} diagonal={diagonal}");
+                assert_parity(&tag, &alone, column);
+            }
         }
     }
 }
 
 /// Dense reference product for a CSR matrix, one row at a time in CSR
-/// order — the accumulation order both formats promise to reproduce.
+/// order — the accumulation order both encodings promise to reproduce.
 fn reference_spmv(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
     let mut y = vec![0.0; a.nrows()];
     a.spmv(x, &mut y);

@@ -13,7 +13,6 @@ use spcg::solvers::{
 };
 use spcg::sparse::generators::poisson::poisson_3d;
 use spcg::sparse::generators::{paper_rhs, perturb_diagonal};
-use spcg::sparse::SparseFormat;
 
 const S: usize = 4;
 
@@ -51,8 +50,8 @@ fn assert_bitwise_equal(
 ///
 /// n = 14³ = 2744 spans multiple reduction blocks (`REDUCE_BLOCK` = 1024),
 /// so the threaded partial sums genuinely exercise the pairwise combine.
-/// Under `SPCG_FORMAT=sell` the stencil runs SELL's diagonal encoding and
-/// its variable-coefficient twin the slots.
+/// The stencil runs SELL's diagonal encoding and its variable-coefficient
+/// twin the slots.
 #[test]
 fn all_methods_bitwise_identical_across_thread_counts() {
     let stencil = poisson_3d(14);
@@ -117,10 +116,11 @@ fn threads_compose_with_ranked_engine() {
 }
 
 /// The blocked multi-RHS path keeps the determinism contract at every
-/// batch width: for k ∈ {2, 4, 8}, both sparse formats, the batched solve
-/// is bitwise identical across thread counts — and every column matches
-/// its own single-threaded standalone solve. Under SELL the stencil runs
-/// the diagonal encoding and its variable-coefficient twin the slots.
+/// batch width: for k ∈ {2, 4, 8} the batched solve is bitwise identical
+/// across thread counts — and every column matches its own
+/// single-threaded standalone solve. The stencil's products run on SELL's
+/// diagonal encoding; its variable-coefficient twin's SpMVs on the slots
+/// and its SpMM on the interleaved CSR kernel.
 #[test]
 fn batched_multi_rhs_bitwise_identical_across_thread_counts() {
     let stencil = poisson_3d(14);
@@ -134,46 +134,44 @@ fn batched_multi_rhs_bitwise_identical_across_thread_counts() {
                 .map(|j| base_b.iter().map(|v| v * (1.0 + j as f64)).collect())
                 .collect();
             let reqs: Vec<BatchRequest<'_>> = bs.iter().map(|b| BatchRequest::new(b)).collect();
-            for format in [SparseFormat::Csr, SparseFormat::Sell] {
-                let opts = SolveOptions::from_env().with_format(format);
-                let base = solve_batch(
+            let opts = SolveOptions::from_env();
+            let base = solve_batch(
+                &Method::Pcg,
+                &a,
+                &m,
+                &reqs,
+                &opts.clone().with_threads(1),
+                Engine::Serial,
+            );
+            for (j, (res, b)) in base.iter().zip(&bs).enumerate() {
+                assert!(res.converged(), "k={k} col {j}: {:?}", res.outcome);
+                let standalone = solve(
+                    &Method::Pcg,
+                    &Problem::new(&a, &m, b),
+                    &opts.clone().with_threads(1),
+                    Engine::Serial,
+                );
+                assert_bitwise_equal(
+                    res,
+                    &standalone,
+                    &format!("k={k} col {j} diagonal={diagonal} vs standalone"),
+                );
+            }
+            for t in [2usize, 4, 8] {
+                let threaded = solve_batch(
                     &Method::Pcg,
                     &a,
                     &m,
                     &reqs,
-                    &opts.clone().with_threads(1),
+                    &opts.clone().with_threads(t),
                     Engine::Serial,
                 );
-                for (j, (res, b)) in base.iter().zip(&bs).enumerate() {
-                    assert!(res.converged(), "k={k} col {j}: {:?}", res.outcome);
-                    let standalone = solve(
-                        &Method::Pcg,
-                        &Problem::new(&a, &m, b),
-                        &opts.clone().with_threads(1),
-                        Engine::Serial,
-                    );
+                for (j, (res, one)) in threaded.iter().zip(&base).enumerate() {
                     assert_bitwise_equal(
                         res,
-                        &standalone,
-                        &format!("k={k} col {j} {format:?} diagonal={diagonal} vs standalone"),
+                        one,
+                        &format!("k={k} col {j} diagonal={diagonal} threads={t}"),
                     );
-                }
-                for t in [2usize, 4, 8] {
-                    let threaded = solve_batch(
-                        &Method::Pcg,
-                        &a,
-                        &m,
-                        &reqs,
-                        &opts.clone().with_threads(t),
-                        Engine::Serial,
-                    );
-                    for (j, (res, one)) in threaded.iter().zip(&base).enumerate() {
-                        assert_bitwise_equal(
-                            res,
-                            one,
-                            &format!("k={k} col {j} {format:?} diagonal={diagonal} threads={t}"),
-                        );
-                    }
                 }
             }
         }

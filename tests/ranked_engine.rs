@@ -364,7 +364,6 @@ fn problem_try_new_round_trips_through_solve() {
 fn ranked_solves_do_not_depend_on_the_matrix_zone_cache() {
     use spcg::dist::Backend;
     use spcg::solvers::AdaptivePolicy;
-    use spcg::sparse::SparseFormat;
     assert!(
         spcg::solvers::procexec::rankd_path().is_some(),
         "spcg-rankd not found: run a workspace build first (or set SPCG_RANKD)"
@@ -397,38 +396,35 @@ fn ranked_solves_do_not_depend_on_the_matrix_zone_cache() {
         (Method::Pcg, 2),
         (spcg5, 2),
     ];
-    for format in [SparseFormat::Csr, SparseFormat::Sell] {
-        for overlap in [true, false] {
-            for backend in [Backend::Thread, Backend::Proc] {
-                let opts = SolveOptions::from_env()
-                    .with_tol(1e-8)
-                    .with_history()
-                    .with_threads(1)
-                    .with_overlap(overlap)
-                    .with_format(format)
-                    .with_backend(backend)
-                    .with_trace(None)
-                    .with_faults(None)
-                    .with_adaptive(AdaptivePolicy::default());
-                let shared = a.clone();
-                for (step, (method, ranks)) in steps.iter().enumerate() {
-                    let engine = Engine::Ranked { ranks: *ranks };
-                    let fresh = a.clone();
-                    let on = |a: &CsrMatrix| solve(method, &Problem::new(a, &m, &b), &opts, engine);
-                    let (got, want) = (on(&shared), on(&fresh));
-                    let tag = format!(
-                        "step {step} ({} on {ranks} ranks) {format:?} overlap={overlap} {backend:?}",
-                        method.name()
-                    );
-                    assert!(want.converged(), "{tag}: {:?}", want.outcome);
-                    assert_eq!(got.outcome, want.outcome, "{tag}: outcome");
-                    assert_eq!(got.iterations, want.iterations, "{tag}: iterations");
-                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&got.x), bits(&want.x), "{tag}: x bits");
-                    assert_eq!(got.history, want.history, "{tag}: history");
-                    assert_eq!(got.counters, want.counters, "{tag}: counters");
-                    assert_eq!(got.s_schedule, want.s_schedule, "{tag}: s schedule");
-                }
+    for overlap in [true, false] {
+        for backend in [Backend::Thread, Backend::Proc] {
+            let opts = SolveOptions::from_env()
+                .with_tol(1e-8)
+                .with_history()
+                .with_threads(1)
+                .with_overlap(overlap)
+                .with_backend(backend)
+                .with_trace(None)
+                .with_faults(None)
+                .with_adaptive(AdaptivePolicy::default());
+            let shared = a.clone();
+            for (step, (method, ranks)) in steps.iter().enumerate() {
+                let engine = Engine::Ranked { ranks: *ranks };
+                let fresh = a.clone();
+                let on = |a: &CsrMatrix| solve(method, &Problem::new(a, &m, &b), &opts, engine);
+                let (got, want) = (on(&shared), on(&fresh));
+                let tag = format!(
+                    "step {step} ({} on {ranks} ranks) overlap={overlap} {backend:?}",
+                    method.name()
+                );
+                assert!(want.converged(), "{tag}: {:?}", want.outcome);
+                assert_eq!(got.outcome, want.outcome, "{tag}: outcome");
+                assert_eq!(got.iterations, want.iterations, "{tag}: iterations");
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.x), bits(&want.x), "{tag}: x bits");
+                assert_eq!(got.history, want.history, "{tag}: history");
+                assert_eq!(got.counters, want.counters, "{tag}: counters");
+                assert_eq!(got.s_schedule, want.s_schedule, "{tag}: s schedule");
             }
         }
     }

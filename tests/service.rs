@@ -4,10 +4,9 @@
 //! throughput and nothing else: a width-1 batch — and every individual
 //! column of a wider batch — must be **bitwise identical** (iterate,
 //! history, counters) to the standalone `solve()` of that right-hand side,
-//! for every method, engine, and sparse format. The suite honours
-//! `SPCG_RANKS` (extra rank count), `SPCG_THREADS`, and `SPCG_FORMAT`
-//! like the other integration suites, so the CI service job can sweep
-//! configurations without code changes.
+//! for every method and engine. The suite honours `SPCG_RANKS` (extra rank
+//! count) and `SPCG_THREADS` like the other integration suites, so the CI
+//! service job can sweep configurations without code changes.
 
 use spcg::precond::{Jacobi, Preconditioner};
 use spcg::service::{fingerprint, ServiceConfig, SolveService, SolveSpec, SolverHandle};
@@ -15,8 +14,8 @@ use spcg::solvers::{
     chebyshev_basis, solve, solve_batch, BatchRequest, Engine, Method, Outcome, Problem,
     SolveOptions, SolveResult, StoppingCriterion,
 };
-use spcg::sparse::generators::paper_rhs;
 use spcg::sparse::generators::poisson::{poisson_2d, poisson_3d};
+use spcg::sparse::generators::{paper_rhs, perturb_diagonal};
 use spcg::sparse::{CsrMatrix, SparseFormat};
 use std::sync::Arc;
 
@@ -84,49 +83,52 @@ fn rhs_family(a: &CsrMatrix, k: usize) -> Vec<Vec<f64>> {
 }
 
 /// k = 1 through the service is bitwise identical to `solve()` for every
-/// method × engine × format — both the blocked PCG fast path and the
-/// sequential fallback the other methods take.
+/// method × engine — both the blocked PCG fast path and the sequential
+/// fallback the other methods take.
 #[test]
 fn k1_service_solve_is_bitwise_identical_to_plain_solve() {
     let a = Arc::new(poisson_2d(14));
     let b = paper_rhs(&a);
     let m = Jacobi::new(&a);
     let problem = Problem::new(&a, &m, &b);
-    for format in [SparseFormat::Csr, SparseFormat::Sell] {
-        let opts = SolveOptions::from_env().with_format(format).with_history();
-        for engine in engines() {
-            for method in all_methods(&problem) {
-                let what = format!("{} {engine:?} {format:?}", method.name());
-                let plain = solve(&method, &problem, &opts, engine);
-                assert!(plain.converged(), "{what}: {:?}", plain.outcome);
-                let spec = SolveSpec::new(method, m.spec().unwrap())
-                    .with_opts(opts.clone())
-                    .with_engine(engine);
-                let handle = SolverHandle::build(Arc::clone(&a), spec);
-                assert_bitwise(&handle.solve_one(&b), &plain, &what);
-            }
+    let opts = SolveOptions::from_env().with_history();
+    for engine in engines() {
+        for method in all_methods(&problem) {
+            let what = format!("{} {engine:?}", method.name());
+            let plain = solve(&method, &problem, &opts, engine);
+            assert!(plain.converged(), "{what}: {:?}", plain.outcome);
+            let spec = SolveSpec::new(method, m.spec().unwrap())
+                .with_opts(opts.clone())
+                .with_engine(engine);
+            let handle = SolverHandle::build(Arc::clone(&a), spec);
+            assert_bitwise(&handle.solve_one(&b), &plain, &what);
         }
     }
 }
 
 /// Wider batches: every column converges to the shared tolerance, and
 /// each is bitwise identical to its standalone solve. The blocked PCG's
-/// product is the interleaved CSR SpMM under either format, so its inputs
-/// walk that kernel's paths: widths 2, 8 and 15 (15 takes every rung of the
-/// 8/4/2/1 column ladder), more rows than one 8192-row operand panel, and
-/// two threads (the pooled, fully packed kernel) beside one. sPCG takes the
+/// product is SELL's SpMM on the stencil's diagonals and the interleaved
+/// CSR SpMM on its variable-coefficient twin, whose inputs walk that
+/// kernel's paths: widths 2, 8 and 15 (15 takes every rung of the 8/4/2/1
+/// column ladder), more rows than one 8192-row operand panel, and two
+/// threads (the pooled, fully packed kernel) beside one. sPCG takes the
 /// per-column fallback, on a small matrix.
 #[test]
 fn wide_batches_converge_and_match_standalone_solves() {
+    let stencil = poisson_3d(24);
+    let twin = perturb_diagonal(&stencil, 24);
+    assert!(stencil.sell().is_diagonal() && !twin.sell().is_diagonal());
     let cases = [
-        (poisson_3d(24), Method::Pcg, vec![2, 8, 15]),
+        (stencil, Method::Pcg, vec![2, 8, 15]),
+        (twin, Method::Pcg, vec![2, 8, 15]),
         (poisson_2d(12), Method::SPcgMon { s: S }, vec![4]),
     ];
     for (a, method, widths) in cases {
         let m = Jacobi::new(&a);
         let bs = rhs_family(&a, *widths.iter().max().unwrap());
-        // A standalone solve has the same bits in every format and at every
-        // thread count (tests/format.rs), so one set serves them all.
+        // A standalone solve has the same bits at every thread count
+        // (tests/par_kernels.rs), so one set serves them all.
         let plain: Vec<SolveResult> = bs
             .iter()
             .map(|b| {
@@ -134,26 +136,23 @@ fn wide_batches_converge_and_match_standalone_solves() {
                 solve(&method, &Problem::new(&a, &m, b), &opts, Engine::Serial)
             })
             .collect();
-        for format in [SparseFormat::Csr, SparseFormat::Sell] {
-            for threads in [1, 2] {
-                let opts = SolveOptions::from_env()
-                    .with_format(format)
-                    .with_threads(threads)
-                    .with_history();
-                for &k in &widths {
-                    let reqs: Vec<BatchRequest<'_>> =
-                        bs[..k].iter().map(|b| BatchRequest::new(b)).collect();
-                    let batch = solve_batch(&method, &a, &m, &reqs, &opts, Engine::Serial);
-                    for (j, b) in bs[..k].iter().enumerate() {
-                        let what = format!("{} k={k} col {j} {format:?} t{threads}", method.name());
-                        assert!(batch[j].converged(), "{what}: {:?}", batch[j].outcome);
-                        assert!(
-                            batch[j].true_relative_residual(&a, b) < opts.tol * 10.0,
-                            "{what}: residual {}",
-                            batch[j].true_relative_residual(&a, b)
-                        );
-                        assert_bitwise(&batch[j], &plain[j], &what);
-                    }
+        for threads in [1, 2] {
+            let opts = SolveOptions::from_env()
+                .with_threads(threads)
+                .with_history();
+            for &k in &widths {
+                let reqs: Vec<BatchRequest<'_>> =
+                    bs[..k].iter().map(|b| BatchRequest::new(b)).collect();
+                let batch = solve_batch(&method, &a, &m, &reqs, &opts, Engine::Serial);
+                for (j, b) in bs[..k].iter().enumerate() {
+                    let what = format!("{} k={k} col {j} t{threads}", method.name());
+                    assert!(batch[j].converged(), "{what}: {:?}", batch[j].outcome);
+                    assert!(
+                        batch[j].true_relative_residual(&a, b) < opts.tol * 10.0,
+                        "{what}: residual {}",
+                        batch[j].true_relative_residual(&a, b)
+                    );
+                    assert_bitwise(&batch[j], &plain[j], &what);
                 }
             }
         }
@@ -193,22 +192,19 @@ fn hostile_columns_freeze_alone() {
         StoppingCriterion::RecursiveResidual2Norm,
         StoppingCriterion::PrecondMNorm,
     ] {
-        for format in [SparseFormat::Csr, SparseFormat::Sell] {
-            for threads in [1, 2] {
-                let opts = SolveOptions::from_env()
-                    .with_criterion(criterion)
-                    .with_format(format)
-                    .with_threads(threads)
-                    .with_max_iters(6)
-                    .with_history();
-                let batch = solve_batch(&Method::Pcg, &a, &m, &reqs, &opts, Engine::Serial);
-                for (j, res) in batch.iter().enumerate() {
-                    let what = format!("col {j} {criterion:?} {format:?} t{threads}");
-                    assert_eq!((res.outcome.clone(), res.iterations), want[j], "{what}");
-                    let problem = Problem::new(&a, &m, &bs[j]);
-                    let plain = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
-                    assert_bitwise(res, &plain, &what);
-                }
+        for threads in [1, 2] {
+            let opts = SolveOptions::from_env()
+                .with_criterion(criterion)
+                .with_threads(threads)
+                .with_max_iters(6)
+                .with_history();
+            let batch = solve_batch(&Method::Pcg, &a, &m, &reqs, &opts, Engine::Serial);
+            for (j, res) in batch.iter().enumerate() {
+                let what = format!("col {j} {criterion:?} t{threads}");
+                assert_eq!((res.outcome.clone(), res.iterations), want[j], "{what}");
+                let problem = Problem::new(&a, &m, &bs[j]);
+                let plain = solve(&Method::Pcg, &problem, &opts, Engine::Serial);
+                assert_bitwise(res, &plain, &what);
             }
         }
     }
@@ -272,6 +268,32 @@ fn fingerprint_cache_hits_and_misses() {
     // And the original is still resident.
     svc.submit(&a, &spec, &b, None);
     assert_eq!(svc.stats().hits, 2);
+}
+
+/// `SolveOptions::format` is inert, so it keys nothing: two specs that
+/// differ only there share one handle (one miss, then one hit) and give
+/// the same bits.
+#[test]
+fn specs_differing_only_in_format_share_one_handle() {
+    let a = Arc::new(poisson_2d(10));
+    let b = paper_rhs(&a);
+    let base = SolveSpec::new(Method::Pcg, Jacobi::new(&a).spec().unwrap())
+        .with_opts(SolveOptions::from_env().with_history());
+    let [csr, sell] = [SparseFormat::Csr, SparseFormat::Sell].map(|format| {
+        let mut spec = base.clone();
+        spec.opts.format = format;
+        spec
+    });
+    assert_eq!(fingerprint(&a, &csr), fingerprint(&a, &sell));
+    let svc = SolveService::new(ServiceConfig {
+        max_batch: 8,
+        cache_capacity: 8,
+    });
+    let first = svc.submit(&a, &csr, &b, None);
+    let second = svc.submit(&a, &sell, &b, None);
+    let s = svc.stats();
+    assert_eq!((s.misses, s.hits), (1, 1), "format must not key the cache");
+    assert_bitwise(&second, &first, "sell spec on the csr spec's handle");
 }
 
 /// Batches through the admission queue under concurrency: every
