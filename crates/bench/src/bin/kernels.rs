@@ -165,7 +165,8 @@ fn allreduce_median_us(ranks: usize, words: usize, samples: usize, calls: usize)
 
 /// Runs `reps` split-phase rounds on `ranks` rank threads and returns the
 /// critical-path (max-over-ranks) best-of-reps seconds per phase, keyed
-/// `(post, interior, complete, frontier)`, plus summed row/word counts.
+/// `(post, interior, complete, frontier)`, plus summed row/word counts and
+/// each rank's interior encoding and band length (the interior rows).
 /// This is the exact schedule `Engine::Ranked` uses with overlap on:
 /// post → interior SpMV → complete → frontier SpMV, one exchange per
 /// round. The phase timings come from the same obs spans the traced
@@ -175,7 +176,7 @@ fn overlap_round(
     x: &[f64],
     ranks: usize,
     reps: usize,
-) -> ([f64; 4], usize, usize, usize) {
+) -> ([f64; 4], usize, usize, usize, String) {
     let n = a.nrows();
     let part = BlockRowPartition::balanced(n, ranks);
     let offsets: Vec<usize> = (0..ranks).map(|r| part.range(r).0).chain([n]).collect();
@@ -208,6 +209,7 @@ fn overlap_round(
             gz.interior_rows().len(),
             gz.frontier_rows(nl).len(),
             plan.words(),
+            gz.interior_is_diagonal(),
         )
     });
     // Critical path: the slowest rank gates each phase; counts sum.
@@ -227,7 +229,11 @@ fn overlap_round(
     let n_interior = counts.iter().map(|c| c.0).sum();
     let n_frontier = counts.iter().map(|c| c.1).sum();
     let halo_words = counts.iter().map(|c| c.2).sum();
-    (best, n_interior, n_frontier, halo_words)
+    let bands: Vec<String> = counts
+        .iter()
+        .map(|c| format!("{} {}", if c.3 { "diagonals" } else { "slots" }, c.0))
+        .collect();
+    (best, n_interior, n_frontier, halo_words, bands.join(", "))
 }
 
 /// Best of `reps` wall-clock milliseconds of `f`.
@@ -690,10 +696,10 @@ fn main() {
     let mut interior_frac = Vec::new();
     let mut halo_words = Vec::new();
     for &r in &RANKS {
-        let ([post, interior, complete, frontier], n_int, n_front, words) =
+        let ([post, interior, complete, frontier], n_int, n_front, words, bands) =
             overlap_round(&a, &x, r, reps);
         eprintln!(
-            "[kernels] ranks={r}: post {:.1}us, interior {:.1}us ({n_int} rows), complete {:.1}us, frontier {:.1}us ({n_front} rows), halo {words} words",
+            "[kernels] ranks={r}: post {:.1}us, interior {:.1}us ({n_int} rows; band per rank: {bands}), complete {:.1}us, frontier {:.1}us ({n_front} rows), halo {words} words",
             post * 1e6,
             interior * 1e6,
             complete * 1e6,

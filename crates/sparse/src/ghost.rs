@@ -1,5 +1,6 @@
-//! The rank-local operator: a depth-s ghost zone whose rows are packed as
-//! two SELL slot matrices.
+//! The rank-local operator: a depth-s ghost zone whose owned block takes
+//! the form [`SellMatrix::from_csr`] picks, plus a slot row list for the
+//! rows that need ghost operands.
 //!
 //! A rank owning the contiguous row block `[lo, hi)` can compute `s` levels
 //! of the MPK recurrence from a **single** neighbour exchange if it first
@@ -10,15 +11,29 @@
 //! [`GhostZone`] precomputes the reachability sets by breadth-first search
 //! over the column structure of `A`, orders the extended index set so each
 //! reach set is a *prefix* (owned rows first, then ghosts grouped by BFS
-//! distance), and holds the rows of `A` remapped onto that extended index
-//! space as two [`SellMatrix`] row lists: the interior rows and the
-//! frontier rows. Entry order within each row is preserved, so row sums
-//! are bitwise identical to the global SpMV's.
+//! distance), and splits the rows it computes in two:
+//!
+//! * the **interior band** `[b0, b1)`: the longest run of owned rows whose
+//!   columns are all owned ([`crate::RowSplit`]'s interior rows), trimmed
+//!   to multiples of [`SELL_SIGMA`] (`b1` may be the owned count). Its rows
+//!   run on the owned diagonal block `A[lo..hi, lo..hi]` in the form
+//!   [`SellMatrix::from_csr`] picks for it — the diagonal encoding for a
+//!   constant stencil (presence bits already express the entries cut at
+//!   the block edges), σ-sorted slots otherwise — through the block's band
+//!   kernel (`SellMatrix::spmv_band`);
+//! * the **frontier**: every other row below `reach_len(depth − 1)` (owned
+//!   rows outside the band, then all ghost rows), remapped onto the
+//!   extended index space and packed as one ascending slot row list
+//!   ([`SellMatrix::from_rows`]).
+//!
+//! An interior row of the block holds its whole row of `A`, and every row
+//! is summed whole, in entry order, by one kernel, so each row sum is
+//! bitwise the global SpMV's.
 //!
 //! **Depth-prefix property.** BFS levels are appended in order and sorted
 //! within a level, and a level depends only on the levels before it, so a
 //! depth-`D` zone *is* a depth-`d` zone for every `d ≤ D`:
-//! `ext[..reach_len(d)]`, `reach_len(0..=d)`, the interior rows, the
+//! `ext[..reach_len(d)]`, `reach_len(0..=d)`, the interior band, the
 //! frontier rows below `reach_len(d − 1)` and every remapped row among them
 //! are what `GhostZone::new(.., d)` would have built. Rows below
 //! `reach_len(k)` reference only columns below `reach_len(k + 1)`, so a
@@ -28,11 +43,11 @@
 
 use crate::csr::CsrMatrix;
 use crate::par::ParKernels;
-use crate::sell::SellMatrix;
+use crate::sell::{SellMatrix, SELL_SIGMA};
 use std::collections::HashMap;
 
 /// The depth-s reachability structure of one rank's row block, with the
-/// rank's rows of `A` remapped onto it.
+/// rank's rows of `A` in the zone's two kernels.
 #[derive(Debug)]
 pub struct GhostZone {
     lo: usize,
@@ -44,14 +59,46 @@ pub struct GhostZone {
     /// `prefix[d]` = |reach(d)| for `d = 0 ..= depth`; `prefix[0]` is the
     /// owned count and `prefix[depth] == ext.len()`.
     prefix: Vec<usize>,
-    /// The owned rows whose columns all fall inside the owned prefix
-    /// (computable before the halo exchange completes; from the matrix's
-    /// cached [`crate::RowSplit`]), packed in ascending list order.
-    interior: SellMatrix,
-    /// Every other row of `0 .. prefix[depth-1]` (owned rows touching ghost
-    /// columns, then all ghost rows), ascending, so `perm()` is the list
+    /// The owned diagonal block `A[lo..hi, lo..hi]` as
+    /// [`SellMatrix::from_csr`] stores it. Only its band rows are computed:
+    /// a row outside the band may have lost its ghost columns.
+    block: SellMatrix,
+    /// The interior band's rows `b0 .. b1`, owned-local: computable before
+    /// the halo exchange completes.
+    interior: Vec<usize>,
+    /// Every other row of `0 .. prefix[depth-1]` (owned rows outside the
+    /// band, then all ghost rows), ascending, so `perm()` is the list
     /// itself and a row prefix of the frontier is a lane prefix.
     frontier: SellMatrix,
+}
+
+/// The longest σ-aligned band `[b0, b1)`, in owned-local rows, inside one
+/// run of consecutive `interior` rows (global, ascending, in `[lo, hi)`):
+/// each run's start rounded up and its end down to a multiple of
+/// [`SELL_SIGMA`], an end at the block's end kept. `(0, 0)` when no run
+/// holds a whole window.
+fn interior_band(interior: &[usize], lo: usize, hi: usize) -> (usize, usize) {
+    let mut best = (0, 0);
+    let mut rest = interior;
+    while let Some(&first) = rest.first() {
+        let len = rest
+            .iter()
+            .zip(first..)
+            .take_while(|&(&r, want)| r == want)
+            .count();
+        let (r0, r1) = (first - lo, first - lo + len);
+        let b0 = r0.next_multiple_of(SELL_SIGMA);
+        let b1 = if r1 == hi - lo {
+            r1
+        } else {
+            r1 / SELL_SIGMA * SELL_SIGMA
+        };
+        if b1 > b0 && b1 - b0 > best.1 - best.0 {
+            best = (b0, b1);
+        }
+        rest = &rest[len..];
+    }
+    best
 }
 
 impl GhostZone {
@@ -66,6 +113,7 @@ impl GhostZone {
         assert!(lo <= hi && hi <= a.nrows(), "GhostZone: invalid row range");
         assert_eq!(a.nrows(), a.ncols(), "GhostZone: matrix must be square");
         let owned = lo..hi;
+        let n_owned = hi - lo;
 
         // Owned column `c` sits at `c − lo`; ghost `g` at `ghost_pos[g]`.
         let mut ghost_pos: HashMap<usize, usize> = HashMap::new();
@@ -91,12 +139,41 @@ impl GhostZone {
             prefix.push(ext.len());
         }
 
-        // Remapped rows 0 .. prefix[depth-1] in original entry order, as raw
-        // CSR arrays that live only until they are packed: the renumbered
-        // columns are not ascending (ghosts are ordered by BFS distance), so
-        // they cannot be a `CsrMatrix`.
+        // The interior band, from the matrix's cached RowSplit (global
+        // columns in [lo, hi) ⇔ remapped columns in the owned prefix).
+        let (b0, b1) = interior_band(a.row_split(lo, hi).interior(), lo, hi);
+
+        // The owned diagonal block: a transient CSR matrix whose columns,
+        // shifted by `lo`, stay ascending, handed to the one conversion
+        // that picks a layout.
+        let owned_nnz = a.row_ptr()[hi] - a.row_ptr()[lo];
+        let mut row_ptr = Vec::with_capacity(n_owned + 1);
+        let mut col_idx = Vec::with_capacity(owned_nnz);
+        let mut values = Vec::with_capacity(owned_nnz);
+        row_ptr.push(0);
+        for g in owned.clone() {
+            let (cols, vals) = a.row(g);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if owned.contains(&c) {
+                    col_idx.push(c - lo);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let block = SellMatrix::from_csr(&CsrMatrix::from_raw(
+            n_owned, n_owned, row_ptr, col_idx, values,
+        ));
+
+        // The frontier rows remapped in original entry order, as raw CSR
+        // arrays that live only until they are packed (band rows stay
+        // empty): the renumbered columns are not ascending (ghosts are
+        // ordered by BFS distance), so they cannot be a `CsrMatrix`. Ghost
+        // rows always join the frontier — their operands include ghost
+        // entries regardless of structure.
         let nrows_local = prefix[depth - 1];
-        let nnz: usize = ext[..nrows_local].iter().map(|&g| a.row(g).0.len()).sum();
+        let frontier: Vec<usize> = (0..b0).chain(b1..nrows_local).collect();
+        let nnz: usize = frontier.iter().map(|&p| a.row(ext[p]).0.len()).sum();
         let mut row_ptr = Vec::with_capacity(nrows_local + 1);
         let mut col_idx = Vec::with_capacity(nnz);
         let mut values = Vec::with_capacity(nnz);
@@ -106,40 +183,33 @@ impl GhostZone {
             while p >= prefix[level] {
                 level += 1;
             }
-            let (cols, vals) = a.row(g);
-            for &c in cols {
-                let q = if owned.contains(&c) {
-                    c - lo
-                } else {
-                    ghost_pos[&c]
-                };
-                // What lets a depth-d user of this zone leave the buffer
-                // tail past reach_len(d) unfilled.
-                debug_assert!(q < prefix[level + 1], "ghost closure violated");
-                col_idx.push(q);
+            if !(b0..b1).contains(&p) {
+                let (cols, vals) = a.row(g);
+                for &c in cols {
+                    let q = if owned.contains(&c) {
+                        c - lo
+                    } else {
+                        ghost_pos[&c]
+                    };
+                    // What lets a depth-d user of this zone leave the
+                    // buffer tail past reach_len(d) unfilled.
+                    debug_assert!(q < prefix[level + 1], "ghost closure violated");
+                    col_idx.push(q);
+                }
+                values.extend_from_slice(vals);
             }
-            values.extend_from_slice(vals);
             row_ptr.push(col_idx.len());
         }
 
-        // Interior/frontier split: owned rows classified by the matrix's
-        // cached RowSplit (global columns in [lo, hi) ⇔ remapped columns in
-        // the owned prefix); ghost rows always join the frontier — their
-        // operands include ghost entries regardless of structure.
-        let split = a.row_split(lo, hi);
-        let interior: Vec<usize> = split.interior().iter().map(|&g| g - lo).collect();
-        let mut frontier: Vec<usize> = split.frontier().iter().map(|&g| g - lo).collect();
-        frontier.extend(hi - lo..nrows_local);
-
-        let pack = |list: &[usize]| SellMatrix::from_rows(&row_ptr, &col_idx, &values, list);
         GhostZone {
             lo,
             hi,
             depth,
             ext,
             prefix,
-            interior: pack(&interior),
-            frontier: pack(&frontier),
+            block,
+            interior: (b0..b1).collect(),
+            frontier: SellMatrix::from_rows(&row_ptr, &col_idx, &values, &frontier),
         }
     }
 
@@ -185,15 +255,24 @@ impl GhostZone {
         &self.ext
     }
 
-    /// Local indices of the owned rows computable without any ghost data
-    /// (every column inside the owned prefix). Ascending, disjoint from
+    /// Local indices of the interior band `b0 .. b1`: owned rows computable
+    /// without any ghost data (every column inside the owned prefix), one
+    /// σ-aligned run (module docs). Ascending, disjoint from
     /// [`GhostZone::frontier_rows`].
     pub fn interior_rows(&self) -> &[usize] {
-        self.interior.perm().expect("row-list builds are slots")
+        &self.interior
     }
 
-    /// Local indices `< nrows` of the rows that need ghost operands:
-    /// owned rows touching ghost columns plus the ghost rows themselves.
+    /// Whether the interior band runs on the diagonal encoding (the owned
+    /// block is constant-diagonal, [`SellMatrix::is_diagonal`]) rather
+    /// than on σ-sorted slots.
+    pub fn interior_is_diagonal(&self) -> bool {
+        self.block.is_diagonal()
+    }
+
+    /// Local indices `< nrows` of the rows that need ghost operands or lie
+    /// outside the interior band: owned rows touching ghost columns, owned
+    /// rows the band's σ-trim left out, and the ghost rows themselves.
     /// Together with [`GhostZone::interior_rows`] this partitions
     /// `[0, nrows)` for any row prefix `nrows ≥ n_owned()`.
     ///
@@ -213,14 +292,31 @@ impl GhostZone {
     /// `y[r] = Σ A[ext[r], ext[q]] · x_ext[q]` for each `r` of
     /// [`GhostZone::interior_rows`], with the per-row accumulation order of
     /// [`CsrMatrix::spmv`]. Reads only the owned prefix of `x_ext`; bitwise
-    /// equal for any thread count.
+    /// equal for any thread count: threads take σ-aligned pieces of the
+    /// band (the block's [`ParKernels::band_schedule`] cut to it), and each
+    /// piece is the block's own band kernel.
     ///
     /// # Panics
     /// Panics if `x_ext` is shorter than [`GhostZone::ext_len`] or `y` than
     /// the owned block.
     pub fn spmv_interior(&self, pk: &ParKernels, x_ext: &[f64], y: &mut [f64]) {
         self.check_operands(self.n_owned(), x_ext, y);
-        pk.spmv_sell(&self.interior, x_ext, y);
+        let (b0, b1) = match (self.interior.first(), self.interior.last()) {
+            (Some(&b0), Some(&last)) => (b0, last + 1),
+            _ => return,
+        };
+        if pk.threads() == 1 {
+            self.block.spmv_band(b0, b1, x_ext, &mut y[b0..b1]);
+            return;
+        }
+        let mut cuts: Vec<usize> = pk.band_schedule(&self.block);
+        for c in &mut cuts {
+            *c = (*c).clamp(b0, b1);
+        }
+        cuts.dedup();
+        pk.for_each_range_mut(&mut y[..b1], &cuts, |c, piece| {
+            self.block.spmv_band(cuts[c], cuts[c + 1], x_ext, piece);
+        });
     }
 
     /// The rows of [`GhostZone::frontier_rows`]`(nrows)`, same arithmetic:
@@ -252,8 +348,8 @@ impl GhostZone {
 
     /// The shape contract of the three kernels. The `x_ext` bound is what
     /// licenses the SELL kernels' unchecked gather (every packed column is
-    /// below `ext_len()`), the `y` bound what keeps their scatter in range
-    /// (every packed row is below `nrows`).
+    /// below `ext_len()`, the block's below `n_owned()`), the `y` bound what
+    /// keeps their scatter in range (every packed row is below `nrows`).
     fn check_operands(&self, nrows: usize, x_ext: &[f64], y: &[f64]) {
         assert!(
             self.n_owned() <= nrows && nrows <= self.prefix[self.depth - 1],
@@ -401,40 +497,115 @@ mod tests {
     /// operand scattered back to global numbering, every entry outside the
     /// reach set poisoned with NaN. All three kernels, every level's row
     /// prefix, threads 1, 2 and 4 with the pooled paths forced, on the
-    /// stencil and its variable-coefficient twin, bit for bit.
+    /// stencil and its variable-coefficient twin, bit for bit — for a
+    /// middle fifth-to-four-fifths block and for every block of the
+    /// balanced partitions into 2, 3 and 4 ranks. On the 15³ grid a plane
+    /// is 225 rows, so the interior of every block past the first starts
+    /// off a σ boundary and the band's trim moves rows into the frontier;
+    /// the 16³ blocks are wide enough for the pooled band to be cut.
     #[test]
     fn sell_prefix_matches_csr_prefix_bitwise() {
-        let stencil = poisson_3d(11);
-        let twin = crate::generators::perturb_diagonal(&stencil, 11);
-        for a in [stencil, twin] {
-            let n = a.nrows();
-            let gz = GhostZone::new(&a, n / 5, 4 * n / 5, 3);
-            let x_ext = gz.extend_from_global(&operand(n));
-            for d in [0usize, 1, 2] {
-                let rows = gz.reach_len(d);
-                let mut x_global = vec![f64::NAN; n];
-                for (q, &g) in gz.ext_indices()[..gz.reach_len(d + 1)].iter().enumerate() {
-                    x_global[g] = x_ext[q];
+        let (mut trimmed, mut cut) = (0, 0);
+        for grid in [11usize, 15, 16] {
+            let stencil = poisson_3d(grid);
+            let twin = crate::generators::perturb_diagonal(&stencil, grid as u64);
+            for a in [stencil, twin] {
+                let n = a.nrows();
+                let mut blocks = vec![(n / 5, 4 * n / 5)];
+                for ranks in [2usize, 3, 4] {
+                    let part = crate::partition::BlockRowPartition::balanced(n, ranks);
+                    blocks.extend((0..ranks).map(|r| part.range(r)));
                 }
-                let want: Vec<u64> = gz.ext_indices()[..rows]
-                    .iter()
-                    .map(|&g| {
-                        let mut out = [0.0];
-                        a.spmv_rows(g, g + 1, &x_global, &mut out);
-                        out[0].to_bits()
-                    })
-                    .collect();
-                for t in [1usize, 2, 4] {
-                    let pk = ParKernels::always_split(t);
-                    let (mut whole, mut split) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);
-                    gz.spmv_prefix(&pk, rows, &x_ext, &mut whole);
-                    gz.spmv_interior(&pk, &x_ext, &mut split);
-                    gz.spmv_frontier(&pk, rows, &x_ext, &mut split);
-                    assert_eq!(bits(&whole), want, "prefix, depth {d}, threads {t}");
-                    assert_eq!(bits(&split), want, "split, depth {d}, threads {t}");
+                for (lo, hi) in blocks {
+                    let gz = GhostZone::new(&a, lo, hi, 3);
+                    trimmed += a.row_split(lo, hi).n_interior() - gz.interior_rows().len();
+                    cut +=
+                        usize::from(ParKernels::always_split(2).band_schedule(&gz.block).len() > 2);
+                    assert_zone_matches_csr(&a, &gz, &format!("{grid}³ [{lo},{hi})"));
                 }
             }
         }
+        assert!(
+            trimmed > 0,
+            "no block moved trimmed interior rows to the frontier"
+        );
+        assert!(cut > 0, "no block cut its band between threads");
+    }
+
+    fn assert_zone_matches_csr(a: &CsrMatrix, gz: &GhostZone, what: &str) {
+        let n = a.nrows();
+        let x_ext = gz.extend_from_global(&operand(n));
+        for d in 0..gz.depth() {
+            let rows = gz.reach_len(d);
+            let mut x_global = vec![f64::NAN; n];
+            for (q, &g) in gz.ext_indices()[..gz.reach_len(d + 1)].iter().enumerate() {
+                x_global[g] = x_ext[q];
+            }
+            let want: Vec<u64> = gz.ext_indices()[..rows]
+                .iter()
+                .map(|&g| {
+                    let mut out = [0.0];
+                    a.spmv_rows(g, g + 1, &x_global, &mut out);
+                    out[0].to_bits()
+                })
+                .collect();
+            for t in [1usize, 2, 4] {
+                let pk = ParKernels::always_split(t);
+                let (mut whole, mut split) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);
+                gz.spmv_prefix(&pk, rows, &x_ext, &mut whole);
+                gz.spmv_interior(&pk, &x_ext, &mut split);
+                gz.spmv_frontier(&pk, rows, &x_ext, &mut split);
+                assert_eq!(bits(&whole), want, "{what} prefix, depth {d}, threads {t}");
+                assert_eq!(bits(&split), want, "{what} split, depth {d}, threads {t}");
+            }
+        }
+    }
+
+    /// The band runs on whatever [`SellMatrix::from_csr`] makes of the
+    /// owned block: the diagonals of a constant stencil, slots for its
+    /// variable-coefficient twin. Either way the band is one σ-aligned run
+    /// of the RowSplit's interior rows.
+    #[test]
+    fn interior_band_takes_the_encoding_from_csr_picks() {
+        let stencil = poisson_3d(16);
+        let twin = crate::generators::perturb_diagonal(&stencil, 16);
+        for (a, diagonal) in [(&stencil, true), (&twin, false)] {
+            let n = a.nrows();
+            for (lo, hi) in [(0, n / 2), (n / 2, n), (n / 3, 2 * n / 3)] {
+                let gz = GhostZone::new(a, lo, hi, 2);
+                assert_eq!(gz.interior_is_diagonal(), diagonal, "[{lo},{hi})");
+                let band = gz.interior_rows();
+                assert!(!band.is_empty(), "[{lo},{hi}) has no band");
+                let (b0, b1) = (band[0], band[band.len() - 1] + 1);
+                assert_eq!(band, (b0..b1).collect::<Vec<_>>());
+                assert_eq!(b0 % SELL_SIGMA, 0);
+                assert!(b1 % SELL_SIGMA == 0 || b1 == gz.n_owned());
+                let split = a.row_split(lo, hi);
+                assert!(band.iter().all(|&r| split.interior().contains(&(lo + r))));
+            }
+        }
+        // The 2-rank split of 16³, where a plane is one σ-window: the band
+        // is the whole interior, every plane but the one at the cut.
+        assert_eq!(
+            GhostZone::new(&stencil, 0, 2048, 1).interior_rows().len(),
+            1792
+        );
+        let rank1 = GhostZone::new(&stencil, 2048, 4096, 1);
+        assert_eq!(rank1.interior_rows()[0], 256);
+    }
+
+    #[test]
+    fn interior_band_is_the_longest_aligned_run() {
+        let run = |r: std::ops::Range<usize>| r.collect::<Vec<_>>();
+        assert_eq!(interior_band(&run(0..1000), 0, 1000), (0, 1000));
+        assert_eq!(interior_band(&run(10..1000), 0, 1000), (256, 1000));
+        assert_eq!(interior_band(&run(10..1000), 0, 2000), (256, 768));
+        assert_eq!(interior_band(&run(10..300), 0, 2000), (0, 0));
+        let two: Vec<usize> = (0..300).chain(400..1500).collect();
+        assert_eq!(interior_band(&two, 0, 2000), (512, 1280));
+        // Alignment is to the block, not to global row numbers.
+        assert_eq!(interior_band(&run(1010..2000), 1000, 2000), (256, 1000));
+        assert_eq!(interior_band(&[], 0, 10), (0, 0));
     }
 
     /// A symmetric random-sparsity matrix (diagonal plus `per_row` random

@@ -27,8 +27,8 @@
 //! block whose load window would leave `x`.
 //!
 //! **Slots.** Every other matrix, and every row-list build
-//! ([`SellMatrix::from_rows`], the ghost zones, whose remapped columns are
-//! not constant-diagonal), is stored in slots:
+//! ([`SellMatrix::from_rows`], a ghost zone's frontier, whose remapped
+//! columns are not constant-diagonal), is stored in slots:
 //!
 //! * rows are grouped into **slices** of `C = 32` ([`SELL_C`]) lanes;
 //! * each slice is padded to its longest row and stored **column-major**
@@ -73,7 +73,7 @@
 //!   identical for any partition.
 //!
 //! The slot layout generalizes to *scattered row lists* (the ghost-zone
-//! interior/frontier kernels): [`SellMatrix::from_rows`] packs an explicit
+//! frontier kernel): [`SellMatrix::from_rows`] packs an explicit
 //! list of rows in the given order, with `perm` carrying the output
 //! position of each lane. An ascending list keeps prefix cuts (`rows <
 //! nrows`) equal to lane prefixes, which is what the per-level MPK
@@ -115,7 +115,7 @@ pub const MAX_DIAGONALS: usize = 32;
 
 /// An inert stub: nothing in the library reads it. The one-column layout of
 /// every solve is the one [`SellMatrix::from_csr`] picks (diagonals or
-/// slots; ghost zones always take slots), and a product over k ≥ 2 columns
+/// slots; a ghost zone's band, of its owned block), and a product over k ≥ 2 columns
 /// runs SELL's SpMM on diagonals and the interleaved CSR SpMM otherwise.
 /// The type and `SolveOptions::format` stay only because the frozen
 /// `benchmark/` package names them; they go with the benchmark change that
@@ -701,8 +701,8 @@ impl SellMatrix {
 
     /// Packs the listed rows of raw CSR arrays into slots, in the given
     /// order and without sorting: lane `p` holds `rows[p]` and scatters its
-    /// result to `y[rows[p]]`. Used for the ghost-zone interior/frontier
-    /// row lists, whose ascending order makes a row prefix a lane prefix.
+    /// result to `y[rows[p]]`. Used for the ghost-zone frontier row list,
+    /// whose ascending order makes a row prefix a lane prefix.
     ///
     /// # Panics
     /// Panics if a row is listed twice: the threaded kernels scatter lanes

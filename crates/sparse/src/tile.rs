@@ -86,7 +86,11 @@ pub(crate) fn combine<'a>(
 fn combine_group(dst: &mut [f64], init: Option<&[f64]>, terms: &[(f64, &[f64])]) {
     #[cfg(target_arch = "x86_64")]
     if simd_ok() {
-        // SAFETY: AVX2 was detected at run time.
+        // SAFETY: `combine_group_avx2`'s one precondition is a CPU with
+        // AVX2, and `simd_ok()` has just detected it at run time (a cached
+        // CPUID probe). The body it compiles is safe Rust whose every
+        // access is bounds-checked, so no slice length is trusted here.
+        // Checked twin: `combine_dispatch_matches_the_scalar_body_bitwise`.
         unsafe { combine_group_avx2(dst, init, terms) };
         return;
     }
@@ -102,6 +106,10 @@ fn combine_group(dst: &mut [f64], init: Option<&[f64]>, terms: &[(f64, &[f64])])
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn combine_group_avx2(dst: &mut [f64], init: Option<&[f64]>, terms: &[(f64, &[f64])]) {
+    // SAFETY: the body is the safe, bounds-checked scalar body, and
+    // `target_feature` changes only which instructions it compiles to. Running those instructions is what
+    // needs AVX2, the caller's contract. Checked twin:
+    // `combine_matches_axpy_sweeps_and_the_avx2_body_matches_the_scalar_one`.
     combine_group_body(dst, init, terms);
 }
 
@@ -180,7 +188,11 @@ pub(crate) fn gram_block(
     );
     #[cfg(target_arch = "x86_64")]
     if gram_simd_ok() {
-        // SAFETY: AVX2 was detected at run time.
+        // SAFETY: `gram_block_avx2`'s one precondition is a CPU with AVX2;
+        // `gram_simd_ok()` is true only when `simd_ok()` detected it at run
+        // time. The body is safe, bounds-checked Rust, so the column, lane
+        // and output lengths are checked there, not trusted. Checked twin:
+        // `gram_dispatch_matches_the_scalar_body_bitwise`.
         unsafe { gram_block_avx2(acols, bcols, lo, hi, lanes, out) };
         return;
     }
@@ -222,6 +234,10 @@ unsafe fn gram_block_avx2(
     lanes: &mut [f64],
     out: &mut [f64],
 ) {
+    // SAFETY: as in `combine_group_avx2`, the one obligation is the
+    // instruction set: the safe, bounds-checked body compiled for AVX2,
+    // which the caller guarantees. Checked twin:
+    // `gram_block_matches_dot_block_and_the_avx2_body_matches_the_scalar_one`.
     gram_block_body(acols, bcols, lo, hi, lanes, out);
 }
 
@@ -410,7 +426,8 @@ pub(crate) mod tests {
                     #[cfg(target_arch = "x86_64")]
                     if simd_ok() {
                         let mut simd = dst0.clone();
-                        // SAFETY: AVX2 was detected at run time.
+                        // SAFETY: `simd_ok()` just detected AVX2, the
+                        // function's one precondition.
                         unsafe { combine_group_avx2(&mut simd, init, &live) };
                         same_bits(&simd, &scalar, &format!("{what} avx2"));
                     }
@@ -475,13 +492,59 @@ pub(crate) mod tests {
                     #[cfg(target_arch = "x86_64")]
                     if simd_ok() {
                         got.fill(f64::NAN);
-                        // SAFETY: AVX2 was detected at run time.
+                        // SAFETY: `simd_ok()` just detected AVX2, the
+                        // function's one precondition.
                         unsafe {
                             gram_block_avx2(&a[..ka], &b[..kb], lo, hi, &mut lanes, &mut got)
                         };
                         same_bits(&got, &want, &format!("{what} avx2"));
                     }
                 }
+            }
+        }
+    }
+
+    /// The checked twin of `combine_group`'s AVX2 call: whatever body the
+    /// dispatch picks on this CPU, its bits are the scalar body's.
+    #[test]
+    fn combine_dispatch_matches_the_scalar_body_bitwise() {
+        let mut rng = Rng64::seed_from_u64(11);
+        for n in [0usize, 1, 15, 16, 17, 100, TILE] {
+            for k in [0usize, 1, 3, MAX_TERMS] {
+                let cols: Vec<Vec<f64>> = (0..k).map(|_| random_vec(n, &mut rng)).collect();
+                let terms: Vec<(f64, &[f64])> = cols
+                    .iter()
+                    .map(|col| (rng.next_f64() - 0.5, &col[..]))
+                    .collect();
+                let (init_vec, dst0) = (random_vec(n, &mut rng), random_vec(n, &mut rng));
+                for init in [None, Some(&init_vec[..])] {
+                    let (mut got, mut want) = (dst0.clone(), dst0.clone());
+                    combine_group(&mut got, init, &terms);
+                    combine_group_body(&mut want, init, &terms);
+                    same_bits(&got, &want, &format!("n={n} k={k} init={}", init.is_some()));
+                }
+            }
+        }
+    }
+
+    /// The checked twin of `gram_block`'s AVX2 call: the dispatch's bits
+    /// are the scalar body's, on operands with NaN, ±Inf and ±0.0.
+    #[test]
+    fn gram_dispatch_matches_the_scalar_body_bitwise() {
+        let k = 7;
+        for len in [0usize, 3, 4, 129, GRAM_TILE + 5, crate::blas::REDUCE_BLOCK] {
+            let (lo, hi) = (4, 4 + len);
+            let (a, b) = (gram_operands(hi, k, 5), gram_operands(hi, k, 6));
+            let (a, b): (Vec<&[f64]>, Vec<&[f64]>) = (
+                a.iter().map(|c| &c[..]).collect(),
+                b.iter().map(|c| &c[..]).collect(),
+            );
+            for (ka, kb) in [(1, 1), (4, 2), (k, 3), (k, k)] {
+                let mut lanes = vec![f64::NAN; GRAM_LANES * ka * kb];
+                let (mut got, mut want) = (vec![f64::NAN; ka * kb], vec![f64::NAN; ka * kb]);
+                gram_block(&a[..ka], &b[..kb], lo, hi, &mut lanes, &mut got);
+                gram_block_body(&a[..ka], &b[..kb], lo, hi, &mut lanes, &mut want);
+                same_bits(&got, &want, &format!("len={len} {ka}x{kb}"));
             }
         }
     }
